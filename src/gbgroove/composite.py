@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .layers import (
     CornerSpec,
@@ -281,6 +280,8 @@ def groove_metrics(profile, params: ModelParams | None = None,
                 x_min2, y_min2 = float(xs[i]), float(ys[i])
 
     if callable_profile:
+        from scipy.integrate import quad  # deferred: it is most of the package import time
+
         pts = [p for p in (x_max, x_min2) if p is not None]
         mass, _ = quad(profile, 0.0, float(xs[-1]), points=pts or None, limit=200)
     else:

@@ -9,6 +9,11 @@ Wall and far-field flux rows are imposed in integral (mass-balance) form
 by default: the semi-discrete system then conserves the trapezoidal mass
 identically, which is the discrete shadow of matter conservation.  Set
 flux_form="onesided" for the plain one-sided-stencil variant.
+
+The interior operator is kept as its one stencil, alpha_hat*D6 - D4, and
+applied by correlation.  Each time-step matrix is written from the
+stencil, the boundary rows and the balance rows in one vectorized pass,
+row-scaled, directly in CSC form, and factored by SuperLU.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csc_matrix, identity, lil_matrix
+from scipy.sparse import csc_matrix
 from scipy.sparse.linalg import splu
 
 __all__ = [
@@ -157,9 +162,14 @@ class Profile:
 
 
 class GrooveOperator:
-    """Assembled spatial operator plus wall/far rows for one configuration.
+    """Interior stencil plus wall/far rows for one configuration.
 
-    Immutable after construction; LU factors are cached per time step and
+    The interior operator is one stencil, ``alpha_hat*D6 - D4`` (``-D4``
+    when alpha_hat = 0), on rows interior_lo..interior_hi: ``apply`` is a
+    correlation of the heights with it.  Every other row is a wall or
+    far-field condition (`bc_rows`) or, in balance form, a mass-balance row.
+    Each time-step system is written straight from those pieces as a
+    row-scaled CSC matrix; its LU factors are cached per (dt, theta) and
     reused while dt stays fixed.
     """
 
@@ -170,10 +180,11 @@ class GrooveOperator:
         ah = config.alpha_hat
         self.n = n
         self.dx = dx
-        self.interior_lo = 3 if ah > 0 else 2
+        self.interior_lo = 3 if ah > 0 else 2   # also the stencil half-width
         self.interior_hi = n - 1 - self.interior_lo
         self._assemble_interior()
         self._assemble_boundary_rows()
+        self._assemble_pattern()
         self._lu_cache: dict[float, object] = {}
 
     # ---- assembly -------------------------------------------------------
@@ -181,26 +192,24 @@ class GrooveOperator:
     def _assemble_interior(self):
         cfg = self.config
         n, dx, ah = self.n, self.dx, cfg.alpha_hat
-        A = lil_matrix((n, n))
         d4 = np.array([1.0, -4.0, 6.0, -4.0, 1.0]) / dx ** 4
-        d6 = np.array([1.0, -6.0, 15.0, -20.0, 15.0, -6.0, 1.0]) / dx ** 6
+        if ah > 0:
+            stencil = ah * (np.array([1.0, -6.0, 15.0, -20.0, 15.0, -6.0, 1.0]) / dx ** 6)
+            stencil[1:6] -= d4
+        else:
+            stencil = -d4
+        self.stencil = stencil
+        # telescoped flux functionals at the two edges of the interior block:
+        # dx times the sum of the first / last eight interior rows
         lo, hi = self.interior_lo, self.interior_hi
-        for i in range(lo, hi + 1):
-            if ah > 0:
-                row = ah * d6
-                A[i, i - 3:i + 4] = row
-                A[i, i - 2:i + 3] = A[i, i - 2:i + 3].toarray().ravel() - d4
-            else:
-                A[i, i - 2:i + 3] = -d4
-        self.A = A.tocsc()
-        # telescoped flux functionals at the two edges of the interior block
+        w = dx * stencil
         SL = np.zeros(n)
         for i in range(lo, lo + 8):
-            SL += dx * np.asarray(self.A[i].todense()).ravel()
+            SL[i - lo:i + lo + 1] += w
         SL[lo + 3:] = 0.0
         SR = np.zeros(n)
         for i in range(hi - 7, hi + 1):
-            SR += dx * np.asarray(self.A[i].todense()).ravel()
+            SR[i - lo:i + lo + 1] += w
         SR[:hi - 2] = 0.0
         self.SL = SL
         self.SR = SR
@@ -244,35 +253,55 @@ class GrooveOperator:
             slope[:len(w1)] = w1
             rows[0] = slope
             rhs[0] = cfg.m / 2.0
+            far0 = np.zeros(n); far0[n - 1] = 1.0
+            rows[n - 1] = far0
             if not conservative:
                 flux_row = np.zeros(n)
                 flux_row[:len(w3)] = w3
                 rows[1] = flux_row
-            far0 = np.zeros(n); far0[n - 1] = 1.0
-            far1 = np.zeros(n); far1[n - len(w1):] = -w1[::-1]
-            rows[n - 1] = far0
-            rows[n - 2] = far1
+                # in balance form the far mass-balance row takes this place
+                far1 = np.zeros(n); far1[n - len(w1):] = -w1[::-1]
+                rows[n - 2] = far1
         self.bc_rows = rows
         self.bc_rhs = rhs
-        # wall / far mass-balance rows replace the two flux-type rows
-        self.bal_left = lo - 1
-        self.bal_right = n - lo
-        WL = np.zeros(n)
-        WL[0] = dx / 2.0
-        WL[1:lo] = dx
-        WR = np.zeros(n)
-        WR[n - 1] = dx / 2.0
-        WR[self.interior_hi + 1:n - 1] = dx
-        self.WL = WL
-        self.WR = WR
-        is_bc = np.zeros(n, dtype=bool)
-        for i in rows:
-            is_bc[i] = True
+        # wall / far mass-balance rows replace the two flux-type rows:
+        # row -> (trapezoid weights of the edge nodes, telescoped flux)
+        self.balance_rows: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         if conservative:
-            is_bc[self.bal_left] = True
-            is_bc[self.bal_right] = True
-        self.is_bc = is_bc
-        self.pde_mask = (~is_bc).astype(float)
+            WL = np.zeros(n)
+            WL[0] = dx / 2.0
+            WL[1:lo] = dx
+            WR = np.zeros(n)
+            WR[n - 1] = dx / 2.0
+            WR[self.interior_hi + 1:n - 1] = dx
+            self.balance_rows = {lo - 1: (WL, self.SL), n - lo: (WR, self.SR)}
+        assert not rows.keys() & self.balance_rows.keys(), "boundary rows overlap"
+
+    def _assemble_pattern(self):
+        """Columns of the wall/far rows, and the CSC order of the system."""
+        n, lo, hi = self.n, self.interior_lo, self.interior_hi
+        self._edge_cols = {}
+        for i in (*range(lo), *range(hi + 1, n)):
+            if i in self.balance_rows:
+                W, S = self.balance_rows[i]
+                self._edge_cols[i] = np.flatnonzero((W != 0) | (S != 0))
+            else:
+                self._edge_cols[i] = np.flatnonzero(self.bc_rows[i])
+        width = len(self.stencil)
+        rows = self._row_major({i: np.full(len(c), i) for i, c in self._edge_cols.items()},
+                               np.repeat(np.arange(lo, hi + 1), width))
+        cols = self._row_major(self._edge_cols,
+                               np.arange(lo, hi + 1)[:, None] + np.arange(-lo, lo + 1))
+        self._row_of = rows
+        self._row_start = np.flatnonzero(np.diff(rows, prepend=-1))
+        self._by_col = np.lexsort((rows, cols))
+        self._col_ptr = np.concatenate(([0], np.cumsum(np.bincount(cols, minlength=n))))
+
+    def _row_major(self, edge: dict[int, np.ndarray], band: np.ndarray) -> np.ndarray:
+        """Wall rows, interior band, far rows: one flat array in row order."""
+        lo, hi = self.interior_lo, self.interior_hi
+        return np.concatenate([edge[i] for i in range(lo)] + [band.ravel()]
+                              + [edge[i] for i in range(hi + 1, self.n)])
 
     @property
     def bandwidth(self) -> int:
@@ -288,26 +317,34 @@ class GrooveOperator:
 
     def apply(self, y: np.ndarray) -> np.ndarray:
         """Spatial operator on interior rows, zero elsewhere."""
-        return self.pde_mask * (self.A @ y)
+        out = np.zeros(self.n)
+        out[self.interior_lo:self.interior_hi + 1] = np.correlate(y, self.stencil, "valid")
+        return out
+
+    def _edge_row(self, i: int, dt: float, theta: float) -> np.ndarray:
+        if i in self.balance_rows:
+            # wall + interior + far mass changes telescope to zero exactly
+            W, S = self.balance_rows[i]
+            return W / dt + theta * S
+        return self.bc_rows[i]
 
     def _system_for_dt(self, dt: float, theta: float):
         key = (dt, theta)
         cached = self._lu_cache.get(key)
         if cached is not None:
             return cached
-        n = self.n
-        eye = identity(n, format="csc")
-        D = csc_matrix((self.pde_mask, (range(n), range(n))), shape=(n, n))
-        ML = (D @ (eye - theta * dt * self.A)).tolil()
-        for i, row in self.bc_rows.items():
-            ML[i, :] = row
-        if self.config.flux_form == "balance":
-            # wall + interior + far mass changes telescope to zero exactly
-            ML[self.bal_left, :] = self.WL / dt + theta * self.SL
-            ML[self.bal_right, :] = self.WR / dt + theta * self.SR
-        ML = ML.tocsr()
-        scale = np.maximum(np.abs(ML).max(axis=1).toarray().ravel(), 1e-300)
-        Ms = csc_matrix(ML.multiply(1.0 / scale[:, None]))
+        n, lo, hi = self.n, self.interior_lo, self.interior_hi
+        c = theta * dt
+        band = np.empty((hi + 1 - lo, len(self.stencil)))
+        band[:] = -(c * self.stencil)
+        band[:, lo] = 1.0 - c * self.stencil[lo]
+        vals = self._row_major({i: self._edge_row(i, dt, theta)[cols]
+                                for i, cols in self._edge_cols.items()}, band)
+        scale = np.maximum(np.maximum.reduceat(np.abs(vals), self._row_start), 1e-300)
+        vals *= (1.0 / scale)[self._row_of]
+        Ms = csc_matrix((vals[self._by_col], self._row_of[self._by_col], self._col_ptr),
+                        shape=(n, n))
+        Ms.eliminate_zeros()
         lu = splu(Ms)
         self._lu_cache[key] = (lu, Ms, scale)
         if len(self._lu_cache) > 8:
@@ -316,10 +353,11 @@ class GrooveOperator:
 
     def advance(self, y: np.ndarray, dt: float, theta: float) -> np.ndarray:
         lu, Ms, scale = self._system_for_dt(dt, theta)
-        rhs = self.pde_mask * (y + (1.0 - theta) * dt * (self.A @ y)) + self.bc_rhs
-        if self.config.flux_form == "balance":
-            rhs[self.bal_left] = self.WL @ y / dt - (1.0 - theta) * (self.SL @ y)
-            rhs[self.bal_right] = self.WR @ y / dt - (1.0 - theta) * (self.SR @ y)
+        lo, hi = self.interior_lo, self.interior_hi
+        rhs = self.bc_rhs.copy()
+        rhs[lo:hi + 1] = y[lo:hi + 1] + (1.0 - theta) * dt * np.correlate(y, self.stencil, "valid")
+        for i, (W, S) in self.balance_rows.items():
+            rhs[i] = W @ y / dt - (1.0 - theta) * (S @ y)
         b = rhs / scale
         out = lu.solve(b)
         # one sweep of iterative refinement: the stiff sixth-order system

@@ -11,8 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.integrate import quad
-
 from .specfun import (
     DEFAULT_TOL,
     SeriesResult,
@@ -285,6 +283,8 @@ def yr_quadrature_oracle(r: int, x: float, t: float, B: float, m: float,
     (2/pi) * (-Bt)^r * (m / (2 r!)) * k^{6r-2} e^{-B k^4 t} cos(k x)
     over k after rescaling to the similarity variable.
     """
+    from scipy.integrate import quad  # deferred: it is most of the package import time
+
     if r < 1:
         raise ValueError(f"correction index r must be >= 1, got {r}")
     u, L = _similarity(x, t, B)

@@ -1,8 +1,10 @@
 """CLI dispatch, file formats, determinism and exit codes."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -189,3 +191,13 @@ class TestEntryPoint:
                      "--B", "1.0", "--Bt", "1e-29"])
         assert code == 0
         assert "alpha_hat" in capsys.readouterr().out
+
+
+def test_import_defers_scipy_integrate():
+    """Only quadrature paths need scipy.integrate; the CLI import skips it."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = "import sys, gbgroove.cli; assert 'scipy.integrate' not in sys.modules"
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                       text=True, env=env)
+    assert r.returncode == 0, r.stderr

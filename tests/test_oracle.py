@@ -355,3 +355,94 @@ class TestTimeGrid:
         cfg = _config()
         ts = time_grid(cfg)
         assert ts[1] < 1e-9 * cfg.t_final
+
+
+def _dense_system(cfg, dt, theta):
+    """Row-scaled time-step matrix, row by row in dense numpy, straight from
+    the stencil definitions: interior rows I - theta dt (alpha_hat D6 - D4),
+    one-sided wall/far rows, and in balance form the two mass-balance rows
+    (edge trapezoid weights / dt + theta times dx-summed first or last eight
+    interior rows)."""
+    n, dx, ah, p = cfg.grid.nx, cfg.grid.dx, cfg.alpha_hat, cfg.bc_order
+    h = 3 if ah > 0 else 2
+    d4 = np.array([1.0, -4.0, 6.0, -4.0, 1.0]) / dx ** 4
+    d6 = np.array([1.0, -6.0, 15.0, -20.0, 15.0, -6.0, 1.0]) / dx ** 6
+    A = np.zeros((n, n))
+    for i in range(h, n - h):
+        if ah > 0:
+            A[i, i - 3:i + 4] = ah * d6
+        A[i, i - 2:i + 3] -= d4
+    M = np.eye(n) - theta * dt * A
+
+    def weights(order):
+        return fd_weights(np.arange(float(order + p)), 0.0, order) / dx ** order
+
+    def wall(*terms):
+        row = np.zeros(n)
+        for c, w in terms:
+            row[:len(w)] += c * w
+        return row
+
+    balance = cfg.flux_form == "balance"
+    w1, w2, w3, w5 = (weights(k) for k in (1, 2, 3, 5))
+    far_slope = np.zeros(n)
+    far_slope[n - len(w1):] = -w1[::-1]
+    M[0] = wall((1.0, w1), (-ah, w3)) if ah > 0 else wall((1.0, w1))
+    M[n - 1] = np.eye(n)[n - 1]
+    if ah > 0:
+        M[1] = wall((1.0, w2))
+        M[n - 2] = far_slope
+        if not balance:
+            M[2] = wall((1.0, w3), (-ah, w5))
+            M[n - 3] = np.zeros(n)
+            M[n - 3, n - len(w2):] = w2[::-1]
+    elif not balance:
+        M[1] = wall((1.0, w3))
+        M[n - 2] = far_slope
+    if balance:
+        SL = np.zeros(n)
+        for i in range(h, h + 8):
+            SL += dx * A[i]
+        SL[h + 3:] = 0.0
+        SR = np.zeros(n)
+        for i in range(n - 1 - h - 7, n - h):
+            SR += dx * A[i]
+        SR[:n - h - 3] = 0.0
+        WL = np.zeros(n)
+        WL[:h] = dx
+        WL[0] = dx / 2
+        WR = np.zeros(n)
+        WR[n - h:] = dx
+        WR[n - 1] = dx / 2
+        M[h - 1] = WL / dt + theta * SL
+        M[n - h] = WR / dt + theta * SR
+    return M / np.abs(M).max(axis=1)[:, None]
+
+
+class TestSystemAssembly:
+    @pytest.mark.parametrize("theta", [0.5, 1.0])
+    @pytest.mark.parametrize("form", ["balance", "onesided"])
+    @pytest.mark.parametrize("alpha_hat", [0.0, 0.307])
+    def test_matches_dense_reference(self, alpha_hat, form, theta):
+        cfg = _config(grid=Grid(L=8.0, nx=64), alpha_hat=alpha_hat,
+                      flux_form=form, theta=theta)
+        op = assemble_operator(cfg)
+        for dt in (1e-3, 1.0 / 512, 3e-9):
+            _, Ms, _ = op._system_for_dt(dt, theta)
+            got = Ms.toarray()
+            ref = _dense_system(cfg, dt, theta)
+            assert Ms.nnz == np.count_nonzero(got)
+            np.testing.assert_array_equal(got != 0, ref != 0)
+            np.testing.assert_allclose(got, ref, rtol=1e-15, atol=0)
+
+    @pytest.mark.parametrize("form", ["balance", "onesided"])
+    @pytest.mark.parametrize("alpha_hat", [0.0, 0.307])
+    def test_every_row_has_one_role(self, alpha_hat, form):
+        """Interior, wall/far and balance rows partition the system."""
+        op = assemble_operator(_config(alpha_hat=alpha_hat, flux_form=form))
+        interior = set(range(op.interior_lo, op.interior_hi + 1))
+        bc, bal = set(op.bc_rows), set(op.balance_rows)
+        assert not bc & bal and not bc & interior and not bal & interior
+        assert bc | bal | interior == set(range(op.n))
+        expect = {op.interior_lo - 1, op.n - op.interior_lo} if form == "balance" else set()
+        assert bal == expect
