@@ -35,7 +35,7 @@ from .material import (
     stiffness_parameter,
 )
 from .oracle import ConfigError, DivergenceError, Grid, SolverConfig, mass, solve
-from .outer import QuadratureError, mullins_profile
+from .outer import MAX_ORDER, QuadratureError
 from .specfun import GammaPoleError, SeriesError
 
 __all__ = ["RunConfig", "run", "main", "PRESETS"]
@@ -95,8 +95,10 @@ class RunConfig:
             raise CliConfigError(f"mode {self.mode!r} needs at least one Bt value")
         if self.samples < 2:
             raise CliConfigError("samples must be >= 2")
-        if self.order < 0:
-            raise CliConfigError("order must be >= 0")
+        if not 0 <= self.order <= MAX_ORDER:
+            raise CliConfigError(f"order must be in [0, {MAX_ORDER}], got {self.order}")
+        if self.xmax is not None and not 0 < self.xmax < math.inf:
+            raise CliConfigError(f"xmax must be positive and finite, got {self.xmax}")
         for bt in self.times:
             if not bt > 0:
                 raise CliConfigError(f"Bt values must be positive, got {bt}")
@@ -112,20 +114,21 @@ class RunConfig:
 
     def reduced(self, bt: float) -> ModelParams:
         """ModelParams nondimensionalized at the evaluation time Bt."""
-        if self.model is not None:
-            try:
-                B = float(self.model["B"])
-                alpha = float(self.model["alpha"])
-                m = float(self.model["m"])
-            except (KeyError, TypeError, ValueError) as exc:
-                raise CliConfigError(f"model block needs numeric B, alpha, m: {exc}")
-            return nondimensionalize(B, alpha, bt / B, m)
+        block = "model" if self.model is not None else "physical"
         try:
-            phys = PhysicalParams(**self.physical)
-        except (TypeError, ValueError) as exc:
-            raise CliConfigError(f"bad physical block: {exc}")
-        B = mullins_coefficient(phys)
-        return model_from_physical(phys, bt / B)
+            if self.model is not None:
+                B, alpha, m = (float(self.model[k]) for k in ("B", "alpha", "m"))
+                if not B > 0:
+                    raise ValueError(f"B must be positive, got {B}")
+                params = nondimensionalize(B, alpha, bt / B, m)
+            else:
+                phys = PhysicalParams(**self.physical)
+                params = model_from_physical(phys, bt / mullins_coefficient(phys))
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+            raise CliConfigError(f"bad {block} block: {exc}")
+        if not all(map(math.isfinite, (params.alpha, params.m, params.L0, params.alpha_hat))):
+            raise CliConfigError(f"{block} block gives non-finite parameters: {params}")
+        return params
 
 
 def _merge_cli(cfg: dict, args: argparse.Namespace) -> dict:
@@ -234,16 +237,12 @@ def _profile_rows(cfg: RunConfig, with_oracle: bool):
             xs_nd = xs / params.L0
             oracle_vals = params.L0 * np.interp(xs_nd, prof[0], prof[1])
             notes.append(f"Bt={_fmt(bt)}: sup|composite-oracle|/depth = {_fmt(sup)}")
-        for i, x in enumerate(xs):
-            row = [bt, float(x),
-                   mullins_profile_dim(float(x), t, params),
-                   float(composite_profile_nd(float(x) / params.L0,
-                                              params.B * t / params.L0 ** 4,
-                                              params.m, params.alpha_hat, spec)
-                         * params.L0)]
-            if with_oracle:
-                row.append(float(oracle_vals[i]))
-            rows.append(row)
+        cols = [np.full(len(xs), bt), xs, mullins_profile_dim(xs, t, params),
+                composite_profile_nd(xs / params.L0, params.B * t / params.L0 ** 4,
+                                     params.m, params.alpha_hat, spec) * params.L0]
+        if with_oracle:
+            cols.append(oracle_vals)
+        rows += np.column_stack(cols).tolist()
     return columns, rows, notes
 
 
@@ -275,8 +274,7 @@ def _oracle_profile(cfg: RunConfig, params: ModelParams):
     prof = solve(scfg)[-1]
     xs = scfg.grid.nodes
     spec = _expansion_spec(cfg, params)
-    comp = np.array([composite_profile_nd(float(u), 1.0, params.m,
-                                          params.alpha_hat, spec) for u in xs])
+    comp = composite_profile_nd(xs, 1.0, params.m, params.alpha_hat, spec)
     depth = abs(comp[0]) if comp[0] != 0 else 1.0
     sup = float(np.max(np.abs(comp - prof.heights)) / depth)
     return (xs, prof.heights), sup
@@ -327,17 +325,11 @@ def _mode_corner(cfg: RunConfig) -> str:
     spec = CornerSpec(r=cfg.corner_r, gamma=gamma_amp, alpha_hat=ah, B=1.0)
     tau = 1.0
     ws = np.linspace(0.0, 20.0, cfg.samples)
+    zeta = ws * (spec.B * tau) ** (1.0 / 6.0)
+    yc456 = corner_solutions_yc((4, 5, 6), zeta, tau, spec)
+    combination = corner_combination(zeta, tau, spec, yc456=yc456)
     columns = ["w", "y_c4", "y_c5", "y_c6", "combination"]
-    rows = []
-    for w in ws:
-        zeta = float(w) * (spec.B * tau) ** (1.0 / 6.0)
-        rows.append([
-            float(w),
-            corner_solutions_yc(4, zeta, tau, spec),
-            corner_solutions_yc(5, zeta, tau, spec),
-            corner_solutions_yc(6, zeta, tau, spec),
-            corner_combination(zeta, tau, spec),
-        ])
+    rows = np.column_stack([ws, *yc456, combination]).tolist()
     notes = [f"nondimensional corner-layer similarity solutions at tau=1, "
              f"r={cfg.corner_r}, amplitude gamma={_fmt(gamma_amp)}"]
     return _write_table(cfg, columns, rows, notes)
@@ -355,8 +347,7 @@ def _mode_oracle(cfg: RunConfig) -> str:
         notes.append(f"Bt={_fmt(bt)}: mass={_fmt(mass(prof))} (nondimensional)")
         xs = np.linspace(0.0, scfg.grid.L, cfg.samples)
         ys = np.interp(xs, scfg.grid.nodes, prof.heights)
-        for x, y in zip(xs, ys):
-            rows.append([bt, float(x) * params.L0, float(y) * params.L0])
+        rows += np.column_stack([np.full(len(xs), bt), xs * params.L0, ys * params.L0]).tolist()
     return _write_table(cfg, columns, rows, notes)
 
 

@@ -238,8 +238,10 @@ def groove_metrics(profile, params: ModelParams | None = None,
     """Extract depth, primary maximum, secondary minimum and mass.
 
     `profile` is either a callable y(x) or a pair of equal-length arrays
-    (x, y).  For callables, extrema found on the dense grid are refined by
-    golden-section search and the mass comes from adaptive quadrature.
+    (x, y).  A callable is sampled on the dense grid in one call with an
+    array of x, and called with floats afterwards: extrema found on the grid
+    are refined by golden-section search and the mass comes from adaptive
+    quadrature.
     """
     callable_profile = callable(profile)
     if callable_profile:
@@ -249,7 +251,7 @@ def groove_metrics(profile, params: ModelParams | None = None,
             x_cap = default_window(t, params)
         bl = math.sqrt(params.alpha) if params is not None and params.alpha > 0 else 0.0
         xs = _sample_grid(x_cap, bl, samples)
-        ys = np.array([profile(float(x)) for x in xs])
+        ys = np.asarray(profile(xs), dtype=float)
     else:
         xs, ys = (np.asarray(v, dtype=float) for v in profile)
         if xs.shape != ys.shape or xs.ndim != 1:

@@ -5,7 +5,8 @@ term balances the fourth-order one; its correction is a pair of decaying
 exponentials whose amplitudes cancel the outer curvature at the wall,
 order by order.  The corner layer (x = O(alpha), t = O(alpha^5)) is ruled
 by pure sixth-order diffusion, whose similarity solutions are 1F5
-combinations assembled through a constant 6x6 matrix.
+combinations assembled through a constant 6x6 matrix.  The evaluators
+take a float or an array of points; a float gives a float back.
 """
 
 from __future__ import annotations
@@ -20,10 +21,12 @@ from .specfun import (
     DEFAULT_TOL,
     GammaPoleError,
     SeriesResult,
-    _NeumaierSum,
+    cancel_digits,
+    compensated_sum,
     gamma,
-    hyp_series_derivative,
+    hyp_series,
     reciprocal_gamma,
+    up_to,
 )
 
 __all__ = [
@@ -112,18 +115,18 @@ def _bl_amplitude(t: float, alpha: float, B: float, m: float) -> float:
     return alpha * beta2(t, B, m) + alpha ** 2 * beta4(t, B, m)
 
 
-def boundary_layer_G(x: float, t: float, alpha: float, B: float, m: float) -> float:
+def boundary_layer_G(x, t: float, alpha: float, B: float, m: float):
     """Wall correction G = (alpha b2 + alpha^2 b4) exp(-x/sqrt(alpha))."""
     if alpha == 0.0:
-        return 0.0
+        return np.zeros(np.shape(x)) if np.ndim(x) else 0.0
     if not alpha > 0:
         raise ValueError("alpha must be non-negative")
-    if x < 0:
+    if np.any(np.less(x, 0)):
         raise ValueError("x must be non-negative")
-    xi = x / math.sqrt(alpha)
-    if xi > 700.0:
-        return 0.0
-    return _bl_amplitude(t, alpha, B, m) * math.exp(-xi)
+    amp = _bl_amplitude(t, alpha, B, m)
+    # exp per point in Python floats (libm), which numpy's exp may not match
+    return up_to(700.0, np.divide(x, math.sqrt(alpha)), lambda xi: np.array(
+        [amp * math.exp(-v) for v in np.ravel(xi).tolist()]).reshape(np.shape(xi)))
 
 
 def boundary_layer_G_derivative(x: float, t: float, alpha: float, B: float,
@@ -177,20 +180,19 @@ def _v_params(i: int, r: float):
     return nums, dens
 
 
-def corner_fundamental_v(i: int, w: float, r: float,
-                         tol: float = DEFAULT_TOL) -> float:
+def corner_fundamental_v(i: int, w, r: float, tol: float = DEFAULT_TOL):
     """Fundamental similarity solution v_i(w) = w^(i-1) 1F5(...; -w^6/6^6)."""
-    if w < 0:
-        raise ValueError(f"w must be non-negative, got {w}")
+    if np.any(np.less(w, 0)):
+        raise ValueError(f"w must be non-negative, got {np.min(w)}")
     nums, dens = _v_params(i, r)
-    return hyp_series_derivative(nums, dens, _W6_SCALE, i - 1, 6, w, 0, tol).value
+    return hyp_series(nums, dens, _W6_SCALE, i - 1, 6, w, 0, tol).value
 
 
-def corner_fundamental_v_derivative(i: int, w: float, r: float, order: int,
-                                    tol: float = DEFAULT_TOL) -> float:
+def corner_fundamental_v_derivative(i: int, w, r: float, order: int,
+                                    tol: float = DEFAULT_TOL):
     """Term-differentiated d^order/dw^order of v_i."""
     nums, dens = _v_params(i, r)
-    return hyp_series_derivative(nums, dens, _W6_SCALE, i - 1, 6, w, order, tol).value
+    return hyp_series(nums, dens, _W6_SCALE, i - 1, 6, w, order, tol).value
 
 
 def corner_similarity_ode_residual(w: float, r: float, V=None,
@@ -218,48 +220,49 @@ def corner_weights(r: float) -> np.ndarray:
     ])
 
 
-def corner_solutions_yc(i: int, zeta: float, tau: float, spec: CornerSpec,
-                        tol: float = DEFAULT_TOL) -> float:
-    """Similarity solution y_ci(zeta, tau) from the 6x6 matrix representation."""
+def corner_solutions_yc(i, zeta, tau: float, spec: CornerSpec,
+                        tol: float = DEFAULT_TOL):
+    """Similarity solution y_ci(zeta, tau) from the 6x6 matrix representation.
+
+    `i` is one index or a sequence of them, which adds a leading axis.
+    """
     return corner_solution_diagnostics(i, zeta, tau, spec, tol).value
 
 
-def corner_solution_diagnostics(i: int, zeta: float, tau: float,
-                                spec: CornerSpec, tol: float = DEFAULT_TOL):
-    """y_ci with combination-level cancellation reporting.
+def corner_solution_diagnostics(i, zeta, tau: float, spec: CornerSpec,
+                                tol: float = DEFAULT_TOL) -> SeriesResult:
+    """y_ci with combination-level cancellation reporting, per point.
 
     The six weighted fundamentals grow like exp(c w^(6/5)) individually;
     their cancellation, not the series summation, is what limits float64
-    past w ~ 22.
+    past w ~ 22.  For a sequence of indices the fundamentals they share are
+    summed once.
     """
-    if not 1 <= i <= 6:
-        raise ValueError(f"solution index must be 1..6, got {i}")
+    rows = [i] if np.ndim(i) == 0 else list(i)
+    for k in rows:
+        if not 1 <= k <= 6:
+            raise ValueError(f"solution index must be 1..6, got {k}")
     if not tau > 0:
         raise ValueError("tau must be positive")
-    if zeta < 0:
+    if np.any(np.less(zeta, 0)):
         raise ValueError("zeta must be non-negative")
     btau = spec.B * tau
-    w = zeta / btau ** (1.0 / 6.0)
+    w = np.divide(zeta, btau ** (1.0 / 6.0))
     weights = corner_weights(spec.r)
-    acc = _NeumaierSum()
-    max_piece = 0.0
-    for j in range(1, 7):
-        wj = weights[j - 1] * CORNER_MATRIX[i - 1, j - 1]
-        if wj == 0.0:
-            continue
-        piece = wj * corner_fundamental_v(j, w, spec.r, tol)
-        max_piece = max(max_piece, abs(piece))
-        acc.add(piece)
+    wij = [[weights[j] * CORNER_MATRIX[k - 1, j] for j in range(6)] for k in rows]
+    v = {j: corner_fundamental_v(j + 1, w, spec.r, tol)
+         for j in range(6) if any(row[j] != 0.0 for row in wij)}
     pref = btau ** spec.r
-    value = pref * acc.value
-    max_piece *= abs(pref)
-    if value != 0.0 and max_piece > 0.0:
-        cancel = max(0.0, math.log10(max_piece / abs(value)))
-    else:
-        cancel = float("inf") if max_piece > 0 and value == 0.0 else 0.0
-    return SeriesResult(value=value, terms_used=1,
-                        max_term_magnitude=max_piece,
-                        cancellation_digits=cancel)
+    value, max_piece = [], []
+    for row in wij:
+        pieces = [row[j] * v[j] for j in range(6) if row[j] != 0.0]
+        value.append(pref * compensated_sum(pieces))
+        max_piece.append(abs(pref) * np.max(np.abs(pieces), axis=0, initial=0.0))
+    value, max_piece = (np.array(a) if np.ndim(i) else a[0] for a in (value, max_piece))
+    if np.ndim(value) == 0:
+        value, max_piece = float(value), float(max_piece)
+    return SeriesResult(value=value, terms_used=1, max_term_magnitude=max_piece,
+                        cancellation_digits=cancel_digits(max_piece, value))
 
 
 def _gamma_or_pole(x: float, what: str) -> float:
@@ -319,16 +322,21 @@ def solve_c456(Vprime0: float, r: float, alpha_hat: float, tau: float,
     return float(c4), float(c5), float(c6)
 
 
-def corner_combination(zeta: float, tau: float, spec: CornerSpec,
-                       tol: float = DEFAULT_TOL) -> float:
-    """Decaying corner-layer solution c4 y_c4 + c5 y_c5 + c6 y_c6."""
+def corner_combination(zeta, tau: float, spec: CornerSpec,
+                       tol: float = DEFAULT_TOL, yc456=None):
+    """Decaying corner-layer solution c4 y_c4 + c5 y_c5 + c6 y_c6.
+
+    `yc456` reuses corner_solutions_yc((4, 5, 6), zeta, tau, spec, tol)
+    when the caller already has it.
+    """
     if spec.gamma == 0.0:
-        return 0.0
+        return np.zeros(np.shape(zeta)) if np.ndim(zeta) else 0.0
     c4, c5, c6 = theorem_coefficients(spec.gamma, spec.r, spec.alpha_hat,
                                       tau, spec.B)
-    return (c4 * corner_solutions_yc(4, zeta, tau, spec, tol)
-            + c5 * corner_solutions_yc(5, zeta, tau, spec, tol)
-            + c6 * corner_solutions_yc(6, zeta, tau, spec, tol))
+    if yc456 is None:
+        yc456 = corner_solutions_yc((4, 5, 6), zeta, tau, spec, tol)
+    y4, y5, y6 = yc456
+    return c4 * y4 + c5 * y5 + c6 * y6
 
 
 def corner_combination_deriv0(k: int, tau: float, spec: CornerSpec) -> float:

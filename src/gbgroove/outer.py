@@ -4,6 +4,8 @@ and the higher-order outer corrections of the passivated problem.
 All shapes are functions of the similarity variable u = x/(Bt)^(1/4) with
 series argument z = u^4/256.  Evaluators clamp at u = U_CLAMP and return 0
 beyond it; past that point the profile is buried in cancellation noise.
+The evaluators take a float or an array of points (x or u); a float gives
+a float back.
 """
 
 from __future__ import annotations
@@ -11,11 +13,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .specfun import (
     DEFAULT_TOL,
-    SeriesResult,
+    compensated_sum,
     gamma,
-    hyp_series_derivative,
+    hyp_series,
+    up_to,
 )
 
 __all__ = [
@@ -28,7 +33,6 @@ __all__ = [
     "basis_f2",
     "mullins_profile",
     "mullins_shape",
-    "mullins_shape_diagnostics",
     "mullins_derivative",
     "outer_term",
     "outer_term_shape",
@@ -102,48 +106,23 @@ def _check_bt(t: float, B: float) -> float:
     return bt
 
 
-def _similarity(x: float, t: float, B: float) -> tuple[float, float]:
+def _similarity(x, t: float, B: float):
     """(u, L) with L = (Bt)^(1/4)."""
-    if x < 0:
+    if np.any(np.less(x, 0)):
         raise ValueError(f"x must be non-negative, got {x}")
     bt = _check_bt(t, B)
     L = bt ** 0.25
     return x / L, L
 
 
-def _shape_deriv(pieces, u: float, order: int, tol: float = DEFAULT_TOL,
-                 diagnostics: bool = False):
-    """Sum of c * d^order/du^order [u^p pFq(a; b; u^4/256)] over pieces.
-
-    The cancellation that kills a decaying profile happens between the
-    pieces, not inside a single series, so the diagnostic tracks the
-    largest piece against the combined value.
-    """
-    total = 0.0
-    comp = 0.0
-    max_piece = 0.0
-    for c, power, (nums, dens) in pieces:
-        if c == 0.0:
-            continue
-        res = hyp_series_derivative(nums, dens, _Z_SCALE, power, 4, u, order, tol)
-        piece = c * res.value
-        max_piece = max(max_piece, abs(piece), abs(c) * res.max_term_magnitude)
-        t = total + piece
-        comp += (total - t) + piece if abs(total) >= abs(piece) else (piece - t) + total
-        total = t
-    value = total + comp
-    if not diagnostics:
-        return value
-    if value != 0.0 and max_piece > 0.0:
-        cancel = max(0.0, math.log10(max_piece / abs(value)))
-    else:
-        cancel = float("inf") if max_piece > 0 and value == 0.0 else 0.0
-    return SeriesResult(value=value, terms_used=1,
-                        max_term_magnitude=max_piece,
-                        cancellation_digits=cancel)
+def _shape_deriv(pieces, u, order: int, tol: float = DEFAULT_TOL):
+    """Sum of c * d^order/du^order [u^p pFq(a; b; u^4/256)] over pieces, at every u."""
+    return compensated_sum(
+        c * hyp_series(nums, dens, _Z_SCALE, power, 4, u, order, tol).value
+        for c, power, (nums, dens) in pieces if c != 0.0)
 
 
-def _linear_term_deriv(c: float, u: float, order: int) -> float:
+def _linear_term_deriv(c: float, u, order: int):
     if order == 0:
         return c * u
     if order == 1:
@@ -151,81 +130,55 @@ def _linear_term_deriv(c: float, u: float, order: int) -> float:
     return 0.0
 
 
-def mullins_shape(u: float, order: int = 0, tol: float = DEFAULT_TOL) -> float:
+_MULLINS_PIECES = (
+    (-1.0 / (4.0 * _SQRT2 * _G34), 2, _EVEN),
+    (-1.0 / (2.0 * _SQRT2 * _G54), 0, _CONST),
+)
+
+
+def mullins_shape(u, order: int = 0, tol: float = DEFAULT_TOL):
     """d^order/du^order of the unpassivated similarity shape Z(u) = y0/(m (Bt)^{1/4})."""
-    if u > U_CLAMP:
-        return 0.0
-    pieces = (
-        (-1.0 / (4.0 * _SQRT2 * _G34), 2, _EVEN),
-        (-1.0 / (2.0 * _SQRT2 * _G54), 0, _CONST),
-    )
-    return _linear_term_deriv(0.5, u, order) + _shape_deriv(pieces, u, order, tol)
-
-
-def mullins_shape_diagnostics(u: float, order: int = 0,
-                              tol: float = DEFAULT_TOL) -> SeriesResult:
-    """As mullins_shape but reporting combination-level cancellation.
-
-    Bypasses the clamp so the unreliable region can actually be probed.
-    """
-    pieces = (
-        (-1.0 / (4.0 * _SQRT2 * _G34), 2, _EVEN),
-        (-1.0 / (2.0 * _SQRT2 * _G54), 0, _CONST),
-    )
-    res = _shape_deriv(pieces, u, order, tol, diagnostics=True)
-    lin = _linear_term_deriv(0.5, u, order)
-    value = res.value + lin
-    max_piece = max(res.max_term_magnitude, abs(lin))
-    cancel = max(0.0, math.log10(max_piece / abs(value))) if value != 0.0 else float("inf")
-    return SeriesResult(value=value, terms_used=res.terms_used,
-                        max_term_magnitude=max_piece, cancellation_digits=cancel)
+    return up_to(U_CLAMP, u, lambda v: _linear_term_deriv(0.5, v, order)
+                    + _shape_deriv(_MULLINS_PIECES, v, order, tol))
 
 
 def basis_f1(x: float, t: float, B: float, tol: float = DEFAULT_TOL) -> float:
     """First decaying self-similar basis solution of the fourth-order problem."""
     u, L = _similarity(x, t, B)
-    if u > U_CLAMP:
-        return 0.0
     pieces = (
         (-1.0 / (2.0 * _G34), 2, _EVEN),
         (1.0 / (6.0 * _SQRT2 * _G12), 3, _CUBIC),
     )
-    return L * (u / _SQRT2 + _shape_deriv(pieces, u, 0, tol))
+    return L * up_to(U_CLAMP, u, lambda v: v / _SQRT2 + _shape_deriv(pieces, v, 0, tol))
 
 
 def basis_f2(x: float, t: float, B: float, tol: float = DEFAULT_TOL) -> float:
     """Second decaying self-similar basis solution of the fourth-order problem."""
     u, L = _similarity(x, t, B)
-    if u > U_CLAMP:
-        return 0.0
     pieces = (
         (1.0 / _G54, 0, _CONST),
         (1.0 / (6.0 * _SQRT2 * _G12), 3, _CUBIC),
     )
-    return L * (-u / _SQRT2 + _shape_deriv(pieces, u, 0, tol))
+    return L * up_to(U_CLAMP, u, lambda v: -v / _SQRT2 + _shape_deriv(pieces, v, 0, tol))
 
 
-def mullins_profile(x: float, t: float, B: float, m: float,
-                    tol: float = DEFAULT_TOL) -> float:
+def mullins_profile(x, t: float, B: float, m: float, tol: float = DEFAULT_TOL):
     """Unpassivated groove profile y0(x, t)."""
     u, L = _similarity(x, t, B)
     return m * L * mullins_shape(u, 0, tol)
 
 
-def mullins_derivative(x: float, t: float, B: float, m: float, order: int,
-                       tol: float = DEFAULT_TOL) -> float:
+def mullins_derivative(x, t: float, B: float, m: float, order: int,
+                       tol: float = DEFAULT_TOL):
     """d^order/dx^order of the unpassivated profile, term-differentiated."""
     u, L = _similarity(x, t, B)
     return m * L ** (1 - order) * mullins_shape(u, order, tol)
 
 
-def outer_term_shape(r: int, u: float, order: int = 0,
-                     tol: float = DEFAULT_TOL) -> float:
+def outer_term_shape(r: int, u, order: int = 0, tol: float = DEFAULT_TOL):
     """d^order/du^order of the order-r correction shape Y_r(u) (per unit m)."""
     if r < 1:
         raise ValueError(f"correction index r must be >= 1, got {r}")
-    if u > U_CLAMP:
-        return 0.0
     rf = math.factorial(r)
     ga = gamma(1.5 * r - 0.25)
     gb = gamma(1.5 * r + 0.25)
@@ -234,18 +187,17 @@ def outer_term_shape(r: int, u: float, order: int = 0,
         (sign * ga / (4.0 * math.pi * rf), 0, ((1.5 * r - 0.25,), (0.25, 0.5, 0.75))),
         (-sign * gb / (8.0 * math.pi * rf), 2, ((1.5 * r + 0.25,), (0.75, 1.25, 1.5))),
     )
-    return _shape_deriv(pieces, u, order, tol)
+    return up_to(U_CLAMP, u, lambda v: _shape_deriv(pieces, v, order, tol))
 
 
-def outer_term(r: int, x: float, t: float, B: float, m: float,
-               tol: float = DEFAULT_TOL) -> float:
+def outer_term(r: int, x, t: float, B: float, m: float, tol: float = DEFAULT_TOL):
     """Order-r outer correction y_r(x, t); enters the expansion as alpha^r y_r."""
     u, L = _similarity(x, t, B)
     return m * L ** (1 - 2 * r) * outer_term_shape(r, u, 0, tol)
 
 
-def outer_term_derivative(r: int, x: float, t: float, B: float, m: float,
-                          order: int, tol: float = DEFAULT_TOL) -> float:
+def outer_term_derivative(r: int, x, t: float, B: float, m: float,
+                          order: int, tol: float = DEFAULT_TOL):
     """d^order/dx^order of y_r, term-differentiated."""
     u, L = _similarity(x, t, B)
     return m * L ** (1 - 2 * r - order) * outer_term_shape(r, u, order, tol)

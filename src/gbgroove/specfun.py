@@ -1,15 +1,19 @@
 """Gamma, Pochhammer and generalized hypergeometric series.
 
 Everything here is plain float64 arithmetic with compensated (Neumaier)
-summation.  The pFq evaluator reports how many digits were lost to
-cancellation so that downstream profile code can flag unreliable values
-instead of returning garbage.
+summation.  One series engine, `hyp_series`, sums over an array of points
+at once and reports per point how many digits were lost to cancellation,
+so that downstream profile code can flag unreliable values instead of
+returning garbage.  `hyp_pFq`, `hyp_pFq_derivative` and
+`hyp_series_derivative` are its one-point faces.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+import numpy as np
 
 __all__ = [
     "GammaPoleError",
@@ -23,6 +27,9 @@ __all__ = [
     "gamma",
     "reciprocal_gamma",
     "pochhammer",
+    "compensated_sum",
+    "cancel_digits",
+    "hyp_series",
     "hyp_pFq",
     "hyp_pFq_derivative",
     "hyp_series_derivative",
@@ -39,13 +46,11 @@ class GammaPoleError(ValueError):
 
 
 class SeriesError(RuntimeError):
-    """Series failed to converge within the term budget."""
+    """Series term overflowed, or the series did not converge within the term budget."""
 
-    def __init__(self, message, terms_used=0, last_term=float("nan"),
-                 partial_sum=float("nan")):
+    def __init__(self, message, terms_used=0, partial_sum=float("nan")):
         super().__init__(message)
         self.terms_used = terms_used
-        self.last_term = last_term
         self.partial_sum = partial_sum
 
 
@@ -81,7 +86,10 @@ class HypArgs:
 
 @dataclass(frozen=True)
 class SeriesResult:
-    """Value of a summed series plus convergence diagnostics."""
+    """Value of a summed series plus convergence diagnostics.
+
+    Floats for one point; arrays of the points' shape from an array call.
+    """
 
     value: float
     terms_used: int
@@ -137,26 +145,60 @@ def pochhammer(lam: float, k: int) -> float:
     return out
 
 
-class _NeumaierSum:
-    """Compensated accumulator: error O(eps)|sum| + O(n eps^2) sum|terms|."""
+# the series loop's elementwise choice, maximum, any and all: plain floats
+# for one point, numpy for many
+_FLOAT_OPS = (lambda cond, a, b: a if cond else b, max, bool, bool)
+_ARRAY_OPS = (np.where, np.maximum, np.ndarray.any, np.ndarray.all)
 
-    __slots__ = ("s", "c")
 
-    def __init__(self, s0: float = 0.0):
-        self.s = s0
-        self.c = 0.0
+def _neumaier_add(s, c, x, where=np.where):
+    """One compensated (Neumaier) step, elementwise: the new (sum, compensation).
 
-    def add(self, x: float) -> None:
-        t = self.s + x
-        if abs(self.s) >= abs(x):
-            self.c += (self.s - t) + x
-        else:
-            self.c += (x - t) + self.s
-        self.s = t
+    Over n steps the error is O(eps)|sum| + O(n eps^2) sum|terms|.
+    """
+    t = s + x
+    return t, c + where(abs(s) >= abs(x), (s - t) + x, (x - t) + s)
 
-    @property
-    def value(self) -> float:
-        return self.s + self.c
+
+def compensated_sum(pieces):
+    """Neumaier sum of a sequence of equal-shape arrays, elementwise, from 0."""
+    s = c = 0.0
+    for x in pieces:
+        s, c = _neumaier_add(s, c, x)
+    return s + c
+
+
+def _cancel_digits_one(max_piece: float, value: float) -> float:
+    if value == 0.0:
+        return math.inf if max_piece > 0 else 0.0
+    return max(0.0, math.log10(max_piece / abs(value))) if max_piece > 0 else 0.0
+
+
+def cancel_digits(max_piece, value):
+    """Decimal digits lost to cancellation: log10(max_piece / |value|), at least 0.
+
+    inf where the pieces cancelled to an exact zero, 0 where there was
+    nothing to cancel.  Elementwise over arrays, with math.log10 per point
+    so that an array entry equals the scalar result bit for bit.
+    """
+    if np.ndim(value) == 0:
+        return _cancel_digits_one(float(max_piece), float(value))
+    pairs = zip(np.ravel(max_piece).tolist(), np.ravel(value).tolist())
+    return np.array([_cancel_digits_one(m, v) for m, v in pairs]).reshape(np.shape(value))
+
+
+def up_to(limit: float, x, fn):
+    """fn(x) where x <= limit and 0 past it, where fn is never called.
+
+    fn takes and returns arrays; a float x gives a float back.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 0:
+        return 0.0 if x > limit else float(fn(x))
+    out = np.zeros(x.shape)
+    inside = ~(x > limit)
+    out[inside] = fn(x[inside])
+    return out
 
 
 def _terminating_at(numerators: tuple[float, ...]) -> int | None:
@@ -169,53 +211,136 @@ def _terminating_at(numerators: tuple[float, ...]) -> int | None:
     return cut
 
 
-def hyp_pFq(args: HypArgs, tol: float = DEFAULT_TOL) -> SeriesResult:
-    """Sum pFq(a; b; z) by the term recurrence with compensated accumulation.
+def _series_result(shape, value, terms, max_term) -> SeriesResult:
+    """SeriesResult from per-point lists: floats for shape (), else arrays."""
+    if not shape:
+        return SeriesResult(value[0], terms[0], max_term[0],
+                            cancel_digits(max_term[0], value[0]))
+    value, terms, max_term = (np.array(v).reshape(shape) for v in (value, terms, max_term))
+    return SeriesResult(value, terms, max_term, cancel_digits(max_term, value))
 
-    Stops once three consecutive terms fall below tol * |partial sum|.
-    Terminating series (negative-integer numerator) are summed exactly.
+
+@np.errstate(over="ignore")     # an overflowing term raises SeriesError below
+def hyp_series(numerators, denominators, scale: float, power: int, step: int,
+               x, order: int, tol: float = DEFAULT_TOL) -> SeriesResult:
+    """d^order/dx^order of  x**power * pFq(a; b; scale * x**step), at every x.
+
+    Term-differentiated power series: the building block for similarity
+    profiles (step=4) and corner-layer solutions (step=6), where finite
+    differences would compound cancellation.  A float x gives float fields
+    back; an array gives arrays of its shape (per-point values, largest
+    terms, term counts and cancellation digits).
+
+    The term coefficients depend on k alone, so each is formed once per k
+    as a Python float and applied to every point still summing.  A point
+    stops at its own rule (three consecutive terms below tol * |partial
+    sum|); terminating series (negative-integer numerator) are summed
+    exactly.  Any non-finite term, or any point still summing after
+    TERM_BUDGET terms, raises SeriesError.
     """
-    if tol <= 0:
+    if order < 0:
+        raise ValueError("order must be >= 0")
+    if not tol > 0:
         raise ValueError("tol must be positive")
-    cut = _terminating_at(args.numerators)
-    acc = _NeumaierSum(1.0)
-    term = 1.0
-    max_term = 1.0
-    small_count = 0
-    k = 0
-    z = args.argument
+    numerators = tuple(float(a) for a in numerators)
+    denominators = tuple(float(b) for b in denominators)
+    for b in denominators:
+        if _is_nonpositive_integer(b):
+            raise GammaPoleError(f"denominator parameter {b} is zero or a negative integer")
+    cut = _terminating_at(numerators)
+
+    def param_ratio(k: int) -> float:
+        r = scale / (k + 1.0)
+        for a in numerators:
+            r *= a + k
+        for b in denominators:
+            r /= b + k
+        return r
+
+    xs = np.asarray(x, dtype=float)
+    xl = xs.ravel().tolist()
+    value, max_term, terms = [0.0] * len(xl), [0.0] * len(xl), [1] * len(xl)
+    live = [i for i, v in enumerate(xl) if v != 0.0]
+    k_hit, rem = divmod(order - power, step)
+    if len(live) < len(xl) and rem == 0 and k_hit >= 0 and (cut is None or k_hit < cut):
+        # at x = 0 only the monomial matching the derivative order survives
+        coeff = 1.0
+        for k in range(k_hit):
+            coeff *= param_ratio(k)
+        val = coeff * math.factorial(order)
+        for i in set(range(len(xl))).difference(live):
+            value[i], max_term[i], terms[i] = val, abs(val), k_hit + 1
+    if not live:
+        return _series_result(xs.shape, value, terms, max_term)
+
+    # first index whose monomial power reaches the derivative order
+    k0 = max(0, (order - power + step - 1) // step)
+    coeff = 1.0
+    for k in range(k0):
+        coeff *= param_ratio(k)
+    # One point runs the loop below on plain floats, many on arrays.  Carry
+    # coeff * x^(step k + power - order) as one quantity: the naked power
+    # overflows long before the term itself does.  Powers are taken per
+    # point in Python floats (libm), which numpy's power may not match.
+    one = len(live) == 1
+    where, maximum, some, every = _FLOAT_OPS if one else _ARRAY_OPS
+    pack = (lambda v: v[0]) if one else np.array
+    base = pack([coeff * xl[i] ** (step * k0 + power - order) for i in live])
+    xstep = pack([xl[i] ** step for i in live])
+    s, c, mx, small = (pack([z] * len(live)) for z in (0.0, 0.0, 0.0, 0))
+    live = np.array(live, dtype=np.int64)
+
+    def retire(done, k):
+        # done: a mask over the live points, or True for all of them
+        at, v, m = (np.asarray(a)[done].ravel().tolist() for a in (live, s + c, mx))
+        for i, vi, mi in zip(at, v, m):
+            value[i], max_term[i], terms[i] = vi, mi, max(k - k0, 1)
+
+    k = k0
     while True:
+        p = step * k + power
+        fall = 1.0       # falling factorial p (p-1) ... (p-order+1)
+        for j in range(order):
+            fall *= p - j
+        term = base * fall
+        aterm = abs(term)
+        finite = aterm < math.inf
+        if not every(finite):
+            bad = int(np.argmin(finite))
+            raise SeriesError(
+                f"series term overflowed at k={k} (x={xl[live[bad]]:.4g}); the "
+                "value is outside the representable range", terms_used=k,
+                partial_sum=float(np.ravel(s + c)[bad]))
+        s, c = _neumaier_add(s, c, term, where)
+        mx = maximum(mx, aterm)
+        if cut is None and p > order:
+            tiny = aterm <= tol * maximum(abs(s + c), 1e-300)
+            small = where(tiny, small + 1, 0)
+            done = small >= 3
+            if some(done):
+                retire(done, k)
+                if every(done):
+                    break
+                keep = ~done
+                live, base, xstep, s, c, mx, small = (
+                    v[keep] for v in (live, base, xstep, s, c, mx, small))
+        k += 1
         if cut is not None and k >= cut:
+            retire(True, k)
             break
         if k >= TERM_BUDGET:
             raise SeriesError(
-                f"series did not converge within {TERM_BUDGET} terms "
-                f"(|last term| = {abs(term):.3e}, partial sum = {acc.value:.6e})",
-                terms_used=k, last_term=term, partial_sum=acc.value)
-        ratio = z / (k + 1.0)
-        for a in args.numerators:
-            ratio *= a + k
-        for b in args.denominators:
-            ratio /= b + k
-        term *= ratio
-        acc.add(term)
-        k += 1
-        max_term = max(max_term, abs(term))
-        if cut is None:
-            if abs(term) <= tol * abs(acc.value):
-                small_count += 1
-                if small_count >= 3:
-                    break
-            else:
-                small_count = 0
-    value = acc.value
-    if value != 0.0:
-        cancel = max(0.0, math.log10(max_term / abs(value)))
-    else:
-        cancel = float("inf") if max_term > 0 else 0.0
-    return SeriesResult(value=value, terms_used=max(k, 1),
-                        max_term_magnitude=max_term,
-                        cancellation_digits=cancel)
+                f"term-differentiated series did not converge within {TERM_BUDGET} terms",
+                terms_used=k, partial_sum=float(np.ravel(s + c)[0]))
+        base = base * (param_ratio(k - 1) * xstep)
+
+    return _series_result(xs.shape, value, terms, max_term)
+
+
+def hyp_pFq(args: HypArgs, tol: float = DEFAULT_TOL) -> SeriesResult:
+    """Sum pFq(a; b; z): the series engine at x = 1 with scale z."""
+    return hyp_series(args.numerators, args.denominators, args.argument, 0, 1,
+                      1.0, 0, tol)
 
 
 def hyp_pFq_derivative(args: HypArgs, order: int, tol: float = DEFAULT_TOL) -> SeriesResult:
@@ -233,8 +358,7 @@ def hyp_pFq_derivative(args: HypArgs, order: int, tol: float = DEFAULT_TOL) -> S
     for b in args.denominators:
         pref /= pochhammer(b, order)
     inner = hyp_pFq(args.shifted(order), tol)
-    return SeriesResult(value=pref * inner.value,
-                        terms_used=inner.terms_used,
+    return SeriesResult(value=pref * inner.value, terms_used=inner.terms_used,
                         max_term_magnitude=abs(pref) * inner.max_term_magnitude,
                         cancellation_digits=inner.cancellation_digits)
 
@@ -242,86 +366,6 @@ def hyp_pFq_derivative(args: HypArgs, order: int, tol: float = DEFAULT_TOL) -> S
 def hyp_series_derivative(numerators, denominators, scale: float, power: int,
                           step: int, x: float, order: int,
                           tol: float = DEFAULT_TOL) -> SeriesResult:
-    """d^order/dx^order of  x**power * pFq(a; b; scale * x**step).
-
-    Term-differentiated power series: the building block for similarity
-    profiles (step=4) and corner-layer solutions (step=6), where finite
-    differences would compound cancellation.
-    """
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    x = float(x)
-    numerators = tuple(float(a) for a in numerators)
-    denominators = tuple(float(b) for b in denominators)
-    cut = _terminating_at(numerators)
-
-    def param_ratio(k: int) -> float:
-        r = scale / (k + 1.0)
-        for a in numerators:
-            r *= a + k
-        for b in denominators:
-            r /= b + k
-        return r
-
-    if x == 0.0:
-        # only the monomial matching the derivative order survives
-        if (order - power) % step == 0 and order >= power:
-            k_hit = (order - power) // step
-            if cut is not None and k_hit >= cut:
-                return SeriesResult(0.0, 1, 0.0, 0.0)
-            coeff = 1.0
-            for k in range(k_hit):
-                coeff *= param_ratio(k)
-            val = coeff * math.factorial(order)
-            return SeriesResult(val, k_hit + 1, abs(val), 0.0)
-        return SeriesResult(0.0, 1, 0.0, 0.0)
-
-    # first index whose monomial power reaches the derivative order
-    k0 = max(0, (order - power + step - 1) // step)
-    coeff = 1.0
-    for k in range(k0):
-        coeff *= param_ratio(k)
-    # carry coeff * x^(step k + power - order) as one quantity: the naked
-    # power overflows long before the term itself does
-    base = coeff * x ** (step * k0 + power - order)
-    xstep = x ** step
-    acc = _NeumaierSum()
-    max_term = 0.0
-    small_count = 0
-    k = k0
-    while True:
-        p = step * k + power
-        fall = 1.0       # falling factorial p (p-1) ... (p-order+1)
-        for j in range(order):
-            fall *= p - j
-        term = base * fall
-        if not math.isfinite(term):
-            raise SeriesError(
-                f"series term overflowed at k={k} (x={x:.4g}); the value "
-                "is outside the representable range", terms_used=k,
-                partial_sum=acc.value)
-        acc.add(term)
-        max_term = max(max_term, abs(term))
-        if cut is None and p > order:
-            if abs(term) <= tol * max(abs(acc.value), 1e-300):
-                small_count += 1
-                if small_count >= 3:
-                    break
-            else:
-                small_count = 0
-        k += 1
-        if cut is not None and k >= cut:
-            break
-        if k >= TERM_BUDGET:
-            raise SeriesError(
-                f"term-differentiated series did not converge within {TERM_BUDGET} terms",
-                terms_used=k, partial_sum=acc.value)
-        base *= param_ratio(k - 1) * xstep
-    value = acc.value
-    if value != 0.0:
-        cancel = max(0.0, math.log10(max_term / abs(value))) if max_term > 0 else 0.0
-    else:
-        cancel = float("inf") if max_term > 0 else 0.0
-    return SeriesResult(value=value, terms_used=max(k - k0, 1),
-                        max_term_magnitude=max_term,
-                        cancellation_digits=cancel)
+    """hyp_series at one point x, with float diagnostics."""
+    return hyp_series(numerators, denominators, scale, power, step, float(x),
+                      order, tol)

@@ -201,3 +201,13 @@ def test_import_defers_scipy_integrate():
     r = subprocess.run([sys.executable, "-c", code], capture_output=True,
                        text=True, env=env)
     assert r.returncode == 0, r.stderr
+
+
+@pytest.mark.parametrize("flags", [["--m", "nan"], ["--alpha", "-1"], ["--alpha", "inf"],
+                                   ["--B", "0"], ["--order", "99"], ["--xmax", "nan"]])
+def test_exit_two_on_bad_model_numbers(flags, capsys):
+    argv = ["--mode", "profile", "--m", "0.209", "--alpha", "9.7e-16", "--B", "1",
+            "--Bt", "1e-29", "--samples", "4", *flags]
+    assert main(argv) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: config:")
