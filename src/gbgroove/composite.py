@@ -232,16 +232,28 @@ def _sample_grid(x_cap: float, bl_width: float, samples: int) -> np.ndarray:
     return xs
 
 
+def _sample(profile, xs: np.ndarray) -> np.ndarray:
+    """profile at every x: one call with the array, or one call per point
+    for a callable that takes floats only (it raises on an array, or does
+    not return one value per point)."""
+    try:
+        ys = np.asarray(profile(xs), dtype=float)
+        if ys.shape == xs.shape:
+            return ys
+    except (TypeError, ValueError):
+        pass
+    return np.array([profile(float(x)) for x in xs])
+
+
 def groove_metrics(profile, params: ModelParams | None = None,
                    x_cap: float | None = None, t: float | None = None,
                    samples: int = 2048) -> GrooveMetrics:
     """Extract depth, primary maximum, secondary minimum and mass.
 
     `profile` is either a callable y(x) or a pair of equal-length arrays
-    (x, y).  A callable is sampled on the dense grid in one call with an
-    array of x, and called with floats afterwards: extrema found on the grid
-    are refined by golden-section search and the mass comes from adaptive
-    quadrature.
+    (x, y).  A callable is sampled on the dense grid (see `_sample`) and
+    called with floats afterwards: extrema found on the grid are refined by
+    golden-section search and the mass comes from adaptive quadrature.
     """
     callable_profile = callable(profile)
     if callable_profile:
@@ -251,7 +263,7 @@ def groove_metrics(profile, params: ModelParams | None = None,
             x_cap = default_window(t, params)
         bl = math.sqrt(params.alpha) if params is not None and params.alpha > 0 else 0.0
         xs = _sample_grid(x_cap, bl, samples)
-        ys = np.asarray(profile(xs), dtype=float)
+        ys = _sample(profile, xs)
     else:
         xs, ys = (np.asarray(v, dtype=float) for v in profile)
         if xs.shape != ys.shape or xs.ndim != 1:

@@ -145,19 +145,13 @@ def pochhammer(lam: float, k: int) -> float:
     return out
 
 
-# the series loop's elementwise choice, maximum, any and all: plain floats
-# for one point, numpy for many
-_FLOAT_OPS = (lambda cond, a, b: a if cond else b, max, bool, bool)
-_ARRAY_OPS = (np.where, np.maximum, np.ndarray.any, np.ndarray.all)
-
-
-def _neumaier_add(s, c, x, where=np.where):
+def _neumaier_add(s, c, x):
     """One compensated (Neumaier) step, elementwise: the new (sum, compensation).
 
     Over n steps the error is O(eps)|sum| + O(n eps^2) sum|terms|.
     """
     t = s + x
-    return t, c + where(abs(s) >= abs(x), (s - t) + x, (x - t) + s)
+    return t, c + np.where(abs(s) >= abs(x), (s - t) + x, (x - t) + s)
 
 
 def compensated_sum(pieces):
@@ -168,23 +162,20 @@ def compensated_sum(pieces):
     return s + c
 
 
-def _cancel_digits_one(max_piece: float, value: float) -> float:
-    if value == 0.0:
-        return math.inf if max_piece > 0 else 0.0
-    return max(0.0, math.log10(max_piece / abs(value))) if max_piece > 0 else 0.0
-
-
+@np.errstate(divide="ignore", invalid="ignore")
 def cancel_digits(max_piece, value):
     """Decimal digits lost to cancellation: log10(max_piece / |value|), at least 0.
 
     inf where the pieces cancelled to an exact zero, 0 where there was
     nothing to cancel.  Elementwise over arrays, with math.log10 per point
-    so that an array entry equals the scalar result bit for bit.
+    (numpy's log10 may differ from it in the last bit); a float in gives a
+    float back.
     """
-    if np.ndim(value) == 0:
-        return _cancel_digits_one(float(max_piece), float(value))
-    pairs = zip(np.ravel(max_piece).tolist(), np.ravel(value).tolist())
-    return np.array([_cancel_digits_one(m, v) for m, v in pairs]).reshape(np.shape(value))
+    ratio = np.divide(max_piece, np.abs(value))
+    digits = np.zeros(np.shape(ratio))
+    lossy = ratio > 1.0
+    digits[lossy] = [math.log10(r) for r in ratio[lossy].tolist()]
+    return digits if digits.ndim else float(digits)
 
 
 def up_to(limit: float, x, fn):
@@ -212,11 +203,11 @@ def _terminating_at(numerators: tuple[float, ...]) -> int | None:
 
 
 def _series_result(shape, value, terms, max_term) -> SeriesResult:
-    """SeriesResult from per-point lists: floats for shape (), else arrays."""
+    """SeriesResult from flat per-point arrays: floats for shape (), else arrays."""
     if not shape:
-        return SeriesResult(value[0], terms[0], max_term[0],
-                            cancel_digits(max_term[0], value[0]))
-    value, terms, max_term = (np.array(v).reshape(shape) for v in (value, terms, max_term))
+        value, terms, max_term = float(value[0]), int(terms[0]), float(max_term[0])
+    else:
+        value, terms, max_term = (v.reshape(shape) for v in (value, terms, max_term))
     return SeriesResult(value, terms, max_term, cancel_digits(max_term, value))
 
 
@@ -258,19 +249,20 @@ def hyp_series(numerators, denominators, scale: float, power: int, step: int,
         return r
 
     xs = np.asarray(x, dtype=float)
-    xl = xs.ravel().tolist()
-    value, max_term, terms = [0.0] * len(xl), [0.0] * len(xl), [1] * len(xl)
-    live = [i for i, v in enumerate(xl) if v != 0.0]
+    flat = xs.ravel()
+    value, max_term = np.zeros(flat.size), np.zeros(flat.size)
+    terms = np.ones(flat.size, dtype=np.int64)
+    zero = flat == 0.0
     k_hit, rem = divmod(order - power, step)
-    if len(live) < len(xl) and rem == 0 and k_hit >= 0 and (cut is None or k_hit < cut):
+    if zero.any() and rem == 0 and k_hit >= 0 and (cut is None or k_hit < cut):
         # at x = 0 only the monomial matching the derivative order survives
         coeff = 1.0
         for k in range(k_hit):
             coeff *= param_ratio(k)
         val = coeff * math.factorial(order)
-        for i in set(range(len(xl))).difference(live):
-            value[i], max_term[i], terms[i] = val, abs(val), k_hit + 1
-    if not live:
+        value[zero], max_term[zero], terms[zero] = val, abs(val), k_hit + 1
+    live = np.flatnonzero(~zero)
+    if not live.size:
         return _series_result(xs.shape, value, terms, max_term)
 
     # first index whose monomial power reaches the derivative order
@@ -278,23 +270,19 @@ def hyp_series(numerators, denominators, scale: float, power: int, step: int,
     coeff = 1.0
     for k in range(k0):
         coeff *= param_ratio(k)
-    # One point runs the loop below on plain floats, many on arrays.  Carry
-    # coeff * x^(step k + power - order) as one quantity: the naked power
-    # overflows long before the term itself does.  Powers are taken per
-    # point in Python floats (libm), which numpy's power may not match.
-    one = len(live) == 1
-    where, maximum, some, every = _FLOAT_OPS if one else _ARRAY_OPS
-    pack = (lambda v: v[0]) if one else np.array
-    base = pack([coeff * xl[i] ** (step * k0 + power - order) for i in live])
-    xstep = pack([xl[i] ** step for i in live])
-    s, c, mx, small = (pack([z] * len(live)) for z in (0.0, 0.0, 0.0, 0))
-    live = np.array(live, dtype=np.int64)
+    # Carry coeff * x^(step k + power - order) as one quantity: the naked
+    # power overflows long before the term itself does.  Powers are taken
+    # per point in Python floats (libm), which numpy's power may not match.
+    xl = flat[live].tolist()
+    base = np.array([coeff * v ** (step * k0 + power - order) for v in xl])
+    xstep = np.array([v ** step for v in xl])
+    s, c, mx = np.zeros(live.size), np.zeros(live.size), np.zeros(live.size)
+    small = np.zeros(live.size, dtype=np.int64)
 
     def retire(done, k):
-        # done: a mask over the live points, or True for all of them
-        at, v, m = (np.asarray(a)[done].ravel().tolist() for a in (live, s + c, mx))
-        for i, vi, mi in zip(at, v, m):
-            value[i], max_term[i], terms[i] = vi, mi, max(k - k0, 1)
+        # done: a mask over the live points, or slice(None) for all of them
+        at = live[done]
+        value[at], max_term[at], terms[at] = (s + c)[done], mx[done], max(k - k0, 1)
 
     k = k0
     while True:
@@ -303,36 +291,35 @@ def hyp_series(numerators, denominators, scale: float, power: int, step: int,
         for j in range(order):
             fall *= p - j
         term = base * fall
-        aterm = abs(term)
-        finite = aterm < math.inf
-        if not every(finite):
-            bad = int(np.argmin(finite))
+        aterm = np.abs(term)
+        if not aterm.max() < math.inf:
+            bad = int(np.argmin(aterm < math.inf))
             raise SeriesError(
-                f"series term overflowed at k={k} (x={xl[live[bad]]:.4g}); the "
+                f"series term overflowed at k={k} (x={flat[live[bad]]:.4g}); the "
                 "value is outside the representable range", terms_used=k,
-                partial_sum=float(np.ravel(s + c)[bad]))
-        s, c = _neumaier_add(s, c, term, where)
-        mx = maximum(mx, aterm)
+                partial_sum=float(s[bad] + c[bad]))
+        s, c = _neumaier_add(s, c, term)
+        np.maximum(mx, aterm, out=mx)
         if cut is None and p > order:
-            tiny = aterm <= tol * maximum(abs(s + c), 1e-300)
-            small = where(tiny, small + 1, 0)
+            tiny = aterm <= tol * np.maximum(np.abs(s + c), 1e-300)
+            small = np.where(tiny, small + 1, 0)
             done = small >= 3
-            if some(done):
+            if done.any():
                 retire(done, k)
-                if every(done):
+                if done.all():
                     break
                 keep = ~done
                 live, base, xstep, s, c, mx, small = (
                     v[keep] for v in (live, base, xstep, s, c, mx, small))
         k += 1
         if cut is not None and k >= cut:
-            retire(True, k)
+            retire(slice(None), k)
             break
         if k >= TERM_BUDGET:
             raise SeriesError(
                 f"term-differentiated series did not converge within {TERM_BUDGET} terms",
-                terms_used=k, partial_sum=float(np.ravel(s + c)[0]))
-        base = base * (param_ratio(k - 1) * xstep)
+                terms_used=k, partial_sum=float(s[0] + c[0]))
+        base *= param_ratio(k - 1) * xstep
 
     return _series_result(xs.shape, value, terms, max_term)
 

@@ -183,6 +183,20 @@ class TestGrooveMetrics:
         assert not m.has_primary_maximum
         assert not m.has_secondary_minimum
 
+    @pytest.mark.parametrize("scalar_only", [
+        lambda x: -math.exp(-x) * math.cos(2.0 * x),
+        lambda x: 0.0 if x > 50.0 else -math.exp(-x) * math.cos(2.0 * x),
+    ], ids=["math", "branch"])
+    def test_scalar_only_callable(self, scalar_only):
+        """A callable that takes floats only is sampled point by point."""
+        m = groove_metrics(scalar_only, x_cap=10.0, samples=400)
+        ref = groove_metrics(lambda x: -np.exp(-x) * np.cos(2.0 * x),
+                             x_cap=10.0, samples=400)
+        assert m.depth == 1.0
+        for got, want in [(m.x_max, ref.x_max), (m.y_max, ref.y_max),
+                          (m.x_min2, ref.x_min2), (m.mass, ref.mass)]:
+            assert got == pytest.approx(want, rel=1e-6, abs=1e-9)
+
     def test_mass_window_truth(self):
         """The base-profile window mass is truncation-dominated: the
         oscillating tail beyond the window carries the balance."""
