@@ -18,7 +18,6 @@ from .composite import (
     mullins_profile_dim,
 )
 from .layers import (
-    BoundaryLayerCoeffs,
     CornerSpec,
     beta2,
     beta4,
@@ -49,15 +48,12 @@ from .oracle import (
     flux,
     mass,
     solve,
-    step,
 )
 from .outer import (
-    OuterSpec,
     basis_f1,
     basis_f2,
     mullins_ode_residual,
     mullins_profile,
-    outer_expansion,
     outer_term,
     yr_quadrature_oracle,
 )

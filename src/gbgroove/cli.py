@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import numbers
 import sys
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -31,8 +32,6 @@ from .material import (
     model_from_physical,
     mullins_coefficient,
     nondimensionalize,
-    slope_parameter,
-    stiffness_parameter,
 )
 from .oracle import ConfigError, DivergenceError, Grid, SolverConfig, mass, solve
 from .outer import MAX_ORDER, QuadratureError
@@ -61,8 +60,27 @@ PRESETS: dict[str, dict] = {
 }
 
 
+# solver domain [0, 8] in units of (B t)^(1/4): the shortest SolverConfig
+# accepts for t_final = 1
+_SOLVER_L = 8.0
+
+
 class CliConfigError(ValueError):
     """Bad run configuration (exit code 2)."""
+
+
+def _require_numbers(name: str, values, integral: bool = False) -> None:
+    """Every value must be a JSON number (an integer if `integral`) that fits
+    a float; bools are not numbers."""
+    kind = numbers.Integral if integral else numbers.Real
+    for v in values:
+        if isinstance(v, bool) or not isinstance(v, kind):
+            what = "an integer" if integral else "a number"
+            raise CliConfigError(f"{name} must be {what}, got {v!r}")
+        try:
+            float(v)
+        except OverflowError:
+            raise CliConfigError(f"{name} is too large for a float")
 
 
 @dataclass
@@ -91,6 +109,18 @@ class RunConfig:
             raise CliConfigError(f"unknown format {self.fmt!r}; pick one of {FORMATS}")
         if (self.physical is None) == (self.model is None):
             raise CliConfigError("provide exactly one of 'physical' or 'model'")
+        if not (isinstance(self.times, (list, tuple)) and isinstance(self.alphas, (list, tuple))):
+            raise CliConfigError("times and alphas must be lists of numbers")
+        _require_numbers("times", self.times)
+        _require_numbers("alphas", self.alphas)
+        _require_numbers("samples", [self.samples], integral=True)
+        _require_numbers("order", [self.order], integral=True)
+        _require_numbers("xmax", [] if self.xmax is None else [self.xmax])
+        _require_numbers("corner_r and corner_gamma", [self.corner_r, self.corner_gamma])
+        if not isinstance(self.solver, dict):
+            raise CliConfigError(f"solver must be an object, got {self.solver!r}")
+        if not isinstance(self.out, (str, type(None))):
+            raise CliConfigError(f"out must be a path, got {self.out!r}")
         if self.mode in ("profile", "depth-series", "oracle", "compare") and not self.times:
             raise CliConfigError(f"mode {self.mode!r} needs at least one Bt value")
         if self.samples < 2:
@@ -102,6 +132,13 @@ class RunConfig:
         for bt in self.times:
             if not bt > 0:
                 raise CliConfigError(f"Bt values must be positive, got {bt}")
+        if not (math.isfinite(self.corner_r) and math.isfinite(self.corner_gamma)):
+            raise CliConfigError("corner_r and corner_gamma must be finite")
+        if self.mode == "corner" or self.include_corner:
+            try:
+                CornerSpec(r=self.corner_r)
+            except ValueError as exc:
+                raise CliConfigError(f"bad corner_r: {exc}")
 
     def resolved(self) -> dict:
         d = asdict(self)
@@ -135,6 +172,8 @@ def _merge_cli(cfg: dict, args: argparse.Namespace) -> dict:
     """Command-line flags override config-file entries."""
     if args.mode is not None:
         cfg["mode"] = args.mode
+    if not isinstance(cfg.get("model") or {}, dict):
+        raise CliConfigError(f"model must be an object, got {cfg['model']!r}")
     model = dict(cfg.get("model") or {})
     for key, val in (("B", args.B), ("alpha", args.alpha), ("m", args.m)):
         if val is not None:
@@ -247,25 +286,23 @@ def _profile_rows(cfg: RunConfig, with_oracle: bool):
 
 
 def _solver_config(cfg: RunConfig, params: ModelParams) -> SolverConfig:
+    """Solver grid and plateau step: the `solver` block may set `nx` and `dt`.
+
+    The default grid is the coarsest that resolves the wall layer
+    (dx <= sqrt(alpha_hat)/4), and never coarser than 513 nodes.
+    """
     s = dict(cfg.solver)
-    ah = params.alpha_hat
-    L = float(s.pop("L", 8.0))
-    if ah > 0:
-        max_dx = math.sqrt(ah) / 4.0
-        nx_min = int(math.ceil(L / max_dx)) + 1
-    else:
-        nx_min = 65
-    nx = int(s.pop("nx", max(513, nx_min)))
-    dt = float(s.pop("dt", 1.0 / 512))
-    theta = float(s.pop("theta", 1.0))
-    snapshot_times = tuple(s.pop("snapshot_times", ()))
-    kwargs = dict(bc_order=int(s.pop("bc_order", 3)),
-                  flux_form=str(s.pop("flux_form", "balance")))
+    nx = s.pop("nx", None)
+    dt = s.pop("dt", 1.0 / 512)
     if s:
         raise CliConfigError(f"unknown solver options: {sorted(s)}")
-    return SolverConfig(grid=Grid(L=L, nx=nx), dt=dt, t_final=1.0,
-                        alpha_hat=ah, m=params.m, theta=theta,
-                        snapshot_times=snapshot_times, **kwargs)
+    _require_numbers("solver.nx", [] if nx is None else [nx], integral=True)
+    _require_numbers("solver.dt", [dt])
+    ah = params.alpha_hat
+    if nx is None:
+        nx = max(513, math.ceil(_SOLVER_L / (math.sqrt(ah) / 4.0)) + 1) if ah > 0 else 513
+    return SolverConfig(grid=Grid(L=_SOLVER_L, nx=nx), dt=float(dt), t_final=1.0,
+                        alpha_hat=ah, m=params.m)
 
 
 def _oracle_profile(cfg: RunConfig, params: ModelParams):
@@ -403,9 +440,12 @@ def main(argv=None) -> int:
             cfg_dict.update(json.loads(json.dumps(PRESETS[args.preset])))
         if args.config:
             try:
-                cfg_dict.update(json.loads(args.config.read_text()))
+                doc = json.loads(args.config.read_text())
             except (OSError, json.JSONDecodeError) as exc:
                 raise CliConfigError(f"cannot read config file: {exc}")
+            if not isinstance(doc, dict):
+                raise CliConfigError("config file must hold a JSON object")
+            cfg_dict.update(doc)
         cfg_dict = _merge_cli(cfg_dict, args)
         if "fmt" not in cfg_dict and "format" in cfg_dict:
             cfg_dict["fmt"] = cfg_dict.pop("format")

@@ -30,12 +30,10 @@ from .specfun import (
 )
 
 __all__ = [
-    "BoundaryLayerCoeffs",
     "CornerSpec",
     "CORNER_MATRIX",
     "beta2",
     "beta4",
-    "boundary_layer_coeffs",
     "boundary_layer_G",
     "boundary_layer_G_derivative",
     "corner_fundamental_v",
@@ -76,21 +74,6 @@ _W6_SCALE = -1.0 / 6.0 ** 6
 # boundary layer
 
 
-@dataclass(frozen=True)
-class BoundaryLayerCoeffs:
-    """Exponential-correction amplitudes at a fixed time.
-
-    Only the integer-order amplitudes survive: the half-order slots are
-    forced to zero because nothing at those orders needs cancelling.
-    """
-
-    beta0: float
-    beta1: float
-    beta2: float
-    beta3: float
-    beta4: float
-
-
 def beta2(t: float, B: float, m: float) -> float:
     """Order-alpha amplitude; cancels the leading outer curvature at x=0."""
     bt = B * t
@@ -105,10 +88,6 @@ def beta4(t: float, B: float, m: float) -> float:
     if not bt > 0:
         raise ValueError("need B*t > 0")
     return -m * _G74 / (4.0 * math.pi * bt ** 0.75)
-
-
-def boundary_layer_coeffs(t: float, B: float, m: float) -> BoundaryLayerCoeffs:
-    return BoundaryLayerCoeffs(0.0, 0.0, beta2(t, B, m), 0.0, beta4(t, B, m))
 
 
 def _bl_amplitude(t: float, alpha: float, B: float, m: float) -> float:

@@ -5,10 +5,9 @@ y_xxxx (nondimensional) on a uniform grid with the wall conditions
 (slope-bending, zero flux, zero curvature) and a clamped far field, and
 marches it with a theta-scheme from a perfectly flat start.
 
-Wall and far-field flux rows are imposed in integral (mass-balance) form
-by default: the semi-discrete system then conserves the trapezoidal mass
-identically, which is the discrete shadow of matter conservation.  Set
-flux_form="onesided" for the plain one-sided-stencil variant.
+Wall and far-field flux rows are imposed in integral (mass-balance) form:
+the semi-discrete system then conserves the trapezoidal mass identically,
+which is the discrete shadow of matter conservation.
 
 The interior operator is kept as its one stencil, alpha_hat*D6 - D4, and
 applied by correlation.  Each time-step matrix is written from the
@@ -35,7 +34,6 @@ __all__ = [
     "fd_weights",
     "assemble_operator",
     "GrooveOperator",
-    "step",
     "solve",
     "time_grid",
     "mass",
@@ -46,6 +44,12 @@ __all__ = [
 ]
 
 MIN_NODES = 64
+# the wall rows carry 1/dx^5 entries: past ~2000 nodes they amplify
+# roundoff above the truncation error
+MAX_NODES = 2049
+BC_ORDER = 3        # accuracy order of the one-sided wall and far-field stencils
+RAMP_STAGES = 40    # dyadic step sizes dt/2^39 .. dt at the start of a run
+RAMP_STEPS = 8      # steps taken at each ramp stage
 
 
 class ConfigError(ValueError):
@@ -113,10 +117,6 @@ class SolverConfig:
     m: float
     theta: float = 1.0
     snapshot_times: tuple[float, ...] = ()
-    bc_order: int = 3               # one-sided stencil order for the wall rows
-    flux_form: str = "balance"      # "balance" (conservative) or "onesided"
-    ramp_stages: int = 40
-    ramp_steps: int = 8
 
     def __post_init__(self):
         if not self.dt > 0:
@@ -127,10 +127,9 @@ class SolverConfig:
             raise ConfigError("theta must lie in [1/2, 1]")
         if self.alpha_hat < 0:
             raise ConfigError("alpha_hat must be non-negative")
-        if self.flux_form not in ("balance", "onesided"):
-            raise ConfigError(f"unknown flux_form {self.flux_form!r}")
-        if self.bc_order < 2:
-            raise ConfigError("wall stencils must be at least second order")
+        if self.grid.nx > MAX_NODES:
+            raise ConfigError(f"need nx <= {MAX_NODES}, got {self.grid.nx}: finer grids "
+                              "amplify roundoff through the wall rows")
         if self.alpha_hat > 0 and self.grid.dx > math.sqrt(self.alpha_hat) / 4.0 + 1e-15:
             raise ConfigError(
                 f"dx = {self.grid.dx:.4g} does not resolve the wall layer; "
@@ -167,7 +166,7 @@ class GrooveOperator:
     The interior operator is one stencil, ``alpha_hat*D6 - D4`` (``-D4``
     when alpha_hat = 0), on rows interior_lo..interior_hi: ``apply`` is a
     correlation of the heights with it.  Every other row is a wall or
-    far-field condition (`bc_rows`) or, in balance form, a mass-balance row.
+    far-field condition (`bc_rows`) or a mass-balance row (`balance_rows`).
     Each time-step system is written straight from those pieces as a
     row-scaled CSC matrix; its LU factors are cached per (dt, theta) and
     reused while dt stays fixed.
@@ -217,64 +216,39 @@ class GrooveOperator:
     def _assemble_boundary_rows(self):
         cfg = self.config
         n, dx, ah = self.n, self.dx, cfg.alpha_hat
-        p = cfg.bc_order
-        xs = np.arange(16, dtype=float)
-        w1 = fd_weights(xs[:1 + p], 0.0, 1) / dx
-        w2 = fd_weights(xs[:2 + p], 0.0, 2) / dx ** 2
-        w3 = fd_weights(xs[:3 + p], 0.0, 3) / dx ** 3
-        w5 = fd_weights(xs[:5 + p], 0.0, 5) / dx ** 5
-        lo = self.interior_lo
-        rows: dict[int, np.ndarray] = {}
-        rhs = np.zeros(n)
-        conservative = cfg.flux_form == "balance"
+
+        def wall_weights(order):
+            return fd_weights(np.arange(float(order + BC_ORDER)), 0.0, order) / dx ** order
+
+        w1 = wall_weights(1)
+        slope = np.zeros(n)
+        slope[:len(w1)] += w1
+        far0 = np.zeros(n); far0[n - 1] = 1.0
+        rows = {0: slope, n - 1: far0}
+        # the sixth-order problem adds zero wall curvature and zero far slope;
+        # at alpha_hat = 0 the balance rows take rows 1 and n - 2 instead
         if ah > 0:
-            slope = np.zeros(n)
-            slope[:len(w1)] += w1
+            w3 = wall_weights(3)
             slope[:len(w3)] -= ah * w3
-            rows[0] = slope
-            rhs[0] = cfg.m / 2.0
-            curv = np.zeros(n)
-            curv[:len(w2)] = w2
-            rows[1] = curv
-            if not conservative:
-                flux_row = np.zeros(n)
-                flux_row[:len(w3)] += w3
-                flux_row[:len(w5)] -= ah * w5
-                rows[2] = flux_row
-            far0 = np.zeros(n); far0[n - 1] = 1.0
+            w2 = wall_weights(2)
+            curv = np.zeros(n); curv[:len(w2)] = w2
             far1 = np.zeros(n); far1[n - len(w1):] = -w1[::-1]
-            rows[n - 1] = far0
+            rows[1] = curv
             rows[n - 2] = far1
-            if not conservative:
-                far2 = np.zeros(n); far2[n - len(w2):] = w2[::-1]
-                rows[n - 3] = far2
-        else:
-            slope = np.zeros(n)
-            slope[:len(w1)] = w1
-            rows[0] = slope
-            rhs[0] = cfg.m / 2.0
-            far0 = np.zeros(n); far0[n - 1] = 1.0
-            rows[n - 1] = far0
-            if not conservative:
-                flux_row = np.zeros(n)
-                flux_row[:len(w3)] = w3
-                rows[1] = flux_row
-                # in balance form the far mass-balance row takes this place
-                far1 = np.zeros(n); far1[n - len(w1):] = -w1[::-1]
-                rows[n - 2] = far1
+        rhs = np.zeros(n)
+        rhs[0] = cfg.m / 2.0
         self.bc_rows = rows
         self.bc_rhs = rhs
-        # wall / far mass-balance rows replace the two flux-type rows:
+        # wall / far mass-balance rows take the place of the flux rows:
         # row -> (trapezoid weights of the edge nodes, telescoped flux)
-        self.balance_rows: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        if conservative:
-            WL = np.zeros(n)
-            WL[0] = dx / 2.0
-            WL[1:lo] = dx
-            WR = np.zeros(n)
-            WR[n - 1] = dx / 2.0
-            WR[self.interior_hi + 1:n - 1] = dx
-            self.balance_rows = {lo - 1: (WL, self.SL), n - lo: (WR, self.SR)}
+        lo = self.interior_lo
+        WL = np.zeros(n)
+        WL[0] = dx / 2.0
+        WL[1:lo] = dx
+        WR = np.zeros(n)
+        WR[n - 1] = dx / 2.0
+        WR[self.interior_hi + 1:n - 1] = dx
+        self.balance_rows = {lo - 1: (WL, self.SL), n - lo: (WR, self.SR)}
         assert not rows.keys() & self.balance_rows.keys(), "boundary rows overlap"
 
     def _assemble_pattern(self):
@@ -302,16 +276,6 @@ class GrooveOperator:
         lo, hi = self.interior_lo, self.interior_hi
         return np.concatenate([edge[i] for i in range(lo)] + [band.ravel()]
                               + [edge[i] for i in range(hi + 1, self.n)])
-
-    @property
-    def bandwidth(self) -> int:
-        lower = upper = 0
-        rows_cols = [(i, np.nonzero(r)[0]) for i, r in self.bc_rows.items()]
-        for i, cols in rows_cols:
-            if len(cols):
-                upper = max(upper, int(cols.max() - i))
-                lower = max(lower, int(i - cols.min()))
-        return max(lower, upper, 3)
 
     # ---- stepping -------------------------------------------------------
 
@@ -375,28 +339,19 @@ def assemble_operator(config: SolverConfig) -> GrooveOperator:
     return GrooveOperator(config)
 
 
-def step(state: Profile, config: SolverConfig, operator: GrooveOperator | None = None,
-         dt: float | None = None) -> Profile:
-    """One theta-scheme step from `state`."""
-    op = operator if operator is not None else assemble_operator(config)
-    h = op.advance(state.heights, dt if dt is not None else config.dt, config.theta)
-    return Profile(heights=h, time=state.time + (dt if dt is not None else config.dt),
-                   grid=config.grid)
-
-
 def time_grid(config: SolverConfig) -> np.ndarray:
     """Step endpoints: a dyadic ramp out of t = 0, then the plateau dt.
 
-    The fresh groove grows like t^(1/4); the ramp spends `ramp_steps`
-    steps on each dyadic scale so the early transient is resolved without
-    paying for it over the whole run.
+    The fresh groove grows like t^(1/4); the ramp spends RAMP_STEPS steps
+    on each of RAMP_STAGES dyadic scales so the early transient is resolved
+    without paying for it over the whole run.
     """
     dt = min(config.dt, config.t_final / 4.0)
     times = [0.0]
     t = 0.0
-    for s in range(config.ramp_stages - 1, -1, -1):
+    for s in range(RAMP_STAGES - 1, -1, -1):
         dts = dt / 2.0 ** s
-        for _ in range(config.ramp_steps):
+        for _ in range(RAMP_STEPS):
             t += dts
             times.append(t)
             if t >= config.t_final:
@@ -502,35 +457,33 @@ def energy(profile: Profile, m: float, alpha_hat: float,
                            baseline=gamma_surface * profile.grid.L)
 
 
-def chemical_potential(profile: Profile, alpha_hat: float,
-                       scale: float = 1.0) -> np.ndarray:
-    """Interface chemical potential  mu = scale (-y_xx + alpha y_xxxx)."""
+def chemical_potential(profile: Profile, alpha_hat: float) -> np.ndarray:
+    """Interface chemical potential  mu = -y_xx + alpha y_xxxx."""
     h = profile.heights
     dx = profile.grid.dx
     mu = -_derivative_field(h, dx, 2)
     if alpha_hat > 0:
         mu = mu + alpha_hat * _derivative_field(h, dx, 4)
-    return scale * mu
+    return mu
 
 
-def flux(profile: Profile, alpha_hat: float, mobility: float = 1.0,
-         bc_order: int = 3) -> np.ndarray:
-    """Interface diffusion flux  j = -mobility d(mu)/dx = mobility (y_xxx - alpha y_xxxxx).
+def flux(profile: Profile, alpha_hat: float) -> np.ndarray:
+    """Interface diffusion flux  j = -d(mu)/dx = y_xxx - alpha y_xxxxx.
 
-    The wall value is evaluated directly from the height field with the
-    same one-sided stencils the solver's flux row uses, so a run with
-    flux_form="onesided" reports a machine-zero wall flux.
+    The wall value is evaluated directly from the height field with
+    one-sided stencils of the solver's wall-row order, BC_ORDER; it is the
+    residual of the zero-flux condition the solver imposes in balance form.
     """
     h = profile.heights
     dx = profile.grid.dx
     mu = chemical_potential(profile, alpha_hat)
-    j = -mobility * _derivative_field(mu, dx, 1)
-    w3 = fd_weights(np.arange(3.0 + bc_order), 0.0, 3) / dx ** 3
+    j = -_derivative_field(mu, dx, 1)
+    w3 = fd_weights(np.arange(3.0 + BC_ORDER), 0.0, 3) / dx ** 3
     j0 = float(w3 @ h[:len(w3)])
     if alpha_hat > 0:
-        w5 = fd_weights(np.arange(5.0 + bc_order), 0.0, 5) / dx ** 5
+        w5 = fd_weights(np.arange(5.0 + BC_ORDER), 0.0, 5) / dx ** 5
         j0 -= alpha_hat * float(w5 @ h[:len(w5)])
-    j[0] = mobility * j0
+    j[0] = j0
     return j
 
 

@@ -11,7 +11,6 @@ a float back.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,9 +24,6 @@ from .specfun import (
 
 __all__ = [
     "U_CLAMP",
-    "OuterSpec",
-    "SimilarityPoint",
-    "ExpansionValue",
     "QuadratureError",
     "basis_f1",
     "basis_f2",
@@ -37,7 +33,6 @@ __all__ = [
     "outer_term",
     "outer_term_shape",
     "outer_term_derivative",
-    "outer_expansion",
     "yr_quadrature_oracle",
     "mullins_ode_residual",
 ]
@@ -59,44 +54,6 @@ _Z_SCALE = 1.0 / 256.0
 
 class QuadratureError(RuntimeError):
     """Adaptive quadrature failed to reach the requested accuracy."""
-
-
-@dataclass(frozen=True)
-class OuterSpec:
-    """Order and tolerance of the outer expansion."""
-
-    m: float
-    N: int = 2
-    tol: float = DEFAULT_TOL
-
-    def __post_init__(self):
-        if not 0 <= self.N <= MAX_ORDER:
-            raise ValueError(f"order N must be in [0, {MAX_ORDER}], got {self.N}")
-        if not self.tol > 0:
-            raise ValueError("tol must be positive")
-
-
-@dataclass(frozen=True)
-class SimilarityPoint:
-    """Similarity variable and the induced series argument."""
-
-    u: float
-    z: float
-
-    @classmethod
-    def from_u(cls, u: float) -> "SimilarityPoint":
-        if u < 0:
-            raise ValueError(f"u must be non-negative, got {u}")
-        return cls(u=u, z=u ** 4 / 256.0)
-
-
-@dataclass(frozen=True)
-class ExpansionValue:
-    """Outer expansion value with a truncation indicator."""
-
-    value: float
-    last_term_magnitude: float
-    order: int
 
 
 def _check_bt(t: float, B: float) -> float:
@@ -201,24 +158,6 @@ def outer_term_derivative(r: int, x, t: float, B: float, m: float,
     """d^order/dx^order of y_r, term-differentiated."""
     u, L = _similarity(x, t, B)
     return m * L ** (1 - 2 * r - order) * outer_term_shape(r, u, order, tol)
-
-
-def outer_expansion(x: float, t: float, spec: OuterSpec, B: float,
-                    alpha: float) -> ExpansionValue:
-    """y0 + sum_{r=1..N} alpha^r y_r with the magnitude of the last retained term.
-
-    alpha must carry the same units as (Bt)^(1/2) (pass alpha_hat with
-    nondimensional x, t or the dimensional alpha with SI inputs).
-    """
-    y = mullins_profile(x, t, B, spec.m, spec.tol)
-    last = abs(y)
-    for r in range(1, spec.N + 1):
-        term = alpha ** r * outer_term(r, x, t, B, spec.m, spec.tol)
-        y += term
-        last = abs(term)
-    if spec.N >= 1 and alpha == 0.0:
-        last = 0.0
-    return ExpansionValue(value=y, last_term_magnitude=last, order=spec.N)
 
 
 # arguments of 1.5*r -/+ 0.25 lie in 1/4 + Z/2: never a Gamma pole for r >= 1

@@ -211,3 +211,53 @@ def test_exit_two_on_bad_model_numbers(flags, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: config:")
+
+
+def _main_on_document(doc, tmp_path, capsys):
+    """Exit code and stderr lines of `main` on one --config document."""
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(doc))
+    code = main(["--config", str(path)])
+    return code, capsys.readouterr().err.strip().splitlines()
+
+
+_FIG4 = {"mode": "profile", "model": {"B": 1.0, "alpha": 9.7e-16, "m": 0.209},
+         "times": [1e-29], "samples": 4}
+
+
+_BAD_DOCUMENTS = {
+    "samples-string": {**_FIG4, "samples": "400"},
+    "samples-float": {**_FIG4, "samples": 1e3},
+    "times-string": {**_FIG4, "times": "1e-29"},
+    "order-string": {**_FIG4, "order": "2"},
+    "xmax-string": {**_FIG4, "xmax": "3"},
+    "times-huge-integer": {**_FIG4, "times": [10 ** 400]},
+    "corner_r-string": {**_FIG4, "include_corner": True, "corner_r": "nan"},
+    "corner_r-not-decaying": {**_FIG4, "include_corner": True, "corner_r": -0.5},
+    "model-array": {**_FIG4, "model": [1, 2]},
+    "out-number": {**_FIG4, "out": 5},
+    "solver-nx-string": {**_FIG4, "mode": "oracle", "solver": {"nx": "abc"}},
+    **{f"solver-{key}": {**_FIG4, "mode": "oracle", "solver": {key: value}}
+       for key, value in (("L", 8.0), ("theta", 1.0), ("snapshot_times", [0.5]),
+                          ("bc_order", 3), ("flux_form", "balance"))},
+    "top-level-array": [_FIG4],
+}
+
+
+@pytest.mark.parametrize("doc", list(_BAD_DOCUMENTS.values()), ids=list(_BAD_DOCUMENTS))
+def test_exit_two_on_bad_config_document(doc, tmp_path, capsys):
+    code, err = _main_on_document(doc, tmp_path, capsys)
+    assert code == 2
+    assert len(err) == 1 and err[0].startswith("error: config:")
+
+
+@pytest.mark.parametrize("doc", [
+    {**_FIG4, "mode": "oracle", "solver": {"nx": 2050}},
+    # the wall layer thins as Bt grows: at Bt = 2e-23 m^4 the default grid
+    # needs 2174 nodes to resolve it
+    {**_FIG4, "mode": "compare", "times": [2e-23]},
+], ids=["solver-nx", "derived-nx"])
+def test_exit_two_above_node_cap(doc, tmp_path, capsys):
+    code, err = _main_on_document(doc, tmp_path, capsys)
+    assert code == 2
+    assert len(err) == 1 and "nx <= 2049" in err[0]

@@ -17,7 +17,6 @@ from gbgroove.layers import (
     CornerSpec,
     beta2,
     beta4,
-    boundary_layer_coeffs,
     boundary_layer_G,
     boundary_layer_G_derivative,
     corner_combination,
@@ -61,11 +60,6 @@ class TestBoundaryLayer:
             m / (2 * math.sqrt(2) * 1.2254167024651776), rel=1e-13)
         assert beta4(t, 1.0, m) == pytest.approx(
             -m * 0.9190625268488832 / (4 * math.pi), rel=1e-13)
-
-    def test_zero_slots(self):
-        c = boundary_layer_coeffs(1.0, 1.0, 0.209)
-        assert c.beta0 == c.beta1 == c.beta3 == 0.0
-        assert c.beta2 > 0 and c.beta4 < 0
 
     def test_far_field_extinction(self):
         assert boundary_layer_G(50.0, 1.0, 0.3, 1.0, 0.209) < 1e-30

@@ -7,6 +7,8 @@ import pytest
 
 from gbgroove.composite import ExpansionSpec, composite_profile_nd
 from gbgroove.oracle import (
+    BC_ORDER,
+    MAX_NODES,
     ConfigError,
     Grid,
     Profile,
@@ -19,7 +21,6 @@ from gbgroove.oracle import (
     flux,
     mass,
     solve,
-    step,
     time_grid,
 )
 from gbgroove.outer import mullins_profile
@@ -56,6 +57,11 @@ class TestConfigValidation:
     def test_snapshot_range(self):
         with pytest.raises(ConfigError):
             _config(snapshot_times=(2.0,))
+
+    def test_node_cap(self):
+        _config(grid=Grid(L=8.0, nx=MAX_NODES))
+        with pytest.raises(ConfigError):
+            _config(grid=Grid(L=8.0, nx=MAX_NODES + 1))
 
 
 class TestFdWeights:
@@ -109,34 +115,32 @@ class TestOperator:
         assert np.max(np.abs(res[interior] - expect)) < 5e-3
 
     def test_bandwidth_bound(self):
-        for form in ("balance", "onesided"):
-            op = assemble_operator(_config(flux_form=form))
-            assert op.bandwidth <= 9
+        for alpha_hat in (0.0, AH_FIG):
+            op = assemble_operator(_config(alpha_hat=alpha_hat))
+            _, Ms, _ = op._system_for_dt(1.0 / 512, 1.0)
+            rows, cols = Ms.nonzero()
+            assert np.max(np.abs(rows - cols)) <= 9
 
 
 class TestStep:
     def test_rest_state_with_zero_slope(self):
         cfg = _config(m=0.0)
-        p0 = Profile(heights=np.zeros(513), time=0.0, grid=cfg.grid)
-        p1 = step(p0, cfg, dt=1e-3)
-        assert np.max(np.abs(p1.heights)) == 0.0
+        y = assemble_operator(cfg).advance(np.zeros(513), 1e-3, cfg.theta)
+        assert np.max(np.abs(y)) == 0.0
 
     def test_boundary_row_consistency(self):
         """After one implicit step the slope-bending row holds exactly."""
         cfg = _config()
         op = assemble_operator(cfg)
-        p0 = Profile(heights=np.zeros(513), time=0.0, grid=cfg.grid)
-        p1 = step(p0, cfg, op, dt=1e-5)
+        y = op.advance(np.zeros(513), 1e-5, cfg.theta)
         row = op.bc_rows[0]
-        assert float(row @ p1.heights) == pytest.approx(cfg.m / 2, rel=1e-9)
+        assert float(row @ y) == pytest.approx(cfg.m / 2, rel=1e-9)
 
     def test_unpassivated_wall_slope(self):
         cfg = _config(alpha_hat=0.0, grid=Grid(L=8.0, nx=513))
-        op = assemble_operator(cfg)
-        p0 = Profile(heights=np.zeros(513), time=0.0, grid=cfg.grid)
-        p1 = step(p0, cfg, op, dt=1e-4)
+        y = assemble_operator(cfg).advance(np.zeros(513), 1e-4, cfg.theta)
         w1 = fd_weights(np.arange(4.0), 0.0, 1) / cfg.grid.dx
-        assert float(w1 @ p1.heights[:4]) == pytest.approx(cfg.m / 2, rel=1e-6)
+        assert float(w1 @ y[:4]) == pytest.approx(cfg.m / 2, rel=1e-6)
 
     def test_time_step_order(self):
         """Richardson order on a smooth continuation: p ~ 1 for the
@@ -312,11 +316,12 @@ class TestDiagnostics:
         assert np.all(flux(p, 0.3) == 0.0)
 
     def test_wall_flux_gate(self):
-        """With explicit one-sided flux rows the reported wall flux is the
-        boundary-row residual itself."""
-        cfg = _config(grid=Grid(L=8.0, nx=513), flux_form="onesided")
+        """Zero flux is imposed in mass-balance form; the wall flux read off
+        the heights with one-sided stencils stays small against the
+        interior flux."""
+        cfg = _config(grid=Grid(L=8.0, nx=513))
         prof = solve(cfg)[-1]
-        j = flux(prof, cfg.alpha_hat, bc_order=cfg.bc_order)
+        j = flux(prof, cfg.alpha_hat)
         assert abs(j[0]) <= 1e-3 * np.max(np.abs(j))
 
     def test_continuity(self, run):
@@ -360,10 +365,10 @@ class TestTimeGrid:
 def _dense_system(cfg, dt, theta):
     """Row-scaled time-step matrix, row by row in dense numpy, straight from
     the stencil definitions: interior rows I - theta dt (alpha_hat D6 - D4),
-    one-sided wall/far rows, and in balance form the two mass-balance rows
-    (edge trapezoid weights / dt + theta times dx-summed first or last eight
-    interior rows)."""
-    n, dx, ah, p = cfg.grid.nx, cfg.grid.dx, cfg.alpha_hat, cfg.bc_order
+    one-sided wall/far rows, and the two mass-balance rows (edge trapezoid
+    weights / dt + theta times dx-summed first or last eight interior
+    rows)."""
+    n, dx, ah, p = cfg.grid.nx, cfg.grid.dx, cfg.alpha_hat, BC_ORDER
     h = 3 if ah > 0 else 2
     d4 = np.array([1.0, -4.0, 6.0, -4.0, 1.0]) / dx ** 4
     d6 = np.array([1.0, -6.0, 15.0, -20.0, 15.0, -6.0, 1.0]) / dx ** 6
@@ -383,49 +388,37 @@ def _dense_system(cfg, dt, theta):
             row[:len(w)] += c * w
         return row
 
-    balance = cfg.flux_form == "balance"
-    w1, w2, w3, w5 = (weights(k) for k in (1, 2, 3, 5))
-    far_slope = np.zeros(n)
-    far_slope[n - len(w1):] = -w1[::-1]
+    w1, w2, w3 = (weights(k) for k in (1, 2, 3))
     M[0] = wall((1.0, w1), (-ah, w3)) if ah > 0 else wall((1.0, w1))
     M[n - 1] = np.eye(n)[n - 1]
     if ah > 0:
         M[1] = wall((1.0, w2))
-        M[n - 2] = far_slope
-        if not balance:
-            M[2] = wall((1.0, w3), (-ah, w5))
-            M[n - 3] = np.zeros(n)
-            M[n - 3, n - len(w2):] = w2[::-1]
-    elif not balance:
-        M[1] = wall((1.0, w3))
-        M[n - 2] = far_slope
-    if balance:
-        SL = np.zeros(n)
-        for i in range(h, h + 8):
-            SL += dx * A[i]
-        SL[h + 3:] = 0.0
-        SR = np.zeros(n)
-        for i in range(n - 1 - h - 7, n - h):
-            SR += dx * A[i]
-        SR[:n - h - 3] = 0.0
-        WL = np.zeros(n)
-        WL[:h] = dx
-        WL[0] = dx / 2
-        WR = np.zeros(n)
-        WR[n - h:] = dx
-        WR[n - 1] = dx / 2
-        M[h - 1] = WL / dt + theta * SL
-        M[n - h] = WR / dt + theta * SR
+        M[n - 2] = np.zeros(n)
+        M[n - 2, n - len(w1):] = -w1[::-1]
+    SL = np.zeros(n)
+    for i in range(h, h + 8):
+        SL += dx * A[i]
+    SL[h + 3:] = 0.0
+    SR = np.zeros(n)
+    for i in range(n - 1 - h - 7, n - h):
+        SR += dx * A[i]
+    SR[:n - h - 3] = 0.0
+    WL = np.zeros(n)
+    WL[:h] = dx
+    WL[0] = dx / 2
+    WR = np.zeros(n)
+    WR[n - h:] = dx
+    WR[n - 1] = dx / 2
+    M[h - 1] = WL / dt + theta * SL
+    M[n - h] = WR / dt + theta * SR
     return M / np.abs(M).max(axis=1)[:, None]
 
 
 class TestSystemAssembly:
     @pytest.mark.parametrize("theta", [0.5, 1.0])
-    @pytest.mark.parametrize("form", ["balance", "onesided"])
     @pytest.mark.parametrize("alpha_hat", [0.0, 0.307])
-    def test_matches_dense_reference(self, alpha_hat, form, theta):
-        cfg = _config(grid=Grid(L=8.0, nx=64), alpha_hat=alpha_hat,
-                      flux_form=form, theta=theta)
+    def test_matches_dense_reference(self, alpha_hat, theta):
+        cfg = _config(grid=Grid(L=8.0, nx=64), alpha_hat=alpha_hat, theta=theta)
         op = assemble_operator(cfg)
         for dt in (1e-3, 1.0 / 512, 3e-9):
             _, Ms, _ = op._system_for_dt(dt, theta)
@@ -435,14 +428,12 @@ class TestSystemAssembly:
             np.testing.assert_array_equal(got != 0, ref != 0)
             np.testing.assert_allclose(got, ref, rtol=1e-15, atol=0)
 
-    @pytest.mark.parametrize("form", ["balance", "onesided"])
     @pytest.mark.parametrize("alpha_hat", [0.0, 0.307])
-    def test_every_row_has_one_role(self, alpha_hat, form):
+    def test_every_row_has_one_role(self, alpha_hat):
         """Interior, wall/far and balance rows partition the system."""
-        op = assemble_operator(_config(alpha_hat=alpha_hat, flux_form=form))
+        op = assemble_operator(_config(alpha_hat=alpha_hat))
         interior = set(range(op.interior_lo, op.interior_hi + 1))
         bc, bal = set(op.bc_rows), set(op.balance_rows)
         assert not bc & bal and not bc & interior and not bal & interior
         assert bc | bal | interior == set(range(op.n))
-        expect = {op.interior_lo - 1, op.n - op.interior_lo} if form == "balance" else set()
-        assert bal == expect
+        assert bal == {op.interior_lo - 1, op.n - op.interior_lo}

@@ -15,15 +15,12 @@ from hypothesis import strategies as st
 from conftest import rational_pfq
 from gbgroove.outer import (
     U_CLAMP,
-    OuterSpec,
-    SimilarityPoint,
     basis_f1,
     basis_f2,
     mullins_derivative,
     mullins_ode_residual,
     mullins_profile,
     mullins_shape,
-    outer_expansion,
     outer_term,
     outer_term_derivative,
     yr_quadrature_oracle,
@@ -46,20 +43,6 @@ MULLINS_REF = {
 }
 F1_AT_1 = 0.365328856199798837263223106
 F2_AT_1 = 0.451188384764633156645560393
-
-
-class TestSimilarityTypes:
-    def test_point(self):
-        p = SimilarityPoint.from_u(2.0)
-        assert p.z == pytest.approx(16.0 / 256.0, rel=1e-16)
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            SimilarityPoint.from_u(-1.0)
-
-    def test_spec_order_cap(self):
-        with pytest.raises(ValueError):
-            OuterSpec(m=0.2, N=9)
 
 
 class TestMullinsProfile:
@@ -173,25 +156,6 @@ class TestOuterTerms:
     def test_rejects_r_zero(self):
         with pytest.raises(ValueError):
             outer_term(0, 1.0, 1.0, 1.0, 1.0)
-
-
-class TestOuterExpansion:
-    def test_degenerate_orders(self):
-        spec0 = OuterSpec(m=M_FIG, N=0)
-        v = outer_expansion(1.0, 1.0, spec0, 1.0, 0.5)
-        assert v.value == pytest.approx(mullins_profile(1.0, 1.0, 1.0, M_FIG), rel=1e-14)
-
-    def test_alpha_zero(self):
-        spec = OuterSpec(m=M_FIG, N=3)
-        v = outer_expansion(1.0, 1.0, spec, 1.0, 0.0)
-        assert v.value == pytest.approx(mullins_profile(1.0, 1.0, 1.0, M_FIG), rel=1e-14)
-        assert v.last_term_magnitude == 0.0
-
-    def test_truncation_indicator(self):
-        spec = OuterSpec(m=M_FIG, N=2)
-        v = outer_expansion(0.0, 1.0, spec, 1.0, 0.3)
-        assert v.last_term_magnitude == pytest.approx(
-            0.3 ** 2 * abs(outer_term(2, 0.0, 1.0, 1.0, M_FIG)), rel=1e-13)
 
 
 class TestSimilarityODE:
