@@ -23,8 +23,7 @@ def gap_at(alpha_hat: float, nx: int = 513, dt: float = 1.0 / 512) -> float:
                        alpha_hat=alpha_hat, m=M, theta=1.0)
     prof = solve(cfg)[-1]
     spec = ExpansionSpec(N=2)
-    comp = np.array([composite_profile_nd(float(u), 1.0, M, alpha_hat, spec)
-                     for u in cfg.grid.nodes])
+    comp = composite_profile_nd(cfg.grid.nodes, 1.0, M, alpha_hat, spec)
     return float(np.max(np.abs(prof.heights - comp)) / abs(comp[0]))
 
 

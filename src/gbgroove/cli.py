@@ -10,6 +10,7 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import numbers
@@ -67,6 +68,10 @@ _SOLVER_L = 8.0
 
 class CliConfigError(ValueError):
     """Bad run configuration (exit code 2)."""
+
+
+class NonFiniteOutputError(ArithmeticError):
+    """An output value came out NaN or infinite (exit code 3)."""
 
 
 def _require_numbers(name: str, values, integral: bool = False) -> None:
@@ -208,7 +213,13 @@ def _fmt(v: float) -> str:
 
 
 def _write_table(cfg: RunConfig, columns: list[str], rows: list[list[float]],
-                 notes: list[str]) -> str:
+                 notes: list[str], gaps: list[float] = ()) -> str:
+    """Render (and write) the table; `gaps` are the sup gaps the notes report.
+
+    A non-finite row value or gap is a numerical failure, not an output.
+    """
+    if not all(map(math.isfinite, itertools.chain(gaps, *rows))):
+        raise NonFiniteOutputError("the run produced a non-finite output value")
     header_cfg = json.dumps(cfg.resolved(), sort_keys=True)
     if cfg.fmt == "csv":
         lines = ["# gbgroove output", f"# config: {header_cfg}"]
@@ -238,8 +249,7 @@ def _expansion_spec(cfg: RunConfig, params: ModelParams) -> ExpansionSpec:
     if cfg.include_corner:
         corner = CornerSpec(r=cfg.corner_r, gamma=cfg.corner_gamma,
                             alpha_hat=params.alpha_hat, B=1.0)
-    return ExpansionSpec(N=cfg.order, include_corner=cfg.include_corner,
-                         corner=corner)
+    return ExpansionSpec(N=cfg.order, corner=corner)
 
 
 def _mode_params(cfg: RunConfig) -> str:
@@ -264,6 +274,7 @@ def _profile_rows(cfg: RunConfig, with_oracle: bool):
         columns.append("y_oracle_m")
     rows: list[list[float]] = []
     notes: list[str] = []
+    gaps: list[float] = []
     for bt in cfg.times:
         params = cfg.reduced(bt)
         spec = _expansion_spec(cfg, params)
@@ -276,13 +287,14 @@ def _profile_rows(cfg: RunConfig, with_oracle: bool):
             xs_nd = xs / params.L0
             oracle_vals = params.L0 * np.interp(xs_nd, prof[0], prof[1])
             notes.append(f"Bt={_fmt(bt)}: sup|composite-oracle|/depth = {_fmt(sup)}")
+            gaps.append(sup)
         cols = [np.full(len(xs), bt), xs, mullins_profile_dim(xs, t, params),
                 composite_profile_nd(xs / params.L0, params.B * t / params.L0 ** 4,
                                      params.m, params.alpha_hat, spec) * params.L0]
         if with_oracle:
             cols.append(oracle_vals)
         rows += np.column_stack(cols).tolist()
-    return columns, rows, notes
+    return columns, rows, notes, gaps
 
 
 def _solver_config(cfg: RunConfig, params: ModelParams) -> SolverConfig:
@@ -318,13 +330,11 @@ def _oracle_profile(cfg: RunConfig, params: ModelParams):
 
 
 def _mode_profile(cfg: RunConfig) -> str:
-    columns, rows, notes = _profile_rows(cfg, with_oracle=False)
-    return _write_table(cfg, columns, rows, notes)
+    return _write_table(cfg, *_profile_rows(cfg, with_oracle=False))
 
 
 def _mode_compare(cfg: RunConfig) -> str:
-    columns, rows, notes = _profile_rows(cfg, with_oracle=True)
-    return _write_table(cfg, columns, rows, notes)
+    return _write_table(cfg, *_profile_rows(cfg, with_oracle=True))
 
 
 def _mode_depth_series(cfg: RunConfig) -> str:
@@ -460,7 +470,8 @@ def main(argv=None) -> int:
     except (CliConfigError, ConfigError) as exc:
         print(f"error: config: {exc}", file=sys.stderr)
         return 2
-    except (SeriesError, QuadratureError, DivergenceError, GammaPoleError) as exc:
+    except (SeriesError, QuadratureError, DivergenceError, GammaPoleError,
+            NonFiniteOutputError) as exc:
         print("error: numerical failure", file=sys.stderr)
         print(f"  {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3

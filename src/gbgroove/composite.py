@@ -18,18 +18,12 @@ from .layers import (
     beta2,
     beta4,
     boundary_layer_G,
-    boundary_layer_G_derivative,
     corner_combination,
     corner_combination_deriv0,
 )
 from .material import ModelParams
-from .outer import (
-    mullins_derivative,
-    mullins_profile,
-    outer_term,
-    outer_term_derivative,
-)
-from .specfun import DEFAULT_TOL, gamma
+from .outer import mullins_profile, outer_term
+from .specfun import gamma
 
 __all__ = [
     "ExpansionSpec",
@@ -52,18 +46,15 @@ _G74 = gamma(1.75)
 
 @dataclass(frozen=True)
 class ExpansionSpec:
-    """What goes into the composite: outer order, corner switch, tolerance."""
+    """What goes into the composite: the outer order N and, when `corner` is
+    given, the corner-layer term."""
 
     N: int = 2
-    include_corner: bool = False
     corner: CornerSpec | None = None
-    tol: float = DEFAULT_TOL
 
     def __post_init__(self):
         if self.N < 0:
             raise ValueError("N must be >= 0")
-        if self.include_corner and self.corner is None:
-            raise ValueError("include_corner requires a CornerSpec")
 
 
 @dataclass(frozen=True)
@@ -97,27 +88,27 @@ def _nd_coords(x: float, t: float, params: ModelParams) -> tuple[float, float]:
 def composite_profile_nd(x: float, t: float, m: float, alpha_hat: float,
                          spec: ExpansionSpec) -> float:
     """Composite profile in nondimensional variables (B = 1)."""
-    y = mullins_profile(x, t, 1.0, m, spec.tol)
+    y = mullins_profile(x, t, 1.0, m)
     for r in range(1, spec.N + 1):
-        y += alpha_hat ** r * outer_term(r, x, t, 1.0, m, spec.tol)
+        y += alpha_hat ** r * outer_term(r, x, t, 1.0, m)
     if alpha_hat > 0:
         y += boundary_layer_G(x, t, alpha_hat, 1.0, m)
-    if spec.include_corner and spec.corner is not None and spec.corner.gamma != 0.0:
+    if spec.corner is not None and spec.corner.gamma != 0.0:
         ah = spec.corner.alpha_hat
         if ah > 0:
-            y += corner_combination(x / ah, t / ah ** 5, spec.corner, spec.tol)
+            y += corner_combination(x / ah, t / ah ** 5, spec.corner)
     return y
 
 
 def composite_derivative_nd(x: float, t: float, m: float, alpha_hat: float,
                             spec: ExpansionSpec, order: int) -> float:
     """d^order/dx^order of the nondimensional composite, term-differentiated."""
-    d = mullins_derivative(x, t, 1.0, m, order, spec.tol)
+    d = mullins_profile(x, t, 1.0, m, order)
     for r in range(1, spec.N + 1):
-        d += alpha_hat ** r * outer_term_derivative(r, x, t, 1.0, m, order, spec.tol)
+        d += alpha_hat ** r * outer_term(r, x, t, 1.0, m, order)
     if alpha_hat > 0:
-        d += boundary_layer_G_derivative(x, t, alpha_hat, 1.0, m, order)
-    if spec.include_corner and spec.corner is not None and spec.corner.gamma != 0.0:
+        d += boundary_layer_G(x, t, alpha_hat, 1.0, m, order)
+    if spec.corner is not None and spec.corner.gamma != 0.0:
         ah = spec.corner.alpha_hat
         if ah > 0 and x == 0.0 and order <= 5:
             d += corner_combination_deriv0(order, t / ah ** 5, spec.corner) / ah ** order
@@ -131,11 +122,10 @@ def composite_profile(x: float, t: float, params: ModelParams,
     return params.L0 * composite_profile_nd(xh, th, params.m, params.alpha_hat, spec)
 
 
-def mullins_profile_dim(x: float, t: float, params: ModelParams,
-                        tol: float = DEFAULT_TOL) -> float:
+def mullins_profile_dim(x: float, t: float, params: ModelParams) -> float:
     """Dimensional unpassivated profile for side-by-side comparisons."""
     xh, th = _nd_coords(x, t, params)
-    return params.L0 * mullins_profile(xh, th, 1.0, params.m, tol)
+    return params.L0 * mullins_profile(xh, th, 1.0, params.m)
 
 
 def bc_residuals(t: float, params: ModelParams,
@@ -171,9 +161,9 @@ def curvature_cancellation_residuals(t: float, params: ModelParams) -> tuple[flo
     _, th = _nd_coords(0.0, t, params)
     m = params.m
     b2 = beta2(th, 1.0, m)
-    c0 = mullins_derivative(0.0, th, 1.0, m, 2)
+    c0 = mullins_profile(0.0, th, 1.0, m, 2)
     b4 = beta4(th, 1.0, m)
-    c1 = outer_term_derivative(1, 0.0, th, 1.0, m, 2)
+    c1 = outer_term(1, 0.0, th, 1.0, m, 2)
     return abs(b2 + c0) / abs(b2), abs(b4 + c1) / abs(b4)
 
 

@@ -7,6 +7,8 @@ order by order.  The corner layer (x = O(alpha), t = O(alpha^5)) is ruled
 by pure sixth-order diffusion, whose similarity solutions are 1F5
 combinations assembled through a constant 6x6 matrix.  The evaluators
 take a float or an array of points; a float gives a float back.
+`boundary_layer_G` and `corner_fundamental_v` take `order` and return that
+derivative, the value at the default 0.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .specfun import (
-    DEFAULT_TOL,
     GammaPoleError,
     SeriesResult,
     cancel_digits,
@@ -35,9 +36,7 @@ __all__ = [
     "beta2",
     "beta4",
     "boundary_layer_G",
-    "boundary_layer_G_derivative",
     "corner_fundamental_v",
-    "corner_fundamental_v_derivative",
     "corner_similarity_ode_residual",
     "corner_solutions_yc",
     "corner_solution_diagnostics",
@@ -94,32 +93,20 @@ def _bl_amplitude(t: float, alpha: float, B: float, m: float) -> float:
     return alpha * beta2(t, B, m) + alpha ** 2 * beta4(t, B, m)
 
 
-def boundary_layer_G(x, t: float, alpha: float, B: float, m: float):
-    """Wall correction G = (alpha b2 + alpha^2 b4) exp(-x/sqrt(alpha))."""
+def boundary_layer_G(x, t: float, alpha: float, B: float, m: float, order: int = 0):
+    """Wall correction G = (alpha b2 + alpha^2 b4) exp(-x/sqrt(alpha)), or its
+    exact d^order/dx^order."""
     if alpha == 0.0:
         return np.zeros(np.shape(x)) if np.ndim(x) else 0.0
     if not alpha > 0:
         raise ValueError("alpha must be non-negative")
     if np.any(np.less(x, 0)):
         raise ValueError("x must be non-negative")
-    amp = _bl_amplitude(t, alpha, B, m)
+    sign = -1.0 if order % 2 else 1.0
+    coeff = sign * alpha ** (-0.5 * order) * _bl_amplitude(t, alpha, B, m)
     # exp per point in Python floats (libm), which numpy's exp may not match
     return up_to(700.0, np.divide(x, math.sqrt(alpha)), lambda xi: np.array(
-        [amp * math.exp(-v) for v in np.ravel(xi).tolist()]).reshape(np.shape(xi)))
-
-
-def boundary_layer_G_derivative(x: float, t: float, alpha: float, B: float,
-                                m: float, order: int) -> float:
-    """Exact d^order/dx^order of the wall correction."""
-    if alpha == 0.0:
-        return 0.0
-    if not alpha > 0:
-        raise ValueError("alpha must be non-negative")
-    xi = x / math.sqrt(alpha)
-    if xi > 700.0:
-        return 0.0
-    sign = -1.0 if order % 2 else 1.0
-    return sign * alpha ** (-0.5 * order) * _bl_amplitude(t, alpha, B, m) * math.exp(-xi)
+        [coeff * math.exp(-v) for v in np.ravel(xi).tolist()]).reshape(np.shape(xi)))
 
 
 # ---------------------------------------------------------------------------
@@ -159,30 +146,23 @@ def _v_params(i: int, r: float):
     return nums, dens
 
 
-def corner_fundamental_v(i: int, w, r: float, tol: float = DEFAULT_TOL):
-    """Fundamental similarity solution v_i(w) = w^(i-1) 1F5(...; -w^6/6^6)."""
+def corner_fundamental_v(i: int, w, r: float, order: int = 0):
+    """Fundamental similarity solution v_i(w) = w^(i-1) 1F5(...; -w^6/6^6), or
+    its term-differentiated d^order/dw^order."""
     if np.any(np.less(w, 0)):
         raise ValueError(f"w must be non-negative, got {np.min(w)}")
     nums, dens = _v_params(i, r)
-    return hyp_series(nums, dens, _W6_SCALE, i - 1, 6, w, 0, tol).value
+    return hyp_series(nums, dens, _W6_SCALE, i - 1, 6, w, order).value
 
 
-def corner_fundamental_v_derivative(i: int, w, r: float, order: int,
-                                    tol: float = DEFAULT_TOL):
-    """Term-differentiated d^order/dw^order of v_i."""
-    nums, dens = _v_params(i, r)
-    return hyp_series(nums, dens, _W6_SCALE, i - 1, 6, w, order, tol).value
-
-
-def corner_similarity_ode_residual(w: float, r: float, V=None,
-                                   tol: float = DEFAULT_TOL) -> float:
+def corner_similarity_ode_residual(w: float, r: float, V=None) -> float:
     """Residual of V'''''' + (w/6) V' - r V at w.
 
     `V` is a callable V(w, order) returning derivatives; by default the
     first fundamental solution v_1 is used.
     """
     if V is None:
-        V = lambda ww, order=0: corner_fundamental_v_derivative(1, ww, r, order, tol)
+        V = lambda ww, order=0: corner_fundamental_v(1, ww, r, order)
     return V(w, 6) + w / 6.0 * V(w, 1) - r * V(w, 0)
 
 
@@ -199,17 +179,15 @@ def corner_weights(r: float) -> np.ndarray:
     ])
 
 
-def corner_solutions_yc(i, zeta, tau: float, spec: CornerSpec,
-                        tol: float = DEFAULT_TOL):
+def corner_solutions_yc(i, zeta, tau: float, spec: CornerSpec):
     """Similarity solution y_ci(zeta, tau) from the 6x6 matrix representation.
 
     `i` is one index or a sequence of them, which adds a leading axis.
     """
-    return corner_solution_diagnostics(i, zeta, tau, spec, tol).value
+    return corner_solution_diagnostics(i, zeta, tau, spec).value
 
 
-def corner_solution_diagnostics(i, zeta, tau: float, spec: CornerSpec,
-                                tol: float = DEFAULT_TOL) -> SeriesResult:
+def corner_solution_diagnostics(i, zeta, tau: float, spec: CornerSpec) -> SeriesResult:
     """y_ci with combination-level cancellation reporting, per point.
 
     The six weighted fundamentals grow like exp(c w^(6/5)) individually;
@@ -229,7 +207,7 @@ def corner_solution_diagnostics(i, zeta, tau: float, spec: CornerSpec,
     w = np.divide(zeta, btau ** (1.0 / 6.0))
     weights = corner_weights(spec.r)
     wij = [[weights[j] * CORNER_MATRIX[k - 1, j] for j in range(6)] for k in rows]
-    v = {j: corner_fundamental_v(j + 1, w, spec.r, tol)
+    v = {j: corner_fundamental_v(j + 1, w, spec.r)
          for j in range(6) if any(row[j] != 0.0 for row in wij)}
     pref = btau ** spec.r
     value, max_piece = [], []
@@ -301,11 +279,10 @@ def solve_c456(Vprime0: float, r: float, alpha_hat: float, tau: float,
     return float(c4), float(c5), float(c6)
 
 
-def corner_combination(zeta, tau: float, spec: CornerSpec,
-                       tol: float = DEFAULT_TOL, yc456=None):
+def corner_combination(zeta, tau: float, spec: CornerSpec, yc456=None):
     """Decaying corner-layer solution c4 y_c4 + c5 y_c5 + c6 y_c6.
 
-    `yc456` reuses corner_solutions_yc((4, 5, 6), zeta, tau, spec, tol)
+    `yc456` reuses corner_solutions_yc((4, 5, 6), zeta, tau, spec)
     when the caller already has it.
     """
     if spec.gamma == 0.0:
@@ -313,7 +290,7 @@ def corner_combination(zeta, tau: float, spec: CornerSpec,
     c4, c5, c6 = theorem_coefficients(spec.gamma, spec.r, spec.alpha_hat,
                                       tau, spec.B)
     if yc456 is None:
-        yc456 = corner_solutions_yc((4, 5, 6), zeta, tau, spec, tol)
+        yc456 = corner_solutions_yc((4, 5, 6), zeta, tau, spec)
     y4, y5, y6 = yc456
     return c4 * y4 + c5 * y5 + c6 * y6
 

@@ -47,6 +47,9 @@ MIN_NODES = 64
 # the wall rows carry 1/dx^5 entries: past ~2000 nodes they amplify
 # roundoff above the truncation error
 MAX_NODES = 2049
+# step budget: a t_final/dt far above it (dt = 1e-9 takes ~1e9 steps)
+# marches for hours with no exit
+MAX_STEPS = 65536
 BC_ORDER = 3        # accuracy order of the one-sided wall and far-field stencils
 RAMP_STAGES = 40    # dyadic step sizes dt/2^39 .. dt at the start of a run
 RAMP_STEPS = 8      # steps taken at each ramp stage
@@ -130,6 +133,9 @@ class SolverConfig:
         if self.grid.nx > MAX_NODES:
             raise ConfigError(f"need nx <= {MAX_NODES}, got {self.grid.nx}: finer grids "
                               "amplify roundoff through the wall rows")
+        if self.t_final / self.dt > MAX_STEPS:
+            raise ConfigError(f"need t_final/dt <= {MAX_STEPS}, got "
+                              f"{self.t_final / self.dt:.4g} steps")
         if self.alpha_hat > 0 and self.grid.dx > math.sqrt(self.alpha_hat) / 4.0 + 1e-15:
             raise ConfigError(
                 f"dx = {self.grid.dx:.4g} does not resolve the wall layer; "

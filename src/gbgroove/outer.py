@@ -5,7 +5,8 @@ All shapes are functions of the similarity variable u = x/(Bt)^(1/4) with
 series argument z = u^4/256.  Evaluators clamp at u = U_CLAMP and return 0
 beyond it; past that point the profile is buried in cancellation noise.
 The evaluators take a float or an array of points (x or u); a float gives
-a float back.
+a float back.  The profile and shape evaluators take `order` and return
+that derivative, the value at the default 0.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import math
 import numpy as np
 
 from .specfun import (
-    DEFAULT_TOL,
     compensated_sum,
     gamma,
     hyp_series,
@@ -29,10 +29,8 @@ __all__ = [
     "basis_f2",
     "mullins_profile",
     "mullins_shape",
-    "mullins_derivative",
     "outer_term",
     "outer_term_shape",
-    "outer_term_derivative",
     "yr_quadrature_oracle",
     "mullins_ode_residual",
 ]
@@ -72,10 +70,10 @@ def _similarity(x, t: float, B: float):
     return x / L, L
 
 
-def _shape_deriv(pieces, u, order: int, tol: float = DEFAULT_TOL):
+def _shape_deriv(pieces, u, order: int):
     """Sum of c * d^order/du^order [u^p pFq(a; b; u^4/256)] over pieces, at every u."""
     return compensated_sum(
-        c * hyp_series(nums, dens, _Z_SCALE, power, 4, u, order, tol).value
+        c * hyp_series(nums, dens, _Z_SCALE, power, 4, u, order).value
         for c, power, (nums, dens) in pieces if c != 0.0)
 
 
@@ -93,46 +91,40 @@ _MULLINS_PIECES = (
 )
 
 
-def mullins_shape(u, order: int = 0, tol: float = DEFAULT_TOL):
+def mullins_shape(u, order: int = 0):
     """d^order/du^order of the unpassivated similarity shape Z(u) = y0/(m (Bt)^{1/4})."""
     return up_to(U_CLAMP, u, lambda v: _linear_term_deriv(0.5, v, order)
-                    + _shape_deriv(_MULLINS_PIECES, v, order, tol))
+                    + _shape_deriv(_MULLINS_PIECES, v, order))
 
 
-def basis_f1(x: float, t: float, B: float, tol: float = DEFAULT_TOL) -> float:
+def basis_f1(x: float, t: float, B: float) -> float:
     """First decaying self-similar basis solution of the fourth-order problem."""
     u, L = _similarity(x, t, B)
     pieces = (
         (-1.0 / (2.0 * _G34), 2, _EVEN),
         (1.0 / (6.0 * _SQRT2 * _G12), 3, _CUBIC),
     )
-    return L * up_to(U_CLAMP, u, lambda v: v / _SQRT2 + _shape_deriv(pieces, v, 0, tol))
+    return L * up_to(U_CLAMP, u, lambda v: v / _SQRT2 + _shape_deriv(pieces, v, 0))
 
 
-def basis_f2(x: float, t: float, B: float, tol: float = DEFAULT_TOL) -> float:
+def basis_f2(x: float, t: float, B: float) -> float:
     """Second decaying self-similar basis solution of the fourth-order problem."""
     u, L = _similarity(x, t, B)
     pieces = (
         (1.0 / _G54, 0, _CONST),
         (1.0 / (6.0 * _SQRT2 * _G12), 3, _CUBIC),
     )
-    return L * up_to(U_CLAMP, u, lambda v: -v / _SQRT2 + _shape_deriv(pieces, v, 0, tol))
+    return L * up_to(U_CLAMP, u, lambda v: -v / _SQRT2 + _shape_deriv(pieces, v, 0))
 
 
-def mullins_profile(x, t: float, B: float, m: float, tol: float = DEFAULT_TOL):
-    """Unpassivated groove profile y0(x, t)."""
+def mullins_profile(x, t: float, B: float, m: float, order: int = 0):
+    """Unpassivated groove profile y0(x, t), or its d^order/dx^order
+    (term-differentiated)."""
     u, L = _similarity(x, t, B)
-    return m * L * mullins_shape(u, 0, tol)
+    return m * L ** (1 - order) * mullins_shape(u, order)
 
 
-def mullins_derivative(x, t: float, B: float, m: float, order: int,
-                       tol: float = DEFAULT_TOL):
-    """d^order/dx^order of the unpassivated profile, term-differentiated."""
-    u, L = _similarity(x, t, B)
-    return m * L ** (1 - order) * mullins_shape(u, order, tol)
-
-
-def outer_term_shape(r: int, u, order: int = 0, tol: float = DEFAULT_TOL):
+def outer_term_shape(r: int, u, order: int = 0):
     """d^order/du^order of the order-r correction shape Y_r(u) (per unit m)."""
     if r < 1:
         raise ValueError(f"correction index r must be >= 1, got {r}")
@@ -144,20 +136,14 @@ def outer_term_shape(r: int, u, order: int = 0, tol: float = DEFAULT_TOL):
         (sign * ga / (4.0 * math.pi * rf), 0, ((1.5 * r - 0.25,), (0.25, 0.5, 0.75))),
         (-sign * gb / (8.0 * math.pi * rf), 2, ((1.5 * r + 0.25,), (0.75, 1.25, 1.5))),
     )
-    return up_to(U_CLAMP, u, lambda v: _shape_deriv(pieces, v, order, tol))
+    return up_to(U_CLAMP, u, lambda v: _shape_deriv(pieces, v, order))
 
 
-def outer_term(r: int, x, t: float, B: float, m: float, tol: float = DEFAULT_TOL):
-    """Order-r outer correction y_r(x, t); enters the expansion as alpha^r y_r."""
+def outer_term(r: int, x, t: float, B: float, m: float, order: int = 0):
+    """Order-r outer correction y_r(x, t), or its d^order/dx^order
+    (term-differentiated); enters the expansion as alpha^r y_r."""
     u, L = _similarity(x, t, B)
-    return m * L ** (1 - 2 * r) * outer_term_shape(r, u, 0, tol)
-
-
-def outer_term_derivative(r: int, x, t: float, B: float, m: float,
-                          order: int, tol: float = DEFAULT_TOL):
-    """d^order/dx^order of y_r, term-differentiated."""
-    u, L = _similarity(x, t, B)
-    return m * L ** (1 - 2 * r - order) * outer_term_shape(r, u, order, tol)
+    return m * L ** (1 - 2 * r - order) * outer_term_shape(r, u, order)
 
 
 # arguments of 1.5*r -/+ 0.25 lie in 1/4 + Z/2: never a Gamma pole for r >= 1
@@ -200,7 +186,7 @@ def yr_quadrature_oracle(r: int, x: float, t: float, B: float, m: float,
     return sign * m * L ** (1 - 2 * r) / (math.pi * math.factorial(r)) * val
 
 
-def mullins_ode_residual(u: float, profile=None, tol: float = DEFAULT_TOL) -> float:
+def mullins_ode_residual(u: float, profile=None) -> float:
     """Residual of the similarity ODE Z'''' - (u/4) Z' + Z/4 at u.
 
     `profile` is a callable profile(u, order) returning the order-th
@@ -208,7 +194,7 @@ def mullins_ode_residual(u: float, profile=None, tol: float = DEFAULT_TOL) -> fl
     unpassivated shape with term-differentiated series derivatives.
     """
     if profile is None:
-        profile = lambda uu, order=0: mullins_shape(uu, order, tol)
+        profile = mullins_shape
     z0 = profile(u, 0)
     z1 = profile(u, 1)
     z4 = profile(u, 4)

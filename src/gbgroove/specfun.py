@@ -330,7 +330,7 @@ def hyp_pFq(args: HypArgs, tol: float = DEFAULT_TOL) -> SeriesResult:
                       1.0, 0, tol)
 
 
-def hyp_pFq_derivative(args: HypArgs, order: int, tol: float = DEFAULT_TOL) -> SeriesResult:
+def hyp_pFq_derivative(args: HypArgs, order: int) -> SeriesResult:
     """n-th derivative of pFq with respect to its argument.
 
     Uses the parameter-shift identity
@@ -344,7 +344,7 @@ def hyp_pFq_derivative(args: HypArgs, order: int, tol: float = DEFAULT_TOL) -> S
         pref *= pochhammer(a, order)
     for b in args.denominators:
         pref /= pochhammer(b, order)
-    inner = hyp_pFq(args.shifted(order), tol)
+    inner = hyp_pFq(args.shifted(order))
     return SeriesResult(value=pref * inner.value, terms_used=inner.terms_used,
                         max_term_magnitude=abs(pref) * inner.max_term_magnitude,
                         cancellation_digits=inner.cancellation_digits)

@@ -47,7 +47,7 @@ from gbgroove.layers import (
     CornerSpec,
     corner_combination,
     corner_combination_deriv0,
-    corner_fundamental_v_derivative,
+    corner_fundamental_v,
     corner_similarity_ode_residual,
     corner_solutions_yc,
 )
@@ -170,7 +170,7 @@ def test_criterion_06_corner_ode_and_wall_relations():
     r = -1.0
     worst = 0.0
     for i in range(1, 7):
-        V = lambda w, order=0, i=i: corner_fundamental_v_derivative(i, w, r, order)
+        V = lambda w, order=0, i=i: corner_fundamental_v(i, w, r, order=order)
         for w in np.linspace(0.0, 6.0, 13):
             res = corner_similarity_ode_residual(float(w), r, V)
             worst = max(worst, abs(res) / max(abs(V(float(w), 0)), 1.0))

@@ -17,6 +17,7 @@ from gbgroove.layers import (
     CornerSpec,
     boundary_layer_G,
     corner_combination,
+    corner_fundamental_v,
     corner_solution_diagnostics,
     corner_solutions_yc,
 )
@@ -46,20 +47,29 @@ def test_outer_term_shape(r, order):
                  [outer_term_shape(r, float(u), order) for u in U])
 
 
-def test_boundary_layer_G():
+@pytest.mark.parametrize("order", range(7))
+def test_boundary_layer_G(order):
     # past x / sqrt(alpha) = 700 the correction is 0
     x = np.concatenate([U, [700.0 * math.sqrt(ALPHA_HAT), 400.0]])
-    got = boundary_layer_G(x, 1.0, ALPHA_HAT, 1.0, 0.209)
-    assert _same(got, [boundary_layer_G(float(v), 1.0, ALPHA_HAT, 1.0, 0.209) for v in x])
+    got = boundary_layer_G(x, 1.0, ALPHA_HAT, 1.0, 0.209, order)
+    assert _same(got, [boundary_layer_G(float(v), 1.0, ALPHA_HAT, 1.0, 0.209, order)
+                       for v in x])
     assert got[-1] == 0.0
-    assert _same(boundary_layer_G(x, 1.0, 0.0, 1.0, 0.209), [0.0] * len(x))
+    assert _same(boundary_layer_G(x, 1.0, 0.0, 1.0, 0.209, order), [0.0] * len(x))
+
+
+@pytest.mark.parametrize("i", range(1, 7))
+@pytest.mark.parametrize("order", range(7))
+def test_corner_fundamental_v(i, order):
+    assert _same(corner_fundamental_v(i, U, -1.0, order),
+                 [corner_fundamental_v(i, float(w), -1.0, order) for w in U])
 
 
 @pytest.mark.parametrize("N", [0, 1, 2])
 @pytest.mark.parametrize("corner", [False, True])
 @pytest.mark.parametrize("t", [1.0, 0.01])
 def test_composite_profile_nd(N, corner, t):
-    spec = ExpansionSpec(N=N, include_corner=corner, corner=CORNER if corner else None)
+    spec = ExpansionSpec(N=N, corner=CORNER if corner else None)
     assert _same(composite_profile_nd(U, t, 0.209, ALPHA_HAT, spec),
                  [composite_profile_nd(float(x), t, 0.209, ALPHA_HAT, spec) for x in U])
 

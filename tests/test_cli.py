@@ -237,6 +237,7 @@ _BAD_DOCUMENTS = {
     "model-array": {**_FIG4, "model": [1, 2]},
     "out-number": {**_FIG4, "out": 5},
     "solver-nx-string": {**_FIG4, "mode": "oracle", "solver": {"nx": "abc"}},
+    "solver-dt-tiny": {**_FIG4, "mode": "oracle", "solver": {"dt": 1e-9}},
     **{f"solver-{key}": {**_FIG4, "mode": "oracle", "solver": {key: value}}
        for key, value in (("L", 8.0), ("theta", 1.0), ("snapshot_times", [0.5]),
                           ("bc_order", 3), ("flux_form", "balance"))},
@@ -261,3 +262,14 @@ def test_exit_two_above_node_cap(doc, tmp_path, capsys):
     code, err = _main_on_document(doc, tmp_path, capsys)
     assert code == 2
     assert len(err) == 1 and "nx <= 2049" in err[0]
+
+
+def test_exit_three_on_non_finite_output(capsys):
+    # at Bt = 1e-300 the corner coefficients overflow and the combination
+    # column comes out NaN
+    argv = ["--mode", "corner", "--m", "0.209", "--alpha", "9.7e-16", "--B", "1",
+            "--Bt", "1e-300", "--samples", "5"]
+    assert main(argv) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "error: numerical failure" in err.splitlines()

@@ -68,7 +68,7 @@ class TestCompositeAssembly:
         params = figure_params(FIG_BT["fig4"])
         corner = CornerSpec(r=-1.0, gamma=0.1 * params.alpha_hat,
                             alpha_hat=params.alpha_hat)
-        on = ExpansionSpec(N=2, include_corner=True, corner=corner)
+        on = ExpansionSpec(N=2, corner=corner)
         off = ExpansionSpec(N=2)
         t = FIG_BT["fig4"]
         # at figure times tau = t_hat / alpha_hat^5 is huge: corner negligible
@@ -78,10 +78,6 @@ class TestCompositeAssembly:
         b = composite_profile(x, t, params, off)
         assert a != b
         assert abs(a - b) < 1e-3 * abs(composite_profile(0.0, t, params, off))
-
-    def test_corner_requires_spec(self):
-        with pytest.raises(ValueError):
-            ExpansionSpec(N=2, include_corner=True)
 
 
 class TestWallResiduals:
@@ -103,11 +99,11 @@ class TestWallResiduals:
     def test_curvature_residual_is_second_order(self):
         """With N = 2 the uncancelled alpha^2 curvature of the second
         correction is all that remains."""
-        from gbgroove.outer import outer_term_derivative
+        from gbgroove.outer import outer_term
         params = figure_params(FIG_BT["fig4"])
         _, _, r3 = bc_residuals(FIG_BT["fig4"], params, ExpansionSpec(N=2))
         expect = params.alpha_hat ** 2 * abs(
-            outer_term_derivative(2, 0.0, 1.0, 1.0, params.m, 2))
+            outer_term(2, 0.0, 1.0, 1.0, params.m, order=2))
         assert r3 == pytest.approx(expect, rel=1e-10)
 
     def test_order_resolved_cancellation(self):

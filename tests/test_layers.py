@@ -18,11 +18,9 @@ from gbgroove.layers import (
     beta2,
     beta4,
     boundary_layer_G,
-    boundary_layer_G_derivative,
     corner_combination,
     corner_combination_deriv0,
     corner_fundamental_v,
-    corner_fundamental_v_derivative,
     corner_root_curvature,
     corner_similarity_ode_residual,
     corner_solutions_yc,
@@ -30,7 +28,7 @@ from gbgroove.layers import (
     solve_c456,
     theorem_coefficients,
 )
-from gbgroove.outer import mullins_derivative, outer_term_derivative
+from gbgroove.outer import mullins_profile, outer_term
 from gbgroove.specfun import GammaPoleError
 
 SPEC_R1 = CornerSpec(r=-1.0, gamma=1.0, alpha_hat=0.3, B=1.0)
@@ -74,19 +72,19 @@ class TestBoundaryLayer:
         m, ah, t, x = 0.209, 0.3, 1.0, 0.2
         g = boundary_layer_G(x, t, ah, 1.0, m)
         for order in range(1, 6):
-            d = boundary_layer_G_derivative(x, t, ah, 1.0, m, order)
+            d = boundary_layer_G(x, t, ah, 1.0, m, order=order)
             assert d == pytest.approx((-1) ** order * g / ah ** (order / 2), rel=1e-13)
 
     def test_curvature_cancellation_order_zero(self):
         """beta2 exactly kills the wall curvature of the base profile."""
         m, t = 0.209, 1.0
-        c = mullins_derivative(0.0, t, 1.0, m, 2)
+        c = mullins_profile(0.0, t, 1.0, m, order=2)
         assert abs(beta2(t, 1.0, m) + c) <= 1e-12 * abs(c)
 
     def test_curvature_cancellation_order_one(self):
         """beta4 exactly kills the wall curvature of the first correction."""
         m, t = 0.209, 1.0
-        c = outer_term_derivative(1, 0.0, t, 1.0, m, 2)
+        c = outer_term(1, 0.0, t, 1.0, m, order=2)
         assert abs(beta4(t, 1.0, m) + c) <= 1e-12 * abs(c)
 
     def test_alpha_zero_is_inert(self):
@@ -100,7 +98,7 @@ class TestCornerFundamentals:
             assert corner_fundamental_v(i, 0.0, -1.0) == 0.0
 
     def test_unit_first_derivative_of_v2(self):
-        assert corner_fundamental_v_derivative(2, 0.0, -1.0, 1) == pytest.approx(
+        assert corner_fundamental_v(2, 0.0, -1.0, order=1) == pytest.approx(
             1.0, rel=1e-15)
 
     def test_rational_oracle_v4(self):
@@ -117,7 +115,7 @@ class TestCornerFundamentals:
     @pytest.mark.parametrize("r", [-1.0, -5.0 / 6.0 - 0.1, -2.0])
     @pytest.mark.parametrize("i", [1, 2, 3, 4, 5, 6])
     def test_ode_residual(self, i, r):
-        V = lambda w, order=0: corner_fundamental_v_derivative(i, w, r, order)
+        V = lambda w, order=0: corner_fundamental_v(i, w, r, order=order)
         for w in (0.0, 1.0, 3.0, 6.0):
             res = corner_similarity_ode_residual(w, r, V)
             scale = max(abs(V(w, 0)), 1.0)
@@ -129,7 +127,7 @@ class TestCornerFundamentals:
 
     def test_wall_residual_of_v1(self):
         # V^(6)(0) = r v1(0) by the leading series coefficient
-        V = lambda w, order=0: corner_fundamental_v_derivative(1, w, -1.0, order)
+        V = lambda w, order=0: corner_fundamental_v(1, w, -1.0, order=order)
         assert corner_similarity_ode_residual(0.0, -1.0, V) == pytest.approx(
             0.0, abs=1e-12)
 
@@ -232,8 +230,8 @@ class TestDecayingCombination:
                 for j in range(1, 7):
                     wj = weights[j - 1] * CORNER_MATRIX[i - 1, j - 1]
                     if wj:
-                        series += c * wj * corner_fundamental_v_derivative(
-                            j, 0.0, spec.r, k)
+                        series += c * wj * corner_fundamental_v(
+                            j, 0.0, spec.r, order=k)
             scale = max(abs(analytic), 1e-30)
             assert abs(analytic - series) <= 1e-10 * scale
 

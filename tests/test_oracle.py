@@ -9,6 +9,7 @@ from gbgroove.composite import ExpansionSpec, composite_profile_nd
 from gbgroove.oracle import (
     BC_ORDER,
     MAX_NODES,
+    MAX_STEPS,
     ConfigError,
     Grid,
     Profile,
@@ -62,6 +63,12 @@ class TestConfigValidation:
         _config(grid=Grid(L=8.0, nx=MAX_NODES))
         with pytest.raises(ConfigError):
             _config(grid=Grid(L=8.0, nx=MAX_NODES + 1))
+
+    def test_step_cap(self):
+        _config(dt=1.0 / MAX_STEPS)
+        for dt in (0.5 / MAX_STEPS, 1e-9, 5e-324):
+            with pytest.raises(ConfigError):
+                _config(dt=dt)
 
 
 class TestFdWeights:

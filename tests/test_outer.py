@@ -17,12 +17,10 @@ from gbgroove.outer import (
     U_CLAMP,
     basis_f1,
     basis_f2,
-    mullins_derivative,
     mullins_ode_residual,
     mullins_profile,
     mullins_shape,
     outer_term,
-    outer_term_derivative,
     yr_quadrature_oracle,
 )
 from gbgroove.specfun import gamma
@@ -57,15 +55,15 @@ class TestMullinsProfile:
 
     def test_wall_slope_is_half_m(self):
         for m in (0.05, 0.209):
-            assert mullins_derivative(0.0, 1.0, 1.0, m, 1) == pytest.approx(
+            assert mullins_profile(0.0, 1.0, 1.0, m, order=1) == pytest.approx(
                 m / 2.0, rel=1e-14)
 
     def test_wall_third_derivative_vanishes(self):
-        assert mullins_derivative(0.0, 1.0, 1.0, 0.209, 3) == 0.0
+        assert mullins_profile(0.0, 1.0, 1.0, 0.209, order=3) == 0.0
 
     def test_clamp(self):
         assert mullins_profile(12.5, 1.0, 1.0, 1.0) == 0.0
-        assert mullins_derivative(13.0, 1.0, 1.0, 1.0, 2) == 0.0
+        assert mullins_profile(13.0, 1.0, 1.0, 1.0, order=2) == 0.0
 
     def test_self_similarity(self):
         # y0(cx, c^4 t) = c y0(x, t)
