@@ -305,7 +305,7 @@ def _solver_config(cfg: RunConfig, params: ModelParams) -> SolverConfig:
     """
     s = dict(cfg.solver)
     nx = s.pop("nx", None)
-    dt = s.pop("dt", 1.0 / 512)
+    dt = s.pop("dt", 1.0 / 64)
     if s:
         raise CliConfigError(f"unknown solver options: {sorted(s)}")
     _require_numbers("solver.nx", [] if nx is None else [nx], integral=True)

@@ -21,6 +21,7 @@ import numpy as np
 
 from .specfun import (
     GammaPoleError,
+    SeriesError,
     SeriesResult,
     cancel_digits,
     compensated_sum,
@@ -283,16 +284,24 @@ def corner_combination(zeta, tau: float, spec: CornerSpec, yc456=None):
     """Decaying corner-layer solution c4 y_c4 + c5 y_c5 + c6 y_c6.
 
     `yc456` reuses corner_solutions_yc((4, 5, 6), zeta, tau, spec)
-    when the caller already has it.
+    when the caller already has it.  Raises SeriesError when the
+    coefficients or the combination overflow.
     """
     if spec.gamma == 0.0:
         return np.zeros(np.shape(zeta)) if np.ndim(zeta) else 0.0
     c4, c5, c6 = theorem_coefficients(spec.gamma, spec.r, spec.alpha_hat,
                                       tau, spec.B)
+    if not all(map(math.isfinite, (c4, c5, c6))):
+        raise SeriesError(f"corner coefficients overflow: (c4, c5, c6) = "
+                          f"({c4}, {c5}, {c6}) at alpha_hat = {spec.alpha_hat}")
     if yc456 is None:
         yc456 = corner_solutions_yc((4, 5, 6), zeta, tau, spec)
     y4, y5, y6 = yc456
-    return c4 * y4 + c5 * y5 + c6 * y6
+    with np.errstate(over="ignore", invalid="ignore"):
+        combination = c4 * y4 + c5 * y5 + c6 * y6
+    if not np.all(np.isfinite(combination)):
+        raise SeriesError("corner combination overflows")
+    return combination
 
 
 def corner_combination_deriv0(k: int, tau: float, spec: CornerSpec) -> float:

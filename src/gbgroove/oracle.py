@@ -3,7 +3,10 @@
 Independent of the series machinery: discretizes y_t = alpha y_xxxxxx -
 y_xxxx (nondimensional) on a uniform grid with the wall conditions
 (slope-bending, zero flux, zero curvature) and a clamped far field, and
-marches it with a theta-scheme from a perfectly flat start.
+marches it from a perfectly flat start: backward Euler over a short dyadic
+ramp, then variable-step BDF2 on a plateau of multiples of dt.  Both are
+L-stable, so the stiff 1/dx^6 modes that the incompatible flat start
+excites are damped, not carried along.
 
 Wall and far-field flux rows are imposed in integral (mass-balance) form:
 the semi-discrete system then conserves the trapezoidal mass identically,
@@ -51,8 +54,10 @@ MAX_NODES = 2049
 # marches for hours with no exit
 MAX_STEPS = 65536
 BC_ORDER = 3        # accuracy order of the one-sided wall and far-field stencils
-RAMP_STAGES = 40    # dyadic step sizes dt/2^39 .. dt at the start of a run
-RAMP_STEPS = 8      # steps taken at each ramp stage
+RAMP_STAGES = 25    # dyadic step sizes dt/2^24 .. dt at the start of a run
+RAMP_STEPS = 2      # backward-Euler steps taken at each ramp stage
+# variable-step BDF2 is zero-stable for step ratios below 1 + sqrt(2)
+BDF2_MAX_RATIO = 1.0 + math.sqrt(2.0)
 
 
 class ConfigError(ValueError):
@@ -118,7 +123,6 @@ class SolverConfig:
     t_final: float
     alpha_hat: float
     m: float
-    theta: float = 1.0
     snapshot_times: tuple[float, ...] = ()
 
     def __post_init__(self):
@@ -126,8 +130,6 @@ class SolverConfig:
             raise ConfigError("dt must be positive")
         if not self.t_final > 0:
             raise ConfigError("t_final must be positive")
-        if not 0.5 <= self.theta <= 1.0:
-            raise ConfigError("theta must lie in [1/2, 1]")
         if self.alpha_hat < 0:
             raise ConfigError("alpha_hat must be non-negative")
         if self.grid.nx > MAX_NODES:
@@ -174,8 +176,8 @@ class GrooveOperator:
     correlation of the heights with it.  Every other row is a wall or
     far-field condition (`bc_rows`) or a mass-balance row (`balance_rows`).
     Each time-step system is written straight from those pieces as a
-    row-scaled CSC matrix; its LU factors are cached per (dt, theta) and
-    reused while dt stays fixed.
+    row-scaled CSC matrix; its LU factors are cached per implicit step
+    length and reused while it stays fixed.
     """
 
     def __init__(self, config: SolverConfig):
@@ -291,24 +293,23 @@ class GrooveOperator:
         out[self.interior_lo:self.interior_hi + 1] = np.correlate(y, self.stencil, "valid")
         return out
 
-    def _edge_row(self, i: int, dt: float, theta: float) -> np.ndarray:
+    def _edge_row(self, i: int, dt: float) -> np.ndarray:
         if i in self.balance_rows:
             # wall + interior + far mass changes telescope to zero exactly
             W, S = self.balance_rows[i]
-            return W / dt + theta * S
+            return W / dt + S
         return self.bc_rows[i]
 
-    def _system_for_dt(self, dt: float, theta: float):
-        key = (dt, theta)
-        cached = self._lu_cache.get(key)
+    def _system_for_dt(self, dt: float):
+        """Row-scaled backward-Euler system I - dt A, its LU and row scales."""
+        cached = self._lu_cache.get(dt)
         if cached is not None:
             return cached
         n, lo, hi = self.n, self.interior_lo, self.interior_hi
-        c = theta * dt
         band = np.empty((hi + 1 - lo, len(self.stencil)))
-        band[:] = -(c * self.stencil)
-        band[:, lo] = 1.0 - c * self.stencil[lo]
-        vals = self._row_major({i: self._edge_row(i, dt, theta)[cols]
+        band[:] = -(dt * self.stencil)
+        band[:, lo] = 1.0 - dt * self.stencil[lo]
+        vals = self._row_major({i: self._edge_row(i, dt)[cols]
                                 for i, cols in self._edge_cols.items()}, band)
         scale = np.maximum(np.maximum.reduceat(np.abs(vals), self._row_start), 1e-300)
         vals *= (1.0 / scale)[self._row_of]
@@ -316,18 +317,26 @@ class GrooveOperator:
                         shape=(n, n))
         Ms.eliminate_zeros()
         lu = splu(Ms)
-        self._lu_cache[key] = (lu, Ms, scale)
+        self._lu_cache[dt] = (lu, Ms, scale)
         if len(self._lu_cache) > 8:
             self._lu_cache.pop(next(iter(self._lu_cache)))
         return lu, Ms, scale
 
-    def advance(self, y: np.ndarray, dt: float, theta: float) -> np.ndarray:
-        lu, Ms, scale = self._system_for_dt(dt, theta)
+    def advance(self, z: np.ndarray, dt: float, w: float = 0.0) -> np.ndarray:
+        """One implicit step of length dt from the start value z.
+
+        w = 0 is backward Euler from z = y_n.  w > 0 is variable-step BDF2
+        after a step of dt/w, with z = ((1+w)^2 y_n - w^2 y_{n-1}) / (1+2w):
+        that is a backward-Euler step of dt (1+w)/(1+2w) from z, so both
+        share the systems, the balance rows and the LU cache.
+        """
+        h = dt * (1.0 + w) / (1.0 + 2.0 * w)
+        lu, Ms, scale = self._system_for_dt(h)
         lo, hi = self.interior_lo, self.interior_hi
         rhs = self.bc_rhs.copy()
-        rhs[lo:hi + 1] = y[lo:hi + 1] + (1.0 - theta) * dt * np.correlate(y, self.stencil, "valid")
-        for i, (W, S) in self.balance_rows.items():
-            rhs[i] = W @ y / dt - (1.0 - theta) * (S @ y)
+        rhs[lo:hi + 1] = z[lo:hi + 1]
+        for i, (W, _) in self.balance_rows.items():
+            rhs[i] = W @ z / h
         b = rhs / scale
         out = lu.solve(b)
         # one sweep of iterative refinement: the stiff sixth-order system
@@ -336,7 +345,7 @@ class GrooveOperator:
         if not np.all(np.isfinite(out)):
             raise DivergenceError(
                 f"non-finite solution after a dt = {dt:.3e} step "
-                f"(max |y| before step: {np.max(np.abs(y)):.3e})")
+                f"(max |z| before step: {np.max(np.abs(z)):.3e})")
         return out
 
 
@@ -345,30 +354,31 @@ def assemble_operator(config: SolverConfig) -> GrooveOperator:
     return GrooveOperator(config)
 
 
+def _ramp(config: SolverConfig) -> tuple[float, np.ndarray]:
+    """Plateau step and the end points of the dyadic ramp steps.
+
+    The ramp ends just short of 2 RAMP_STEPS dt, and the plateau step is
+    capped so that this lies before t_final.
+    """
+    dt = min(config.dt, config.t_final / (2.0 * RAMP_STEPS))
+    stages = dt / 2.0 ** np.arange(RAMP_STAGES - 1, -1, -1)
+    return dt, np.cumsum(np.repeat(stages, RAMP_STEPS))
+
+
 def time_grid(config: SolverConfig) -> np.ndarray:
-    """Step endpoints: a dyadic ramp out of t = 0, then the plateau dt.
+    """Step endpoints: a dyadic ramp out of t = 0, then multiples of dt.
 
     The fresh groove grows like t^(1/4); the ramp spends RAMP_STEPS steps
     on each of RAMP_STAGES dyadic scales so the early transient is resolved
-    without paying for it over the whole run.
+    without paying for it over the whole run.  The plateau is anchored on
+    the lattice k dt, starting at least dt/2 past the ramp, so every
+    plateau step but the first has length dt (the last one too when t_final
+    is on the lattice) and BDF2 runs at step ratio 1.
     """
-    dt = min(config.dt, config.t_final / 4.0)
-    times = [0.0]
-    t = 0.0
-    for s in range(RAMP_STAGES - 1, -1, -1):
-        dts = dt / 2.0 ** s
-        for _ in range(RAMP_STEPS):
-            t += dts
-            times.append(t)
-            if t >= config.t_final:
-                break
-        if t >= config.t_final:
-            break
-    while t < config.t_final - 1e-12 * config.t_final:
-        t = min(t + dt, config.t_final)
-        times.append(t)
-    ts = np.array(times)
-    ts[-1] = config.t_final
+    dt, ramp = _ramp(config)
+    first = math.ceil(ramp[-1] / dt + 0.5)
+    last = math.ceil(config.t_final / dt * (1.0 - 1e-12))
+    ts = np.concatenate(([0.0], ramp, dt * np.arange(first, last), [config.t_final]))
     # split steps so every snapshot time is hit exactly
     snaps = np.array([s for s in config.snapshot_times
                       if ts[0] < s < config.t_final], dtype=float)
@@ -380,17 +390,26 @@ def time_grid(config: SolverConfig) -> np.ndarray:
 def solve(config: SolverConfig) -> list[Profile]:
     """March from planarity and return profiles at the snapshot times.
 
-    The final time is always included as the last snapshot.
+    Steps that end inside the ramp are backward Euler, and so is any step
+    more than BDF2_MAX_RATIO times longer than the one before; every other
+    step is BDF2.  The final time is always included as the last snapshot.
     """
     op = assemble_operator(config)
     ts = time_grid(config)
+    ramp_end = _ramp(config)[1][-1]
     wanted = sorted(set(config.snapshot_times) | {config.t_final})
-    y = np.zeros(config.grid.nx)
+    y = y_prev = np.zeros(config.grid.nx)
     out: list[Profile] = []
     wi = 0
     for k in range(len(ts) - 1):
         dt = ts[k + 1] - ts[k]
-        y = op.advance(y, dt, config.theta)
+        w = dt / (ts[k] - ts[k - 1]) if ts[k + 1] > ramp_end else 0.0
+        if w > BDF2_MAX_RATIO:
+            w = 0.0
+        z = ((1.0 + w) ** 2 * y - w ** 2 * y_prev) / (1.0 + 2.0 * w) if w else y
+        # w goes in positionally: the benchmark's tracer tells a new
+        # factorization from a reused one by the (dt, w) pair
+        y_prev, y = y, op.advance(z, dt, w)
         while wi < len(wanted) and ts[k] < wanted[wi] <= ts[k + 1] + 1e-15:
             out.append(Profile(heights=y.copy(), time=ts[k + 1], grid=config.grid))
             wi += 1

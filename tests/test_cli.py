@@ -265,11 +265,14 @@ def test_exit_two_above_node_cap(doc, tmp_path, capsys):
 
 
 def test_exit_three_on_non_finite_output(capsys):
-    # at Bt = 1e-300 the corner coefficients overflow and the combination
-    # column comes out NaN
+    # at Bt = 1e-300 the corner coefficients overflow; the run prints its
+    # two error lines and nothing else (no numpy warnings)
     argv = ["--mode", "corner", "--m", "0.209", "--alpha", "9.7e-16", "--B", "1",
             "--Bt", "1e-300", "--samples", "5"]
     assert main(argv) == 3
     out, err = capsys.readouterr()
     assert out == ""
-    assert "error: numerical failure" in err.splitlines()
+    lines = err.splitlines()
+    assert len(lines) == 2
+    assert lines[0] == "error: numerical failure"
+    assert lines[1].startswith("  SeriesError: corner coefficients overflow")

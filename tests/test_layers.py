@@ -29,7 +29,7 @@ from gbgroove.layers import (
     theorem_coefficients,
 )
 from gbgroove.outer import mullins_profile, outer_term
-from gbgroove.specfun import GammaPoleError
+from gbgroove.specfun import GammaPoleError, SeriesError
 
 SPEC_R1 = CornerSpec(r=-1.0, gamma=1.0, alpha_hat=0.3, B=1.0)
 
@@ -202,6 +202,12 @@ class TestDecayingCombination:
             COMBO_W1, rel=1e-10)
         assert corner_combination(20.0, 1.0, SPEC_R1) == pytest.approx(
             COMBO_W20, rel=5e-3)
+
+    def test_overflowing_coefficients_raise(self):
+        # gamma = alpha_hat = 9.7e134 is what the CLI's Bt = 1e-300 reduces to
+        spec = CornerSpec(r=-1.0, gamma=9.7e134, alpha_hat=9.7e134)
+        with pytest.raises(SeriesError, match="corner coefficients overflow"):
+            corner_combination(np.linspace(0.0, 20.0, 5), 1.0, spec)
 
     def test_wall_boundary_relations(self):
         """alpha y' - y''' = 0 and alpha y''' - y''''' = 0 at the wall."""

@@ -25,6 +25,7 @@ from gbgroove.oracle import (
     time_grid,
 )
 from gbgroove.outer import mullins_profile
+from gbgroove.reference import exact_profile
 
 M_FIG = 0.209
 AH_FIG = 0.30674093303633276
@@ -50,10 +51,6 @@ class TestConfigValidation:
     def test_domain_length(self):
         with pytest.raises(ConfigError):
             _config(grid=Grid(L=4.0, nx=513), t_final=1.0)
-
-    def test_theta_range(self):
-        with pytest.raises(ConfigError):
-            _config(theta=0.4)
 
     def test_snapshot_range(self):
         with pytest.raises(ConfigError):
@@ -124,7 +121,7 @@ class TestOperator:
     def test_bandwidth_bound(self):
         for alpha_hat in (0.0, AH_FIG):
             op = assemble_operator(_config(alpha_hat=alpha_hat))
-            _, Ms, _ = op._system_for_dt(1.0 / 512, 1.0)
+            _, Ms, _ = op._system_for_dt(1.0 / 512)
             rows, cols = Ms.nonzero()
             assert np.max(np.abs(rows - cols)) <= 9
 
@@ -132,45 +129,49 @@ class TestOperator:
 class TestStep:
     def test_rest_state_with_zero_slope(self):
         cfg = _config(m=0.0)
-        y = assemble_operator(cfg).advance(np.zeros(513), 1e-3, cfg.theta)
+        y = assemble_operator(cfg).advance(np.zeros(513), 1e-3)
         assert np.max(np.abs(y)) == 0.0
 
     def test_boundary_row_consistency(self):
         """After one implicit step the slope-bending row holds exactly."""
         cfg = _config()
         op = assemble_operator(cfg)
-        y = op.advance(np.zeros(513), 1e-5, cfg.theta)
+        y = op.advance(np.zeros(513), 1e-5)
         row = op.bc_rows[0]
         assert float(row @ y) == pytest.approx(cfg.m / 2, rel=1e-9)
 
     def test_unpassivated_wall_slope(self):
         cfg = _config(alpha_hat=0.0, grid=Grid(L=8.0, nx=513))
-        y = assemble_operator(cfg).advance(np.zeros(513), 1e-4, cfg.theta)
+        y = assemble_operator(cfg).advance(np.zeros(513), 1e-4)
         w1 = fd_weights(np.arange(4.0), 0.0, 1) / cfg.grid.dx
         assert float(w1 @ y[:4]) == pytest.approx(cfg.m / 2, rel=1e-6)
 
     def test_time_step_order(self):
-        """Richardson order on a smooth continuation: p ~ 1 for the
-        backward scheme, p ~ 2 for the trapezoidal one.
+        """Richardson order: p ~ 1 for a backward-Euler step on a smooth
+        continuation, p ~ 2 for a whole solve (ramp plus BDF2 plateau).
 
         With errors C dt^p the ratio |y_16 - y_64| / |y_32 - y_64| tends
         to (4^p - 1)/(2^p - 1): 3 at first order, 5 at second.
         """
-        base = solve(_config(grid=Grid(L=8.0, nx=257), dt=1.0 / 128,
-                             t_final=0.5))[-1]
-        for theta, expect_ratio, tol in ((1.0, 3.0, 0.7), (0.5, 5.0, 1.5)):
-            sols = {}
-            for nsteps in (16, 32, 64):
-                y = base.heights.copy()
-                cfg = _config(grid=Grid(L=8.0, nx=257), dt=0.5 / nsteps,
-                              t_final=1.0, theta=theta)
-                op = assemble_operator(cfg)
-                for _ in range(nsteps):
-                    y = op.advance(y, 0.5 / nsteps, theta)
-                sols[nsteps] = y
+        def ratio(sols):
             e1 = np.max(np.abs(sols[16] - sols[64]))
             e2 = np.max(np.abs(sols[32] - sols[64]))
-            assert e1 / e2 == pytest.approx(expect_ratio, abs=tol)
+            return e1 / e2
+
+        grid = Grid(L=8.0, nx=257)
+        base = solve(_config(grid=grid, dt=1.0 / 128, t_final=0.5))[-1]
+        op = assemble_operator(_config(grid=grid))
+        backward = {}
+        for nsteps in (16, 32, 64):
+            y = base.heights.copy()
+            for _ in range(nsteps):
+                y = op.advance(y, 0.5 / nsteps)
+            backward[nsteps] = y
+        assert ratio(backward) == pytest.approx(3.0, abs=0.7)
+
+        marched = {nsteps: solve(_config(grid=grid, dt=1.0 / nsteps))[-1].heights
+                   for nsteps in (16, 32, 64)}
+        assert ratio(marched) == pytest.approx(5.0, abs=1.5)
 
 
 class TestSolve:
@@ -192,6 +193,15 @@ class TestSolve:
         err = np.max(np.abs(prof.heights - ref))
         assert err < 0.01 * abs(ref[0])
 
+    @pytest.mark.parametrize("alpha_hat", [0.05, AH_FIG, 0.56])
+    def test_matches_exact_reference(self, alpha_hat):
+        """At the CLI's grid and plateau step the solver sits within 1e-4
+        of depth of the Laplace-Talbot solution on the same box."""
+        cfg = _config(dt=1.0 / 64, alpha_hat=alpha_hat)
+        ref = exact_profile(cfg.grid.nodes, 1.0, cfg.m, alpha_hat, L=cfg.grid.L)
+        err = np.max(np.abs(solve(cfg)[-1].heights - ref))
+        assert err <= 1e-4 * abs(ref[0])
+
     def test_refinement_contraction(self):
         """Doubling the grid shrinks the solution change by >= 3.5x.
 
@@ -210,7 +220,7 @@ class TestSolve:
         """No blow-up across three decades of plateau step size."""
         norms = []
         for dt in (1e-3, 1e-2, 1e-1):
-            cfg = _config(grid=Grid(L=8.0, nx=257), dt=dt, theta=1.0)
+            cfg = _config(grid=Grid(L=8.0, nx=257), dt=dt)
             prof = solve(cfg)[-1]
             norms.append(np.max(np.abs(prof.heights)))
         assert max(norms) < 10 * min(norms)
@@ -368,13 +378,19 @@ class TestTimeGrid:
         ts = time_grid(cfg)
         assert ts[1] < 1e-9 * cfg.t_final
 
+    def test_plateau_on_the_dt_lattice(self):
+        """50 ramp steps end just short of 4 dt; the plateau is 5 dt .. 64 dt."""
+        ts = time_grid(_config(dt=1.0 / 64))
+        assert len(ts) - 1 == 110
+        assert 4.0 / 64 - 1e-6 < ts[50] < 4.0 / 64
+        np.testing.assert_array_equal(ts[51:], np.arange(5, 65) / 64)
 
-def _dense_system(cfg, dt, theta):
+
+def _dense_system(cfg, dt):
     """Row-scaled time-step matrix, row by row in dense numpy, straight from
-    the stencil definitions: interior rows I - theta dt (alpha_hat D6 - D4),
+    the stencil definitions: interior rows I - dt (alpha_hat D6 - D4),
     one-sided wall/far rows, and the two mass-balance rows (edge trapezoid
-    weights / dt + theta times dx-summed first or last eight interior
-    rows)."""
+    weights / dt plus dx-summed first or last eight interior rows)."""
     n, dx, ah, p = cfg.grid.nx, cfg.grid.dx, cfg.alpha_hat, BC_ORDER
     h = 3 if ah > 0 else 2
     d4 = np.array([1.0, -4.0, 6.0, -4.0, 1.0]) / dx ** 4
@@ -384,7 +400,7 @@ def _dense_system(cfg, dt, theta):
         if ah > 0:
             A[i, i - 3:i + 4] = ah * d6
         A[i, i - 2:i + 3] -= d4
-    M = np.eye(n) - theta * dt * A
+    M = np.eye(n) - dt * A
 
     def weights(order):
         return fd_weights(np.arange(float(order + p)), 0.0, order) / dx ** order
@@ -416,21 +432,20 @@ def _dense_system(cfg, dt, theta):
     WR = np.zeros(n)
     WR[n - h:] = dx
     WR[n - 1] = dx / 2
-    M[h - 1] = WL / dt + theta * SL
-    M[n - h] = WR / dt + theta * SR
+    M[h - 1] = WL / dt + SL
+    M[n - h] = WR / dt + SR
     return M / np.abs(M).max(axis=1)[:, None]
 
 
 class TestSystemAssembly:
-    @pytest.mark.parametrize("theta", [0.5, 1.0])
     @pytest.mark.parametrize("alpha_hat", [0.0, 0.307])
-    def test_matches_dense_reference(self, alpha_hat, theta):
-        cfg = _config(grid=Grid(L=8.0, nx=64), alpha_hat=alpha_hat, theta=theta)
+    def test_matches_dense_reference(self, alpha_hat):
+        cfg = _config(grid=Grid(L=8.0, nx=64), alpha_hat=alpha_hat)
         op = assemble_operator(cfg)
         for dt in (1e-3, 1.0 / 512, 3e-9):
-            _, Ms, _ = op._system_for_dt(dt, theta)
+            _, Ms, _ = op._system_for_dt(dt)
             got = Ms.toarray()
-            ref = _dense_system(cfg, dt, theta)
+            ref = _dense_system(cfg, dt)
             assert Ms.nnz == np.count_nonzero(got)
             np.testing.assert_array_equal(got != 0, ref != 0)
             np.testing.assert_allclose(got, ref, rtol=1e-15, atol=0)
