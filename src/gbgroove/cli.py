@@ -15,7 +15,7 @@ import json
 import math
 import numbers
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, astuple, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +35,7 @@ from .material import (
     nondimensionalize,
 )
 from .oracle import ConfigError, DivergenceError, Grid, SolverConfig, mass, solve
-from .outer import MAX_ORDER, QuadratureError
+from .outer import MAX_ORDER, U_CLAMP, QuadratureError
 from .specfun import GammaPoleError, SeriesError
 
 __all__ = ["RunConfig", "run", "main", "PRESETS"]
@@ -132,8 +132,12 @@ class RunConfig:
             raise CliConfigError("samples must be >= 2")
         if not 0 <= self.order <= MAX_ORDER:
             raise CliConfigError(f"order must be in [0, {MAX_ORDER}], got {self.order}")
-        if self.xmax is not None and not 0 < self.xmax < math.inf:
-            raise CliConfigError(f"xmax must be positive and finite, got {self.xmax}")
+        if self.xmax is not None and not 0 < self.xmax <= U_CLAMP:
+            raise CliConfigError(f"xmax must lie in (0, {U_CLAMP:g}], the series clamp, "
+                                 f"got {self.xmax}")
+        if self.mode == "compare" and self.xmax is not None and self.xmax > _SOLVER_L:
+            raise CliConfigError(f"compare needs xmax <= {_SOLVER_L:g}, the solver domain, "
+                                 f"got {self.xmax}")
         for bt in self.times:
             if not bt > 0:
                 raise CliConfigError(f"Bt values must be positive, got {bt}")
@@ -159,14 +163,17 @@ class RunConfig:
         block = "model" if self.model is not None else "physical"
         try:
             if self.model is not None:
-                B, alpha, m = (float(self.model[k]) for k in ("B", "alpha", "m"))
+                values = [self.model[k] for k in ("B", "alpha", "m")]
+                _require_numbers("model entries", values)
+                B, alpha, m = map(float, values)
                 if not B > 0:
                     raise ValueError(f"B must be positive, got {B}")
                 params = nondimensionalize(B, alpha, bt / B, m)
             else:
                 phys = PhysicalParams(**self.physical)
+                _require_numbers("physical entries", astuple(phys))
                 params = model_from_physical(phys, bt / mullins_coefficient(phys))
-        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
             raise CliConfigError(f"bad {block} block: {exc}")
         if not all(map(math.isfinite, (params.alpha, params.m, params.L0, params.alpha_hat))):
             raise CliConfigError(f"{block} block gives non-finite parameters: {params}")
@@ -341,7 +348,7 @@ def _mode_depth_series(cfg: RunConfig) -> str:
     alphas = cfg.alphas
     if not alphas:
         if cfg.model is not None and "alpha" in cfg.model:
-            alphas = [float(cfg.model["alpha"])]
+            alphas = [cfg.model["alpha"]]     # checked by `reduced` below
         else:
             raise CliConfigError("depth-series needs an 'alphas' list or a model alpha")
     columns = ["alpha_m2", "Bt_m4", "depth_mullins_m", "depth_composite_m",
@@ -358,7 +365,7 @@ def _mode_depth_series(cfg: RunConfig) -> str:
             t = bt / params.B
             ym = abs(mullins_profile_dim(0.0, t, params))
             dd = depth_difference(t, params)
-            rows.append([alpha, bt, ym, ym - dd, dd / ym if ym > 0 else 0.0])
+            rows.append([params.alpha, bt, ym, ym - dd, dd / ym if ym > 0 else 0.0])
     return _write_table(cfg, columns, rows, [])
 
 
@@ -411,7 +418,10 @@ _MODE_TABLE = {
 def run(cfg: RunConfig) -> str:
     """Dispatch one validated run; returns the emitted text."""
     cfg.validate()
-    return _MODE_TABLE[cfg.mode](cfg)
+    # an overflowing or NaN value fails the output check (exit 3): numpy
+    # need not warn about it first
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _MODE_TABLE[cfg.mode](cfg)
 
 
 # ---- entry point -----------------------------------------------------------
@@ -434,7 +444,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--order", type=int, help="outer expansion order N")
     parser.add_argument("--samples", type=int, help="output sample count")
     parser.add_argument("--xmax", type=float,
-                        help="window in units of (Bt)^(1/4), default 8")
+                        help="window in units of (Bt)^(1/4), default 8, at most 12 "
+                             "(8 in compare mode)")
     parser.add_argument("--include-corner", action="store_true")
     parser.add_argument("--out", type=str, help="output file path")
     parser.add_argument("--format", choices=FORMATS)
@@ -471,7 +482,7 @@ def main(argv=None) -> int:
         print(f"error: config: {exc}", file=sys.stderr)
         return 2
     except (SeriesError, QuadratureError, DivergenceError, GammaPoleError,
-            NonFiniteOutputError) as exc:
+            NonFiniteOutputError, OverflowError) as exc:
         print("error: numerical failure", file=sys.stderr)
         print(f"  {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3

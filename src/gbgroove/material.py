@@ -88,15 +88,20 @@ class ModelParams:
             raise ValueError("alpha_hat must be non-negative")
         if not 0 <= self.m:
             raise ValueError(f"m must be non-negative, got {self.m}")
-        if self.m >= SLOPE_VALIDITY_LIMIT:
-            warnings.warn(
-                f"slope parameter m = {self.m:.4g} >= 1/3: outside the "
-                "validity range of the small-slope model", SmallSlopeWarning,
-                stacklevel=2)
 
     def rescaled(self, t_ref: float) -> "ModelParams":
         """Same physics, new reference time."""
-        return nondimensionalize(self.B, self.alpha, t_ref, self.m)
+        params = _reduce(self.B, self.alpha, t_ref, self.m)
+        _warn_if_steep(self.m)
+        return params
+
+
+def _warn_if_steep(m: float) -> None:
+    """SmallSlopeWarning when m >= 1/3, attributed to the line that called
+    the caller: each reduction warns once, at the user's call."""
+    if m >= SLOPE_VALIDITY_LIMIT:
+        warnings.warn(f"slope parameter m = {m:.4g} >= 1/3: outside the validity "
+                      "range of the small-slope model", SmallSlopeWarning, stacklevel=3)
 
 
 def mullins_coefficient(p: PhysicalParams) -> float:
@@ -119,10 +124,7 @@ def slope_parameter(gamma_gb: float, gamma_i: float, gamma_s: float) -> float:
     if gamma_gb < 0:
         raise ValueError("gamma_gb must be non-negative")
     m = gamma_gb / denom
-    if m >= SLOPE_VALIDITY_LIMIT:
-        warnings.warn(
-            f"slope parameter m = {m:.4g} >= 1/3: outside the validity "
-            "range of the small-slope model", SmallSlopeWarning, stacklevel=2)
+    _warn_if_steep(m)
     return m
 
 
@@ -132,6 +134,13 @@ def nondimensionalize(B: float, alpha: float, t_ref: float, m: float = 0.0) -> M
     Internally all layer formulas work with alpha_hat, x_hat = x / L0 and
     t_hat = B t / L0^4; this keeps the corner-layer stretchings dimensionless.
     """
+    params = _reduce(B, alpha, t_ref, m)
+    _warn_if_steep(m)
+    return params
+
+
+def _reduce(B: float, alpha: float, t_ref: float, m: float) -> ModelParams:
+    """nondimensionalize without the slope warning."""
     if not (B > 0 and t_ref > 0):
         raise ValueError("B and t_ref must be positive")
     if alpha < 0:
@@ -142,7 +151,7 @@ def nondimensionalize(B: float, alpha: float, t_ref: float, m: float = 0.0) -> M
 
 def model_from_physical(p: PhysicalParams, t_ref: float) -> ModelParams:
     """Reduce a full set of dimensional constants at a reference time."""
-    B = mullins_coefficient(p)
-    alpha = stiffness_parameter(p)
-    m = slope_parameter(p.gamma_gb, p.gamma_i, p.gamma_s)
-    return nondimensionalize(B, alpha, t_ref, m)
+    m = p.gamma_gb / p.gamma_surface   # PhysicalParams has checked both
+    params = _reduce(mullins_coefficient(p), stiffness_parameter(p), t_ref, m)
+    _warn_if_steep(m)
+    return params

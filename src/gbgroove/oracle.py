@@ -13,9 +13,12 @@ the semi-discrete system then conserves the trapezoidal mass identically,
 which is the discrete shadow of matter conservation.
 
 The interior operator is kept as its one stencil, alpha_hat*D6 - D4, and
-applied by correlation.  Each time-step matrix is written from the
-stencil, the boundary rows and the balance rows in one vectorized pass,
-row-scaled, directly in CSC form, and factored by SuperLU.
+applied by correlation.  The equation is linear with constant
+coefficients, so the backward-Euler matrix of a step h is C + h K + W/h:
+three coefficient arrays assembled once on one CSR pattern.  Each system is
+row-scaled and factored by SuperLU, and only the last one is kept: without
+snapshot splits a step length is used in one run of consecutive steps and
+never again.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csc_matrix
+from scipy.sparse import csr_matrix
 from scipy.sparse.linalg import splu
 
 __all__ = [
@@ -175,9 +178,12 @@ class GrooveOperator:
     when alpha_hat = 0), on rows interior_lo..interior_hi: ``apply`` is a
     correlation of the heights with it.  Every other row is a wall or
     far-field condition (`bc_rows`) or a mass-balance row (`balance_rows`).
-    Each time-step system is written straight from those pieces as a
-    row-scaled CSC matrix; its LU factors are cached per implicit step
-    length and reused while it stays fixed.
+    The equation is linear with constant coefficients, so the backward-Euler
+    system for a step h is affine in h and 1/h: ``C + h K + W/h``, with
+    interior rows I - h*stencil, constant condition rows and balance rows
+    W/h + S.  The three coefficient arrays share one CSR pattern built
+    here; the last system and its LU factors are kept while the step
+    length stays fixed.
     """
 
     def __init__(self, config: SolverConfig):
@@ -187,18 +193,8 @@ class GrooveOperator:
         ah = config.alpha_hat
         self.n = n
         self.dx = dx
-        self.interior_lo = 3 if ah > 0 else 2   # also the stencil half-width
-        self.interior_hi = n - 1 - self.interior_lo
-        self._assemble_interior()
-        self._assemble_boundary_rows()
-        self._assemble_pattern()
-        self._lu_cache: dict[float, object] = {}
-
-    # ---- assembly -------------------------------------------------------
-
-    def _assemble_interior(self):
-        cfg = self.config
-        n, dx, ah = self.n, self.dx, cfg.alpha_hat
+        lo = self.interior_lo = 3 if ah > 0 else 2   # also the stencil half-width
+        hi = self.interior_hi = n - 1 - lo
         d4 = np.array([1.0, -4.0, 6.0, -4.0, 1.0]) / dx ** 4
         if ah > 0:
             stencil = ah * (np.array([1.0, -6.0, 15.0, -20.0, 15.0, -6.0, 1.0]) / dx ** 6)
@@ -206,24 +202,6 @@ class GrooveOperator:
         else:
             stencil = -d4
         self.stencil = stencil
-        # telescoped flux functionals at the two edges of the interior block:
-        # dx times the sum of the first / last eight interior rows
-        lo, hi = self.interior_lo, self.interior_hi
-        w = dx * stencil
-        SL = np.zeros(n)
-        for i in range(lo, lo + 8):
-            SL[i - lo:i + lo + 1] += w
-        SL[lo + 3:] = 0.0
-        SR = np.zeros(n)
-        for i in range(hi - 7, hi + 1):
-            SR[i - lo:i + lo + 1] += w
-        SR[:hi - 2] = 0.0
-        self.SL = SL
-        self.SR = SR
-
-    def _assemble_boundary_rows(self):
-        cfg = self.config
-        n, dx, ah = self.n, self.dx, cfg.alpha_hat
 
         def wall_weights(order):
             return fd_weights(np.arange(float(order + BC_ORDER)), 0.0, order) / dx ** order
@@ -243,49 +221,46 @@ class GrooveOperator:
             far1 = np.zeros(n); far1[n - len(w1):] = -w1[::-1]
             rows[1] = curv
             rows[n - 2] = far1
-        rhs = np.zeros(n)
-        rhs[0] = cfg.m / 2.0
         self.bc_rows = rows
-        self.bc_rhs = rhs
+        self.bc_rhs = np.zeros(n)
+        self.bc_rhs[0] = config.m / 2.0
         # wall / far mass-balance rows take the place of the flux rows:
-        # row -> (trapezoid weights of the edge nodes, telescoped flux)
-        lo = self.interior_lo
+        # row -> (trapezoid weights of the edge nodes, telescoped flux, that
+        # is dx times the sum of the first / last eight interior rows)
+        w = dx * stencil
+        SL = np.zeros(n)
+        for i in range(lo, lo + 8):
+            SL[i - lo:i + lo + 1] += w
+        SL[lo + 3:] = 0.0
+        SR = np.zeros(n)
+        for i in range(hi - 7, hi + 1):
+            SR[i - lo:i + lo + 1] += w
+        SR[:hi - 2] = 0.0
         WL = np.zeros(n)
         WL[0] = dx / 2.0
         WL[1:lo] = dx
         WR = np.zeros(n)
         WR[n - 1] = dx / 2.0
-        WR[self.interior_hi + 1:n - 1] = dx
-        self.balance_rows = {lo - 1: (WL, self.SL), n - lo: (WR, self.SR)}
+        WR[hi + 1:n - 1] = dx
+        self.balance_rows = {lo - 1: (WL, SL), n - lo: (WR, SR)}
         assert not rows.keys() & self.balance_rows.keys(), "boundary rows overlap"
 
-    def _assemble_pattern(self):
-        """Columns of the wall/far rows, and the CSC order of the system."""
-        n, lo, hi = self.n, self.interior_lo, self.interior_hi
-        self._edge_cols = {}
+        # C, K, W on one CSR pattern: row -> (columns, C, K, W), with the
+        # interior band filed under row lo
+        width, m = 2 * lo + 1, hi + 1 - lo
+        eye = np.zeros(width); eye[lo] = 1.0
+        parts = {lo: ((np.arange(lo, hi + 1)[:, None] + np.arange(-lo, lo + 1)).ravel(),
+                      np.tile(eye, m), np.tile(-stencil, m), np.zeros(m * width))}
+        nnz = np.full(n, width)
         for i in (*range(lo), *range(hi + 1, n)):
-            if i in self.balance_rows:
-                W, S = self.balance_rows[i]
-                self._edge_cols[i] = np.flatnonzero((W != 0) | (S != 0))
-            else:
-                self._edge_cols[i] = np.flatnonzero(self.bc_rows[i])
-        width = len(self.stencil)
-        rows = self._row_major({i: np.full(len(c), i) for i, c in self._edge_cols.items()},
-                               np.repeat(np.arange(lo, hi + 1), width))
-        cols = self._row_major(self._edge_cols,
-                               np.arange(lo, hi + 1)[:, None] + np.arange(-lo, lo + 1))
-        self._row_of = rows
-        self._row_start = np.flatnonzero(np.diff(rows, prepend=-1))
-        self._by_col = np.lexsort((rows, cols))
-        self._col_ptr = np.concatenate(([0], np.cumsum(np.bincount(cols, minlength=n))))
-
-    def _row_major(self, edge: dict[int, np.ndarray], band: np.ndarray) -> np.ndarray:
-        """Wall rows, interior band, far rows: one flat array in row order."""
-        lo, hi = self.interior_lo, self.interior_hi
-        return np.concatenate([edge[i] for i in range(lo)] + [band.ravel()]
-                              + [edge[i] for i in range(hi + 1, self.n)])
-
-    # ---- stepping -------------------------------------------------------
+            Wi, Ci = self.balance_rows.get(i, (np.zeros(n), rows.get(i)))
+            j = np.flatnonzero((Wi != 0) | (Ci != 0))
+            parts[i] = (j, Ci[j], np.zeros(len(j)), Wi[j])
+            nnz[i] = len(j)
+        self._cols, self._C, self._K, self._W = map(
+            np.concatenate, zip(*(parts[i] for i in sorted(parts))))
+        self._indptr = np.concatenate(([0], np.cumsum(nnz)))
+        self._last = (None, None)
 
     def apply(self, y: np.ndarray) -> np.ndarray:
         """Spatial operator on interior rows, zero elsewhere."""
@@ -293,33 +268,18 @@ class GrooveOperator:
         out[self.interior_lo:self.interior_hi + 1] = np.correlate(y, self.stencil, "valid")
         return out
 
-    def _edge_row(self, i: int, dt: float) -> np.ndarray:
-        if i in self.balance_rows:
-            # wall + interior + far mass changes telescope to zero exactly
-            W, S = self.balance_rows[i]
-            return W / dt + S
-        return self.bc_rows[i]
-
     def _system_for_dt(self, dt: float):
-        """Row-scaled backward-Euler system I - dt A, its LU and row scales."""
-        cached = self._lu_cache.get(dt)
-        if cached is not None:
-            return cached
-        n, lo, hi = self.n, self.interior_lo, self.interior_hi
-        band = np.empty((hi + 1 - lo, len(self.stencil)))
-        band[:] = -(dt * self.stencil)
-        band[:, lo] = 1.0 - dt * self.stencil[lo]
-        vals = self._row_major({i: self._edge_row(i, dt)[cols]
-                                for i, cols in self._edge_cols.items()}, band)
-        scale = np.maximum(np.maximum.reduceat(np.abs(vals), self._row_start), 1e-300)
-        vals *= (1.0 / scale)[self._row_of]
-        Ms = csc_matrix((vals[self._by_col], self._row_of[self._by_col], self._col_ptr),
-                        shape=(n, n))
-        Ms.eliminate_zeros()
+        """Row-scaled backward-Euler system C + dt K + W/dt, its LU and row scales."""
+        if self._last[0] == dt:
+            return self._last[1]
+        vals = self._C + dt * self._K + self._W / dt
+        scale = np.maximum(np.maximum.reduceat(np.abs(vals), self._indptr[:-1]), 1e-300)
+        vals *= np.repeat(1.0 / scale, np.diff(self._indptr))
+        M = csr_matrix((vals, self._cols, self._indptr), shape=(self.n, self.n))
+        M.eliminate_zeros()
+        Ms = M.tocsc()
         lu = splu(Ms)
-        self._lu_cache[dt] = (lu, Ms, scale)
-        if len(self._lu_cache) > 8:
-            self._lu_cache.pop(next(iter(self._lu_cache)))
+        self._last = (dt, (lu, Ms, scale))
         return lu, Ms, scale
 
     def advance(self, z: np.ndarray, dt: float, w: float = 0.0) -> np.ndarray:
@@ -328,7 +288,7 @@ class GrooveOperator:
         w = 0 is backward Euler from z = y_n.  w > 0 is variable-step BDF2
         after a step of dt/w, with z = ((1+w)^2 y_n - w^2 y_{n-1}) / (1+2w):
         that is a backward-Euler step of dt (1+w)/(1+2w) from z, so both
-        share the systems, the balance rows and the LU cache.
+        share the systems, the balance rows and the kept LU.
         """
         h = dt * (1.0 + w) / (1.0 + 2.0 * w)
         lu, Ms, scale = self._system_for_dt(h)

@@ -1,15 +1,23 @@
 """CLI dispatch, file formats, determinism and exit codes."""
 
+import contextlib
+import io
 import json
 import os
+import re
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gbgroove.cli import PRESETS, RunConfig, main, run
+from gbgroove.material import SmallSlopeWarning
 
 
 def _run_cli(args, cwd=None):
@@ -213,6 +221,20 @@ def test_exit_two_on_bad_model_numbers(flags, capsys):
     assert len(err) == 1 and err[0].startswith("error: config:")
 
 
+@pytest.mark.parametrize("flags", [["--mode", "profile", "--xmax", "20"],
+                                   ["--mode", "compare", "--xmax", "12"]],
+                         ids=["past-series-clamp", "past-solver-domain"])
+def test_exit_two_on_xmax_past_valid_window(flags, capsys):
+    # past u = 12 the series are clamped to 0, and past x = 8 (Bt)^(1/4) the
+    # solver profile is interpolated off its domain: no output is made up
+    argv = ["--m", "0.209", "--alpha", "9.7e-16", "--B", "1", "--Bt", "1e-29",
+            "--samples", "4", *flags]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1 and err.startswith("error: config:")
+
+
 def _main_on_document(doc, tmp_path, capsys):
     """Exit code and stderr lines of `main` on one --config document."""
     path = tmp_path / "c.json"
@@ -235,6 +257,11 @@ _BAD_DOCUMENTS = {
     "corner_r-string": {**_FIG4, "include_corner": True, "corner_r": "nan"},
     "corner_r-not-decaying": {**_FIG4, "include_corner": True, "corner_r": -0.5},
     "model-array": {**_FIG4, "model": [1, 2]},
+    "model-string": {**_FIG4, "model": {"B": "1", "alpha": 9.7e-16, "m": 0.209}},
+    "model-bool": {**_FIG4, "model": {"B": 1.0, "alpha": 9.7e-16, "m": True}},
+    "physical-bool": {**_FIG4, "model": None, "physical": {
+        "D_i": 1e-18, "n": 1e19, "Omega": 1.66e-29, "kT": 1.2e-20, "E": 253e9, "h": 5e-9,
+        "nu": 0.24, "gamma_gb": True, "gamma_i": 1.2, "gamma_s": 1.67}},
     "out-number": {**_FIG4, "out": 5},
     "solver-nx-string": {**_FIG4, "mode": "oracle", "solver": {"nx": "abc"}},
     "solver-dt-tiny": {**_FIG4, "mode": "oracle", "solver": {"dt": 1e-9}},
@@ -276,3 +303,35 @@ def test_exit_three_on_non_finite_output(capsys):
     assert len(lines) == 2
     assert lines[0] == "error: numerical failure"
     assert lines[1].startswith("  SeriesError: corner coefficients overflow")
+
+
+# model numbers and Bt: sound values, edge values and wrong-typed entries
+_MODEL_NUMBER = st.one_of(
+    st.sampled_from([1.0, 9.7e-16, 0.209, 1e-29, 3e-30]),
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), 0.0, -0.0, -1.0, 5e-324,
+                     -5e-324, 2.2e-308, 1e-300, 1e300, -1e300, 10 ** 400]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from(["1", "nan", "", None, True, [], [1.0], {}]))
+
+
+@given(mode=st.sampled_from(["params", "profile", "depth-series", "corner"]),
+       B=_MODEL_NUMBER, alpha=_MODEL_NUMBER, m=_MODEL_NUMBER, bt=_MODEL_NUMBER,
+       samples=st.integers(2, 16))
+@settings(derandomize=True, max_examples=200, deadline=None)
+def test_exit_code_contract(mode, B, alpha, m, bt, samples):
+    """Any model numbers give exit 0, 2 or 3, and exit 0 prints only
+    finite numbers."""
+    doc = {"mode": mode, "model": {"B": B, "alpha": alpha, "m": m}, "times": [bt],
+           "samples": samples}
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "c.json"
+        path.write_text(json.dumps(doc))
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings():
+            # a steep m is a documented warning, not a failure
+            warnings.simplefilter("ignore", SmallSlopeWarning)
+            code = main(["--config", str(path)])
+    assert code in (0, 2, 3), err.getvalue()
+    if code == 0:
+        assert not re.search(r"\b(nan|inf|infinity)\b", out.getvalue(), re.IGNORECASE)

@@ -154,3 +154,10 @@ class TestModelFromPhysical:
         q = p.rescaled(16e-9)
         assert q.alpha_hat == pytest.approx(p.alpha_hat / 4, rel=1e-13)
         assert q.B == p.B and q.alpha == p.alpha and q.m == p.m
+
+    def test_one_slope_warning_at_the_call(self):
+        """A steep groove warns once per reduction, at the caller's line."""
+        with pytest.warns(SmallSlopeWarning) as record:
+            model_from_physical(_phys(gamma_gb=1.5), t_ref=1e-9)
+        assert len(record) == 1
+        assert record[0].filename == __file__

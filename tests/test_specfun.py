@@ -8,6 +8,8 @@ the tests themselves.
 import math
 from fractions import Fraction
 
+import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,6 +22,7 @@ from gbgroove.specfun import (
     gamma,
     hyp_pFq,
     hyp_pFq_derivative,
+    hyp_series,
     hyp_series_derivative,
     ln_gamma,
     pochhammer,
@@ -243,3 +246,36 @@ class TestSeriesDerivativeEngine:
         b = hyp_series_derivative((0.25,), (0.75, 1.25, 1.5), 1 / 256, 2, 4, u,
                                   order, tol=1e-13)
         assert a.value == pytest.approx(b.value, rel=1e-7, abs=1e-250)
+
+
+# the 1F3 families (numerators, denominators, power) behind mullins_shape,
+# basis_f1/f2 and outer_term_shape r = 1..3, all with argument u^4/256
+_SHAPE_FAMILIES = [((0.25,), (0.75, 1.25, 1.5), 2), ((-0.25,), (0.25, 0.5, 0.75), 0),
+                   ((0.5,), (1.25, 1.5, 1.75), 3)] + [
+    fam for r in (1, 2, 3) for fam in (((1.5 * r - 0.25,), (0.25, 0.5, 0.75), 0),
+                                       ((1.5 * r + 0.25,), (0.75, 1.25, 1.5), 2))]
+
+
+@pytest.mark.parametrize("nums, dens, power", _SHAPE_FAMILIES,
+                         ids=["even", "const", "cubic"] + [f"r{r}-{p}" for r in (1, 2, 3)
+                                                           for p in ("p0", "p2")])
+@pytest.mark.parametrize("order", [0, 1, 2, 4])
+def test_cancellation_flag_bounds_the_error(nums, dens, power, order):
+    """Against 40-digit mpmath.hyper on u in [0, 12], the error stays within
+    16 eps times the largest term: the reported cancellation digits predict
+    the digits lost (error <= 16 eps |value| 10^digits)."""
+    us = np.linspace(0.0, 12.0, 25)
+    got = hyp_series(nums, dens, 1 / 256, power, 4, us, order)
+    with mpmath.workdps(40):
+        def f(u):
+            return u ** power * mpmath.hyper(nums, dens, u ** 4 / 256)
+
+        # at u = 0 only the monomial of degree `order` survives
+        k, rem = divmod(order - power, 4)
+        wall = 0 if rem or k < 0 else (
+            mpmath.factorial(order) * mpmath.rf(nums[0], k) / mpmath.factorial(k)
+            / mpmath.fprod(mpmath.rf(b, k) for b in dens) / mpmath.mpf(256) ** k)
+        exact = [mpmath.diff(f, mpmath.mpf(u), order) if u > 0 else wall for u in us]
+        err = np.array([float(abs(v - e)) for v, e in zip(got.value.tolist(), exact)])
+    bound = 16 * np.finfo(float).eps * got.max_term_magnitude
+    assert np.all(err <= bound), float(np.max(err / np.where(bound > 0, bound, np.inf)))
