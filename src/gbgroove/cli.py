@@ -132,12 +132,16 @@ class RunConfig:
             raise CliConfigError("samples must be >= 2")
         if not 0 <= self.order <= MAX_ORDER:
             raise CliConfigError(f"order must be in [0, {MAX_ORDER}], got {self.order}")
+        if self.xmax is not None and self.mode not in ("profile", "compare"):
+            raise CliConfigError(f"mode {self.mode!r} has no profile window for xmax")
         if self.xmax is not None and not 0 < self.xmax <= U_CLAMP:
             raise CliConfigError(f"xmax must lie in (0, {U_CLAMP:g}], the series clamp, "
                                  f"got {self.xmax}")
         if self.mode == "compare" and self.xmax is not None and self.xmax > _SOLVER_L:
             raise CliConfigError(f"compare needs xmax <= {_SOLVER_L:g}, the solver domain, "
                                  f"got {self.xmax}")
+        if self.mode == "depth-series" and self.physical is not None:
+            raise CliConfigError("depth-series sweeps model.alpha; give a 'model' block")
         for bt in self.times:
             if not bt > 0:
                 raise CliConfigError(f"Bt values must be positive, got {bt}")
@@ -347,14 +351,14 @@ def _mode_compare(cfg: RunConfig) -> str:
 def _mode_depth_series(cfg: RunConfig) -> str:
     alphas = cfg.alphas
     if not alphas:
-        if cfg.model is not None and "alpha" in cfg.model:
+        if "alpha" in cfg.model:
             alphas = [cfg.model["alpha"]]     # checked by `reduced` below
         else:
             raise CliConfigError("depth-series needs an 'alphas' list or a model alpha")
     columns = ["alpha_m2", "Bt_m4", "depth_mullins_m", "depth_composite_m",
                "relative_effect"]
     rows = []
-    base = dict(cfg.model or {})
+    base = dict(cfg.model)
     for alpha in alphas:
         for bt in cfg.times:
             model = dict(base)

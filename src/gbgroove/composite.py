@@ -30,7 +30,6 @@ __all__ = [
     "GrooveMetrics",
     "composite_profile",
     "composite_profile_nd",
-    "composite_derivative_nd",
     "mullins_profile_dim",
     "bc_residuals",
     "curvature_cancellation_residuals",
@@ -42,6 +41,14 @@ __all__ = [
 _SQRT2 = math.sqrt(2.0)
 _G34 = gamma(0.75)
 _G74 = gamma(1.75)
+
+# groove_metrics on a callable: four 33-point zooms narrow a grid bracket
+# 65536-fold, past the ~1e-8 at which rounding flattens an extremum, and
+# panels of 8 Gauss-Legendre nodes give the mass
+_ZOOMS = 4
+_ZOOM_POINTS = 33
+_PANELS = 32
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 
 
 @dataclass(frozen=True)
@@ -85,34 +92,30 @@ def _nd_coords(x: float, t: float, params: ModelParams) -> tuple[float, float]:
     return x / L0, params.B * t / L0 ** 4
 
 
-def composite_profile_nd(x: float, t: float, m: float, alpha_hat: float,
-                         spec: ExpansionSpec) -> float:
-    """Composite profile in nondimensional variables (B = 1)."""
-    y = mullins_profile(x, t, 1.0, m)
+def composite_profile_nd(x, t: float, m: float, alpha_hat: float,
+                         spec: ExpansionSpec, order: int = 0):
+    """Composite profile in nondimensional variables (B = 1), or its
+    d^order/dx^order (term-differentiated).
+
+    The corner term has derivatives only at the wall, in closed form
+    (x = 0, order <= 5); with a nonzero corner, any other derivative
+    raises ValueError.
+    """
+    y = mullins_profile(x, t, 1.0, m, order)
     for r in range(1, spec.N + 1):
-        y += alpha_hat ** r * outer_term(r, x, t, 1.0, m)
+        y += alpha_hat ** r * outer_term(r, x, t, 1.0, m, order)
     if alpha_hat > 0:
-        y += boundary_layer_G(x, t, alpha_hat, 1.0, m)
-    if spec.corner is not None and spec.corner.gamma != 0.0:
-        ah = spec.corner.alpha_hat
-        if ah > 0:
-            y += corner_combination(x / ah, t / ah ** 5, spec.corner)
+        y += boundary_layer_G(x, t, alpha_hat, 1.0, m, order)
+    corner = spec.corner
+    if corner is not None and corner.gamma != 0.0 and corner.alpha_hat > 0:
+        ah = corner.alpha_hat
+        if order == 0:
+            y += corner_combination(x / ah, t / ah ** 5, corner)
+        elif np.any(x):
+            raise ValueError("the corner term has derivatives only at the wall (x = 0)")
+        else:
+            y += corner_combination_deriv0(order, t / ah ** 5, corner) / ah ** order
     return y
-
-
-def composite_derivative_nd(x: float, t: float, m: float, alpha_hat: float,
-                            spec: ExpansionSpec, order: int) -> float:
-    """d^order/dx^order of the nondimensional composite, term-differentiated."""
-    d = mullins_profile(x, t, 1.0, m, order)
-    for r in range(1, spec.N + 1):
-        d += alpha_hat ** r * outer_term(r, x, t, 1.0, m, order)
-    if alpha_hat > 0:
-        d += boundary_layer_G(x, t, alpha_hat, 1.0, m, order)
-    if spec.corner is not None and spec.corner.gamma != 0.0:
-        ah = spec.corner.alpha_hat
-        if ah > 0 and x == 0.0 and order <= 5:
-            d += corner_combination_deriv0(order, t / ah ** 5, spec.corner) / ah ** order
-    return d
 
 
 def composite_profile(x: float, t: float, params: ModelParams,
@@ -145,7 +148,7 @@ def bc_residuals(t: float, params: ModelParams,
     _, th = _nd_coords(0.0, t, params)
     ah = params.alpha_hat
     m = params.m
-    d = [composite_derivative_nd(0.0, th, m, ah, spec, k) for k in range(6)]
+    d = [composite_profile_nd(0.0, th, m, ah, spec, k) for k in range(6)]
     r1 = abs(d[1] - ah * d[3] - m / 2.0)
     r2 = abs(d[3] - ah * d[5])
     r3 = abs(d[2])
@@ -190,29 +193,6 @@ def default_window(t: float, params: ModelParams) -> float:
     return 8.0 * (params.B * t) ** 0.25
 
 
-def _golden_refine(f, a: float, b: float, minimize: bool, iters: int = 80):
-    """Golden-section search on [a, b]; returns (x, f(x))."""
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    sgn = 1.0 if minimize else -1.0
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc = sgn * f(c)
-    fd = sgn * f(d)
-    for _ in range(iters):
-        if b - a < 1e-14 * max(1.0, abs(a) + abs(b)):
-            break
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = sgn * f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = sgn * f(d)
-    x = 0.5 * (a + b)
-    return x, f(x)
-
-
 def _sample_grid(x_cap: float, bl_width: float, samples: int) -> np.ndarray:
     """Uniform grid plus wall refinement resolving the exponential layer."""
     xs = np.linspace(0.0, x_cap, samples)
@@ -235,15 +215,43 @@ def _sample(profile, xs: np.ndarray) -> np.ndarray:
     return np.array([profile(float(x)) for x in xs])
 
 
+def _zoom(profile, a: float, b: float, sign: float) -> tuple[float, float]:
+    """Extremum of sign * profile in [a, b] as (x, y), the best sample of the
+    last zoom.  Each zoom samples `_ZOOM_POINTS` points in one call and keeps
+    the two intervals around the best one, narrowing the bracket 16-fold."""
+    for _ in range(_ZOOMS):
+        xs = np.linspace(a, b, _ZOOM_POINTS)
+        ys = _sample(profile, xs)
+        j = int(np.argmax(sign * ys))
+        a, b = xs[max(j - 1, 0)], xs[min(j + 1, _ZOOM_POINTS - 1)]
+    return float(xs[j]), float(ys[j])
+
+
+def _mass(profile, x_cap: float, bl_width: float) -> float:
+    """Integral of the profile over [0, x_cap]: `_PANELS` Gauss-Legendre
+    panels, and as many again over the first 32 wall-layer widths, in one
+    call."""
+    edges = np.linspace(0.0, x_cap, _PANELS + 1)
+    if bl_width > 0:
+        wall = np.linspace(0.0, min(32.0 * bl_width, x_cap), _PANELS + 1)
+        edges = np.unique(np.concatenate([edges, wall]))
+    half = 0.5 * np.diff(edges)
+    xs = edges[:-1, None] + half[:, None] * (1.0 + _GL_NODES)
+    ys = _sample(profile, xs.ravel()).reshape(xs.shape)
+    return float(half @ (ys @ _GL_WEIGHTS))
+
+
 def groove_metrics(profile, params: ModelParams | None = None,
                    x_cap: float | None = None, t: float | None = None,
                    samples: int = 2048) -> GrooveMetrics:
     """Extract depth, primary maximum, secondary minimum and mass.
 
     `profile` is either a callable y(x) or a pair of equal-length arrays
-    (x, y).  A callable is sampled on the dense grid (see `_sample`) and
-    called with floats afterwards: extrema found on the grid are refined by
-    golden-section search and the mass comes from adaptive quadrature.
+    (x, y).  A callable is only ever called through `_sample`: with arrays,
+    or point by point if it takes floats only.  It is sampled on the dense
+    grid; extrema found there are refined by repeated zooms of their
+    bracket (`_zoom`), and the mass comes from fixed Gauss-Legendre panels
+    (`_mass`).  Sampled arrays give the grid extrema and trapezoid mass.
     """
     callable_profile = callable(profile)
     if callable_profile:
@@ -259,41 +267,20 @@ def groove_metrics(profile, params: ModelParams | None = None,
         if xs.shape != ys.shape or xs.ndim != 1:
             raise ValueError("sampled profile needs matching 1-d arrays")
 
-    depth = abs(ys[0])
-
-    # first interior maximum: first index where y stops rising
-    x_max = y_max = None
-    interior = np.arange(1, len(xs) - 1)
-    rising = (ys[interior] >= ys[interior - 1]) & (ys[interior] > ys[interior + 1])
-    if rising.any():
-        i = interior[rising][0]
+    def first_turn(sign: float, after: float):
+        """(x, y) where sign * y first stops rising past `after`, zoomed in on
+        for a callable; (None, None) if it never does."""
+        s = sign * ys
+        turns = np.flatnonzero((xs[1:-1] > after) & (s[1:-1] >= s[:-2]) & (s[1:-1] > s[2:]))
+        if not turns.size:
+            return None, None
+        i = turns[0] + 1
         if callable_profile:
-            x_max, y_max = _golden_refine(profile, xs[i - 1], xs[i + 1], minimize=False)
-        else:
-            x_max, y_max = float(xs[i]), float(ys[i])
+            return _zoom(profile, xs[i - 1], xs[i + 1], sign)
+        return float(xs[i]), float(ys[i])
 
-    x_min2 = y_min2 = None
-    if x_max is not None:
-        after = np.arange(1, len(xs) - 1)
-        mask = (xs[after] > x_max) & (ys[after] <= ys[after - 1]) & (ys[after] < ys[after + 1])
-        if mask.any():
-            i = after[mask][0]
-            if callable_profile:
-                x_min2, y_min2 = _golden_refine(profile, xs[i - 1], xs[i + 1], minimize=True)
-            else:
-                x_min2, y_min2 = float(xs[i]), float(ys[i])
-
-    if callable_profile:
-        from scipy.integrate import quad  # deferred: it is most of the package import time
-
-        pts = [p for p in (x_max, x_min2) if p is not None]
-        mass, _ = quad(profile, 0.0, float(xs[-1]), points=pts or None, limit=200)
-    else:
-        mass = float(np.trapezoid(ys, xs))
-
-    return GrooveMetrics(depth=float(depth),
-                         x_max=None if x_max is None else float(x_max),
-                         y_max=None if y_max is None else float(y_max),
-                         x_min2=None if x_min2 is None else float(x_min2),
-                         y_min2=None if y_min2 is None else float(y_min2),
-                         mass=mass)
+    x_max, y_max = first_turn(1.0, -math.inf)
+    x_min2, y_min2 = (None, None) if x_max is None else first_turn(-1.0, x_max)
+    mass = _mass(profile, float(xs[-1]), bl) if callable_profile else float(np.trapezoid(ys, xs))
+    return GrooveMetrics(depth=float(abs(ys[0])), x_max=x_max, y_max=y_max,
+                         x_min2=x_min2, y_min2=y_min2, mass=mass)

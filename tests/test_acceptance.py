@@ -353,8 +353,8 @@ def test_criterion_12_trend_reproduction():
         spec = ExpansionSpec(N=2)
         xs = np.linspace(0.0, default_window(t, params), 300)
         depth = abs(mullins_profile_dim(0.0, t, params))
-        sup = max(abs(composite_profile(float(x), t, params, spec)
-                      - mullins_profile_dim(float(x), t, params)) for x in xs)
+        sup = np.max(np.abs(composite_profile(xs, t, params, spec)
+                            - mullins_profile_dim(xs, t, params)))
         sups.append(sup / depth)
         assert depth_difference(t, params) > 0.0
         mc = groove_metrics(lambda x: composite_profile(x, t, params, spec),

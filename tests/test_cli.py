@@ -222,11 +222,16 @@ def test_exit_two_on_bad_model_numbers(flags, capsys):
 
 
 @pytest.mark.parametrize("flags", [["--mode", "profile", "--xmax", "20"],
-                                   ["--mode", "compare", "--xmax", "12"]],
-                         ids=["past-series-clamp", "past-solver-domain"])
+                                   ["--mode", "compare", "--xmax", "12"],
+                                   *[["--mode", mode, "--xmax", "2"]
+                                     for mode in ("params", "depth-series", "corner", "oracle")]],
+                         ids=["past-series-clamp", "past-solver-domain", "params-no-window",
+                              "depth-series-no-window", "corner-no-window",
+                              "oracle-no-window"])
 def test_exit_two_on_xmax_past_valid_window(flags, capsys):
     # past u = 12 the series are clamped to 0, and past x = 8 (Bt)^(1/4) the
-    # solver profile is interpolated off its domain: no output is made up
+    # solver profile is interpolated off its domain: no output is made up.
+    # Modes without a profile window would ignore --xmax, so they refuse it
     argv = ["--m", "0.209", "--alpha", "9.7e-16", "--B", "1", "--Bt", "1e-29",
             "--samples", "4", *flags]
     assert main(argv) == 2
@@ -277,6 +282,17 @@ def test_exit_two_on_bad_config_document(doc, tmp_path, capsys):
     code, err = _main_on_document(doc, tmp_path, capsys)
     assert code == 2
     assert len(err) == 1 and err[0].startswith("error: config:")
+
+
+def test_depth_series_refuses_physical_block(tmp_path, capsys):
+    # the sweep replaces model.alpha; a physical block has no alpha to replace
+    doc = {**_FIG4, "mode": "depth-series", "model": None, "alphas": [9.7e-16],
+           "physical": {"D_i": 1e-18, "n": 1e19, "Omega": 1.66e-29, "kT": 1.2e-20,
+                        "E": 253e9, "h": 5e-9, "nu": 0.24, "gamma_gb": 1.0,
+                        "gamma_i": 1.2, "gamma_s": 1.67}}
+    code, err = _main_on_document(doc, tmp_path, capsys)
+    assert code == 2
+    assert len(err) == 1 and err[0].startswith("error: config: depth-series sweeps model.alpha")
 
 
 @pytest.mark.parametrize("doc", [

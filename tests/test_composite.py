@@ -17,9 +17,14 @@ from gbgroove.composite import (
     groove_metrics,
     mullins_profile_dim,
 )
-from gbgroove.layers import CornerSpec, beta2
+from gbgroove.layers import (
+    CornerSpec,
+    beta2,
+    boundary_layer_G,
+    corner_combination_deriv0,
+)
 from gbgroove.material import nondimensionalize
-from gbgroove.outer import mullins_profile
+from gbgroove.outer import mullins_profile, outer_term
 
 # window-truncated base-profile mass, 40-digit quadrature references
 MULLINS_MASS_U8 = -1.566819592564333e-3     # per m (Bt)^(1/2), window u <= 8
@@ -78,6 +83,41 @@ class TestCompositeAssembly:
         b = composite_profile(x, t, params, off)
         assert a != b
         assert abs(a - b) < 1e-3 * abs(composite_profile(0.0, t, params, off))
+
+    @pytest.mark.parametrize("order", [0, 1, 2, 3, 5])
+    def test_order_is_the_sum_of_term_derivatives(self, order):
+        """One evaluator: on an array, order=k adds the terms' own k-th
+        derivatives in the evaluator's order, bit for bit."""
+        ah, m, t = 0.3, FIG_M, 1.0
+        x = np.array([0.0, 0.05, 0.4, 1.0, 2.5, 6.0])
+        want = mullins_profile(x, t, 1.0, m, order)
+        for r in (1, 2):
+            want = want + ah ** r * outer_term(r, x, t, 1.0, m, order)
+        want = want + boundary_layer_G(x, t, ah, 1.0, m, order)
+        got = composite_profile_nd(x, t, m, ah, ExpansionSpec(N=2), order=order)
+        np.testing.assert_array_equal(got, want)
+
+    def test_corner_derivative_at_the_wall(self):
+        ah, m, t = 0.3, FIG_M, 1.0
+        corner = CornerSpec(r=-2.0, gamma=ah, alpha_hat=ah)
+        x = np.zeros(3)
+        for order in (1, 2, 5):
+            plain = composite_profile_nd(x, t, m, ah, ExpansionSpec(N=2), order=order)
+            got = composite_profile_nd(x, t, m, ah, ExpansionSpec(N=2, corner=corner),
+                                       order=order)
+            extra = corner_combination_deriv0(order, t / ah ** 5, corner) / ah ** order
+            assert extra != 0.0
+            np.testing.assert_array_equal(got, plain + extra)
+
+    @pytest.mark.parametrize("x", [0.5, np.array([0.0, 0.5])], ids=["float", "array"])
+    @pytest.mark.parametrize("order", [1, 2, 5])
+    def test_corner_derivative_off_the_wall_raises(self, x, order):
+        """A nonzero corner term has derivatives only at x = 0; elsewhere the
+        evaluator refuses rather than leave the term out."""
+        ah = 0.3
+        spec = ExpansionSpec(N=2, corner=CornerSpec(r=-1.0, gamma=ah, alpha_hat=ah))
+        with pytest.raises(ValueError, match="only at the wall"):
+            composite_profile_nd(x, 1.0, FIG_M, ah, spec, order=order)
 
 
 class TestWallResiduals:
@@ -169,7 +209,7 @@ class TestGrooveMetrics:
         t = FIG_BT["fig4"]
         params = figure_params(t)
         xs = np.linspace(0.0, default_window(t, params), 4000)
-        ys = np.array([mullins_profile_dim(x, t, params) for x in xs])
+        ys = mullins_profile_dim(xs, t, params)
         mm = groove_metrics((xs, ys))
         assert mm.x_max / t ** 0.25 == pytest.approx(MULLINS_UM, rel=1e-3)
 
@@ -192,6 +232,32 @@ class TestGrooveMetrics:
         for got, want in [(m.x_max, ref.x_max), (m.y_max, ref.y_max),
                           (m.x_min2, ref.x_min2), (m.mass, ref.mass)]:
             assert got == pytest.approx(want, rel=1e-6, abs=1e-9)
+
+    def test_callable_gets_arrays_only(self):
+        """Sampling, extremum zooms and mass quadrature all call the profile
+        with arrays; a float-only profile is called with floats only."""
+        t = FIG_BT["fig4"]
+        params = figure_params(t)
+        spec = ExpansionSpec(N=2)
+        args = []
+
+        def profile(x):
+            args.append(x)
+            return composite_profile(x, t, params, spec)
+
+        mc = groove_metrics(profile, params, t=t)
+        assert mc.has_secondary_minimum
+        assert args and all(isinstance(a, np.ndarray) and a.ndim == 1 for a in args)
+
+        args.clear()
+
+        def scalar_only(x):
+            args.append(x)
+            return -math.exp(-x) * math.cos(2.0 * x)
+
+        groove_metrics(scalar_only, x_cap=10.0, samples=400)
+        floats = [a for a in args if not isinstance(a, np.ndarray)]
+        assert floats and all(type(a) is float for a in floats)
 
     def test_mass_window_truth(self):
         """The base-profile window mass is truncation-dominated: the
@@ -234,8 +300,8 @@ class TestTrends:
             spec = ExpansionSpec(N=2)
             xs = np.linspace(0.0, default_window(t, params), 300)
             depth = abs(mullins_profile_dim(0.0, t, params))
-            sup = max(abs(composite_profile(x, t, params, spec)
-                          - mullins_profile_dim(x, t, params)) for x in xs)
+            sup = np.max(np.abs(composite_profile(xs, t, params, spec)
+                                - mullins_profile_dim(xs, t, params)))
             sups.append(sup / depth)
         assert sups[0] > sups[1] > sups[2]
 
