@@ -22,6 +22,7 @@ import numpy as np
 
 from .composite import (
     ExpansionSpec,
+    composite_profile,
     composite_profile_nd,
     depth_difference,
     mullins_profile_dim,
@@ -64,6 +65,10 @@ PRESETS: dict[str, dict] = {
 # solver domain [0, 8] in units of (B t)^(1/4): the shortest SolverConfig
 # accepts for t_final = 1
 _SOLVER_L = 8.0
+# output rows per Bt value: uncapped, a huge count dies in numpy's
+# allocator outside the 0/2/3 exit codes; at the cap a profile run takes
+# about 1 s and 100 MB
+MAX_SAMPLES = 65536
 
 
 class CliConfigError(ValueError):
@@ -128,8 +133,8 @@ class RunConfig:
             raise CliConfigError(f"out must be a path, got {self.out!r}")
         if self.mode in ("profile", "depth-series", "oracle", "compare") and not self.times:
             raise CliConfigError(f"mode {self.mode!r} needs at least one Bt value")
-        if self.samples < 2:
-            raise CliConfigError("samples must be >= 2")
+        if not 2 <= self.samples <= MAX_SAMPLES:
+            raise CliConfigError(f"samples must lie in [2, {MAX_SAMPLES}], got {self.samples}")
         if not 0 <= self.order <= MAX_ORDER:
             raise CliConfigError(f"order must be in [0, {MAX_ORDER}], got {self.order}")
         if self.xmax is not None and self.mode not in ("profile", "compare"):
@@ -300,8 +305,7 @@ def _profile_rows(cfg: RunConfig, with_oracle: bool):
             notes.append(f"Bt={_fmt(bt)}: sup|composite-oracle|/depth = {_fmt(sup)}")
             gaps.append(sup)
         cols = [np.full(len(xs), bt), xs, mullins_profile_dim(xs, t, params),
-                composite_profile_nd(xs / params.L0, params.B * t / params.L0 ** 4,
-                                     params.m, params.alpha_hat, spec) * params.L0]
+                composite_profile(xs, t, params, spec)]
         if with_oracle:
             cols.append(oracle_vals)
         rows += np.column_stack(cols).tolist()

@@ -50,8 +50,9 @@ __all__ = [
 ]
 
 MIN_NODES = 64
-# the wall rows carry 1/dx^5 entries: past ~2000 nodes they amplify
-# roundoff above the truncation error
+# past ~769 nodes the error against the exact box solution grows with nx:
+# at nx 1025 it is up to 18x (dt 1/64) and 79x (dt 1/4096) the error at
+# nx 513, and at nx 2049 it reaches 0.7-9.5% of depth
 MAX_NODES = 2049
 # step budget: a t_final/dt far above it (dt = 1e-9 takes ~1e9 steps)
 # marches for hours with no exit
@@ -95,6 +96,12 @@ def fd_weights(nodes, x0: float, order: int) -> np.ndarray:
     return d[order, n - 1, :]
 
 
+def _one_sided(order: int, dx: float) -> np.ndarray:
+    """Weights for the order-th derivative at the first of order + BC_ORDER
+    grid nodes: the solver's wall rows and the diagnostics' end stencils."""
+    return fd_weights(np.arange(float(order + BC_ORDER)), 0.0, order) / dx ** order
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform nodes on [0, L]."""
@@ -129,15 +136,15 @@ class SolverConfig:
     snapshot_times: tuple[float, ...] = ()
 
     def __post_init__(self):
-        if not self.dt > 0:
-            raise ConfigError("dt must be positive")
+        if not 0 < self.dt < math.inf:
+            raise ConfigError("dt must be positive and finite")
         if not self.t_final > 0:
             raise ConfigError("t_final must be positive")
         if self.alpha_hat < 0:
             raise ConfigError("alpha_hat must be non-negative")
         if self.grid.nx > MAX_NODES:
             raise ConfigError(f"need nx <= {MAX_NODES}, got {self.grid.nx}: finer grids "
-                              "amplify roundoff through the wall rows")
+                              "lose accuracy")
         if self.t_final / self.dt > MAX_STEPS:
             raise ConfigError(f"need t_final/dt <= {MAX_STEPS}, got "
                               f"{self.t_final / self.dt:.4g} steps")
@@ -203,10 +210,7 @@ class GrooveOperator:
             stencil = -d4
         self.stencil = stencil
 
-        def wall_weights(order):
-            return fd_weights(np.arange(float(order + BC_ORDER)), 0.0, order) / dx ** order
-
-        w1 = wall_weights(1)
+        w1 = _one_sided(1, dx)
         slope = np.zeros(n)
         slope[:len(w1)] += w1
         far0 = np.zeros(n); far0[n - 1] = 1.0
@@ -214,9 +218,9 @@ class GrooveOperator:
         # the sixth-order problem adds zero wall curvature and zero far slope;
         # at alpha_hat = 0 the balance rows take rows 1 and n - 2 instead
         if ah > 0:
-            w3 = wall_weights(3)
+            w3 = _one_sided(3, dx)
             slope[:len(w3)] -= ah * w3
-            w2 = wall_weights(2)
+            w2 = _one_sided(2, dx)
             curv = np.zeros(n); curv[:len(w2)] = w2
             far1 = np.zeros(n); far1[n - len(w1):] = -w1[::-1]
             rows[1] = curv
@@ -291,17 +295,13 @@ class GrooveOperator:
         share the systems, the balance rows and the kept LU.
         """
         h = dt * (1.0 + w) / (1.0 + 2.0 * w)
-        lu, Ms, scale = self._system_for_dt(h)
+        lu, _, scale = self._system_for_dt(h)
         lo, hi = self.interior_lo, self.interior_hi
         rhs = self.bc_rhs.copy()
         rhs[lo:hi + 1] = z[lo:hi + 1]
         for i, (W, _) in self.balance_rows.items():
             rhs[i] = W @ z / h
-        b = rhs / scale
-        out = lu.solve(b)
-        # one sweep of iterative refinement: the stiff sixth-order system
-        # leaves O(kappa eps) noise that the flux and mass diagnostics see
-        out += lu.solve(b - Ms @ out)
+        out = lu.solve(rhs / scale)
         if not np.all(np.isfinite(out)):
             raise DivergenceError(
                 f"non-finite solution after a dt = {dt:.3e} step "
@@ -387,28 +387,16 @@ def mass(profile: Profile) -> float:
 
 
 def _derivative_field(h: np.ndarray, dx: float, order: int) -> np.ndarray:
-    """Centered differences, one-sided at the ends, all order >= 2."""
-    n = len(h)
-    out = np.empty(n)
-    if order == 1:
-        out[1:-1] = (h[2:] - h[:-2]) / (2 * dx)
-        w = fd_weights(np.arange(4.0), 0.0, 1) / dx
-        out[0] = w @ h[:4]
-        out[-1] = -(w @ h[::-1][:4])
-    elif order == 2:
-        out[1:-1] = (h[2:] - 2 * h[1:-1] + h[:-2]) / dx ** 2
-        w = fd_weights(np.arange(5.0), 0.0, 2) / dx ** 2
-        out[0] = w @ h[:5]
-        out[-1] = w @ h[::-1][:5]
-    elif order == 4:
-        out[2:-2] = (h[4:] - 4 * h[3:-1] + 6 * h[2:-2] - 4 * h[1:-3] + h[:-4]) / dx ** 4
-        w = fd_weights(np.arange(7.0), 0.0, 4) / dx ** 4
-        out[0] = w @ h[:7]
-        out[1] = w @ h[1:8]
-        out[-1] = w @ h[::-1][:7]
-        out[-2] = w @ h[::-1][1:8]
-    else:
-        raise ValueError(f"unsupported derivative order {order}")
+    """Centered differences of half-width (order + 1) // 2, one-sided
+    (`_one_sided`) at that many nodes nearest each end."""
+    q = (order + 1) // 2
+    c = fd_weights(np.arange(-q, q + 1.0), 0.0, order) / dx ** order
+    w = _one_sided(order, dx)
+    out = np.empty(len(h))
+    out[q:-q] = np.correlate(h, c, "valid")
+    for i in range(q):
+        out[i] = w @ h[i:i + len(w)]
+        out[-1 - i] = (-1) ** order * (w @ h[::-1][i:i + len(w)])
     return out
 
 
@@ -463,10 +451,10 @@ def flux(profile: Profile, alpha_hat: float) -> np.ndarray:
     dx = profile.grid.dx
     mu = chemical_potential(profile, alpha_hat)
     j = -_derivative_field(mu, dx, 1)
-    w3 = fd_weights(np.arange(3.0 + BC_ORDER), 0.0, 3) / dx ** 3
+    w3 = _one_sided(3, dx)
     j0 = float(w3 @ h[:len(w3)])
     if alpha_hat > 0:
-        w5 = fd_weights(np.arange(5.0 + BC_ORDER), 0.0, 5) / dx ** 5
+        w5 = _one_sided(5, dx)
         j0 -= alpha_hat * float(w5 @ h[:len(w5)])
     j[0] = j0
     return j

@@ -129,6 +129,7 @@ def outer_term_shape(r: int, u, order: int = 0):
     if r < 1:
         raise ValueError(f"correction index r must be >= 1, got {r}")
     rf = math.factorial(r)
+    # 1.5 r -/+ 0.25 lies in 1/4 + Z/2: never a Gamma pole
     ga = gamma(1.5 * r - 0.25)
     gb = gamma(1.5 * r + 0.25)
     sign = -1.0 if r % 2 else 1.0
@@ -144,12 +145,6 @@ def outer_term(r: int, x, t: float, B: float, m: float, order: int = 0):
     (term-differentiated); enters the expansion as alpha^r y_r."""
     u, L = _similarity(x, t, B)
     return m * L ** (1 - 2 * r - order) * outer_term_shape(r, u, order)
-
-
-# arguments of 1.5*r -/+ 0.25 lie in 1/4 + Z/2: never a Gamma pole for r >= 1
-def _assert_no_pole(r: int) -> None:
-    for a in (1.5 * r - 0.25, 1.5 * r + 0.25):
-        assert a > 0 or a != math.floor(a)
 
 
 def yr_quadrature_oracle(r: int, x: float, t: float, B: float, m: float,

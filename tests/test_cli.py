@@ -255,6 +255,7 @@ _FIG4 = {"mode": "profile", "model": {"B": 1.0, "alpha": 9.7e-16, "m": 0.209},
 _BAD_DOCUMENTS = {
     "samples-string": {**_FIG4, "samples": "400"},
     "samples-float": {**_FIG4, "samples": 1e3},
+    "samples-huge": {**_FIG4, "samples": 10**12},
     "times-string": {**_FIG4, "times": "1e-29"},
     "order-string": {**_FIG4, "order": "2"},
     "xmax-string": {**_FIG4, "xmax": "3"},
@@ -270,6 +271,7 @@ _BAD_DOCUMENTS = {
     "out-number": {**_FIG4, "out": 5},
     "solver-nx-string": {**_FIG4, "mode": "oracle", "solver": {"nx": "abc"}},
     "solver-dt-tiny": {**_FIG4, "mode": "oracle", "solver": {"dt": 1e-9}},
+    "solver-dt-inf": {**_FIG4, "mode": "oracle", "solver": {"dt": float("inf")}},
     **{f"solver-{key}": {**_FIG4, "mode": "oracle", "solver": {key: value}}
        for key, value in (("L", 8.0), ("theta", 1.0), ("snapshot_times", [0.5]),
                           ("bc_order", 3), ("flux_form", "balance"))},
@@ -330,15 +332,9 @@ _MODEL_NUMBER = st.one_of(
     st.sampled_from(["1", "nan", "", None, True, [], [1.0], {}]))
 
 
-@given(mode=st.sampled_from(["params", "profile", "depth-series", "corner"]),
-       B=_MODEL_NUMBER, alpha=_MODEL_NUMBER, m=_MODEL_NUMBER, bt=_MODEL_NUMBER,
-       samples=st.integers(2, 16))
-@settings(derandomize=True, max_examples=200, deadline=None)
-def test_exit_code_contract(mode, B, alpha, m, bt, samples):
-    """Any model numbers give exit 0, 2 or 3, and exit 0 prints only
-    finite numbers."""
-    doc = {"mode": mode, "model": {"B": B, "alpha": alpha, "m": m}, "times": [bt],
-           "samples": samples}
+def _assert_exit_code_contract(doc):
+    """`main` on one config document exits 0, 2 or 3, and exit 0 prints
+    only finite numbers."""
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "c.json"
@@ -351,3 +347,40 @@ def test_exit_code_contract(mode, B, alpha, m, bt, samples):
     assert code in (0, 2, 3), err.getvalue()
     if code == 0:
         assert not re.search(r"\b(nan|inf|infinity)\b", out.getvalue(), re.IGNORECASE)
+
+
+@given(mode=st.sampled_from(["params", "profile", "depth-series", "corner"]),
+       B=_MODEL_NUMBER, alpha=_MODEL_NUMBER, m=_MODEL_NUMBER, bt=_MODEL_NUMBER,
+       samples=st.integers(2, 16))
+@settings(derandomize=True, max_examples=200, deadline=None)
+def test_exit_code_contract(mode, B, alpha, m, bt, samples):
+    """Any model numbers give exit 0, 2 or 3, and exit 0 prints only
+    finite numbers."""
+    _assert_exit_code_contract({"mode": mode, "model": {"B": B, "alpha": alpha, "m": m},
+                                "times": [bt], "samples": samples})
+
+
+# (B, alpha, m, Bt): half the draws are sound, so the solver runs, and half
+# take the edge values above
+_SOLVER_MODEL = st.one_of(
+    st.tuples(st.just(1.0), st.sampled_from([0.0, 3e-16, 9.7e-16]), st.just(0.209),
+              st.sampled_from([3e-30, 1e-29])),
+    st.tuples(_MODEL_NUMBER, _MODEL_NUMBER, _MODEL_NUMBER, _MODEL_NUMBER))
+# solver block entries: absent, sound, past a cap, and wrong-typed; a sound
+# block keeps a solve under about 0.1 s
+_ABSENT = object()
+_SOLVER_NX = st.sampled_from([_ABSENT, 63, 64, 129, 2050, 1.5, "513", True])
+_SOLVER_DT = st.sampled_from([_ABSENT, 1 / 16, 1, 0, -1, float("nan"), float("inf"),
+                              0.5 / 65536, "x", True])
+
+
+@given(mode=st.sampled_from(["oracle", "compare"]), model=_SOLVER_MODEL,
+       nx=_SOLVER_NX, dt=_SOLVER_DT, samples=st.integers(2, 16))
+@settings(derandomize=True, max_examples=1000, deadline=None)
+def test_exit_code_contract_with_solver(mode, model, nx, dt, samples):
+    """The solver modes keep the same contract over model numbers and the
+    `solver` block."""
+    B, alpha, m, bt = model
+    solver = {k: v for k, v in (("nx", nx), ("dt", dt)) if v is not _ABSENT}
+    _assert_exit_code_contract({"mode": mode, "model": {"B": B, "alpha": alpha, "m": m},
+                                "times": [bt], "samples": samples, "solver": solver})

@@ -205,8 +205,8 @@ class TestSolve:
     def test_refinement_contraction(self):
         """Doubling the grid shrinks the solution change by >= 3.5x.
 
-        Grids stay modest: past nx ~ 1000 the 1/dx^5 wall functionals
-        amplify roundoff above the shrinking truncation error.
+        Grids stay modest: past nx ~ 769 the error grows with nx
+        (see MAX_NODES).
         """
         profs = {}
         for nx in (129, 257, 513):
