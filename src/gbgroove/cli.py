@@ -65,10 +65,14 @@ PRESETS: dict[str, dict] = {
 # solver domain [0, 8] in units of (B t)^(1/4): the shortest SolverConfig
 # accepts for t_final = 1
 _SOLVER_L = 8.0
-# output rows per Bt value: uncapped, a huge count dies in numpy's
-# allocator outside the 0/2/3 exit codes; at the cap a profile run takes
-# about 1 s and 100 MB
-MAX_SAMPLES = 65536
+# output rows of a whole run, over every Bt value and alpha: uncapped, a
+# long `times` list dies in numpy's allocator outside the 0/2/3 exit codes
+# (a profile run holds about 37 MB per 65536 rows); at the budget a profile
+# run takes about 1 s and 100 MB
+MAX_ROWS = 65536
+# each solve is charged as this many rows: a default solve (513 nodes, 110
+# steps, about 20 ms) takes about as long as 2000 profile rows
+SOLVE_ROWS = 2048
 
 
 class CliConfigError(ValueError):
@@ -133,8 +137,11 @@ class RunConfig:
             raise CliConfigError(f"out must be a path, got {self.out!r}")
         if self.mode in ("profile", "depth-series", "oracle", "compare") and not self.times:
             raise CliConfigError(f"mode {self.mode!r} needs at least one Bt value")
-        if not 2 <= self.samples <= MAX_SAMPLES:
-            raise CliConfigError(f"samples must lie in [2, {MAX_SAMPLES}], got {self.samples}")
+        if not 2 <= self.samples <= MAX_ROWS:
+            raise CliConfigError(f"samples must lie in [2, {MAX_ROWS}], got {self.samples}")
+        if self._rows() > MAX_ROWS:
+            raise CliConfigError(f"the run emits {self._rows()} rows, each solve counted "
+                                 f"as {SOLVE_ROWS}; the budget is {MAX_ROWS}")
         if not 0 <= self.order <= MAX_ORDER:
             raise CliConfigError(f"order must be in [0, {MAX_ORDER}], got {self.order}")
         if self.xmax is not None and self.mode not in ("profile", "compare"):
@@ -157,6 +164,16 @@ class RunConfig:
                 CornerSpec(r=self.corner_r)
             except ValueError as exc:
                 raise CliConfigError(f"bad corner_r: {exc}")
+
+    def _rows(self) -> int:
+        """Rows the run emits, each solve counted as SOLVE_ROWS rows."""
+        per_bt = {"profile": self.samples,
+                  "depth-series": max(len(self.alphas), 1),
+                  "oracle": self.samples + SOLVE_ROWS,
+                  "compare": self.samples + SOLVE_ROWS}
+        if self.mode in per_bt:
+            return per_bt[self.mode] * len(self.times)
+        return self.samples if self.mode == "corner" else 0
 
     def resolved(self) -> dict:
         d = asdict(self)

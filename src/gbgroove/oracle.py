@@ -15,10 +15,15 @@ which is the discrete shadow of matter conservation.
 The interior operator is kept as its one stencil, alpha_hat*D6 - D4, and
 applied by correlation.  The equation is linear with constant
 coefficients, so the backward-Euler matrix of a step h is C + h K + W/h:
-three coefficient arrays assembled once on one CSR pattern.  Each system is
-row-scaled and factored by SuperLU, and only the last one is kept: without
-snapshot splits a step length is used in one run of consecutive steps and
-never again.
+three coefficient arrays assembled once on one CSR pattern, together with
+that pattern's CSC indices and the CSR-to-CSC order of its values.  Each
+system is row-scaled in CSR order, gathered into CSC order and factored by
+SuperLU with the columns in natural order: the system is banded, and a
+fill-reducing reordering finds no less fill.  The plateau step's LU and
+the last one are kept; snapshot splits then cost only their own steps.
+
+SciPy is imported where a system is factored, not at module level, so the
+series-only paths (and ``import gbgroove.cli``) never load it.
 """
 
 from __future__ import annotations
@@ -27,8 +32,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.linalg import splu
 
 __all__ = [
     "ConfigError",
@@ -94,6 +97,16 @@ def fd_weights(nodes, x0: float, order: int) -> np.ndarray:
                                       - (xs[nn - 1] - x0) * d[k, nn - 1, nn - 1])
         c1 = c2
     return d[order, n - 1, :]
+
+
+def _factor(data: np.ndarray, indices: np.ndarray, indptr: np.ndarray):
+    """SuperLU factors of the square CSC matrix (data, indices, indptr),
+    columns in natural order, and the matrix."""
+    from scipy.sparse import csc_matrix
+    from scipy.sparse.linalg import splu
+    n = len(indptr) - 1
+    M = csc_matrix((data, indices, indptr), shape=(n, n))
+    return splu(M, permc_spec="NATURAL"), M
 
 
 def _one_sided(order: int, dx: float) -> np.ndarray:
@@ -189,8 +202,10 @@ class GrooveOperator:
     system for a step h is affine in h and 1/h: ``C + h K + W/h``, with
     interior rows I - h*stencil, constant condition rows and balance rows
     W/h + S.  The three coefficient arrays share one CSR pattern built
-    here; the last system and its LU factors are kept while the step
-    length stays fixed.
+    here, and so do the CSC indices and the CSR-to-CSC value order the
+    factorization takes.  Two systems and their LU factors are kept: the
+    last one, and the plateau step's (BDF2 at step ratio 1), which
+    snapshot splits interrupt.
     """
 
     def __init__(self, config: SolverConfig):
@@ -264,7 +279,15 @@ class GrooveOperator:
         self._cols, self._C, self._K, self._W = map(
             np.concatenate, zip(*(parts[i] for i in sorted(parts))))
         self._indptr = np.concatenate(([0], np.cumsum(nnz)))
-        self._last = (None, None)
+        # the same pattern by columns: a stable sort keeps the rows of each
+        # column ascending, as tocsc would
+        self._csc_order = np.argsort(self._cols, kind="stable")
+        self._csc_indices = np.repeat(np.arange(n, dtype=np.intc), nnz)[self._csc_order]
+        self._csc_indptr = np.concatenate(
+            ([0], np.cumsum(np.bincount(self._cols, minlength=n)))).astype(np.intc)
+        # BDF2 steps of the plateau dt at step ratio 1, as `advance` forms them
+        self._plateau_h = _ramp(config)[0] * (1.0 + 1.0) / (1.0 + 2.0)
+        self._last = self._plateau = (None, None)
 
     def apply(self, y: np.ndarray) -> np.ndarray:
         """Spatial operator on interior rows, zero elsewhere."""
@@ -274,16 +297,16 @@ class GrooveOperator:
 
     def _system_for_dt(self, dt: float):
         """Row-scaled backward-Euler system C + dt K + W/dt, its LU and row scales."""
-        if self._last[0] == dt:
-            return self._last[1]
+        for h, system in (self._last, self._plateau):
+            if h == dt:
+                return system
         vals = self._C + dt * self._K + self._W / dt
         scale = np.maximum(np.maximum.reduceat(np.abs(vals), self._indptr[:-1]), 1e-300)
         vals *= np.repeat(1.0 / scale, np.diff(self._indptr))
-        M = csr_matrix((vals, self._cols, self._indptr), shape=(self.n, self.n))
-        M.eliminate_zeros()
-        Ms = M.tocsc()
-        lu = splu(Ms)
+        lu, Ms = _factor(vals[self._csc_order], self._csc_indices, self._csc_indptr)
         self._last = (dt, (lu, Ms, scale))
+        if dt == self._plateau_h:
+            self._plateau = self._last
         return lu, Ms, scale
 
     def advance(self, z: np.ndarray, dt: float, w: float = 0.0) -> np.ndarray:

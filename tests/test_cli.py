@@ -201,13 +201,35 @@ class TestEntryPoint:
         assert "alpha_hat" in capsys.readouterr().out
 
 
-def test_import_defers_scipy_integrate():
-    """Only quadrature paths need scipy.integrate; the CLI import skips it."""
+_ALUMINA = ["--m", "0.209", "--alpha", "9.7e-16", "--B", "1", "--Bt", "1e-29"]
+
+
+def _main_in_fresh_interpreter(argv, check_code):
+    """Run `main(argv)` in a new interpreter, then `check_code` there."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
-    code = "import sys, gbgroove.cli; assert 'scipy.integrate' not in sys.modules"
-    r = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                       text=True, env=env)
+    code = ("import contextlib, io, sys; from gbgroove.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert main({argv!r}) == 0\n" + check_code)
+    return subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env)
+
+
+@pytest.mark.parametrize("argv", [*(["--preset", p] for p in sorted(PRESETS)),
+                                  ["--mode", "params", *_ALUMINA]],
+                         ids=[*sorted(PRESETS), "params"])
+def test_series_runs_load_no_scipy(argv):
+    """Only the solver factors and only quadrature integrates: a series-only
+    run, import included, loads no SciPy module."""
+    r = _main_in_fresh_interpreter(argv, "loaded = [m for m in sys.modules if m == 'scipy' "
+                                         "or m.startswith('scipy.')]\n"
+                                         "assert not loaded, loaded")
+    assert r.returncode == 0, r.stderr
+
+
+def test_compare_imports_scipy_when_it_factors():
+    r = _main_in_fresh_interpreter(["--mode", "compare", *_ALUMINA, "--samples", "4"],
+                                   "assert 'scipy.sparse.linalg' in sys.modules")
     assert r.returncode == 0, r.stderr
 
 
@@ -276,6 +298,10 @@ _BAD_DOCUMENTS = {
        for key, value in (("L", 8.0), ("theta", 1.0), ("snapshot_times", [0.5]),
                           ("bc_order", 3), ("flux_form", "balance"))},
     "top-level-array": [_FIG4],
+    "rows-past-budget": {**_FIG4, "samples": 32768, "times": [1e-29, 2e-29, 3e-29]},
+    "alphas-past-budget": {**_FIG4, "mode": "depth-series", "alphas": [9.7e-16] * 256,
+                           "times": [1e-29] * 257},
+    "solves-past-budget": {**_FIG4, "mode": "compare", "times": [1e-29] * 32},
 }
 
 

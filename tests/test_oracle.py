@@ -4,7 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
 
+from gbgroove import oracle
 from gbgroove.composite import ExpansionSpec, composite_profile_nd
 from gbgroove.oracle import (
     BC_ORDER,
@@ -451,6 +453,19 @@ class TestSystemAssembly:
             np.testing.assert_allclose(got, ref, rtol=1e-15, atol=0)
 
     @pytest.mark.parametrize("alpha_hat", [0.0, 0.307])
+    def test_csc_matches_tocsc(self, alpha_hat):
+        """The system gathered straight into CSC order is, bit for bit,
+        what converting the same row-scaled CSR values with tocsc gives."""
+        op = assemble_operator(_config(alpha_hat=alpha_hat))
+        for dt in (1e-3, 1.0 / 512, 3e-9):
+            _, Ms, scale = op._system_for_dt(dt)
+            vals = op._C + dt * op._K + op._W / dt
+            vals *= np.repeat(1.0 / scale, np.diff(op._indptr))
+            ref = csr_matrix((vals, op._cols, op._indptr), shape=(op.n, op.n)).tocsc()
+            for name in ("data", "indices", "indptr"):
+                np.testing.assert_array_equal(getattr(Ms, name), getattr(ref, name))
+
+    @pytest.mark.parametrize("alpha_hat", [0.0, 0.307])
     def test_every_row_has_one_role(self, alpha_hat):
         """Interior, wall/far and balance rows partition the system."""
         op = assemble_operator(_config(alpha_hat=alpha_hat))
@@ -459,3 +474,21 @@ class TestSystemAssembly:
         assert not bc & bal and not bc & interior and not bal & interior
         assert bc | bal | interior == set(range(op.n))
         assert bal == {op.interior_lo - 1, op.n - op.interior_lo}
+
+
+@pytest.mark.parametrize("snapshots, factorizations", [((), 28),
+                                                       ((0.1, 0.3, 0.55, 0.8), 40)],
+                         ids=["no-snapshots", "four-snapshots"])
+def test_factorization_count(monkeypatch, snapshots, factorizations):
+    """One factorization per distinct step length, except that a plateau
+    interrupted by a snapshot split goes on with its kept LU."""
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return factor(*args)
+
+    factor = oracle._factor
+    monkeypatch.setattr(oracle, "_factor", counting)
+    solve(_config(dt=1.0 / 64, snapshot_times=snapshots))
+    assert len(calls) == factorizations
