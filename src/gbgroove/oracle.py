@@ -15,15 +15,16 @@ which is the discrete shadow of matter conservation.
 The interior operator is kept as its one stencil, alpha_hat*D6 - D4, and
 applied by correlation.  The equation is linear with constant
 coefficients, so the backward-Euler matrix of a step h is C + h K + W/h:
-three coefficient arrays assembled once on one CSR pattern, together with
-that pattern's CSC indices and the CSR-to-CSC order of its values.  Each
-system is row-scaled in CSR order, gathered into CSC order and factored by
-SuperLU with the columns in natural order: the system is banded, and a
-fill-reducing reordering finds no less fill.  The plateau step's LU and
-the last one are kept; snapshot splits then cost only their own steps.
+three coefficient arrays assembled once in one row-band layout (row i,
+offset j - i), with the bandwidths read off the rows.  Each system is
+row-scaled, moved into LAPACK band storage by one gather and factored by
+LAPACK's banded LU with partial pivoting (dgbtrf); each step is one banded
+solve with those factors (dgbtrs).  The plateau step's factors and the
+last ones are kept; snapshot splits then cost only their own steps.
 
-SciPy is imported where a system is factored, not at module level, so the
-series-only paths (and ``import gbgroove.cli``) never load it.
+SciPy's LAPACK wrappers are imported where a system is factored, not at
+module level, so the series-only paths (and ``import gbgroove.cli``) never
+load SciPy.
 """
 
 from __future__ import annotations
@@ -54,8 +55,8 @@ __all__ = [
 
 MIN_NODES = 64
 # past ~769 nodes the error against the exact box solution grows with nx:
-# at nx 1025 it is up to 18x (dt 1/64) and 79x (dt 1/4096) the error at
-# nx 513, and at nx 2049 it reaches 0.7-9.5% of depth
+# at nx 1025 it is up to 7.7x (dt 1/64) and 112x (dt 1/4096) the error at
+# nx 513, and at nx 2049 it reaches 0.7-9.7% of depth
 MAX_NODES = 2049
 # step budget: a t_final/dt far above it (dt = 1e-9 takes ~1e9 steps)
 # marches for hours with no exit
@@ -72,7 +73,8 @@ class ConfigError(ValueError):
 
 
 class DivergenceError(RuntimeError):
-    """Time integration produced non-finite values."""
+    """Time integration produced non-finite values or an exactly singular
+    time-step system."""
 
 
 def fd_weights(nodes, x0: float, order: int) -> np.ndarray:
@@ -99,14 +101,28 @@ def fd_weights(nodes, x0: float, order: int) -> np.ndarray:
     return d[order, n - 1, :]
 
 
-def _factor(data: np.ndarray, indices: np.ndarray, indptr: np.ndarray):
-    """SuperLU factors of the square CSC matrix (data, indices, indptr),
-    columns in natural order, and the matrix."""
-    from scipy.sparse import csc_matrix
-    from scipy.sparse.linalg import splu
-    n = len(indptr) - 1
-    M = csc_matrix((data, indices, indptr), shape=(n, n))
-    return splu(M, permc_spec="NATURAL"), M
+def _factor(ab: np.ndarray, kl: int, ku: int):
+    """LU factors, with partial pivoting, of the n x n matrix whose LAPACK
+    band storage is ab, and a function that solves with them.
+
+    ab is (2 kl + ku + 1, n) and Fortran-ordered: A[i, j] at
+    ab[kl + ku + i - j, j], the first kl rows left for the fill.  It is
+    factored in place.  An exactly singular matrix raises DivergenceError.
+    """
+    from scipy.linalg.lapack import dgbtrf, dgbtrs
+    lu, piv, info = dgbtrf(ab, kl, ku, overwrite_ab=True)
+    if info < 0:
+        raise RuntimeError(f"dgbtrf rejected argument {-info}")
+    if info > 0:
+        raise DivergenceError(f"singular time-step system: zero pivot in column {info - 1}")
+
+    def solve(b: np.ndarray) -> np.ndarray:
+        x, info = dgbtrs(lu, kl, ku, b, piv, overwrite_b=True)
+        if info:
+            raise RuntimeError(f"dgbtrs rejected argument {-info}")
+        return x
+
+    return solve
 
 
 def _one_sided(order: int, dx: float) -> np.ndarray:
@@ -201,11 +217,13 @@ class GrooveOperator:
     The equation is linear with constant coefficients, so the backward-Euler
     system for a step h is affine in h and 1/h: ``C + h K + W/h``, with
     interior rows I - h*stencil, constant condition rows and balance rows
-    W/h + S.  The three coefficient arrays share one CSR pattern built
-    here, and so do the CSC indices and the CSR-to-CSC value order the
-    factorization takes.  Two systems and their LU factors are kept: the
-    last one, and the plateau step's (BDF2 at step ratio 1), which
-    snapshot splits interrupt.
+    W/h + S.  The three coefficient arrays share one row-band layout, row i
+    and offset j - i from -kl to ku: the interior rows are one broadcast of
+    the stencil and the boundary rows are written into their slots.  A
+    system is row-scaled by its row-wise max, gathered into LAPACK band
+    storage by one index built here, and factored by `_factor`.  Two
+    systems and their factors are kept: the last one, and the plateau
+    step's (BDF2 at step ratio 1), which snapshot splits interrupt.
     """
 
     def __init__(self, config: SolverConfig):
@@ -264,27 +282,34 @@ class GrooveOperator:
         self.balance_rows = {lo - 1: (WL, SL), n - lo: (WR, SR)}
         assert not rows.keys() & self.balance_rows.keys(), "boundary rows overlap"
 
-        # C, K, W on one CSR pattern: row -> (columns, C, K, W), with the
-        # interior band filed under row lo
-        width, m = 2 * lo + 1, hi + 1 - lo
-        eye = np.zeros(width); eye[lo] = 1.0
-        parts = {lo: ((np.arange(lo, hi + 1)[:, None] + np.arange(-lo, lo + 1)).ravel(),
-                      np.tile(eye, m), np.tile(-stencil, m), np.zeros(m * width))}
-        nnz = np.full(n, width)
-        for i in (*range(lo), *range(hi + 1, n)):
-            Wi, Ci = self.balance_rows.get(i, (np.zeros(n), rows.get(i)))
-            j = np.flatnonzero((Wi != 0) | (Ci != 0))
-            parts[i] = (j, Ci[j], np.zeros(len(j)), Wi[j])
-            nnz[i] = len(j)
-        self._cols, self._C, self._K, self._W = map(
-            np.concatenate, zip(*(parts[i] for i in sorted(parts))))
-        self._indptr = np.concatenate(([0], np.cumsum(nnz)))
-        # the same pattern by columns: a stable sort keeps the rows of each
-        # column ascending, as tocsc would
-        self._csc_order = np.argsort(self._cols, kind="stable")
-        self._csc_indices = np.repeat(np.arange(n, dtype=np.intc), nnz)[self._csc_order]
-        self._csc_indptr = np.concatenate(
-            ([0], np.cumsum(np.bincount(self._cols, minlength=n)))).astype(np.intc)
+        # C, K, W in one row-band layout: row i, offset j - i + kl, with kl
+        # and ku the farthest any boundary row reaches below and above
+        edge = np.array([*range(lo), *range(hi + 1, n)])
+        coeffs = {i: self.balance_rows.get(i, (np.zeros(n), rows.get(i))) for i in edge}
+        reach = np.concatenate([np.flatnonzero((Wi != 0) | (Ci != 0)) - i
+                                for i, (Wi, Ci) in coeffs.items()])
+        kl = self.kl = max(lo, -int(reach.min()))
+        ku = self.ku = max(lo, int(reach.max()))
+        self._C, self._K, self._W = (np.zeros((n, kl + ku + 1)) for _ in range(3))
+        self._C[lo:hi + 1, kl] = 1.0
+        self._K[lo:hi + 1, kl - lo:kl + lo + 1] = -stencil
+        for i, (Wi, Ci) in coeffs.items():
+            j = np.arange(max(0, i - kl), min(n, i + ku + 1))
+            self._C[i, j - i + kl] = Ci[j]
+            self._W[i, j - i + kl] = Wi[j]
+        # LAPACK band storage, transposed: A[i, j] goes to [j, kl + ku + i - j]
+        # of an (n, 2 kl + ku + 1) array, whose transpose is the Fortran
+        # array dgbtrf takes.  Fill rows and corners take band entry (0, 0),
+        # which lies left of the matrix and is zero.
+        j = np.arange(n)[:, None]
+        r = np.arange(2 * kl + ku + 1)
+        i = j + r - (kl + ku)
+        inside = (r >= kl) & (i >= 0) & (i < n)
+        self._lapack_index = np.where(inside, i * (kl + ku + 1) + j - i + kl, 0)
+        # the right-hand side's edge rows: the wall and far conditions plus the
+        # balance rows' W @ z / h, whose columns are edge rows too
+        self._edge = edge
+        self._W_edge = np.array([coeffs[i][0][edge] for i in edge])
         # BDF2 steps of the plateau dt at step ratio 1, as `advance` forms them
         self._plateau_h = _ramp(config)[0] * (1.0 + 1.0) / (1.0 + 2.0)
         self._last = self._plateau = (None, None)
@@ -295,19 +320,29 @@ class GrooveOperator:
         out[self.interior_lo:self.interior_hi + 1] = np.correlate(y, self.stencil, "valid")
         return out
 
-    def _system_for_dt(self, dt: float):
-        """Row-scaled backward-Euler system C + dt K + W/dt, its LU and row scales."""
-        for h, system in (self._last, self._plateau):
-            if h == dt:
+    def _scaled_band(self, h: float):
+        """C + h K + W/h in the row-band layout, each row divided by its
+        largest magnitude, and those row scales."""
+        band = self._C + h * self._K + self._W / h
+        scale = np.maximum(np.abs(band).max(axis=1), 1e-300)
+        band /= scale[:, None]
+        return band, scale
+
+    def _system_for_dt(self, h: float):
+        """Solver for the row-scaled system C + h K + W/h, its row scales,
+        and the scaled right-hand side of its edge rows as b0 + G @ z[edge]."""
+        for key, system in (self._last, self._plateau):
+            if key == h:
                 return system
-        vals = self._C + dt * self._K + self._W / dt
-        scale = np.maximum(np.maximum.reduceat(np.abs(vals), self._indptr[:-1]), 1e-300)
-        vals *= np.repeat(1.0 / scale, np.diff(self._indptr))
-        lu, Ms = _factor(vals[self._csc_order], self._csc_indices, self._csc_indptr)
-        self._last = (dt, (lu, Ms, scale))
-        if dt == self._plateau_h:
+        band, scale = self._scaled_band(h)
+        lu_solve = _factor(band.ravel()[self._lapack_index].T, self.kl, self.ku)
+        s = scale[self._edge]
+        system = (lu_solve, scale, self.bc_rhs[self._edge] / s,
+                  self._W_edge / (h * s[:, None]))
+        self._last = (h, system)
+        if h == self._plateau_h:
             self._plateau = self._last
-        return lu, Ms, scale
+        return system
 
     def advance(self, z: np.ndarray, dt: float, w: float = 0.0) -> np.ndarray:
         """One implicit step of length dt from the start value z.
@@ -315,17 +350,14 @@ class GrooveOperator:
         w = 0 is backward Euler from z = y_n.  w > 0 is variable-step BDF2
         after a step of dt/w, with z = ((1+w)^2 y_n - w^2 y_{n-1}) / (1+2w):
         that is a backward-Euler step of dt (1+w)/(1+2w) from z, so both
-        share the systems, the balance rows and the kept LU.
+        share the systems, the balance rows and the kept factors.
         """
         h = dt * (1.0 + w) / (1.0 + 2.0 * w)
-        lu, _, scale = self._system_for_dt(h)
-        lo, hi = self.interior_lo, self.interior_hi
-        rhs = self.bc_rhs.copy()
-        rhs[lo:hi + 1] = z[lo:hi + 1]
-        for i, (W, _) in self.balance_rows.items():
-            rhs[i] = W @ z / h
-        out = lu.solve(rhs / scale)
-        if not np.all(np.isfinite(out)):
+        lu_solve, scale, b0, G = self._system_for_dt(h)
+        rhs = z / scale
+        rhs[self._edge] = b0 + G @ z[self._edge]
+        out = lu_solve(rhs)
+        if not np.isfinite(out).all():
             raise DivergenceError(
                 f"non-finite solution after a dt = {dt:.3e} step "
                 f"(max |z| before step: {np.max(np.abs(z)):.3e})")
@@ -379,17 +411,28 @@ def solve(config: SolverConfig) -> list[Profile]:
     """
     op = assemble_operator(config)
     ts = time_grid(config)
-    ramp_end = _ramp(config)[1][-1]
+    plateau_dt, ramp = _ramp(config)
+    ramp_end = float(ramp[-1])
+    # a step that is a ramp stage or the plateau step dt/2^s to within the
+    # rounding of its end points is taken as exactly that, so that a dt
+    # that is not a power of two still has one system per stage
+    hs = np.diff(ts)
+    nominal = plateau_dt * 2.0 ** np.round(np.log2(hs / plateau_dt))
+    hs = np.where(np.abs(hs - nominal) <= 2.0 * np.spacing(ts[1:]), nominal, hs).tolist()
+    ts = ts.tolist()
     wanted = sorted(set(config.snapshot_times) | {config.t_final})
     y = y_prev = np.zeros(config.grid.nx)
     out: list[Profile] = []
     wi = 0
     for k in range(len(ts) - 1):
-        dt = ts[k + 1] - ts[k]
-        w = dt / (ts[k] - ts[k - 1]) if ts[k + 1] > ramp_end else 0.0
+        dt = hs[k]
+        w = dt / hs[k - 1] if ts[k + 1] > ramp_end else 0.0
         if w > BDF2_MAX_RATIO:
             w = 0.0
-        z = ((1.0 + w) ** 2 * y - w ** 2 * y_prev) / (1.0 + 2.0 * w) if w else y
+        if w:
+            z = ((1.0 + w) ** 2 / (1.0 + 2.0 * w)) * y - (w ** 2 / (1.0 + 2.0 * w)) * y_prev
+        else:
+            z = y
         # w goes in positionally: the benchmark's tracer tells a new
         # factorization from a reused one by the (dt, w) pair
         y_prev, y = y, op.advance(z, dt, w)

@@ -4,7 +4,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.sparse import csr_matrix
 
 from gbgroove import oracle
 from gbgroove.composite import ExpansionSpec, composite_profile_nd
@@ -13,6 +12,7 @@ from gbgroove.oracle import (
     MAX_NODES,
     MAX_STEPS,
     ConfigError,
+    DivergenceError,
     Grid,
     Profile,
     SolverConfig,
@@ -121,11 +121,14 @@ class TestOperator:
         assert np.max(np.abs(res[interior] - expect)) < 5e-3
 
     def test_bandwidth_bound(self):
-        for alpha_hat in (0.0, AH_FIG):
+        """The bandwidths are read off the rows: tight, and within 9."""
+        for alpha_hat, kl, ku in ((0.0, 2, 3), (AH_FIG, 3, 5)):
             op = assemble_operator(_config(alpha_hat=alpha_hat))
-            _, Ms, _ = op._system_for_dt(1.0 / 512)
-            rows, cols = Ms.nonzero()
-            assert np.max(np.abs(rows - cols)) <= 9
+            band, _ = op._scaled_band(1.0 / 512)
+            rows, cols = _band_to_dense(band, op.kl).nonzero()
+            assert (op.kl, op.ku) == (kl, ku)
+            assert (np.max(rows - cols), np.max(cols - rows)) == (kl, ku)
+            assert max(kl, ku) <= 9
 
 
 class TestStep:
@@ -200,6 +203,15 @@ class TestSolve:
         """At the CLI's grid and plateau step the solver sits within 1e-4
         of depth of the Laplace-Talbot solution on the same box."""
         cfg = _config(dt=1.0 / 64, alpha_hat=alpha_hat)
+        ref = exact_profile(cfg.grid.nodes, 1.0, cfg.m, alpha_hat, L=cfg.grid.L)
+        err = np.max(np.abs(solve(cfg)[-1].heights - ref))
+        assert err <= 1e-4 * abs(ref[0])
+
+    @pytest.mark.parametrize("alpha_hat", [0.05, AH_FIG, 0.56])
+    def test_matches_exact_reference_at_fine_dt(self, alpha_hat):
+        """At dt = 1/4096 the time error is gone and the same 1e-4 of depth
+        bounds the spatial error at the CLI's grid."""
+        cfg = _config(dt=1.0 / 4096, alpha_hat=alpha_hat)
         ref = exact_profile(cfg.grid.nodes, 1.0, cfg.m, alpha_hat, L=cfg.grid.L)
         err = np.max(np.abs(solve(cfg)[-1].heights - ref))
         assert err <= 1e-4 * abs(ref[0])
@@ -388,6 +400,34 @@ class TestTimeGrid:
         np.testing.assert_array_equal(ts[51:], np.arange(5, 65) / 64)
 
 
+def _band_to_dense(band, kl):
+    """The matrix a row-band array holds: band[i, d] is A[i, i + d - kl].
+    Raises if an entry that lies outside the matrix is not zero."""
+    n = len(band)
+    A = np.zeros((n, n))
+    for d in range(band.shape[1]):
+        i = np.arange(n)
+        j = i + d - kl
+        inside = (j >= 0) & (j < n)
+        assert np.all(band[~inside, d] == 0.0)
+        A[i[inside], j[inside]] = band[inside, d]
+    return A
+
+
+def _lapack_to_dense(ab, kl, ku):
+    """The matrix LAPACK band storage holds: A[i, j] at ab[kl + ku + i - j, j].
+    Raises if the kl fill rows or a corner entry are not zero."""
+    n = ab.shape[1]
+    A = np.zeros((n, n))
+    for r in range(ab.shape[0]):
+        j = np.arange(n)
+        i = j + r - kl - ku
+        inside = (r >= kl) & (i >= 0) & (i < n)
+        assert np.all(ab[r, ~inside] == 0.0)
+        A[i[inside], j[inside]] = ab[r, inside]
+    return A
+
+
 def _dense_system(cfg, dt):
     """Row-scaled time-step matrix, row by row in dense numpy, straight from
     the stencil definitions: interior rows I - dt (alpha_hat D6 - D4),
@@ -445,25 +485,49 @@ class TestSystemAssembly:
         cfg = _config(grid=Grid(L=8.0, nx=64), alpha_hat=alpha_hat)
         op = assemble_operator(cfg)
         for dt in (1e-3, 1.0 / 512, 3e-9):
-            _, Ms, _ = op._system_for_dt(dt)
-            got = Ms.toarray()
+            band, _ = op._scaled_band(dt)
+            got = _band_to_dense(band, op.kl)
             ref = _dense_system(cfg, dt)
-            assert Ms.nnz == np.count_nonzero(got)
             np.testing.assert_array_equal(got != 0, ref != 0)
             np.testing.assert_allclose(got, ref, rtol=1e-15, atol=0)
 
     @pytest.mark.parametrize("alpha_hat", [0.0, 0.307])
-    def test_csc_matches_tocsc(self, alpha_hat):
-        """The system gathered straight into CSC order is, bit for bit,
-        what converting the same row-scaled CSR values with tocsc gives."""
-        op = assemble_operator(_config(alpha_hat=alpha_hat))
+    def test_lapack_storage_matches_dense(self, monkeypatch, alpha_hat):
+        """What dgbtrf is handed, expanded from LAPACK band storage, is the
+        dense reference system, and its factors solve that system."""
+        handed = []
+
+        def capturing(ab, kl, ku):
+            handed.append((ab.copy(), kl, ku))
+            return factor(ab, kl, ku)
+
+        factor = oracle._factor
+        monkeypatch.setattr(oracle, "_factor", capturing)
+        cfg = _config(alpha_hat=alpha_hat)
+        op = assemble_operator(cfg)
+        b = np.cos(np.arange(op.n))
         for dt in (1e-3, 1.0 / 512, 3e-9):
-            _, Ms, scale = op._system_for_dt(dt)
-            vals = op._C + dt * op._K + op._W / dt
-            vals *= np.repeat(1.0 / scale, np.diff(op._indptr))
-            ref = csr_matrix((vals, op._cols, op._indptr), shape=(op.n, op.n)).tocsc()
-            for name in ("data", "indices", "indptr"):
-                np.testing.assert_array_equal(getattr(Ms, name), getattr(ref, name))
+            lu_solve = op._system_for_dt(dt)[0]
+            ab, kl, ku = handed[-1]
+            assert ab.shape == (2 * op.kl + op.ku + 1, op.n) and (kl, ku) == (op.kl, op.ku)
+            got = _lapack_to_dense(ab, kl, ku)
+            ref = _dense_system(cfg, dt)
+            np.testing.assert_array_equal(got != 0, ref != 0)
+            np.testing.assert_allclose(got, ref, rtol=1e-15, atol=0)
+            x = lu_solve(b.copy())
+            # normwise backward error, eps-sized for partial-pivoting LU
+            bound = np.abs(got).sum(axis=1).max() * np.max(np.abs(x)) + np.max(np.abs(b))
+            assert np.max(np.abs(got @ x - b)) <= 1e-14 * bound
+
+    def test_singular_band_raises_divergence(self):
+        """An exactly singular system is a DivergenceError (CLI exit 3)."""
+        kl, ku, n = 3, 5, 16
+        ab = np.zeros((2 * kl + ku + 1, n), order="F")
+        ab[kl + ku] = 1.0
+        ab[kl + ku - 2, 2:] = 0.5
+        ab[:, 7] = 0.0
+        with pytest.raises(DivergenceError, match="column 7"):
+            oracle._factor(ab, kl, ku)
 
     @pytest.mark.parametrize("alpha_hat", [0.0, 0.307])
     def test_every_row_has_one_role(self, alpha_hat):
@@ -492,3 +556,19 @@ def test_factorization_count(monkeypatch, snapshots, factorizations):
     monkeypatch.setattr(oracle, "_factor", counting)
     solve(_config(dt=1.0 / 64, snapshot_times=snapshots))
     assert len(calls) == factorizations
+
+
+@pytest.mark.parametrize("dt", [1.0 / 100, 1e-3])
+def test_plateau_dt_off_the_dyadics_refactors_no_more(monkeypatch, dt):
+    """A plateau dt that is not a power of two factors at most twice more
+    than dt = 1/64: its full ramp and plateau steps are taken as exactly
+    dt/2^s, not as differences of rounded lattice times."""
+    calls = []
+    factor = oracle._factor
+    monkeypatch.setattr(oracle, "_factor", lambda *args: calls.append(args) or factor(*args))
+    counts = []
+    for plateau_dt in (1.0 / 64, dt):
+        calls.clear()
+        solve(_config(dt=plateau_dt))
+        counts.append(len(calls))
+    assert counts[1] <= counts[0] + 2
