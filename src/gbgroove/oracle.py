@@ -284,7 +284,7 @@ class GrooveOperator:
 
         # C, K, W in one row-band layout: row i, offset j - i + kl, with kl
         # and ku the farthest any boundary row reaches below and above
-        edge = np.array([*range(lo), *range(hi + 1, n)])
+        edge = [*range(lo), *range(hi + 1, n)]
         coeffs = {i: self.balance_rows.get(i, (np.zeros(n), rows.get(i))) for i in edge}
         reach = np.concatenate([np.flatnonzero((Wi != 0) | (Ci != 0)) - i
                                 for i, (Wi, Ci) in coeffs.items()])
@@ -308,7 +308,7 @@ class GrooveOperator:
         self._lapack_index = np.where(inside, i * (kl + ku + 1) + j - i + kl, 0)
         # the right-hand side's edge rows: the wall and far conditions plus the
         # balance rows' W @ z / h, whose columns are edge rows too
-        self._edge = edge
+        self._edge = np.array(edge)
         self._W_edge = np.array([coeffs[i][0][edge] for i in edge])
         # BDF2 steps of the plateau dt at step ratio 1, as `advance` forms them
         self._plateau_h = _ramp(config)[0] * (1.0 + 1.0) / (1.0 + 2.0)
