@@ -15,7 +15,7 @@ import json
 import math
 import numbers
 import sys
-from dataclasses import asdict, astuple, dataclass, field
+from dataclasses import asdict, astuple, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -194,7 +194,9 @@ class RunConfig:
                 B, alpha, m = map(float, values)
                 if not B > 0:
                     raise ValueError(f"B must be positive, got {B}")
-                params = nondimensionalize(B, alpha, bt / B, m)
+                # L0 = (Bt)^(1/4) from Bt itself: B * (bt / B) can miss bt by
+                # an ulp, and the solver magnifies that in alpha_hat
+                params = replace(nondimensionalize(1.0, alpha, bt, m), B=B)
             else:
                 phys = PhysicalParams(**self.physical)
                 _require_numbers("physical entries", astuple(phys))
@@ -281,7 +283,7 @@ def _expansion_spec(cfg: RunConfig, params: ModelParams) -> ExpansionSpec:
     corner = None
     if cfg.include_corner:
         corner = CornerSpec(r=cfg.corner_r, gamma=cfg.corner_gamma,
-                            alpha_hat=params.alpha_hat, B=1.0)
+                            alpha_hat=params.alpha_hat)
     return ExpansionSpec(N=cfg.order, corner=corner)
 
 
@@ -401,10 +403,10 @@ def _mode_corner(cfg: RunConfig) -> str:
     if ah <= 0:
         raise CliConfigError("corner mode needs alpha > 0")
     gamma_amp = cfg.corner_gamma if cfg.corner_gamma != 0.0 else ah
-    spec = CornerSpec(r=cfg.corner_r, gamma=gamma_amp, alpha_hat=ah, B=1.0)
+    spec = CornerSpec(r=cfg.corner_r, gamma=gamma_amp, alpha_hat=ah)
     tau = 1.0
     ws = np.linspace(0.0, 20.0, cfg.samples)
-    zeta = ws * (spec.B * tau) ** (1.0 / 6.0)
+    zeta = ws * tau ** (1.0 / 6.0)
     yc456 = corner_solutions_yc((4, 5, 6), zeta, tau, spec)
     combination = corner_combination(zeta, tau, spec, yc456=yc456)
     columns = ["w", "y_c4", "y_c5", "y_c6", "combination"]

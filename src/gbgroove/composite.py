@@ -1,9 +1,10 @@
 """Uniform composite profile, wall-condition residuals and groove metrics.
 
 The composite is outer expansion + wall correction (+ optional corner
-term), evaluated in nondimensional variables and dimensionalized at the
-interface.  Metrics are extracted from a dense sampling refined near the
-wall so the exponential layer is never missed.
+term), evaluated in nondimensional variables (x in units of L0, t standing
+for B t / L0^4) and dimensionalized at the interface.  Metrics are
+extracted from a dense sampling refined near the wall so the exponential
+layer is never missed.
 """
 
 from __future__ import annotations
@@ -94,21 +95,25 @@ def _nd_coords(x: float, t: float, params: ModelParams) -> tuple[float, float]:
 
 def composite_profile_nd(x, t: float, m: float, alpha_hat: float,
                          spec: ExpansionSpec, order: int = 0):
-    """Composite profile in nondimensional variables (B = 1), or its
-    d^order/dx^order (term-differentiated).
+    """Composite profile in nondimensional variables (x / L0, with t the
+    product B t / L0^4), or its d^order/dx^order (term-differentiated).
 
-    The corner term has derivatives only at the wall, in closed form
-    (x = 0, order <= 5); with a nonzero corner, any other derivative
-    raises ValueError.
+    A nonzero corner term must carry this `alpha_hat`, or ValueError is
+    raised.  It has derivatives only at the wall, in closed form (x = 0,
+    order <= 5); with a nonzero corner, any other derivative raises
+    ValueError.
     """
-    y = mullins_profile(x, t, 1.0, m, order)
-    for r in range(1, spec.N + 1):
-        y += alpha_hat ** r * outer_term(r, x, t, 1.0, m, order)
-    if alpha_hat > 0:
-        y += boundary_layer_G(x, t, alpha_hat, 1.0, m, order)
     corner = spec.corner
-    if corner is not None and corner.gamma != 0.0 and corner.alpha_hat > 0:
-        ah = corner.alpha_hat
+    if corner is not None and corner.gamma != 0.0 and corner.alpha_hat != alpha_hat:
+        raise ValueError(f"corner alpha_hat = {corner.alpha_hat} differs from "
+                         f"the profile's alpha_hat = {alpha_hat}")
+    y = mullins_profile(x, t, m, order=order)
+    for r in range(1, spec.N + 1):
+        y += alpha_hat ** r * outer_term(r, x, t, m, order=order)
+    if alpha_hat > 0:
+        y += boundary_layer_G(x, t, alpha_hat, m, order=order)
+    if corner is not None and corner.gamma != 0.0 and alpha_hat > 0:
+        ah = alpha_hat
         if order == 0:
             y += corner_combination(x / ah, t / ah ** 5, corner)
         elif np.any(x):
@@ -128,7 +133,7 @@ def composite_profile(x: float, t: float, params: ModelParams,
 def mullins_profile_dim(x: float, t: float, params: ModelParams) -> float:
     """Dimensional unpassivated profile for side-by-side comparisons."""
     xh, th = _nd_coords(x, t, params)
-    return params.L0 * mullins_profile(xh, th, 1.0, params.m)
+    return params.L0 * mullins_profile(xh, th, params.m)
 
 
 def bc_residuals(t: float, params: ModelParams,
@@ -163,10 +168,10 @@ def curvature_cancellation_residuals(t: float, params: ModelParams) -> tuple[flo
     """
     _, th = _nd_coords(0.0, t, params)
     m = params.m
-    b2 = beta2(th, 1.0, m)
-    c0 = mullins_profile(0.0, th, 1.0, m, 2)
-    b4 = beta4(th, 1.0, m)
-    c1 = outer_term(1, 0.0, th, 1.0, m, 2)
+    b2 = beta2(th, m)
+    c0 = mullins_profile(0.0, th, m, order=2)
+    b4 = beta4(th, m)
+    c1 = outer_term(1, 0.0, th, m, order=2)
     return abs(b2 + c0) / abs(b2), abs(b4 + c1) / abs(b4)
 
 

@@ -5,8 +5,10 @@ term balances the fourth-order one; its correction is a pair of decaying
 exponentials whose amplitudes cancel the outer curvature at the wall,
 order by order.  The corner layer (x = O(alpha), t = O(alpha^5)) is ruled
 by pure sixth-order diffusion, whose similarity solutions are 1F5
-combinations assembled through a constant 6x6 matrix.  The evaluators
-take a float or an array of points; a float gives a float back.
+combinations assembled through a constant 6x6 matrix.  Variables are
+nondimensional, as in `outer`: t (and the corner time tau) stands for
+B t / L0^4, so B never enters separately.  The evaluators take a float or
+an array of points; a float gives a float back.
 `boundary_layer_G` and `corner_fundamental_v` take `order` and return that
 derivative, the value at the default 0.
 """
@@ -74,27 +76,25 @@ _W6_SCALE = -1.0 / 6.0 ** 6
 # boundary layer
 
 
-def beta2(t: float, B: float, m: float) -> float:
+def beta2(t: float, m: float) -> float:
     """Order-alpha amplitude; cancels the leading outer curvature at x=0."""
-    bt = B * t
-    if not bt > 0:
-        raise ValueError("need B*t > 0")
-    return m / (2.0 * _SQRT2 * bt ** 0.25 * _G34)
+    if not t > 0:
+        raise ValueError("need t > 0")
+    return m / (2.0 * _SQRT2 * t ** 0.25 * _G34)
 
 
-def beta4(t: float, B: float, m: float) -> float:
+def beta4(t: float, m: float) -> float:
     """Order-alpha^2 amplitude; cancels the first-correction curvature at x=0."""
-    bt = B * t
-    if not bt > 0:
-        raise ValueError("need B*t > 0")
-    return -m * _G74 / (4.0 * math.pi * bt ** 0.75)
+    if not t > 0:
+        raise ValueError("need t > 0")
+    return -m * _G74 / (4.0 * math.pi * t ** 0.75)
 
 
-def _bl_amplitude(t: float, alpha: float, B: float, m: float) -> float:
-    return alpha * beta2(t, B, m) + alpha ** 2 * beta4(t, B, m)
+def _bl_amplitude(t: float, alpha: float, m: float) -> float:
+    return alpha * beta2(t, m) + alpha ** 2 * beta4(t, m)
 
 
-def boundary_layer_G(x, t: float, alpha: float, B: float, m: float, order: int = 0):
+def boundary_layer_G(x, t: float, alpha: float, m: float, *, order: int = 0):
     """Wall correction G = (alpha b2 + alpha^2 b4) exp(-x/sqrt(alpha)), or its
     exact d^order/dx^order."""
     if alpha == 0.0:
@@ -104,7 +104,7 @@ def boundary_layer_G(x, t: float, alpha: float, B: float, m: float, order: int =
     if np.any(np.less(x, 0)):
         raise ValueError("x must be non-negative")
     sign = -1.0 if order % 2 else 1.0
-    coeff = sign * alpha ** (-0.5 * order) * _bl_amplitude(t, alpha, B, m)
+    coeff = sign * alpha ** (-0.5 * order) * _bl_amplitude(t, alpha, m)
     # exp per point in Python floats (libm), which numpy's exp may not match
     return up_to(700.0, np.divide(x, math.sqrt(alpha)), lambda xi: np.array(
         [coeff * math.exp(-v) for v in np.ravel(xi).tolist()]).reshape(np.shape(xi)))
@@ -121,14 +121,11 @@ class CornerSpec:
     r: float = -1.0
     gamma: float = 0.0      # amplitude V'(0); physically O(alpha_hat)
     alpha_hat: float = 0.0
-    B: float = 1.0
 
     def __post_init__(self):
         if not self.r < SIMILARITY_EXPONENT_LIMIT:
             raise ValueError(
                 f"similarity exponent r must be < -2/3 for decay in time, got {self.r}")
-        if not self.B > 0:
-            raise ValueError("B must be positive")
         if self.alpha_hat < 0:
             raise ValueError("alpha_hat must be non-negative")
         if self.alpha_hat > 0 and abs(self.gamma) > 10.0 * self.alpha_hat:
@@ -204,13 +201,12 @@ def corner_solution_diagnostics(i, zeta, tau: float, spec: CornerSpec) -> Series
         raise ValueError("tau must be positive")
     if np.any(np.less(zeta, 0)):
         raise ValueError("zeta must be non-negative")
-    btau = spec.B * tau
-    w = np.divide(zeta, btau ** (1.0 / 6.0))
+    w = np.divide(zeta, tau ** (1.0 / 6.0))
     weights = corner_weights(spec.r)
     wij = [[weights[j] * CORNER_MATRIX[k - 1, j] for j in range(6)] for k in rows]
     v = {j: corner_fundamental_v(j + 1, w, spec.r)
          for j in range(6) if any(row[j] != 0.0 for row in wij)}
-    pref = btau ** spec.r
+    pref = tau ** spec.r
     value, max_piece = [], []
     for row in wij:
         pieces = [row[j] * v[j] for j in range(6) if row[j] != 0.0]
@@ -238,13 +234,12 @@ def _bracket_gammas(r: float) -> tuple[float, float, float]:
 
 
 def theorem_coefficients(Vprime0: float, r: float, alpha_hat: float,
-                         tau: float, B: float) -> tuple[float, float, float]:
+                         tau: float) -> tuple[float, float, float]:
     """Closed-form coefficients (c4, c5, c6) of the decaying combination."""
     gA, gB, gC = _bracket_gammas(r)
-    btau = B * tau
     A = Vprime0 * gA
-    Bt = alpha_hat * btau ** (1.0 / 3.0) * Vprime0 * gB
-    C = alpha_hat ** 2 * btau ** (2.0 / 3.0) * Vprime0 * gC
+    Bt = alpha_hat * tau ** (1.0 / 3.0) * Vprime0 * gB
+    C = alpha_hat ** 2 * tau ** (2.0 / 3.0) * Vprime0 * gC
     c4 = -(C + Bt + A) / 3.0
     c5 = -(C - 2.0 * Bt + A) / 3.0
     c6 = -(C - A) / _SQRT3
@@ -258,8 +253,8 @@ _BC_ROWS = np.array([
 ])
 
 
-def solve_c456(Vprime0: float, r: float, alpha_hat: float, tau: float,
-               B: float) -> tuple[float, float, float]:
+def solve_c456(Vprime0: float, r: float, alpha_hat: float,
+               tau: float) -> tuple[float, float, float]:
     """Coefficients (c4, c5, c6) by direct solve of the wall-condition system.
 
     Cross-checks the closed-form brackets; the 3x3 matrix is constant and
@@ -268,11 +263,10 @@ def solve_c456(Vprime0: float, r: float, alpha_hat: float, tau: float,
     if not r < SIMILARITY_EXPONENT_LIMIT:
         raise ValueError("similarity exponent r must be < -2/3")
     gA, gB, gC = _bracket_gammas(r)
-    btau = B * tau
     rhs = np.array([
         Vprime0 * gA,
-        alpha_hat * btau ** (1.0 / 3.0) * Vprime0 * gB,
-        alpha_hat ** 2 * btau ** (2.0 / 3.0) * Vprime0 * gC,
+        alpha_hat * tau ** (1.0 / 3.0) * Vprime0 * gB,
+        alpha_hat ** 2 * tau ** (2.0 / 3.0) * Vprime0 * gC,
     ])
     det = np.linalg.det(_BC_ROWS)
     assert abs(det) > 1.0    # constant matrix, det = 3 sqrt(3)/2 ~ 2.598
@@ -289,8 +283,7 @@ def corner_combination(zeta, tau: float, spec: CornerSpec, yc456=None):
     """
     if spec.gamma == 0.0:
         return np.zeros(np.shape(zeta)) if np.ndim(zeta) else 0.0
-    c4, c5, c6 = theorem_coefficients(spec.gamma, spec.r, spec.alpha_hat,
-                                      tau, spec.B)
+    c4, c5, c6 = theorem_coefficients(spec.gamma, spec.r, spec.alpha_hat, tau)
     if not all(map(math.isfinite, (c4, c5, c6))):
         raise SeriesError(f"corner coefficients overflow: (c4, c5, c6) = "
                           f"({c4}, {c5}, {c6}) at alpha_hat = {spec.alpha_hat}")
@@ -316,11 +309,10 @@ def corner_combination_deriv0(k: int, tau: float, spec: CornerSpec) -> float:
         raise ValueError("tau must be positive")
     if spec.gamma == 0.0:
         return 0.0
-    cs = theorem_coefficients(spec.gamma, spec.r, spec.alpha_hat, tau, spec.B)
-    btau = spec.B * tau
+    cs = theorem_coefficients(spec.gamma, spec.r, spec.alpha_hat, tau)
     col = CORNER_MATRIX[3:6, k]
     total = float(np.dot(cs, col)) * reciprocal_gamma((6 - k) / 6.0 + spec.r)
-    return btau ** (spec.r - k / 6.0) * total
+    return tau ** (spec.r - k / 6.0) * total
 
 
 def corner_root_curvature(t: float, spec: CornerSpec) -> float:
@@ -338,11 +330,10 @@ def corner_root_curvature(t: float, spec: CornerSpec) -> float:
         raise ValueError("corner curvature needs alpha_hat > 0")
     r = spec.r
     ah = spec.alpha_hat
-    bt = spec.B * t
     g23 = _gamma_or_pole(r + 2.0 / 3.0, "curvature denominator")
     gA, gB, gC = _bracket_gammas(r)
     return (spec.gamma / g23) * (
-        bt ** (r + 1.0 / 3.0) * gC / (3.0 * ah ** (5.0 * r + 5.0 / 3.0))
-        - 2.0 * bt ** r * gB / (3.0 * ah ** (5.0 * r + 1.0))
-        - 2.0 * bt ** (r - 1.0 / 3.0) * gA / (3.0 * ah ** (5.0 * r + 1.0 / 3.0))
+        t ** (r + 1.0 / 3.0) * gC / (3.0 * ah ** (5.0 * r + 5.0 / 3.0))
+        - 2.0 * t ** r * gB / (3.0 * ah ** (5.0 * r + 1.0))
+        - 2.0 * t ** (r - 1.0 / 3.0) * gA / (3.0 * ah ** (5.0 * r + 1.0 / 3.0))
     )

@@ -1,9 +1,11 @@
 """Self-similar groove profiles: the fourth-order (unpassivated) solution
 and the higher-order outer corrections of the passivated problem.
 
-All shapes are functions of the similarity variable u = x/(Bt)^(1/4) with
-series argument z = u^4/256.  Evaluators clamp at u = U_CLAMP and return 0
-beyond it; past that point the profile is buried in cancellation noise.
+Variables are nondimensional: x in units of L0 and t standing for
+B t / L0^4, so B enters only through that product.  All shapes are
+functions of the similarity variable u = x/t^(1/4) with series argument
+z = u^4/256.  Evaluators clamp at u = U_CLAMP and return 0 beyond it;
+past that point the profile is buried in cancellation noise.
 The evaluators take a float or an array of points (x or u); a float gives
 a float back.  The profile and shape evaluators take `order` and return
 that derivative, the value at the default 0.
@@ -54,19 +56,13 @@ class QuadratureError(RuntimeError):
     """Adaptive quadrature failed to reach the requested accuracy."""
 
 
-def _check_bt(t: float, B: float) -> float:
-    bt = B * t
-    if not bt > 0:
-        raise ValueError(f"need B*t > 0, got B={B}, t={t}")
-    return bt
-
-
-def _similarity(x, t: float, B: float):
-    """(u, L) with L = (Bt)^(1/4)."""
+def _similarity(x, t: float):
+    """(u, L) with L = t^(1/4)."""
     if np.any(np.less(x, 0)):
         raise ValueError(f"x must be non-negative, got {x}")
-    bt = _check_bt(t, B)
-    L = bt ** 0.25
+    if not t > 0:
+        raise ValueError(f"need t > 0, got t={t}")
+    L = t ** 0.25
     return x / L, L
 
 
@@ -92,14 +88,14 @@ _MULLINS_PIECES = (
 
 
 def mullins_shape(u, order: int = 0):
-    """d^order/du^order of the unpassivated similarity shape Z(u) = y0/(m (Bt)^{1/4})."""
+    """d^order/du^order of the unpassivated similarity shape Z(u) = y0/(m t^{1/4})."""
     return up_to(U_CLAMP, u, lambda v: _linear_term_deriv(0.5, v, order)
                     + _shape_deriv(_MULLINS_PIECES, v, order))
 
 
-def basis_f1(x: float, t: float, B: float) -> float:
+def basis_f1(x: float, t: float) -> float:
     """First decaying self-similar basis solution of the fourth-order problem."""
-    u, L = _similarity(x, t, B)
+    u, L = _similarity(x, t)
     pieces = (
         (-1.0 / (2.0 * _G34), 2, _EVEN),
         (1.0 / (6.0 * _SQRT2 * _G12), 3, _CUBIC),
@@ -107,9 +103,9 @@ def basis_f1(x: float, t: float, B: float) -> float:
     return L * up_to(U_CLAMP, u, lambda v: v / _SQRT2 + _shape_deriv(pieces, v, 0))
 
 
-def basis_f2(x: float, t: float, B: float) -> float:
+def basis_f2(x: float, t: float) -> float:
     """Second decaying self-similar basis solution of the fourth-order problem."""
-    u, L = _similarity(x, t, B)
+    u, L = _similarity(x, t)
     pieces = (
         (1.0 / _G54, 0, _CONST),
         (1.0 / (6.0 * _SQRT2 * _G12), 3, _CUBIC),
@@ -117,10 +113,10 @@ def basis_f2(x: float, t: float, B: float) -> float:
     return L * up_to(U_CLAMP, u, lambda v: -v / _SQRT2 + _shape_deriv(pieces, v, 0))
 
 
-def mullins_profile(x, t: float, B: float, m: float, order: int = 0):
+def mullins_profile(x, t: float, m: float, *, order: int = 0):
     """Unpassivated groove profile y0(x, t), or its d^order/dx^order
     (term-differentiated)."""
-    u, L = _similarity(x, t, B)
+    u, L = _similarity(x, t)
     return m * L ** (1 - order) * mullins_shape(u, order)
 
 
@@ -140,26 +136,26 @@ def outer_term_shape(r: int, u, order: int = 0):
     return up_to(U_CLAMP, u, lambda v: _shape_deriv(pieces, v, order))
 
 
-def outer_term(r: int, x, t: float, B: float, m: float, order: int = 0):
+def outer_term(r: int, x, t: float, m: float, *, order: int = 0):
     """Order-r outer correction y_r(x, t), or its d^order/dx^order
     (term-differentiated); enters the expansion as alpha^r y_r."""
-    u, L = _similarity(x, t, B)
+    u, L = _similarity(x, t)
     return m * L ** (1 - 2 * r - order) * outer_term_shape(r, u, order)
 
 
-def yr_quadrature_oracle(r: int, x: float, t: float, B: float, m: float,
+def yr_quadrature_oracle(r: int, x: float, t: float, m: float,
                          rtol: float = 1e-11) -> float:
     """Order-r correction by direct inverse cosine-transform quadrature.
 
     Fully independent of the hypergeometric evaluation path: integrates
-    (2/pi) * (-Bt)^r * (m / (2 r!)) * k^{6r-2} e^{-B k^4 t} cos(k x)
+    (2/pi) * (-t)^r * (m / (2 r!)) * k^{6r-2} e^{-k^4 t} cos(k x)
     over k after rescaling to the similarity variable.
     """
     from scipy.integrate import quad  # deferred: it is most of the package import time
 
     if r < 1:
         raise ValueError(f"correction index r must be >= 1, got {r}")
-    u, L = _similarity(x, t, B)
+    u, L = _similarity(x, t)
     power = 6 * r - 2
 
     def integrand(kappa):

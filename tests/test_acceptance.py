@@ -91,8 +91,8 @@ def test_criterion_02_basis_identity():
     worst = 0.0
     for i in range(200):
         u = 10.0 * i / 199
-        lhs = mullins_profile(u, 1.0, 1.0, m)
-        rhs = coeff * (basis_f1(u, 1.0, 1.0) - basis_f2(u, 1.0, 1.0))
+        lhs = mullins_profile(u, 1.0, m)
+        rhs = coeff * (basis_f1(u, 1.0) - basis_f2(u, 1.0))
         worst = max(worst, abs(lhs - rhs) / m)
     _report(2, worst <= 1e-10, f"max |identity residual| = {worst:.3e} (scale m)")
     assert worst <= 1e-10
@@ -110,7 +110,7 @@ def test_criterion_03_first_correction_closed_form():
         fb = hyp_pFq(HypArgs((1.75,), (0.75, 1.25, 1.5), z)).value
         alt = (-m * g14 * fa / (16 * math.pi)
                - 3 * m * u ** 2 * gm14 * fb / (128 * math.pi))
-        lib = outer_term(1, u, 1.0, 1.0, m)
+        lib = outer_term(1, u, 1.0, m)
         scale = max(abs(alt), abs(lib), 1e-3 * m)
         worst = max(worst, abs(lib - alt) / scale)
     _report(3, worst <= 1e-10, f"max rel deviation = {worst:.3e}")
@@ -122,8 +122,8 @@ def test_criterion_04_quadrature_oracle():
     worst = 0.0
     for r in (1, 2, 3):
         for u in (0.0, 0.5, 1.0, 2.0, 4.0):
-            lib = outer_term(r, u, 1.0, 1.0, 1.0)
-            orc = yr_quadrature_oracle(r, u, 1.0, 1.0, 1.0)
+            lib = outer_term(r, u, 1.0, 1.0)
+            orc = yr_quadrature_oracle(r, u, 1.0, 1.0)
             worst = max(worst, abs(lib - orc) / max(abs(orc), 1e-3))
     _report(4, worst <= 1e-6, f"max rel deviation = {worst:.3e}")
     assert worst <= 1e-6
@@ -174,7 +174,7 @@ def test_criterion_06_corner_ode_and_wall_relations():
         for w in np.linspace(0.0, 6.0, 13):
             res = corner_similarity_ode_residual(float(w), r, V)
             worst = max(worst, abs(res) / max(abs(V(float(w), 0)), 1.0))
-    spec = CornerSpec(r=r, gamma=1.0, alpha_hat=0.3, B=1.0)
+    spec = CornerSpec(r=r, gamma=1.0, alpha_hat=0.3)
     d1 = corner_combination_deriv0(1, 1.0, spec)
     d3 = corner_combination_deriv0(3, 1.0, spec)
     d5 = corner_combination_deriv0(5, 1.0, spec)
@@ -191,7 +191,7 @@ def test_criterion_06_decay_verified_truth():
     """What the corner solutions actually do between w = 1 and w = 20:
     the exponential branch collapses by > 1e6; the full combination is
     held back by its slowly decaying oscillatory branches (~400x)."""
-    spec = CornerSpec(r=-1.0, gamma=1.0, alpha_hat=0.3, B=1.0)
+    spec = CornerSpec(r=-1.0, gamma=1.0, alpha_hat=0.3)
     branch = abs(corner_solutions_yc(4, 1.0, 1.0, spec)
                  / corner_solutions_yc(4, 20.0, 1.0, spec))
     combo = abs(corner_combination(1.0, 1.0, spec)
@@ -208,7 +208,7 @@ def test_criterion_06_decay_verified_truth():
                           "and by numerical Laplace inversion); only the "
                           "pure exponential branch achieves 1e6")
 def test_criterion_06_decay_as_stated():
-    spec = CornerSpec(r=-1.0, gamma=1.0, alpha_hat=0.3, B=1.0)
+    spec = CornerSpec(r=-1.0, gamma=1.0, alpha_hat=0.3)
     ratio = abs(corner_combination(1.0, 1.0, spec)
                 / corner_combination(20.0, 1.0, spec))
     assert ratio >= 1e6
@@ -226,7 +226,7 @@ def test_criterion_07_depth_effect():
 
 def test_criterion_08_depth_coefficient():
     """|y0(0,t)| / (m (Bt)^(1/4)) = 1/(2 sqrt(2) Gamma(5/4)) to 1e-9."""
-    val = abs(mullins_profile(0.0, 1.0, 1.0, 1.0))
+    val = abs(mullins_profile(0.0, 1.0, 1.0))
     ref = 1.0 / (2.0 * math.sqrt(2.0) * gamma(1.25))
     ok = abs(val - ref) <= 1e-9 and abs(ref - 0.39006) <= 5e-6
     _report(8, ok, f"coefficient = {val:.12f}")
@@ -310,7 +310,7 @@ def test_criterion_10_unpassivated_limit():
         cfg = SolverConfig(grid=Grid(L=8.0, nx=nx), dt=1.0 / 512, t_final=1.0,
                            alpha_hat=0.0, m=FIG_M)
         prof = solve(cfg)[-1]
-        ref = np.array([mullins_profile(float(u), 1.0, 1.0, FIG_M)
+        ref = np.array([mullins_profile(float(u), 1.0, FIG_M)
                         for u in cfg.grid.nodes])
         errs[nx] = float(np.max(np.abs(prof.heights - ref)) / abs(ref[0]))
     ok = errs[513] <= 0.01

@@ -27,7 +27,7 @@ from gbgroove.specfun import SeriesError, hyp_series, hyp_series_derivative
 U = np.array([0.0, 1e-3, 0.37, 1.0, 2.5, 4.0, 6.75, 9.1, 11.99, 12.0,
               12.0 + 1e-9, 12.5, 20.0])
 ALPHA_HAT = 0.3
-CORNER = CornerSpec(r=-1.0, gamma=ALPHA_HAT, alpha_hat=ALPHA_HAT, B=1.0)
+CORNER = CornerSpec(r=-1.0, gamma=ALPHA_HAT, alpha_hat=ALPHA_HAT)
 
 
 def _same(array_result, scalar_results):
@@ -51,11 +51,11 @@ def test_outer_term_shape(r, order):
 def test_boundary_layer_G(order):
     # past x / sqrt(alpha) = 700 the correction is 0
     x = np.concatenate([U, [700.0 * math.sqrt(ALPHA_HAT), 400.0]])
-    got = boundary_layer_G(x, 1.0, ALPHA_HAT, 1.0, 0.209, order)
-    assert _same(got, [boundary_layer_G(float(v), 1.0, ALPHA_HAT, 1.0, 0.209, order)
+    got = boundary_layer_G(x, 1.0, ALPHA_HAT, 0.209, order=order)
+    assert _same(got, [boundary_layer_G(float(v), 1.0, ALPHA_HAT, 0.209, order=order)
                        for v in x])
     assert got[-1] == 0.0
-    assert _same(boundary_layer_G(x, 1.0, 0.0, 1.0, 0.209, order), [0.0] * len(x))
+    assert _same(boundary_layer_G(x, 1.0, 0.0, 0.209, order=order), [0.0] * len(x))
 
 
 @pytest.mark.parametrize("i", range(1, 7))
@@ -111,7 +111,7 @@ def test_per_point_diagnostics():
 
 def test_scalar_in_float_out():
     for value in (mullins_shape(1.0), mullins_shape(13.0), outer_term_shape(2, 0.0),
-                  boundary_layer_G(0.5, 1.0, ALPHA_HAT, 1.0, 0.209),
+                  boundary_layer_G(0.5, 1.0, ALPHA_HAT, 0.209),
                   composite_profile_nd(1.0, 1.0, 0.209, ALPHA_HAT, ExpansionSpec()),
                   corner_solutions_yc(4, 1.0, 1.0, CORNER)):
         assert type(value) is float

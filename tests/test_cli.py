@@ -236,6 +236,27 @@ def test_compare_imports_scipy_when_it_factors():
     assert r.returncode == 0, r.stderr
 
 
+def _emitted_numbers(text):
+    """Every number a run prints, except in the config echo (which holds B)."""
+    lines = [l for l in text.splitlines() if not l.startswith("# config:")]
+    numbers = re.findall(r"[-+]?\d+\.\d+e[-+]\d+", "\n".join(lines))
+    return np.array([float(v) for v in numbers])
+
+
+@pytest.mark.parametrize("mode", ["profile", "compare", "corner", "depth-series"])
+def test_output_depends_on_B_only_through_Bt(mode, capsys):
+    """At fixed Bt, every emitted number is the same whatever B is."""
+    runs = {}
+    for B in ("0.3", "1", "2.5"):
+        argv = ["--mode", mode, "--m", "0.209", "--alpha", "9.7e-16", "--B", B,
+                "--Bt", "1e-29", "--Bt", "4.4e-30", "--samples", "16"]
+        assert main(argv) == 0
+        runs[B] = _emitted_numbers(capsys.readouterr().out)
+    assert runs["1"].size >= 10
+    for B in ("0.3", "2.5"):
+        np.testing.assert_allclose(runs[B], runs["1"], rtol=1e-14, atol=0)
+
+
 @pytest.mark.parametrize("flags", [["--m", "nan"], ["--alpha", "-1"], ["--alpha", "inf"],
                                    ["--B", "0"], ["--order", "99"], ["--xmax", "nan"]])
 def test_exit_two_on_bad_model_numbers(flags, capsys):

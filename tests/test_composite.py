@@ -48,10 +48,10 @@ class TestCompositeAssembly:
         x = 60.0 * math.sqrt(params.alpha)
         with_layer = composite_profile_nd(x / params.L0, 1.0, params.m,
                                           params.alpha_hat, spec)
-        outer_only = (mullins_profile(x / params.L0, 1.0, 1.0, params.m)
+        outer_only = (mullins_profile(x / params.L0, 1.0, params.m)
                       + sum(params.alpha_hat ** r *
                             __import__("gbgroove.outer", fromlist=["outer_term"])
-                            .outer_term(r, x / params.L0, 1.0, 1.0, params.m)
+                            .outer_term(r, x / params.L0, 1.0, params.m)
                             for r in (1, 2)))
         assert with_layer == pytest.approx(outer_only, rel=1e-12)
 
@@ -90,10 +90,10 @@ class TestCompositeAssembly:
         derivatives in the evaluator's order, bit for bit."""
         ah, m, t = 0.3, FIG_M, 1.0
         x = np.array([0.0, 0.05, 0.4, 1.0, 2.5, 6.0])
-        want = mullins_profile(x, t, 1.0, m, order)
+        want = mullins_profile(x, t, m, order=order)
         for r in (1, 2):
-            want = want + ah ** r * outer_term(r, x, t, 1.0, m, order)
-        want = want + boundary_layer_G(x, t, ah, 1.0, m, order)
+            want = want + ah ** r * outer_term(r, x, t, m, order=order)
+        want = want + boundary_layer_G(x, t, ah, m, order=order)
         got = composite_profile_nd(x, t, m, ah, ExpansionSpec(N=2), order=order)
         np.testing.assert_array_equal(got, want)
 
@@ -108,6 +108,15 @@ class TestCompositeAssembly:
             extra = corner_combination_deriv0(order, t / ah ** 5, corner) / ah ** order
             assert extra != 0.0
             np.testing.assert_array_equal(got, plain + extra)
+
+    @pytest.mark.parametrize("corner_ah, ah", [(0.0, 0.3), (0.3, 0.0)],
+                             ids=["corner-without-alpha-hat", "corner-on-unpassivated"])
+    def test_corner_alpha_hat_must_match(self, corner_ah, ah):
+        """A nonzero corner built for another alpha_hat is refused rather than
+        silently dropped from, or added to, the profile."""
+        corner = CornerSpec(r=-2.0, gamma=0.3, alpha_hat=corner_ah)
+        with pytest.raises(ValueError, match="differs from the profile's alpha_hat"):
+            composite_profile_nd(0.05, 1e-5, FIG_M, ah, ExpansionSpec(N=2, corner=corner))
 
     @pytest.mark.parametrize("x", [0.5, np.array([0.0, 0.5])], ids=["float", "array"])
     @pytest.mark.parametrize("order", [1, 2, 5])
@@ -143,7 +152,7 @@ class TestWallResiduals:
         params = figure_params(FIG_BT["fig4"])
         _, _, r3 = bc_residuals(FIG_BT["fig4"], params, ExpansionSpec(N=2))
         expect = params.alpha_hat ** 2 * abs(
-            outer_term(2, 0.0, 1.0, 1.0, params.m, order=2))
+            outer_term(2, 0.0, 1.0, params.m, order=2))
         assert r3 == pytest.approx(expect, rel=1e-10)
 
     def test_order_resolved_cancellation(self):
@@ -283,7 +292,7 @@ class TestGrooveMetrics:
                             params, t=t)
         ah = params.alpha_hat
         from gbgroove.layers import beta4
-        bl_mass = (ah * beta2(1.0, 1.0, FIG_M) + ah ** 2 * beta4(1.0, 1.0, FIG_M)) \
+        bl_mass = (ah * beta2(1.0, FIG_M) + ah ** 2 * beta4(1.0, FIG_M)) \
             * math.sqrt(ah) * params.L0 ** 2
         mull_mass = MULLINS_MASS_U8 * FIG_M * t ** 0.5
         assert mc.mass == pytest.approx(bl_mass + mull_mass, rel=0.02)

@@ -31,7 +31,7 @@ from gbgroove.layers import (
 from gbgroove.outer import mullins_profile, outer_term
 from gbgroove.specfun import GammaPoleError, SeriesError
 
-SPEC_R1 = CornerSpec(r=-1.0, gamma=1.0, alpha_hat=0.3, B=1.0)
+SPEC_R1 = CornerSpec(r=-1.0, gamma=1.0, alpha_hat=0.3)
 
 # frozen oracle values (mpmath + Talbot inversion)
 V4_AT_2_RM1 = 7.98730215110844244025766798
@@ -54,41 +54,50 @@ CURV_TAU1 = -13.740644268643523       # d2/dx2 at the root, t = alpha_hat^5
 class TestBoundaryLayer:
     def test_amplitudes(self):
         m, t = 0.209, 1.0
-        assert beta2(t, 1.0, m) == pytest.approx(
+        assert beta2(t, m) == pytest.approx(
             m / (2 * math.sqrt(2) * 1.2254167024651776), rel=1e-13)
-        assert beta4(t, 1.0, m) == pytest.approx(
+        assert beta4(t, m) == pytest.approx(
             -m * 0.9190625268488832 / (4 * math.pi), rel=1e-13)
 
     def test_far_field_extinction(self):
-        assert boundary_layer_G(50.0, 1.0, 0.3, 1.0, 0.209) < 1e-30
-        assert boundary_layer_G(1e4, 1.0, 0.3, 1.0, 0.209) == 0.0
+        assert boundary_layer_G(50.0, 1.0, 0.3, 0.209) < 1e-30
+        assert boundary_layer_G(1e4, 1.0, 0.3, 0.209) == 0.0
 
     def test_wall_value(self):
         m, ah, t = 0.209, 0.3, 1.0
-        expect = ah * beta2(t, 1.0, m) + ah ** 2 * beta4(t, 1.0, m)
-        assert boundary_layer_G(0.0, t, ah, 1.0, m) == pytest.approx(expect, rel=1e-15)
+        expect = ah * beta2(t, m) + ah ** 2 * beta4(t, m)
+        assert boundary_layer_G(0.0, t, ah, m) == pytest.approx(expect, rel=1e-15)
 
     def test_exact_derivatives(self):
         m, ah, t, x = 0.209, 0.3, 1.0, 0.2
-        g = boundary_layer_G(x, t, ah, 1.0, m)
+        g = boundary_layer_G(x, t, ah, m)
         for order in range(1, 6):
-            d = boundary_layer_G(x, t, ah, 1.0, m, order=order)
+            d = boundary_layer_G(x, t, ah, m, order=order)
             assert d == pytest.approx((-1) ** order * g / ah ** (order / 2), rel=1e-13)
 
     def test_curvature_cancellation_order_zero(self):
         """beta2 exactly kills the wall curvature of the base profile."""
         m, t = 0.209, 1.0
-        c = mullins_profile(0.0, t, 1.0, m, order=2)
-        assert abs(beta2(t, 1.0, m) + c) <= 1e-12 * abs(c)
+        c = mullins_profile(0.0, t, m, order=2)
+        assert abs(beta2(t, m) + c) <= 1e-12 * abs(c)
 
     def test_curvature_cancellation_order_one(self):
         """beta4 exactly kills the wall curvature of the first correction."""
         m, t = 0.209, 1.0
-        c = outer_term(1, 0.0, t, 1.0, m, order=2)
-        assert abs(beta4(t, 1.0, m) + c) <= 1e-12 * abs(c)
+        c = outer_term(1, 0.0, t, m, order=2)
+        assert abs(beta4(t, m) + c) <= 1e-12 * abs(c)
 
     def test_alpha_zero_is_inert(self):
-        assert boundary_layer_G(0.5, 1.0, 0.0, 1.0, 0.209) == 0.0
+        assert boundary_layer_G(0.5, 1.0, 0.0, 0.209) == 0.0
+
+    def test_old_style_b_argument_raises(self):
+        """t stands for B t: a call that still passes B has one positional
+        argument too many, as `order` is keyword-only, and fails instead of
+        reading m as the order."""
+        with pytest.raises(TypeError):
+            boundary_layer_G(0.5, 1.0, 0.3, 1.0, 0.209)
+        with pytest.raises(TypeError):
+            CornerSpec(r=-1.0, gamma=1.0, alpha_hat=0.3, B=1.0)
 
 
 class TestCornerFundamentals:
@@ -142,7 +151,7 @@ class TestMatrixSolutions:
     def test_wall_value_row1(self):
         # only v1 is nonzero at the wall; at r = -1 its weight vanishes
         assert corner_solutions_yc(1, 0.0, 1.0, SPEC_R1) == 0.0
-        spec = CornerSpec(r=-1.5, gamma=1.0, alpha_hat=0.3, B=1.0)
+        spec = CornerSpec(r=-1.5, gamma=1.0, alpha_hat=0.3)
         expect = 1.0 ** (-1.5) / math.gamma(-0.5)
         assert corner_solutions_yc(1, 0.0, 1.0, spec) == pytest.approx(expect, rel=1e-12)
 
@@ -179,20 +188,20 @@ class TestMatrixSolutions:
 
 class TestDecayingCombination:
     def test_solver_matches_brackets(self):
-        cs = solve_c456(1.0, -1.0, 0.3, 1.0, 1.0)
-        ct = theorem_coefficients(1.0, -1.0, 0.3, 1.0, 1.0)
+        cs = solve_c456(1.0, -1.0, 0.3, 1.0)
+        ct = theorem_coefficients(1.0, -1.0, 0.3, 1.0)
         for a, b, ref in zip(cs, ct, C456_REF):
             assert a == pytest.approx(b, rel=1e-12)
             assert a == pytest.approx(ref, rel=1e-12)
 
     def test_zero_amplitude(self):
-        assert solve_c456(0.0, -1.0, 0.3, 1.0, 1.0) == (0.0, 0.0, 0.0)
+        assert solve_c456(0.0, -1.0, 0.3, 1.0) == (0.0, 0.0, 0.0)
         spec = CornerSpec(r=-1.0, gamma=0.0, alpha_hat=0.3)
         assert corner_combination(1.0, 1.0, spec) == 0.0
 
     def test_alpha_zero_brackets_collapse(self):
         g = math.gamma(-1.0 / 6.0)
-        c4, c5, c6 = theorem_coefficients(1.0, -1.0, 0.0, 1.0, 1.0)
+        c4, c5, c6 = theorem_coefficients(1.0, -1.0, 0.0, 1.0)
         assert c4 == pytest.approx(-g / 3.0, rel=1e-13)
         assert c5 == pytest.approx(-g / 3.0, rel=1e-13)
         assert c6 == pytest.approx(g / math.sqrt(3.0), rel=1e-13)
@@ -229,7 +238,7 @@ class TestDecayingCombination:
         spec = SPEC_R1
         for k in (0, 1, 2, 3):
             analytic = corner_combination_deriv0(k, 1.0, spec)
-            cs = theorem_coefficients(spec.gamma, spec.r, spec.alpha_hat, 1.0, spec.B)
+            cs = theorem_coefficients(spec.gamma, spec.r, spec.alpha_hat, 1.0)
             series = 0.0
             for c, i in zip(cs, (4, 5, 6)):
                 weights = corner_weights(spec.r)
@@ -267,7 +276,7 @@ class TestDecayingCombination:
 
     def test_bracket_gamma_poles_reported(self):
         with pytest.raises(GammaPoleError):
-            theorem_coefficients(1.0, -5.0 / 6.0, 0.3, 1.0, 1.0)
+            theorem_coefficients(1.0, -5.0 / 6.0, 0.3, 1.0)
 
 
 class TestRootCurvature:

@@ -194,7 +194,7 @@ class TestSolve:
         cfg = _config(alpha_hat=0.0, grid=Grid(L=8.0, nx=513))
         prof = solve(cfg)[-1]
         x = cfg.grid.nodes
-        ref = np.array([mullins_profile(u, 1.0, 1.0, cfg.m) for u in x])
+        ref = np.array([mullins_profile(u, 1.0, cfg.m) for u in x])
         err = np.max(np.abs(prof.heights - ref))
         assert err < 0.01 * abs(ref[0])
 

@@ -24,7 +24,7 @@ def test_contour_nodes_converged(alpha_hat, L):
 def test_unpassivated_half_line_is_mullins():
     for t in (0.01, 1.0, 7.0):
         x = X * t ** 0.25
-        ref = mullins_profile(x, t, 1.0, M)
+        ref = mullins_profile(x, t, M)
         got = exact_profile(x, t, M, 0.0)
         assert np.max(np.abs(got - ref)) <= 1e-12 * abs(ref[0])
 
