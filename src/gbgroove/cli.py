@@ -15,7 +15,7 @@ import json
 import math
 import numbers
 import sys
-from dataclasses import asdict, astuple, dataclass, field, replace
+from dataclasses import asdict, astuple, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -154,6 +154,9 @@ class RunConfig:
                                  f"got {self.xmax}")
         if self.mode == "depth-series" and self.physical is not None:
             raise CliConfigError("depth-series sweeps model.alpha; give a 'model' block")
+        if self.mode == "depth-series" and (self.order != 2 or self.include_corner):
+            raise CliConfigError("depth-series gives the closed-form N = 2 depth with "
+                                 "no corner term; it takes no order or include_corner")
         for bt in self.times:
             if not bt > 0:
                 raise CliConfigError(f"Bt values must be positive, got {bt}")
@@ -192,15 +195,14 @@ class RunConfig:
                 values = [self.model[k] for k in ("B", "alpha", "m")]
                 _require_numbers("model entries", values)
                 B, alpha, m = map(float, values)
-                if not B > 0:
-                    raise ValueError(f"B must be positive, got {B}")
-                # L0 = (Bt)^(1/4) from Bt itself: B * (bt / B) can miss bt by
-                # an ulp, and the solver magnifies that in alpha_hat
-                params = replace(nondimensionalize(1.0, alpha, bt, m), B=B)
+                # B enters only through Bt, but it is the user's input
+                if not 0 < B < math.inf:
+                    raise ValueError(f"B must be positive and finite, got {B}")
+                params = nondimensionalize(alpha, bt, m)
             else:
                 phys = PhysicalParams(**self.physical)
                 _require_numbers("physical entries", astuple(phys))
-                params = model_from_physical(phys, bt / mullins_coefficient(phys))
+                params = model_from_physical(phys, bt)
         except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
             raise CliConfigError(f"bad {block} block: {exc}")
         if not all(map(math.isfinite, (params.alpha, params.m, params.L0, params.alpha_hat))):
@@ -290,8 +292,10 @@ def _expansion_spec(cfg: RunConfig, params: ModelParams) -> ExpansionSpec:
 def _mode_params(cfg: RunConfig) -> str:
     bt = cfg.times[0] if cfg.times else 1e-29
     params = cfg.reduced(bt)
+    B = (float(cfg.model["B"]) if cfg.model is not None
+         else mullins_coefficient(PhysicalParams(**cfg.physical)))
     lines = [
-        f"B_m4_per_s = {_fmt(params.B)}",
+        f"B_m4_per_s = {_fmt(B)}",
         f"alpha_m2 = {_fmt(params.alpha)}",
         f"m = {_fmt(params.m)}",
         f"L0_m = {_fmt(params.L0)} (at Bt = {_fmt(bt)} m^4)",
@@ -315,7 +319,6 @@ def _profile_rows(cfg: RunConfig, with_oracle: bool):
         spec = _expansion_spec(cfg, params)
         span = (cfg.xmax if cfg.xmax is not None else 8.0) * bt ** 0.25
         xs = np.linspace(0.0, span, cfg.samples)
-        t = bt / params.B
         oracle_vals = None
         if with_oracle:
             prof, sup = _oracle_profile(cfg, params)
@@ -323,8 +326,8 @@ def _profile_rows(cfg: RunConfig, with_oracle: bool):
             oracle_vals = params.L0 * np.interp(xs_nd, prof[0], prof[1])
             notes.append(f"Bt={_fmt(bt)}: sup|composite-oracle|/depth = {_fmt(sup)}")
             gaps.append(sup)
-        cols = [np.full(len(xs), bt), xs, mullins_profile_dim(xs, t, params),
-                composite_profile(xs, t, params, spec)]
+        cols = [np.full(len(xs), bt), xs, mullins_profile_dim(xs, bt, params),
+                composite_profile(xs, bt, params, spec)]
         if with_oracle:
             cols.append(oracle_vals)
         rows += np.column_stack(cols).tolist()
@@ -381,17 +384,11 @@ def _mode_depth_series(cfg: RunConfig) -> str:
     columns = ["alpha_m2", "Bt_m4", "depth_mullins_m", "depth_composite_m",
                "relative_effect"]
     rows = []
-    base = dict(cfg.model)
     for alpha in alphas:
         for bt in cfg.times:
-            model = dict(base)
-            model["alpha"] = alpha
-            model.setdefault("B", 1.0)
-            sub = RunConfig(mode=cfg.mode, model=model, times=[bt], order=cfg.order)
-            params = sub.reduced(bt)
-            t = bt / params.B
-            ym = abs(mullins_profile_dim(0.0, t, params))
-            dd = depth_difference(t, params)
+            params = RunConfig(mode=cfg.mode, model={**cfg.model, "alpha": alpha}).reduced(bt)
+            ym = abs(mullins_profile_dim(0.0, bt, params))
+            dd = depth_difference(bt, params)
             rows.append([params.alpha, bt, ym, ym - dd, dd / ym if ym > 0 else 0.0])
     return _write_table(cfg, columns, rows, [])
 

@@ -1,8 +1,9 @@
 """Uniform composite profile, wall-condition residuals and groove metrics.
 
 The composite is outer expansion + wall correction (+ optional corner
-term), evaluated in nondimensional variables (x in units of L0, t standing
-for B t / L0^4) and dimensionalized at the interface.  Metrics are
+term), evaluated in nondimensional variables (x in units of L0 = (Bt)^(1/4),
+t standing for Bt / L0^4) and dimensionalized at the interface.  The
+dimensional functions take time as the product Bt [m^4].  Metrics are
 extracted from a dense sampling refined near the wall so the exponential
 layer is never missed.
 """
@@ -85,18 +86,18 @@ class GrooveMetrics:
         return self.x_min2 is not None
 
 
-def _nd_coords(x: float, t: float, params: ModelParams) -> tuple[float, float]:
-    """Map dimensional (x [m], t [s]) to (x_hat, t_hat)."""
-    if not t > 0:
-        raise ValueError("t must be positive")
+def _nd_coords(x: float, bt: float, params: ModelParams) -> tuple[float, float]:
+    """Map dimensional (x [m], Bt [m^4]) to (x_hat, t_hat)."""
+    if not bt > 0:
+        raise ValueError("Bt must be positive")
     L0 = params.L0
-    return x / L0, params.B * t / L0 ** 4
+    return x / L0, bt / L0 ** 4
 
 
 def composite_profile_nd(x, t: float, m: float, alpha_hat: float,
                          spec: ExpansionSpec, order: int = 0):
     """Composite profile in nondimensional variables (x / L0, with t the
-    product B t / L0^4), or its d^order/dx^order (term-differentiated).
+    ratio Bt / L0^4), or its d^order/dx^order (term-differentiated).
 
     A nonzero corner term must carry this `alpha_hat`, or ValueError is
     raised.  It has derivatives only at the wall, in closed form (x = 0,
@@ -123,20 +124,20 @@ def composite_profile_nd(x, t: float, m: float, alpha_hat: float,
     return y
 
 
-def composite_profile(x: float, t: float, params: ModelParams,
+def composite_profile(x: float, bt: float, params: ModelParams,
                       spec: ExpansionSpec) -> float:
-    """Dimensional composite profile y(x, t) [m]."""
-    xh, th = _nd_coords(x, t, params)
+    """Dimensional composite profile y(x) [m] at time Bt [m^4]."""
+    xh, th = _nd_coords(x, bt, params)
     return params.L0 * composite_profile_nd(xh, th, params.m, params.alpha_hat, spec)
 
 
-def mullins_profile_dim(x: float, t: float, params: ModelParams) -> float:
+def mullins_profile_dim(x: float, bt: float, params: ModelParams) -> float:
     """Dimensional unpassivated profile for side-by-side comparisons."""
-    xh, th = _nd_coords(x, t, params)
+    xh, th = _nd_coords(x, bt, params)
     return params.L0 * mullins_profile(xh, th, params.m)
 
 
-def bc_residuals(t: float, params: ModelParams,
+def bc_residuals(bt: float, params: ModelParams,
                  spec: ExpansionSpec) -> tuple[float, float, float]:
     """Wall-condition residuals of the composite, nondimensional.
 
@@ -150,7 +151,7 @@ def bc_residuals(t: float, params: ModelParams,
     identically.  r3 is zero through order alpha^1 and picks up the
     uncancelled alpha^2 curvature of the second correction once N >= 2.
     """
-    _, th = _nd_coords(0.0, t, params)
+    _, th = _nd_coords(0.0, bt, params)
     ah = params.alpha_hat
     m = params.m
     d = [composite_profile_nd(0.0, th, m, ah, spec, k) for k in range(6)]
@@ -160,13 +161,13 @@ def bc_residuals(t: float, params: ModelParams,
     return r1, r2, r3
 
 
-def curvature_cancellation_residuals(t: float, params: ModelParams) -> tuple[float, float]:
+def curvature_cancellation_residuals(bt: float, params: ModelParams) -> tuple[float, float]:
     """Relative residuals of the wall-curvature cancellation, order by order.
 
     Order alpha^0: beta2 against the curvature of the unpassivated profile;
     order alpha^1: beta4 against the curvature of the first correction.
     """
-    _, th = _nd_coords(0.0, t, params)
+    _, th = _nd_coords(0.0, bt, params)
     m = params.m
     b2 = beta2(th, m)
     c0 = mullins_profile(0.0, th, m, order=2)
@@ -175,13 +176,13 @@ def curvature_cancellation_residuals(t: float, params: ModelParams) -> tuple[flo
     return abs(b2 + c0) / abs(b2), abs(b4 + c1) / abs(b4)
 
 
-def depth_difference(t: float, params: ModelParams) -> float:
+def depth_difference(bt: float, params: ModelParams) -> float:
     """Root elevation of the passivated groove over the unpassivated one [m].
 
     Four-term closed form; identical to composite(0) - unpassivated(0) at
     N = 2 (the wall correction contributes its full amplitude at x = 0).
     """
-    _, th = _nd_coords(0.0, t, params)
+    _, th = _nd_coords(0.0, bt, params)
     ah = params.alpha_hat
     m = params.m
     total = 0.0
@@ -193,9 +194,9 @@ def depth_difference(t: float, params: ModelParams) -> float:
     return params.L0 * total
 
 
-def default_window(t: float, params: ModelParams) -> float:
+def default_window(bt: float) -> float:
     """Default evaluation window 8 (Bt)^(1/4) [m]."""
-    return 8.0 * (params.B * t) ** 0.25
+    return 8.0 * bt ** 0.25
 
 
 def _sample_grid(x_cap: float, bl_width: float, samples: int) -> np.ndarray:
@@ -247,7 +248,7 @@ def _mass(profile, x_cap: float, bl_width: float) -> float:
 
 
 def groove_metrics(profile, params: ModelParams | None = None,
-                   x_cap: float | None = None, t: float | None = None,
+                   x_cap: float | None = None, bt: float | None = None,
                    samples: int = 2048) -> GrooveMetrics:
     """Extract depth, primary maximum, secondary minimum and mass.
 
@@ -261,9 +262,9 @@ def groove_metrics(profile, params: ModelParams | None = None,
     callable_profile = callable(profile)
     if callable_profile:
         if x_cap is None:
-            if params is None or t is None:
-                raise ValueError("callable profiles need x_cap or (params, t)")
-            x_cap = default_window(t, params)
+            if bt is None:
+                raise ValueError("callable profiles need x_cap or bt")
+            x_cap = default_window(bt)
         bl = math.sqrt(params.alpha) if params is not None and params.alpha > 0 else 0.0
         xs = _sample_grid(x_cap, bl, samples)
         ys = _sample(profile, xs)

@@ -3,7 +3,8 @@
 The evolution model needs only three numbers: the kinetic coefficient B
 (m^4/s), the bending stiffness parameter alpha (m^2) and the groove-root
 slope scale m.  Everything downstream runs in nondimensional variables
-built from a reference length L0 = (B t_ref)^(1/4).
+built from a reference length L0 = (Bt)^(1/4): B enters only through the
+product Bt (m^4), so ModelParams does not hold it.
 """
 
 from __future__ import annotations
@@ -71,15 +72,12 @@ class PhysicalParams:
 class ModelParams:
     """Reduced parameters plus the nondimensionalization scale."""
 
-    B: float          # m^4/s
     alpha: float      # m^2
     m: float          # dimensionless slope scale
     L0: float         # reference length, m
     alpha_hat: float  # alpha / L0^2
 
     def __post_init__(self):
-        if not self.B > 0:
-            raise ValueError(f"B must be positive, got {self.B}")
         if self.alpha < 0:
             raise ValueError(f"alpha must be non-negative, got {self.alpha}")
         if not self.L0 > 0:
@@ -89,9 +87,9 @@ class ModelParams:
         if not 0 <= self.m:
             raise ValueError(f"m must be non-negative, got {self.m}")
 
-    def rescaled(self, t_ref: float) -> "ModelParams":
-        """Same physics, new reference time."""
-        params = _reduce(self.B, self.alpha, t_ref, self.m)
+    def rescaled(self, bt: float) -> "ModelParams":
+        """Same physics, new reference time Bt [m^4]."""
+        params = _reduce(self.alpha, bt, self.m)
         _warn_if_steep(self.m)
         return params
 
@@ -128,30 +126,31 @@ def slope_parameter(gamma_gb: float, gamma_i: float, gamma_s: float) -> float:
     return m
 
 
-def nondimensionalize(B: float, alpha: float, t_ref: float, m: float = 0.0) -> ModelParams:
-    """Build ModelParams with L0 = (B t_ref)^(1/4) and alpha_hat = alpha / L0^2.
+def nondimensionalize(alpha: float, bt: float, m: float = 0.0) -> ModelParams:
+    """Build ModelParams at the reference time Bt [m^4], with L0 = (Bt)^(1/4)
+    and alpha_hat = alpha / L0^2.
 
     Internally all layer formulas work with alpha_hat, x_hat = x / L0 and
-    t_hat = B t / L0^4; this keeps the corner-layer stretchings dimensionless.
+    t_hat = Bt / L0^4; this keeps the corner-layer stretchings dimensionless.
     """
-    params = _reduce(B, alpha, t_ref, m)
+    params = _reduce(alpha, bt, m)
     _warn_if_steep(m)
     return params
 
 
-def _reduce(B: float, alpha: float, t_ref: float, m: float) -> ModelParams:
+def _reduce(alpha: float, bt: float, m: float) -> ModelParams:
     """nondimensionalize without the slope warning."""
-    if not (B > 0 and t_ref > 0):
-        raise ValueError("B and t_ref must be positive")
+    if not bt > 0:
+        raise ValueError("Bt must be positive")
     if alpha < 0:
         raise ValueError("alpha must be non-negative")
-    L0 = (B * t_ref) ** 0.25
-    return ModelParams(B=B, alpha=alpha, m=m, L0=L0, alpha_hat=alpha / L0 ** 2)
+    L0 = bt ** 0.25
+    return ModelParams(alpha=alpha, m=m, L0=L0, alpha_hat=alpha / L0 ** 2)
 
 
-def model_from_physical(p: PhysicalParams, t_ref: float) -> ModelParams:
-    """Reduce a full set of dimensional constants at a reference time."""
+def model_from_physical(p: PhysicalParams, bt: float) -> ModelParams:
+    """Reduce a full set of dimensional constants at a reference time Bt [m^4]."""
     m = p.gamma_gb / p.gamma_surface   # PhysicalParams has checked both
-    params = _reduce(mullins_coefficient(p), stiffness_parameter(p), t_ref, m)
+    params = _reduce(stiffness_parameter(p), bt, m)
     _warn_if_steep(m)
     return params

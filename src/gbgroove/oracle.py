@@ -19,8 +19,8 @@ three coefficient arrays assembled once in one row-band layout (row i,
 offset j - i), with the bandwidths read off the rows.  Each system is
 row-scaled, moved into LAPACK band storage by one gather and factored by
 LAPACK's banded LU with partial pivoting (dgbtrf); each step is one banded
-solve with those factors (dgbtrs).  The plateau step's factors and the
-last ones are kept; snapshot splits then cost only their own steps.
+solve with those factors (dgbtrs).  The last step's factors are kept, so
+a run of equal steps factors once.
 
 SciPy's LAPACK wrappers are imported where a system is factored, not at
 module level, so the series-only paths (and ``import gbgroove.cli``) never
@@ -222,9 +222,8 @@ class GrooveOperator:
     and offset j - i from -kl to ku: the interior rows are one broadcast of
     the stencil and the boundary rows are written into their slots.  A
     system is row-scaled by its row-wise max, gathered into LAPACK band
-    storage by one index built here, and factored by `_factor`.  Two
-    systems and their factors are kept: the last one, and the plateau
-    step's (BDF2 at step ratio 1), which snapshot splits interrupt.
+    storage by one index built here, and factored by `_factor`.  The last
+    system and its factors are kept.
     """
 
     def __init__(self, config: SolverConfig):
@@ -311,9 +310,7 @@ class GrooveOperator:
         # balance rows' W @ z / h, whose columns are edge rows too
         self._edge = np.array(edge)
         self._W_edge = np.array([coeffs[i][0][edge] for i in edge])
-        # BDF2 steps of the plateau dt at step ratio 1, as `advance` forms them
-        self._plateau_h = _ramp(config)[0] * (1.0 + 1.0) / (1.0 + 2.0)
-        self._last = self._plateau = (None, None)
+        self._last = (None, None)
 
     def apply(self, y: np.ndarray) -> np.ndarray:
         """Spatial operator on interior rows, zero elsewhere."""
@@ -332,17 +329,15 @@ class GrooveOperator:
     def _system_for_dt(self, h: float):
         """Solver for the row-scaled system C + h K + W/h, its row scales,
         and the scaled right-hand side of its edge rows as b0 + G @ z[edge]."""
-        for key, system in (self._last, self._plateau):
-            if key == h:
-                return system
+        key, system = self._last
+        if key == h:
+            return system
         band, scale = self._scaled_band(h)
         lu_solve = _factor(band.ravel()[self._lapack_index].T, self.kl, self.ku)
         s = scale[self._edge]
         system = (lu_solve, scale, self.bc_rhs[self._edge] / s,
                   self._W_edge / (h * s[:, None]))
         self._last = (h, system)
-        if h == self._plateau_h:
-            self._plateau = self._last
         return system
 
     def advance(self, z: np.ndarray, dt: float, w: float = 0.0) -> np.ndarray:

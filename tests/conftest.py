@@ -39,7 +39,7 @@ def rational_pfq(nums, dens, z: Fraction, terms: int) -> Fraction:
 
 def figure_params(bt: float) -> ModelParams:
     """ModelParams for the alumina-on-aluminium figure runs at time Bt."""
-    return nondimensionalize(B=1.0, alpha=FIG_ALPHA, t_ref=bt, m=FIG_M)
+    return nondimensionalize(alpha=FIG_ALPHA, bt=bt, m=FIG_M)
 
 
 @pytest.fixture(scope="session")

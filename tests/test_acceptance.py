@@ -149,7 +149,7 @@ def test_criterion_05_wall_condition_structure():
     hats = (1e-1, 1e-2, 1e-3)
     r1s = []
     for ah in hats:
-        p = nondimensionalize(B=1.0, alpha=ah, t_ref=1.0, m=FIG_M)
+        p = nondimensionalize(alpha=ah, bt=1.0, m=FIG_M)
         r1, _, _ = bc_residuals(1.0, p, ExpansionSpec(N=2))
         r1s.append(r1)
         assert r1 <= ah ** 3 * FIG_M / 2, \
@@ -351,16 +351,16 @@ def test_criterion_12_trend_reproduction():
         t = FIG_BT[key]
         params = figure_params(t)
         spec = ExpansionSpec(N=2)
-        xs = np.linspace(0.0, default_window(t, params), 300)
+        xs = np.linspace(0.0, default_window(t), 300)
         depth = abs(mullins_profile_dim(0.0, t, params))
         sup = np.max(np.abs(composite_profile(xs, t, params, spec)
                             - mullins_profile_dim(xs, t, params)))
         sups.append(sup / depth)
         assert depth_difference(t, params) > 0.0
         mc = groove_metrics(lambda x: composite_profile(x, t, params, spec),
-                            params, t=t)
+                            params, bt=t)
         mm = groove_metrics(lambda x: mullins_profile_dim(x, t, params),
-                            params, t=t)
+                            params, bt=t)
         shift = abs(mc.x_max - mm.x_max) / mm.x_max
         shifts.append(shift)
         assert shift <= 0.06

@@ -17,7 +17,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gbgroove.cli import PRESETS, RunConfig, main, run
-from gbgroove.material import SmallSlopeWarning
+from gbgroove.material import (
+    PhysicalParams,
+    SmallSlopeWarning,
+    mullins_coefficient,
+    stiffness_parameter,
+)
+
+
+# alumina on aluminium: alpha comes out within 0.5% of the figures' 9.7e-16 m^2
+_PHYSICAL = dict(D_i=1e-18, n=1e19, Omega=1.66e-29, kT=1.2e-20, E=253e9, h=5e-9, nu=0.24,
+                 gamma_gb=0.5999, gamma_i=1.2, gamma_s=1.67)
 
 
 def _run_cli(args, cwd=None):
@@ -54,10 +64,7 @@ class TestModes:
         assert "alpha_hat = 3.0674093303633282e-01" in text
 
     def test_params_from_physical(self):
-        phys = dict(D_i=1e-18, n=1e19, Omega=1.66e-29, kT=1.2e-20,
-                    E=253e9, h=5e-9, nu=0.24,
-                    gamma_gb=0.5999, gamma_i=1.2, gamma_s=1.67)
-        cfg = RunConfig(mode="params", physical=phys, times=[1e-29])
+        cfg = RunConfig(mode="params", physical=_PHYSICAL, times=[1e-29])
         text = run(cfg)
         alpha_line = next(l for l in text.splitlines() if l.startswith("alpha_m2"))
         alpha = float(alpha_line.split("=")[1])
@@ -245,20 +252,37 @@ def _emitted_numbers(text):
 
 @pytest.mark.parametrize("mode", ["profile", "compare", "corner", "depth-series"])
 def test_output_depends_on_B_only_through_Bt(mode, capsys):
-    """At fixed Bt, every emitted number is the same whatever B is."""
+    """At fixed Bt, every emitted number is the same whatever B is, even at
+    a B whose ratio Bt / B would underflow or overflow."""
     runs = {}
-    for B in ("0.3", "1", "2.5"):
+    for B in ("0.3", "1", "2.5", "1e300", "1e-300"):
         argv = ["--mode", mode, "--m", "0.209", "--alpha", "9.7e-16", "--B", B,
                 "--Bt", "1e-29", "--Bt", "4.4e-30", "--samples", "16"]
         assert main(argv) == 0
         runs[B] = _emitted_numbers(capsys.readouterr().out)
     assert runs["1"].size >= 10
-    for B in ("0.3", "2.5"):
-        np.testing.assert_allclose(runs[B], runs["1"], rtol=1e-14, atol=0)
+    for B in ("0.3", "2.5", "1e300", "1e-300"):
+        np.testing.assert_array_equal(runs[B], runs["1"])
+
+
+@pytest.mark.parametrize("mode", ["params", "profile", "compare"])
+def test_physical_block_matches_its_model_block(mode):
+    """A physical block and the model block of its B, alpha and m print the
+    same numbers at the same Bt."""
+    phys = PhysicalParams(**_PHYSICAL)
+    model = {"B": mullins_coefficient(phys), "alpha": stiffness_parameter(phys),
+             "m": phys.gamma_gb / phys.gamma_surface}
+    for bt in (3e-30, 1e-29):
+        texts = [run(RunConfig(mode=mode, times=[bt], samples=16, **block))
+                 for block in ({"physical": _PHYSICAL}, {"model": model})]
+        numbers = [_emitted_numbers(text) for text in texts]
+        assert numbers[0].size >= 5
+        np.testing.assert_array_equal(*numbers)
 
 
 @pytest.mark.parametrize("flags", [["--m", "nan"], ["--alpha", "-1"], ["--alpha", "inf"],
-                                   ["--B", "0"], ["--order", "99"], ["--xmax", "nan"]])
+                                   ["--B", "0"], ["--order", "99"], ["--xmax", "nan"],
+                                   ["--B", "inf"]])
 def test_exit_two_on_bad_model_numbers(flags, capsys):
     argv = ["--mode", "profile", "--m", "0.209", "--alpha", "9.7e-16", "--B", "1",
             "--Bt", "1e-29", "--samples", "4", *flags]
@@ -326,6 +350,12 @@ _BAD_DOCUMENTS = {
     "alphas-past-budget": {**_FIG4, "mode": "depth-series", "alphas": [9.7e-16] * 256,
                            "times": [1e-29] * 257},
     "solves-past-budget": {**_FIG4, "mode": "compare", "times": [1e-29] * 32},
+    # depth-series evaluates the closed-form N = 2 depth with no corner term
+    "depth-series-order": {**_FIG4, "mode": "depth-series", "order": 1},
+    "depth-series-corner": {**_FIG4, "mode": "depth-series", "include_corner": True},
+    # B is required in every mode, though no output depends on it alone
+    "depth-series-no-B": {**_FIG4, "mode": "depth-series",
+                          "model": {"alpha": 9.7e-16, "m": 0.209}},
 }
 
 
@@ -374,12 +404,14 @@ def test_exit_three_on_non_finite_output(capsys):
 
 
 # model numbers and Bt: sound values, edge values and wrong-typed entries
+_EDGE_NUMBERS = [float("nan"), float("inf"), float("-inf"), 0.0, -0.0, -1.0, 5e-324,
+                 -5e-324, 2.2e-308, 1e-300, 1e300, -1e300, 10 ** 400]
+_WRONG_TYPED = ["1", "nan", "", None, True, [], [1.0], {}]
 _MODEL_NUMBER = st.one_of(
     st.sampled_from([1.0, 9.7e-16, 0.209, 1e-29, 3e-30]),
-    st.sampled_from([float("nan"), float("inf"), float("-inf"), 0.0, -0.0, -1.0, 5e-324,
-                     -5e-324, 2.2e-308, 1e-300, 1e300, -1e300, 10 ** 400]),
+    st.sampled_from(_EDGE_NUMBERS),
     st.floats(allow_nan=True, allow_infinity=True),
-    st.sampled_from(["1", "nan", "", None, True, [], [1.0], {}]))
+    st.sampled_from(_WRONG_TYPED))
 
 
 def _assert_exit_code_contract(doc):
@@ -408,6 +440,20 @@ def test_exit_code_contract(mode, B, alpha, m, bt, samples):
     finite numbers."""
     _assert_exit_code_contract({"mode": mode, "model": {"B": B, "alpha": alpha, "m": m},
                                 "times": [bt], "samples": samples})
+
+
+@pytest.mark.parametrize("field", ["B", "alpha", "m", "Bt"])
+@pytest.mark.parametrize("mode", ["params", "profile", "depth-series", "corner", "oracle",
+                                  "compare"])
+def test_exit_code_contract_one_edge_value(mode, field):
+    """Every edge value on its own among sound model numbers keeps the
+    contract in every mode: the drawn tests above seldom try one extreme
+    value among sound ones."""
+    for value in [*_EDGE_NUMBERS, *_WRONG_TYPED]:
+        model = {"B": 1.0, "alpha": 9.7e-16, "m": 0.209, field: value}
+        bt = model.pop("Bt", 1e-29)
+        _assert_exit_code_contract({"mode": mode, "model": model, "times": [bt],
+                                    "samples": 4})
 
 
 # (B, alpha, m, Bt): half the draws are sound, so the solver runs, and half

@@ -36,7 +36,7 @@ MULLINS_ZMAX = 0.09700718018893365
 class TestCompositeAssembly:
     def test_unpassivated_limit(self):
         spec = ExpansionSpec(N=2)
-        params = nondimensionalize(1.0, 0.0, 1e-29, FIG_M)
+        params = nondimensionalize(0.0, 1e-29, FIG_M)
         for x in (0.0, 3e-8, 1e-7):
             assert composite_profile(x, 1e-29, params, spec) == pytest.approx(
                 mullins_profile_dim(x, 1e-29, params), rel=1e-14, abs=1e-30)
@@ -63,9 +63,9 @@ class TestCompositeAssembly:
         y_m0 = mullins_profile_dim(0.0, t, params)
         assert abs(y_c0) < abs(y_m0)          # shallower root
         mc = groove_metrics(lambda x: composite_profile(x, t, params, spec),
-                            params, t=t)
+                            params, bt=t)
         mm = groove_metrics(lambda x: mullins_profile_dim(x, t, params),
-                            params, t=t)
+                            params, bt=t)
         assert mc.y_max > mm.y_max            # taller primary maximum
         assert mc.y_min2 < mm.y_min2          # deeper secondary minimum
 
@@ -162,7 +162,7 @@ class TestWallResiduals:
         assert res1 <= 1e-12
 
     def test_mullins_boundary_conditions(self):
-        params = nondimensionalize(1.0, 0.0, 1e-29, FIG_M)
+        params = nondimensionalize(0.0, 1e-29, FIG_M)
         r1, r2, r3 = bc_residuals(1e-29, params, ExpansionSpec(N=0))
         assert r1 == 0.0 and r2 == 0.0
         assert r3 > 0.0       # the base profile does not bend-relax the wall
@@ -170,7 +170,7 @@ class TestWallResiduals:
 
 class TestDepthDifference:
     def test_alpha_zero(self):
-        params = nondimensionalize(1.0, 0.0, 1e-29, FIG_M)
+        params = nondimensionalize(0.0, 1e-29, FIG_M)
         assert depth_difference(1e-29, params) == 0.0
 
     def test_consistency_with_composite(self):
@@ -199,9 +199,9 @@ class TestDepthDifference:
 class TestGrooveMetrics:
     def test_mullins_similarity_constant(self):
         for bt in (1e-30, 1e-29):
-            params = nondimensionalize(1.0, 0.0, bt, FIG_M)
+            params = nondimensionalize(0.0, bt, FIG_M)
             mm = groove_metrics(lambda x: mullins_profile_dim(x, bt, params),
-                                params, t=bt)
+                                params, bt=bt)
             assert mm.x_max / bt ** 0.25 == pytest.approx(MULLINS_UM, rel=1e-7)
             assert mm.y_max / (FIG_M * bt ** 0.25) == pytest.approx(
                 MULLINS_ZMAX, rel=1e-7)
@@ -210,14 +210,14 @@ class TestGrooveMetrics:
         t = FIG_BT["fig4"]
         params = figure_params(t)
         mm = groove_metrics(lambda x: mullins_profile_dim(x, t, params),
-                            params, t=t)
+                            params, bt=t)
         assert mm.depth == pytest.approx(0.3900622510894068 * FIG_M * t ** 0.25,
                                          rel=1e-10)
 
     def test_sampled_input(self):
         t = FIG_BT["fig4"]
         params = figure_params(t)
-        xs = np.linspace(0.0, default_window(t, params), 4000)
+        xs = np.linspace(0.0, default_window(t), 4000)
         ys = mullins_profile_dim(xs, t, params)
         mm = groove_metrics((xs, ys))
         assert mm.x_max / t ** 0.25 == pytest.approx(MULLINS_UM, rel=1e-3)
@@ -254,7 +254,7 @@ class TestGrooveMetrics:
             args.append(x)
             return composite_profile(x, t, params, spec)
 
-        mc = groove_metrics(profile, params, t=t)
+        mc = groove_metrics(profile, params, bt=t)
         assert mc.has_secondary_minimum
         assert args and all(isinstance(a, np.ndarray) and a.ndim == 1 for a in args)
 
@@ -272,9 +272,9 @@ class TestGrooveMetrics:
         """The base-profile window mass is truncation-dominated: the
         oscillating tail beyond the window carries the balance."""
         for bt in (FIG_BT["fig4"],):
-            params = nondimensionalize(1.0, 0.0, bt, FIG_M)
+            params = nondimensionalize(0.0, bt, FIG_M)
             m8 = groove_metrics(lambda x: mullins_profile_dim(x, bt, params),
-                                params, t=bt)
+                                params, bt=bt)
             scale = FIG_M * bt ** 0.5
             assert m8.mass == pytest.approx(MULLINS_MASS_U8 * scale, rel=1e-4)
             m12 = groove_metrics(lambda x: mullins_profile_dim(x, bt, params),
@@ -289,7 +289,7 @@ class TestGrooveMetrics:
         params = figure_params(t)
         spec = ExpansionSpec(N=2)
         mc = groove_metrics(lambda x: composite_profile(x, t, params, spec),
-                            params, t=t)
+                            params, bt=t)
         ah = params.alpha_hat
         from gbgroove.layers import beta4
         bl_mass = (ah * beta2(1.0, FIG_M) + ah ** 2 * beta4(1.0, FIG_M)) \
@@ -307,7 +307,7 @@ class TestTrends:
             t = FIG_BT[key]
             params = figure_params(t)
             spec = ExpansionSpec(N=2)
-            xs = np.linspace(0.0, default_window(t, params), 300)
+            xs = np.linspace(0.0, default_window(t), 300)
             depth = abs(mullins_profile_dim(0.0, t, params))
             sup = np.max(np.abs(composite_profile(xs, t, params, spec)
                                 - mullins_profile_dim(xs, t, params)))
@@ -324,9 +324,9 @@ class TestTrends:
             params = figure_params(t)
             spec = ExpansionSpec(N=2)
             mc = groove_metrics(lambda x: composite_profile(x, t, params, spec),
-                                params, t=t)
+                                params, bt=t)
             mm = groove_metrics(lambda x: mullins_profile_dim(x, t, params),
-                                params, t=t)
+                                params, bt=t)
             shift = abs(mc.x_max - mm.x_max) / mm.x_max
             depth_effect = depth_difference(t, params) / mm.depth
             assert shift < 0.06

@@ -93,34 +93,34 @@ class TestSlopeParameter:
 
 class TestNondimensionalize:
     def test_figure_scales(self):
-        p = nondimensionalize(B=1.0, alpha=9.7e-16, t_ref=1e-29, m=0.209)
+        p = nondimensionalize(alpha=9.7e-16, bt=1e-29, m=0.209)
         assert p.L0 == pytest.approx(5.623413251903491e-08, rel=1e-12)
         assert p.alpha_hat == pytest.approx(0.3067409330363328, rel=1e-12)
 
     def test_unpassivated_limit(self):
-        p = nondimensionalize(B=2.0, alpha=0.0, t_ref=3.0)
+        p = nondimensionalize(alpha=0.0, bt=6.0)
         assert p.alpha_hat == 0.0
 
     def test_time_scaling(self):
         # L0^2 grows like t^(1/2), so 16x the reference time quarters alpha_hat
-        p1 = nondimensionalize(B=1.0, alpha=1e-15, t_ref=1e-29)
-        p2 = nondimensionalize(B=1.0, alpha=1e-15, t_ref=16e-29)
+        p1 = nondimensionalize(alpha=1e-15, bt=1e-29)
+        p2 = nondimensionalize(alpha=1e-15, bt=16e-29)
         assert p2.alpha_hat == pytest.approx(p1.alpha_hat / 4.0, rel=1e-13)
 
     def test_alpha_hat_vanishes_at_long_times(self):
-        hats = [nondimensionalize(1.0, 1e-15, t).alpha_hat
+        hats = [nondimensionalize(1e-15, t).alpha_hat
                 for t in (1e-29, 1e-27, 1e-25)]
         assert hats[0] > hats[1] > hats[2]
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
-            nondimensionalize(B=0.0, alpha=1.0, t_ref=1.0)
+            nondimensionalize(alpha=1.0, bt=0.0)
         with pytest.raises(ValueError):
-            nondimensionalize(B=1.0, alpha=-1.0, t_ref=1.0)
+            nondimensionalize(alpha=-1.0, bt=1.0)
 
     def test_slope_warning_comes_through(self):
         with pytest.warns(SmallSlopeWarning):
-            nondimensionalize(B=1.0, alpha=0.0, t_ref=1.0, m=0.4)
+            nondimensionalize(alpha=0.0, bt=1.0, m=0.4)
 
 
 class TestScaleCovariance:
@@ -145,19 +145,20 @@ class TestScaleCovariance:
 
 class TestModelFromPhysical:
     def test_full_chain(self):
-        p = model_from_physical(_phys(), t_ref=1e-9)
-        assert p.B > 0 and p.alpha > 0 and 0 < p.m < 1 / 3
+        p = model_from_physical(_phys(), bt=1e-9 * mullins_coefficient(_phys()))
+        assert p.alpha > 0 and 0 < p.m < 1 / 3
         assert p.alpha_hat == pytest.approx(p.alpha / p.L0 ** 2, rel=1e-14)
 
     def test_rescaled(self):
-        p = model_from_physical(_phys(), t_ref=1e-9)
-        q = p.rescaled(16e-9)
+        B = mullins_coefficient(_phys())
+        p = model_from_physical(_phys(), bt=1e-9 * B)
+        q = p.rescaled(16e-9 * B)
         assert q.alpha_hat == pytest.approx(p.alpha_hat / 4, rel=1e-13)
-        assert q.B == p.B and q.alpha == p.alpha and q.m == p.m
+        assert q.alpha == p.alpha and q.m == p.m
 
     def test_one_slope_warning_at_the_call(self):
         """A steep groove warns once per reduction, at the caller's line."""
         with pytest.warns(SmallSlopeWarning) as record:
-            model_from_physical(_phys(gamma_gb=1.5), t_ref=1e-9)
+            model_from_physical(_phys(gamma_gb=1.5), bt=1e-29)
         assert len(record) == 1
         assert record[0].filename == __file__

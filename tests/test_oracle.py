@@ -541,11 +541,12 @@ class TestSystemAssembly:
 
 
 @pytest.mark.parametrize("snapshots, factorizations", [((), 28),
-                                                       ((0.1, 0.3, 0.55, 0.8), 40)],
+                                                       ((0.1, 0.3, 0.55, 0.8), 43)],
                          ids=["no-snapshots", "four-snapshots"])
 def test_factorization_count(monkeypatch, snapshots, factorizations):
-    """One factorization per distinct step length, except that a plateau
-    interrupted by a snapshot split goes on with its kept LU."""
+    """One factorization per change of step length: only the last LU is
+    kept, so the steps of a snapshot split are factored, and the plateau
+    step is factored again after them."""
     calls = []
 
     def counting(*args):
