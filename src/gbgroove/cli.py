@@ -157,6 +157,12 @@ class RunConfig:
         if self.mode == "depth-series" and (self.order != 2 or self.include_corner):
             raise CliConfigError("depth-series gives the closed-form N = 2 depth with "
                                  "no corner term; it takes no order or include_corner")
+        if self.mode in ("params", "corner") and len(self.times) > 1:
+            raise CliConfigError(f"mode {self.mode!r} reads one Bt value, got "
+                                 f"{len(self.times)}")
+        if self.mode == "corner" and self.order != 2:
+            raise CliConfigError("corner gives the corner-layer solutions alone; it "
+                                 "takes no order")
         for bt in self.times:
             if not bt > 0:
                 raise CliConfigError(f"Bt values must be positive, got {bt}")
@@ -384,10 +390,13 @@ def _mode_depth_series(cfg: RunConfig) -> str:
     columns = ["alpha_m2", "Bt_m4", "depth_mullins_m", "depth_composite_m",
                "relative_effect"]
     rows = []
+    depths = []     # the Mullins root depth per Bt: alpha does not enter it
     for alpha in alphas:
-        for bt in cfg.times:
+        for j, bt in enumerate(cfg.times):
             params = RunConfig(mode=cfg.mode, model={**cfg.model, "alpha": alpha}).reduced(bt)
-            ym = abs(mullins_profile_dim(0.0, bt, params))
+            if j == len(depths):
+                depths.append(abs(mullins_profile_dim(0.0, bt, params)))
+            ym = depths[j]
             dd = depth_difference(bt, params)
             rows.append([params.alpha, bt, ym, ym - dd, dd / ym if ym > 0 else 0.0])
     return _write_table(cfg, columns, rows, [])

@@ -24,7 +24,7 @@ from .layers import (
     corner_combination_deriv0,
 )
 from .material import ModelParams
-from .outer import mullins_profile, outer_term
+from .outer import mullins_profile, outer_expansion, outer_term
 from .specfun import gamma
 
 __all__ = [
@@ -108,9 +108,10 @@ def composite_profile_nd(x, t: float, m: float, alpha_hat: float,
     if corner is not None and corner.gamma != 0.0 and corner.alpha_hat != alpha_hat:
         raise ValueError(f"corner alpha_hat = {corner.alpha_hat} differs from "
                          f"the profile's alpha_hat = {alpha_hat}")
-    y = mullins_profile(x, t, m, order=order)
+    terms = outer_expansion(spec.N, x, t, m, order=order)
+    y = terms[0]
     for r in range(1, spec.N + 1):
-        y += alpha_hat ** r * outer_term(r, x, t, m, order=order)
+        y += alpha_hat ** r * terms[r]
     if alpha_hat > 0:
         y += boundary_layer_G(x, t, alpha_hat, m, order=order)
     if corner is not None and corner.gamma != 0.0 and alpha_hat > 0:

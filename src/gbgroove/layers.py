@@ -10,7 +10,10 @@ nondimensional, as in `outer`: t (and the corner time tau) stands for
 B t / L0^4, so B never enters separately.  The evaluators take a float or
 an array of points; a float gives a float back.
 `boundary_layer_G` and `corner_fundamental_v` take `order` and return that
-derivative, the value at the default 0.
+derivative, the value at the default 0.  `corner_fundamental_v`,
+`corner_solutions_yc` and `corner_solution_diagnostics` take one index or
+a sequence of them, which adds a leading axis; the fundamentals behind a
+call are summed in one engine pass.
 """
 
 from __future__ import annotations
@@ -144,13 +147,20 @@ def _v_params(i: int, r: float):
     return nums, dens
 
 
-def corner_fundamental_v(i: int, w, r: float, order: int = 0):
+def corner_fundamental_v(i, w, r: float, order: int = 0):
     """Fundamental similarity solution v_i(w) = w^(i-1) 1F5(...; -w^6/6^6), or
-    its term-differentiated d^order/dw^order."""
+    its term-differentiated d^order/dw^order.
+
+    `i` is one index or a sequence of them, which adds a leading axis; a
+    sequence is summed in one engine pass."""
     if np.any(np.less(w, 0)):
         raise ValueError(f"w must be non-negative, got {np.min(w)}")
-    nums, dens = _v_params(i, r)
-    return hyp_series(nums, dens, _W6_SCALE, i - 1, 6, w, order).value
+    if np.ndim(i) == 0:
+        nums, dens = _v_params(i, r)
+        return hyp_series(nums, dens, _W6_SCALE, i - 1, 6, w, order).value
+    params = [_v_params(k, r) for k in i]
+    return hyp_series([nums for nums, _ in params], [dens for _, dens in params],
+                      _W6_SCALE, [k - 1 for k in i], 6, w, order).value
 
 
 def corner_similarity_ode_residual(w: float, r: float, V=None) -> float:
@@ -190,8 +200,8 @@ def corner_solution_diagnostics(i, zeta, tau: float, spec: CornerSpec) -> Series
 
     The six weighted fundamentals grow like exp(c w^(6/5)) individually;
     their cancellation, not the series summation, is what limits float64
-    past w ~ 22.  For a sequence of indices the fundamentals they share are
-    summed once.
+    past w ~ 22.  Every fundamental the indices use is summed once, all of
+    them in one engine pass.
     """
     rows = [i] if np.ndim(i) == 0 else list(i)
     for k in rows:
@@ -204,8 +214,8 @@ def corner_solution_diagnostics(i, zeta, tau: float, spec: CornerSpec) -> Series
     w = np.divide(zeta, tau ** (1.0 / 6.0))
     weights = corner_weights(spec.r)
     wij = [[weights[j] * CORNER_MATRIX[k - 1, j] for j in range(6)] for k in rows]
-    v = {j: corner_fundamental_v(j + 1, w, spec.r)
-         for j in range(6) if any(row[j] != 0.0 for row in wij)}
+    used = [j for j in range(6) if any(row[j] != 0.0 for row in wij)]
+    v = dict(zip(used, corner_fundamental_v([j + 1 for j in used], w, spec.r)))
     pref = tau ** spec.r
     value, max_piece = [], []
     for row in wij:

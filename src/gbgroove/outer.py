@@ -8,7 +8,10 @@ z = u^4/256.  Evaluators clamp at u = U_CLAMP and return 0 beyond it;
 past that point the profile is buried in cancellation noise.
 The evaluators take a float or an array of points (x or u); a float gives
 a float back.  The profile and shape evaluators take `order` and return
-that derivative, the value at the default 0.
+that derivative, the value at the default 0.  `outer_expansion` gives the
+terms y_0, ..., y_N of the expansion together, as a list over r: all their
+series go through one engine pass, where `mullins_profile` and `outer_term`
+make one pass per term.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ __all__ = [
     "mullins_shape",
     "outer_term",
     "outer_term_shape",
+    "outer_expansion",
     "yr_quadrature_oracle",
     "mullins_ode_residual",
 ]
@@ -66,11 +70,16 @@ def _similarity(x, t: float):
     return x / L, L
 
 
-def _shape_deriv(pieces, u, order: int):
-    """Sum of c * d^order/du^order [u^p pFq(a; b; u^4/256)] over pieces, at every u."""
-    return compensated_sum(
-        c * hyp_series(nums, dens, _Z_SCALE, power, 4, u, order).value
-        for c, power, (nums, dens) in pieces if c != 0.0)
+def _shape_derivs(shapes, u, order: int) -> list:
+    """For each shape, given as its pieces (c, p, (a, b)), the sum of
+    c * d^order/du^order [u^p pFq(a; b; u^4/256)] over its pieces, at every
+    u: one engine pass, one parameter row per piece."""
+    owner, cs, powers, nums, dens = zip(*(
+        (k, c, power, a, b) for k, pieces in enumerate(shapes)
+        for c, power, (a, b) in pieces if c != 0.0))
+    values = hyp_series(nums, dens, _Z_SCALE, powers, 4, u, order).value
+    return [compensated_sum(c * v for k, c, v in zip(owner, cs, values) if k == shape)
+            for shape in range(len(shapes))]
 
 
 def _linear_term_deriv(c: float, u, order: int):
@@ -87,10 +96,32 @@ _MULLINS_PIECES = (
 )
 
 
+def _term_pieces(r: int):
+    """Series pieces (c, p, (a, b)) of the shape of y_r: the correction Y_r
+    for r >= 1, the unpassivated Z less its linear term u/2 for r = 0."""
+    if r == 0:
+        return _MULLINS_PIECES
+    rf = math.factorial(r)
+    # 1.5 r -/+ 0.25 lies in 1/4 + Z/2: never a Gamma pole
+    ga = gamma(1.5 * r - 0.25)
+    gb = gamma(1.5 * r + 0.25)
+    sign = -1.0 if r % 2 else 1.0
+    return (
+        (sign * ga / (4.0 * math.pi * rf), 0, ((1.5 * r - 0.25,), (0.25, 0.5, 0.75))),
+        (-sign * gb / (8.0 * math.pi * rf), 2, ((1.5 * r + 0.25,), (0.75, 1.25, 1.5))),
+    )
+
+
+def _term_shapes(rs, u, order: int) -> list:
+    """d^order/du^order of the shape of y_r (Z for r = 0, else Y_r), for
+    each r in rs, at every u: one engine pass."""
+    sums = _shape_derivs([_term_pieces(r) for r in rs], u, order)
+    return [_linear_term_deriv(0.5, u, order) + s if r == 0 else s for r, s in zip(rs, sums)]
+
+
 def mullins_shape(u, order: int = 0):
     """d^order/du^order of the unpassivated similarity shape Z(u) = y0/(m t^{1/4})."""
-    return up_to(U_CLAMP, u, lambda v: _linear_term_deriv(0.5, v, order)
-                    + _shape_deriv(_MULLINS_PIECES, v, order))
+    return up_to(U_CLAMP, u, lambda v: _term_shapes((0,), v, order)[0])
 
 
 def basis_f1(x: float, t: float) -> float:
@@ -100,7 +131,7 @@ def basis_f1(x: float, t: float) -> float:
         (-1.0 / (2.0 * _G34), 2, _EVEN),
         (1.0 / (6.0 * _SQRT2 * _G12), 3, _CUBIC),
     )
-    return L * up_to(U_CLAMP, u, lambda v: v / _SQRT2 + _shape_deriv(pieces, v, 0))
+    return L * up_to(U_CLAMP, u, lambda v: v / _SQRT2 + _shape_derivs((pieces,), v, 0)[0])
 
 
 def basis_f2(x: float, t: float) -> float:
@@ -110,7 +141,7 @@ def basis_f2(x: float, t: float) -> float:
         (1.0 / _G54, 0, _CONST),
         (1.0 / (6.0 * _SQRT2 * _G12), 3, _CUBIC),
     )
-    return L * up_to(U_CLAMP, u, lambda v: -v / _SQRT2 + _shape_deriv(pieces, v, 0))
+    return L * up_to(U_CLAMP, u, lambda v: -v / _SQRT2 + _shape_derivs((pieces,), v, 0)[0])
 
 
 def mullins_profile(x, t: float, m: float, *, order: int = 0):
@@ -124,16 +155,7 @@ def outer_term_shape(r: int, u, order: int = 0):
     """d^order/du^order of the order-r correction shape Y_r(u) (per unit m)."""
     if r < 1:
         raise ValueError(f"correction index r must be >= 1, got {r}")
-    rf = math.factorial(r)
-    # 1.5 r -/+ 0.25 lies in 1/4 + Z/2: never a Gamma pole
-    ga = gamma(1.5 * r - 0.25)
-    gb = gamma(1.5 * r + 0.25)
-    sign = -1.0 if r % 2 else 1.0
-    pieces = (
-        (sign * ga / (4.0 * math.pi * rf), 0, ((1.5 * r - 0.25,), (0.25, 0.5, 0.75))),
-        (-sign * gb / (8.0 * math.pi * rf), 2, ((1.5 * r + 0.25,), (0.75, 1.25, 1.5))),
-    )
-    return up_to(U_CLAMP, u, lambda v: _shape_deriv(pieces, v, order))
+    return up_to(U_CLAMP, u, lambda v: _term_shapes((r,), v, order)[0])
 
 
 def outer_term(r: int, x, t: float, m: float, *, order: int = 0):
@@ -141,6 +163,17 @@ def outer_term(r: int, x, t: float, m: float, *, order: int = 0):
     (term-differentiated); enters the expansion as alpha^r y_r."""
     u, L = _similarity(x, t)
     return m * L ** (1 - 2 * r - order) * outer_term_shape(r, u, order)
+
+
+def outer_expansion(N: int, x, t: float, m: float, *, order: int = 0) -> list:
+    """The outer expansion's terms [y_0, y_1, ..., y_N](x, t), or their
+    d^order/dx^order: y_0 is mullins_profile and y_r is outer_term(r), each
+    bit for bit, and all their series are summed in one engine pass."""
+    if N < 0:
+        raise ValueError(f"expansion order N must be >= 0, got {N}")
+    u, L = _similarity(x, t)
+    shapes = up_to(U_CLAMP, u, lambda v: _term_shapes(range(N + 1), v, order))
+    return [m * L ** (1 - 2 * r - order) * shape for r, shape in enumerate(shapes)]
 
 
 def yr_quadrature_oracle(r: int, x: float, t: float, m: float,

@@ -4,8 +4,11 @@ Everything here is plain float64 arithmetic with compensated (Neumaier)
 summation.  One series engine, `hyp_series`, sums over an array of points
 at once and reports per point how many digits were lost to cancellation,
 so that downstream profile code can flag unreliable values instead of
-returning garbage.  `hyp_pFq`, `hyp_pFq_derivative` and
-`hyp_series_derivative` are its one-point faces.
+returning garbage.  It also takes a sequence of parameter rows (a
+sequence of powers, one parameter tuple per row), so every series of one
+evaluation at the same points is summed in a single term loop.
+`hyp_pFq`, `hyp_pFq_derivative` and `hyp_series_derivative` are its
+one-point, one-row faces.
 """
 
 from __future__ import annotations
@@ -148,10 +151,13 @@ def pochhammer(lam: float, k: int) -> float:
 def _neumaier_add(s, c, x):
     """One compensated (Neumaier) step, elementwise: the new (sum, compensation).
 
-    Over n steps the error is O(eps)|sum| + O(n eps^2) sum|terms|.
+    The compensation gains the exact rounding error of s + x, taken by
+    TwoSum, which needs no branch on |s| >= |x|.  Over n steps the error is
+    O(eps)|sum| + O(n eps^2) sum|terms|.
     """
     t = s + x
-    return t, c + np.where(abs(s) >= abs(x), (s - t) + x, (x - t) + s)
+    bp = t - s
+    return t, c + ((s - (t - bp)) + (x - bp))
 
 
 def compensated_sum(pieces):
@@ -181,15 +187,18 @@ def cancel_digits(max_piece, value):
 def up_to(limit: float, x, fn):
     """fn(x) where x <= limit and 0 past it, where fn is never called.
 
-    fn takes and returns arrays; a float x gives a float back.
+    fn takes a 1-d array of points and returns an array of their shape, or
+    one with a leading axis (one row per quantity).  A float x gives a
+    float back, or a list of floats along the leading axis.
     """
     x = np.asarray(x, dtype=float)
-    if x.ndim == 0:
-        return 0.0 if x > limit else float(fn(x))
-    out = np.zeros(x.shape)
-    inside = ~(x > limit)
-    out[inside] = fn(x[inside])
-    return out
+    flat = x.ravel()
+    inside = ~(flat > limit)
+    part = np.asarray(fn(flat[inside]))
+    lead = part.shape[:-1]
+    out = np.zeros(lead + flat.shape)
+    out[..., inside] = part
+    return out.reshape(lead + x.shape) if x.ndim else out[..., 0].tolist()
 
 
 def _terminating_at(numerators: tuple[float, ...]) -> int | None:
@@ -211,8 +220,17 @@ def _series_result(shape, value, terms, max_term) -> SeriesResult:
     return SeriesResult(value, terms, max_term, cancel_digits(max_term, value))
 
 
+def _by_element(per_row: list, row: np.ndarray):
+    """Per-row floats spread over elements whose rows are `row`; one float
+    where every row has the same nonzero value, which multiplies alike."""
+    first = per_row[0]
+    if first != 0.0 and all(v == first for v in per_row):
+        return first
+    return np.array(per_row)[row]
+
+
 @np.errstate(over="ignore")     # an overflowing term raises SeriesError below
-def hyp_series(numerators, denominators, scale: float, power: int, step: int,
+def hyp_series(numerators, denominators, scale: float, power, step: int,
                x, order: int, tol: float = DEFAULT_TOL) -> SeriesResult:
     """d^order/dx^order of  x**power * pFq(a; b; scale * x**step), at every x.
 
@@ -222,106 +240,147 @@ def hyp_series(numerators, denominators, scale: float, power: int, step: int,
     back; an array gives arrays of its shape (per-point values, largest
     terms, term counts and cancellation digits).
 
-    The term coefficients depend on k alone, so each is formed once per k
-    as a Python float and applied to every point still summing.  A point
-    stops at its own rule (three consecutive terms below tol * |partial
-    sum|); terminating series (negative-integer numerator) are summed
-    exactly.  Any non-finite term, or any point still summing after
-    TERM_BUDGET terms, raises SeriesError.
+    Parameter rows: when `power` is a sequence, with one entry per row,
+    `numerators` and `denominators` hold one parameter tuple per row and
+    every result field gains a leading row axis.  One term loop sums every
+    (row, point) element, a one-row call included, and each element gets
+    exactly the arithmetic of a one-row call: rows may differ in their
+    first term, their value at x = 0 and whether they terminate.
+
+    The term coefficients depend on the row and k alone, so each is formed
+    once per (row, k) as a Python float and applied to every point of the
+    row still summing.  An element stops at its own rule (three consecutive
+    terms below tol * |partial sum|); terminating series (negative-integer
+    numerator) are summed exactly.  Any non-finite term, or any element
+    still summing after TERM_BUDGET terms, raises SeriesError.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
     if not tol > 0:
         raise ValueError("tol must be positive")
-    numerators = tuple(float(a) for a in numerators)
-    denominators = tuple(float(b) for b in denominators)
-    for b in denominators:
-        if _is_nonpositive_integer(b):
-            raise GammaPoleError(f"denominator parameter {b} is zero or a negative integer")
-    cut = _terminating_at(numerators)
+    one_row = np.ndim(power) == 0
+    if one_row:
+        numerators, denominators, power = (numerators,), (denominators,), (power,)
+    if not len(numerators) == len(denominators) == len(power):
+        raise ValueError("need one numerator and one denominator tuple per power")
+    numerators = [tuple(float(a) for a in nums) for nums in numerators]
+    denominators = [tuple(float(b) for b in dens) for dens in denominators]
+    for dens in denominators:
+        for b in dens:
+            if _is_nonpositive_integer(b):
+                raise GammaPoleError(f"denominator parameter {b} is zero or a negative integer")
+    rows = range(len(power))
+    cuts = [_terminating_at(nums) for nums in numerators]
 
-    def param_ratio(k: int) -> float:
+    def ratio(i: int, k: int) -> float:
+        """Ratio of row i's series coefficients k+1 and k."""
         r = scale / (k + 1.0)
-        for a in numerators:
+        for a in numerators[i]:
             r *= a + k
-        for b in denominators:
+        for b in denominators[i]:
             r /= b + k
         return r
 
+    def coefficient(i: int, k: int) -> float:
+        coeff = 1.0
+        for j in range(k):
+            coeff *= ratio(i, j)
+        return coeff
+
     xs = np.asarray(x, dtype=float)
     flat = xs.ravel()
-    value, max_term = np.zeros(flat.size), np.zeros(flat.size)
-    terms = np.ones(flat.size, dtype=np.int64)
+    n = flat.size
+    shape = xs.shape if one_row else (len(rows),) + xs.shape
+    value, max_term = np.zeros(len(rows) * n), np.zeros(len(rows) * n)
+    terms = np.ones(len(rows) * n, dtype=np.int64)
     zero = flat == 0.0
-    k_hit, rem = divmod(order - power, step)
-    if zero.any() and rem == 0 and k_hit >= 0 and (cut is None or k_hit < cut):
-        # at x = 0 only the monomial matching the derivative order survives
-        coeff = 1.0
-        for k in range(k_hit):
-            coeff *= param_ratio(k)
-        val = coeff * math.factorial(order)
-        value[zero], max_term[zero], terms[zero] = val, abs(val), k_hit + 1
-    live = np.flatnonzero(~zero)
-    if not live.size:
-        return _series_result(xs.shape, value, terms, max_term)
+    if zero.any():
+        for i in rows:
+            k_hit, rem = divmod(order - power[i], step)
+            if rem == 0 and k_hit >= 0 and (cuts[i] is None or k_hit < cuts[i]):
+                # at x = 0 only the monomial matching the derivative order survives
+                val = coefficient(i, k_hit) * math.factorial(order)
+                at = i * n + np.flatnonzero(zero)
+                value[at], max_term[at], terms[at] = val, abs(val), k_hit + 1
+    points = np.flatnonzero(~zero)
+    if not points.size:
+        return _series_result(shape, value, terms, max_term)
 
-    # first index whose monomial power reaches the derivative order
-    k0 = max(0, (order - power + step - 1) // step)
-    coeff = 1.0
-    for k in range(k0):
-        coeff *= param_ratio(k)
+    # first index whose monomial power reaches the derivative order, per row
+    k0 = [max(0, (order - p + step - 1) // step) for p in power]
     # Carry coeff * x^(step k + power - order) as one quantity: the naked
     # power overflows long before the term itself does.  Powers are taken
     # per point in Python floats (libm), which numpy's power may not match.
-    xl = flat[live].tolist()
-    base = np.array([coeff * v ** (step * k0 + power - order) for v in xl])
-    xstep = np.array([v ** step for v in xl])
+    xl = flat[points].tolist()
+    exponents = [step * k0[i] + power[i] - order for i in rows]
+    powered = {e: np.array([v ** e for v in xl]) for e in set(exponents)}
+    base = np.concatenate([coefficient(i, k0[i]) * powered[exponents[i]] for i in rows])
+    xstep = np.tile([v ** step for v in xl], len(rows))
+    row = np.repeat(np.arange(len(rows)), points.size)
+    live = row * n + np.tile(points, len(rows))     # index into the flat results
     s, c, mx = np.zeros(live.size), np.zeros(live.size), np.zeros(live.size)
     small = np.zeros(live.size, dtype=np.int64)
 
-    def retire(done, k):
-        # done: a mask over the live points, or slice(None) for all of them
+    def retire(done, j):
         at = live[done]
-        value[at], max_term[at], terms[at] = (s + c)[done], mx[done], max(k - k0, 1)
+        value[at], max_term[at], terms[at] = (s + c)[done], mx[done], max(j, 1)
 
-    k = k0
+    j = 0       # terms summed so far: row i is at k = k0[i] + j
     while True:
-        p = step * k + power
-        fall = 1.0       # falling factorial p (p-1) ... (p-order+1)
-        for j in range(order):
-            fall *= p - j
-        term = base * fall
+        ps = [step * (k0[i] + j) + power[i] for i in rows]
+        falls = []      # falling factorials p (p-1) ... (p-order+1)
+        for p in ps:
+            fall = 1.0
+            for q in range(order):
+                fall *= p - q
+            falls.append(fall)
+        term = base * _by_element(falls, row)
         aterm = np.abs(term)
         if not aterm.max() < math.inf:
             bad = int(np.argmin(aterm < math.inf))
+            k = k0[row[bad]] + j
             raise SeriesError(
-                f"series term overflowed at k={k} (x={flat[live[bad]]:.4g}); the "
+                f"series term overflowed at k={k} (x={flat[live[bad] % n]:.4g}); the "
                 "value is outside the representable range", terms_used=k,
                 partial_sum=float(s[bad] + c[bad]))
         s, c = _neumaier_add(s, c, term)
         np.maximum(mx, aterm, out=mx)
-        if cut is None and p > order:
+        # terminating rows are summed to their end, and a leading constant
+        # term is never small
+        checked = [cuts[i] is None and ps[i] > order for i in rows]
+        done = None
+        if any(checked):
             tiny = aterm <= tol * np.maximum(np.abs(s + c), 1e-300)
+            if not all(checked):
+                tiny &= np.array(checked)[row]
             small = np.where(tiny, small + 1, 0)
             done = small >= 3
             if done.any():
-                retire(done, k)
-                if done.all():
-                    break
-                keep = ~done
-                live, base, xstep, s, c, mx, small = (
-                    v[keep] for v in (live, base, xstep, s, c, mx, small))
-        k += 1
-        if cut is not None and k >= cut:
-            retire(slice(None), k)
-            break
-        if k >= TERM_BUDGET:
-            raise SeriesError(
-                f"term-differentiated series did not converge within {TERM_BUDGET} terms",
-                terms_used=k, partial_sum=float(s[0] + c[0]))
-        base *= param_ratio(k - 1) * xstep
+                retire(done, j)
+            else:
+                done = None
+        j += 1
+        ended = [i for i in rows if cuts[i] is not None and k0[i] + j >= cuts[i]]
+        if ended:
+            cut_done = np.isin(row, ended)
+            retire(cut_done, j)
+            done = cut_done if done is None else done | cut_done
+        if done is not None:
+            if done.all():
+                break
+            keep = ~done
+            live, row, base, xstep, s, c, mx, small = (
+                v[keep] for v in (live, row, base, xstep, s, c, mx, small))
+        if max(k0) + j >= TERM_BUDGET:
+            over = np.isin(row, [i for i in rows if k0[i] + j >= TERM_BUDGET])
+            if over.any():
+                first = int(np.argmax(over))
+                raise SeriesError(
+                    f"term-differentiated series did not converge within {TERM_BUDGET} terms",
+                    terms_used=k0[row[first]] + j, partial_sum=float(s[first] + c[first]))
+        base *= _by_element([ratio(i, k0[i] + j - 1) for i in rows], row) * xstep
 
-    return _series_result(xs.shape, value, terms, max_term)
+    return _series_result(shape, value, terms, max_term)
 
 
 def hyp_pFq(args: HypArgs, tol: float = DEFAULT_TOL) -> SeriesResult:

@@ -12,6 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gbgroove import layers, outer
+from gbgroove.cli import PRESETS, main
 from gbgroove.composite import ExpansionSpec, composite_profile_nd, mullins_profile_dim
 from gbgroove.layers import (
     CornerSpec,
@@ -21,7 +23,13 @@ from gbgroove.layers import (
     corner_solution_diagnostics,
     corner_solutions_yc,
 )
-from gbgroove.outer import mullins_shape, outer_term_shape
+from gbgroove.outer import (
+    mullins_profile,
+    mullins_shape,
+    outer_expansion,
+    outer_term,
+    outer_term_shape,
+)
 from gbgroove.specfun import SeriesError, hyp_series, hyp_series_derivative
 
 U = np.array([0.0, 1e-3, 0.37, 1.0, 2.5, 4.0, 6.75, 9.1, 11.99, 12.0,
@@ -134,3 +142,91 @@ def test_any_overflowing_point_raises():
         hyp_series(nums, dens, 1 / 256, 2, 4, np.array([0.0, 1.0, 1000.0, 2.0]), 0)
     assert err.value.terms_used > 0
     assert "x=1000" in str(err.value)
+
+
+# parameter rows for both steps, powers 0, 2 and 3, so the rows start at
+# different k, and last a terminating row (a polynomial of degree 8 or 5 in
+# the argument) among them: 1F3 shape families with argument u^4/256 and
+# 1F5 corner fundamentals v_1, v_3, v_4 (r = -1) with argument -w^6/6^6
+_ROWS = {
+    4: ([(0.25,), (-0.25,), (0.5,), (-8.0,)],
+        [(0.75, 1.25, 1.5), (0.25, 0.5, 0.75), (1.25, 1.5, 1.75), (0.75, 1.25, 1.5)],
+        [2, 0, 3, 2], 1 / 256),
+    6: ([(1.0,), (4 / 3,), (1.5,), (-5.0,)],
+        [tuple((i + j) / 6 for j in range(6) if i + j != 6) for i in (1, 3, 4, 4)],
+        [0, 2, 3, 3], -1 / 6 ** 6),
+}
+_FIELDS = ("value", "terms_used", "max_term_magnitude", "cancellation_digits")
+
+
+@pytest.mark.parametrize("step", [4, 6])
+@pytest.mark.parametrize("order", range(9))
+def test_parameter_rows_equal_one_row_calls(step, order):
+    nums, dens, powers, scale = _ROWS[step]
+    for x in (U, 0.0, 2.5):
+        rows = hyp_series(nums, dens, scale, powers, step, x, order)
+        for i in range(len(powers)):
+            one = hyp_series(nums[i], dens[i], scale, powers[i], step, x, order)
+            for f in _FIELDS:
+                got = getattr(rows, f)
+                assert got.shape == (len(powers),) + np.shape(x)
+                assert np.array_equal(got[i], getattr(one, f)), (i, f)
+    # the terminating row sums every term from its first, k0, to its last
+    cut = int(-nums[-1][0]) + 1
+    k0 = max(0, -((powers[-1] - order) // step))
+    terms = hyp_series(nums, dens, scale, powers, step, U, order).terms_used[-1]
+    assert np.all(terms[U > 0] == max(cut - k0, 1))
+
+
+def test_overflowing_row_raises():
+    # at u = 1000 the non-terminating 1F3 row overflows; the terminating
+    # row next to it is a polynomial and would not
+    nums, dens = [(-2.0,), (0.25,)], [(0.75, 1.25, 1.5)] * 2
+    with pytest.raises(SeriesError) as err:
+        hyp_series(nums, dens, 1 / 256, [2, 2], 4, np.array([0.0, 1.0, 1000.0]), 0)
+    assert err.value.terms_used > 0
+    assert "x=1000" in str(err.value)
+
+
+@pytest.mark.parametrize("order", range(7))
+def test_outer_expansion_terms_equal_their_evaluators(order):
+    x, t = U * 1.3, 1.7
+    terms = outer_expansion(3, x, t, 0.209, order=order)
+    assert _same(terms[0], mullins_profile(x, t, 0.209, order=order))
+    for r in (1, 2, 3):
+        assert _same(terms[r], outer_term(r, x, t, 0.209, order=order))
+    one = outer_expansion(2, 0.7, t, 0.209, order=order)
+    assert one == [mullins_profile(0.7, t, 0.209, order=order),
+                   *(outer_term(r, 0.7, t, 0.209, order=order) for r in (1, 2))]
+    assert all(type(v) is float for v in one)
+
+
+def _engine_calls(monkeypatch, module):
+    """Arguments of every series-engine call made through `module`."""
+    calls = []
+    engine = module.hyp_series
+    monkeypatch.setattr(module, "hyp_series",
+                        lambda *args: calls.append(args) or engine(*args))
+    return calls
+
+
+def test_composite_is_one_engine_pass(monkeypatch):
+    calls = _engine_calls(monkeypatch, outer)
+    composite_profile_nd(U, 1.0, 0.209, ALPHA_HAT, ExpansionSpec(N=2))
+    assert len(calls) == 1
+    assert list(calls[0][3]) == [2, 0, 0, 2, 0, 2]      # y_0, y_1 and y_2: two rows each
+
+
+def test_corner_solutions_are_one_engine_pass(monkeypatch):
+    calls = _engine_calls(monkeypatch, layers)
+    corner_solutions_yc((4, 5, 6), U, 1.0, CORNER)
+    # the five fundamentals v_2..v_6 that y_c4..y_c6 weigh (v_1's weight is
+    # 0 at r = -1)
+    assert len(calls) == 1 and list(calls[0][3]) == [1, 2, 3, 4, 5]
+
+
+def test_figure6_evaluates_the_mullins_depth_once_per_bt(monkeypatch, capsys):
+    calls = _engine_calls(monkeypatch, outer)
+    assert main(["--preset", "figure6"]) == 0
+    assert len(calls) == len(PRESETS["figure6"]["times"]) == 25
+    assert len(capsys.readouterr().out.splitlines()) == 3 + 4 * 25     # 4 alphas

@@ -253,11 +253,13 @@ def _emitted_numbers(text):
 @pytest.mark.parametrize("mode", ["profile", "compare", "corner", "depth-series"])
 def test_output_depends_on_B_only_through_Bt(mode, capsys):
     """At fixed Bt, every emitted number is the same whatever B is, even at
-    a B whose ratio Bt / B would underflow or overflow."""
+    a B whose ratio Bt / B would underflow or overflow.  Corner mode reads
+    one Bt value."""
+    times = ["--Bt", "1e-29"] + ([] if mode == "corner" else ["--Bt", "4.4e-30"])
     runs = {}
     for B in ("0.3", "1", "2.5", "1e300", "1e-300"):
         argv = ["--mode", mode, "--m", "0.209", "--alpha", "9.7e-16", "--B", B,
-                "--Bt", "1e-29", "--Bt", "4.4e-30", "--samples", "16"]
+                *times, "--samples", "16"]
         assert main(argv) == 0
         runs[B] = _emitted_numbers(capsys.readouterr().out)
     assert runs["1"].size >= 10
@@ -356,6 +358,10 @@ _BAD_DOCUMENTS = {
     # B is required in every mode, though no output depends on it alone
     "depth-series-no-B": {**_FIG4, "mode": "depth-series",
                           "model": {"alpha": 9.7e-16, "m": 0.209}},
+    # params and corner read one Bt value, and corner has no expansion order
+    "params-two-times": {**_FIG4, "mode": "params", "times": [1e-29, 2e-29]},
+    "corner-two-times": {**_FIG4, "mode": "corner", "times": [1e-29, 2e-29]},
+    "corner-order": {**_FIG4, "mode": "corner", "order": 5},
 }
 
 

@@ -19,6 +19,7 @@ from gbgroove.specfun import (
     GammaPoleError,
     HypArgs,
     SeriesError,
+    _neumaier_add,
     gamma,
     hyp_pFq,
     hyp_pFq_derivative,
@@ -279,3 +280,23 @@ def test_cancellation_flag_bounds_the_error(nums, dens, power, order):
         err = np.array([float(abs(v - e)) for v, e in zip(got.value.tolist(), exact)])
     bound = 16 * np.finfo(float).eps * got.max_term_magnitude
     assert np.all(err <= bound), float(np.max(err / np.where(bound > 0, bound, np.inf)))
+
+
+def test_twosum_compensation_equals_the_branching_form():
+    """TwoSum's error term and the |s| >= |x| branch of Neumaier's step are
+    both the exact rounding error of s + x: bit for bit the same, on
+    operands of either sign from 1e-300 to 1e300 and on near-cancelling
+    pairs."""
+    rng = np.random.default_rng(14)
+
+    def operands(n):
+        return rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-300, 300, n)
+
+    s, c = operands(200_000), operands(200_000) * 1e-16
+    x = np.concatenate([operands(100_000), -s[100_000:] * (1 + rng.uniform(-1e-9, 1e-9,
+                                                                            100_000))])
+    t = s + x
+    branching = c + np.where(abs(s) >= abs(x), (s - t) + x, (x - t) + s)
+    got_t, got_c = _neumaier_add(s, c, x)
+    assert np.array_equal(got_t.view(np.int64), t.view(np.int64))
+    assert np.array_equal(got_c.view(np.int64), branching.view(np.int64))
