@@ -283,8 +283,8 @@ def hyp_series(numerators, denominators, scale: float, power, step: int,
 
     def coefficient(i: int, k: int) -> float:
         coeff = 1.0
-        for j in range(k):
-            coeff *= ratio(i, j)
+        for q in range(k):
+            coeff *= ratio(i, q)
         return coeff
 
     xs = np.asarray(x, dtype=float)
