@@ -133,6 +133,9 @@ class RunConfig:
         _require_numbers("corner_r and corner_gamma", [self.corner_r, self.corner_gamma])
         if not isinstance(self.solver, dict):
             raise CliConfigError(f"solver must be an object, got {self.solver!r}")
+        if not isinstance(self.include_corner, bool):
+            raise CliConfigError(f"include_corner must be true or false, "
+                                 f"got {self.include_corner!r}")
         if not isinstance(self.out, (str, type(None))):
             raise CliConfigError(f"out must be a path, got {self.out!r}")
         if self.mode in ("profile", "depth-series", "oracle", "compare") and not self.times:
@@ -146,6 +149,11 @@ class RunConfig:
             raise CliConfigError(f"order must be in [0, {MAX_ORDER}], got {self.order}")
         if self.xmax is not None and self.mode not in ("profile", "compare"):
             raise CliConfigError(f"mode {self.mode!r} has no profile window for xmax")
+        if self.alphas and self.mode != "depth-series":
+            raise CliConfigError(f"mode {self.mode!r} sweeps no alphas; only "
+                                 "depth-series takes them")
+        if self.solver and self.mode not in ("oracle", "compare"):
+            raise CliConfigError(f"mode {self.mode!r} runs no solver to take a solver block")
         if self.xmax is not None and not 0 < self.xmax <= U_CLAMP:
             raise CliConfigError(f"xmax must lie in (0, {U_CLAMP:g}], the series clamp, "
                                  f"got {self.xmax}")

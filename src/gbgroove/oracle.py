@@ -3,10 +3,11 @@
 Independent of the series machinery: discretizes y_t = alpha y_xxxxxx -
 y_xxxx (nondimensional) on a uniform grid with the wall conditions
 (slope-bending, zero flux, zero curvature) and a clamped far field, and
-marches it from a perfectly flat start: backward Euler over a short dyadic
-ramp, then variable-step BDF2 on a plateau of multiples of dt.  Both are
-L-stable, so the stiff 1/dx^6 modes that the incompatible flat start
-excites are damped, not carried along.
+marches it from a perfectly flat start to one time, t_final: backward
+Euler over a short dyadic ramp, then variable-step BDF2 on a plateau of
+multiples of dt, the whole schedule built as a list of step lengths
+(`time_steps`).  Both are L-stable, so the stiff 1/dx^6 modes that the
+incompatible flat start excites are damped, not carried along.
 
 Wall and far-field flux rows are imposed in integral (mass-balance) form:
 the semi-discrete system then conserves the trapezoidal mass identically,
@@ -45,7 +46,7 @@ __all__ = [
     "assemble_operator",
     "GrooveOperator",
     "solve",
-    "time_grid",
+    "time_steps",
     "mass",
     "energy",
     "chemical_potential",
@@ -65,8 +66,6 @@ MAX_STEPS = 65536
 BC_ORDER = 3        # accuracy order of the one-sided wall and far-field stencils
 RAMP_STAGES = 25    # dyadic step sizes dt/2^24 .. dt at the start of a run
 RAMP_STEPS = 2      # backward-Euler steps taken at each ramp stage
-# variable-step BDF2 is zero-stable for step ratios below 1 + sqrt(2)
-BDF2_MAX_RATIO = 1.0 + math.sqrt(2.0)
 
 
 class ConfigError(ValueError):
@@ -163,15 +162,16 @@ class SolverConfig:
     t_final: float
     alpha_hat: float
     m: float
-    snapshot_times: tuple[float, ...] = ()
 
     def __post_init__(self):
         if not 0 < self.dt < math.inf:
             raise ConfigError("dt must be positive and finite")
         if not self.t_final > 0:
             raise ConfigError("t_final must be positive")
-        if self.alpha_hat < 0:
-            raise ConfigError("alpha_hat must be non-negative")
+        if not 0 <= self.alpha_hat < math.inf:
+            raise ConfigError("alpha_hat must be non-negative and finite")
+        if not math.isfinite(self.m):
+            raise ConfigError("m must be finite")
         if self.grid.nx > MAX_NODES:
             raise ConfigError(f"need nx <= {MAX_NODES}, got {self.grid.nx}: float64 "
                               "roundoff in forming each step dominates on finer grids")
@@ -186,9 +186,6 @@ class SolverConfig:
             raise ConfigError(
                 f"domain L = {self.grid.L:.4g} shorter than 8 t_final^(1/4) "
                 f"= {8*self.t_final**0.25:.4g}")
-        for s in self.snapshot_times:
-            if not 0 < s <= self.t_final + 1e-12:
-                raise ConfigError(f"snapshot time {s} outside (0, t_final]")
 
 
 @dataclass(frozen=True)
@@ -365,66 +362,45 @@ def assemble_operator(config: SolverConfig) -> GrooveOperator:
     return GrooveOperator(config)
 
 
-def _ramp(config: SolverConfig) -> tuple[float, np.ndarray]:
-    """Plateau step and the end points of the dyadic ramp steps.
+def time_steps(config: SolverConfig) -> list[float]:
+    """Step lengths to t_final: a dyadic ramp out of t = 0, then the dt lattice.
 
-    The ramp ends just short of 2 RAMP_STEPS dt, and the plateau step is
-    capped so that this lies before t_final.
+    The fresh groove grows like t^(1/4): RAMP_STEPS steps of each length
+    dt/2^24 .. dt resolve the early transient cheaply.  Then one step goes
+    to each lattice point k dt at least dt/2 past the ramp, and one to
+    t_final, so BDF2 runs at step ratio 1 (dt is capped so that the ramp
+    ends before t_final).  A plateau step that is dt/2^s to within the
+    rounding of its end point is taken as exactly that, so a dt that is not
+    a power of two still has one system per step length.
     """
     dt = min(config.dt, config.t_final / (2.0 * RAMP_STEPS))
-    stages = dt / 2.0 ** np.arange(RAMP_STAGES - 1, -1, -1)
-    return dt, np.cumsum(np.repeat(stages, RAMP_STEPS))
-
-
-def time_grid(config: SolverConfig) -> np.ndarray:
-    """Step endpoints: a dyadic ramp out of t = 0, then multiples of dt.
-
-    The fresh groove grows like t^(1/4); the ramp spends RAMP_STEPS steps
-    on each of RAMP_STAGES dyadic scales so the early transient is resolved
-    without paying for it over the whole run.  The plateau is anchored on
-    the lattice k dt, starting at least dt/2 past the ramp, so every
-    plateau step but the first has length dt (the last one too when t_final
-    is on the lattice) and BDF2 runs at step ratio 1.
-    """
-    dt, ramp = _ramp(config)
-    first = math.ceil(ramp[-1] / dt + 0.5)
+    steps = [dt / 2.0 ** s for s in range(RAMP_STAGES - 1, -1, -1) for _ in range(RAMP_STEPS)]
+    start = 0.0
+    for h in steps:     # the ramp's end: the steps' running sum, left to right
+        start += h
+    first = math.ceil(start / dt + 0.5)
     last = math.ceil(config.t_final / dt * (1.0 - 1e-12))
-    ts = np.concatenate(([0.0], ramp, dt * np.arange(first, last), [config.t_final]))
-    # split steps so every snapshot time is hit exactly
-    snaps = np.array([s for s in config.snapshot_times
-                      if ts[0] < s < config.t_final], dtype=float)
-    if len(snaps):
-        ts = np.unique(np.concatenate([ts, snaps]))
-    return ts
+    for end in [k * dt for k in range(first, last)] + [config.t_final]:
+        h = end - start
+        nominal = dt * 2.0 ** round(math.log2(h / dt))
+        steps.append(nominal if abs(h - nominal) <= 2.0 * math.ulp(end) else h)
+        start = end
+    return steps
 
 
 def solve(config: SolverConfig) -> list[Profile]:
-    """March from planarity and return profiles at the snapshot times.
+    """March from planarity to t_final and return the final profile, alone
+    in a list.
 
-    Steps that end inside the ramp are backward Euler, and so is any step
-    more than BDF2_MAX_RATIO times longer than the one before; every other
-    step is BDF2.  The final time is always included as the last snapshot.
+    The ramp steps are backward Euler and every later step is variable-step
+    BDF2; `time_steps` keeps each step ratio below 1 + sqrt(2), where BDF2
+    is zero-stable.
     """
     op = assemble_operator(config)
-    ts = time_grid(config)
-    plateau_dt, ramp = _ramp(config)
-    ramp_end = float(ramp[-1])
-    # a step that is a ramp stage or the plateau step dt/2^s to within the
-    # rounding of its end points is taken as exactly that, so that a dt
-    # that is not a power of two still has one system per stage
-    hs = np.diff(ts)
-    nominal = plateau_dt * 2.0 ** np.round(np.log2(hs / plateau_dt))
-    hs = np.where(np.abs(hs - nominal) <= 2.0 * np.spacing(ts[1:]), nominal, hs).tolist()
-    ts = ts.tolist()
-    wanted = sorted(set(config.snapshot_times) | {config.t_final})
+    steps = time_steps(config)
     y = y_prev = np.zeros(config.grid.nx)
-    out: list[Profile] = []
-    wi = 0
-    for k in range(len(ts) - 1):
-        dt = hs[k]
-        w = dt / hs[k - 1] if ts[k + 1] > ramp_end else 0.0
-        if w > BDF2_MAX_RATIO:
-            w = 0.0
+    for k, dt in enumerate(steps):
+        w = dt / steps[k - 1] if k >= RAMP_STAGES * RAMP_STEPS else 0.0
         if w:
             z = ((1.0 + w) ** 2 / (1.0 + 2.0 * w)) * y - (w ** 2 / (1.0 + 2.0 * w)) * y_prev
         else:
@@ -432,12 +408,7 @@ def solve(config: SolverConfig) -> list[Profile]:
         # w goes in positionally: the benchmark's tracer tells a new
         # factorization from a reused one by the (dt, w) pair
         y_prev, y = y, op.advance(z, dt, w)
-        while wi < len(wanted) and ts[k] < wanted[wi] <= ts[k + 1] + 1e-15:
-            out.append(Profile(heights=y.copy(), time=ts[k + 1], grid=config.grid))
-            wi += 1
-    if not out or out[-1].time < config.t_final:
-        out.append(Profile(heights=y.copy(), time=config.t_final, grid=config.grid))
-    return out
+    return [Profile(heights=y, time=config.t_final, grid=config.grid)]
 
 
 # ---- diagnostics ----------------------------------------------------------
@@ -523,7 +494,7 @@ def flux(profile: Profile, alpha_hat: float) -> np.ndarray:
 
 
 def continuity_residual(p0: Profile, p1: Profile, alpha_hat: float) -> np.ndarray:
-    """Residual of y_t + dj/dx between two snapshots (interior nodes)."""
+    """Residual of y_t + dj/dx between two profiles (interior nodes)."""
     if p1.time <= p0.time:
         raise ValueError("need p1 later than p0")
     dt = p1.time - p0.time

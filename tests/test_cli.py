@@ -362,6 +362,11 @@ _BAD_DOCUMENTS = {
     "params-two-times": {**_FIG4, "mode": "params", "times": [1e-29, 2e-29]},
     "corner-two-times": {**_FIG4, "mode": "corner", "times": [1e-29, 2e-29]},
     "corner-order": {**_FIG4, "mode": "corner", "order": 5},
+    # "false" is a truthy string: it would switch the corner term on
+    "include-corner-string": {**_FIG4, "include_corner": "false", "corner_gamma": 0.3},
+    # entries a mode would ignore are refused, not dropped
+    "alphas-outside-depth-series": {**_FIG4, "alphas": [1e-10]},
+    "solver-outside-solver-modes": {**_FIG4, "solver": {"nx": 1025}},
 }
 
 

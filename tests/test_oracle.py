@@ -11,6 +11,8 @@ from gbgroove.oracle import (
     BC_ORDER,
     MAX_NODES,
     MAX_STEPS,
+    RAMP_STAGES,
+    RAMP_STEPS,
     ConfigError,
     DivergenceError,
     Grid,
@@ -24,7 +26,7 @@ from gbgroove.oracle import (
     flux,
     mass,
     solve,
-    time_grid,
+    time_steps,
 )
 from gbgroove.outer import mullins_profile
 from gbgroove.reference import exact_profile
@@ -54,14 +56,18 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             _config(grid=Grid(L=4.0, nx=513), t_final=1.0)
 
-    def test_snapshot_range(self):
-        with pytest.raises(ConfigError):
-            _config(snapshot_times=(2.0,))
-
     def test_node_cap(self):
         _config(grid=Grid(L=8.0, nx=MAX_NODES))
         with pytest.raises(ConfigError):
             _config(grid=Grid(L=8.0, nx=MAX_NODES + 1))
+
+    @pytest.mark.parametrize("field", ["alpha_hat", "m"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_parameters(self, field, value):
+        # a nan alpha_hat fails every alpha_hat > 0 test and would solve
+        # the alpha = 0 problem; a nan m would march until DivergenceError
+        with pytest.raises(ConfigError, match=field):
+            _config(**{field: value})
 
     def test_step_cap(self):
         _config(dt=1.0 / MAX_STEPS)
@@ -180,11 +186,6 @@ class TestStep:
 
 
 class TestSolve:
-    def test_snapshots_hit_exactly(self):
-        cfg = _config(snapshot_times=(0.25, 0.75))
-        snaps = solve(cfg)
-        assert [s.time for s in snaps] == [0.25, 0.75, 1.0]
-
     def test_zero_slope_stays_flat(self):
         cfg = _config(m=0.0)
         snaps = solve(cfg)
@@ -268,9 +269,10 @@ class TestSolve:
 
 @pytest.fixture(scope="module")
 def run():
-    cfg = _config(grid=Grid(L=8.0, nx=513),
-                  snapshot_times=(0.0625, 0.25, 0.5, 1.0))
-    return cfg, solve(cfg)
+    """Solves to 1/16, 1/4, 1/2 and 1: on the dt lattice, each is a prefix
+    of the march to 1, bit for bit."""
+    snaps = [solve(_config(t_final=t))[-1] for t in (0.0625, 0.25, 0.5, 1.0)]
+    return _config(), snaps
 
 
 class TestDiagnostics:
@@ -365,11 +367,10 @@ class TestDiagnostics:
         assert np.max(np.abs(res[interior])) < 0.25 * np.max(np.abs(yt))
 
     def test_continuity_refines_with_snapshot_spacing(self):
-        """The mass-balance residual shrinks as the snapshot pair tightens
-        (midpoint-flux time error dominates at wide spacing)."""
-        cfg = _config(grid=Grid(L=8.0, nx=513),
-                      snapshot_times=(0.5, 0.875, 1.0))
-        snaps = {p.time: p for p in solve(cfg)}
+        """The mass-balance residual shrinks as the pair of solve times
+        tightens (midpoint-flux time error dominates at wide spacing)."""
+        cfg = _config()
+        snaps = {t: solve(_config(t_final=t))[-1] for t in (0.5, 0.875, 1.0)}
         interior = slice(8, -8)
 
         def level(t0):
@@ -382,22 +383,40 @@ class TestDiagnostics:
 class TestTimeGrid:
     def test_covers_interval(self):
         cfg = _config()
-        ts = time_grid(cfg)
-        assert ts[0] == 0.0
-        assert ts[-1] == cfg.t_final
-        assert np.all(np.diff(ts) > 0)
+        steps = time_steps(cfg)
+        assert min(steps) > 0.0
+        assert math.fsum(steps) == pytest.approx(cfg.t_final, rel=1e-14)
 
     def test_ramp_resolves_early_times(self):
         cfg = _config()
-        ts = time_grid(cfg)
-        assert ts[1] < 1e-9 * cfg.t_final
+        assert time_steps(cfg)[0] < 1e-9 * cfg.t_final
 
     def test_plateau_on_the_dt_lattice(self):
         """50 ramp steps end just short of 4 dt; the plateau is 5 dt .. 64 dt."""
-        ts = time_grid(_config(dt=1.0 / 64))
-        assert len(ts) - 1 == 110
-        assert 4.0 / 64 - 1e-6 < ts[50] < 4.0 / 64
-        np.testing.assert_array_equal(ts[51:], np.arange(5, 65) / 64)
+        steps = time_steps(_config(dt=1.0 / 64))
+        assert len(steps) == 110
+        assert 1.0 / 64 < steps[50] < 1.0 / 64 * (1 + 1e-6)
+        assert steps[51:] == [1.0 / 64] * 59
+
+    @pytest.mark.parametrize("t_final", [1.0, 0.5, 0.3, 1e-3, 2.0])
+    @pytest.mark.parametrize("dt", [2.0 ** -k for k in range(2, 13)] + [1 / 100, 1e-3, 1 / 3],
+                             ids=lambda dt: f"{dt:.6g}")
+    def test_schedule_shape(self, dt, t_final):
+        """Exact dyadic ramp stages, exact plateau steps, t_final reached, and
+        every BDF2 step ratio below 1 + sqrt(2), where variable-step BDF2 is
+        zero-stable: solve takes every post-ramp step as BDF2."""
+        cfg = _config(grid=Grid(L=8.0 * max(t_final, 1.0) ** 0.25, nx=64),
+                      alpha_hat=0.0, dt=dt, t_final=t_final)
+        steps = time_steps(cfg)
+        plateau = min(dt, t_final / (2 * RAMP_STEPS))
+        ramp = RAMP_STAGES * RAMP_STEPS
+        assert steps[:ramp] == [plateau / 2.0 ** (RAMP_STAGES - 1 - k // RAMP_STEPS)
+                                for k in range(ramp)]
+        # steps between the first plateau step and the last are full ones
+        assert steps[ramp + 1:-1] == [plateau] * (len(steps) - ramp - 2)
+        assert math.fsum(steps) == pytest.approx(t_final, rel=1e-13)
+        ratios = [b / a for a, b in zip(steps[ramp - 1:], steps[ramp:])]
+        assert max(ratios) < 1.0 + math.sqrt(2.0)
 
 
 def _band_to_dense(band, kl):
@@ -540,13 +559,9 @@ class TestSystemAssembly:
         assert bal == {op.interior_lo - 1, op.n - op.interior_lo}
 
 
-@pytest.mark.parametrize("snapshots, factorizations", [((), 28),
-                                                       ((0.1, 0.3, 0.55, 0.8), 43)],
-                         ids=["no-snapshots", "four-snapshots"])
-def test_factorization_count(monkeypatch, snapshots, factorizations):
-    """One factorization per change of step length: only the last LU is
-    kept, so the steps of a snapshot split are factored, and the plateau
-    step is factored again after them."""
+def test_factorization_count(monkeypatch):
+    """One factorization per distinct system: the 25 ramp stages, the first
+    two plateau steps (step ratios just off 1) and the rest at ratio 1."""
     calls = []
 
     def counting(*args):
@@ -555,8 +570,8 @@ def test_factorization_count(monkeypatch, snapshots, factorizations):
 
     factor = oracle._factor
     monkeypatch.setattr(oracle, "_factor", counting)
-    solve(_config(dt=1.0 / 64, snapshot_times=snapshots))
-    assert len(calls) == factorizations
+    solve(_config(dt=1.0 / 64))
+    assert len(calls) == 28
 
 
 @pytest.mark.parametrize("dt", [1.0 / 100, 1e-3])
