@@ -10,7 +10,6 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import math
 import numbers
@@ -36,7 +35,7 @@ from .material import (
     nondimensionalize,
 )
 from .oracle import ConfigError, DivergenceError, Grid, SolverConfig, mass, solve
-from .outer import MAX_ORDER, U_CLAMP, QuadratureError
+from .outer import MAX_ORDER, U_CLAMP, QuadratureError, mullins_shape
 from .specfun import GammaPoleError, SeriesError
 
 __all__ = ["RunConfig", "run", "main", "PRESETS"]
@@ -66,12 +65,17 @@ PRESETS: dict[str, dict] = {
 # accepts for t_final = 1
 _SOLVER_L = 8.0
 # output rows of a whole run, over every Bt value and alpha: uncapped, a
-# long `times` list dies in numpy's allocator outside the 0/2/3 exit codes
-# (a profile run holds about 37 MB per 65536 rows); at the budget a profile
-# run takes about 1 s and 100 MB
+# long `times` list dies in numpy's allocator outside the 0/2/3 exit codes.
+# On a 2-vCPU x86-64 host (Python 3.11, numpy 2.4), a CSV profile run of
+# one Bt at the budget takes about 0.9 s and peaks 72 MB above the import,
+# most of it the series evaluation of its samples (4 Bt of 16384 samples:
+# 24 MB); the table itself is 2 MB as an array and 6 MB as text.  JSON
+# takes about 1.3 s and peaks 79 MB above the import
 MAX_ROWS = 65536
-# each solve is charged as this many rows: a default solve (513 nodes, 110
-# steps, about 20 ms) takes about as long as 2000 profile rows
+# each solve is charged as this many rows: on that host a default solve
+# (513 nodes, 110 steps) takes about 9 ms, as long as about 800 profile rows
+# at about 11 us a row, and one at the 2049-node cap about 30 ms, about
+# 2600 rows
 SOLVE_ROWS = 2048
 
 
@@ -263,28 +267,30 @@ def _fmt(v: float) -> str:
     return f"{v:.16e}"
 
 
-def _write_table(cfg: RunConfig, columns: list[str], rows: list[list[float]],
+def _write_table(cfg: RunConfig, columns: list[str], table: np.ndarray,
                  notes: list[str], gaps: list[float] = ()) -> str:
-    """Render (and write) the table; `gaps` are the sup gaps the notes report.
+    """Render (and write) the 2-D float table; `gaps` are the sup gaps the
+    notes report.
 
-    A non-finite row value or gap is a numerical failure, not an output.
+    A non-finite table value or gap is a numerical failure, not an output.
+    Every cell is `%.16e` text from one format call over the whole table.
     """
-    if not all(map(math.isfinite, itertools.chain(gaps, *rows))):
+    if not (np.isfinite(table).all() and np.isfinite(gaps).all()):
         raise NonFiniteOutputError("the run produced a non-finite output value")
+    nrows, ncols = table.shape
+    body = (("%.16e," * (ncols - 1) + "%.16e\n") * nrows) % tuple(table.ravel().tolist())
     header_cfg = json.dumps(cfg.resolved(), sort_keys=True)
     if cfg.fmt == "csv":
         lines = ["# gbgroove output", f"# config: {header_cfg}"]
         lines += [f"# {n}" for n in notes]
         lines.append("# columns: " + ",".join(columns))
-        for row in rows:
-            lines.append(",".join(_fmt(v) for v in row))
-        text = "\n".join(lines) + "\n"
+        text = "\n".join(lines) + "\n" + body
     else:
         doc = {
             "config": json.loads(header_cfg),
             "notes": notes,
             "columns": columns,
-            "rows": [[_fmt(v) for v in row] for row in rows],
+            "rows": [line.split(",") for line in body.splitlines()],
         }
         text = json.dumps(doc, sort_keys=True, indent=1) + "\n"
     if cfg.out:
@@ -321,11 +327,11 @@ def _mode_params(cfg: RunConfig) -> str:
     return text
 
 
-def _profile_rows(cfg: RunConfig, with_oracle: bool):
+def _profile_table(cfg: RunConfig, with_oracle: bool):
     columns = ["Bt_m4", "x_m", "y_mullins_m", "y_composite_m"]
     if with_oracle:
         columns.append("y_oracle_m")
-    rows: list[list[float]] = []
+    blocks = []     # one (samples, columns) block per Bt
     notes: list[str] = []
     gaps: list[float] = []
     for bt in cfg.times:
@@ -344,8 +350,8 @@ def _profile_rows(cfg: RunConfig, with_oracle: bool):
                 composite_profile(xs, bt, params, spec)]
         if with_oracle:
             cols.append(oracle_vals)
-        rows += np.column_stack(cols).tolist()
-    return columns, rows, notes, gaps
+        blocks.append(np.column_stack(cols))
+    return columns, np.concatenate(blocks), notes, gaps
 
 
 def _solver_config(cfg: RunConfig, params: ModelParams) -> SolverConfig:
@@ -381,11 +387,11 @@ def _oracle_profile(cfg: RunConfig, params: ModelParams):
 
 
 def _mode_profile(cfg: RunConfig) -> str:
-    return _write_table(cfg, *_profile_rows(cfg, with_oracle=False))
+    return _write_table(cfg, *_profile_table(cfg, with_oracle=False))
 
 
 def _mode_compare(cfg: RunConfig) -> str:
-    return _write_table(cfg, *_profile_rows(cfg, with_oracle=True))
+    return _write_table(cfg, *_profile_table(cfg, with_oracle=True))
 
 
 def _mode_depth_series(cfg: RunConfig) -> str:
@@ -397,17 +403,19 @@ def _mode_depth_series(cfg: RunConfig) -> str:
             raise CliConfigError("depth-series needs an 'alphas' list or a model alpha")
     columns = ["alpha_m2", "Bt_m4", "depth_mullins_m", "depth_composite_m",
                "relative_effect"]
+    # the Mullins shape at the root, Z(0): u = x / (Bt)^(1/4) is 0 there at
+    # every Bt, and alpha does not enter it
+    z0 = mullins_shape(0.0)
     rows = []
-    depths = []     # the Mullins root depth per Bt: alpha does not enter it
     for alpha in alphas:
-        for j, bt in enumerate(cfg.times):
+        for bt in cfg.times:
             params = RunConfig(mode=cfg.mode, model={**cfg.model, "alpha": alpha}).reduced(bt)
-            if j == len(depths):
-                depths.append(abs(mullins_profile_dim(0.0, bt, params)))
-            ym = depths[j]
+            # mullins_profile_dim(0, bt, params), float operation for float operation
+            L0 = params.L0
+            ym = abs(L0 * (params.m * (bt / L0 ** 4) ** 0.25 * z0))
             dd = depth_difference(bt, params)
             rows.append([params.alpha, bt, ym, ym - dd, dd / ym if ym > 0 else 0.0])
-    return _write_table(cfg, columns, rows, [])
+    return _write_table(cfg, columns, np.array(rows, dtype=float), [])
 
 
 def _mode_corner(cfg: RunConfig) -> str:
@@ -424,15 +432,15 @@ def _mode_corner(cfg: RunConfig) -> str:
     yc456 = corner_solutions_yc((4, 5, 6), zeta, tau, spec)
     combination = corner_combination(zeta, tau, spec, yc456=yc456)
     columns = ["w", "y_c4", "y_c5", "y_c6", "combination"]
-    rows = np.column_stack([ws, *yc456, combination]).tolist()
+    table = np.column_stack([ws, *yc456, combination])
     notes = [f"nondimensional corner-layer similarity solutions at tau=1, "
              f"r={cfg.corner_r}, amplitude gamma={_fmt(gamma_amp)}"]
-    return _write_table(cfg, columns, rows, notes)
+    return _write_table(cfg, columns, table, notes)
 
 
 def _mode_oracle(cfg: RunConfig) -> str:
     columns = ["Bt_m4", "x_m", "y_oracle_m"]
-    rows = []
+    blocks = []
     notes = []
     for bt in cfg.times:
         params = cfg.reduced(bt)
@@ -442,8 +450,8 @@ def _mode_oracle(cfg: RunConfig) -> str:
         notes.append(f"Bt={_fmt(bt)}: mass={_fmt(mass(prof))} (nondimensional)")
         xs = np.linspace(0.0, scfg.grid.L, cfg.samples)
         ys = np.interp(xs, scfg.grid.nodes, prof.heights)
-        rows += np.column_stack([np.full(len(xs), bt), xs * params.L0, ys * params.L0]).tolist()
-    return _write_table(cfg, columns, rows, notes)
+        blocks.append(np.column_stack([np.full(len(xs), bt), xs * params.L0, ys * params.L0]))
+    return _write_table(cfg, columns, np.concatenate(blocks), notes)
 
 
 _MODE_TABLE = {

@@ -55,10 +55,16 @@ __all__ = [
 ]
 
 MIN_NODES = 64
-# past ~769 nodes float64 roundoff in forming each step system makes the
-# error against the exact box solution grow with nx: at nx 1025 it is up to
-# 7.7x (dt 1/64) and 112x (dt 1/4096) the error at nx 513, and at nx 2049
-# 0.7-9.7% of depth; in 80-bit longdouble the scheme stays at 5.5-5.8e-5
+# float64 roundoff in forming each step system follows the step matrix's
+# largest entry, about h * alpha_hat / dx^6 for a step h: summed with it,
+# the identity's 1 takes a rounding error of eps times it.  So dx and alpha_hat
+# set the loss, not the node count.  At alpha_hat 0.05 / 0.307 / 0.56 and
+# dt 1/64, the sup error against the exact box solution on L = 8 is
+# 3.2e-5 / 5.6e-5 / 9.0e-5 of depth at dx 1/64 (nx 513), 2.4e-4 / 3.4e-4 /
+# 3.7e-4 at dx 1/128 (nx 1025) and 0.8-2.9% at dx 1/256 (nx 2049).  On
+# L = 16, nx 1025 keeps dx 1/64 and the nx 513 errors; at alpha_hat 0.01 the
+# entry is 30x smaller and nx 1025 on L = 8 is clean (2.4e-5).  Capping nx
+# bounds dx only on a given box: on L = 8 this cap admits dx 1/256
 MAX_NODES = 2049
 # step budget: a t_final/dt far above it (dt = 1e-9 takes ~1e9 steps)
 # marches for hours with no exit
@@ -173,8 +179,11 @@ class SolverConfig:
         if not math.isfinite(self.m):
             raise ConfigError("m must be finite")
         if self.grid.nx > MAX_NODES:
-            raise ConfigError(f"need nx <= {MAX_NODES}, got {self.grid.nx}: float64 "
-                              "roundoff in forming each step dominates on finer grids")
+            raise ConfigError(
+                f"need nx <= {MAX_NODES}, got {self.grid.nx}: float64 roundoff in forming "
+                "each step grows with the step matrix's largest entry, about "
+                f"dt * alpha_hat / dx^6, here with dx = {self.grid.dx:.4g} and "
+                f"alpha_hat = {self.alpha_hat:.4g}")
         if self.t_final / self.dt > MAX_STEPS:
             raise ConfigError(f"need t_final/dt <= {MAX_STEPS}, got "
                               f"{self.t_final / self.dt:.4g} steps")

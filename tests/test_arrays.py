@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gbgroove import layers, outer
-from gbgroove.cli import PRESETS, main
+from gbgroove.cli import PRESETS, RunConfig, main, run
 from gbgroove.composite import ExpansionSpec, composite_profile_nd, mullins_profile_dim
 from gbgroove.layers import (
     CornerSpec,
@@ -225,8 +225,22 @@ def test_corner_solutions_are_one_engine_pass(monkeypatch):
     assert len(calls) == 1 and list(calls[0][3]) == [1, 2, 3, 4, 5]
 
 
-def test_figure6_evaluates_the_mullins_depth_once_per_bt(monkeypatch, capsys):
+def test_figure6_evaluates_the_mullins_root_shape_once(monkeypatch, capsys):
+    # Z(0) holds at every Bt and alpha: one engine call for 4 alphas x 25 Bt
     calls = _engine_calls(monkeypatch, outer)
     assert main(["--preset", "figure6"]) == 0
-    assert len(calls) == len(PRESETS["figure6"]["times"]) == 25
+    assert len(calls) == 1
+    assert len(PRESETS["figure6"]["times"]) == 25
     assert len(capsys.readouterr().out.splitlines()) == 3 + 4 * 25     # 4 alphas
+
+
+@given(bt=st.floats(1e-200, 1e200), m=st.floats(0.0, 0.33),
+       alpha=st.sampled_from([0.0, 3e-16, 9.7e-16]))
+@settings(derandomize=True, max_examples=100, deadline=None)
+def test_depth_series_mullins_column_is_the_profile_at_the_root(bt, m, alpha):
+    """The depth_mullins_m column, scaled from one Z(0), equals
+    |mullins_profile_dim(0, Bt)| bit for bit."""
+    cfg = RunConfig(mode="depth-series", model={"B": 1.0, "alpha": alpha, "m": m},
+                    times=[bt])
+    row = run(cfg).splitlines()[-1].split(",")
+    assert float(row[2]) == abs(mullins_profile_dim(0.0, bt, cfg.reduced(bt)))

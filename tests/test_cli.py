@@ -10,13 +10,16 @@ import sys
 import tempfile
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
-from gbgroove.cli import PRESETS, RunConfig, main, run
+from gbgroove import cli
+from gbgroove.cli import PRESETS, NonFiniteOutputError, RunConfig, main, run
 from gbgroove.material import (
     PhysicalParams,
     SmallSlopeWarning,
@@ -491,3 +494,95 @@ def test_exit_code_contract_with_solver(mode, model, nx, dt, samples):
     solver = {k: v for k, v in (("nx", nx), ("dt", dt)) if v is not _ABSENT}
     _assert_exit_code_contract({"mode": mode, "model": {"B": B, "alpha": alpha, "m": m},
                                 "times": [bt], "samples": samples, "solver": solver})
+
+
+# ---- the table formatter ------------------------------------------------
+
+# edge values, any finite float, and mixed magnitudes from 1e-30 to 1e4
+_CELL = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 2.2e-308, 1.0]),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.builds(lambda sign, mantissa, exponent: sign * mantissa * 10.0 ** exponent,
+              st.sampled_from([1.0, -1.0]), st.floats(1.0, 10.0), st.integers(-30, 4)))
+_TABLE = arrays(np.float64, array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=9),
+                elements=_CELL)
+_NON_FINITE = st.sampled_from([float("nan"), float("inf"), float("-inf")])
+
+
+def _table_config(fmt):
+    return RunConfig(mode="profile", model={"B": 1.0, "alpha": 9.7e-16, "m": 0.209},
+                     times=[1e-29], fmt=fmt)
+
+
+def _per_number_text(cfg, columns, rows, notes):
+    """The table as the CLI rendered it with one f-string per number."""
+    header_cfg = json.dumps(cfg.resolved(), sort_keys=True)
+    if cfg.fmt == "csv":
+        lines = ["# gbgroove output", f"# config: {header_cfg}"]
+        lines += [f"# {n}" for n in notes]
+        lines.append("# columns: " + ",".join(columns))
+        lines += [",".join(f"{v:.16e}" for v in row) for row in rows]
+        return "\n".join(lines) + "\n"
+    doc = {"config": json.loads(header_cfg), "notes": notes, "columns": columns,
+           "rows": [[f"{v:.16e}" for v in row] for row in rows]}
+    return json.dumps(doc, sort_keys=True, indent=1) + "\n"
+
+
+@given(table=_TABLE, fmt=st.sampled_from(["csv", "json"]))
+@settings(derandomize=True, max_examples=300, deadline=None)
+def test_table_text_matches_per_number_rendering(table, fmt):
+    """One format call over the table writes the text that formatting each
+    number on its own wrote, in both formats."""
+    cfg = _table_config(fmt)
+    columns = [f"c{j}" for j in range(table.shape[1])]
+    notes = ["a note"]
+    text = cli._write_table(cfg, columns, table, notes, gaps=[0.5])
+    assert text == _per_number_text(cfg, columns, table.tolist(), notes)
+
+
+@given(table=_TABLE, bad=_NON_FINITE, data=st.data())
+@settings(derandomize=True, max_examples=100, deadline=None)
+def test_non_finite_cell_or_gap_is_refused(table, bad, data):
+    cfg = _table_config(data.draw(st.sampled_from(["csv", "json"])))
+    columns = [f"c{j}" for j in range(table.shape[1])]
+    i = data.draw(st.integers(0, table.shape[0] - 1))
+    j = data.draw(st.integers(0, table.shape[1] - 1))
+    poisoned = table.copy()
+    poisoned[i, j] = bad
+    with pytest.raises(NonFiniteOutputError):
+        cli._write_table(cfg, columns, poisoned, [])
+    gaps = data.draw(st.lists(st.floats(0.0, 1.0), max_size=3))
+    gaps.insert(data.draw(st.integers(0, len(gaps))), bad)
+    with pytest.raises(NonFiniteOutputError):
+        cli._write_table(cfg, columns, table, [], gaps=gaps)
+
+
+@given(bad=_NON_FINITE, samples=st.integers(2, 8), data=st.data(),
+       fmt=st.sampled_from(["csv", "json"]))
+@settings(derandomize=True, max_examples=40, deadline=None)
+def test_non_finite_output_exits_three(bad, samples, data, fmt):
+    """A non-finite table cell (profile) or sup gap (compare) exits 3 with
+    the two error lines and prints nothing."""
+    composite_profile = cli.composite_profile
+    index = data.draw(st.integers(0, samples - 1))
+
+    def poisoned_profile(*args):
+        ys = composite_profile(*args)
+        ys[index] = bad
+        return ys
+
+    def poisoned_oracle(cfg, params):
+        return (np.array([0.0, 8.0]), np.zeros(2)), bad
+
+    target = data.draw(st.sampled_from(["cell", "gap"]))
+    mode, patch = (("profile", mock.patch.object(cli, "composite_profile", poisoned_profile))
+                   if target == "cell" else
+                   ("compare", mock.patch.object(cli, "_oracle_profile", poisoned_oracle)))
+    out, err = io.StringIO(), io.StringIO()
+    with patch, contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["--mode", mode, *_ALUMINA, "--samples", str(samples), "--format", fmt])
+    assert code == 3
+    assert out.getvalue() == ""
+    assert err.getvalue().splitlines() == [
+        "error: numerical failure",
+        "  NonFiniteOutputError: the run produced a non-finite output value"]

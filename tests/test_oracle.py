@@ -220,8 +220,9 @@ class TestSolve:
     def test_refinement_contraction(self):
         """Doubling the grid shrinks the solution change by >= 3.5x.
 
-        Grids stay modest: past nx ~ 769 the error grows with nx
-        (see MAX_NODES).
+        Grids stay modest: on L = 8, past nx ~ 769 (dx ~ 1/96) the
+        roundoff, which follows alpha_hat / dx^6, makes the error grow with
+        nx (see MAX_NODES).
         """
         profs = {}
         for nx in (129, 257, 513):
