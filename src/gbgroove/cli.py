@@ -10,6 +10,7 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import numbers
@@ -21,10 +22,9 @@ import numpy as np
 
 from .composite import (
     ExpansionSpec,
-    composite_profile,
     composite_profile_nd,
     depth_difference,
-    mullins_profile_dim,
+    mullins_and_composite,
 )
 from .layers import CornerSpec, corner_combination, corner_solutions_yc
 from .material import (
@@ -207,7 +207,13 @@ class RunConfig:
 
     def reduced(self, bt: float) -> ModelParams:
         """ModelParams nondimensionalized at the evaluation time Bt."""
+        return self.reducer()(bt)
+
+    def reducer(self):
+        """Check the parameter block once and return the function that
+        reduces it at a time Bt, as `reduced` does."""
         block = "model" if self.model is not None else "physical"
+        bad = (KeyError, TypeError, ValueError, ArithmeticError)
         try:
             if self.model is not None:
                 values = [self.model[k] for k in ("B", "alpha", "m")]
@@ -216,16 +222,25 @@ class RunConfig:
                 # B enters only through Bt, but it is the user's input
                 if not 0 < B < math.inf:
                     raise ValueError(f"B must be positive and finite, got {B}")
-                params = nondimensionalize(alpha, bt, m)
+                reduce = functools.partial(nondimensionalize, alpha, m=m)
             else:
                 phys = PhysicalParams(**self.physical)
                 _require_numbers("physical entries", astuple(phys))
-                params = model_from_physical(phys, bt)
-        except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
+                reduce = functools.partial(model_from_physical, phys)
+        except bad as exc:
             raise CliConfigError(f"bad {block} block: {exc}")
-        if not all(map(math.isfinite, (params.alpha, params.m, params.L0, params.alpha_hat))):
-            raise CliConfigError(f"{block} block gives non-finite parameters: {params}")
-        return params
+
+        def reduced(bt: float) -> ModelParams:
+            try:
+                params = reduce(bt)
+            except bad as exc:
+                raise CliConfigError(f"bad {block} block: {exc}")
+            if not all(map(math.isfinite, (params.alpha, params.m, params.L0,
+                                           params.alpha_hat))):
+                raise CliConfigError(f"{block} block gives non-finite parameters: {params}")
+            return params
+
+        return reduced
 
 
 def _merge_cli(cfg: dict, args: argparse.Namespace) -> dict:
@@ -334,8 +349,9 @@ def _profile_table(cfg: RunConfig, with_oracle: bool):
     blocks = []     # one (samples, columns) block per Bt
     notes: list[str] = []
     gaps: list[float] = []
+    reduced = cfg.reducer()
     for bt in cfg.times:
-        params = cfg.reduced(bt)
+        params = reduced(bt)
         spec = _expansion_spec(cfg, params)
         span = (cfg.xmax if cfg.xmax is not None else 8.0) * bt ** 0.25
         xs = np.linspace(0.0, span, cfg.samples)
@@ -346,8 +362,7 @@ def _profile_table(cfg: RunConfig, with_oracle: bool):
             oracle_vals = params.L0 * np.interp(xs_nd, prof[0], prof[1])
             notes.append(f"Bt={_fmt(bt)}: sup|composite-oracle|/depth = {_fmt(sup)}")
             gaps.append(sup)
-        cols = [np.full(len(xs), bt), xs, mullins_profile_dim(xs, bt, params),
-                composite_profile(xs, bt, params, spec)]
+        cols = [np.full(len(xs), bt), xs, *mullins_and_composite(xs, bt, params, spec)]
         if with_oracle:
             cols.append(oracle_vals)
         blocks.append(np.column_stack(cols))
@@ -408,8 +423,9 @@ def _mode_depth_series(cfg: RunConfig) -> str:
     z0 = mullins_shape(0.0)
     rows = []
     for alpha in alphas:
+        reduced = RunConfig(mode=cfg.mode, model={**cfg.model, "alpha": alpha}).reducer()
         for bt in cfg.times:
-            params = RunConfig(mode=cfg.mode, model={**cfg.model, "alpha": alpha}).reduced(bt)
+            params = reduced(bt)
             # mullins_profile_dim(0, bt, params), float operation for float operation
             L0 = params.L0
             ym = abs(L0 * (params.m * (bt / L0 ** 4) ** 0.25 * z0))
@@ -442,8 +458,9 @@ def _mode_oracle(cfg: RunConfig) -> str:
     columns = ["Bt_m4", "x_m", "y_oracle_m"]
     blocks = []
     notes = []
+    reduced = cfg.reducer()
     for bt in cfg.times:
-        params = cfg.reduced(bt)
+        params = reduced(bt)
         scfg = _solver_config(cfg, params)
         profiles = solve(scfg)
         prof = profiles[-1]

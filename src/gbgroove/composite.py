@@ -33,6 +33,7 @@ __all__ = [
     "composite_profile",
     "composite_profile_nd",
     "mullins_profile_dim",
+    "mullins_and_composite",
     "bc_residuals",
     "curvature_cancellation_residuals",
     "depth_difference",
@@ -104,24 +105,35 @@ def composite_profile_nd(x, t: float, m: float, alpha_hat: float,
     order <= 5); with a nonzero corner, any other derivative raises
     ValueError.
     """
+    terms = outer_expansion(spec.N, x, t, m, order=order)
+    return _compose(terms, x, t, m, alpha_hat, spec, order)
+
+
+def _compose(terms: list, x, t: float, m: float, alpha_hat: float,
+             spec: ExpansionSpec, order: int = 0):
+    """y_0 + sum_r alpha_hat^r y_r + wall correction (+ corner term), from the
+    terms of `outer_expansion(spec.N, x, t, m, order=order)`.
+
+    Every sum is out of place: `terms` is left as it was, so terms[0] is
+    still the unpassivated profile afterwards.
+    """
     corner = spec.corner
     if corner is not None and corner.gamma != 0.0 and corner.alpha_hat != alpha_hat:
         raise ValueError(f"corner alpha_hat = {corner.alpha_hat} differs from "
                          f"the profile's alpha_hat = {alpha_hat}")
-    terms = outer_expansion(spec.N, x, t, m, order=order)
     y = terms[0]
     for r in range(1, spec.N + 1):
-        y += alpha_hat ** r * terms[r]
+        y = y + alpha_hat ** r * terms[r]
     if alpha_hat > 0:
-        y += boundary_layer_G(x, t, alpha_hat, m, order=order)
+        y = y + boundary_layer_G(x, t, alpha_hat, m, order=order)
     if corner is not None and corner.gamma != 0.0 and alpha_hat > 0:
         ah = alpha_hat
         if order == 0:
-            y += corner_combination(x / ah, t / ah ** 5, corner)
+            y = y + corner_combination(x / ah, t / ah ** 5, corner)
         elif np.any(x):
             raise ValueError("the corner term has derivatives only at the wall (x = 0)")
         else:
-            y += corner_combination_deriv0(order, t / ah ** 5, corner) / ah ** order
+            y = y + corner_combination_deriv0(order, t / ah ** 5, corner) / ah ** order
     return y
 
 
@@ -136,6 +148,15 @@ def mullins_profile_dim(x: float, bt: float, params: ModelParams) -> float:
     """Dimensional unpassivated profile for side-by-side comparisons."""
     xh, th = _nd_coords(x, bt, params)
     return params.L0 * mullins_profile(xh, th, params.m)
+
+
+def mullins_and_composite(x, bt: float, params: ModelParams, spec: ExpansionSpec):
+    """(mullins_profile_dim, composite_profile) at x [m], bit for bit, from
+    one engine pass: the unpassivated profile is the composite's own y_0."""
+    xh, th = _nd_coords(x, bt, params)
+    terms = outer_expansion(spec.N, xh, th, params.m)
+    composite = _compose(terms, xh, th, params.m, params.alpha_hat, spec)
+    return params.L0 * terms[0], params.L0 * composite
 
 
 def bc_residuals(bt: float, params: ModelParams,

@@ -326,9 +326,13 @@ class GrooveOperator:
 
     def _scaled_band(self, h: float):
         """C + h K + W/h in the row-band layout, each row divided by its
-        largest magnitude, and those row scales."""
+        largest magnitude, and those row scales.  The interior rows are one
+        stencil row, so one of them gives their common scale."""
         band = self._C + h * self._K + self._W / h
-        scale = np.maximum(np.abs(band).max(axis=1), 1e-300)
+        scale = np.empty(self.n)
+        scale[self.interior_lo:self.interior_hi + 1] = np.abs(band[self.interior_lo]).max()
+        scale[self._edge] = np.abs(band[self._edge]).max(axis=1)
+        np.maximum(scale, 1e-300, out=scale)
         band /= scale[:, None]
         return band, scale
 

@@ -18,12 +18,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from gbgroove import cli
+from gbgroove import cli, outer
 from gbgroove.cli import PRESETS, NonFiniteOutputError, RunConfig, main, run
+from gbgroove.composite import mullins_profile_dim
 from gbgroove.material import (
     PhysicalParams,
     SmallSlopeWarning,
     mullins_coefficient,
+    nondimensionalize,
     stiffness_parameter,
 )
 
@@ -283,6 +285,46 @@ def test_physical_block_matches_its_model_block(mode):
         numbers = [_emitted_numbers(text) for text in texts]
         assert numbers[0].size >= 5
         np.testing.assert_array_equal(*numbers)
+
+
+def test_profile_makes_one_engine_pass_per_bt(monkeypatch, capsys):
+    """The Mullins column is the composite's own y_0: each Bt sums all its
+    outer series in one engine call."""
+    calls = []
+    engine = outer.hyp_series
+    monkeypatch.setattr(outer, "hyp_series", lambda *args: calls.append(args) or engine(*args))
+    argv = ["--mode", "profile", "--m", "0.209", "--alpha", "9.7e-16", "--B", "1",
+            "--Bt", "3e-30", "--Bt", "1e-29", "--Bt", "2e-28", "--samples", "16"]
+    assert main(argv) == 0
+    assert len(calls) == 3
+    assert len(capsys.readouterr().out.splitlines()) == 3 + 3 * 16
+
+
+# Bt / L0**4 is 1.0 at 2e-28 only, so the nondimensional time t differs from
+# 1 by an ulp or two at the others
+_MULLINS_TIMES = [3e-30, 2e-28, 1.7e-28]
+
+
+@pytest.mark.parametrize("mode", ["profile", "compare"])
+@pytest.mark.parametrize("alpha", [0.0, 9.7e-16])
+@pytest.mark.parametrize("order", [0, 5])
+@pytest.mark.parametrize("include_corner", [False, True])
+def test_mullins_column_is_mullins_profile_dim(mode, alpha, order, include_corner):
+    """y_mullins_m equals mullins_profile_dim at the printed x_m, bit for
+    bit, whatever the composite beside it adds to y_0 (the corner term
+    only with a nonzero corner_gamma)."""
+    cfg = RunConfig(mode=mode, model={"B": 1.0, "alpha": alpha, "m": 0.209},
+                    times=_MULLINS_TIMES, samples=32, order=order,
+                    include_corner=include_corner, corner_gamma=0.05 * include_corner)
+    table = np.loadtxt(io.StringIO(run(cfg)), delimiter=",", ndmin=2)
+    assert table.shape == (32 * len(_MULLINS_TIMES), 5 if mode == "compare" else 4)
+    for bt in _MULLINS_TIMES:
+        rows = table[table[:, 0] == bt]
+        xs, mullins, composite = rows[:, 1], rows[:, 2], rows[:, 3]
+        assert len(xs) == 32
+        params = nondimensionalize(alpha, bt, 0.209)
+        assert np.array_equal(mullins, mullins_profile_dim(xs, bt, params))
+        assert alpha == 0.0 or not np.array_equal(mullins, composite)
 
 
 @pytest.mark.parametrize("flags", [["--m", "nan"], ["--alpha", "-1"], ["--alpha", "inf"],
@@ -563,19 +605,20 @@ def test_non_finite_cell_or_gap_is_refused(table, bad, data):
 def test_non_finite_output_exits_three(bad, samples, data, fmt):
     """A non-finite table cell (profile) or sup gap (compare) exits 3 with
     the two error lines and prints nothing."""
-    composite_profile = cli.composite_profile
+    mullins_and_composite = cli.mullins_and_composite
     index = data.draw(st.integers(0, samples - 1))
 
     def poisoned_profile(*args):
-        ys = composite_profile(*args)
+        ym, ys = mullins_and_composite(*args)
         ys[index] = bad
-        return ys
+        return ym, ys
 
     def poisoned_oracle(cfg, params):
         return (np.array([0.0, 8.0]), np.zeros(2)), bad
 
     target = data.draw(st.sampled_from(["cell", "gap"]))
-    mode, patch = (("profile", mock.patch.object(cli, "composite_profile", poisoned_profile))
+    mode, patch = (("profile",
+                    mock.patch.object(cli, "mullins_and_composite", poisoned_profile))
                    if target == "cell" else
                    ("compare", mock.patch.object(cli, "_oracle_profile", poisoned_oracle)))
     out, err = io.StringIO(), io.StringIO()

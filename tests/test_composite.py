@@ -15,6 +15,7 @@ from gbgroove.composite import (
     default_window,
     depth_difference,
     groove_metrics,
+    mullins_and_composite,
     mullins_profile_dim,
 )
 from gbgroove.layers import (
@@ -83,6 +84,25 @@ class TestCompositeAssembly:
         b = composite_profile(x, t, params, off)
         assert a != b
         assert abs(a - b) < 1e-3 * abs(composite_profile(0.0, t, params, off))
+
+    @pytest.mark.parametrize("alpha", [0.0, FIG_ALPHA])
+    @pytest.mark.parametrize("N", [0, 2, 5])
+    @pytest.mark.parametrize("with_corner", [False, True])
+    def test_mullins_and_composite_from_one_pass(self, alpha, N, with_corner):
+        """mullins_and_composite gives mullins_profile_dim and
+        composite_profile bit for bit, on an array and at single points:
+        composing the terms leaves their y_0 the unpassivated profile."""
+        for bt in (3e-30, 2e-28, 1.7e-28):
+            params = nondimensionalize(alpha, bt, FIG_M)
+            corner = (CornerSpec(r=-1.0, gamma=0.05, alpha_hat=params.alpha_hat)
+                      if with_corner else None)
+            spec = ExpansionSpec(N=N, corner=corner)
+            xs = np.linspace(0.0, 8.0 * params.L0, 40)
+            for x in (xs, 0.0, float(xs[3])):
+                mullins, composite = mullins_and_composite(x, bt, params, spec)
+                assert np.array_equal(mullins, mullins_profile_dim(x, bt, params))
+                assert np.array_equal(composite, composite_profile(x, bt, params, spec))
+                assert alpha == 0.0 or not np.array_equal(mullins, composite)
 
     @pytest.mark.parametrize("order", [0, 1, 2, 3, 5])
     def test_order_is_the_sum_of_term_derivatives(self, order):
