@@ -66,9 +66,9 @@ def claim_problems(claim: dict, workloads: dict, spec: dict) -> list[str]:
         return [f"claim: metric {metric!r} is not an end-to-end metric of BENCHMARK.json"]
     sides = [(workloads.get(workload, {}).get(metric) or {}).get(side, {}).get("values")
              for side in SIDES]
-    if not all(isinstance(v, list) and len(v) >= 2
-               and all(isinstance(x, (int, float)) for x in v) for v in sides) \
-            or len(sides[0]) != len(sides[1]):
+    paired = all(isinstance(v, list) and len(v) >= 2
+                 and all(isinstance(x, (int, float)) for x in v) for v in sides)
+    if not paired or len(sides[0]) != len(sides[1]):
         return [f"claim: {workload} {metric} has no per-seed values, paired on both sides"]
     found = []
     for key, want in claim_figures(*sides).items():
