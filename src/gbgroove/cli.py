@@ -166,15 +166,17 @@ class RunConfig:
                                  f"got {self.xmax}")
         if self.mode == "depth-series" and self.physical is not None:
             raise CliConfigError("depth-series sweeps model.alpha; give a 'model' block")
-        if self.mode == "depth-series" and (self.order != 2 or self.include_corner):
-            raise CliConfigError("depth-series gives the closed-form N = 2 depth with "
-                                 "no corner term; it takes no order or include_corner")
+        # depth-series gives the closed-form N = 2 depth, corner the corner-layer
+        # solutions alone, and params and oracle no profile of the expansion
+        if self.mode not in ("profile", "compare") and (self.order != 2 or self.include_corner):
+            raise CliConfigError(f"mode {self.mode!r} evaluates no composite expansion; it "
+                                 "takes no order or include_corner")
+        if self.corner_gamma != 0.0 and not (self.include_corner or self.mode == "corner"):
+            raise CliConfigError("corner_gamma is the corner term's amplitude; it needs "
+                                 "include_corner")
         if self.mode in ("params", "corner") and len(self.times) > 1:
             raise CliConfigError(f"mode {self.mode!r} reads one Bt value, got "
                                  f"{len(self.times)}")
-        if self.mode == "corner" and self.order != 2:
-            raise CliConfigError("corner gives the corner-layer solutions alone; it "
-                                 "takes no order")
         for bt in self.times:
             if not bt > 0:
                 raise CliConfigError(f"Bt values must be positive, got {bt}")
@@ -205,13 +207,9 @@ class RunConfig:
 
     # ---- physics ----------------------------------------------------------
 
-    def reduced(self, bt: float) -> ModelParams:
-        """ModelParams nondimensionalized at the evaluation time Bt."""
-        return self.reducer()(bt)
-
     def reducer(self):
         """Check the parameter block once and return the function that
-        reduces it at a time Bt, as `reduced` does."""
+        reduces it to ModelParams at a time Bt."""
         block = "model" if self.model is not None else "physical"
         bad = (KeyError, TypeError, ValueError, ArithmeticError)
         try:
@@ -316,17 +314,21 @@ def _write_table(cfg: RunConfig, columns: list[str], table: np.ndarray,
 # ---- modes -----------------------------------------------------------------
 
 
+def _corner_spec(cfg: RunConfig, alpha_hat: float) -> CornerSpec:
+    """The corner term at `alpha_hat`: amplitude corner_gamma, or alpha_hat
+    where corner_gamma is 0."""
+    return CornerSpec(r=cfg.corner_r, gamma=cfg.corner_gamma or alpha_hat,
+                      alpha_hat=alpha_hat)
+
+
 def _expansion_spec(cfg: RunConfig, params: ModelParams) -> ExpansionSpec:
-    corner = None
-    if cfg.include_corner:
-        corner = CornerSpec(r=cfg.corner_r, gamma=cfg.corner_gamma,
-                            alpha_hat=params.alpha_hat)
+    corner = _corner_spec(cfg, params.alpha_hat) if cfg.include_corner else None
     return ExpansionSpec(N=cfg.order, corner=corner)
 
 
 def _mode_params(cfg: RunConfig) -> str:
     bt = cfg.times[0] if cfg.times else 1e-29
-    params = cfg.reduced(bt)
+    params = cfg.reducer()(bt)
     B = (float(cfg.model["B"]) if cfg.model is not None
          else mullins_coefficient(PhysicalParams(**cfg.physical)))
     lines = [
@@ -426,7 +428,7 @@ def _mode_depth_series(cfg: RunConfig) -> str:
         reduced = RunConfig(mode=cfg.mode, model={**cfg.model, "alpha": alpha}).reducer()
         for bt in cfg.times:
             params = reduced(bt)
-            # mullins_profile_dim(0, bt, params), float operation for float operation
+            # L0 * mullins_profile(0, Bt / L0^4, m), float operation for float operation
             L0 = params.L0
             ym = abs(L0 * (params.m * (bt / L0 ** 4) ** 0.25 * z0))
             dd = depth_difference(bt, params)
@@ -436,12 +438,11 @@ def _mode_depth_series(cfg: RunConfig) -> str:
 
 def _mode_corner(cfg: RunConfig) -> str:
     bt = cfg.times[0] if cfg.times else 1e-29
-    params = cfg.reduced(bt)
+    params = cfg.reducer()(bt)
     ah = params.alpha_hat
     if ah <= 0:
         raise CliConfigError("corner mode needs alpha > 0")
-    gamma_amp = cfg.corner_gamma if cfg.corner_gamma != 0.0 else ah
-    spec = CornerSpec(r=cfg.corner_r, gamma=gamma_amp, alpha_hat=ah)
+    spec = _corner_spec(cfg, ah)
     tau = 1.0
     ws = np.linspace(0.0, 20.0, cfg.samples)
     zeta = ws * tau ** (1.0 / 6.0)
@@ -450,7 +451,7 @@ def _mode_corner(cfg: RunConfig) -> str:
     columns = ["w", "y_c4", "y_c5", "y_c6", "combination"]
     table = np.column_stack([ws, *yc456, combination])
     notes = [f"nondimensional corner-layer similarity solutions at tau=1, "
-             f"r={cfg.corner_r}, amplitude gamma={_fmt(gamma_amp)}"]
+             f"r={cfg.corner_r}, amplitude gamma={_fmt(spec.gamma)}"]
     return _write_table(cfg, columns, table, notes)
 
 
@@ -512,7 +513,9 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--xmax", type=float,
                         help="window in units of (Bt)^(1/4), default 8, at most 12 "
                              "(8 in compare mode)")
-    parser.add_argument("--include-corner", action="store_true")
+    parser.add_argument("--include-corner", action="store_true",
+                        help="add the corner-layer term to the composite, with "
+                             "amplitude corner_gamma (alpha_hat when 0)")
     parser.add_argument("--out", type=str, help="output file path")
     parser.add_argument("--format", choices=FORMATS)
     return parser

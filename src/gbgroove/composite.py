@@ -1,4 +1,4 @@
-"""Uniform composite profile, wall-condition residuals and groove metrics.
+"""Uniform composite profile, root-depth difference and groove metrics.
 
 The composite is outer expansion + wall correction (+ optional corner
 term), evaluated in nondimensional variables (x in units of L0 = (Bt)^(1/4),
@@ -17,25 +17,19 @@ import numpy as np
 
 from .layers import (
     CornerSpec,
-    beta2,
-    beta4,
     boundary_layer_G,
     corner_combination,
     corner_combination_deriv0,
 )
 from .material import ModelParams
-from .outer import mullins_profile, outer_expansion, outer_term
-from .specfun import gamma
+from .outer import outer_expansion
+from .specfun import SeriesError, gamma
 
 __all__ = [
     "ExpansionSpec",
     "GrooveMetrics",
-    "composite_profile",
     "composite_profile_nd",
-    "mullins_profile_dim",
     "mullins_and_composite",
-    "bc_residuals",
-    "curvature_cancellation_residuals",
     "depth_difference",
     "groove_metrics",
     "default_window",
@@ -128,74 +122,27 @@ def _compose(terms: list, x, t: float, m: float, alpha_hat: float,
         y = y + boundary_layer_G(x, t, alpha_hat, m, order=order)
     if corner is not None and corner.gamma != 0.0 and alpha_hat > 0:
         ah = alpha_hat
+        if not ah ** 5 > 0:
+            raise SeriesError(f"corner time t / alpha_hat^5 overflows at alpha_hat = {ah}")
+        tau = t / ah ** 5
         if order == 0:
-            y = y + corner_combination(x / ah, t / ah ** 5, corner)
+            y = y + corner_combination(x / ah, tau, corner)
         elif np.any(x):
             raise ValueError("the corner term has derivatives only at the wall (x = 0)")
         else:
-            y = y + corner_combination_deriv0(order, t / ah ** 5, corner) / ah ** order
+            y = y + corner_combination_deriv0(order, tau, corner) / ah ** order
     return y
 
 
-def composite_profile(x: float, bt: float, params: ModelParams,
-                      spec: ExpansionSpec) -> float:
-    """Dimensional composite profile y(x) [m] at time Bt [m^4]."""
-    xh, th = _nd_coords(x, bt, params)
-    return params.L0 * composite_profile_nd(xh, th, params.m, params.alpha_hat, spec)
-
-
-def mullins_profile_dim(x: float, bt: float, params: ModelParams) -> float:
-    """Dimensional unpassivated profile for side-by-side comparisons."""
-    xh, th = _nd_coords(x, bt, params)
-    return params.L0 * mullins_profile(xh, th, params.m)
-
-
 def mullins_and_composite(x, bt: float, params: ModelParams, spec: ExpansionSpec):
-    """(mullins_profile_dim, composite_profile) at x [m], bit for bit, from
-    one engine pass: the unpassivated profile is the composite's own y_0."""
+    """(unpassivated, composite) profiles at x [m], from one engine pass: the
+    first is the composite's own y_0 times L0, bit for bit a separate
+    `mullins_profile` pass, and the second is L0 times `composite_profile_nd`
+    at (x / L0, Bt / L0^4)."""
     xh, th = _nd_coords(x, bt, params)
     terms = outer_expansion(spec.N, xh, th, params.m)
     composite = _compose(terms, xh, th, params.m, params.alpha_hat, spec)
     return params.L0 * terms[0], params.L0 * composite
-
-
-def bc_residuals(bt: float, params: ModelParams,
-                 spec: ExpansionSpec) -> tuple[float, float, float]:
-    """Wall-condition residuals of the composite, nondimensional.
-
-        r1 = |y_x(0) - alpha y_xxx(0) - m/2|
-        r2 = |y_xxx(0) - alpha y_xxxxx(0)|
-        r3 = |y_xx(0)|
-
-    The construction satisfies the first two exactly: the outer terms have
-    vanishing odd wall derivatives beyond the imposed slope, and the
-    operator (d/dx - alpha d^3/dx^3) annihilates exp(-x/sqrt(alpha))
-    identically.  r3 is zero through order alpha^1 and picks up the
-    uncancelled alpha^2 curvature of the second correction once N >= 2.
-    """
-    _, th = _nd_coords(0.0, bt, params)
-    ah = params.alpha_hat
-    m = params.m
-    d = [composite_profile_nd(0.0, th, m, ah, spec, k) for k in range(6)]
-    r1 = abs(d[1] - ah * d[3] - m / 2.0)
-    r2 = abs(d[3] - ah * d[5])
-    r3 = abs(d[2])
-    return r1, r2, r3
-
-
-def curvature_cancellation_residuals(bt: float, params: ModelParams) -> tuple[float, float]:
-    """Relative residuals of the wall-curvature cancellation, order by order.
-
-    Order alpha^0: beta2 against the curvature of the unpassivated profile;
-    order alpha^1: beta4 against the curvature of the first correction.
-    """
-    _, th = _nd_coords(0.0, bt, params)
-    m = params.m
-    b2 = beta2(th, m)
-    c0 = mullins_profile(0.0, th, m, order=2)
-    b4 = beta4(th, m)
-    c1 = outer_term(1, 0.0, th, m, order=2)
-    return abs(b2 + c0) / abs(b2), abs(b4 + c1) / abs(b4)
 
 
 def depth_difference(bt: float, params: ModelParams) -> float:

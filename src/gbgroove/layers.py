@@ -43,15 +43,12 @@ __all__ = [
     "beta4",
     "boundary_layer_G",
     "corner_fundamental_v",
-    "corner_similarity_ode_residual",
     "corner_solutions_yc",
     "corner_solution_diagnostics",
     "corner_weights",
-    "solve_c456",
     "theorem_coefficients",
     "corner_combination",
     "corner_combination_deriv0",
-    "corner_root_curvature",
     "SIMILARITY_EXPONENT_LIMIT",
 ]
 
@@ -163,17 +160,6 @@ def corner_fundamental_v(i, w, r: float, order: int = 0):
                       _W6_SCALE, [k - 1 for k in i], 6, w, order).value
 
 
-def corner_similarity_ode_residual(w: float, r: float, V=None) -> float:
-    """Residual of V'''''' + (w/6) V' - r V at w.
-
-    `V` is a callable V(w, order) returning derivatives; by default the
-    first fundamental solution v_1 is used.
-    """
-    if V is None:
-        V = lambda ww, order=0: corner_fundamental_v(1, ww, r, order)
-    return V(w, 6) + w / 6.0 * V(w, 1) - r * V(w, 0)
-
-
 def corner_weights(r: float) -> np.ndarray:
     """Entries 1/((j-1)! Gamma((7-j)/6 + r)), via the entire reciprocal gamma.
 
@@ -256,34 +242,6 @@ def theorem_coefficients(Vprime0: float, r: float, alpha_hat: float,
     return c4, c5, c6
 
 
-_BC_ROWS = np.array([
-    [-1.0, -0.5, _SQRT3 / 2],
-    [-1.0, 1.0, 0.0],
-    [-1.0, -0.5, -_SQRT3 / 2],
-])
-
-
-def solve_c456(Vprime0: float, r: float, alpha_hat: float,
-               tau: float) -> tuple[float, float, float]:
-    """Coefficients (c4, c5, c6) by direct solve of the wall-condition system.
-
-    Cross-checks the closed-form brackets; the 3x3 matrix is constant and
-    provably invertible (det = 3 sqrt(3) / 2).
-    """
-    if not r < SIMILARITY_EXPONENT_LIMIT:
-        raise ValueError("similarity exponent r must be < -2/3")
-    gA, gB, gC = _bracket_gammas(r)
-    rhs = np.array([
-        Vprime0 * gA,
-        alpha_hat * tau ** (1.0 / 3.0) * Vprime0 * gB,
-        alpha_hat ** 2 * tau ** (2.0 / 3.0) * Vprime0 * gC,
-    ])
-    det = np.linalg.det(_BC_ROWS)
-    assert abs(det) > 1.0    # constant matrix, det = 3 sqrt(3)/2 ~ 2.598
-    c4, c5, c6 = np.linalg.solve(_BC_ROWS, rhs)
-    return float(c4), float(c5), float(c6)
-
-
 def corner_combination(zeta, tau: float, spec: CornerSpec, yc456=None):
     """Decaying corner-layer solution c4 y_c4 + c5 y_c5 + c6 y_c6.
 
@@ -325,25 +283,3 @@ def corner_combination_deriv0(k: int, tau: float, spec: CornerSpec) -> float:
     return tau ** (spec.r - k / 6.0) * total
 
 
-def corner_root_curvature(t: float, spec: CornerSpec) -> float:
-    """Second x-derivative of the corner correction at the groove root.
-
-    Three-term Gamma-ratio closed form (nondimensional variables), equal to
-    the series second derivative of the decaying combination at zeta = 0.
-    Decays steeply once t leaves the corner-layer window t = O(alpha_hat^5).
-    """
-    if not t > 0:
-        raise ValueError("t must be positive")
-    if spec.gamma == 0.0:
-        return 0.0
-    if not spec.alpha_hat > 0:
-        raise ValueError("corner curvature needs alpha_hat > 0")
-    r = spec.r
-    ah = spec.alpha_hat
-    g23 = _gamma_or_pole(r + 2.0 / 3.0, "curvature denominator")
-    gA, gB, gC = _bracket_gammas(r)
-    return (spec.gamma / g23) * (
-        t ** (r + 1.0 / 3.0) * gC / (3.0 * ah ** (5.0 * r + 5.0 / 3.0))
-        - 2.0 * t ** r * gB / (3.0 * ah ** (5.0 * r + 1.0))
-        - 2.0 * t ** (r - 1.0 / 3.0) * gA / (3.0 * ah ** (5.0 * r + 1.0 / 3.0))
-    )

@@ -18,7 +18,6 @@ __all__ = [
     "SLOPE_VALIDITY_LIMIT",
     "mullins_coefficient",
     "stiffness_parameter",
-    "slope_parameter",
     "nondimensionalize",
     "model_from_physical",
 ]
@@ -87,12 +86,6 @@ class ModelParams:
         if not 0 <= self.m:
             raise ValueError(f"m must be non-negative, got {self.m}")
 
-    def rescaled(self, bt: float) -> "ModelParams":
-        """Same physics, new reference time Bt [m^4]."""
-        params = _reduce(self.alpha, bt, self.m)
-        _warn_if_steep(self.m)
-        return params
-
 
 def _warn_if_steep(m: float) -> None:
     """SmallSlopeWarning when m >= 1/3, attributed to the line that called
@@ -112,18 +105,6 @@ def stiffness_parameter(p: PhysicalParams) -> float:
     if p.nu ** 2 >= 1.0:
         raise ValueError(f"nu^2 must be < 1, got nu = {p.nu}")
     return p.E * p.h ** 3 / (12.0 * (1.0 - p.nu ** 2) * p.gamma_surface)
-
-
-def slope_parameter(gamma_gb: float, gamma_i: float, gamma_s: float) -> float:
-    """Slope scale m = gamma_gb / (gamma_i + gamma_s); warns when m >= 1/3."""
-    denom = gamma_i + gamma_s
-    if not denom > 0:
-        raise ValueError("gamma_i + gamma_s must be positive")
-    if gamma_gb < 0:
-        raise ValueError("gamma_gb must be non-negative")
-    m = gamma_gb / denom
-    _warn_if_steep(m)
-    return m
 
 
 def nondimensionalize(alpha: float, bt: float, m: float = 0.0) -> ModelParams:

@@ -41,17 +41,14 @@ __all__ = [
     "Grid",
     "SolverConfig",
     "Profile",
-    "EnergyBreakdown",
     "fd_weights",
     "assemble_operator",
     "GrooveOperator",
     "solve",
     "time_steps",
     "mass",
-    "energy",
     "chemical_potential",
     "flux",
-    "continuity_residual",
 ]
 
 MIN_NODES = 64
@@ -446,36 +443,6 @@ def _derivative_field(h: np.ndarray, dx: float, order: int) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class EnergyBreakdown:
-    """Quadratic free energy split into excess and flat-surface baseline."""
-
-    excess: float
-    baseline: float
-
-    @property
-    def total(self) -> float:
-        return self.excess + self.baseline
-
-
-def energy(profile: Profile, m: float, alpha_hat: float,
-           gamma_surface: float = 1.0) -> EnergyBreakdown:
-    """Small-slope free energy of a profile (nondimensional by default).
-
-    excess = gs [ (m/2) y(0) + 1/2 int y_x^2 + (alpha/2) int y_xx^2 ];
-    the flat-surface term gs * L is reported separately.
-    """
-    h = profile.heights
-    dx = profile.grid.dx
-    yx = _derivative_field(h, dx, 1)
-    yxx = _derivative_field(h, dx, 2)
-    excess = (m / 2.0) * h[0]
-    excess += 0.5 * float(np.trapezoid(yx ** 2, dx=dx))
-    excess += 0.5 * alpha_hat * float(np.trapezoid(yxx ** 2, dx=dx))
-    return EnergyBreakdown(excess=gamma_surface * excess,
-                           baseline=gamma_surface * profile.grid.L)
-
-
 def chemical_potential(profile: Profile, alpha_hat: float) -> np.ndarray:
     """Interface chemical potential  mu = -y_xx + alpha y_xxxx."""
     h = profile.heights
@@ -506,13 +473,3 @@ def flux(profile: Profile, alpha_hat: float) -> np.ndarray:
     return j
 
 
-def continuity_residual(p0: Profile, p1: Profile, alpha_hat: float) -> np.ndarray:
-    """Residual of y_t + dj/dx between two profiles (interior nodes)."""
-    if p1.time <= p0.time:
-        raise ValueError("need p1 later than p0")
-    dt = p1.time - p0.time
-    dx = p0.grid.dx
-    yt = (p1.heights - p0.heights) / dt
-    jmid = 0.5 * (flux(p0, alpha_hat) + flux(p1, alpha_hat))
-    djdx = _derivative_field(jmid, dx, 1)
-    return yt + djdx

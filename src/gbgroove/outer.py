@@ -30,29 +30,23 @@ from .specfun import (
 __all__ = [
     "U_CLAMP",
     "QuadratureError",
-    "basis_f1",
-    "basis_f2",
     "mullins_profile",
     "mullins_shape",
     "outer_term",
     "outer_term_shape",
     "outer_expansion",
-    "yr_quadrature_oracle",
-    "mullins_ode_residual",
 ]
 
 U_CLAMP = 12.0
 MAX_ORDER = 8
 
 _SQRT2 = math.sqrt(2.0)
-_G12 = gamma(0.5)
 _G34 = gamma(0.75)
 _G54 = gamma(1.25)
 
 # series parameter blocks reused throughout
 _EVEN = ((0.25,), (0.75, 1.25, 1.5))      # multiplies u^2
 _CONST = ((-0.25,), (0.25, 0.5, 0.75))    # constant prefactor
-_CUBIC = ((0.5,), (1.25, 1.5, 1.75))      # multiplies u^3
 _Z_SCALE = 1.0 / 256.0
 
 
@@ -124,26 +118,6 @@ def mullins_shape(u, order: int = 0):
     return up_to(U_CLAMP, u, lambda v: _term_shapes((0,), v, order)[0])
 
 
-def basis_f1(x: float, t: float) -> float:
-    """First decaying self-similar basis solution of the fourth-order problem."""
-    u, L = _similarity(x, t)
-    pieces = (
-        (-1.0 / (2.0 * _G34), 2, _EVEN),
-        (1.0 / (6.0 * _SQRT2 * _G12), 3, _CUBIC),
-    )
-    return L * up_to(U_CLAMP, u, lambda v: v / _SQRT2 + _shape_derivs((pieces,), v, 0)[0])
-
-
-def basis_f2(x: float, t: float) -> float:
-    """Second decaying self-similar basis solution of the fourth-order problem."""
-    u, L = _similarity(x, t)
-    pieces = (
-        (1.0 / _G54, 0, _CONST),
-        (1.0 / (6.0 * _SQRT2 * _G12), 3, _CUBIC),
-    )
-    return L * up_to(U_CLAMP, u, lambda v: -v / _SQRT2 + _shape_derivs((pieces,), v, 0)[0])
-
-
 def mullins_profile(x, t: float, m: float, *, order: int = 0):
     """Unpassivated groove profile y0(x, t), or its d^order/dx^order
     (term-differentiated)."""
@@ -176,50 +150,3 @@ def outer_expansion(N: int, x, t: float, m: float, *, order: int = 0) -> list:
     return [m * L ** (1 - 2 * r - order) * shape for r, shape in enumerate(shapes)]
 
 
-def yr_quadrature_oracle(r: int, x: float, t: float, m: float,
-                         rtol: float = 1e-11) -> float:
-    """Order-r correction by direct inverse cosine-transform quadrature.
-
-    Fully independent of the hypergeometric evaluation path: integrates
-    (2/pi) * (-t)^r * (m / (2 r!)) * k^{6r-2} e^{-k^4 t} cos(k x)
-    over k after rescaling to the similarity variable.
-    """
-    from scipy.integrate import quad  # deferred: it is most of the package import time
-
-    if r < 1:
-        raise ValueError(f"correction index r must be >= 1, got {r}")
-    u, L = _similarity(x, t)
-    power = 6 * r - 2
-
-    def integrand(kappa):
-        return kappa ** power * math.exp(-kappa ** 4) * math.cos(kappa * u)
-
-    # cut where the envelope falls 16 decades below its peak
-    peak_k = (power / 4.0) ** 0.25
-    peak = peak_k ** power * math.exp(-peak_k ** 4)
-    k_max = peak_k
-    while k_max ** power * math.exp(-k_max ** 4) > 1e-16 * peak:
-        k_max += 0.25
-    val, err = quad(integrand, 0.0, k_max, limit=400,
-                    epsabs=1e-15 * max(peak, 1.0), epsrel=rtol)
-    if not math.isfinite(val) or err > max(1e-13 * peak, 10 * rtol * abs(val)):
-        raise QuadratureError(
-            f"cosine-transform quadrature for r={r}, u={u:.3g} reported "
-            f"error {err:.2e} against value {val:.6e}")
-    sign = -1.0 if r % 2 else 1.0
-    return sign * m * L ** (1 - 2 * r) / (math.pi * math.factorial(r)) * val
-
-
-def mullins_ode_residual(u: float, profile=None) -> float:
-    """Residual of the similarity ODE Z'''' - (u/4) Z' + Z/4 at u.
-
-    `profile` is a callable profile(u, order) returning the order-th
-    derivative of a similarity shape; defaults to the built-in
-    unpassivated shape with term-differentiated series derivatives.
-    """
-    if profile is None:
-        profile = mullins_shape
-    z0 = profile(u, 0)
-    z1 = profile(u, 1)
-    z4 = profile(u, 4)
-    return z4 - 0.25 * u * z1 + 0.25 * z0

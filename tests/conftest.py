@@ -1,12 +1,32 @@
-"""Shared fixtures and reference helpers for the test suite."""
+"""Shared fixtures and reference helpers for the test suite.
+
+Besides the fixtures, this holds the checks that only the tests call: the
+exact-rational series (`rational_pfq`), the quadrature and ODE-residual
+oracles of the outer and corner shapes, the wall-condition residuals of the
+composite, the solver's energy and continuity diagnostics, and the
+dimensional unpassivated profile that the CLI's Mullins column is compared
+against.  They use the package's private helpers where the package has them.
+"""
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from scipy.integrate import quad
 
+from gbgroove.composite import ExpansionSpec, _nd_coords, composite_profile_nd
+from gbgroove.layers import (_SQRT3, SIMILARITY_EXPONENT_LIMIT, CornerSpec, _bracket_gammas,
+                             _gamma_or_pole, beta2, beta4, corner_fundamental_v)
 from gbgroove.material import ModelParams, nondimensionalize
+from gbgroove.oracle import Profile, _derivative_field, flux
+from gbgroove.outer import (_CONST, _EVEN, _G34, _G54, _SQRT2, U_CLAMP, QuadratureError,
+                            _shape_derivs, _similarity, mullins_profile, mullins_shape,
+                            outer_term)
+from gbgroove.specfun import gamma, up_to
 
 # dimensional parameters of the canned figure runs (SI)
 FIG_ALPHA = 9.7e-16     # m^2
@@ -45,3 +65,236 @@ def figure_params(bt: float) -> ModelParams:
 @pytest.fixture(scope="session")
 def fig4_params() -> ModelParams:
     return figure_params(FIG_BT["fig4"])
+
+
+# ---- outer shapes ------------------------------------------------------------
+
+
+_G12 = gamma(0.5)
+_CUBIC = ((0.5,), (1.25, 1.5, 1.75))      # multiplies u^3
+
+
+def basis_f1(x: float, t: float) -> float:
+    """First decaying self-similar basis solution of the fourth-order problem."""
+    u, L = _similarity(x, t)
+    pieces = (
+        (-1.0 / (2.0 * _G34), 2, _EVEN),
+        (1.0 / (6.0 * _SQRT2 * _G12), 3, _CUBIC),
+    )
+    return L * up_to(U_CLAMP, u, lambda v: v / _SQRT2 + _shape_derivs((pieces,), v, 0)[0])
+
+
+def basis_f2(x: float, t: float) -> float:
+    """Second decaying self-similar basis solution of the fourth-order problem."""
+    u, L = _similarity(x, t)
+    pieces = (
+        (1.0 / _G54, 0, _CONST),
+        (1.0 / (6.0 * _SQRT2 * _G12), 3, _CUBIC),
+    )
+    return L * up_to(U_CLAMP, u, lambda v: -v / _SQRT2 + _shape_derivs((pieces,), v, 0)[0])
+
+
+def yr_quadrature_oracle(r: int, x: float, t: float, m: float,
+                         rtol: float = 1e-11) -> float:
+    """Order-r correction by direct inverse cosine-transform quadrature.
+
+    Fully independent of the hypergeometric evaluation path: integrates
+    (2/pi) * (-t)^r * (m / (2 r!)) * k^{6r-2} e^{-k^4 t} cos(k x)
+    over k after rescaling to the similarity variable.
+    """
+    if r < 1:
+        raise ValueError(f"correction index r must be >= 1, got {r}")
+    u, L = _similarity(x, t)
+    power = 6 * r - 2
+
+    def integrand(kappa):
+        return kappa ** power * math.exp(-kappa ** 4) * math.cos(kappa * u)
+
+    # cut where the envelope falls 16 decades below its peak
+    peak_k = (power / 4.0) ** 0.25
+    peak = peak_k ** power * math.exp(-peak_k ** 4)
+    k_max = peak_k
+    while k_max ** power * math.exp(-k_max ** 4) > 1e-16 * peak:
+        k_max += 0.25
+    val, err = quad(integrand, 0.0, k_max, limit=400,
+                    epsabs=1e-15 * max(peak, 1.0), epsrel=rtol)
+    if not math.isfinite(val) or err > max(1e-13 * peak, 10 * rtol * abs(val)):
+        raise QuadratureError(
+            f"cosine-transform quadrature for r={r}, u={u:.3g} reported "
+            f"error {err:.2e} against value {val:.6e}")
+    sign = -1.0 if r % 2 else 1.0
+    return sign * m * L ** (1 - 2 * r) / (math.pi * math.factorial(r)) * val
+
+
+def mullins_ode_residual(u: float, profile=None) -> float:
+    """Residual of the similarity ODE Z'''' - (u/4) Z' + Z/4 at u.
+
+    `profile` is a callable profile(u, order) returning the order-th
+    derivative of a similarity shape; defaults to the built-in
+    unpassivated shape with term-differentiated series derivatives.
+    """
+    if profile is None:
+        profile = mullins_shape
+    z0 = profile(u, 0)
+    z1 = profile(u, 1)
+    z4 = profile(u, 4)
+    return z4 - 0.25 * u * z1 + 0.25 * z0
+
+
+# ---- corner layer ------------------------------------------------------------
+
+
+_BC_ROWS = np.array([
+    [-1.0, -0.5, _SQRT3 / 2],
+    [-1.0, 1.0, 0.0],
+    [-1.0, -0.5, -_SQRT3 / 2],
+])
+
+
+def corner_similarity_ode_residual(w: float, r: float, V=None) -> float:
+    """Residual of V'''''' + (w/6) V' - r V at w.
+
+    `V` is a callable V(w, order) returning derivatives; by default the
+    first fundamental solution v_1 is used.
+    """
+    if V is None:
+        V = lambda ww, order=0: corner_fundamental_v(1, ww, r, order)
+    return V(w, 6) + w / 6.0 * V(w, 1) - r * V(w, 0)
+
+
+def solve_c456(Vprime0: float, r: float, alpha_hat: float,
+               tau: float) -> tuple[float, float, float]:
+    """Coefficients (c4, c5, c6) by direct solve of the wall-condition system.
+
+    Cross-checks the closed-form brackets; the 3x3 matrix is constant and
+    provably invertible (det = 3 sqrt(3) / 2).
+    """
+    if not r < SIMILARITY_EXPONENT_LIMIT:
+        raise ValueError("similarity exponent r must be < -2/3")
+    gA, gB, gC = _bracket_gammas(r)
+    rhs = np.array([
+        Vprime0 * gA,
+        alpha_hat * tau ** (1.0 / 3.0) * Vprime0 * gB,
+        alpha_hat ** 2 * tau ** (2.0 / 3.0) * Vprime0 * gC,
+    ])
+    det = np.linalg.det(_BC_ROWS)
+    assert abs(det) > 1.0    # constant matrix, det = 3 sqrt(3)/2 ~ 2.598
+    c4, c5, c6 = np.linalg.solve(_BC_ROWS, rhs)
+    return float(c4), float(c5), float(c6)
+
+
+def corner_root_curvature(t: float, spec: CornerSpec) -> float:
+    """Second x-derivative of the corner correction at the groove root.
+
+    Three-term Gamma-ratio closed form (nondimensional variables), equal to
+    the series second derivative of the decaying combination at zeta = 0.
+    Decays steeply once t leaves the corner-layer window t = O(alpha_hat^5).
+    """
+    if not t > 0:
+        raise ValueError("t must be positive")
+    if spec.gamma == 0.0:
+        return 0.0
+    if not spec.alpha_hat > 0:
+        raise ValueError("corner curvature needs alpha_hat > 0")
+    r = spec.r
+    ah = spec.alpha_hat
+    g23 = _gamma_or_pole(r + 2.0 / 3.0, "curvature denominator")
+    gA, gB, gC = _bracket_gammas(r)
+    return (spec.gamma / g23) * (
+        t ** (r + 1.0 / 3.0) * gC / (3.0 * ah ** (5.0 * r + 5.0 / 3.0))
+        - 2.0 * t ** r * gB / (3.0 * ah ** (5.0 * r + 1.0))
+        - 2.0 * t ** (r - 1.0 / 3.0) * gA / (3.0 * ah ** (5.0 * r + 1.0 / 3.0))
+    )
+
+
+# ---- composite ---------------------------------------------------------------
+
+
+def mullins_profile_dim(x: float, bt: float, params: ModelParams) -> float:
+    """Dimensional unpassivated profile for side-by-side comparisons."""
+    xh, th = _nd_coords(x, bt, params)
+    return params.L0 * mullins_profile(xh, th, params.m)
+
+
+def bc_residuals(bt: float, params: ModelParams,
+                 spec: ExpansionSpec) -> tuple[float, float, float]:
+    """Wall-condition residuals of the composite, nondimensional.
+
+        r1 = |y_x(0) - alpha y_xxx(0) - m/2|
+        r2 = |y_xxx(0) - alpha y_xxxxx(0)|
+        r3 = |y_xx(0)|
+
+    The construction satisfies the first two exactly: the outer terms have
+    vanishing odd wall derivatives beyond the imposed slope, and the
+    operator (d/dx - alpha d^3/dx^3) annihilates exp(-x/sqrt(alpha))
+    identically.  r3 is zero through order alpha^1 and picks up the
+    uncancelled alpha^2 curvature of the second correction once N >= 2.
+    """
+    _, th = _nd_coords(0.0, bt, params)
+    ah = params.alpha_hat
+    m = params.m
+    d = [composite_profile_nd(0.0, th, m, ah, spec, k) for k in range(6)]
+    r1 = abs(d[1] - ah * d[3] - m / 2.0)
+    r2 = abs(d[3] - ah * d[5])
+    r3 = abs(d[2])
+    return r1, r2, r3
+
+
+def curvature_cancellation_residuals(bt: float, params: ModelParams) -> tuple[float, float]:
+    """Relative residuals of the wall-curvature cancellation, order by order.
+
+    Order alpha^0: beta2 against the curvature of the unpassivated profile;
+    order alpha^1: beta4 against the curvature of the first correction.
+    """
+    _, th = _nd_coords(0.0, bt, params)
+    m = params.m
+    b2 = beta2(th, m)
+    c0 = mullins_profile(0.0, th, m, order=2)
+    b4 = beta4(th, m)
+    c1 = outer_term(1, 0.0, th, m, order=2)
+    return abs(b2 + c0) / abs(b2), abs(b4 + c1) / abs(b4)
+
+
+# ---- solver diagnostics ------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class EnergyBreakdown:
+    """Quadratic free energy split into excess and flat-surface baseline."""
+
+    excess: float
+    baseline: float
+
+    @property
+    def total(self) -> float:
+        return self.excess + self.baseline
+
+
+def energy(profile: Profile, m: float, alpha_hat: float,
+           gamma_surface: float = 1.0) -> EnergyBreakdown:
+    """Small-slope free energy of a profile (nondimensional by default).
+
+    excess = gs [ (m/2) y(0) + 1/2 int y_x^2 + (alpha/2) int y_xx^2 ];
+    the flat-surface term gs * L is reported separately.
+    """
+    h = profile.heights
+    dx = profile.grid.dx
+    yx = _derivative_field(h, dx, 1)
+    yxx = _derivative_field(h, dx, 2)
+    excess = (m / 2.0) * h[0]
+    excess += 0.5 * float(np.trapezoid(yx ** 2, dx=dx))
+    excess += 0.5 * alpha_hat * float(np.trapezoid(yxx ** 2, dx=dx))
+    return EnergyBreakdown(excess=gamma_surface * excess,
+                           baseline=gamma_surface * profile.grid.L)
+
+
+def continuity_residual(p0: Profile, p1: Profile, alpha_hat: float) -> np.ndarray:
+    """Residual of y_t + dj/dx between two profiles (interior nodes)."""
+    if p1.time <= p0.time:
+        raise ValueError("need p1 later than p0")
+    dt = p1.time - p0.time
+    dx = p0.grid.dx
+    yt = (p1.heights - p0.heights) / dt
+    jmid = 0.5 * (flux(p0, alpha_hat) + flux(p1, alpha_hat))
+    djdx = _derivative_field(jmid, dx, 1)
+    return yt + djdx

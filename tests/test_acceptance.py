@@ -23,7 +23,6 @@ the stated tolerance cannot be met by the construction being tested:
   hierarchy are asserted instead.
 """
 
-import json
 import math
 import subprocess
 import sys
@@ -31,35 +30,21 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import FIG_ALPHA, FIG_BT, FIG_M, figure_params
-from gbgroove.composite import (
-    ExpansionSpec,
-    bc_residuals,
-    composite_profile,
-    composite_profile_nd,
-    curvature_cancellation_residuals,
-    default_window,
-    depth_difference,
-    groove_metrics,
-    mullins_profile_dim,
-)
+from conftest import (FIG_BT, FIG_M, basis_f1, basis_f2, bc_residuals,
+                      corner_similarity_ode_residual, curvature_cancellation_residuals, energy,
+                      figure_params, mullins_profile_dim, yr_quadrature_oracle)
+from gbgroove.composite import (ExpansionSpec, composite_profile_nd, default_window,
+                                depth_difference, groove_metrics, mullins_and_composite)
 from gbgroove.layers import (
     CornerSpec,
     corner_combination,
     corner_combination_deriv0,
     corner_fundamental_v,
-    corner_similarity_ode_residual,
     corner_solutions_yc,
 )
 from gbgroove.material import PhysicalParams, nondimensionalize, stiffness_parameter
-from gbgroove.oracle import Grid, SolverConfig, energy, mass, solve
-from gbgroove.outer import (
-    basis_f1,
-    basis_f2,
-    mullins_profile,
-    outer_term,
-    yr_quadrature_oracle,
-)
+from gbgroove.oracle import Grid, SolverConfig, mass, solve
+from gbgroove.outer import mullins_profile, outer_term
 from gbgroove.specfun import HypArgs, gamma, hyp_pFq
 
 AH_FIG4 = 0.30674093303633276
@@ -351,11 +336,11 @@ def test_criterion_12_trend_reproduction():
         spec = ExpansionSpec(N=2)
         xs = np.linspace(0.0, default_window(t), 300)
         depth = abs(mullins_profile_dim(0.0, t, params))
-        sup = np.max(np.abs(composite_profile(xs, t, params, spec)
+        sup = np.max(np.abs(mullins_and_composite(xs, t, params, spec)[1]
                             - mullins_profile_dim(xs, t, params)))
         sups.append(sup / depth)
         assert depth_difference(t, params) > 0.0
-        mc = groove_metrics(lambda x: composite_profile(x, t, params, spec),
+        mc = groove_metrics(lambda x: mullins_and_composite(x, t, params, spec)[1],
                             params, bt=t)
         mm = groove_metrics(lambda x: mullins_profile_dim(x, t, params),
                             params, bt=t)

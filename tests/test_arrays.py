@@ -12,9 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import mullins_profile_dim
 from gbgroove import layers, outer
 from gbgroove.cli import PRESETS, RunConfig, main, run
-from gbgroove.composite import ExpansionSpec, composite_profile_nd, mullins_profile_dim
+from gbgroove.composite import ExpansionSpec, composite_profile_nd
 from gbgroove.layers import (
     CornerSpec,
     boundary_layer_G,
@@ -243,4 +244,4 @@ def test_depth_series_mullins_column_is_the_profile_at_the_root(bt, m, alpha):
     cfg = RunConfig(mode="depth-series", model={"B": 1.0, "alpha": alpha, "m": m},
                     times=[bt])
     row = run(cfg).splitlines()[-1].split(",")
-    assert float(row[2]) == abs(mullins_profile_dim(0.0, bt, cfg.reduced(bt)))
+    assert float(row[2]) == abs(mullins_profile_dim(0.0, bt, cfg.reducer()(bt)))

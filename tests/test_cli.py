@@ -18,9 +18,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
+from conftest import mullins_profile_dim
 from gbgroove import cli, outer
 from gbgroove.cli import PRESETS, NonFiniteOutputError, RunConfig, main, run
-from gbgroove.composite import mullins_profile_dim
 from gbgroove.material import (
     PhysicalParams,
     SmallSlopeWarning,
@@ -231,8 +231,8 @@ def _main_in_fresh_interpreter(argv, check_code):
                                   ["--mode", "params", *_ALUMINA]],
                          ids=[*sorted(PRESETS), "params"])
 def test_series_runs_load_no_scipy(argv):
-    """Only the solver factors and only quadrature integrates: a series-only
-    run, import included, loads no SciPy module."""
+    """Only the solver factors: a series-only run, import included, loads no
+    SciPy module."""
     r = _main_in_fresh_interpreter(argv, "loaded = [m for m in sys.modules if m == 'scipy' "
                                          "or m.startswith('scipy.')]\n"
                                          "assert not loaded, loaded")
@@ -285,6 +285,24 @@ def test_physical_block_matches_its_model_block(mode):
         numbers = [_emitted_numbers(text) for text in texts]
         assert numbers[0].size >= 5
         np.testing.assert_array_equal(*numbers)
+
+
+@pytest.mark.parametrize("mode", ["profile", "compare"])
+def test_include_corner_adds_the_corner_term(mode, capsys):
+    """--include-corner adds the corner term at amplitude alpha_hat when
+    corner_gamma is 0, the rule corner mode uses: only y_composite_m moves."""
+    tables = []
+    for flags in ([], ["--include-corner"]):
+        assert main(["--mode", mode, *_ALUMINA, "--samples", "16", *flags]) == 0
+        tables.append(np.loadtxt(io.StringIO(capsys.readouterr().out), delimiter=","))
+    plain, corner = tables
+    np.testing.assert_array_equal(np.delete(plain, 3, axis=1), np.delete(corner, 3, axis=1))
+    assert not np.array_equal(plain[:, 3], corner[:, 3])
+    ah = nondimensionalize(9.7e-16, 1e-29, 0.209).alpha_hat
+    explicit = RunConfig(mode=mode, model={"B": 1, "alpha": 9.7e-16, "m": 0.209},
+                         times=[1e-29], samples=16, include_corner=True, corner_gamma=ah)
+    np.testing.assert_array_equal(np.loadtxt(io.StringIO(run(explicit)), delimiter=","),
+                                  corner)
 
 
 def test_profile_makes_one_engine_pass_per_bt(monkeypatch, capsys):
@@ -407,6 +425,15 @@ _BAD_DOCUMENTS = {
     "params-two-times": {**_FIG4, "mode": "params", "times": [1e-29, 2e-29]},
     "corner-two-times": {**_FIG4, "mode": "corner", "times": [1e-29, 2e-29]},
     "corner-order": {**_FIG4, "mode": "corner", "order": 5},
+    # params and oracle evaluate no expansion, and corner mode always has its
+    # corner term: each would print the same numbers without the entry
+    **{f"{mode}-{key}": {**_FIG4, "mode": mode, key: value}
+       for mode, key, value in (("params", "order", 5), ("params", "include_corner", True),
+                                ("oracle", "order", 5), ("oracle", "include_corner", True),
+                                ("corner", "include_corner", True))},
+    # a corner amplitude with no corner term to take it
+    **{f"{mode}-corner_gamma-alone": {**_FIG4, "mode": mode, "corner_gamma": 0.3}
+       for mode in ("profile", "compare", "oracle")},
     # "false" is a truthy string: it would switch the corner term on
     "include-corner-string": {**_FIG4, "include_corner": "false", "corner_gamma": 0.3},
     # entries a mode would ignore are refused, not dropped
@@ -485,6 +512,12 @@ def _assert_exit_code_contract(doc):
     assert code in (0, 2, 3), err.getvalue()
     if code == 0:
         assert not re.search(r"\b(nan|inf|infinity)\b", out.getvalue(), re.IGNORECASE)
+
+
+@pytest.mark.parametrize("bt", [1e-300, 1e-150, 1e-100, 1e-29, 1e-10, 1e-5, 1e100, 1e300])
+def test_include_corner_keeps_the_exit_code_contract(bt):
+    """The corner term overflows at extreme Bt: exit 3, never a traceback."""
+    _assert_exit_code_contract({**_FIG4, "times": [bt], "include_corner": True})
 
 
 @given(mode=st.sampled_from(["params", "profile", "depth-series", "corner"]),

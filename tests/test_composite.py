@@ -5,19 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from conftest import FIG_ALPHA, FIG_BT, FIG_M, figure_params
-from gbgroove.composite import (
-    ExpansionSpec,
-    bc_residuals,
-    composite_profile,
-    composite_profile_nd,
-    curvature_cancellation_residuals,
-    default_window,
-    depth_difference,
-    groove_metrics,
-    mullins_and_composite,
-    mullins_profile_dim,
-)
+from conftest import (FIG_ALPHA, FIG_BT, FIG_M, bc_residuals, curvature_cancellation_residuals,
+                      figure_params, mullins_profile_dim)
+from gbgroove.composite import (ExpansionSpec, composite_profile_nd, default_window,
+                                depth_difference, groove_metrics, mullins_and_composite)
 from gbgroove.layers import (
     CornerSpec,
     beta2,
@@ -39,7 +30,7 @@ class TestCompositeAssembly:
         spec = ExpansionSpec(N=2)
         params = nondimensionalize(0.0, 1e-29, FIG_M)
         for x in (0.0, 3e-8, 1e-7):
-            assert composite_profile(x, 1e-29, params, spec) == pytest.approx(
+            assert mullins_and_composite(x, 1e-29, params, spec)[1] == pytest.approx(
                 mullins_profile_dim(x, 1e-29, params), rel=1e-14, abs=1e-30)
 
     def test_layer_extinguished_away_from_wall(self):
@@ -60,10 +51,10 @@ class TestCompositeAssembly:
         params = figure_params(FIG_BT["fig4"])
         spec = ExpansionSpec(N=2)
         t = FIG_BT["fig4"]
-        y_c0 = composite_profile(0.0, t, params, spec)
+        y_c0 = mullins_and_composite(0.0, t, params, spec)[1]
         y_m0 = mullins_profile_dim(0.0, t, params)
         assert abs(y_c0) < abs(y_m0)          # shallower root
-        mc = groove_metrics(lambda x: composite_profile(x, t, params, spec),
+        mc = groove_metrics(lambda x: mullins_and_composite(x, t, params, spec)[1],
                             params, bt=t)
         mm = groove_metrics(lambda x: mullins_profile_dim(x, t, params),
                             params, bt=t)
@@ -80,18 +71,19 @@ class TestCompositeAssembly:
         # at figure times tau = t_hat / alpha_hat^5 is huge: corner negligible
         # (and identically zero at the wall for r = -1, where 1/Gamma(1+r) = 0)
         x = 0.25 * params.L0
-        a = composite_profile(x, t, params, on)
-        b = composite_profile(x, t, params, off)
+        a = mullins_and_composite(x, t, params, on)[1]
+        b = mullins_and_composite(x, t, params, off)[1]
         assert a != b
-        assert abs(a - b) < 1e-3 * abs(composite_profile(0.0, t, params, off))
+        assert abs(a - b) < 1e-3 * abs(mullins_and_composite(0.0, t, params, off)[1])
 
     @pytest.mark.parametrize("alpha", [0.0, FIG_ALPHA])
     @pytest.mark.parametrize("N", [0, 2, 5])
     @pytest.mark.parametrize("with_corner", [False, True])
     def test_mullins_and_composite_from_one_pass(self, alpha, N, with_corner):
-        """mullins_and_composite gives mullins_profile_dim and
-        composite_profile bit for bit, on an array and at single points:
-        composing the terms leaves their y_0 the unpassivated profile."""
+        """mullins_and_composite gives mullins_profile_dim and the
+        dimensional composite_profile_nd bit for bit, on an array and at
+        single points: composing the terms leaves their y_0 the unpassivated
+        profile."""
         for bt in (3e-30, 2e-28, 1.7e-28):
             params = nondimensionalize(alpha, bt, FIG_M)
             corner = (CornerSpec(r=-1.0, gamma=0.05, alpha_hat=params.alpha_hat)
@@ -101,7 +93,8 @@ class TestCompositeAssembly:
             for x in (xs, 0.0, float(xs[3])):
                 mullins, composite = mullins_and_composite(x, bt, params, spec)
                 assert np.array_equal(mullins, mullins_profile_dim(x, bt, params))
-                assert np.array_equal(composite, composite_profile(x, bt, params, spec))
+                assert np.array_equal(composite, params.L0 * composite_profile_nd(
+                    x / params.L0, bt / params.L0 ** 4, params.m, params.alpha_hat, spec))
                 assert alpha == 0.0 or not np.array_equal(mullins, composite)
 
     @pytest.mark.parametrize("order", [0, 1, 2, 3, 5])
@@ -198,7 +191,7 @@ class TestDepthDifference:
             t = FIG_BT[key]
             params = figure_params(t)
             spec = ExpansionSpec(N=2)
-            direct = (composite_profile(0.0, t, params, spec)
+            direct = (mullins_and_composite(0.0, t, params, spec)[1]
                       - mullins_profile_dim(0.0, t, params))
             formula = depth_difference(t, params)
             assert formula == pytest.approx(direct, rel=1e-12)
@@ -272,7 +265,7 @@ class TestGrooveMetrics:
 
         def profile(x):
             args.append(x)
-            return composite_profile(x, t, params, spec)
+            return mullins_and_composite(x, t, params, spec)[1]
 
         mc = groove_metrics(profile, params, bt=t)
         assert mc.has_secondary_minimum
@@ -308,7 +301,7 @@ class TestGrooveMetrics:
         t = FIG_BT["fig4"]
         params = figure_params(t)
         spec = ExpansionSpec(N=2)
-        mc = groove_metrics(lambda x: composite_profile(x, t, params, spec),
+        mc = groove_metrics(lambda x: mullins_and_composite(x, t, params, spec)[1],
                             params, bt=t)
         ah = params.alpha_hat
         from gbgroove.layers import beta4
@@ -329,7 +322,7 @@ class TestTrends:
             spec = ExpansionSpec(N=2)
             xs = np.linspace(0.0, default_window(t), 300)
             depth = abs(mullins_profile_dim(0.0, t, params))
-            sup = np.max(np.abs(composite_profile(xs, t, params, spec)
+            sup = np.max(np.abs(mullins_and_composite(xs, t, params, spec)[1]
                                 - mullins_profile_dim(xs, t, params)))
             sups.append(sup / depth)
         assert sups[0] > sups[1] > sups[2]
@@ -343,7 +336,7 @@ class TestTrends:
             t = FIG_BT[key]
             params = figure_params(t)
             spec = ExpansionSpec(N=2)
-            mc = groove_metrics(lambda x: composite_profile(x, t, params, spec),
+            mc = groove_metrics(lambda x: mullins_and_composite(x, t, params, spec)[1],
                                 params, bt=t)
             mm = groove_metrics(lambda x: mullins_profile_dim(x, t, params),
                                 params, bt=t)

@@ -1,0 +1,46 @@
+"""Every name a gbgroove module exports is read by package code, `scripts/` or
+`perfbench/` (a name or attribute load; an import alone does not count), or
+is on the allow-list below.  A name only the tests call belongs in the tests."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+MODULES = sorted((ROOT / "src" / "gbgroove").glob("*.py"))
+USERS = [*MODULES, *(ROOT / "scripts").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
+
+# exported though nothing above reads them
+KEPT = {
+    # perfbench/spans.py looks these up by name; they go with the tracer's
+    # change (ROADMAP item 4)
+    "hyp_pFq", "hyp_pFq_derivative", "hyp_series_derivative", "HypArgs", "pochhammer",
+    # solver diagnostics still to be settled (ROADMAP item 5)
+    "groove_metrics", "flux", "chemical_potential",
+    # the one-term references that outer_expansion is tested against bit for bit
+    "mullins_profile", "outer_term",
+}
+
+
+def _exports(path: Path) -> set[str]:
+    return {elt.value for node in ast.parse(path.read_text()).body
+            if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "__all__"
+            for elt in node.value.elts}
+
+
+def _reads() -> set[str]:
+    nodes = [n for path in USERS for n in ast.walk(ast.parse(path.read_text()))]
+    return ({n.id for n in nodes if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            | {n.attr for n in nodes if isinstance(n, ast.Attribute)})
+
+
+@pytest.mark.parametrize("module", MODULES, ids=[m.stem for m in MODULES])
+def test_every_export_is_used(module):
+    unused = sorted(_exports(module) - _reads() - KEPT)
+    assert not unused, f"{module.name} exports names nothing uses: {unused}"
+
+
+def test_allow_list_names_exports():
+    missing = KEPT - set().union(*map(_exports, MODULES))
+    assert not missing, sorted(missing)

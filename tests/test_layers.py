@@ -11,7 +11,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import rational_pfq
+from conftest import (corner_root_curvature, corner_similarity_ode_residual, rational_pfq,
+                      solve_c456)
 from gbgroove.layers import (
     CORNER_MATRIX,
     CornerSpec,
@@ -21,11 +22,8 @@ from gbgroove.layers import (
     corner_combination,
     corner_combination_deriv0,
     corner_fundamental_v,
-    corner_root_curvature,
-    corner_similarity_ode_residual,
     corner_solutions_yc,
     corner_weights,
-    solve_c456,
     theorem_coefficients,
 )
 from gbgroove.outer import mullins_profile, outer_term

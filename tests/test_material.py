@@ -1,19 +1,15 @@
 """Reduction of dimensional constants to the model parameters."""
 
-import math
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gbgroove.material import (
-    ModelParams,
     PhysicalParams,
     SmallSlopeWarning,
     model_from_physical,
     mullins_coefficient,
     nondimensionalize,
-    slope_parameter,
     stiffness_parameter,
 )
 
@@ -74,21 +70,23 @@ class TestStiffnessParameter:
 
 
 class TestSlopeParameter:
+    """m = gamma_gb / (gamma_i + gamma_s), as model_from_physical reduces it."""
+
     def test_no_groove(self):
-        assert slope_parameter(0.0, 1.2, 1.67) == 0.0
+        assert model_from_physical(_phys(gamma_gb=0.0), bt=1e-29).m == 0.0
 
     def test_figure_value(self):
-        assert slope_parameter(0.5999, 1.2, 1.67) == pytest.approx(
-            0.5999 / 2.87, rel=1e-15)
-        assert slope_parameter(0.5999, 1.2, 1.67) == pytest.approx(0.209, abs=5e-4)
+        m = model_from_physical(_phys(), bt=1e-29).m
+        assert m == pytest.approx(0.5999 / 2.87, rel=1e-15)
+        assert m == pytest.approx(0.209, abs=5e-4)
 
     def test_warning_past_validity(self):
         with pytest.warns(SmallSlopeWarning):
-            slope_parameter(2.87, 1.2, 1.67)
+            model_from_physical(_phys(gamma_gb=2.87), bt=1e-29)
 
     def test_rejects_zero_denominator(self):
         with pytest.raises(ValueError):
-            slope_parameter(0.1, 0.0, 0.0)
+            _phys(gamma_gb=0.1, gamma_i=0.0, gamma_s=0.0)
 
 
 class TestNondimensionalize:
@@ -134,8 +132,8 @@ class TestScaleCovariance:
             c * mullins_coefficient(p1), rel=1e-12)
         assert stiffness_parameter(p2) == pytest.approx(
             stiffness_parameter(p1) / c, rel=1e-12)
-        m1 = slope_parameter(p1.gamma_gb, p1.gamma_i, p1.gamma_s)
-        m2 = slope_parameter(p2.gamma_gb, p2.gamma_i, p2.gamma_s)
+        m1 = model_from_physical(p1, bt=1e-29).m
+        m2 = model_from_physical(p2, bt=1e-29).m
         assert m2 == pytest.approx(m1, rel=1e-12)
 
     def test_groove_angle_guard(self):
@@ -152,7 +150,7 @@ class TestModelFromPhysical:
     def test_rescaled(self):
         B = mullins_coefficient(_phys())
         p = model_from_physical(_phys(), bt=1e-9 * B)
-        q = p.rescaled(16e-9 * B)
+        q = nondimensionalize(p.alpha, 16e-9 * B, p.m)
         assert q.alpha_hat == pytest.approx(p.alpha_hat / 4, rel=1e-13)
         assert q.alpha == p.alpha and q.m == p.m
 

@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from conftest import continuity_residual, energy
 from gbgroove import oracle
-from gbgroove.composite import ExpansionSpec, composite_profile_nd
 from gbgroove.oracle import (
     BC_ORDER,
     MAX_NODES,
@@ -20,8 +20,6 @@ from gbgroove.oracle import (
     SolverConfig,
     assemble_operator,
     chemical_potential,
-    continuity_residual,
-    energy,
     fd_weights,
     flux,
     mass,

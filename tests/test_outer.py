@@ -6,23 +6,13 @@ all shown digits.
 """
 
 import math
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import rational_pfq
-from gbgroove.outer import (
-    U_CLAMP,
-    basis_f1,
-    basis_f2,
-    mullins_ode_residual,
-    mullins_profile,
-    mullins_shape,
-    outer_term,
-    yr_quadrature_oracle,
-)
+from conftest import basis_f1, basis_f2, mullins_ode_residual, yr_quadrature_oracle
+from gbgroove.outer import mullins_profile, mullins_shape, outer_term
 from gbgroove.specfun import gamma
 
 # profile scale for "relative to the profile" comparisons
