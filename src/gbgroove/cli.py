@@ -35,12 +35,11 @@ from .material import (
     nondimensionalize,
 )
 from .oracle import ConfigError, DivergenceError, Grid, SolverConfig, mass, solve
-from .outer import MAX_ORDER, U_CLAMP, QuadratureError, mullins_shape
+from .outer import MAX_ORDER, U_CLAMP, mullins_shape
 from .specfun import GammaPoleError, SeriesError
 
 __all__ = ["RunConfig", "run", "main", "PRESETS"]
 
-MODES = ("params", "profile", "depth-series", "corner", "oracle", "compare")
 FORMATS = ("csv", "json")
 
 # figure-style canned parameter sets (SI units)
@@ -64,6 +63,8 @@ PRESETS: dict[str, dict] = {
 # solver domain [0, 8] in units of (B t)^(1/4): the shortest SolverConfig
 # accepts for t_final = 1
 _SOLVER_L = 8.0
+# the Bt value, m^4, of a mode that reads one when none is given
+_DEFAULT_BT = 1e-29
 # output rows of a whole run, over every Bt value and alpha: uncapped, a
 # long `times` list dies in numpy's allocator outside the 0/2/3 exit codes.
 # On a 2-vCPU x86-64 host (Python 3.11, numpy 2.4), a CSV profile run of
@@ -142,22 +143,20 @@ class RunConfig:
                                  f"got {self.include_corner!r}")
         if not isinstance(self.out, (str, type(None))):
             raise CliConfigError(f"out must be a path, got {self.out!r}")
-        if self.mode in ("profile", "depth-series", "oracle", "compare") and not self.times:
+        _, reads, most_bt, rows_per_bt = _MODE_TABLE[self.mode]
+        if most_bt is None and not self.times:
             raise CliConfigError(f"mode {self.mode!r} needs at least one Bt value")
+        if most_bt is not None and len(self.times) > most_bt:
+            raise CliConfigError(f"mode {self.mode!r} reads at most {most_bt} Bt value, "
+                                 f"got {len(self.times)}")
         if not 2 <= self.samples <= MAX_ROWS:
             raise CliConfigError(f"samples must lie in [2, {MAX_ROWS}], got {self.samples}")
-        if self._rows() > MAX_ROWS:
-            raise CliConfigError(f"the run emits {self._rows()} rows, each solve counted "
+        rows = rows_per_bt(self) * len(_bt_values(self))
+        if rows > MAX_ROWS:
+            raise CliConfigError(f"the run emits {rows} rows, each solve counted "
                                  f"as {SOLVE_ROWS}; the budget is {MAX_ROWS}")
         if not 0 <= self.order <= MAX_ORDER:
             raise CliConfigError(f"order must be in [0, {MAX_ORDER}], got {self.order}")
-        if self.xmax is not None and self.mode not in ("profile", "compare"):
-            raise CliConfigError(f"mode {self.mode!r} has no profile window for xmax")
-        if self.alphas and self.mode != "depth-series":
-            raise CliConfigError(f"mode {self.mode!r} sweeps no alphas; only "
-                                 "depth-series takes them")
-        if self.solver and self.mode not in ("oracle", "compare"):
-            raise CliConfigError(f"mode {self.mode!r} runs no solver to take a solver block")
         if self.xmax is not None and not 0 < self.xmax <= U_CLAMP:
             raise CliConfigError(f"xmax must lie in (0, {U_CLAMP:g}], the series clamp, "
                                  f"got {self.xmax}")
@@ -166,37 +165,26 @@ class RunConfig:
                                  f"got {self.xmax}")
         if self.mode == "depth-series" and self.physical is not None:
             raise CliConfigError("depth-series sweeps model.alpha; give a 'model' block")
-        # depth-series gives the closed-form N = 2 depth, corner the corner-layer
-        # solutions alone, and params and oracle no profile of the expansion
-        if self.mode not in ("profile", "compare") and (self.order != 2 or self.include_corner):
-            raise CliConfigError(f"mode {self.mode!r} evaluates no composite expansion; it "
-                                 "takes no order or include_corner")
-        if self.corner_gamma != 0.0 and not (self.include_corner or self.mode == "corner"):
-            raise CliConfigError("corner_gamma is the corner term's amplitude; it needs "
-                                 "include_corner")
-        if self.mode in ("params", "corner") and len(self.times) > 1:
-            raise CliConfigError(f"mode {self.mode!r} reads one Bt value, got "
-                                 f"{len(self.times)}")
+        # a field the mode does not read must keep its default: it would be
+        # dropped without a word
+        if self.include_corner and "include_corner" in reads:
+            reads += _CORNER_FIELDS
+        default = RunConfig(self.mode)
+        dropped = [name for name, value in vars(self).items()
+                   if name not in reads + _READ_BY_EVERY_MODE and value != getattr(default, name)]
+        if dropped:
+            raise CliConfigError(f"mode {self.mode!r} would drop {', '.join(dropped)}; here it "
+                                 f"reads {', '.join(reads) or 'none of the optional fields'}")
         for bt in self.times:
             if not bt > 0:
                 raise CliConfigError(f"Bt values must be positive, got {bt}")
         if not (math.isfinite(self.corner_r) and math.isfinite(self.corner_gamma)):
             raise CliConfigError("corner_r and corner_gamma must be finite")
-        if self.mode == "corner" or self.include_corner:
+        if "corner_r" in reads:
             try:
                 CornerSpec(r=self.corner_r)
             except ValueError as exc:
                 raise CliConfigError(f"bad corner_r: {exc}")
-
-    def _rows(self) -> int:
-        """Rows the run emits, each solve counted as SOLVE_ROWS rows."""
-        per_bt = {"profile": self.samples,
-                  "depth-series": max(len(self.alphas), 1),
-                  "oracle": self.samples + SOLVE_ROWS,
-                  "compare": self.samples + SOLVE_ROWS}
-        if self.mode in per_bt:
-            return per_bt[self.mode] * len(self.times)
-        return self.samples if self.mode == "corner" else 0
 
     def resolved(self) -> dict:
         d = asdict(self)
@@ -205,71 +193,60 @@ class RunConfig:
         d.pop("out", None)
         return d
 
-    # ---- physics ----------------------------------------------------------
 
-    def reducer(self):
-        """Check the parameter block once and return the function that
-        reduces it to ModelParams at a time Bt."""
-        block = "model" if self.model is not None else "physical"
-        bad = (KeyError, TypeError, ValueError, ArithmeticError)
+def _bt_values(cfg: RunConfig) -> list[float]:
+    """The run's Bt values: a mode that reads one takes _DEFAULT_BT when none
+    is given."""
+    return cfg.times or [_DEFAULT_BT]
+
+
+def _reducer(model: dict | None, physical: dict | None):
+    """Check one parameter block once and return the function that reduces
+    it to ModelParams at a time Bt."""
+    block = "model" if model is not None else "physical"
+    bad = (KeyError, TypeError, ValueError, ArithmeticError)
+    try:
+        if model is not None:
+            values = [model[k] for k in ("B", "alpha", "m")]
+            _require_numbers("model entries", values)
+            B, alpha, m = map(float, values)
+            # B enters only through Bt, but it is the user's input
+            if not 0 < B < math.inf:
+                raise ValueError(f"B must be positive and finite, got {B}")
+            reduce = functools.partial(nondimensionalize, alpha, m=m)
+        else:
+            phys = PhysicalParams(**physical)
+            _require_numbers("physical entries", astuple(phys))
+            reduce = functools.partial(model_from_physical, phys)
+    except bad as exc:
+        raise CliConfigError(f"bad {block} block: {exc}")
+
+    def reduced(bt: float) -> ModelParams:
         try:
-            if self.model is not None:
-                values = [self.model[k] for k in ("B", "alpha", "m")]
-                _require_numbers("model entries", values)
-                B, alpha, m = map(float, values)
-                # B enters only through Bt, but it is the user's input
-                if not 0 < B < math.inf:
-                    raise ValueError(f"B must be positive and finite, got {B}")
-                reduce = functools.partial(nondimensionalize, alpha, m=m)
-            else:
-                phys = PhysicalParams(**self.physical)
-                _require_numbers("physical entries", astuple(phys))
-                reduce = functools.partial(model_from_physical, phys)
+            params = reduce(bt)
         except bad as exc:
             raise CliConfigError(f"bad {block} block: {exc}")
+        if not all(map(math.isfinite, (params.alpha, params.m, params.L0,
+                                       params.alpha_hat))):
+            raise CliConfigError(f"{block} block gives non-finite parameters: {params}")
+        return params
 
-        def reduced(bt: float) -> ModelParams:
-            try:
-                params = reduce(bt)
-            except bad as exc:
-                raise CliConfigError(f"bad {block} block: {exc}")
-            if not all(map(math.isfinite, (params.alpha, params.m, params.L0,
-                                           params.alpha_hat))):
-                raise CliConfigError(f"{block} block gives non-finite parameters: {params}")
-            return params
-
-        return reduced
+    return reduced
 
 
 def _merge_cli(cfg: dict, args: argparse.Namespace) -> dict:
     """Command-line flags override config-file entries."""
-    if args.mode is not None:
-        cfg["mode"] = args.mode
     if not isinstance(cfg.get("model") or {}, dict):
         raise CliConfigError(f"model must be an object, got {cfg['model']!r}")
-    model = dict(cfg.get("model") or {})
-    for key, val in (("B", args.B), ("alpha", args.alpha), ("m", args.m)):
-        if val is not None:
-            model[key] = val
+    flags = {key: getattr(args, key) for key in ("B", "alpha", "m")
+             if getattr(args, key) is not None}
+    model = {**(cfg.get("model") or {}), **flags}
     if model:
         cfg["model"] = model
-        cfg.setdefault("physical", None)
-        if args.B is not None or args.alpha is not None or args.m is not None:
-            cfg["physical"] = None
-    if args.Bt:
-        cfg["times"] = list(args.Bt)
-    if args.order is not None:
-        cfg["order"] = args.order
-    if args.samples is not None:
-        cfg["samples"] = args.samples
-    if args.xmax is not None:
-        cfg["xmax"] = args.xmax
-    if args.include_corner:
-        cfg["include_corner"] = True
-    if args.out is not None:
-        cfg["out"] = args.out
-    if args.format is not None:
-        cfg["fmt"] = args.format
+        cfg["physical"] = None if flags else cfg.get("physical")
+    # every other flag's dest is the RunConfig field it sets
+    cfg.update((name, value) for name, value in vars(args).items()
+               if name in RunConfig.__dataclass_fields__ and value is not None)
     return cfg
 
 
@@ -327,8 +304,8 @@ def _expansion_spec(cfg: RunConfig, params: ModelParams) -> ExpansionSpec:
 
 
 def _mode_params(cfg: RunConfig) -> str:
-    bt = cfg.times[0] if cfg.times else 1e-29
-    params = cfg.reducer()(bt)
+    [bt] = _bt_values(cfg)
+    params = _reducer(cfg.model, cfg.physical)(bt)
     B = (float(cfg.model["B"]) if cfg.model is not None
          else mullins_coefficient(PhysicalParams(**cfg.physical)))
     lines = [
@@ -351,7 +328,7 @@ def _profile_table(cfg: RunConfig, with_oracle: bool):
     blocks = []     # one (samples, columns) block per Bt
     notes: list[str] = []
     gaps: list[float] = []
-    reduced = cfg.reducer()
+    reduced = _reducer(cfg.model, cfg.physical)
     for bt in cfg.times:
         params = reduced(bt)
         spec = _expansion_spec(cfg, params)
@@ -425,7 +402,7 @@ def _mode_depth_series(cfg: RunConfig) -> str:
     z0 = mullins_shape(0.0)
     rows = []
     for alpha in alphas:
-        reduced = RunConfig(mode=cfg.mode, model={**cfg.model, "alpha": alpha}).reducer()
+        reduced = _reducer({**cfg.model, "alpha": alpha}, None)
         for bt in cfg.times:
             params = reduced(bt)
             # L0 * mullins_profile(0, Bt / L0^4, m), float operation for float operation
@@ -437,8 +414,8 @@ def _mode_depth_series(cfg: RunConfig) -> str:
 
 
 def _mode_corner(cfg: RunConfig) -> str:
-    bt = cfg.times[0] if cfg.times else 1e-29
-    params = cfg.reducer()(bt)
+    [bt] = _bt_values(cfg)
+    params = _reducer(cfg.model, cfg.physical)(bt)
     ah = params.alpha_hat
     if ah <= 0:
         raise CliConfigError("corner mode needs alpha > 0")
@@ -459,7 +436,7 @@ def _mode_oracle(cfg: RunConfig) -> str:
     columns = ["Bt_m4", "x_m", "y_oracle_m"]
     blocks = []
     notes = []
-    reduced = cfg.reducer()
+    reduced = _reducer(cfg.model, cfg.physical)
     for bt in cfg.times:
         params = reduced(bt)
         scfg = _solver_config(cfg, params)
@@ -472,14 +449,27 @@ def _mode_oracle(cfg: RunConfig) -> str:
     return _write_table(cfg, columns, np.concatenate(blocks), notes)
 
 
+# What each mode reads, one entry per mode: its function; the optional
+# RunConfig fields it reads (corner_r and corner_gamma also wherever
+# include_corner adds the corner term); the most Bt values it reads (None:
+# one or more; a mode reading one takes _DEFAULT_BT when none is given); and
+# the rows it is charged per Bt value, each solve counted as SOLVE_ROWS
+_EXPANSION_FIELDS = ("order", "include_corner", "samples", "xmax", "fmt")
+_CORNER_FIELDS = ("corner_r", "corner_gamma")
 _MODE_TABLE = {
-    "params": _mode_params,
-    "profile": _mode_profile,
-    "depth-series": _mode_depth_series,
-    "corner": _mode_corner,
-    "oracle": _mode_oracle,
-    "compare": _mode_compare,
+    "params": (_mode_params, (), 1, lambda cfg: 0),
+    "profile": (_mode_profile, _EXPANSION_FIELDS, None, lambda cfg: cfg.samples),
+    "depth-series": (_mode_depth_series, ("alphas", "fmt"), None,
+                     lambda cfg: max(len(cfg.alphas), 1)),
+    "corner": (_mode_corner, (*_CORNER_FIELDS, "samples", "fmt"), 1, lambda cfg: cfg.samples),
+    "oracle": (_mode_oracle, ("samples", "fmt", "solver"), None,
+               lambda cfg: cfg.samples + SOLVE_ROWS),
+    "compare": (_mode_compare, (*_EXPANSION_FIELDS, "solver"), None,
+                lambda cfg: cfg.samples + SOLVE_ROWS),
 }
+MODES = tuple(_MODE_TABLE)
+# the RunConfig fields every mode reads; how many Bt values, the table says
+_READ_BY_EVERY_MODE = ("mode", "physical", "model", "times", "out")
 
 
 def run(cfg: RunConfig) -> str:
@@ -488,7 +478,7 @@ def run(cfg: RunConfig) -> str:
     # an overflowing or NaN value fails the output check (exit 3): numpy
     # need not warn about it first
     with np.errstate(over="ignore", invalid="ignore"):
-        return _MODE_TABLE[cfg.mode](cfg)
+        return _MODE_TABLE[cfg.mode][0](cfg)
 
 
 # ---- entry point -----------------------------------------------------------
@@ -506,18 +496,18 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--m", type=float, help="slope parameter")
     parser.add_argument("--alpha", type=float, help="stiffness parameter, m^2")
     parser.add_argument("--B", type=float, help="kinetic coefficient, m^4/s")
-    parser.add_argument("--Bt", type=float, action="append", default=None,
+    parser.add_argument("--Bt", dest="times", metavar="BT", type=float, action="append",
                         help="evaluation time as a Bt product, m^4 (repeatable)")
     parser.add_argument("--order", type=int, help="outer expansion order N")
     parser.add_argument("--samples", type=int, help="output sample count")
     parser.add_argument("--xmax", type=float,
                         help="window in units of (Bt)^(1/4), default 8, at most 12 "
                              "(8 in compare mode)")
-    parser.add_argument("--include-corner", action="store_true",
+    parser.add_argument("--include-corner", action="store_true", default=None,
                         help="add the corner-layer term to the composite, with "
                              "amplitude corner_gamma (alpha_hat when 0)")
     parser.add_argument("--out", type=str, help="output file path")
-    parser.add_argument("--format", choices=FORMATS)
+    parser.add_argument("--format", dest="fmt", choices=FORMATS)
     return parser
 
 
@@ -537,8 +527,6 @@ def main(argv=None) -> int:
                 raise CliConfigError("config file must hold a JSON object")
             cfg_dict.update(doc)
         cfg_dict = _merge_cli(cfg_dict, args)
-        if "fmt" not in cfg_dict and "format" in cfg_dict:
-            cfg_dict["fmt"] = cfg_dict.pop("format")
         if "mode" not in cfg_dict:
             raise CliConfigError("no mode given (flag --mode, config, or preset)")
         allowed = {f.name for f in RunConfig.__dataclass_fields__.values()}
@@ -550,7 +538,7 @@ def main(argv=None) -> int:
     except (CliConfigError, ConfigError) as exc:
         print(f"error: config: {exc}", file=sys.stderr)
         return 2
-    except (SeriesError, QuadratureError, DivergenceError, GammaPoleError,
+    except (SeriesError, DivergenceError, GammaPoleError,
             NonFiniteOutputError, OverflowError) as exc:
         print("error: numerical failure", file=sys.stderr)
         print(f"  {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -45,7 +45,7 @@ _G74 = gamma(1.75)
 _ZOOMS = 4
 _ZOOM_POINTS = 33
 _PANELS = 32
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
+_GL_NODES = 8
 
 
 @dataclass(frozen=True)
@@ -210,10 +210,12 @@ def _mass(profile, x_cap: float, bl_width: float) -> float:
     if bl_width > 0:
         wall = np.linspace(0.0, min(32.0 * bl_width, x_cap), _PANELS + 1)
         edges = np.unique(np.concatenate([edges, wall]))
+    # the rule is made here, not at import: numpy.polynomial is nine modules
+    nodes, weights = np.polynomial.legendre.leggauss(_GL_NODES)
     half = 0.5 * np.diff(edges)
-    xs = edges[:-1, None] + half[:, None] * (1.0 + _GL_NODES)
+    xs = edges[:-1, None] + half[:, None] * (1.0 + nodes)
     ys = _sample(profile, xs.ravel()).reshape(xs.shape)
-    return float(half @ (ys @ _GL_WEIGHTS))
+    return float(half @ (ys @ weights))
 
 
 def groove_metrics(profile, params: ModelParams | None = None,

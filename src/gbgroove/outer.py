@@ -29,7 +29,6 @@ from .specfun import (
 
 __all__ = [
     "U_CLAMP",
-    "QuadratureError",
     "mullins_profile",
     "mullins_shape",
     "outer_term",
@@ -48,10 +47,6 @@ _G54 = gamma(1.25)
 _EVEN = ((0.25,), (0.75, 1.25, 1.5))      # multiplies u^2
 _CONST = ((-0.25,), (0.25, 0.5, 0.75))    # constant prefactor
 _Z_SCALE = 1.0 / 256.0
-
-
-class QuadratureError(RuntimeError):
-    """Adaptive quadrature failed to reach the requested accuracy."""
 
 
 def _similarity(x, t: float):

@@ -23,7 +23,7 @@ from gbgroove.layers import (_SQRT3, SIMILARITY_EXPONENT_LIMIT, CornerSpec, _bra
                              _gamma_or_pole, beta2, beta4, corner_fundamental_v)
 from gbgroove.material import ModelParams, nondimensionalize
 from gbgroove.oracle import Profile, _derivative_field, flux
-from gbgroove.outer import (_CONST, _EVEN, _G34, _G54, _SQRT2, U_CLAMP, QuadratureError,
+from gbgroove.outer import (_CONST, _EVEN, _G34, _G54, _SQRT2, U_CLAMP,
                             _shape_derivs, _similarity, mullins_profile, mullins_shape,
                             outer_term)
 from gbgroove.specfun import gamma, up_to
@@ -32,6 +32,10 @@ from gbgroove.specfun import gamma, up_to
 FIG_ALPHA = 9.7e-16     # m^2
 FIG_M = 0.209
 FIG_BT = {"fig3": 3e-30, "fig4": 1e-29, "fig5": 2e-29}   # m^4
+
+
+class QuadratureError(RuntimeError):
+    """Adaptive quadrature failed to reach the requested accuracy."""
 
 
 def rational_pfq(nums, dens, z: Fraction, terms: int) -> Fraction:

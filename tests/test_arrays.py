@@ -24,6 +24,7 @@ from gbgroove.layers import (
     corner_solution_diagnostics,
     corner_solutions_yc,
 )
+from gbgroove.material import nondimensionalize
 from gbgroove.outer import (
     mullins_profile,
     mullins_shape,
@@ -244,4 +245,4 @@ def test_depth_series_mullins_column_is_the_profile_at_the_root(bt, m, alpha):
     cfg = RunConfig(mode="depth-series", model={"B": 1.0, "alpha": alpha, "m": m},
                     times=[bt])
     row = run(cfg).splitlines()[-1].split(",")
-    assert float(row[2]) == abs(mullins_profile_dim(0.0, bt, cfg.reducer()(bt)))
+    assert float(row[2]) == abs(mullins_profile_dim(0.0, bt, nondimensionalize(alpha, bt, m)))

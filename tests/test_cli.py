@@ -20,7 +20,7 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 from conftest import mullins_profile_dim
 from gbgroove import cli, outer
-from gbgroove.cli import PRESETS, NonFiniteOutputError, RunConfig, main, run
+from gbgroove.cli import MODES, PRESETS, NonFiniteOutputError, RunConfig, main, run
 from gbgroove.material import (
     PhysicalParams,
     SmallSlopeWarning,
@@ -33,6 +33,15 @@ from gbgroove.material import (
 # alumina on aluminium: alpha comes out within 0.5% of the figures' 9.7e-16 m^2
 _PHYSICAL = dict(D_i=1e-18, n=1e19, Omega=1.66e-29, kT=1.2e-20, E=253e9, h=5e-9, nu=0.24,
                  gamma_gb=0.5999, gamma_i=1.2, gamma_s=1.67)
+
+
+# the modes that read no samples count: a run of theirs gives none
+_NO_SAMPLES = ("params", "depth-series")
+
+
+def _samples(mode, n):
+    """The samples entry for `mode`: n, or none where the mode reads none."""
+    return {} if mode in _NO_SAMPLES else {"samples": n}
 
 
 def _run_cli(args, cwd=None):
@@ -202,7 +211,7 @@ class TestEntryPoint:
     def test_preset_catalog(self):
         assert set(PRESETS) == {"figure3", "figure4", "figure5", "figure6",
                                 "cornerfig"}
-        r = _run_cli(["--preset", "figure6", "--samples", "4"])
+        r = _run_cli(["--preset", "figure6"])
         assert r.returncode == 0
         assert "relative_effect" in r.stdout
 
@@ -232,9 +241,11 @@ def _main_in_fresh_interpreter(argv, check_code):
                          ids=[*sorted(PRESETS), "params"])
 def test_series_runs_load_no_scipy(argv):
     """Only the solver factors: a series-only run, import included, loads no
-    SciPy module."""
-    r = _main_in_fresh_interpreter(argv, "loaded = [m for m in sys.modules if m == 'scipy' "
-                                         "or m.startswith('scipy.')]\n"
+    SciPy module, and no numpy.polynomial module (only the tests' mass
+    quadrature uses one)."""
+    r = _main_in_fresh_interpreter(argv, "loaded = [m for m in sys.modules "
+                                         "for p in ('scipy', 'numpy.polynomial') "
+                                         "if m == p or m.startswith(p + '.')]\n"
                                          "assert not loaded, loaded")
     assert r.returncode == 0, r.stderr
 
@@ -263,8 +274,8 @@ def test_output_depends_on_B_only_through_Bt(mode, capsys):
     times = ["--Bt", "1e-29"] + ([] if mode == "corner" else ["--Bt", "4.4e-30"])
     runs = {}
     for B in ("0.3", "1", "2.5", "1e300", "1e-300"):
-        argv = ["--mode", mode, "--m", "0.209", "--alpha", "9.7e-16", "--B", B,
-                *times, "--samples", "16"]
+        argv = ["--mode", mode, "--m", "0.209", "--alpha", "9.7e-16", "--B", B, *times,
+                *([] if mode in _NO_SAMPLES else ["--samples", "16"])]
         assert main(argv) == 0
         runs[B] = _emitted_numbers(capsys.readouterr().out)
     assert runs["1"].size >= 10
@@ -280,7 +291,7 @@ def test_physical_block_matches_its_model_block(mode):
     model = {"B": mullins_coefficient(phys), "alpha": stiffness_parameter(phys),
              "m": phys.gamma_gb / phys.gamma_surface}
     for bt in (3e-30, 1e-29):
-        texts = [run(RunConfig(mode=mode, times=[bt], samples=16, **block))
+        texts = [run(RunConfig(mode=mode, times=[bt], **_samples(mode, 16), **block))
                  for block in ({"physical": _PHYSICAL}, {"model": model})]
         numbers = [_emitted_numbers(text) for text in texts]
         assert numbers[0].size >= 5
@@ -367,8 +378,7 @@ def test_exit_two_on_xmax_past_valid_window(flags, capsys):
     # past u = 12 the series are clamped to 0, and past x = 8 (Bt)^(1/4) the
     # solver profile is interpolated off its domain: no output is made up.
     # Modes without a profile window would ignore --xmax, so they refuse it
-    argv = ["--m", "0.209", "--alpha", "9.7e-16", "--B", "1", "--Bt", "1e-29",
-            "--samples", "4", *flags]
+    argv = ["--m", "0.209", "--alpha", "9.7e-16", "--B", "1", "--Bt", "1e-29", *flags]
     assert main(argv) == 2
     out, err = capsys.readouterr()
     assert out == ""
@@ -376,15 +386,18 @@ def test_exit_two_on_xmax_past_valid_window(flags, capsys):
 
 
 def _main_on_document(doc, tmp_path, capsys):
-    """Exit code and stderr lines of `main` on one --config document."""
+    """Exit code, stdout lines and stderr lines of `main` on one --config
+    document."""
     path = tmp_path / "c.json"
     path.write_text(json.dumps(doc))
     code = main(["--config", str(path)])
-    return code, capsys.readouterr().err.strip().splitlines()
+    out, err = capsys.readouterr()
+    return code, out.splitlines(), err.strip().splitlines()
 
 
-_FIG4 = {"mode": "profile", "model": {"B": 1.0, "alpha": 9.7e-16, "m": 0.209},
-         "times": [1e-29], "samples": 4}
+# a document that keeps every optional field at its default
+_BASE = {"model": {"B": 1.0, "alpha": 9.7e-16, "m": 0.209}, "times": [1e-29]}
+_FIG4 = {**_BASE, "mode": "profile", "samples": 4}
 
 
 _BAD_DOCUMENTS = {
@@ -412,22 +425,22 @@ _BAD_DOCUMENTS = {
                           ("bc_order", 3), ("flux_form", "balance"))},
     "top-level-array": [_FIG4],
     "rows-past-budget": {**_FIG4, "samples": 32768, "times": [1e-29, 2e-29, 3e-29]},
-    "alphas-past-budget": {**_FIG4, "mode": "depth-series", "alphas": [9.7e-16] * 256,
+    "alphas-past-budget": {**_BASE, "mode": "depth-series", "alphas": [9.7e-16] * 256,
                            "times": [1e-29] * 257},
     "solves-past-budget": {**_FIG4, "mode": "compare", "times": [1e-29] * 32},
     # depth-series evaluates the closed-form N = 2 depth with no corner term
-    "depth-series-order": {**_FIG4, "mode": "depth-series", "order": 1},
-    "depth-series-corner": {**_FIG4, "mode": "depth-series", "include_corner": True},
+    "depth-series-order": {**_BASE, "mode": "depth-series", "order": 1},
+    "depth-series-corner": {**_BASE, "mode": "depth-series", "include_corner": True},
     # B is required in every mode, though no output depends on it alone
-    "depth-series-no-B": {**_FIG4, "mode": "depth-series",
+    "depth-series-no-B": {**_BASE, "mode": "depth-series",
                           "model": {"alpha": 9.7e-16, "m": 0.209}},
     # params and corner read one Bt value, and corner has no expansion order
-    "params-two-times": {**_FIG4, "mode": "params", "times": [1e-29, 2e-29]},
+    "params-two-times": {**_BASE, "mode": "params", "times": [1e-29, 2e-29]},
     "corner-two-times": {**_FIG4, "mode": "corner", "times": [1e-29, 2e-29]},
     "corner-order": {**_FIG4, "mode": "corner", "order": 5},
     # params and oracle evaluate no expansion, and corner mode always has its
     # corner term: each would print the same numbers without the entry
-    **{f"{mode}-{key}": {**_FIG4, "mode": mode, key: value}
+    **{f"{mode}-{key}": {**_BASE, "mode": mode, **_samples(mode, 4), key: value}
        for mode, key, value in (("params", "order", 5), ("params", "include_corner", True),
                                 ("oracle", "order", 5), ("oracle", "include_corner", True),
                                 ("corner", "include_corner", True))},
@@ -439,23 +452,64 @@ _BAD_DOCUMENTS = {
     # entries a mode would ignore are refused, not dropped
     "alphas-outside-depth-series": {**_FIG4, "alphas": [1e-10]},
     "solver-outside-solver-modes": {**_FIG4, "solver": {"nx": 1025}},
+    # a corner exponent with no corner term, a format for the plain-text
+    # params mode, and a sample count for a mode that samples nothing
+    "profile-corner_r-alone": {**_FIG4, "corner_r": -2.0},
+    "params-fmt": {**_BASE, "mode": "params", "fmt": "json"},
+    "depth-series-samples": {**_BASE, "mode": "depth-series", "samples": 7},
+    # the format key is fmt, as the echoed config spells it
+    "format-key": {**_FIG4, "format": "json"},
 }
 
 
 @pytest.mark.parametrize("doc", list(_BAD_DOCUMENTS.values()), ids=list(_BAD_DOCUMENTS))
 def test_exit_two_on_bad_config_document(doc, tmp_path, capsys):
-    code, err = _main_on_document(doc, tmp_path, capsys)
+    code, _, err = _main_on_document(doc, tmp_path, capsys)
     assert code == 2
     assert len(err) == 1 and err[0].startswith("error: config:")
 
 
+# one sound value per optional RunConfig field, not its default: (entries
+# added to the base document first, the field's entry)
+_OPTIONAL_ENTRIES = {
+    "alphas": ({}, {"alphas": [3e-16]}),
+    "order": ({}, {"order": 1}),
+    "include_corner": ({}, {"include_corner": True}),
+    "corner_r": ({}, {"corner_r": -2.0}),
+    "corner_r-with-include_corner": ({"include_corner": True}, {"corner_r": -2.0}),
+    "corner_gamma": ({}, {"corner_gamma": 0.05}),
+    "samples": ({}, {"samples": 7}),
+    "xmax": ({}, {"xmax": 4.0}),
+    "fmt": ({}, {"fmt": "json"}),
+    "solver": ({}, {"solver": {"nx": 257}}),
+}
+
+
+@pytest.mark.parametrize("entry", list(_OPTIONAL_ENTRIES))
+@pytest.mark.parametrize("mode", MODES)
+def test_no_mode_drops_an_input(mode, entry, tmp_path, capsys):
+    """A field set away from its default changes what the mode prints, or
+    the run exits 2: no mode drops an input without a word."""
+    first, entries = _OPTIONAL_ENTRIES[entry]
+    base = {**_BASE, "mode": mode, **first}
+
+    def printed(doc):
+        code, out, _ = _main_on_document(doc, tmp_path, capsys)
+        # the config echo differs whatever the mode reads
+        return code, [line for line in out if not line.startswith("# config:")]
+
+    base_run = printed(base)
+    code, out = printed({**base, **entries})
+    assert code == 2 or (code, out) != base_run
+
+
 def test_depth_series_refuses_physical_block(tmp_path, capsys):
     # the sweep replaces model.alpha; a physical block has no alpha to replace
-    doc = {**_FIG4, "mode": "depth-series", "model": None, "alphas": [9.7e-16],
+    doc = {**_BASE, "mode": "depth-series", "model": None, "alphas": [9.7e-16],
            "physical": {"D_i": 1e-18, "n": 1e19, "Omega": 1.66e-29, "kT": 1.2e-20,
                         "E": 253e9, "h": 5e-9, "nu": 0.24, "gamma_gb": 1.0,
                         "gamma_i": 1.2, "gamma_s": 1.67}}
-    code, err = _main_on_document(doc, tmp_path, capsys)
+    code, _, err = _main_on_document(doc, tmp_path, capsys)
     assert code == 2
     assert len(err) == 1 and err[0].startswith("error: config: depth-series sweeps model.alpha")
 
@@ -467,7 +521,7 @@ def test_depth_series_refuses_physical_block(tmp_path, capsys):
     {**_FIG4, "mode": "compare", "times": [2e-23]},
 ], ids=["solver-nx", "derived-nx"])
 def test_exit_two_above_node_cap(doc, tmp_path, capsys):
-    code, err = _main_on_document(doc, tmp_path, capsys)
+    code, _, err = _main_on_document(doc, tmp_path, capsys)
     assert code == 2
     assert len(err) == 1 and "nx <= 2049" in err[0]
 
@@ -528,7 +582,7 @@ def test_exit_code_contract(mode, B, alpha, m, bt, samples):
     """Any model numbers give exit 0, 2 or 3, and exit 0 prints only
     finite numbers."""
     _assert_exit_code_contract({"mode": mode, "model": {"B": B, "alpha": alpha, "m": m},
-                                "times": [bt], "samples": samples})
+                                "times": [bt], **_samples(mode, samples)})
 
 
 @pytest.mark.parametrize("field", ["B", "alpha", "m", "Bt"])
@@ -542,7 +596,7 @@ def test_exit_code_contract_one_edge_value(mode, field):
         model = {"B": 1.0, "alpha": 9.7e-16, "m": 0.209, field: value}
         bt = model.pop("Bt", 1e-29)
         _assert_exit_code_contract({"mode": mode, "model": model, "times": [bt],
-                                    "samples": 4})
+                                    **_samples(mode, 4)})
 
 
 # (B, alpha, m, Bt): half the draws are sound, so the solver runs, and half
