@@ -17,11 +17,15 @@ The interior operator is kept as its one stencil, alpha_hat*D6 - D4, and
 applied by correlation.  The equation is linear with constant
 coefficients, so the backward-Euler matrix of a step h is C + h K + W/h:
 three coefficient arrays assembled once in one row-band layout (row i,
-offset j - i), with the bandwidths read off the rows.  Each system is
-row-scaled, moved into LAPACK band storage by one gather and factored by
-LAPACK's banded LU with partial pivoting (dgbtrf); each step is one banded
-solve with those factors (dgbtrs).  The last step's factors are kept, so
-a run of equal steps factors once.
+offset j - i), with the bandwidths read off the rows.  The interior rows
+and columns of a system, I - h (alpha_hat D6 - D4), are a section of a
+symmetric Toeplitz band whose symbol is at least 1, so that block is
+symmetric positive definite: LAPACK's banded Cholesky (dpbtrf) factors it
+without pivoting.  The few wall and far-field unknowns are eliminated
+through their Schur complement, solved once per system.  Each step is one
+banded Cholesky solve (dpbtrs), a small matrix-vector product for the edge
+unknowns and one correction of the interior by them.  The last step's
+factors are kept, so a run of equal steps factors once.
 
 SciPy's LAPACK wrappers are imported where a system is factored, not at
 module level, so the series-only paths (and ``import gbgroove.cli``) never
@@ -57,11 +61,12 @@ MIN_NODES = 64
 # the identity's 1 takes a rounding error of eps times it.  So dx and alpha_hat
 # set the loss, not the node count.  At alpha_hat 0.05 / 0.307 / 0.56 and
 # dt 1/64, the sup error against the exact box solution on L = 8 is
-# 3.2e-5 / 5.6e-5 / 9.0e-5 of depth at dx 1/64 (nx 513), 2.4e-4 / 3.4e-4 /
-# 3.7e-4 at dx 1/128 (nx 1025) and 0.8-2.9% at dx 1/256 (nx 2049).  On
+# 3.2e-5 / 5.7e-5 / 8.3e-5 of depth at dx 1/64 (nx 513), 1.9e-4 / 2.0e-4 /
+# 5.6e-4 at dx 1/128 (nx 1025) and 0.8-3.7% at dx 1/256 (nx 2049).  On
 # L = 16, nx 1025 keeps dx 1/64 and the nx 513 errors; at alpha_hat 0.01 the
-# entry is 30x smaller and nx 1025 on L = 8 is clean (2.4e-5).  Capping nx
-# bounds dx only on a given box: on L = 8 this cap admits dx 1/256
+# entry is 30x smaller and nx 1025 on L = 8 is clean (2.5e-5).  Capping nx
+# bounds dx only on a given box: on L = 8 this cap admits dx 1/256 and its
+# percent-level error, which a cap on the entry itself would refuse
 MAX_NODES = 2049
 # step budget: a t_final/dt far above it (dt = 1e-9 takes ~1e9 steps)
 # marches for hours with no exit
@@ -76,8 +81,9 @@ class ConfigError(ValueError):
 
 
 class DivergenceError(RuntimeError):
-    """Time integration produced non-finite values or an exactly singular
-    time-step system."""
+    """Time integration produced non-finite values, or a time-step system
+    could not be factored: an interior block that is not positive definite
+    or an exactly singular edge system."""
 
 
 def fd_weights(nodes, x0: float, order: int) -> np.ndarray:
@@ -104,25 +110,25 @@ def fd_weights(nodes, x0: float, order: int) -> np.ndarray:
     return d[order, n - 1, :]
 
 
-def _factor(ab: np.ndarray, kl: int, ku: int):
-    """LU factors, with partial pivoting, of the n x n matrix whose LAPACK
-    band storage is ab, and a function that solves with them.
+def _factor(ab: np.ndarray):
+    """Cholesky factors of the symmetric positive definite band matrix whose
+    lower LAPACK band storage is ab, and a function that solves with them.
 
-    ab is (2 kl + ku + 1, n) and Fortran-ordered: A[i, j] at
-    ab[kl + ku + i - j, j], the first kl rows left for the fill.  It is
-    factored in place.  An exactly singular matrix raises DivergenceError.
+    ab is (kd + 1, m): A[j + d, j] at ab[d, j].  A matrix that is not
+    positive definite raises DivergenceError.
     """
-    from scipy.linalg.lapack import dgbtrf, dgbtrs
-    lu, piv, info = dgbtrf(ab, kl, ku, overwrite_ab=True)
+    from scipy.linalg.lapack import dpbtrf, dpbtrs
+    c, info = dpbtrf(ab, lower=1, overwrite_ab=True)
     if info < 0:
-        raise RuntimeError(f"dgbtrf rejected argument {-info}")
+        raise RuntimeError(f"dpbtrf rejected argument {-info}")
     if info > 0:
-        raise DivergenceError(f"singular time-step system: zero pivot in column {info - 1}")
+        raise DivergenceError("time-step interior block not positive definite: "
+                              f"leading minor of order {info}")
 
     def solve(b: np.ndarray) -> np.ndarray:
-        x, info = dgbtrs(lu, kl, ku, b, piv, overwrite_b=True)
+        x, info = dpbtrs(c, b, lower=1)
         if info:
-            raise RuntimeError(f"dgbtrs rejected argument {-info}")
+            raise RuntimeError(f"dpbtrs rejected argument {-info}")
         return x
 
     return solve
@@ -224,8 +230,10 @@ class GrooveOperator:
     W/h + S.  The three coefficient arrays share one row-band layout, row i
     and offset j - i from -kl to ku: the interior rows are one broadcast of
     the stencil and the boundary rows are written into their slots.  A
-    system is row-scaled by its row-wise max, gathered into LAPACK band
-    storage by one index built here, and factored by `_factor`.  The last
+    system's interior block, A_II on rows and columns interior_lo ..
+    interior_hi, is symmetric positive definite and factored by `_factor`
+    (banded Cholesky).  Its 2 interior_lo edge rows, each scaled by its
+    largest entry, are solved through their Schur complement.  The last
     system and its factors are kept.
     """
 
@@ -300,19 +308,43 @@ class GrooveOperator:
             j = np.arange(max(0, i - kl), min(n, i + ku + 1))
             self._C[i, j - i + kl] = Ci[j]
             self._W[i, j - i + kl] = Wi[j]
-        # LAPACK band storage, transposed: A[i, j] goes to [j, kl + ku + i - j]
-        # of an (n, 2 kl + ku + 1) array, whose transpose is the Fortran
-        # array dgbtrf takes.  Fill rows and corners take band entry (0, 0),
-        # which lies left of the matrix and is zero.
-        j = np.arange(n)[:, None]
-        r = np.arange(2 * kl + ku + 1)
-        i = j + r - (kl + ku)
-        inside = (r >= kl) & (i >= 0) & (i < n)
-        self._lapack_index = np.where(inside, i * (kl + ku + 1) + j - i + kl, 0)
-        # the right-hand side's edge rows: the wall and far conditions plus the
-        # balance rows' W @ z / h, whose columns are edge rows too
+        # the factorization reads the band.  Interior rows lo..hi hold one
+        # symmetric Toeplitz block, A_II, whose lower band storage is row
+        # lo's diagonal and the lo entries right of it.  The edge unknowns
+        # enter as u = T^-1 x[edge]: at each end the value at the node
+        # nearest the interior and its differences outward.  A smooth x has
+        # small differences, so x[interior] = y - A_II^-1 A_IE T u does not
+        # cancel the large, nearly parallel columns that single edge nodes
+        # would give.  A_IE T at the wall is h times K's lo x lo wall corner
+        # times T's wall block (kept here, zero below the corner); at the far
+        # end it is the same, mirrored.
+        m = hi - lo + 1
+        T_wall = np.array([[(-1) ** c * math.comb(lo - 1 - i, c) for c in range(lo)]
+                           for i in range(lo)])
+        self._T = np.zeros((2 * lo, 2 * lo))
+        self._T[:lo, :lo] = T_wall
+        self._T[lo:, lo:] = T_wall[::-1]
+        corner = np.zeros((lo, lo))
+        for p in range(lo):             # row lo + p, columns p..lo-1
+            corner[p, p:] = self._K[lo + p, kl - lo:kl - p]
+        self._corner = np.zeros((m, lo), order="F")
+        self._corner[:lo] = corner @ T_wall
+        # the edge rows reach the first ku and the last kl interior nodes
+        # (_near).  C and W on those rows, over the columns [edge, near],
+        # are A_EE | A_EI (K is zero there).  W's columns are edge columns:
+        # its W @ z / h is, with the conditions' values, the right-hand side
         self._edge = np.array(edge)
-        self._W_edge = np.array([coeffs[i][0][edge] for i in edge])
+        self._near = np.r_[0:ku, m - kl:m]
+        to = np.full(n, -1)
+        to[np.r_[self._edge, lo + self._near]] = np.arange(len(edge) + kl + ku)
+        j = self._edge[:, None] + np.arange(kl + ku + 1) - kl     # each slot's column
+        inside = (j >= 0) & (j < n)
+        at = (np.nonzero(inside)[0], to[j[inside]])
+        assert (at[1] >= 0).all(), "an edge row reaches past _near"
+        self._edge_C, self._edge_W = np.zeros((2, len(edge), len(edge) + kl + ku))
+        self._edge_C[at] = self._C[self._edge][inside]
+        self._edge_W[at] = self._W[self._edge][inside]
+        self._edge_bc = self.bc_rhs[self._edge][:, None]
         self._last = (None, None)
 
     def apply(self, y: np.ndarray) -> np.ndarray:
@@ -321,29 +353,35 @@ class GrooveOperator:
         out[self.interior_lo:self.interior_hi + 1] = np.correlate(y, self.stencil, "valid")
         return out
 
-    def _scaled_band(self, h: float):
-        """C + h K + W/h in the row-band layout, each row divided by its
-        largest magnitude, and those row scales.  The interior rows are one
-        stencil row, so one of them gives their common scale."""
-        band = self._C + h * self._K + self._W / h
-        scale = np.empty(self.n)
-        scale[self.interior_lo:self.interior_hi + 1] = np.abs(band[self.interior_lo]).max()
-        scale[self._edge] = np.abs(band[self._edge]).max(axis=1)
-        np.maximum(scale, 1e-300, out=scale)
-        band /= scale[:, None]
-        return band, scale
+    def _band(self, h: float, rows=slice(None)) -> np.ndarray:
+        """Rows of C + h K + W/h in the row-band layout."""
+        return self._C[rows] + h * self._K[rows] + self._W[rows] / h
 
     def _system_for_dt(self, h: float):
-        """Solver for the row-scaled system C + h K + W/h, its row scales,
-        and the scaled right-hand side of its edge rows as b0 + G @ z[edge]."""
+        """Factors of C + h K + W/h: the Cholesky solve of A_II, Z =
+        A_II^-1 A_IE T, and u as c0 + G @ z[edge] - F @ y[near] for y =
+        A_II^-1 z[interior], from the edge rows' Schur complement
+        A_EE T - A_EI Z, row-scaled and solved once here."""
         key, system = self._last
         if key == h:
             return system
-        band, scale = self._scaled_band(h)
-        lu_solve = _factor(band.ravel()[self._lapack_index].T, self.kl, self.ku)
-        s = scale[self._edge]
-        system = (lu_solve, scale, self.bc_rhs[self._edge] / s,
-                  self._W_edge / (h * s[:, None]))
+        lo, kl, k = self.interior_lo, self.kl, len(self._edge)
+        col = self._band(h, lo)[kl:kl + lo + 1]
+        solve_ii = _factor(np.repeat(col[None, :], self.n - 2 * lo, axis=0).T)
+        wall = solve_ii(h * self._corner)
+        # A_II is persymmetric and A_IE T's far block mirrors its wall block
+        Z = np.hstack([wall, wall[::-1]])
+        rows = self._edge_C + self._edge_W / h
+        scale = np.maximum(np.abs(rows).max(axis=1, keepdims=True), 1e-300)
+        schur = (rows[:, :k] @ self._T - rows[:, k:] @ Z[self._near]) / scale
+        # right-hand sides: the conditions' values, W_EE / h and A_EI
+        rhs = np.hstack([self._edge_bc, self._edge_W[:, :k] / h, rows[:, k:]]) / scale
+        try:
+            X = np.linalg.solve(schur, rhs)
+        except np.linalg.LinAlgError:
+            raise DivergenceError("singular time-step system: its edge Schur complement "
+                                  "is singular") from None
+        system = (solve_ii, Z, X[:, 0], X[:, 1:k + 1], X[:, k + 1:])
         self._last = (h, system)
         return system
 
@@ -356,10 +394,13 @@ class GrooveOperator:
         share the systems, the balance rows and the kept factors.
         """
         h = dt * (1.0 + w) / (1.0 + 2.0 * w)
-        lu_solve, scale, b0, G = self._system_for_dt(h)
-        rhs = z / scale
-        rhs[self._edge] = b0 + G @ z[self._edge]
-        out = lu_solve(rhs)
+        solve_ii, Z, c0, G, F = self._system_for_dt(h)
+        lo, hi, edge = self.interior_lo, self.interior_hi, self._edge
+        y = solve_ii(z[lo:hi + 1])
+        u = c0 + G @ z[edge] - F @ y[self._near]
+        out = np.empty(self.n)
+        out[lo:hi + 1] = y - Z @ u
+        out[edge] = self._T @ u
         if not np.isfinite(out).all():
             raise DivergenceError(
                 f"non-finite solution after a dt = {dt:.3e} step "

@@ -128,8 +128,7 @@ class TestOperator:
         """The bandwidths are read off the rows: tight, and within 9."""
         for alpha_hat, kl, ku in ((0.0, 2, 3), (AH_FIG, 3, 5)):
             op = assemble_operator(_config(alpha_hat=alpha_hat))
-            band, _ = op._scaled_band(1.0 / 512)
-            rows, cols = _band_to_dense(band, op.kl).nonzero()
+            rows, cols = _band_to_dense(op._band(1.0 / 512), op.kl).nonzero()
             assert (op.kl, op.ku) == (kl, ku)
             assert (np.max(rows - cols), np.max(cols - rows)) == (kl, ku)
             assert max(kl, ku) <= 9
@@ -211,6 +210,15 @@ class TestSolve:
         """At dt = 1/4096 the time error is gone and the same 1e-4 of depth
         bounds the spatial error at the CLI's grid."""
         cfg = _config(dt=1.0 / 4096, alpha_hat=alpha_hat)
+        ref = exact_profile(cfg.grid.nodes, 1.0, cfg.m, alpha_hat, L=cfg.grid.L)
+        err = np.max(np.abs(solve(cfg)[-1].heights - ref))
+        assert err <= 1e-4 * abs(ref[0])
+
+    @pytest.mark.parametrize("alpha_hat", [0.05, AH_FIG, 0.56])
+    def test_matches_exact_reference_at_1025_nodes(self, alpha_hat):
+        """On L = 16, 1025 nodes keep the CLI's dx = 1/64, and with it the
+        1e-4 of depth to the Laplace-Talbot solution on the same box."""
+        cfg = _config(grid=Grid(L=16.0, nx=1025), dt=1.0 / 64, alpha_hat=alpha_hat)
         ref = exact_profile(cfg.grid.nodes, 1.0, cfg.m, alpha_hat, L=cfg.grid.L)
         err = np.max(np.abs(solve(cfg)[-1].heights - ref))
         assert err <= 1e-4 * abs(ref[0])
@@ -432,23 +440,14 @@ def _band_to_dense(band, kl):
     return A
 
 
-def _lapack_to_dense(ab, kl, ku):
-    """The matrix LAPACK band storage holds: A[i, j] at ab[kl + ku + i - j, j].
-    Raises if the kl fill rows or a corner entry are not zero."""
-    n = ab.shape[1]
-    A = np.zeros((n, n))
-    for r in range(ab.shape[0]):
-        j = np.arange(n)
-        i = j + r - kl - ku
-        inside = (r >= kl) & (i >= 0) & (i < n)
-        assert np.all(ab[r, ~inside] == 0.0)
-        A[i[inside], j[inside]] = ab[r, inside]
-    return A
+def _row_scaled(M):
+    """M with each row divided by its largest magnitude."""
+    return M / np.abs(M).max(axis=1)[:, None]
 
 
 def _dense_system(cfg, dt):
-    """Row-scaled time-step matrix, row by row in dense numpy, straight from
-    the stencil definitions: interior rows I - dt (alpha_hat D6 - D4),
+    """Time-step matrix, row by row in dense numpy, straight from the
+    stencil definitions: interior rows I - dt (alpha_hat D6 - D4),
     one-sided wall/far rows, and the two mass-balance rows (edge trapezoid
     weights / dt plus dx-summed first or last eight interior rows)."""
     n, dx, ah, p = cfg.grid.nx, cfg.grid.dx, cfg.alpha_hat, BC_ORDER
@@ -494,7 +493,7 @@ def _dense_system(cfg, dt):
     WR[n - 1] = dx / 2
     M[h - 1] = WL / dt + SL
     M[n - h] = WR / dt + SR
-    return M / np.abs(M).max(axis=1)[:, None]
+    return M
 
 
 class TestSystemAssembly:
@@ -503,49 +502,51 @@ class TestSystemAssembly:
         cfg = _config(grid=Grid(L=8.0, nx=64), alpha_hat=alpha_hat)
         op = assemble_operator(cfg)
         for dt in (1e-3, 1.0 / 512, 3e-9):
-            band, _ = op._scaled_band(dt)
-            got = _band_to_dense(band, op.kl)
-            ref = _dense_system(cfg, dt)
+            got = _row_scaled(_band_to_dense(op._band(dt), op.kl))
+            ref = _row_scaled(_dense_system(cfg, dt))
             np.testing.assert_array_equal(got != 0, ref != 0)
             np.testing.assert_allclose(got, ref, rtol=1e-15, atol=0)
 
     @pytest.mark.parametrize("alpha_hat", [0.0, 0.307])
-    def test_lapack_storage_matches_dense(self, monkeypatch, alpha_hat):
-        """What dgbtrf is handed, expanded from LAPACK band storage, is the
-        dense reference system, and its factors solve that system."""
-        handed = []
-
-        def capturing(ab, kl, ku):
-            handed.append((ab.copy(), kl, ku))
-            return factor(ab, kl, ku)
-
-        factor = oracle._factor
-        monkeypatch.setattr(oracle, "_factor", capturing)
+    def test_factors_solve_dense_system(self, alpha_hat):
+        """A step solved with the interior's Cholesky factors and the edge
+        Schur complement solves the dense reference system, row-scaled, with
+        an eps-sized normwise backward error."""
         cfg = _config(alpha_hat=alpha_hat)
         op = assemble_operator(cfg)
-        b = np.cos(np.arange(op.n))
+        edge = np.r_[0:op.interior_lo, op.interior_hi + 1:op.n]
+        z = np.cos(np.arange(op.n))
         for dt in (1e-3, 1.0 / 512, 3e-9):
-            lu_solve = op._system_for_dt(dt)[0]
-            ab, kl, ku = handed[-1]
-            assert ab.shape == (2 * op.kl + op.ku + 1, op.n) and (kl, ku) == (op.kl, op.ku)
-            got = _lapack_to_dense(ab, kl, ku)
-            ref = _dense_system(cfg, dt)
-            np.testing.assert_array_equal(got != 0, ref != 0)
-            np.testing.assert_allclose(got, ref, rtol=1e-15, atol=0)
-            x = lu_solve(b.copy())
-            # normwise backward error, eps-sized for partial-pivoting LU
-            bound = np.abs(got).sum(axis=1).max() * np.max(np.abs(x)) + np.max(np.abs(b))
-            assert np.max(np.abs(got @ x - b)) <= 1e-14 * bound
+            x = op.advance(z, dt)
+            # the right-hand side advance solves for: z on the interior rows,
+            # the conditions' values and the balance rows' W @ z / dt
+            b = z.copy()
+            b[edge] = op.bc_rhs[edge]
+            for i, (W, _) in op.balance_rows.items():
+                b[i] += W @ z / dt
+            M = _dense_system(cfg, dt)
+            scale = np.abs(M).max(axis=1)
+            M, b = M / scale[:, None], b / scale
+            bound = np.abs(M).sum(axis=1).max() * np.max(np.abs(x)) + np.max(np.abs(b))
+            assert np.max(np.abs(M @ x - b)) <= 1e-14 * bound
 
     def test_singular_band_raises_divergence(self):
-        """An exactly singular system is a DivergenceError (CLI exit 3)."""
-        kl, ku, n = 3, 5, 16
-        ab = np.zeros((2 * kl + ku + 1, n), order="F")
-        ab[kl + ku] = 1.0
-        ab[kl + ku - 2, 2:] = 0.5
-        ab[:, 7] = 0.0
-        with pytest.raises(DivergenceError, match="column 7"):
-            oracle._factor(ab, kl, ku)
+        """An interior block that is not positive definite is a
+        DivergenceError (CLI exit 3), not a LAPACK error."""
+        ab = np.zeros((4, 16), order="F")
+        ab[0] = 1.0
+        ab[1] = 0.5
+        ab[0, 7] = -1.0
+        with pytest.raises(DivergenceError, match="order 8"):
+            oracle._factor(ab)
+
+    def test_singular_edge_system_raises_divergence(self):
+        """An exactly singular edge Schur complement is a DivergenceError,
+        not numpy's LinAlgError, which the CLI would not turn into exit 3."""
+        op = assemble_operator(_config())
+        op._edge_C[0] = 0.0     # the wall slope row, all zero
+        with pytest.raises(DivergenceError, match="Schur"):
+            op.advance(np.zeros(op.n), 1e-3)
 
     @pytest.mark.parametrize("alpha_hat", [0.0, 0.307])
     def test_every_row_has_one_role(self, alpha_hat):
