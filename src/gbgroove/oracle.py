@@ -61,7 +61,7 @@ MIN_NODES = 64
 # the identity's 1 takes a rounding error of eps times it.  So dx and alpha_hat
 # set the loss, not the node count.  At alpha_hat 0.05 / 0.307 / 0.56 and
 # dt 1/64, the sup error against the exact box solution on L = 8 is
-# 3.2e-5 / 5.7e-5 / 8.3e-5 of depth at dx 1/64 (nx 513), 1.9e-4 / 2.0e-4 /
+# 3.2e-5 / 6.3e-5 / 8.3e-5 of depth at dx 1/64 (nx 513), 1.9e-4 / 3.1e-4 /
 # 5.6e-4 at dx 1/128 (nx 1025) and 0.8-3.7% at dx 1/256 (nx 2049).  On
 # L = 16, nx 1025 keeps dx 1/64 and the nx 513 errors; at alpha_hat 0.01 the
 # entry is 30x smaller and nx 1025 on L = 8 is clean (2.5e-5).  Capping nx
