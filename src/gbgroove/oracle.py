@@ -34,6 +34,7 @@ load SciPy.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -72,7 +73,7 @@ MAX_NODES = 2049
 # marches for hours with no exit
 MAX_STEPS = 65536
 BC_ORDER = 3        # accuracy order of the one-sided wall and far-field stencils
-RAMP_STAGES = 25    # dyadic step sizes dt/2^24 .. dt at the start of a run
+RAMP_STAGES = 9     # dyadic step sizes dt/2^8 .. dt at the start of a run
 RAMP_STEPS = 2      # backward-Euler steps taken at each ramp stage
 
 
@@ -134,10 +135,18 @@ def _factor(ab: np.ndarray):
     return solve
 
 
+@functools.cache
+def _unit_one_sided(order: int) -> np.ndarray:
+    """`_one_sided` at unit spacing, computed once per order (read-only)."""
+    w = fd_weights(np.arange(float(order + BC_ORDER)), 0.0, order)
+    w.flags.writeable = False
+    return w
+
+
 def _one_sided(order: int, dx: float) -> np.ndarray:
     """Weights for the order-th derivative at the first of order + BC_ORDER
     grid nodes: the solver's wall rows and the diagnostics' end stencils."""
-    return fd_weights(np.arange(float(order + BC_ORDER)), 0.0, order) / dx ** order
+    return _unit_one_sided(order) / dx ** order
 
 
 @dataclass(frozen=True)
@@ -376,11 +385,13 @@ class GrooveOperator:
         schur = (rows[:, :k] @ self._T - rows[:, k:] @ Z[self._near]) / scale
         # right-hand sides: the conditions' values, W_EE / h and A_EI
         rhs = np.hstack([self._edge_bc, self._edge_W[:, :k] / h, rows[:, k:]]) / scale
-        try:
-            X = np.linalg.solve(schur, rhs)
-        except np.linalg.LinAlgError:
+        from scipy.linalg.lapack import dgesv
+        _, _, X, info = dgesv(schur, rhs)
+        if info < 0:
+            raise RuntimeError(f"dgesv rejected argument {-info}")
+        if info > 0:
             raise DivergenceError("singular time-step system: its edge Schur complement "
-                                  "is singular") from None
+                                  "is singular")
         system = (solve_ii, Z, X[:, 0], X[:, 1:k + 1], X[:, k + 1:])
         self._last = (h, system)
         return system
@@ -417,12 +428,15 @@ def time_steps(config: SolverConfig) -> list[float]:
     """Step lengths to t_final: a dyadic ramp out of t = 0, then the dt lattice.
 
     The fresh groove grows like t^(1/4): RAMP_STEPS steps of each length
-    dt/2^24 .. dt resolve the early transient cheaply.  Then one step goes
-    to each lattice point k dt at least dt/2 past the ramp, and one to
-    t_final, so BDF2 runs at step ratio 1 (dt is capped so that the ramp
-    ends before t_final).  A plateau step that is dt/2^s to within the
-    rounding of its end point is taken as exactly that, so a dt that is not
-    a power of two still has one system per step length.
+    dt/2^8 .. dt resolve the early transient cheaply.  At the CLI's dt and
+    dx, 1/64, the first step ends where the groove's width t^(1/4) spans
+    about six nodes; much earlier times are narrower than the grid.  The
+    ramp ends just short of 4 dt.  Then one step goes to each lattice point
+    k dt at least dt/2 past the ramp, and one to t_final, so BDF2 runs at
+    step ratio 1 (dt is capped so that the ramp ends before t_final).  A
+    plateau step that is dt/2^s to within the rounding of its end point is
+    taken as exactly that, so a dt that is not a power of two still has one
+    system per step length.
     """
     dt = min(config.dt, config.t_final / (2.0 * RAMP_STEPS))
     steps = [dt / 2.0 ** s for s in range(RAMP_STAGES - 1, -1, -1) for _ in range(RAMP_STEPS)]

@@ -387,6 +387,17 @@ class TestDiagnostics:
         assert level(0.875) < level(0.5)
 
 
+SCHEDULE_GRID = pytest.mark.parametrize(
+    "dt, t_final", [(dt, t_final) for dt in [2.0 ** -k for k in range(2, 13)]
+                    + [1 / 100, 1e-3, 1 / 3] for t_final in [1.0, 0.5, 0.3, 1e-3, 2.0]],
+    ids=lambda v: f"{v:.6g}")
+
+
+def _schedule_config(dt, t_final):
+    return _config(grid=Grid(L=8.0 * max(t_final, 1.0) ** 0.25, nx=64),
+                   alpha_hat=0.0, dt=dt, t_final=t_final)
+
+
 class TestTimeGrid:
     def test_covers_interval(self):
         cfg = _config()
@@ -394,27 +405,31 @@ class TestTimeGrid:
         assert min(steps) > 0.0
         assert math.fsum(steps) == pytest.approx(cfg.t_final, rel=1e-14)
 
-    def test_ramp_resolves_early_times(self):
-        cfg = _config()
-        assert time_steps(cfg)[0] < 1e-9 * cfg.t_final
+    @pytest.mark.parametrize("alpha_hat", [0.05, AH_FIG, 0.56])
+    def test_ramp_resolves_early_times(self, alpha_hat):
+        """At t = 1e-2, 41 steps of dt = 1/4096 after the start, the ramp's
+        backward-Euler steps still weigh in: the solver sits within 5e-4 of
+        depth of the Laplace-Talbot solution on the same box."""
+        cfg = _config(dt=1.0 / 4096, t_final=1e-2, alpha_hat=alpha_hat)
+        ref = exact_profile(cfg.grid.nodes, cfg.t_final, cfg.m, alpha_hat, L=cfg.grid.L)
+        err = np.max(np.abs(solve(cfg)[-1].heights - ref))
+        assert err <= 5e-4 * abs(ref[0])
 
     def test_plateau_on_the_dt_lattice(self):
-        """50 ramp steps end just short of 4 dt; the plateau is 5 dt .. 64 dt."""
+        """The ramp's steps end at (4 - 2^(2 - RAMP_STAGES)) dt, just short of
+        4 dt; the plateau is 5 dt .. 64 dt."""
         steps = time_steps(_config(dt=1.0 / 64))
-        assert len(steps) == 110
-        assert 1.0 / 64 < steps[50] < 1.0 / 64 * (1 + 1e-6)
-        assert steps[51:] == [1.0 / 64] * 59
+        ramp = RAMP_STAGES * RAMP_STEPS
+        assert len(steps) == ramp + 60 == 78
+        assert steps[ramp] == pytest.approx(1.0 / 64 * (1 + 2.0 ** (2 - RAMP_STAGES)), rel=1e-12)
+        assert steps[ramp + 1:] == [1.0 / 64] * 59
 
-    @pytest.mark.parametrize("t_final", [1.0, 0.5, 0.3, 1e-3, 2.0])
-    @pytest.mark.parametrize("dt", [2.0 ** -k for k in range(2, 13)] + [1 / 100, 1e-3, 1 / 3],
-                             ids=lambda dt: f"{dt:.6g}")
+    @SCHEDULE_GRID
     def test_schedule_shape(self, dt, t_final):
         """Exact dyadic ramp stages, exact plateau steps, t_final reached, and
         every BDF2 step ratio below 1 + sqrt(2), where variable-step BDF2 is
         zero-stable: solve takes every post-ramp step as BDF2."""
-        cfg = _config(grid=Grid(L=8.0 * max(t_final, 1.0) ** 0.25, nx=64),
-                      alpha_hat=0.0, dt=dt, t_final=t_final)
-        steps = time_steps(cfg)
+        steps = time_steps(_schedule_config(dt, t_final))
         plateau = min(dt, t_final / (2 * RAMP_STEPS))
         ramp = RAMP_STAGES * RAMP_STEPS
         assert steps[:ramp] == [plateau / 2.0 ** (RAMP_STAGES - 1 - k // RAMP_STEPS)
@@ -424,6 +439,22 @@ class TestTimeGrid:
         assert math.fsum(steps) == pytest.approx(t_final, rel=1e-13)
         ratios = [b / a for a, b in zip(steps[ramp - 1:], steps[ramp:])]
         assert max(ratios) < 1.0 + math.sqrt(2.0)
+
+    @SCHEDULE_GRID
+    def test_no_step_returns_to_an_earlier_system(self, monkeypatch, dt, t_final):
+        """Each effective step h = dt (1+w)/(1+2w), as solve hands it to the
+        operator, occurs in one contiguous run, and each run factors once:
+        the one kept factorization serves every reuse, and a new (dt, w)
+        pair always means a new factorization."""
+        hs, calls = [], []
+        system_for_dt = oracle.GrooveOperator._system_for_dt
+        factor = oracle._factor
+        monkeypatch.setattr(oracle.GrooveOperator, "_system_for_dt",
+                            lambda op, h: hs.append(h) or system_for_dt(op, h))
+        monkeypatch.setattr(oracle, "_factor", lambda *args: calls.append(args) or factor(*args))
+        solve(_schedule_config(dt, t_final))
+        runs = [h for k, h in enumerate(hs) if k == 0 or h != hs[k - 1]]
+        assert len(runs) == len(set(runs)) == len(calls)
 
 
 def _band_to_dense(band, kl):
@@ -560,8 +591,9 @@ class TestSystemAssembly:
 
 
 def test_factorization_count(monkeypatch):
-    """One factorization per distinct system: the 25 ramp stages, the first
-    two plateau steps (step ratios just off 1) and the rest at ratio 1."""
+    """A default solve (nx 513, dt 1/64) factors 12 systems, one per distinct
+    system: the RAMP_STAGES ramp stages, the first two plateau steps (step
+    ratios just off 1) and the rest at ratio 1."""
     calls = []
 
     def counting(*args):
@@ -571,7 +603,7 @@ def test_factorization_count(monkeypatch):
     factor = oracle._factor
     monkeypatch.setattr(oracle, "_factor", counting)
     solve(_config(dt=1.0 / 64))
-    assert len(calls) == 28
+    assert len(calls) == RAMP_STAGES + 3 == 12
 
 
 @pytest.mark.parametrize("dt", [1.0 / 100, 1e-3])
