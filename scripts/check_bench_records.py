@@ -5,12 +5,13 @@
 
 Each record must give, for every workload and every end-to-end metric that
 BENCHMARK.json declares, the quartiles of the parent's runs and of the
-change's runs, with q1 <= median <= q3 on both sides.  A record's `claim`
-must name a workload and an end-to-end metric of BENCHMARK.json, and its
-median_change_pct, change_lower_in_pairs and gap_over_parent_iqr must be
-what that metric's per-seed `values` give (pairs are the two sides' runs at
-the same seed, in order).  Prints one line per record and exits 1 if any
-record falls short.
+change's runs, with q1 <= median <= q3 on both sides, and an `accuracy`
+block whose non-empty `what` string says which accuracy figures it holds.
+A record's `claim` must name a workload and an end-to-end metric of
+BENCHMARK.json, and its median_change_pct, change_lower_in_pairs and
+gap_over_parent_iqr must be what that metric's per-seed `values` give
+(pairs are the two sides' runs at the same seed, in order).  Prints one
+line per record and exits 1 if any record falls short.
 """
 
 from __future__ import annotations
@@ -30,6 +31,10 @@ def problems(record: dict, spec: dict) -> list[str]:
     for side in SIDES:
         if not isinstance(record.get(side, {}).get("commit"), str):
             found.append(f"no {side} commit")
+    accuracy = record.get("accuracy")
+    what = accuracy.get("what") if isinstance(accuracy, dict) else None
+    if not (isinstance(what, str) and what.strip()):
+        found.append("no accuracy block with a non-empty `what`")
     workloads = record.get("workloads", {})
     for w in spec["workloads"]:
         for m in spec["end_to_end"]:

@@ -74,9 +74,9 @@ _DEFAULT_BT = 1e-29
 # takes about 1.3 s and peaks 79 MB above the import
 MAX_ROWS = 65536
 # each solve is charged as this many rows: on that host a default solve
-# (513 nodes, 110 steps) takes about 9 ms, as long as about 800 profile rows
-# at about 11 us a row, and one at the 2049-node cap about 30 ms, about
-# 2600 rows
+# (513 nodes, 78 steps) takes about 4 ms, as long as about 450 profile rows
+# at about 9 us a row, and one at the 2049-node cap about 13 ms, about 1400
+# rows
 SOLVE_ROWS = 2048
 
 

@@ -63,3 +63,18 @@ def test_tampered_claim_fails(tmp_path, tamper, message):
     r = _check(_tree(tmp_path, record))
     assert r.returncode == 1
     assert message in r.stdout
+
+
+@pytest.mark.parametrize("tamper", [
+    lambda r: r.pop("accuracy"),
+    lambda r: r["accuracy"].pop("what"),
+    lambda r: r["accuracy"].update(what=" "),
+], ids=["no-block", "no-what", "blank-what"])
+def test_record_without_accuracy_fails(tmp_path, tamper):
+    """Every record carries an accuracy figure: a record with no accuracy
+    block, or one that does not say what it holds, exits 1."""
+    record = json.loads((ROOT / RECORD).read_text())
+    tamper(record)
+    r = _check(_tree(tmp_path, record))
+    assert r.returncode == 1
+    assert "no accuracy block" in r.stdout

@@ -387,10 +387,10 @@ class TestDiagnostics:
         assert level(0.875) < level(0.5)
 
 
-SCHEDULE_GRID = pytest.mark.parametrize(
-    "dt, t_final", [(dt, t_final) for dt in [2.0 ** -k for k in range(2, 13)]
-                    + [1 / 100, 1e-3, 1 / 3] for t_final in [1.0, 0.5, 0.3, 1e-3, 2.0]],
-    ids=lambda v: f"{v:.6g}")
+# the schedule tests' grid of plateau dt and t_final
+SCHEDULE_T_FINALS = pytest.mark.parametrize("t_final", [1.0, 0.5, 0.3, 1e-3, 2.0])
+SCHEDULE_DTS = pytest.mark.parametrize(
+    "dt", [2.0 ** -k for k in range(2, 13)] + [1 / 100, 1e-3, 1 / 3], ids=lambda dt: f"{dt:.6g}")
 
 
 def _schedule_config(dt, t_final):
@@ -405,15 +405,15 @@ class TestTimeGrid:
         assert min(steps) > 0.0
         assert math.fsum(steps) == pytest.approx(cfg.t_final, rel=1e-14)
 
-    @pytest.mark.parametrize("alpha_hat", [0.05, AH_FIG, 0.56])
-    def test_ramp_resolves_early_times(self, alpha_hat):
-        """At t = 1e-2, 41 steps of dt = 1/4096 after the start, the ramp's
-        backward-Euler steps still weigh in: the solver sits within 5e-4 of
-        depth of the Laplace-Talbot solution on the same box."""
-        cfg = _config(dt=1.0 / 4096, t_final=1e-2, alpha_hat=alpha_hat)
-        ref = exact_profile(cfg.grid.nodes, cfg.t_final, cfg.m, alpha_hat, L=cfg.grid.L)
-        err = np.max(np.abs(solve(cfg)[-1].heights - ref))
-        assert err <= 5e-4 * abs(ref[0])
+    def test_ramp_resolves_early_times(self):
+        """At t = 1e-2, 55 steps after the start (18 of them the ramp's
+        backward-Euler steps), the solver sits within 5e-4 of depth of the
+        Laplace-Talbot solution on the same box."""
+        for alpha_hat in (0.05, AH_FIG, 0.56):
+            cfg = _config(dt=1.0 / 4096, t_final=1e-2, alpha_hat=alpha_hat)
+            ref = exact_profile(cfg.grid.nodes, cfg.t_final, cfg.m, alpha_hat, L=cfg.grid.L)
+            err = np.max(np.abs(solve(cfg)[-1].heights - ref))
+            assert err <= 5e-4 * abs(ref[0]), alpha_hat
 
     def test_plateau_on_the_dt_lattice(self):
         """The ramp's steps end at (4 - 2^(2 - RAMP_STAGES)) dt, just short of
@@ -424,7 +424,8 @@ class TestTimeGrid:
         assert steps[ramp] == pytest.approx(1.0 / 64 * (1 + 2.0 ** (2 - RAMP_STAGES)), rel=1e-12)
         assert steps[ramp + 1:] == [1.0 / 64] * 59
 
-    @SCHEDULE_GRID
+    @SCHEDULE_T_FINALS
+    @SCHEDULE_DTS
     def test_schedule_shape(self, dt, t_final):
         """Exact dyadic ramp stages, exact plateau steps, t_final reached, and
         every BDF2 step ratio below 1 + sqrt(2), where variable-step BDF2 is
@@ -440,21 +441,26 @@ class TestTimeGrid:
         ratios = [b / a for a, b in zip(steps[ramp - 1:], steps[ramp:])]
         assert max(ratios) < 1.0 + math.sqrt(2.0)
 
-    @SCHEDULE_GRID
+    @SCHEDULE_T_FINALS
+    @SCHEDULE_DTS
     def test_no_step_returns_to_an_earlier_system(self, monkeypatch, dt, t_final):
-        """Each effective step h = dt (1+w)/(1+2w), as solve hands it to the
-        operator, occurs in one contiguous run, and each run factors once:
-        the one kept factorization serves every reuse, and a new (dt, w)
-        pair always means a new factorization."""
-        hs, calls = [], []
+        """Each effective step h = dt (1+w)/(1+2w), as advance forms it from
+        solve's (dt, w), occurs in one contiguous run, and each run factors
+        once: the one kept factorization serves every reuse.  The distinct
+        (dt, w) pairs count the factorizations too, as the benchmark's
+        tracer counts them."""
+        pairs, hs, calls = [], [], []
+        advance = oracle.GrooveOperator.advance
         system_for_dt = oracle.GrooveOperator._system_for_dt
         factor = oracle._factor
+        monkeypatch.setattr(oracle.GrooveOperator, "advance", lambda op, z, dt, w=0.0:
+                            pairs.append((dt, w)) or advance(op, z, dt, w))
         monkeypatch.setattr(oracle.GrooveOperator, "_system_for_dt",
                             lambda op, h: hs.append(h) or system_for_dt(op, h))
         monkeypatch.setattr(oracle, "_factor", lambda *args: calls.append(args) or factor(*args))
         solve(_schedule_config(dt, t_final))
         runs = [h for k, h in enumerate(hs) if k == 0 or h != hs[k - 1]]
-        assert len(runs) == len(set(runs)) == len(calls)
+        assert len(runs) == len(set(runs)) == len(calls) == len(set(pairs))
 
 
 def _band_to_dense(band, kl):
