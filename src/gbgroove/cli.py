@@ -112,7 +112,6 @@ class RunConfig:
     times: list[float] = field(default_factory=list)   # Bt values, m^4
     alphas: list[float] = field(default_factory=list)  # depth-series alpha sweep, m^2
     order: int = 2
-    include_corner: bool = False
     corner_r: float = -1.0
     corner_gamma: float = 0.0
     samples: int = 400
@@ -138,9 +137,6 @@ class RunConfig:
         _require_numbers("corner_r and corner_gamma", [self.corner_r, self.corner_gamma])
         if not isinstance(self.solver, dict):
             raise CliConfigError(f"solver must be an object, got {self.solver!r}")
-        if not isinstance(self.include_corner, bool):
-            raise CliConfigError(f"include_corner must be true or false, "
-                                 f"got {self.include_corner!r}")
         if not isinstance(self.out, (str, type(None))):
             raise CliConfigError(f"out must be a path, got {self.out!r}")
         _, reads, most_bt, rows_per_bt = _MODE_TABLE[self.mode]
@@ -167,8 +163,6 @@ class RunConfig:
             raise CliConfigError("depth-series sweeps model.alpha; give a 'model' block")
         # a field the mode does not read must keep its default: it would be
         # dropped without a word
-        if self.include_corner and "include_corner" in reads:
-            reads += _CORNER_FIELDS
         default = RunConfig(self.mode)
         dropped = [name for name, value in vars(self).items()
                    if name not in reads + _READ_BY_EVERY_MODE and value != getattr(default, name)]
@@ -291,18 +285,6 @@ def _write_table(cfg: RunConfig, columns: list[str], table: np.ndarray,
 # ---- modes -----------------------------------------------------------------
 
 
-def _corner_spec(cfg: RunConfig, alpha_hat: float) -> CornerSpec:
-    """The corner term at `alpha_hat`: amplitude corner_gamma, or alpha_hat
-    where corner_gamma is 0."""
-    return CornerSpec(r=cfg.corner_r, gamma=cfg.corner_gamma or alpha_hat,
-                      alpha_hat=alpha_hat)
-
-
-def _expansion_spec(cfg: RunConfig, params: ModelParams) -> ExpansionSpec:
-    corner = _corner_spec(cfg, params.alpha_hat) if cfg.include_corner else None
-    return ExpansionSpec(N=cfg.order, corner=corner)
-
-
 def _mode_params(cfg: RunConfig) -> str:
     [bt] = _bt_values(cfg)
     params = _reducer(cfg.model, cfg.physical)(bt)
@@ -329,9 +311,9 @@ def _profile_table(cfg: RunConfig, with_oracle: bool):
     notes: list[str] = []
     gaps: list[float] = []
     reduced = _reducer(cfg.model, cfg.physical)
+    spec = ExpansionSpec(N=cfg.order)
     for bt in cfg.times:
         params = reduced(bt)
-        spec = _expansion_spec(cfg, params)
         span = (cfg.xmax if cfg.xmax is not None else 8.0) * bt ** 0.25
         xs = np.linspace(0.0, span, cfg.samples)
         oracle_vals = None
@@ -373,8 +355,7 @@ def _oracle_profile(cfg: RunConfig, params: ModelParams):
     scfg = _solver_config(cfg, params)
     prof = solve(scfg)[-1]
     xs = scfg.grid.nodes
-    spec = _expansion_spec(cfg, params)
-    comp = composite_profile_nd(xs, 1.0, params.m, params.alpha_hat, spec)
+    comp = composite_profile_nd(xs, 1.0, params.m, params.alpha_hat, ExpansionSpec(N=cfg.order))
     depth = abs(comp[0]) if comp[0] != 0 else 1.0
     sup = float(np.max(np.abs(comp - prof.heights)) / depth)
     return (xs, prof.heights), sup
@@ -419,7 +400,8 @@ def _mode_corner(cfg: RunConfig) -> str:
     ah = params.alpha_hat
     if ah <= 0:
         raise CliConfigError("corner mode needs alpha > 0")
-    spec = _corner_spec(cfg, ah)
+    # amplitude corner_gamma, or alpha_hat where corner_gamma is 0
+    spec = CornerSpec(r=cfg.corner_r, gamma=cfg.corner_gamma or ah, alpha_hat=ah)
     tau = 1.0
     ws = np.linspace(0.0, 20.0, cfg.samples)
     zeta = ws * tau ** (1.0 / 6.0)
@@ -450,18 +432,17 @@ def _mode_oracle(cfg: RunConfig) -> str:
 
 
 # What each mode reads, one entry per mode: its function; the optional
-# RunConfig fields it reads (corner_r and corner_gamma also wherever
-# include_corner adds the corner term); the most Bt values it reads (None:
-# one or more; a mode reading one takes _DEFAULT_BT when none is given); and
-# the rows it is charged per Bt value, each solve counted as SOLVE_ROWS
-_EXPANSION_FIELDS = ("order", "include_corner", "samples", "xmax", "fmt")
-_CORNER_FIELDS = ("corner_r", "corner_gamma")
+# RunConfig fields it reads; the most Bt values it reads (None: one or more;
+# a mode reading one takes _DEFAULT_BT when none is given); and the rows it
+# is charged per Bt value, each solve counted as SOLVE_ROWS
+_EXPANSION_FIELDS = ("order", "samples", "xmax", "fmt")
 _MODE_TABLE = {
     "params": (_mode_params, (), 1, lambda cfg: 0),
     "profile": (_mode_profile, _EXPANSION_FIELDS, None, lambda cfg: cfg.samples),
     "depth-series": (_mode_depth_series, ("alphas", "fmt"), None,
                      lambda cfg: max(len(cfg.alphas), 1)),
-    "corner": (_mode_corner, (*_CORNER_FIELDS, "samples", "fmt"), 1, lambda cfg: cfg.samples),
+    "corner": (_mode_corner, ("corner_r", "corner_gamma", "samples", "fmt"), 1,
+               lambda cfg: cfg.samples),
     "oracle": (_mode_oracle, ("samples", "fmt", "solver"), None,
                lambda cfg: cfg.samples + SOLVE_ROWS),
     "compare": (_mode_compare, (*_EXPANSION_FIELDS, "solver"), None,
@@ -503,9 +484,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--xmax", type=float,
                         help="window in units of (Bt)^(1/4), default 8, at most 12 "
                              "(8 in compare mode)")
-    parser.add_argument("--include-corner", action="store_true", default=None,
-                        help="add the corner-layer term to the composite, with "
-                             "amplitude corner_gamma (alpha_hat when 0)")
     parser.add_argument("--out", type=str, help="output file path")
     parser.add_argument("--format", dest="fmt", choices=FORMATS)
     return parser

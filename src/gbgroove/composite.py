@@ -1,11 +1,10 @@
 """Uniform composite profile, root-depth difference and groove metrics.
 
-The composite is outer expansion + wall correction (+ optional corner
-term), evaluated in nondimensional variables (x in units of L0 = (Bt)^(1/4),
-t standing for Bt / L0^4) and dimensionalized at the interface.  The
-dimensional functions take time as the product Bt [m^4].  Metrics are
-extracted from a dense sampling refined near the wall so the exponential
-layer is never missed.
+The composite is outer expansion + wall correction, evaluated in
+nondimensional variables (x in units of L0 = (Bt)^(1/4), t standing for
+Bt / L0^4) and dimensionalized at the interface.  The dimensional functions
+take time as the product Bt [m^4].  Metrics are extracted from a dense
+sampling refined near the wall so the exponential layer is never missed.
 """
 
 from __future__ import annotations
@@ -15,15 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .layers import (
-    CornerSpec,
-    boundary_layer_G,
-    corner_combination,
-    corner_combination_deriv0,
-)
+from .layers import boundary_layer_G
 from .material import ModelParams
 from .outer import outer_expansion
-from .specfun import SeriesError, gamma
+from .specfun import gamma
 
 __all__ = [
     "ExpansionSpec",
@@ -50,11 +44,9 @@ _GL_NODES = 8
 
 @dataclass(frozen=True)
 class ExpansionSpec:
-    """What goes into the composite: the outer order N and, when `corner` is
-    given, the corner-layer term."""
+    """What goes into the composite: the outer order N."""
 
     N: int = 2
-    corner: CornerSpec | None = None
 
     def __post_init__(self):
         if self.N < 0:
@@ -92,45 +84,25 @@ def _nd_coords(x: float, bt: float, params: ModelParams) -> tuple[float, float]:
 def composite_profile_nd(x, t: float, m: float, alpha_hat: float,
                          spec: ExpansionSpec, order: int = 0):
     """Composite profile in nondimensional variables (x / L0, with t the
-    ratio Bt / L0^4), or its d^order/dx^order (term-differentiated).
-
-    A nonzero corner term must carry this `alpha_hat`, or ValueError is
-    raised.  It has derivatives only at the wall, in closed form (x = 0,
-    order <= 5); with a nonzero corner, any other derivative raises
-    ValueError.
-    """
+    ratio Bt / L0^4), or its d^order/dx^order (term-differentiated): the
+    outer expansion to order N plus the wall layer."""
     terms = outer_expansion(spec.N, x, t, m, order=order)
     return _compose(terms, x, t, m, alpha_hat, spec, order)
 
 
 def _compose(terms: list, x, t: float, m: float, alpha_hat: float,
              spec: ExpansionSpec, order: int = 0):
-    """y_0 + sum_r alpha_hat^r y_r + wall correction (+ corner term), from the
-    terms of `outer_expansion(spec.N, x, t, m, order=order)`.
+    """y_0 + sum_r alpha_hat^r y_r + wall correction, from the terms of
+    `outer_expansion(spec.N, x, t, m, order=order)`.
 
     Every sum is out of place: `terms` is left as it was, so terms[0] is
     still the unpassivated profile afterwards.
     """
-    corner = spec.corner
-    if corner is not None and corner.gamma != 0.0 and corner.alpha_hat != alpha_hat:
-        raise ValueError(f"corner alpha_hat = {corner.alpha_hat} differs from "
-                         f"the profile's alpha_hat = {alpha_hat}")
     y = terms[0]
     for r in range(1, spec.N + 1):
         y = y + alpha_hat ** r * terms[r]
     if alpha_hat > 0:
         y = y + boundary_layer_G(x, t, alpha_hat, m, order=order)
-    if corner is not None and corner.gamma != 0.0 and alpha_hat > 0:
-        ah = alpha_hat
-        if not ah ** 5 > 0:
-            raise SeriesError(f"corner time t / alpha_hat^5 overflows at alpha_hat = {ah}")
-        tau = t / ah ** 5
-        if order == 0:
-            y = y + corner_combination(x / ah, tau, corner)
-        elif np.any(x):
-            raise ValueError("the corner term has derivatives only at the wall (x = 0)")
-        else:
-            y = y + corner_combination_deriv0(order, tau, corner) / ah ** order
     return y
 
 

@@ -48,7 +48,6 @@ __all__ = [
     "corner_weights",
     "theorem_coefficients",
     "corner_combination",
-    "corner_combination_deriv0",
     "SIMILARITY_EXPONENT_LIMIT",
 ]
 
@@ -263,23 +262,3 @@ def corner_combination(zeta, tau: float, spec: CornerSpec, yc456=None):
     if not np.all(np.isfinite(combination)):
         raise SeriesError("corner combination overflows")
     return combination
-
-
-def corner_combination_deriv0(k: int, tau: float, spec: CornerSpec) -> float:
-    """d^k/dzeta^k of the decaying combination at zeta = 0, analytically.
-
-    Reads the derivative off the matrix representation: only the v_{k+1}
-    column contributes at the wall.
-    """
-    if not 0 <= k <= 5:
-        raise ValueError("wall derivatives available for k = 0..5")
-    if not tau > 0:
-        raise ValueError("tau must be positive")
-    if spec.gamma == 0.0:
-        return 0.0
-    cs = theorem_coefficients(spec.gamma, spec.r, spec.alpha_hat, tau)
-    col = CORNER_MATRIX[3:6, k]
-    total = float(np.dot(cs, col)) * reciprocal_gamma((6 - k) / 6.0 + spec.r)
-    return tau ** (spec.r - k / 6.0) * total
-
-

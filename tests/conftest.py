@@ -2,10 +2,11 @@
 
 Besides the fixtures, this holds the checks that only the tests call: the
 exact-rational series (`rational_pfq`), the quadrature and ODE-residual
-oracles of the outer and corner shapes, the wall-condition residuals of the
-composite, the solver's energy and continuity diagnostics, and the
-dimensional unpassivated profile that the CLI's Mullins column is compared
-against.  They use the package's private helpers where the package has them.
+oracles of the outer and corner shapes, the corner combination's wall
+derivatives, the wall-condition residuals of the composite, the solver's
+energy and continuity diagnostics, and the dimensional unpassivated profile
+that the CLI's Mullins column is compared against.  They use the package's
+private helpers where the package has them.
 """
 
 from __future__ import annotations
@@ -19,14 +20,15 @@ import pytest
 from scipy.integrate import quad
 
 from gbgroove.composite import ExpansionSpec, _nd_coords, composite_profile_nd
-from gbgroove.layers import (_SQRT3, SIMILARITY_EXPONENT_LIMIT, CornerSpec, _bracket_gammas,
-                             _gamma_or_pole, beta2, beta4, corner_fundamental_v)
+from gbgroove.layers import (_SQRT3, CORNER_MATRIX, SIMILARITY_EXPONENT_LIMIT, CornerSpec,
+                             _bracket_gammas, _gamma_or_pole, beta2, beta4,
+                             corner_fundamental_v, theorem_coefficients)
 from gbgroove.material import ModelParams, nondimensionalize
 from gbgroove.oracle import Profile, _derivative_field, flux
 from gbgroove.outer import (_CONST, _EVEN, _G34, _G54, _SQRT2, U_CLAMP,
                             _shape_derivs, _similarity, mullins_profile, mullins_shape,
                             outer_term)
-from gbgroove.specfun import gamma, up_to
+from gbgroove.specfun import gamma, reciprocal_gamma, up_to
 
 # dimensional parameters of the canned figure runs (SI)
 FIG_ALPHA = 9.7e-16     # m^2
@@ -209,6 +211,24 @@ def corner_root_curvature(t: float, spec: CornerSpec) -> float:
         - 2.0 * t ** r * gB / (3.0 * ah ** (5.0 * r + 1.0))
         - 2.0 * t ** (r - 1.0 / 3.0) * gA / (3.0 * ah ** (5.0 * r + 1.0 / 3.0))
     )
+
+
+def corner_combination_deriv0(k: int, tau: float, spec: CornerSpec) -> float:
+    """d^k/dzeta^k of the decaying combination at zeta = 0, analytically.
+
+    Reads the derivative off the matrix representation: only the v_{k+1}
+    column contributes at the wall.
+    """
+    if not 0 <= k <= 5:
+        raise ValueError("wall derivatives available for k = 0..5")
+    if not tau > 0:
+        raise ValueError("tau must be positive")
+    if spec.gamma == 0.0:
+        return 0.0
+    cs = theorem_coefficients(spec.gamma, spec.r, spec.alpha_hat, tau)
+    col = CORNER_MATRIX[3:6, k]
+    total = float(np.dot(cs, col)) * reciprocal_gamma((6 - k) / 6.0 + spec.r)
+    return tau ** (spec.r - k / 6.0) * total
 
 
 # ---- composite ---------------------------------------------------------------

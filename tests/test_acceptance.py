@@ -30,7 +30,7 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import (FIG_BT, FIG_M, basis_f1, basis_f2, bc_residuals,
+from conftest import (FIG_BT, FIG_M, basis_f1, basis_f2, bc_residuals, corner_combination_deriv0,
                       corner_similarity_ode_residual, curvature_cancellation_residuals, energy,
                       figure_params, mullins_profile_dim, yr_quadrature_oracle)
 from gbgroove.composite import (ExpansionSpec, composite_profile_nd, default_window,
@@ -38,7 +38,6 @@ from gbgroove.composite import (ExpansionSpec, composite_profile_nd, default_win
 from gbgroove.layers import (
     CornerSpec,
     corner_combination,
-    corner_combination_deriv0,
     corner_fundamental_v,
     corner_solutions_yc,
 )

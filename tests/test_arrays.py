@@ -76,10 +76,9 @@ def test_corner_fundamental_v(i, order):
 
 
 @pytest.mark.parametrize("N", [0, 1, 2])
-@pytest.mark.parametrize("corner", [False, True])
 @pytest.mark.parametrize("t", [1.0, 0.01])
-def test_composite_profile_nd(N, corner, t):
-    spec = ExpansionSpec(N=N, corner=CORNER if corner else None)
+def test_composite_profile_nd(N, t):
+    spec = ExpansionSpec(N=N)
     assert _same(composite_profile_nd(U, t, 0.209, ALPHA_HAT, spec),
                  [composite_profile_nd(float(x), t, 0.209, ALPHA_HAT, spec) for x in U])
 

@@ -298,24 +298,6 @@ def test_physical_block_matches_its_model_block(mode):
         np.testing.assert_array_equal(*numbers)
 
 
-@pytest.mark.parametrize("mode", ["profile", "compare"])
-def test_include_corner_adds_the_corner_term(mode, capsys):
-    """--include-corner adds the corner term at amplitude alpha_hat when
-    corner_gamma is 0, the rule corner mode uses: only y_composite_m moves."""
-    tables = []
-    for flags in ([], ["--include-corner"]):
-        assert main(["--mode", mode, *_ALUMINA, "--samples", "16", *flags]) == 0
-        tables.append(np.loadtxt(io.StringIO(capsys.readouterr().out), delimiter=","))
-    plain, corner = tables
-    np.testing.assert_array_equal(np.delete(plain, 3, axis=1), np.delete(corner, 3, axis=1))
-    assert not np.array_equal(plain[:, 3], corner[:, 3])
-    ah = nondimensionalize(9.7e-16, 1e-29, 0.209).alpha_hat
-    explicit = RunConfig(mode=mode, model={"B": 1, "alpha": 9.7e-16, "m": 0.209},
-                         times=[1e-29], samples=16, include_corner=True, corner_gamma=ah)
-    np.testing.assert_array_equal(np.loadtxt(io.StringIO(run(explicit)), delimiter=","),
-                                  corner)
-
-
 def test_profile_makes_one_engine_pass_per_bt(monkeypatch, capsys):
     """The Mullins column is the composite's own y_0: each Bt sums all its
     outer series in one engine call."""
@@ -337,14 +319,11 @@ _MULLINS_TIMES = [3e-30, 2e-28, 1.7e-28]
 @pytest.mark.parametrize("mode", ["profile", "compare"])
 @pytest.mark.parametrize("alpha", [0.0, 9.7e-16])
 @pytest.mark.parametrize("order", [0, 5])
-@pytest.mark.parametrize("include_corner", [False, True])
-def test_mullins_column_is_mullins_profile_dim(mode, alpha, order, include_corner):
+def test_mullins_column_is_mullins_profile_dim(mode, alpha, order):
     """y_mullins_m equals mullins_profile_dim at the printed x_m, bit for
-    bit, whatever the composite beside it adds to y_0 (the corner term
-    only with a nonzero corner_gamma)."""
+    bit, whatever the composite beside it adds to y_0."""
     cfg = RunConfig(mode=mode, model={"B": 1.0, "alpha": alpha, "m": 0.209},
-                    times=_MULLINS_TIMES, samples=32, order=order,
-                    include_corner=include_corner, corner_gamma=0.05 * include_corner)
+                    times=_MULLINS_TIMES, samples=32, order=order)
     table = np.loadtxt(io.StringIO(run(cfg)), delimiter=",", ndmin=2)
     assert table.shape == (32 * len(_MULLINS_TIMES), 5 if mode == "compare" else 4)
     for bt in _MULLINS_TIMES:
@@ -408,8 +387,8 @@ _BAD_DOCUMENTS = {
     "order-string": {**_FIG4, "order": "2"},
     "xmax-string": {**_FIG4, "xmax": "3"},
     "times-huge-integer": {**_FIG4, "times": [10 ** 400]},
-    "corner_r-string": {**_FIG4, "include_corner": True, "corner_r": "nan"},
-    "corner_r-not-decaying": {**_FIG4, "include_corner": True, "corner_r": -0.5},
+    "corner_r-string": {**_FIG4, "mode": "corner", "corner_r": "nan"},
+    "corner_r-not-decaying": {**_FIG4, "mode": "corner", "corner_r": -0.5},
     "model-array": {**_FIG4, "model": [1, 2]},
     "model-string": {**_FIG4, "model": {"B": "1", "alpha": 9.7e-16, "m": 0.209}},
     "model-bool": {**_FIG4, "model": {"B": 1.0, "alpha": 9.7e-16, "m": True}},
@@ -428,9 +407,8 @@ _BAD_DOCUMENTS = {
     "alphas-past-budget": {**_BASE, "mode": "depth-series", "alphas": [9.7e-16] * 256,
                            "times": [1e-29] * 257},
     "solves-past-budget": {**_FIG4, "mode": "compare", "times": [1e-29] * 32},
-    # depth-series evaluates the closed-form N = 2 depth with no corner term
+    # depth-series evaluates the closed-form N = 2 depth
     "depth-series-order": {**_BASE, "mode": "depth-series", "order": 1},
-    "depth-series-corner": {**_BASE, "mode": "depth-series", "include_corner": True},
     # B is required in every mode, though no output depends on it alone
     "depth-series-no-B": {**_BASE, "mode": "depth-series",
                           "model": {"alpha": 9.7e-16, "m": 0.209}},
@@ -438,21 +416,17 @@ _BAD_DOCUMENTS = {
     "params-two-times": {**_BASE, "mode": "params", "times": [1e-29, 2e-29]},
     "corner-two-times": {**_FIG4, "mode": "corner", "times": [1e-29, 2e-29]},
     "corner-order": {**_FIG4, "mode": "corner", "order": 5},
-    # params and oracle evaluate no expansion, and corner mode always has its
-    # corner term: each would print the same numbers without the entry
-    **{f"{mode}-{key}": {**_BASE, "mode": mode, **_samples(mode, 4), key: value}
-       for mode, key, value in (("params", "order", 5), ("params", "include_corner", True),
-                                ("oracle", "order", 5), ("oracle", "include_corner", True),
-                                ("corner", "include_corner", True))},
-    # a corner amplitude with no corner term to take it
+    # params and oracle evaluate no expansion: each would print the same
+    # numbers without the entry
+    **{f"{mode}-order": {**_BASE, "mode": mode, **_samples(mode, 4), "order": 5}
+       for mode in ("params", "oracle")},
+    # a corner amplitude outside corner mode, which alone reads it
     **{f"{mode}-corner_gamma-alone": {**_FIG4, "mode": mode, "corner_gamma": 0.3}
        for mode in ("profile", "compare", "oracle")},
-    # "false" is a truthy string: it would switch the corner term on
-    "include-corner-string": {**_FIG4, "include_corner": "false", "corner_gamma": 0.3},
     # entries a mode would ignore are refused, not dropped
     "alphas-outside-depth-series": {**_FIG4, "alphas": [1e-10]},
     "solver-outside-solver-modes": {**_FIG4, "solver": {"nx": 1025}},
-    # a corner exponent with no corner term, a format for the plain-text
+    # a corner exponent outside corner mode, a format for the plain-text
     # params mode, and a sample count for a mode that samples nothing
     "profile-corner_r-alone": {**_FIG4, "corner_r": -2.0},
     "params-fmt": {**_BASE, "mode": "params", "fmt": "json"},
@@ -469,19 +443,16 @@ def test_exit_two_on_bad_config_document(doc, tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("error: config:")
 
 
-# one sound value per optional RunConfig field, not its default: (entries
-# added to the base document first, the field's entry)
+# one sound value per optional RunConfig field, not its default
 _OPTIONAL_ENTRIES = {
-    "alphas": ({}, {"alphas": [3e-16]}),
-    "order": ({}, {"order": 1}),
-    "include_corner": ({}, {"include_corner": True}),
-    "corner_r": ({}, {"corner_r": -2.0}),
-    "corner_r-with-include_corner": ({"include_corner": True}, {"corner_r": -2.0}),
-    "corner_gamma": ({}, {"corner_gamma": 0.05}),
-    "samples": ({}, {"samples": 7}),
-    "xmax": ({}, {"xmax": 4.0}),
-    "fmt": ({}, {"fmt": "json"}),
-    "solver": ({}, {"solver": {"nx": 257}}),
+    "alphas": [3e-16],
+    "order": 1,
+    "corner_r": -2.0,
+    "corner_gamma": 0.05,
+    "samples": 7,
+    "xmax": 4.0,
+    "fmt": "json",
+    "solver": {"nx": 257},
 }
 
 
@@ -490,8 +461,7 @@ _OPTIONAL_ENTRIES = {
 def test_no_mode_drops_an_input(mode, entry, tmp_path, capsys):
     """A field set away from its default changes what the mode prints, or
     the run exits 2: no mode drops an input without a word."""
-    first, entries = _OPTIONAL_ENTRIES[entry]
-    base = {**_BASE, "mode": mode, **first}
+    base = {**_BASE, "mode": mode}
 
     def printed(doc):
         code, out, _ = _main_on_document(doc, tmp_path, capsys)
@@ -499,8 +469,24 @@ def test_no_mode_drops_an_input(mode, entry, tmp_path, capsys):
         return code, [line for line in out if not line.startswith("# config:")]
 
     base_run = printed(base)
-    code, out = printed({**base, **entries})
+    code, out = printed({**base, entry: _OPTIONAL_ENTRIES[entry]})
     assert code == 2 or (code, out) != base_run
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_include_corner_is_unknown(mode, tmp_path, capsys):
+    """The composite has no corner term: `include_corner`, true or false, is
+    an unknown config key and `--include-corner` an unknown flag (exit 2)."""
+    for value in (True, False):
+        code, out, err = _main_on_document({**_BASE, "mode": mode, "include_corner": value},
+                                           tmp_path, capsys)
+        assert (code, out) == (2, [])
+        assert err == ["error: config: unknown config keys: ['include_corner']"]
+    with pytest.raises(SystemExit) as exc:
+        main(["--mode", mode, *_ALUMINA, "--include-corner"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "unrecognized arguments: --include-corner" in err
 
 
 def test_depth_series_refuses_physical_block(tmp_path, capsys):
@@ -566,12 +552,6 @@ def _assert_exit_code_contract(doc):
     assert code in (0, 2, 3), err.getvalue()
     if code == 0:
         assert not re.search(r"\b(nan|inf|infinity)\b", out.getvalue(), re.IGNORECASE)
-
-
-@pytest.mark.parametrize("bt", [1e-300, 1e-150, 1e-100, 1e-29, 1e-10, 1e-5, 1e100, 1e300])
-def test_include_corner_keeps_the_exit_code_contract(bt):
-    """The corner term overflows at extreme Bt: exit 3, never a traceback."""
-    _assert_exit_code_contract({**_FIG4, "times": [bt], "include_corner": True})
 
 
 @given(mode=st.sampled_from(["params", "profile", "depth-series", "corner"]),

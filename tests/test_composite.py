@@ -9,12 +9,7 @@ from conftest import (FIG_ALPHA, FIG_BT, FIG_M, bc_residuals, curvature_cancella
                       figure_params, mullins_profile_dim)
 from gbgroove.composite import (ExpansionSpec, composite_profile_nd, default_window,
                                 depth_difference, groove_metrics, mullins_and_composite)
-from gbgroove.layers import (
-    CornerSpec,
-    beta2,
-    boundary_layer_G,
-    corner_combination_deriv0,
-)
+from gbgroove.layers import beta2, boundary_layer_G
 from gbgroove.material import nondimensionalize
 from gbgroove.outer import mullins_profile, outer_term
 
@@ -61,34 +56,16 @@ class TestCompositeAssembly:
         assert mc.y_max > mm.y_max            # taller primary maximum
         assert mc.y_min2 < mm.y_min2          # deeper secondary minimum
 
-    def test_corner_term_opt_in(self):
-        params = figure_params(FIG_BT["fig4"])
-        corner = CornerSpec(r=-1.0, gamma=0.1 * params.alpha_hat,
-                            alpha_hat=params.alpha_hat)
-        on = ExpansionSpec(N=2, corner=corner)
-        off = ExpansionSpec(N=2)
-        t = FIG_BT["fig4"]
-        # at figure times tau = t_hat / alpha_hat^5 is huge: corner negligible
-        # (and identically zero at the wall for r = -1, where 1/Gamma(1+r) = 0)
-        x = 0.25 * params.L0
-        a = mullins_and_composite(x, t, params, on)[1]
-        b = mullins_and_composite(x, t, params, off)[1]
-        assert a != b
-        assert abs(a - b) < 1e-3 * abs(mullins_and_composite(0.0, t, params, off)[1])
-
     @pytest.mark.parametrize("alpha", [0.0, FIG_ALPHA])
     @pytest.mark.parametrize("N", [0, 2, 5])
-    @pytest.mark.parametrize("with_corner", [False, True])
-    def test_mullins_and_composite_from_one_pass(self, alpha, N, with_corner):
+    def test_mullins_and_composite_from_one_pass(self, alpha, N):
         """mullins_and_composite gives mullins_profile_dim and the
         dimensional composite_profile_nd bit for bit, on an array and at
         single points: composing the terms leaves their y_0 the unpassivated
         profile."""
         for bt in (3e-30, 2e-28, 1.7e-28):
             params = nondimensionalize(alpha, bt, FIG_M)
-            corner = (CornerSpec(r=-1.0, gamma=0.05, alpha_hat=params.alpha_hat)
-                      if with_corner else None)
-            spec = ExpansionSpec(N=N, corner=corner)
+            spec = ExpansionSpec(N=N)
             xs = np.linspace(0.0, 8.0 * params.L0, 40)
             for x in (xs, 0.0, float(xs[3])):
                 mullins, composite = mullins_and_composite(x, bt, params, spec)
@@ -109,37 +86,6 @@ class TestCompositeAssembly:
         want = want + boundary_layer_G(x, t, ah, m, order=order)
         got = composite_profile_nd(x, t, m, ah, ExpansionSpec(N=2), order=order)
         np.testing.assert_array_equal(got, want)
-
-    def test_corner_derivative_at_the_wall(self):
-        ah, m, t = 0.3, FIG_M, 1.0
-        corner = CornerSpec(r=-2.0, gamma=ah, alpha_hat=ah)
-        x = np.zeros(3)
-        for order in (1, 2, 5):
-            plain = composite_profile_nd(x, t, m, ah, ExpansionSpec(N=2), order=order)
-            got = composite_profile_nd(x, t, m, ah, ExpansionSpec(N=2, corner=corner),
-                                       order=order)
-            extra = corner_combination_deriv0(order, t / ah ** 5, corner) / ah ** order
-            assert extra != 0.0
-            np.testing.assert_array_equal(got, plain + extra)
-
-    @pytest.mark.parametrize("corner_ah, ah", [(0.0, 0.3), (0.3, 0.0)],
-                             ids=["corner-without-alpha-hat", "corner-on-unpassivated"])
-    def test_corner_alpha_hat_must_match(self, corner_ah, ah):
-        """A nonzero corner built for another alpha_hat is refused rather than
-        silently dropped from, or added to, the profile."""
-        corner = CornerSpec(r=-2.0, gamma=0.3, alpha_hat=corner_ah)
-        with pytest.raises(ValueError, match="differs from the profile's alpha_hat"):
-            composite_profile_nd(0.05, 1e-5, FIG_M, ah, ExpansionSpec(N=2, corner=corner))
-
-    @pytest.mark.parametrize("x", [0.5, np.array([0.0, 0.5])], ids=["float", "array"])
-    @pytest.mark.parametrize("order", [1, 2, 5])
-    def test_corner_derivative_off_the_wall_raises(self, x, order):
-        """A nonzero corner term has derivatives only at x = 0; elsewhere the
-        evaluator refuses rather than leave the term out."""
-        ah = 0.3
-        spec = ExpansionSpec(N=2, corner=CornerSpec(r=-1.0, gamma=ah, alpha_hat=ah))
-        with pytest.raises(ValueError, match="only at the wall"):
-            composite_profile_nd(x, 1.0, FIG_M, ah, spec, order=order)
 
 
 class TestWallResiduals:

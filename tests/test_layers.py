@@ -11,8 +11,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import (corner_root_curvature, corner_similarity_ode_residual, rational_pfq,
-                      solve_c456)
+from conftest import (corner_combination_deriv0, corner_root_curvature,
+                      corner_similarity_ode_residual, rational_pfq, solve_c456)
 from gbgroove.layers import (
     CORNER_MATRIX,
     CornerSpec,
@@ -20,7 +20,6 @@ from gbgroove.layers import (
     beta4,
     boundary_layer_G,
     corner_combination,
-    corner_combination_deriv0,
     corner_fundamental_v,
     corner_solutions_yc,
     corner_weights,
