@@ -420,6 +420,11 @@ _BAD_DOCUMENTS = {
     # numbers without the entry
     **{f"{mode}-order": {**_BASE, "mode": mode, **_samples(mode, 4), "order": 5}
        for mode in ("params", "oracle")},
+    # include_corner is no field: the composite has no corner term
+    "depth-series-corner": {**_BASE, "mode": "depth-series", "include_corner": True},
+    **{f"{mode}-include_corner": {**_BASE, "mode": mode, **_samples(mode, 4),
+                                  "include_corner": True}
+       for mode in ("params", "oracle", "corner")},
     # a corner amplitude outside corner mode, which alone reads it
     **{f"{mode}-corner_gamma-alone": {**_FIG4, "mode": mode, "corner_gamma": 0.3}
        for mode in ("profile", "compare", "oracle")},
@@ -453,6 +458,8 @@ _OPTIONAL_ENTRIES = {
     "xmax": 4.0,
     "fmt": "json",
     "solver": {"nx": 257},
+    # a field no longer: every mode refuses it as an unknown key
+    "include_corner": True,
 }
 
 
