@@ -20,16 +20,19 @@ three coefficient arrays assembled once in one row-band layout (row i,
 offset j - i), with the bandwidths read off the rows.  The interior rows
 and columns of a system, I - h (alpha_hat D6 - D4), are a section of a
 symmetric Toeplitz band whose symbol is at least 1, so that block is
-symmetric positive definite: LAPACK's banded Cholesky (dpbtrf) factors it
-without pivoting.  The few wall and far-field unknowns are eliminated
-through their Schur complement, solved once per system.  Each step is one
-banded Cholesky solve (dpbtrs), a small matrix-vector product for the edge
-unknowns and one correction of the interior by them.  The last step's
+symmetric positive definite: LAPACK's banded Cholesky (dpbtrf, lower
+storage) factors it without pivoting, and the factor is kept transposed, in
+upper band storage, where the solve's sweeps are faster.  The few wall and
+far-field unknowns are eliminated through their Schur complement, solved
+once per system.  Each step works in one fresh copy of its start value: one
+in-place banded Cholesky solve of the interior (dpbtrs), one gather of the
+edge and near-edge nodes and a small product for the edge unknowns, and one
+in-place correction of the interior by them (dgemv).  The last step's
 factors are kept, so a run of equal steps factors once.
 
-SciPy's LAPACK wrappers are imported where a system is factored, not at
-module level, so the series-only paths (and ``import gbgroove.cli``) never
-load SciPy.
+SciPy's LAPACK and BLAS wrappers are imported where a system is factored,
+not at module level, so the series-only paths (and ``import gbgroove.cli``)
+never load SciPy.
 """
 
 from __future__ import annotations
@@ -75,6 +78,11 @@ MAX_STEPS = 65536
 BC_ORDER = 3        # accuracy order of the one-sided wall and far-field stencils
 RAMP_STAGES = 9     # dyadic step sizes dt/2^8 .. dt at the start of a run
 RAMP_STEPS = 2      # backward-Euler steps taken at each ramp stage
+# the plateau step is at most t_final / LATTICE_STEPS, so a short solve still
+# ends on a run of full BDF2 steps: at t_final 1e-2 and dt 1/64 (nx 513, L 8)
+# the cap t_final/4 that RAMP_STEPS alone gave missed the exact box solution
+# by 2e-2 of depth, and this cap by 3-5e-4
+LATTICE_STEPS = 32
 
 
 class ConfigError(ValueError):
@@ -113,10 +121,13 @@ def fd_weights(nodes, x0: float, order: int) -> np.ndarray:
 
 def _factor(ab: np.ndarray):
     """Cholesky factors of the symmetric positive definite band matrix whose
-    lower LAPACK band storage is ab, and a function that solves with them.
+    lower LAPACK band storage is ab, and a function that solves with them in
+    place.
 
     ab is (kd + 1, m): A[j + d, j] at ab[d, j].  A matrix that is not
-    positive definite raises DivergenceError.
+    positive definite raises DivergenceError.  The lower factor L is kept as
+    U = L^T in upper band storage, U[j - d, j] at up[kd - d, j], so that the
+    solve's two sweeps run down columns of U.
     """
     from scipy.linalg.lapack import dpbtrf, dpbtrs
     c, info = dpbtrf(ab, lower=1, overwrite_ab=True)
@@ -125,12 +136,19 @@ def _factor(ab: np.ndarray):
     if info > 0:
         raise DivergenceError("time-step interior block not positive definite: "
                               f"leading minor of order {info}")
+    kd, m = c.shape[0] - 1, c.shape[1]
+    up = np.zeros_like(c, order="F")
+    for d in range(kd + 1):
+        up[kd - d, d:] = c[d, :m - d]
 
     def solve(b: np.ndarray) -> np.ndarray:
-        x, info = dpbtrs(c, b, lower=1)
+        """Overwrite b (m or m x k) with A^-1 b and return it."""
+        x, info = dpbtrs(up, b, lower=0, overwrite_b=1)
         if info:
             raise RuntimeError(f"dpbtrs rejected argument {-info}")
-        return x
+        if not np.may_share_memory(x, b):   # f2py copied b: keep its result
+            b[...] = x
+        return b
 
     return solve
 
@@ -241,9 +259,12 @@ class GrooveOperator:
     the stencil and the boundary rows are written into their slots.  A
     system's interior block, A_II on rows and columns interior_lo ..
     interior_hi, is symmetric positive definite and factored by `_factor`
-    (banded Cholesky).  Its 2 interior_lo edge rows, each scaled by its
-    largest entry, are solved through their Schur complement.  The last
-    system and its factors are kept.
+    (a lower banded Cholesky factor, kept in upper storage for the sweeps).
+    Its 2 interior_lo edge rows, each scaled by its largest entry, are
+    solved through their Schur complement, which leaves one edge matrix H
+    acting on one gather of the edge and near-edge nodes.  `advance` solves
+    the interior in place in a copy of its input, gathers once, and corrects
+    the interior in place.  The last system and its factors are kept.
     """
 
     def __init__(self, config: SolverConfig):
@@ -344,8 +365,9 @@ class GrooveOperator:
         # its W @ z / h is, with the conditions' values, the right-hand side
         self._edge = np.array(edge)
         self._near = np.r_[0:ku, m - kl:m]
+        self._gather = np.r_[self._edge, lo + self._near]
         to = np.full(n, -1)
-        to[np.r_[self._edge, lo + self._near]] = np.arange(len(edge) + kl + ku)
+        to[self._gather] = np.arange(len(edge) + kl + ku)
         j = self._edge[:, None] + np.arange(kl + ku + 1) - kl     # each slot's column
         inside = (j >= 0) & (j < n)
         at = (np.nonzero(inside)[0], to[j[inside]])
@@ -367,9 +389,10 @@ class GrooveOperator:
         return self._C[rows] + h * self._K[rows] + self._W[rows] / h
 
     def _system_for_dt(self, h: float):
-        """Factors of C + h K + W/h: the Cholesky solve of A_II, Z =
-        A_II^-1 A_IE T, and u as c0 + G @ z[edge] - F @ y[near] for y =
-        A_II^-1 z[interior], from the edge rows' Schur complement
+        """Factors of C + h K + W/h: the in-place Cholesky solve of A_II,
+        Z = A_II^-1 A_IE T (Fortran order) and the edge map u = c0 + H @
+        x[_gather], where x holds z on the edge nodes and A_II^-1 z on the
+        interior ones.  c0 and H come from the edge rows' Schur complement
         A_EE T - A_EI Z, row-scaled and solved once here."""
         key, system = self._last
         if key == h:
@@ -379,12 +402,13 @@ class GrooveOperator:
         solve_ii = _factor(np.repeat(col[None, :], self.n - 2 * lo, axis=0).T)
         wall = solve_ii(h * self._corner)
         # A_II is persymmetric and A_IE T's far block mirrors its wall block
-        Z = np.hstack([wall, wall[::-1]])
+        Z = np.asfortranarray(np.hstack([wall, wall[::-1]]))
         rows = self._edge_C + self._edge_W / h
         scale = np.maximum(np.abs(rows).max(axis=1, keepdims=True), 1e-300)
         schur = (rows[:, :k] @ self._T - rows[:, k:] @ Z[self._near]) / scale
-        # right-hand sides: the conditions' values, W_EE / h and A_EI
-        rhs = np.hstack([self._edge_bc, self._edge_W[:, :k] / h, rows[:, k:]]) / scale
+        # right-hand sides: the conditions' values, W_EE / h and -A_EI
+        rhs = np.hstack([self._edge_bc, self._edge_W[:, :k] / h, -rows[:, k:]]) / scale
+        from scipy.linalg.blas import dgemv
         from scipy.linalg.lapack import dgesv
         _, _, X, info = dgesv(schur, rhs)
         if info < 0:
@@ -392,26 +416,32 @@ class GrooveOperator:
         if info > 0:
             raise DivergenceError("singular time-step system: its edge Schur complement "
                                   "is singular")
-        system = (solve_ii, Z, X[:, 0], X[:, 1:k + 1], X[:, k + 1:])
+        system = (solve_ii, Z, X[:, 0].copy(), np.ascontiguousarray(X[:, 1:]), dgemv)
         self._last = (h, system)
         return system
 
     def advance(self, z: np.ndarray, dt: float, w: float = 0.0) -> np.ndarray:
-        """One implicit step of length dt from the start value z.
+        """One implicit step of length dt from the start value z, which it
+        leaves unchanged.
 
         w = 0 is backward Euler from z = y_n.  w > 0 is variable-step BDF2
         after a step of dt/w, with z = ((1+w)^2 y_n - w^2 y_{n-1}) / (1+2w):
         that is a backward-Euler step of dt (1+w)/(1+2w) from z, so both
-        share the systems, the balance rows and the kept factors.
+        share the systems, the balance rows and the kept factors.  The step
+        works in one fresh array: z's copy has its interior solved in place,
+        the edge unknowns u are read off one gather of it, and the interior
+        is corrected by them in place.
         """
         h = dt * (1.0 + w) / (1.0 + 2.0 * w)
-        solve_ii, Z, c0, G, F = self._system_for_dt(h)
-        lo, hi, edge = self.interior_lo, self.interior_hi, self._edge
-        y = solve_ii(z[lo:hi + 1])
-        u = c0 + G @ z[edge] - F @ y[self._near]
-        out = np.empty(self.n)
-        out[lo:hi + 1] = y - Z @ u
-        out[edge] = self._T @ u
+        solve_ii, Z, c0, H, dgemv = self._system_for_dt(h)
+        out = z.copy()
+        interior = solve_ii(out[self.interior_lo:self.interior_hi + 1])
+        u = H @ out[self._gather]
+        u += c0
+        y = dgemv(-1.0, Z, u, beta=1.0, y=interior, overwrite_y=1)
+        if not np.may_share_memory(y, interior):    # f2py copied it: keep its result
+            interior[...] = y
+        out[self._edge] = self._T @ u
         if not np.isfinite(out).all():
             raise DivergenceError(
                 f"non-finite solution after a dt = {dt:.3e} step "
@@ -433,12 +463,12 @@ def time_steps(config: SolverConfig) -> list[float]:
     about six nodes; much earlier times are narrower than the grid.  The
     ramp ends just short of 4 dt.  Then one step goes to each lattice point
     k dt at least dt/2 past the ramp, and one to t_final, so BDF2 runs at
-    step ratio 1 (dt is capped so that the ramp ends before t_final).  A
-    plateau step that is dt/2^s to within the rounding of its end point is
-    taken as exactly that, so a dt that is not a power of two still has one
-    system per step length.
+    step ratio 1 (dt is capped at t_final / LATTICE_STEPS, so the ramp ends
+    well before t_final).  A plateau step that is dt/2^s to within the
+    rounding of its end point is taken as exactly that, so a dt that is not
+    a power of two still has one system per step length.
     """
-    dt = min(config.dt, config.t_final / (2.0 * RAMP_STEPS))
+    dt = min(config.dt, config.t_final / LATTICE_STEPS)
     steps = [dt / 2.0 ** s for s in range(RAMP_STAGES - 1, -1, -1) for _ in range(RAMP_STEPS)]
     start = 0.0
     for h in steps:     # the ramp's end: the steps' running sum, left to right
@@ -467,7 +497,8 @@ def solve(config: SolverConfig) -> list[Profile]:
     for k, dt in enumerate(steps):
         w = dt / steps[k - 1] if k >= RAMP_STAGES * RAMP_STEPS else 0.0
         if w:
-            z = ((1.0 + w) ** 2 / (1.0 + 2.0 * w)) * y - (w ** 2 / (1.0 + 2.0 * w)) * y_prev
+            z = ((1.0 + w) ** 2 / (1.0 + 2.0 * w)) * y
+            z -= (w ** 2 / (1.0 + 2.0 * w)) * y_prev
         else:
             z = y
         # w goes in positionally: the benchmark's tracer tells a new

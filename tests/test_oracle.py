@@ -9,6 +9,7 @@ from conftest import continuity_residual, energy
 from gbgroove import oracle
 from gbgroove.oracle import (
     BC_ORDER,
+    LATTICE_STEPS,
     MAX_NODES,
     MAX_STEPS,
     RAMP_STAGES,
@@ -154,32 +155,79 @@ class TestStep:
         w1 = fd_weights(np.arange(4.0), 0.0, 1) / cfg.grid.dx
         assert float(w1 @ y[:4]) == pytest.approx(cfg.m / 2, rel=1e-6)
 
+    def test_step_leaves_its_input_and_keeps_nothing_it_returns(self):
+        """advance works in one fresh array: z stays bit-identical, and the
+        result shares no memory with z, the kept factors or the previous
+        step's result, which keeps its values."""
+        op = assemble_operator(_config())
+        z = np.cos(np.arange(op.n) * 0.01)
+        before = z.copy()
+        first = op.advance(z, 1.0 / 512)
+        kept = first.copy()
+        second = op.advance(first, 1.0 / 512, 1.0)
+        solve_ii, *kept_system = op._last[1]
+        kept_system += [cell.cell_contents for cell in solve_ii.__closure__]
+        arrays = [a for a in kept_system if isinstance(a, np.ndarray)]
+        assert len(arrays) == 4     # Z, c0, H and the Cholesky factor
+        np.testing.assert_array_equal(z, before)
+        np.testing.assert_array_equal(first, kept)
+        for out, other in [(first, z), (second, z), (second, first)]:
+            assert not np.shares_memory(out, other)
+        for out in (first, second):
+            assert not any(np.shares_memory(out, a) for a in arrays)
+
+    @pytest.mark.parametrize("order", ["1d", "F", "C"])
+    def test_factor_solves_in_place(self, order):
+        """_factor's solve of a random symmetric positive definite band
+        matrix, given in lower band storage, matches a dense solve with an
+        eps-sized backward error and writes the solution into its argument,
+        also where f2py has to copy it (a C-ordered block)."""
+        rng = np.random.default_rng(7)
+        m, kd = 40, 3
+        ab = rng.uniform(-1.0, 1.0, (kd + 1, m))
+        for d in range(1, kd + 1):
+            ab[d, m - d:] = 0.0
+        A = np.zeros((m, m))
+        for d in range(kd + 1):
+            A[np.arange(d, m), np.arange(m - d)] = ab[d, :m - d]
+            A[np.arange(m - d), np.arange(d, m)] = ab[d, :m - d]
+        ab[0] = A[np.arange(m), np.arange(m)] = 2.0 * np.abs(A).sum(axis=1)
+        b = rng.standard_normal((m,) if order == "1d" else (m, 3))
+        if order != "1d":
+            b = np.asarray(b, order=order)
+        x = b.copy(order="K")
+        assert oracle._factor(np.asfortranarray(ab))(x) is x
+        np.testing.assert_allclose(x, np.linalg.solve(A, b), rtol=0, atol=1e-14 * np.abs(x).max())
+        residual = np.abs(A @ x - b).max()
+        assert residual <= 4 * np.finfo(float).eps * (np.abs(A).sum(axis=1).max()
+                                                         * np.abs(x).max() + np.abs(b).max())
+
     def test_time_step_order(self):
         """Richardson order: p ~ 1 for a backward-Euler step on a smooth
         continuation, p ~ 2 for a whole solve (ramp plus BDF2 plateau).
 
-        With errors C dt^p the ratio |y_16 - y_64| / |y_32 - y_64| tends
-        to (4^p - 1)/(2^p - 1): 3 at first order, 5 at second.
+        With errors C dt^p the ratio |y_dt - y_dt/4| / |y_dt/2 - y_dt/4|
+        tends to (4^p - 1)/(2^p - 1): 3 at first order, 5 at second.  The
+        whole solves start at dt = t_final / LATTICE_STEPS, the largest
+        plateau step a solve takes.
         """
-        def ratio(sols):
-            e1 = np.max(np.abs(sols[16] - sols[64]))
-            e2 = np.max(np.abs(sols[32] - sols[64]))
-            return e1 / e2
+        def ratio(coarse, mid, fine):
+            return np.max(np.abs(coarse - fine)) / np.max(np.abs(mid - fine))
 
         grid = Grid(L=8.0, nx=257)
         base = solve(_config(grid=grid, dt=1.0 / 128, t_final=0.5))[-1]
         op = assemble_operator(_config(grid=grid))
-        backward = {}
+        backward = []
         for nsteps in (16, 32, 64):
             y = base.heights.copy()
             for _ in range(nsteps):
                 y = op.advance(y, 0.5 / nsteps)
-            backward[nsteps] = y
-        assert ratio(backward) == pytest.approx(3.0, abs=0.7)
+            backward.append(y)
+        assert ratio(*backward) == pytest.approx(3.0, abs=0.7)
 
-        marched = {nsteps: solve(_config(grid=grid, dt=1.0 / nsteps))[-1].heights
-                   for nsteps in (16, 32, 64)}
-        assert ratio(marched) == pytest.approx(5.0, abs=1.5)
+        marched = [solve(_config(grid=grid, dt=1.0 / nsteps))[-1].heights
+                   for nsteps in (LATTICE_STEPS, 2 * LATTICE_STEPS, 4 * LATTICE_STEPS)]
+        assert ratio(*marched) == pytest.approx(5.0, abs=1.5)
 
 
 class TestSolve:
@@ -415,6 +463,17 @@ class TestTimeGrid:
             err = np.max(np.abs(solve(cfg)[-1].heights - ref))
             assert err <= 5e-4 * abs(ref[0]), alpha_hat
 
+    def test_short_solve_takes_full_plateau_steps(self):
+        """A solve to t_final 1e-2 at dt 1/64 caps its plateau step at
+        t_final / LATTICE_STEPS, so it ends on full BDF2 steps and sits within
+        1e-3 of depth of the Laplace-Talbot solution on the same box (a cap
+        of t_final/4 missed by 2e-2)."""
+        for alpha_hat in (0.05, AH_FIG, 0.56):
+            cfg = _config(dt=1.0 / 64, t_final=1e-2, alpha_hat=alpha_hat)
+            ref = exact_profile(cfg.grid.nodes, cfg.t_final, cfg.m, alpha_hat, L=cfg.grid.L)
+            err = np.max(np.abs(solve(cfg)[-1].heights - ref))
+            assert err <= 1e-3 * abs(ref[0]), alpha_hat
+
     def test_plateau_on_the_dt_lattice(self):
         """The ramp's steps end at (4 - 2^(2 - RAMP_STAGES)) dt, just short of
         4 dt; the plateau is 5 dt .. 64 dt."""
@@ -431,7 +490,7 @@ class TestTimeGrid:
         every BDF2 step ratio below 1 + sqrt(2), where variable-step BDF2 is
         zero-stable: solve takes every post-ramp step as BDF2."""
         steps = time_steps(_schedule_config(dt, t_final))
-        plateau = min(dt, t_final / (2 * RAMP_STEPS))
+        plateau = min(dt, t_final / LATTICE_STEPS)
         ramp = RAMP_STAGES * RAMP_STEPS
         assert steps[:ramp] == [plateau / 2.0 ** (RAMP_STAGES - 1 - k // RAMP_STEPS)
                                 for k in range(ramp)]
