@@ -34,7 +34,15 @@ from .material import (
     mullins_coefficient,
     nondimensionalize,
 )
-from .oracle import ConfigError, DivergenceError, Grid, SolverConfig, mass, solve
+from .oracle import (
+    LATTICE_STEPS,
+    ConfigError,
+    DivergenceError,
+    Grid,
+    SolverConfig,
+    mass,
+    solve,
+)
 from .outer import MAX_ORDER, U_CLAMP, mullins_shape
 from .specfun import GammaPoleError, SeriesError
 
@@ -334,7 +342,8 @@ def _solver_config(cfg: RunConfig, params: ModelParams) -> SolverConfig:
     """Solver grid and plateau step: the `solver` block may set `nx` and `dt`.
 
     The default grid is the coarsest that resolves the wall layer
-    (dx <= sqrt(alpha_hat)/4), and never coarser than 513 nodes.
+    (dx <= sqrt(alpha_hat)/4), and never coarser than 513 nodes.  A dt above
+    the plateau step cap is refused.
     """
     s = dict(cfg.solver)
     nx = s.pop("nx", None)
@@ -343,6 +352,11 @@ def _solver_config(cfg: RunConfig, params: ModelParams) -> SolverConfig:
         raise CliConfigError(f"unknown solver options: {sorted(s)}")
     _require_numbers("solver.nx", [] if nx is None else [nx], integral=True)
     _require_numbers("solver.dt", [dt])
+    # the solve runs to t_final = 1, where the solver would march a larger
+    # plateau step at 1 / LATTICE_STEPS without a word
+    if 1.0 / LATTICE_STEPS < dt < math.inf:
+        raise CliConfigError(f"solver.dt must be at most 1/{LATTICE_STEPS}, the solver's "
+                             f"plateau step cap (oracle.LATTICE_STEPS), got {dt!r}")
     ah = params.alpha_hat
     if nx is None:
         nx = max(513, math.ceil(_SOLVER_L / (math.sqrt(ah) / 4.0)) + 1) if ah > 0 else 513

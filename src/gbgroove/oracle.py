@@ -15,11 +15,11 @@ which is the discrete shadow of matter conservation.
 
 The interior operator is kept as its one stencil, alpha_hat*D6 - D4, and
 applied by correlation.  The equation is linear with constant
-coefficients, so the backward-Euler matrix of a step h is C + h K + W/h:
-three coefficient arrays assembled once in one row-band layout (row i,
-offset j - i), with the bandwidths read off the rows.  The interior rows
-and columns of a system, I - h (alpha_hat D6 - D4), are a section of a
-symmetric Toeplitz band whose symbol is at least 1, so that block is
+coefficients, so the backward-Euler system of a step h is that stencil
+plus one edge block: interior rows I - h (alpha_hat D6 - D4), and the few
+wall and far-field rows C_E + W_E/h, assembled once, with the bandwidths
+read off them.  The interior rows and columns of a system are a section of
+a symmetric Toeplitz band whose symbol is at least 1, so that block is
 symmetric positive definite: LAPACK's banded Cholesky (dpbtrf, lower
 storage) factors it without pivoting, and the factor is kept transposed, in
 upper band storage, where the solve's sweeps are faster.  The few wall and
@@ -195,7 +195,9 @@ class SolverConfig:
     """Everything one marching run needs (nondimensional throughout)."""
 
     grid: Grid
-    dt: float                       # plateau time step; early steps ramp up to it
+    # plateau time step, capped at t_final / LATTICE_STEPS; early steps ramp up
+    # to it.  Each step length is one system: the stencil plus one edge block
+    dt: float
     t_final: float
     alpha_hat: float
     m: float
@@ -246,26 +248,26 @@ class Profile:
 
 
 class GrooveOperator:
-    """Interior stencil plus wall/far rows for one configuration.
+    """Interior stencil plus one edge block for one configuration.
 
     The interior operator is one stencil, ``alpha_hat*D6 - D4`` (``-D4``
     when alpha_hat = 0), on rows interior_lo..interior_hi: ``apply`` is a
-    correlation of the heights with it.  Every other row is a wall or
-    far-field condition (`bc_rows`) or a mass-balance row (`balance_rows`).
-    The equation is linear with constant coefficients, so the backward-Euler
-    system for a step h is affine in h and 1/h: ``C + h K + W/h``, with
-    interior rows I - h*stencil, constant condition rows and balance rows
-    W/h + S.  The three coefficient arrays share one row-band layout, row i
-    and offset j - i from -kl to ku: the interior rows are one broadcast of
-    the stencil and the boundary rows are written into their slots.  A
-    system's interior block, A_II on rows and columns interior_lo ..
-    interior_hi, is symmetric positive definite and factored by `_factor`
-    (a lower banded Cholesky factor, kept in upper storage for the sweeps).
-    Its 2 interior_lo edge rows, each scaled by its largest entry, are
-    solved through their Schur complement, which leaves one edge matrix H
-    acting on one gather of the edge and near-edge nodes.  `advance` solves
-    the interior in place in a copy of its input, gathers once, and corrects
-    the interior in place.  The last system and its factors are kept.
+    correlation of the heights with it.  The equation is linear with
+    constant coefficients, so the backward-Euler system for a step h is the
+    stencil, as interior rows I - h*stencil, plus one edge block: the 2
+    interior_lo rows ``C_E + W_E/h = bc`` of the grid rows `_edge`, built
+    once.  They are the wall and far-field conditions (constant rows) and
+    the two mass-balance rows (trapezoid weights W_E/h plus the telescoped
+    flux S), kept on the columns they reach (`_edge_C`, `_edge_W`), and the
+    bandwidths kl and ku are read off them.  A system's interior block, A_II
+    on rows and columns interior_lo .. interior_hi, is symmetric positive
+    definite and factored by `_factor` (a lower banded Cholesky factor, kept
+    in upper storage for the sweeps).  Its edge rows, each scaled by its
+    largest entry, are solved through their Schur complement, which leaves
+    one edge matrix H acting on one gather of the edge and near-edge nodes.
+    `advance` solves the interior in place in a copy of its input, gathers
+    once, and corrects the interior in place.  The last system and its
+    factors are kept.
     """
 
     def __init__(self, config: SolverConfig):
@@ -285,98 +287,72 @@ class GrooveOperator:
             stencil = -d4
         self.stencil = stencil
 
-        w1 = _one_sided(1, dx)
-        slope = np.zeros(n)
-        slope[:len(w1)] += w1
-        far0 = np.zeros(n); far0[n - 1] = 1.0
-        rows = {0: slope, n - 1: far0}
-        # the sixth-order problem adds zero wall curvature and zero far slope;
+        # the edge block: row r of C_E + W_E/h = bc[r] is grid row _edge[r].
+        # The sixth-order problem adds zero wall curvature and zero far slope;
         # at alpha_hat = 0 the balance rows take rows 1 and n - 2 instead
+        k = 2 * lo
+        self._edge = np.r_[0:lo, hi + 1:n]
+        C_E, W_E = np.zeros((2, k, n))
+        self.bc = np.r_[config.m / 2.0, np.zeros(k - 1)]
+        w1 = _one_sided(1, dx)
+        # wall slope-bending: y_x - alpha_hat y_xxx = m/2, the first entry of bc
+        C_E[0, :len(w1)] = w1
         if ah > 0:
             w3 = _one_sided(3, dx)
-            slope[:len(w3)] -= ah * w3
+            C_E[0, :len(w3)] -= ah * w3
             w2 = _one_sided(2, dx)
-            curv = np.zeros(n); curv[:len(w2)] = w2
-            far1 = np.zeros(n); far1[n - len(w1):] = -w1[::-1]
-            rows[1] = curv
-            rows[n - 2] = far1
-        self.bc_rows = rows
-        self.bc_rhs = np.zeros(n)
-        self.bc_rhs[0] = config.m / 2.0
-        # wall / far mass-balance rows take the place of the flux rows:
-        # row -> (trapezoid weights of the edge nodes, telescoped flux, that
-        # is dx times the sum of the first / last eight interior rows)
+            # wall curvature: y_xx = 0
+            C_E[1, :len(w2)] = w2
+            # far slope: y_x = 0
+            C_E[k - 2, n - len(w1):] = -w1[::-1]
+        # far value: y = 0
+        C_E[k - 1, n - 1] = 1.0
+        # mass-balance rows take the place of the flux rows: the edge nodes'
+        # trapezoid weights over h (W_E) plus the telescoped flux S, dx times
+        # the sum of the first / last eight interior rows
         w = dx * stencil
-        SL = np.zeros(n)
-        for i in range(lo, lo + 8):
-            SL[i - lo:i + lo + 1] += w
-        SL[lo + 3:] = 0.0
-        SR = np.zeros(n)
-        for i in range(hi - 7, hi + 1):
-            SR[i - lo:i + lo + 1] += w
-        SR[:hi - 2] = 0.0
-        WL = np.zeros(n)
-        WL[0] = dx / 2.0
-        WL[1:lo] = dx
-        WR = np.zeros(n)
-        WR[n - 1] = dx / 2.0
-        WR[hi + 1:n - 1] = dx
-        self.balance_rows = {lo - 1: (WL, SL), n - lo: (WR, SR)}
-        assert not rows.keys() & self.balance_rows.keys(), "boundary rows overlap"
+        for i in range(8):
+            # wall balance, grid row lo - 1
+            C_E[lo - 1, i:i + k + 1] += w
+            # far balance, grid row n - lo
+            C_E[lo, hi - 7 + i - lo:hi - 6 + i + lo] += w
+        C_E[lo - 1, lo + 3:] = C_E[lo, :hi - 2] = 0.0
+        W_E[lo - 1, :lo] = W_E[lo, hi + 1:] = dx
+        W_E[lo - 1, 0] = W_E[lo, n - 1] = dx / 2.0
+        # kl and ku: the farthest any edge row reaches below and above
+        r, j = np.nonzero((C_E != 0) | (W_E != 0))
+        kl = self.kl = max(lo, int(np.max(self._edge[r] - j)))
+        ku = self.ku = max(lo, int(np.max(j - self._edge[r])))
 
-        # C, K, W in one row-band layout: row i, offset j - i + kl, with kl
-        # and ku the farthest any boundary row reaches below and above
-        edge = [*range(lo), *range(hi + 1, n)]
-        coeffs = {i: self.balance_rows.get(i, (np.zeros(n), rows.get(i))) for i in edge}
-        reach = np.concatenate([np.flatnonzero((Wi != 0) | (Ci != 0)) - i
-                                for i, (Wi, Ci) in coeffs.items()])
-        kl = self.kl = max(lo, -int(reach.min()))
-        ku = self.ku = max(lo, int(reach.max()))
-        self._C, self._K, self._W = (np.zeros((n, kl + ku + 1)) for _ in range(3))
-        self._C[lo:hi + 1, kl] = 1.0
-        self._K[lo:hi + 1, kl - lo:kl + lo + 1] = -stencil
-        for i, (Wi, Ci) in coeffs.items():
-            j = np.arange(max(0, i - kl), min(n, i + ku + 1))
-            self._C[i, j - i + kl] = Ci[j]
-            self._W[i, j - i + kl] = Wi[j]
-        # the factorization reads the band.  Interior rows lo..hi hold one
-        # symmetric Toeplitz block, A_II, whose lower band storage is row
-        # lo's diagonal and the lo entries right of it.  The edge unknowns
-        # enter as u = T^-1 x[edge]: at each end the value at the node
-        # nearest the interior and its differences outward.  A smooth x has
-        # small differences, so x[interior] = y - A_II^-1 A_IE T u does not
-        # cancel the large, nearly parallel columns that single edge nodes
-        # would give.  A_IE T at the wall is h times K's lo x lo wall corner
-        # times T's wall block (kept here, zero below the corner); at the far
-        # end it is the same, mirrored.
+        # Interior rows lo..hi hold one symmetric Toeplitz block, A_II =
+        # I - h stencil, whose lower band storage is the stencil's centre and
+        # the lo entries right of it.  The edge unknowns enter as u = T^-1
+        # x[edge]: at each end the value at the node nearest the interior and
+        # its differences outward.  A smooth x has small differences, so
+        # x[interior] = y - A_II^-1 A_IE T u does not cancel the large, nearly
+        # parallel columns that single edge nodes would give.  A_IE T at the
+        # wall is -h times the stencil's lo x lo wall corner times T's wall
+        # block (kept here, zero below the corner); at the far end it is the
+        # same, mirrored.
         m = hi - lo + 1
         T_wall = np.array([[(-1) ** c * math.comb(lo - 1 - i, c) for c in range(lo)]
                            for i in range(lo)])
-        self._T = np.zeros((2 * lo, 2 * lo))
+        self._T = np.zeros((k, k))
         self._T[:lo, :lo] = T_wall
         self._T[lo:, lo:] = T_wall[::-1]
         corner = np.zeros((lo, lo))
         for p in range(lo):             # row lo + p, columns p..lo-1
-            corner[p, p:] = self._K[lo + p, kl - lo:kl - p]
+            corner[p, p:] = -stencil[:lo - p]
         self._corner = np.zeros((m, lo), order="F")
         self._corner[:lo] = corner @ T_wall
         # the edge rows reach the first ku and the last kl interior nodes
-        # (_near).  C and W on those rows, over the columns [edge, near],
-        # are A_EE | A_EI (K is zero there).  W's columns are edge columns:
-        # its W @ z / h is, with the conditions' values, the right-hand side
-        self._edge = np.array(edge)
+        # (_near): on the columns [edge, near], C_E + W_E/h is A_EE | A_EI.
+        # W_E has edge columns only; W_E @ z / h is, with bc, the right-hand side
         self._near = np.r_[0:ku, m - kl:m]
         self._gather = np.r_[self._edge, lo + self._near]
-        to = np.full(n, -1)
-        to[self._gather] = np.arange(len(edge) + kl + ku)
-        j = self._edge[:, None] + np.arange(kl + ku + 1) - kl     # each slot's column
-        inside = (j >= 0) & (j < n)
-        at = (np.nonzero(inside)[0], to[j[inside]])
-        assert (at[1] >= 0).all(), "an edge row reaches past _near"
-        self._edge_C, self._edge_W = np.zeros((2, len(edge), len(edge) + kl + ku))
-        self._edge_C[at] = self._C[self._edge][inside]
-        self._edge_W[at] = self._W[self._edge][inside]
-        self._edge_bc = self.bc_rhs[self._edge][:, None]
+        assert np.isin(j, self._gather).all(), "an edge row reaches past _near"
+        self._edge_C = C_E[:, self._gather]
+        self._edge_W = W_E[:, self._gather]
         self._last = (None, None)
 
     def apply(self, y: np.ndarray) -> np.ndarray:
@@ -385,21 +361,19 @@ class GrooveOperator:
         out[self.interior_lo:self.interior_hi + 1] = np.correlate(y, self.stencil, "valid")
         return out
 
-    def _band(self, h: float, rows=slice(None)) -> np.ndarray:
-        """Rows of C + h K + W/h in the row-band layout."""
-        return self._C[rows] + h * self._K[rows] + self._W[rows] / h
-
     def _system_for_dt(self, h: float):
-        """Factors of C + h K + W/h: the in-place Cholesky solve of A_II,
-        Z = A_II^-1 A_IE T (Fortran order) and the edge map u = c0 + H @
-        x[_gather], where x holds z on the edge nodes and A_II^-1 z on the
-        interior ones.  c0 and H come from the edge rows' Schur complement
-        A_EE T - A_EI Z, row-scaled and solved once here."""
+        """Factors of the step system of length h, the stencil plus the edge
+        block: the in-place Cholesky solve of A_II = I - h stencil, Z = A_II^-1
+        A_IE T (Fortran order) and the edge map u = c0 + H @ x[_gather], where
+        x holds z on the edge nodes and A_II^-1 z on the interior ones.  c0
+        and H come from the edge rows' Schur complement A_EE T - A_EI Z,
+        row-scaled and solved once here."""
         key, system = self._last
         if key == h:
             return system
-        lo, kl, k = self.interior_lo, self.kl, len(self._edge)
-        col = self._band(h, lo)[kl:kl + lo + 1]
+        lo, k = self.interior_lo, len(self._edge)
+        col = -h * self.stencil[lo:]
+        col[0] += 1.0
         solve_ii = _factor(np.repeat(col[None, :], self.n - 2 * lo, axis=0).T)
         wall = solve_ii(h * self._corner)
         # A_II is persymmetric and A_IE T's far block mirrors its wall block
@@ -408,7 +382,7 @@ class GrooveOperator:
         scale = np.maximum(np.abs(rows).max(axis=1, keepdims=True), 1e-300)
         schur = (rows[:, :k] @ self._T - rows[:, k:] @ Z[self._near]) / scale
         # right-hand sides: the conditions' values, W_EE / h and -A_EI
-        rhs = np.hstack([self._edge_bc, self._edge_W[:, :k] / h, -rows[:, k:]]) / scale
+        rhs = np.hstack([self.bc[:, None], self._edge_W[:, :k] / h, -rows[:, k:]]) / scale
         from scipy.linalg.blas import dgemv
         from scipy.linalg.lapack import dgesv
         _, _, X, info = dgesv(schur, rhs)
@@ -451,7 +425,8 @@ class GrooveOperator:
 
 
 def assemble_operator(config: SolverConfig) -> GrooveOperator:
-    """Build the banded operator and boundary rows for a configuration."""
+    """Build a configuration's operator: the interior stencil plus one edge
+    block."""
     return GrooveOperator(config)
 
 

@@ -399,6 +399,8 @@ _BAD_DOCUMENTS = {
     "solver-nx-string": {**_FIG4, "mode": "oracle", "solver": {"nx": "abc"}},
     "solver-dt-tiny": {**_FIG4, "mode": "oracle", "solver": {"dt": 1e-9}},
     "solver-dt-inf": {**_FIG4, "mode": "oracle", "solver": {"dt": float("inf")}},
+    # the solve runs to t_final = 1, and the plateau step is capped at 1/32
+    "solver-dt-past-plateau-cap": {**_FIG4, "mode": "oracle", "solver": {"dt": 1 / 16}},
     **{f"solver-{key}": {**_FIG4, "mode": "oracle", "solver": {key: value}}
        for key, value in (("L", 8.0), ("theta", 1.0), ("snapshot_times", [0.5]),
                           ("bc_order", 3), ("flux_form", "balance"))},
@@ -592,12 +594,12 @@ _SOLVER_MODEL = st.one_of(
     st.tuples(st.just(1.0), st.sampled_from([0.0, 3e-16, 9.7e-16]), st.just(0.209),
               st.sampled_from([3e-30, 1e-29])),
     st.tuples(_MODEL_NUMBER, _MODEL_NUMBER, _MODEL_NUMBER, _MODEL_NUMBER))
-# solver block entries: absent, sound, past a cap, and wrong-typed; a sound
-# block keeps a solve under about 0.1 s
+# solver block entries: absent, sound (dt 1/32 at the plateau step cap), past
+# a cap, and wrong-typed; a sound block keeps a solve under about 0.1 s
 _ABSENT = object()
 _SOLVER_NX = st.sampled_from([_ABSENT, 63, 64, 129, 2050, 1.5, "513", True])
-_SOLVER_DT = st.sampled_from([_ABSENT, 1 / 16, 1, 0, -1, float("nan"), float("inf"),
-                              0.5 / 65536, "x", True])
+_SOLVER_DT = st.sampled_from([_ABSENT, 1 / 16, 1 / 32, 1, 0, -1, float("nan"),
+                              float("inf"), 0.5 / 65536, "x", True])
 
 
 @given(mode=st.sampled_from(["oracle", "compare"]), model=_SOLVER_MODEL,

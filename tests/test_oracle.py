@@ -129,7 +129,7 @@ class TestOperator:
         """The bandwidths are read off the rows: tight, and within 9."""
         for alpha_hat, kl, ku in ((0.0, 2, 3), (AH_FIG, 3, 5)):
             op = assemble_operator(_config(alpha_hat=alpha_hat))
-            rows, cols = _band_to_dense(op._band(1.0 / 512), op.kl).nonzero()
+            rows, cols = _operator_dense(op, 1.0 / 512).nonzero()
             assert (op.kl, op.ku) == (kl, ku)
             assert (np.max(rows - cols), np.max(cols - rows)) == (kl, ku)
             assert max(kl, ku) <= 9
@@ -146,7 +146,7 @@ class TestStep:
         cfg = _config()
         op = assemble_operator(cfg)
         y = op.advance(np.zeros(513), 1e-5)
-        row = op.bc_rows[0]
+        row = _operator_dense(op, 1e-5)[0]
         assert float(row @ y) == pytest.approx(cfg.m / 2, rel=1e-9)
 
     def test_unpassivated_wall_slope(self):
@@ -522,17 +522,16 @@ class TestTimeGrid:
         assert len(runs) == len(set(runs)) == len(calls) == len(set(pairs))
 
 
-def _band_to_dense(band, kl):
-    """The matrix a row-band array holds: band[i, d] is A[i, i + d - kl].
-    Raises if an entry that lies outside the matrix is not zero."""
-    n = len(band)
-    A = np.zeros((n, n))
-    for d in range(band.shape[1]):
-        i = np.arange(n)
-        j = i + d - kl
-        inside = (j >= 0) & (j < n)
-        assert np.all(band[~inside, d] == 0.0)
-        A[i[inside], j[inside]] = band[inside, d]
+def _operator_dense(op, h):
+    """The step system of length h that op holds, as a dense matrix: I - h
+    stencil on the interior rows, and the edge block _edge_C + _edge_W / h
+    on the rows _edge and the columns _gather."""
+    lo = op.interior_lo
+    A = np.zeros((op.n, op.n))
+    for i in range(lo, op.interior_hi + 1):
+        A[i, i - lo:i + lo + 1] = -h * op.stencil
+        A[i, i] += 1.0
+    A[np.ix_(op._edge, op._gather)] = op._edge_C + op._edge_W / h
     return A
 
 
@@ -598,7 +597,7 @@ class TestSystemAssembly:
         cfg = _config(grid=Grid(L=8.0, nx=64), alpha_hat=alpha_hat)
         op = assemble_operator(cfg)
         for dt in (1e-3, 1.0 / 512, 3e-9):
-            got = _row_scaled(_band_to_dense(op._band(dt), op.kl))
+            got = _row_scaled(_operator_dense(op, dt))
             ref = _row_scaled(_dense_system(cfg, dt))
             np.testing.assert_array_equal(got != 0, ref != 0)
             np.testing.assert_allclose(got, ref, rtol=1e-15, atol=0)
@@ -617,9 +616,7 @@ class TestSystemAssembly:
             # the right-hand side advance solves for: z on the interior rows,
             # the conditions' values and the balance rows' W @ z / dt
             b = z.copy()
-            b[edge] = op.bc_rhs[edge]
-            for i, (W, _) in op.balance_rows.items():
-                b[i] += W @ z / dt
+            b[edge] = op.bc + op._edge_W @ z[op._gather] / dt
             M = _dense_system(cfg, dt)
             scale = np.abs(M).max(axis=1)
             M, b = M / scale[:, None], b / scale
@@ -646,10 +643,13 @@ class TestSystemAssembly:
 
     @pytest.mark.parametrize("alpha_hat", [0.0, 0.307])
     def test_every_row_has_one_role(self, alpha_hat):
-        """Interior, wall/far and balance rows partition the system."""
+        """Interior, wall/far and balance rows partition the system: the
+        balance rows are the edge rows with a nonzero W."""
         op = assemble_operator(_config(alpha_hat=alpha_hat))
         interior = set(range(op.interior_lo, op.interior_hi + 1))
-        bc, bal = set(op.bc_rows), set(op.balance_rows)
+        is_bal = op._edge_W.any(axis=1)
+        bc, bal = set(op._edge[~is_bal].tolist()), set(op._edge[is_bal].tolist())
+        assert len(bc) + len(bal) == len(op._edge)
         assert not bc & bal and not bc & interior and not bal & interior
         assert bc | bal | interior == set(range(op.n))
         assert bal == {op.interior_lo - 1, op.n - op.interior_lo}
