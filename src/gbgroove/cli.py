@@ -225,13 +225,9 @@ def _reducer(model: dict | None, physical: dict | None):
 
     def reduced(bt: float) -> ModelParams:
         try:
-            params = reduce(bt)
+            return reduce(bt)
         except bad as exc:
             raise CliConfigError(f"bad {block} block: {exc}")
-        if not all(map(math.isfinite, (params.alpha, params.m, params.L0,
-                                       params.alpha_hat))):
-            raise CliConfigError(f"{block} block gives non-finite parameters: {params}")
-        return params
 
     return reduced
 
@@ -261,8 +257,8 @@ def _fmt(v: float) -> str:
 
 def _write_table(cfg: RunConfig, columns: list[str], table: np.ndarray,
                  notes: list[str], gaps: list[float] = ()) -> str:
-    """Render (and write) the 2-D float table; `gaps` are the sup gaps the
-    notes report.
+    """Render the 2-D float table as the run's text; `gaps` are the sup
+    gaps the notes report.
 
     A non-finite table value or gap is a numerical failure, not an output.
     Every cell is `%.16e` text from one format call over the whole table.
@@ -276,18 +272,14 @@ def _write_table(cfg: RunConfig, columns: list[str], table: np.ndarray,
         lines = ["# gbgroove output", f"# config: {header_cfg}"]
         lines += [f"# {n}" for n in notes]
         lines.append("# columns: " + ",".join(columns))
-        text = "\n".join(lines) + "\n" + body
-    else:
-        doc = {
-            "config": json.loads(header_cfg),
-            "notes": notes,
-            "columns": columns,
-            "rows": [line.split(",") for line in body.splitlines()],
-        }
-        text = json.dumps(doc, sort_keys=True, indent=1) + "\n"
-    if cfg.out:
-        Path(cfg.out).write_text(text)
-    return text
+        return "\n".join(lines) + "\n" + body
+    doc = {
+        "config": json.loads(header_cfg),
+        "notes": notes,
+        "columns": columns,
+        "rows": [line.split(",") for line in body.splitlines()],
+    }
+    return json.dumps(doc, sort_keys=True, indent=1) + "\n"
 
 
 # ---- modes -----------------------------------------------------------------
@@ -305,10 +297,7 @@ def _mode_params(cfg: RunConfig) -> str:
         f"L0_m = {_fmt(params.L0)} (at Bt = {_fmt(bt)} m^4)",
         f"alpha_hat = {_fmt(params.alpha_hat)}",
     ]
-    text = "\n".join(lines) + "\n"
-    if cfg.out:
-        Path(cfg.out).write_text(text)
-    return text
+    return "\n".join(lines) + "\n"
 
 
 def _profile_table(cfg: RunConfig, with_oracle: bool):
@@ -473,7 +462,10 @@ def run(cfg: RunConfig) -> str:
     # an overflowing or NaN value fails the output check (exit 3): numpy
     # need not warn about it first
     with np.errstate(over="ignore", invalid="ignore"):
-        return _MODE_TABLE[cfg.mode][0](cfg)
+        text = _MODE_TABLE[cfg.mode][0](cfg)
+    if cfg.out:
+        Path(cfg.out).write_text(text)
+    return text
 
 
 # ---- entry point -----------------------------------------------------------

@@ -151,12 +151,11 @@ def corner_fundamental_v(i, w, r: float, order: int = 0):
     sequence is summed in one engine pass."""
     if np.any(np.less(w, 0)):
         raise ValueError(f"w must be non-negative, got {np.min(w)}")
-    if np.ndim(i) == 0:
-        nums, dens = _v_params(i, r)
-        return hyp_series(nums, dens, _W6_SCALE, i - 1, 6, w, order).value
-    params = [_v_params(k, r) for k in i]
-    return hyp_series([nums for nums, _ in params], [dens for _, dens in params],
-                      _W6_SCALE, [k - 1 for k in i], 6, w, order).value
+    ks = np.atleast_1d(i).tolist()
+    params = [_v_params(k, r) for k in ks]
+    v = hyp_series([nums for nums, _ in params], [dens for _, dens in params],
+                   _W6_SCALE, [k - 1 for k in ks], 6, w, order).value
+    return v if np.ndim(i) else v[0]
 
 
 def corner_weights(r: float) -> np.ndarray:

@@ -9,6 +9,7 @@ product Bt (m^4), so ModelParams does not hold it.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -77,14 +78,12 @@ class ModelParams:
     alpha_hat: float  # alpha / L0^2
 
     def __post_init__(self):
-        if self.alpha < 0:
-            raise ValueError(f"alpha must be non-negative, got {self.alpha}")
-        if not self.L0 > 0:
-            raise ValueError(f"L0 must be positive, got {self.L0}")
-        if self.alpha_hat < 0:
-            raise ValueError("alpha_hat must be non-negative")
-        if not 0 <= self.m:
-            raise ValueError(f"m must be non-negative, got {self.m}")
+        for name in ("alpha", "m", "alpha_hat"):
+            v = getattr(self, name)
+            if not 0 <= v < math.inf:
+                raise ValueError(f"{name} must be non-negative and finite, got {v}")
+        if not 0 < self.L0 < math.inf:
+            raise ValueError(f"L0 must be positive and finite, got {self.L0}")
 
 
 def _warn_if_steep(m: float) -> None:
@@ -123,8 +122,6 @@ def _reduce(alpha: float, bt: float, m: float) -> ModelParams:
     """nondimensionalize without the slope warning."""
     if not bt > 0:
         raise ValueError("Bt must be positive")
-    if alpha < 0:
-        raise ValueError("alpha must be non-negative")
     L0 = bt ** 0.25
     return ModelParams(alpha=alpha, m=m, L0=L0, alpha_hat=alpha / L0 ** 2)
 

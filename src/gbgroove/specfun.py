@@ -1,4 +1,4 @@
-"""Gamma, Pochhammer and generalized hypergeometric series.
+"""Gamma and generalized hypergeometric series.
 
 Everything here is plain float64 arithmetic with compensated (Neumaier)
 summation.  One series engine, `hyp_series`, sums over an array of points
@@ -6,9 +6,10 @@ at once and reports per point how many digits were lost to cancellation,
 so that downstream profile code can flag unreliable values instead of
 returning garbage.  It also takes a sequence of parameter rows (a
 sequence of powers, one parameter tuple per row), so every series of one
-evaluation at the same points is summed in a single term loop.
+evaluation at the same points is summed in a single term loop with one
+stopping rule; x = 0 and terminating series need no path of their own.
 `hyp_pFq`, `hyp_pFq_derivative` and `hyp_series_derivative` are its
-one-point, one-row faces.
+one-point, one-row faces: each is one plain call into it.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ __all__ = [
     "ln_gamma",
     "gamma",
     "reciprocal_gamma",
-    "pochhammer",
     "compensated_sum",
     "cancel_digits",
     "hyp_series",
@@ -79,12 +79,6 @@ class HypArgs:
                     f"denominator parameter {b} is zero or a negative integer")
         if len(self.numerators) > len(self.denominators):
             raise ValueError("need p <= q for an entire series")
-
-    def shifted(self, k: int) -> "HypArgs":
-        """Args with every parameter shifted by k (series derivative identity)."""
-        return HypArgs(tuple(a + k for a in self.numerators),
-                       tuple(b + k for b in self.denominators),
-                       self.argument)
 
 
 @dataclass(frozen=True)
@@ -136,16 +130,6 @@ def reciprocal_gamma(x: float) -> float:
         return 0.0
     val, sign = ln_gamma(x)
     return sign * math.exp(-val)
-
-
-def pochhammer(lam: float, k: int) -> float:
-    """Rising factorial (lam)_k = lam (lam+1) ... (lam+k-1); (lam)_0 = 1."""
-    if k < 0:
-        raise ValueError("pochhammer needs k >= 0")
-    out = 1.0
-    for i in range(int(k)):
-        out *= lam + i
-    return out
 
 
 def _neumaier_add(s, c, x):
@@ -201,16 +185,6 @@ def up_to(limit: float, x, fn):
     return out.reshape(lead + x.shape) if x.ndim else out[..., 0].tolist()
 
 
-def _terminating_at(numerators: tuple[float, ...]) -> int | None:
-    """Smallest k with (a)_k = 0 for a negative-integer numerator, else None."""
-    cut = None
-    for a in numerators:
-        if _is_nonpositive_integer(a):
-            k = int(-a) + 1
-            cut = k if cut is None else min(cut, k)
-    return cut
-
-
 def _series_result(shape, value, terms, max_term) -> SeriesResult:
     """SeriesResult from flat per-point arrays: floats for shape (), else arrays."""
     if not shape:
@@ -244,14 +218,18 @@ def hyp_series(numerators, denominators, scale: float, power, step: int,
     `numerators` and `denominators` hold one parameter tuple per row and
     every result field gains a leading row axis.  One term loop sums every
     (row, point) element, a one-row call included, and each element gets
-    exactly the arithmetic of a one-row call: rows may differ in their
-    first term, their value at x = 0 and whether they terminate.
+    exactly the arithmetic of a one-row call.
 
     The term coefficients depend on the row and k alone, so each is formed
     once per (row, k) as a Python float and applied to every point of the
-    row still summing.  An element stops at its own rule (three consecutive
-    terms below tol * |partial sum|); terminating series (negative-integer
-    numerator) are summed exactly.  Any non-finite term, or any element
+    row still summing.  Every element starts at the first term the
+    derivative keeps and follows one stopping rule: it is done when its
+    running term is exactly 0, which is then true of every later term (at
+    x = 0, past the end of a negative-integer numerator, or on underflow),
+    or after three consecutive terms below tol * |partial sum|.  Rows with
+    a negative-integer numerator are polynomials: the small-term count
+    skips them, so they are summed to their end.  `terms_used` is the
+    number of terms an element summed.  Any non-finite term, or any element
     still summing after TERM_BUDGET terms, raises SeriesError.
     """
     if order < 0:
@@ -270,7 +248,7 @@ def hyp_series(numerators, denominators, scale: float, power, step: int,
             if _is_nonpositive_integer(b):
                 raise GammaPoleError(f"denominator parameter {b} is zero or a negative integer")
     rows = range(len(power))
-    cuts = [_terminating_at(nums) for nums in numerators]
+    polynomial = [any(map(_is_nonpositive_integer, nums)) for nums in numerators]
 
     def ratio(i: int, k: int) -> float:
         """Ratio of row i's series coefficients k+1 and k."""
@@ -292,18 +270,8 @@ def hyp_series(numerators, denominators, scale: float, power, step: int,
     n = flat.size
     shape = xs.shape if one_row else (len(rows),) + xs.shape
     value, max_term = np.zeros(len(rows) * n), np.zeros(len(rows) * n)
-    terms = np.ones(len(rows) * n, dtype=np.int64)
-    zero = flat == 0.0
-    if zero.any():
-        for i in rows:
-            k_hit, rem = divmod(order - power[i], step)
-            if rem == 0 and k_hit >= 0 and (cuts[i] is None or k_hit < cuts[i]):
-                # at x = 0 only the monomial matching the derivative order survives
-                val = coefficient(i, k_hit) * math.factorial(order)
-                at = i * n + np.flatnonzero(zero)
-                value[at], max_term[at], terms[at] = val, abs(val), k_hit + 1
-    points = np.flatnonzero(~zero)
-    if not points.size:
+    terms = np.zeros(len(rows) * n, dtype=np.int64)
+    if not n:
         return _series_result(shape, value, terms, max_term)
 
     # first index whose monomial power reaches the derivative order, per row
@@ -311,26 +279,21 @@ def hyp_series(numerators, denominators, scale: float, power, step: int,
     # Carry coeff * x^(step k + power - order) as one quantity: the naked
     # power overflows long before the term itself does.  Powers are taken
     # per point in Python floats (libm), which numpy's power may not match.
-    xl = flat[points].tolist()
+    xl = flat.tolist()
     exponents = [step * k0[i] + power[i] - order for i in rows]
     powered = {e: np.array([v ** e for v in xl]) for e in set(exponents)}
     base = np.concatenate([coefficient(i, k0[i]) * powered[exponents[i]] for i in rows])
     xstep = np.tile([v ** step for v in xl], len(rows))
-    row = np.repeat(np.arange(len(rows)), points.size)
-    live = row * n + np.tile(points, len(rows))     # index into the flat results
+    row = np.repeat(np.arange(len(rows)), n)
+    live = np.arange(len(rows) * n)     # index into the flat results
     s, c, mx = np.zeros(live.size), np.zeros(live.size), np.zeros(live.size)
     small = np.zeros(live.size, dtype=np.int64)
 
-    def retire(done, j):
-        at = live[done]
-        value[at], max_term[at], terms[at] = (s + c)[done], mx[done], max(j, 1)
-
     j = 0       # terms summed so far: row i is at k = k0[i] + j
     while True:
-        ps = [step * (k0[i] + j) + power[i] for i in rows]
         falls = []      # falling factorials p (p-1) ... (p-order+1)
-        for p in ps:
-            fall = 1.0
+        for i in rows:
+            p, fall = step * (k0[i] + j) + power[i], 1.0
             for q in range(order):
                 fall *= p - q
             falls.append(fall)
@@ -345,27 +308,16 @@ def hyp_series(numerators, denominators, scale: float, power, step: int,
                 partial_sum=float(s[bad] + c[bad]))
         s, c = _neumaier_add(s, c, term)
         np.maximum(mx, aterm, out=mx)
-        # terminating rows are summed to their end, and a leading constant
-        # term is never small
-        checked = [cuts[i] is None and ps[i] > order for i in rows]
-        done = None
-        if any(checked):
-            tiny = aterm <= tol * np.maximum(np.abs(s + c), 1e-300)
-            if not all(checked):
-                tiny &= np.array(checked)[row]
-            small = np.where(tiny, small + 1, 0)
-            done = small >= 3
-            if done.any():
-                retire(done, j)
-            else:
-                done = None
+        tiny = aterm <= tol * np.maximum(np.abs(s + c), 1e-300)
+        if any(polynomial):     # summed to their end
+            tiny &= ~np.array(polynomial)[row]
+        small = np.where(tiny, small + 1, 0)
+        base *= _by_element([ratio(i, k0[i] + j) for i in rows], row) * xstep
         j += 1
-        ended = [i for i in rows if cuts[i] is not None and k0[i] + j >= cuts[i]]
-        if ended:
-            cut_done = np.isin(row, ended)
-            retire(cut_done, j)
-            done = cut_done if done is None else done | cut_done
-        if done is not None:
+        done = (base == 0.0) | (small >= 3)
+        if done.any():
+            at = live[done]
+            value[at], max_term[at], terms[at] = (s + c)[done], mx[done], j
             if done.all():
                 break
             keep = ~done
@@ -378,7 +330,6 @@ def hyp_series(numerators, denominators, scale: float, power, step: int,
                 raise SeriesError(
                     f"term-differentiated series did not converge within {TERM_BUDGET} terms",
                     terms_used=k0[row[first]] + j, partial_sum=float(s[first] + c[first]))
-        base *= _by_element([ratio(i, k0[i] + j - 1) for i in rows], row) * xstep
 
     return _series_result(shape, value, terms, max_term)
 
@@ -390,23 +341,12 @@ def hyp_pFq(args: HypArgs, tol: float = DEFAULT_TOL) -> SeriesResult:
 
 
 def hyp_pFq_derivative(args: HypArgs, order: int) -> SeriesResult:
-    """n-th derivative of pFq with respect to its argument.
-
-    Uses the parameter-shift identity
-        d^n/dz^n pFq(a; b; z) = [prod (a)_n / prod (b)_n] pFq(a+n; b+n; z),
-    equivalent to term-by-term differentiation of the series.
-    """
+    """n-th derivative of pFq with respect to its argument: the series engine
+    at x = z with scale 1, term-differentiated."""
     if not 1 <= order <= 6:
         raise ValueError("derivative order must be in [1, 6]")
-    pref = 1.0
-    for a in args.numerators:
-        pref *= pochhammer(a, order)
-    for b in args.denominators:
-        pref /= pochhammer(b, order)
-    inner = hyp_pFq(args.shifted(order))
-    return SeriesResult(value=pref * inner.value, terms_used=inner.terms_used,
-                        max_term_magnitude=abs(pref) * inner.max_term_magnitude,
-                        cancellation_digits=inner.cancellation_digits)
+    return hyp_series(args.numerators, args.denominators, 1.0, 0, 1, args.argument,
+                      order)
 
 
 def hyp_series_derivative(numerators, denominators, scale: float, power: int,

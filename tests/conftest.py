@@ -1,7 +1,8 @@
 """Shared fixtures and reference helpers for the test suite.
 
 Besides the fixtures, this holds the checks that only the tests call: the
-exact-rational series (`rational_pfq`), the quadrature and ODE-residual
+exact-rational series (`rational_pfq`) and rising factorial
+(`pochhammer`), the quadrature and ODE-residual
 oracles of the outer and corner shapes, the corner combination's wall
 derivatives, the wall-condition residuals of the composite, the solver's
 energy and continuity diagnostics, and the dimensional unpassivated profile
@@ -38,6 +39,17 @@ FIG_BT = {"fig3": 3e-30, "fig4": 1e-29, "fig5": 2e-29}   # m^4
 
 class QuadratureError(RuntimeError):
     """Adaptive quadrature failed to reach the requested accuracy."""
+
+
+def pochhammer(lam, k: int):
+    """Rising factorial (lam)_k = lam (lam+1) ... (lam+k-1); (lam)_0 = 1.
+
+    Exact for a Fraction lam: the prefactor of the series derivative
+    identity that the rational derivative oracles build.
+    """
+    if k < 0:
+        raise ValueError("pochhammer needs k >= 0")
+    return math.prod(lam + i for i in range(k))
 
 
 def rational_pfq(nums, dens, z: Fraction, terms: int) -> Fraction:

@@ -1,8 +1,8 @@
 """Array calls of the profile evaluators equal the list of scalar calls, bit for bit.
 
 Every grid holds the wall point 0, the clamp point u = 12 and points past
-it, so the x = 0 monomial path, the clamp mask and the summing points are
-all exercised in one call.
+it, so the wall, the clamp mask and the summing points are all exercised
+in one call.
 """
 
 import math

@@ -125,13 +125,21 @@ class TestModes:
         out = tmp_path / "t.csv"
         cfg = RunConfig(mode="profile", model={"B": 1.0, "alpha": 9.7e-16, "m": 0.209},
                         times=[1e-29], samples=4, out=str(out))
-        run(cfg)
-        text = out.read_text()
+        text = run(cfg)
+        assert out.read_text() == text
         assert text.startswith("# gbgroove output\n# config: ")
         cfg_line = text.splitlines()[1]
         resolved = json.loads(cfg_line.removeprefix("# config: "))
         assert resolved["samples"] == 4
         assert "out" not in resolved   # path excluded: byte-identity across runs
+
+    def test_params_output_file(self, tmp_path):
+        out = tmp_path / "params.txt"
+        cfg = RunConfig(mode="params", model={"B": 1.0, "alpha": 9.7e-16, "m": 0.209},
+                        out=str(out))
+        text = run(cfg)
+        assert out.read_text() == text
+        assert text.startswith("B_m4_per_s = ")
 
     def test_oracle_mode_small(self):
         cfg = RunConfig(mode="oracle", model={"B": 1.0, "alpha": 9.7e-16, "m": 0.209},

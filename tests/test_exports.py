@@ -13,9 +13,9 @@ USERS = [*MODULES, *(ROOT / "scripts").glob("*.py"), *(ROOT / "perfbench").glob(
 
 # exported though nothing above reads them
 KEPT = {
-    # perfbench/spans.py looks these up by name; they go with the tracer's
-    # change (ROADMAP item 4)
-    "hyp_pFq", "hyp_pFq_derivative", "hyp_series_derivative", "HypArgs", "pochhammer",
+    # the engine's one-point faces, which perfbench/spans.py looks up by name
+    # (ROADMAP item 4), and HypArgs, hyp_pFq's argument type
+    "hyp_pFq", "hyp_pFq_derivative", "hyp_series_derivative", "HypArgs",
     # solver diagnostics still to be settled (ROADMAP item 5)
     "groove_metrics", "flux", "chemical_potential",
     # the one-term references that outer_expansion is tested against bit for bit

@@ -111,10 +111,13 @@ class TestNondimensionalize:
         assert hats[0] > hats[1] > hats[2]
 
     def test_rejects_bad_inputs(self):
-        with pytest.raises(ValueError):
-            nondimensionalize(alpha=1.0, bt=0.0)
-        with pytest.raises(ValueError):
-            nondimensionalize(alpha=-1.0, bt=1.0)
+        nan, inf = float("nan"), float("inf")
+        # (alpha, Bt, m); the last gives alpha_hat = inf from finite inputs
+        for alpha, bt, m in [(1.0, 0.0, 0.0), (-1.0, 1.0, 0.0), (nan, 1e-29, 0.2),
+                             (inf, 1e-29, 0.2), (1e-15, inf, 0.2), (1e-15, 1e-29, inf),
+                             (1e-15, 1e-29, nan), (1e300, 1e-300, 0.2)]:
+            with pytest.raises(ValueError):
+                nondimensionalize(alpha, bt, m)
 
     def test_slope_warning_comes_through(self):
         with pytest.warns(SmallSlopeWarning):

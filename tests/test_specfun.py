@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import rational_pfq
+from conftest import pochhammer, rational_pfq
 from gbgroove.specfun import (
     GammaPoleError,
     HypArgs,
@@ -26,7 +26,6 @@ from gbgroove.specfun import (
     hyp_series,
     hyp_series_derivative,
     ln_gamma,
-    pochhammer,
     reciprocal_gamma,
 )
 
@@ -77,6 +76,8 @@ class TestLnGamma:
 
 
 class TestPochhammer:
+    """The rising factorial behind the derivative oracles."""
+
     def test_empty_product(self):
         for lam in (-3.7, 0.0, 0.25, 12.0):
             assert pochhammer(lam, 0) == 1.0
@@ -172,8 +173,7 @@ class TestDerivative:
     def test_second_derivative_at_zero(self):
         args = HypArgs((0.25,), (0.75, 1.25, 1.5), 0.0)
         r = hyp_pFq_derivative(args, 2)
-        expect = pochhammer(0.25, 2) / (
-            pochhammer(0.75, 2) * pochhammer(1.25, 2) * pochhammer(1.5, 2))
+        expect = (0.25 * 1.25) / ((0.75 * 1.75) * (1.25 * 2.25) * (1.5 * 2.5))
         assert r.value == pytest.approx(expect, rel=1e-14)
 
     def test_rational_derivative_oracle(self):
@@ -186,6 +186,20 @@ class TestDerivative:
         r = hyp_pFq_derivative(HypArgs((0.25,), (0.75, 1.25, 1.5), 1.0), 1)
         assert r.value == pytest.approx(float(ref), rel=1e-13)
         assert r.value == pytest.approx(0.201176979434318250, rel=1e-12)
+
+    @pytest.mark.parametrize("z", [Fraction(0), Fraction(1), Fraction(-1, 2)])
+    @pytest.mark.parametrize("order", range(1, 7))
+    def test_every_order_against_rational_oracle(self, order, z):
+        """d^n/dz^n pFq(a; b; z) = [prod (a)_n / prod (b)_n] pFq(a+n; b+n; z),
+        in exact rationals, for the similarity 1F3 and a corner 1F5."""
+        for nums, dens in [((Fraction(1, 4),), (Fraction(3, 4), Fraction(5, 4), Fraction(3, 2))),
+                           ((Fraction(7, 6),), tuple(Fraction(k, 6) for k in (2, 3, 4, 5, 7)))]:
+            pref = (math.prod(pochhammer(a, order) for a in nums)
+                    / math.prod(pochhammer(b, order) for b in dens))
+            ref = pref * rational_pfq([a + order for a in nums], [b + order for b in dens],
+                                      z, 40)
+            r = hyp_pFq_derivative(HypArgs(nums, dens, z), order)
+            assert r.value == pytest.approx(float(ref), rel=1e-13)
 
     def test_order_bounds(self):
         args = HypArgs((0.25,), (0.75, 1.25, 1.5), 1.0)
@@ -238,6 +252,15 @@ class TestSeriesDerivativeEngine:
         assert r.value == pytest.approx(2.0, rel=1e-15)      # d^2/dx^2 x^2 = 2
         r = hyp_series_derivative((0.25,), (0.75, 1.25, 1.5), 1 / 256, 2, 4, 0.0, 3)
         assert r.value == 0.0
+
+    def test_terms_used_counts_the_terms_summed(self):
+        # 0F1(; 1; 1e-20) sums 1, 1e-20, 5e-41, ... : the first term, then
+        # three below tol * |sum|; 1F1(-1; 1; 0.5) = 1 - 0.5 ends at k = 1
+        assert hyp_series((), (1.0,), 1.0, 0, 1, 1e-20, 0).terms_used == 4
+        assert hyp_series((-1.0,), (1.0,), 1.0, 0, 1, 0.5, 0).terms_used == 2
+        rows = hyp_series([(), (-1.0,)], [(1.0,), (1.0,)], 1.0, [0, 0], 1,
+                          np.array([1e-20, 0.5]), 0)
+        assert rows.terms_used[0, 0] == 4 and rows.terms_used[1, 1] == 2
 
     @given(st.floats(0.1, 6.0), st.integers(0, 3))
     @settings(max_examples=30, deadline=None)
