@@ -24,11 +24,14 @@ symmetric positive definite: LAPACK's banded Cholesky (dpbtrf, lower
 storage) factors it without pivoting, and the factor is kept transposed, in
 upper band storage, where the solve's sweeps are faster.  The few wall and
 far-field unknowns are eliminated through their Schur complement, solved
-once per system.  Each step works in one fresh copy of its start value: one
-in-place banded Cholesky solve of the interior (dpbtrs), one gather of the
-edge and near-edge nodes and a small product for the edge unknowns, and one
-in-place correction of the interior by them (dgemv).  The last step's
-factors are kept, so a run of equal steps factors once.
+once per system.  `solve` marches in three height buffers that rotate, the
+last two solutions and a spare: each step writes its start value into the
+spare, and `advance` solves in it in place, with one in-place banded
+Cholesky solve of the interior (dpbtrs), one gather of the edge and
+near-edge nodes and a small product for the edge unknowns, and one in-place
+correction of the interior by them (dgemv).  No step allocates a height
+array, and finiteness is checked once per run of equal steps.  The last
+step's factors are kept, so a run of equal steps factors once.
 
 SciPy's LAPACK and BLAS wrappers are imported where a system is factored,
 not at module level, so the series-only paths (and ``import gbgroove.cli``)
@@ -265,9 +268,9 @@ class GrooveOperator:
     in upper storage for the sweeps).  Its edge rows, each scaled by its
     largest entry, are solved through their Schur complement, which leaves
     one edge matrix H acting on one gather of the edge and near-edge nodes.
-    `advance` solves the interior in place in a copy of its input, gathers
-    once, and corrects the interior in place.  The last system and its
-    factors are kept.
+    `advance` solves the interior in place in a given buffer (or a copy of
+    its input), gathers once, and corrects the interior in place.  The last
+    system and its factors are kept.
     """
 
     def __init__(self, config: SolverConfig):
@@ -395,21 +398,28 @@ class GrooveOperator:
         self._last = (h, system)
         return system
 
-    def advance(self, z: np.ndarray, dt: float, w: float = 0.0) -> np.ndarray:
-        """One implicit step of length dt from the start value z, which it
-        leaves unchanged.
+    def advance(self, z: np.ndarray, dt: float, w: float = 0.0, *,
+                out: np.ndarray | None = None) -> np.ndarray:
+        """One implicit step of length dt from the start value z, written into
+        out and returned.
 
         w = 0 is backward Euler from z = y_n.  w > 0 is variable-step BDF2
         after a step of dt/w, with z = ((1+w)^2 y_n - w^2 y_{n-1}) / (1+2w):
         that is a backward-Euler step of dt (1+w)/(1+2w) from z, so both
         share the systems, the balance rows and the kept factors.  The step
-        works in one fresh array: z's copy has its interior solved in place,
-        the edge unknowns u are read off one gather of it, and the interior
-        is corrected by them in place.
+        works in out, which may be z itself; without out it works in a fresh
+        copy of z and leaves z unchanged.  z is copied into out, its interior
+        is solved in place, the edge unknowns u are read off one gather of
+        it, and the interior is corrected by them in place.  The result is
+        not checked for finiteness: `solve` checks once per run of equal
+        steps.
         """
         h = dt * (1.0 + w) / (1.0 + 2.0 * w)
         solve_ii, Z, c0, H, dgemv = self._system_for_dt(h)
-        out = z.copy()
+        if out is None:
+            out = z.copy()
+        elif out is not z:
+            out[...] = z
         interior = solve_ii(out[self.interior_lo:self.interior_hi + 1])
         u = H @ out[self._gather]
         u += c0
@@ -417,10 +427,6 @@ class GrooveOperator:
         if not np.may_share_memory(y, interior):    # f2py copied it: keep its result
             interior[...] = y
         out[self._edge] = self._T @ u
-        if not np.isfinite(out).all():
-            raise DivergenceError(
-                f"non-finite solution after a dt = {dt:.3e} step "
-                f"(max |z| before step: {np.max(np.abs(z)):.3e})")
         return out
 
 
@@ -465,21 +471,32 @@ def solve(config: SolverConfig) -> list[Profile]:
 
     The ramp steps are backward Euler and every later step is variable-step
     BDF2; `time_steps` keeps each step ratio below 1 + sqrt(2), where BDF2
-    is zero-stable.
+    is zero-stable.  Three height buffers rotate, y, y_prev and a spare:
+    each step writes its start value into the spare (the BDF2 combination
+    through one scratch array) and `advance` solves in it in place.  Each
+    step is linear in its start value, so a NaN or infinity stays
+    non-finite in every later step: finiteness is checked once at the end
+    of each run of equal step lengths, and the DivergenceError names the
+    run's step length.
     """
     op = assemble_operator(config)
     steps = time_steps(config)
-    y = y_prev = np.zeros(config.grid.nx)
+    y, y_prev, spare, scratch = (np.zeros(config.grid.nx) for _ in range(4))
     for k, dt in enumerate(steps):
         w = dt / steps[k - 1] if k >= RAMP_STAGES * RAMP_STEPS else 0.0
         if w:
-            z = ((1.0 + w) ** 2 / (1.0 + 2.0 * w)) * y
-            z -= (w ** 2 / (1.0 + 2.0 * w)) * y_prev
+            np.multiply((1.0 + w) ** 2 / (1.0 + 2.0 * w), y, out=spare)
+            np.multiply(w ** 2 / (1.0 + 2.0 * w), y_prev, out=scratch)
+            np.subtract(spare, scratch, out=spare)
+            z = spare
         else:
             z = y
         # w goes in positionally: the benchmark's tracer tells a new
         # factorization from a reused one by the (dt, w) pair
-        y_prev, y = y, op.advance(z, dt, w)
+        op.advance(z, dt, w, out=spare)
+        y_prev, y, spare = y, spare, y_prev
+        if (k + 1 == len(steps) or steps[k + 1] != dt) and not np.isfinite(y).all():
+            raise DivergenceError(f"non-finite solution after a run of dt = {dt:.3e} steps")
     return [Profile(heights=y, time=config.t_final, grid=config.grid)]
 
 

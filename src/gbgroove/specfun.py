@@ -229,8 +229,9 @@ def hyp_series(numerators, denominators, scale: float, power, step: int,
     or after three consecutive terms below tol * |partial sum|.  Rows with
     a negative-integer numerator are polynomials: the small-term count
     skips them, so they are summed to their end.  `terms_used` is the
-    number of terms an element summed.  Any non-finite term, or any element
-    still summing after TERM_BUDGET terms, raises SeriesError.
+    number of terms an element summed.  Any non-finite term, a power of x
+    that overflows, or any element still summing after TERM_BUDGET terms
+    raises SeriesError.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
@@ -281,9 +282,13 @@ def hyp_series(numerators, denominators, scale: float, power, step: int,
     # per point in Python floats (libm), which numpy's power may not match.
     xl = flat.tolist()
     exponents = [step * k0[i] + power[i] - order for i in rows]
-    powered = {e: np.array([v ** e for v in xl]) for e in set(exponents)}
+    try:
+        powered = {e: np.array([v ** e for v in xl]) for e in set(exponents)}
+        xstep = np.tile([v ** step for v in xl], len(rows))
+    except OverflowError:
+        raise SeriesError(f"a power of x overflowed (largest |x| {max(map(abs, xl)):.4g}); "
+                          "the value is outside the representable range") from None
     base = np.concatenate([coefficient(i, k0[i]) * powered[exponents[i]] for i in rows])
-    xstep = np.tile([v ** step for v in xl], len(rows))
     row = np.repeat(np.arange(len(rows)), n)
     live = np.arange(len(rows) * n)     # index into the flat results
     s, c, mx = np.zeros(live.size), np.zeros(live.size), np.zeros(live.size)

@@ -215,6 +215,12 @@ class TestDecayingCombination:
         with pytest.raises(SeriesError, match="corner coefficients overflow"):
             corner_combination(np.linspace(0.0, 20.0, 5), 1.0, spec)
 
+    def test_overflowing_fundamental_raises_series_error(self):
+        """A corner fundamental at a zeta whose power overflows raises
+        SeriesError, not Python's OverflowError."""
+        with pytest.raises(SeriesError, match="power of x overflowed"):
+            corner_fundamental_v(1, 1e60, -1.0)
+
     def test_wall_boundary_relations(self):
         """alpha y' - y''' = 0 and alpha y''' - y''''' = 0 at the wall."""
         spec = SPEC_R1

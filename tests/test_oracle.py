@@ -176,6 +176,23 @@ class TestStep:
         for out in (first, second):
             assert not any(np.shares_memory(out, a) for a in arrays)
 
+    def test_step_in_a_given_buffer(self):
+        """advance(..., out=b) writes the fresh-array step's bits into b and
+        returns b, whether b is z itself or another buffer, which leaves z
+        unchanged."""
+        op = assemble_operator(_config())
+        z = np.cos(np.arange(op.n) * 0.01)
+        before = z.copy()
+        for w in (0.0, 1.0):
+            fresh = op.advance(z, 1.0 / 512, w)
+            other = np.full(op.n, np.nan)
+            start = z.copy()
+            assert op.advance(z, 1.0 / 512, w, out=other) is other
+            assert op.advance(start, 1.0 / 512, w, out=start) is start
+            np.testing.assert_array_equal(other, fresh)
+            np.testing.assert_array_equal(start, fresh)
+        np.testing.assert_array_equal(z, before)
+
     @pytest.mark.parametrize("order", ["1d", "F", "C"])
     def test_factor_solves_in_place(self, order):
         """_factor's solve of a random symmetric positive definite band
@@ -512,8 +529,8 @@ class TestTimeGrid:
         advance = oracle.GrooveOperator.advance
         system_for_dt = oracle.GrooveOperator._system_for_dt
         factor = oracle._factor
-        monkeypatch.setattr(oracle.GrooveOperator, "advance", lambda op, z, dt, w=0.0:
-                            pairs.append((dt, w)) or advance(op, z, dt, w))
+        monkeypatch.setattr(oracle.GrooveOperator, "advance", lambda op, z, dt, w=0.0, **kw:
+                            pairs.append((dt, w)) or advance(op, z, dt, w, **kw))
         monkeypatch.setattr(oracle.GrooveOperator, "_system_for_dt",
                             lambda op, h: hs.append(h) or system_for_dt(op, h))
         monkeypatch.setattr(oracle, "_factor", lambda *args: calls.append(args) or factor(*args))
@@ -685,3 +702,50 @@ def test_plateau_dt_off_the_dyadics_refactors_no_more(monkeypatch, dt):
         solve(_config(dt=plateau_dt))
         counts.append(len(calls))
     assert counts[1] <= counts[0] + 2
+
+
+def test_solve_advances_once_per_step_with_z_dt_w(monkeypatch):
+    """solve calls advance once per entry of time_steps, each time with
+    exactly (z, dt, w) as positional arguments, as the benchmark's tracer
+    unpacks them: w is 0 on the ramp and the step ratio after it."""
+    cfg = _config(dt=1.0 / 64)
+    calls = []
+    advance = oracle.GrooveOperator.advance
+
+    def recording(op, *args, **kw):
+        calls.append(args)
+        return advance(op, *args, **kw)
+
+    monkeypatch.setattr(oracle.GrooveOperator, "advance", recording)
+    solve(cfg)
+    steps = time_steps(cfg)
+    ramp = RAMP_STAGES * RAMP_STEPS
+    assert [len(args) for args in calls] == [3] * len(steps)
+    assert all(isinstance(z, np.ndarray) and z.shape == (cfg.grid.nx,) for z, _, _ in calls)
+    assert [dt for _, dt, _ in calls] == steps
+    assert [w for _, _, w in calls] == [0.0] * ramp + [
+        b / a for a, b in zip(steps[ramp - 1:], steps[ramp:])]
+
+
+@pytest.mark.parametrize("k", [6, -3])
+def test_march_raises_divergence_naming_the_step(monkeypatch, k):
+    """A NaN injected into one step length's system mid-march (a ramp stage,
+    then the plateau's BDF2 step) makes solve raise DivergenceError naming
+    that step length, not Profile's error at the end."""
+    cfg = _config(dt=1.0 / 64)
+    steps = time_steps(cfg)
+    k %= len(steps)
+    dt = steps[k]
+    w = dt / steps[k - 1] if k >= RAMP_STAGES * RAMP_STEPS else 0.0
+    poisoned = dt * (1.0 + w) / (1.0 + 2.0 * w)
+    system_for_dt = oracle.GrooveOperator._system_for_dt
+
+    def poisoning(op, h):
+        solve_ii, Z, c0, H, dgemv = system_for_dt(op, h)
+        if h == poisoned:
+            c0 = np.full_like(c0, np.nan)
+        return solve_ii, Z, c0, H, dgemv
+
+    monkeypatch.setattr(oracle.GrooveOperator, "_system_for_dt", poisoning)
+    with pytest.raises(DivergenceError, match=f"run of dt = {dt:.3e} steps"):
+        solve(cfg)

@@ -144,6 +144,12 @@ class TestHypPFQ:
             hyp_pFq(HypArgs((0.25,), (0.75,), 1e12))
         assert err.value.terms_used > 0
 
+    def test_overflowing_power_of_x_raises_series_error(self):
+        """x**step past the float range is the SeriesError the engine
+        promises for an overflowing term, not Python's OverflowError."""
+        with pytest.raises(SeriesError, match="power of x overflowed"):
+            hyp_series((0.25,), (0.75, 1.25, 1.5), 1 / 256, 2, 4, 1e80, 0)
+
     @given(st.floats(0.0, 50.0))
     @settings(max_examples=40, deadline=None)
     def test_tol_consistency(self, z):
