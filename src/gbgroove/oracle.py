@@ -407,12 +407,12 @@ class GrooveOperator:
         after a step of dt/w, with z = ((1+w)^2 y_n - w^2 y_{n-1}) / (1+2w):
         that is a backward-Euler step of dt (1+w)/(1+2w) from z, so both
         share the systems, the balance rows and the kept factors.  The step
-        works in out, which may be z itself; without out it works in a fresh
-        copy of z and leaves z unchanged.  z is copied into out, its interior
-        is solved in place, the edge unknowns u are read off one gather of
-        it, and the interior is corrected by them in place.  The result is
-        not checked for finiteness: `solve` checks once per run of equal
-        steps.
+        works in out: z is copied into it unless out is z itself, and
+        without out into a fresh array, which leaves z unchanged.  Its
+        interior is solved in place, the edge unknowns u are read off one
+        gather of it, and the interior is corrected by them in place.  The
+        result is not checked for finiteness: `solve` checks once per run of
+        equal steps.
         """
         h = dt * (1.0 + w) / (1.0 + 2.0 * w)
         solve_ii, Z, c0, H, dgemv = self._system_for_dt(h)
