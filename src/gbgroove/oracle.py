@@ -21,17 +21,19 @@ wall and far-field rows C_E + W_E/h, assembled once, with the bandwidths
 read off them.  The interior rows and columns of a system are a section of
 a symmetric Toeplitz band whose symbol is at least 1, so that block is
 symmetric positive definite: LAPACK's banded Cholesky (dpbtrf, lower
-storage) factors it without pivoting, and the factor is kept transposed, in
-upper band storage, where the solve's sweeps are faster.  The few wall and
-far-field unknowns are eliminated through their Schur complement, solved
-once per system.  `solve` marches in three height buffers that rotate, the
-last two solutions and a spare: each step writes its start value into the
-spare, and `advance` solves in it in place, with one in-place banded
-Cholesky solve of the interior (dpbtrs), one gather of the edge and
-near-edge nodes and a small product for the edge unknowns, and one in-place
-correction of the interior by them (dgemv).  No step allocates a height
-array, and finiteness is checked once per run of equal steps.  The last
-step's factors are kept, so a run of equal steps factors once.
+storage) factors it without pivoting, and the factor is kept as L~ D L~^T,
+a unit-diagonal band factor in upper storage and the squared pivots D.  The
+few wall and far-field unknowns are eliminated through their Schur
+complement, solved once per system.  `solve` marches in three height
+buffers that rotate, the last two solutions and a spare: each step writes
+its start value into the spare, and `advance` solves in it in place, with
+one in-place solve of the interior (two unit-diagonal dtbsv sweeps and one
+division by the squared pivots), one gather of the edge and near-edge nodes
+and a small product for the edge unknowns, and one product (dgemv) that
+writes the edge values and corrects the interior by them in place.  No step
+allocates a height array, and finiteness is checked once per run of equal
+steps.  The last step's factors are kept, so a run of equal steps factors
+once.
 
 SciPy's LAPACK and BLAS wrappers are imported where a system is factored,
 not at module level, so the series-only paths (and ``import gbgroove.cli``)
@@ -128,12 +130,15 @@ def _factor(ab: np.ndarray):
     place.
 
     ab is (kd + 1, m): A[j + d, j] at ab[d, j].  A matrix that is not
-    positive definite raises DivergenceError.  dpbtrf factors faster in lower
-    storage, but dpbtrs sweeps about 10% faster in upper storage (at m 507
-    and 1019), so the factor L is kept as U = L^T there: U[j - d, j] at
-    up[kd - d, j].
+    positive definite raises DivergenceError.  dpbtrf's factor L is kept as
+    A = L~ D L~^T, with L~ = L diag(1/l_jj) unit lower triangular and D the
+    squared pivots l_jj^2, so the solve is two unit-diagonal dtbsv sweeps
+    and one division by the squared pivots: no sweep divides, so no row of
+    a sweep waits on a division.  L~ is kept transposed, in upper band
+    storage: L~[j, j - d] at up[kd - d, j].
     """
-    from scipy.linalg.lapack import dpbtrf, dpbtrs
+    from scipy.linalg.blas import dtbsv
+    from scipy.linalg.lapack import dpbtrf
     c, info = dpbtrf(ab, lower=1, overwrite_ab=True)
     if info < 0:
         raise RuntimeError(f"dpbtrf rejected argument {-info}")
@@ -141,17 +146,24 @@ def _factor(ab: np.ndarray):
         raise DivergenceError("time-step interior block not positive definite: "
                               f"leading minor of order {info}")
     kd, m = c.shape[0] - 1, c.shape[1]
+    d2 = c[0] ** 2
+    unit = c / c[0]
     up = np.zeros_like(c, order="F")
     for d in range(kd + 1):
-        up[kd - d, d:] = c[d, :m - d]
+        up[kd - d, d:] = unit[d, :m - d]
 
     def solve(b: np.ndarray) -> np.ndarray:
-        """Overwrite b (m or m x k) with A^-1 b and return it."""
-        x, info = dpbtrs(up, b, lower=0, overwrite_b=1)
-        if info:
-            raise RuntimeError(f"dpbtrs rejected argument {-info}")
-        if not np.may_share_memory(x, b):   # f2py copied b: keep its result
-            b[...] = x
+        """Overwrite b (m, or m x k column by column) with A^-1 b and return
+        it."""
+        for col in (b.T if b.ndim == 2 else (b,)):
+            # positional, as keywords cost f2py a parse per call: incx 1,
+            # offx 0, upper storage, trans (L~ y = col, then L~^T x = y / D),
+            # unit diagonal, overwrite_x
+            x = dtbsv(kd, up, col, 1, 0, 0, 1, 1, 1)
+            np.divide(x, d2, out=x)
+            x = dtbsv(kd, up, x, 1, 0, 0, 0, 1, 1)
+            if x is not col:    # f2py copied col (a strided view): keep its result
+                col[...] = x
         return b
 
     return solve
@@ -264,12 +276,14 @@ class GrooveOperator:
     flux S), kept on the columns they reach (`_edge_C`, `_edge_W`), and the
     bandwidths kl and ku are read off them.  A system's interior block, A_II
     on rows and columns interior_lo .. interior_hi, is symmetric positive
-    definite and factored by `_factor` (a lower banded Cholesky factor, kept
-    in upper storage for the sweeps).  Its edge rows, each scaled by its
-    largest entry, are solved through their Schur complement, which leaves
-    one edge matrix H acting on one gather of the edge and near-edge nodes.
-    `advance` solves the interior in place in a given buffer (or a copy of
-    its input), gathers once, and corrects the interior in place.  The last
+    definite and factored by `_factor` (banded Cholesky, kept as a
+    unit-diagonal factor and the squared pivots, so its solve is two
+    unit-diagonal dtbsv sweeps and one division by the squared pivots).
+    Its edge rows, each scaled by its largest entry, are solved through
+    their Schur complement, which leaves one edge matrix H acting on one
+    gather of the edge and near-edge nodes.  `advance` solves the interior
+    in place in a given buffer (or a copy of its input), gathers once, and
+    writes the edge and corrects the interior with one product.  The last
     system and its factors are kept.
     """
 
@@ -366,11 +380,13 @@ class GrooveOperator:
 
     def _system_for_dt(self, h: float):
         """Factors of the step system of length h, the stencil plus the edge
-        block: the in-place Cholesky solve of A_II = I - h stencil, Z = A_II^-1
-        A_IE T (Fortran order) and the edge map u = c0 + H @ x[_gather], where
-        x holds z on the edge nodes and A_II^-1 z on the interior ones.  c0
-        and H come from the edge rows' Schur complement A_EE T - A_EI Z,
-        row-scaled and solved once here."""
+        block: the in-place solve of A_II = I - h stencil (`_factor`), the
+        n x k map G (Fortran order) of the edge unknowns onto the grid, T on
+        the edge rows and -Z = -A_II^-1 A_IE T on the interior ones, and the
+        edge map u = c0 + H @ x[_gather], where x holds z on the edge nodes
+        and A_II^-1 z on the interior ones.  c0 and H come from the edge
+        rows' Schur complement A_EE T - A_EI Z, row-scaled and solved once
+        here."""
         key, system = self._last
         if key == h:
             return system
@@ -379,11 +395,15 @@ class GrooveOperator:
         col[0] += 1.0
         solve_ii = _factor(np.repeat(col[None, :], self.n - 2 * lo, axis=0).T)
         wall = solve_ii(h * self._corner)
-        # A_II is persymmetric and A_IE T's far block mirrors its wall block
-        Z = np.asfortranarray(np.hstack([wall, wall[::-1]]))
+        # A_II is persymmetric and A_IE T's far block mirrors its wall block.
+        # G maps the edge unknowns onto the grid: T on the edge rows, -Z on
+        # the interior ones
+        G = np.zeros((self.n, k), order="F")
+        G[self._edge] = self._T
+        G[lo:self.interior_hi + 1] = -np.hstack([wall, wall[::-1]])
         rows = self._edge_C + self._edge_W / h
         scale = np.maximum(np.abs(rows).max(axis=1, keepdims=True), 1e-300)
-        schur = (rows[:, :k] @ self._T - rows[:, k:] @ Z[self._near]) / scale
+        schur = (rows[:, :k] @ self._T + rows[:, k:] @ G[lo + self._near]) / scale
         # right-hand sides: the conditions' values, W_EE / h and -A_EI
         rhs = np.hstack([self.bc[:, None], self._edge_W[:, :k] / h, -rows[:, k:]]) / scale
         from scipy.linalg.blas import dgemv
@@ -394,7 +414,7 @@ class GrooveOperator:
         if info > 0:
             raise DivergenceError("singular time-step system: its edge Schur complement "
                                   "is singular")
-        system = (solve_ii, Z, X[:, 0], X[:, 1:], dgemv)
+        system = (solve_ii, G, X[:, 0], X[:, 1:], dgemv)
         self._last = (h, system)
         return system
 
@@ -409,24 +429,25 @@ class GrooveOperator:
         share the systems, the balance rows and the kept factors.  The step
         works in out: z is copied into it unless out is z itself, and
         without out into a fresh array, which leaves z unchanged.  Its
-        interior is solved in place, the edge unknowns u are read off one
-        gather of it, and the interior is corrected by them in place.  The
-        result is not checked for finiteness: `solve` checks once per run of
-        equal steps.
+        interior is solved in place and the edge unknowns u are read off one
+        gather of it; then the edge nodes are zeroed and one product, out +=
+        G u, writes them (T u) and corrects the interior (-Z u) in place.
+        The result is not checked for finiteness: `solve` checks once per
+        run of equal steps.
         """
         h = dt * (1.0 + w) / (1.0 + 2.0 * w)
-        solve_ii, Z, c0, H, dgemv = self._system_for_dt(h)
+        solve_ii, G, c0, H, dgemv = self._system_for_dt(h)
         if out is None:
             out = z.copy()
         elif out is not z:
             out[...] = z
-        interior = solve_ii(out[self.interior_lo:self.interior_hi + 1])
+        solve_ii(out[self.interior_lo:self.interior_hi + 1])
         u = H @ out[self._gather]
         u += c0
-        y = dgemv(-1.0, Z, u, beta=1.0, y=interior, overwrite_y=1)
-        if not np.may_share_memory(y, interior):    # f2py copied it: keep its result
-            interior[...] = y
-        out[self._edge] = self._T @ u
+        out[self._edge] = 0.0
+        y = dgemv(1.0, G, u, beta=1.0, y=out, overwrite_y=1)
+        if y is not out:    # f2py copied it: keep its result
+            out[...] = y
         return out
 
 

@@ -53,8 +53,8 @@ def _similarity(x, t: float):
     """(u, L) with L = t^(1/4)."""
     if np.any(np.less(x, 0)):
         raise ValueError(f"x must be non-negative, got {x}")
-    if not t > 0:
-        raise ValueError(f"need t > 0, got t={t}")
+    if not 0 < t < math.inf:
+        raise ValueError(f"need 0 < t < inf, got t={t}")
     L = t ** 0.25
     return x / L, L
 

@@ -86,10 +86,12 @@ def exact_profile(x, t: float, m: float, alpha_hat: float,
     `L = inf` is the half-line; a finite `L` is the box [0, L] with the
     solver's far-field conditions.
     """
-    if not t > 0:
-        raise ValueError(f"t must be positive, got {t}")
-    if not alpha_hat >= 0:
-        raise ValueError(f"alpha_hat must be non-negative, got {alpha_hat}")
+    if not 0 < t < math.inf:
+        raise ValueError(f"t must be positive and finite, got {t}")
+    if not math.isfinite(m):
+        raise ValueError(f"m must be finite, got {m}")
+    if not 0 <= alpha_hat < math.inf:
+        raise ValueError(f"alpha_hat must be non-negative and finite, got {alpha_hat}")
     if not L > 0:
         raise ValueError(f"L must be positive, got {L}")
     xs = np.asarray(x, dtype=float)

@@ -231,7 +231,9 @@ def hyp_series(numerators, denominators, scale: float, power, step: int,
     skips them, so they are summed to their end.  `terms_used` is the
     number of terms an element summed.  Any non-finite term, a power of x
     that overflows, or any element still summing after TERM_BUDGET terms
-    raises SeriesError.
+    raises SeriesError.  A negative power (whose k = 0 term the derivative
+    start would drop), a NaN x, or a negative x under a non-integer power
+    (a complex value) raises ValueError.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
@@ -242,6 +244,8 @@ def hyp_series(numerators, denominators, scale: float, power, step: int,
         numerators, denominators, power = (numerators,), (denominators,), (power,)
     if not len(numerators) == len(denominators) == len(power):
         raise ValueError("need one numerator and one denominator tuple per power")
+    if any(p < 0 for p in power):
+        raise ValueError(f"power must be non-negative, got {list(power)}")
     numerators = [tuple(float(a) for a in nums) for nums in numerators]
     denominators = [tuple(float(b) for b in dens) for dens in denominators]
     for dens in denominators:
@@ -268,6 +272,12 @@ def hyp_series(numerators, denominators, scale: float, power, step: int,
 
     xs = np.asarray(x, dtype=float)
     flat = xs.ravel()
+    if not (flat >= 0).all():       # a NaN or a negative x
+        if np.isnan(flat).any():
+            raise ValueError("x is NaN")
+        if not all(float(p).is_integer() for p in power):
+            raise ValueError("a non-integer power of a negative x is complex "
+                             f"(x = {flat.min():.4g})")
     n = flat.size
     shape = xs.shape if one_row else (len(rows),) + xs.shape
     value, max_term = np.zeros(len(rows) * n), np.zeros(len(rows) * n)

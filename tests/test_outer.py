@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import basis_f1, basis_f2, mullins_ode_residual, yr_quadrature_oracle
-from gbgroove.outer import mullins_profile, mullins_shape, outer_term
+from gbgroove.outer import mullins_profile, mullins_shape, outer_expansion, outer_term
 from gbgroove.specfun import gamma
 
 # profile scale for "relative to the profile" comparisons
@@ -144,6 +144,16 @@ class TestOuterTerms:
     def test_rejects_r_zero(self):
         with pytest.raises(ValueError):
             outer_term(0, 1.0, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("t", [math.inf, math.nan, 0.0])
+def test_rejects_time_outside_zero_to_inf(t):
+    """mullins_profile(1.0, inf, 0.2) returned -inf; every outer evaluator
+    refuses a t that is not positive and finite."""
+    for call in (lambda: mullins_profile(1.0, t, 0.2), lambda: outer_term(1, 1.0, t, 0.2),
+                 lambda: outer_expansion(2, 1.0, t, 0.2)):
+        with pytest.raises(ValueError, match="0 < t < inf"):
+            call()
 
 
 def test_old_style_b_argument_raises():

@@ -46,3 +46,12 @@ def test_rejects_bad_arguments(bad):
     args = dict(t=1.0, alpha_hat=0.307, L=8.0) | bad
     with pytest.raises(ValueError):
         exact_profile(X, m=M, **args)
+
+
+@pytest.mark.parametrize("bad", [dict(t=math.inf), dict(m=math.nan), dict(alpha_hat=math.inf)])
+def test_rejects_non_finite_arguments(bad):
+    """A non-finite t, m or alpha_hat is a ValueError, not NaN heights
+    with a RuntimeWarning."""
+    args = dict(t=1.0, m=M, alpha_hat=0.307, L=8.0) | bad
+    with pytest.raises(ValueError, match="finite"):
+        exact_profile(X, **args)

@@ -150,6 +150,27 @@ class TestHypPFQ:
         with pytest.raises(SeriesError, match="power of x overflowed"):
             hyp_series((0.25,), (0.75, 1.25, 1.5), 1 / 256, 2, 4, 1e80, 0)
 
+    def test_negative_power_rejected(self):
+        """A negative power would start the series past its k = 0 term:
+        this call summed 0.4934 where 1F1(1/4; 3/4; 1) is 1.4934."""
+        with pytest.raises(ValueError, match="power must be non-negative"):
+            hyp_series((0.25,), (0.75,), 1.0, -1, 4, 1.0, 0)
+
+    def test_non_integer_power_of_negative_x_rejected(self):
+        """x**0.5 at x < 0 is complex: a ValueError, not a ComplexWarning
+        and a real part of about 1e-16."""
+        with pytest.raises(ValueError, match="non-integer power of a negative x"):
+            hyp_series((0.25,), (0.75,), 1.0, 0.5, 4, -1.0, 0)
+        with pytest.raises(ValueError, match="non-integer power of a negative x"):
+            hyp_series((0.25,), (0.75,), 1.0, 0.5, 4, np.array([1.0, -1.0]), 0)
+
+    def test_nan_x_rejected(self):
+        """A NaN x is a bad input, not a series term that overflowed."""
+        with pytest.raises(ValueError, match="x is NaN"):
+            hyp_series((0.25,), (0.75,), 1.0, 0, 4, math.nan, 0)
+        with pytest.raises(ValueError, match="x is NaN"):
+            hyp_series((0.25,), (0.75,), 1.0, 2, 4, np.array([0.5, math.nan]), 1)
+
     @given(st.floats(0.0, 50.0))
     @settings(max_examples=40, deadline=None)
     def test_tol_consistency(self, z):
