@@ -245,8 +245,8 @@ class TestStep:
         of A_II, and works in place: for a contiguous vector, for a strided
         view (which f2py copies, so the result is copied back) and for a
         Fortran m x 3 block, solved column by column.  A_II's condition
-        number is about h alpha_hat / dx^6, 5e6 here, so the forward error
-        may be that much larger than eps."""
+        number, 4e8 in the infinity norm here, bounds how far the solution
+        may stray from the dense one."""
         op = assemble_operator(_config())
         lo, h = op.interior_lo, 1.0 / 4096
         m = op.interior_hi - lo + 1

@@ -41,17 +41,11 @@ def test_zero_slope_is_flat():
     assert np.all(exact_profile(X, 1.0, 0.0, 0.307, L=8.0) == 0.0)
 
 
-@pytest.mark.parametrize("bad", [dict(t=0.0), dict(alpha_hat=-0.1), dict(L=0.0)])
+@pytest.mark.parametrize("bad", [dict(t=0.0), dict(alpha_hat=-0.1), dict(L=0.0),
+                                 dict(t=math.inf), dict(m=math.nan), dict(alpha_hat=math.inf)])
 def test_rejects_bad_arguments(bad):
-    args = dict(t=1.0, alpha_hat=0.307, L=8.0) | bad
-    with pytest.raises(ValueError):
-        exact_profile(X, m=M, **args)
-
-
-@pytest.mark.parametrize("bad", [dict(t=math.inf), dict(m=math.nan), dict(alpha_hat=math.inf)])
-def test_rejects_non_finite_arguments(bad):
-    """A non-finite t, m or alpha_hat is a ValueError, not NaN heights
-    with a RuntimeWarning."""
+    """A non-finite t, m or alpha_hat is refused too, not turned into NaN
+    heights with a RuntimeWarning."""
     args = dict(t=1.0, m=M, alpha_hat=0.307, L=8.0) | bad
-    with pytest.raises(ValueError, match="finite"):
+    with pytest.raises(ValueError):
         exact_profile(X, **args)
