@@ -279,7 +279,8 @@ def _write_table(cfg: RunConfig, columns: list[str], table: np.ndarray,
         "columns": columns,
         "rows": [line.split(",") for line in body.splitlines()],
     }
-    return json.dumps(doc, sort_keys=True, indent=1) + "\n"
+    # one line: CPython's C encoder runs only without indent, twice as fast
+    return json.dumps(doc, sort_keys=True) + "\n"
 
 
 # ---- modes -----------------------------------------------------------------

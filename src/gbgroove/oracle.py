@@ -35,9 +35,13 @@ allocates a height array, and finiteness is checked once per run of equal
 steps.  The last step's factors are kept, so a run of equal steps factors
 once.
 
-SciPy's LAPACK and BLAS wrappers are imported where a system is factored,
+SciPy's BLAS and LAPACK wrappers are loaded where a system is factored,
 not at module level, so the series-only paths (and ``import gbgroove.cli``)
-never load SciPy.
+never load SciPy.  Even then only ``scipy`` itself and the two f2py
+extension modules behind ``scipy.linalg.blas`` and ``scipy.linalg.lapack``
+are loaded, from their files (`_blas_lapack`): the ``scipy.linalg``
+package, whose import pulls in some 85 SciPy modules and numpy.f2py,
+numpy.testing and unittest with them, is not imported.
 """
 
 from __future__ import annotations
@@ -124,6 +128,38 @@ def fd_weights(nodes, x0: float, order: int) -> np.ndarray:
     return d[order, n - 1, :]
 
 
+@functools.cache
+def _blas_lapack():
+    """SciPy's BLAS and LAPACK wrappers: the extension modules
+    scipy.linalg._fblas and scipy.linalg._flapack, which scipy.linalg.blas
+    and scipy.linalg.lapack re-export, loaded from their files.
+
+    ``import scipy`` is cheap and runs SciPy's distributor set-up; importing
+    either scipy.linalg module would run ``scipy/linalg/__init__.py`` and
+    load the whole package.  CPython enters each in sys.modules under its
+    own name, as it does any single-phase extension module, so a later
+    ``import scipy.linalg`` reuses them (and one already imported is reused
+    here).  A missing file raises ImportError naming the directory searched.
+    """
+    import importlib.machinery
+    import importlib.util
+    import os
+    import scipy
+    where = os.path.join(os.path.dirname(scipy.__file__), "linalg")
+    modules = []
+    for name in ("_fblas", "_flapack"):
+        path = next((p for p in (os.path.join(where, name + suffix)
+                                 for suffix in importlib.machinery.EXTENSION_SUFFIXES)
+                     if os.path.isfile(p)), None)
+        if path is None:
+            raise ImportError(f"no {name} extension module in {where}")
+        spec = importlib.util.spec_from_file_location(f"scipy.linalg.{name}", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        modules.append(module)
+    return tuple(modules)
+
+
 def _factor(ab: np.ndarray):
     """Cholesky factors of the symmetric positive definite band matrix whose
     lower LAPACK band storage is ab, and a function that solves with them in
@@ -135,11 +171,12 @@ def _factor(ab: np.ndarray):
     squared pivots l_jj^2, so the solve is two unit-diagonal dtbsv sweeps
     and one division by the squared pivots: no sweep divides, so no row of
     a sweep waits on a division.  L~ is kept transposed, in upper band
-    storage: L~[j, j - d] at up[kd - d, j].
+    storage: L~[j, j - d] at up[kd - d, j].  dpbtrf and dtbsv are SciPy's
+    f2py wrappers, taken from the extension modules `_blas_lapack` loads.
     """
-    from scipy.linalg.blas import dtbsv
-    from scipy.linalg.lapack import dpbtrf
-    c, info = dpbtrf(ab, lower=1, overwrite_ab=True)
+    blas, lapack = _blas_lapack()
+    dtbsv = blas.dtbsv
+    c, info = lapack.dpbtrf(ab, lower=1, overwrite_ab=True)
     if info < 0:
         raise RuntimeError(f"dpbtrf rejected argument {-info}")
     if info > 0:
@@ -406,15 +443,14 @@ class GrooveOperator:
         schur = (rows[:, :k] @ self._T + rows[:, k:] @ G[lo + self._near]) / scale
         # right-hand sides: the conditions' values, W_EE / h and -A_EI
         rhs = np.hstack([self.bc[:, None], self._edge_W[:, :k] / h, -rows[:, k:]]) / scale
-        from scipy.linalg.blas import dgemv
-        from scipy.linalg.lapack import dgesv
-        _, _, X, info = dgesv(schur, rhs)
+        blas, lapack = _blas_lapack()
+        _, _, X, info = lapack.dgesv(schur, rhs)
         if info < 0:
             raise RuntimeError(f"dgesv rejected argument {-info}")
         if info > 0:
             raise DivergenceError("singular time-step system: its edge Schur complement "
                                   "is singular")
-        system = (solve_ii, G, X[:, 0], X[:, 1:], dgemv)
+        system = (solve_ii, G, X[:, 0], X[:, 1:], blas.dgemv)
         self._last = (h, system)
         return system
 
@@ -445,7 +481,9 @@ class GrooveOperator:
         u = H @ out[self._gather]
         u += c0
         out[self._edge] = 0.0
-        y = dgemv(1.0, G, u, beta=1.0, y=out, overwrite_y=1)
+        # positional, as keywords cost f2py a parse per call: beta 1, y out,
+        # offx 0, incx 1, offy 0, incy 1, no transpose, overwrite_y
+        y = dgemv(1.0, G, u, 1.0, out, 0, 1, 0, 1, 0, 1)
         if y is not out:    # f2py copied it: keep its result
             out[...] = y
         return out

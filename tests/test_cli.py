@@ -259,12 +259,41 @@ def test_series_runs_load_no_scipy(argv):
 
 
 def test_compare_imports_scipy_when_it_factors():
+    """A run that factors loads ``scipy`` and SciPy's two BLAS and LAPACK
+    extension modules, not the scipy.linalg package (85 SciPy modules) and
+    no scipy.sparse module: at most 20 SciPy modules in all."""
     r = _main_in_fresh_interpreter(["--mode", "compare", *_ALUMINA, "--samples", "4"],
-                                   "assert 'scipy.linalg' in sys.modules\n"
-                                   "sparse = [m for m in sys.modules if m == 'scipy.sparse' "
+                                   "assert 'scipy.linalg' not in sys.modules\n"
+                                   "loaded = [m for m in sys.modules if m == 'scipy' "
+                                   "or m.startswith('scipy.')]\n"
+                                   "assert 'scipy.linalg._flapack' in loaded, loaded\n"
+                                   "sparse = [m for m in loaded if m == 'scipy.sparse' "
                                    "or m.startswith('scipy.sparse.')]\n"
-                                   "assert not sparse, sparse")
+                                   "assert not sparse, sparse\n"
+                                   "assert len(loaded) <= 20, loaded")
     assert r.returncode == 0, r.stderr
+
+
+@pytest.mark.parametrize("mode", [m for m in MODES if m != "params"])
+def test_json_document_is_the_csv_run_on_one_line(mode, capsys):
+    """A JSON run prints, on one line (CPython's C encoder runs only
+    without indent), the document of the CSV run of the same input: its
+    config, notes, columns and row cells."""
+    argv = ["--mode", mode, *_ALUMINA, *([] if mode in _NO_SAMPLES else ["--samples", "8"])]
+    text = {}
+    for fmt in ("csv", "json"):
+        assert main([*argv, "--format", fmt]) == 0
+        text[fmt] = capsys.readouterr().out
+    lines = text["csv"].splitlines()
+    columns = next(l for l in lines if l.startswith("# columns: "))
+    config = json.loads(lines[1].removeprefix("# config: "))
+    config["fmt"] = "json"
+    doc = {"config": config,
+           "notes": [l.removeprefix("# ") for l in lines[2:lines.index(columns)]],
+           "columns": columns.removeprefix("# columns: ").split(","),
+           "rows": [l.split(",") for l in lines if not l.startswith("#")]}
+    assert json.loads(text["json"]) == doc
+    assert text["json"].count("\n") == 1
 
 
 def _emitted_numbers(text):
@@ -651,7 +680,7 @@ def _per_number_text(cfg, columns, rows, notes):
         return "\n".join(lines) + "\n"
     doc = {"config": json.loads(header_cfg), "notes": notes, "columns": columns,
            "rows": [[f"{v:.16e}" for v in row] for row in rows]}
-    return json.dumps(doc, sort_keys=True, indent=1) + "\n"
+    return json.dumps(doc, sort_keys=True) + "\n"
 
 
 @given(table=_TABLE, fmt=st.sampled_from(["csv", "json"]))

@@ -1,8 +1,14 @@
 """Finite-difference solver: operator exactness, convergence, conservation."""
 
 import gc
+import json
 import math
+import os
+import re
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -805,3 +811,48 @@ def test_march_raises_divergence_naming_the_step(monkeypatch, k):
     monkeypatch.setattr(oracle.GrooveOperator, "_system_for_dt", poisoning)
     with pytest.raises(DivergenceError, match=f"run of dt = {dt:.3e} steps"):
         solve(cfg)
+
+
+# the f2py signature lines of the four routines the solver calls; dtbsv and
+# dgemv are called with positional arguments, so any change must fail here
+_WRAPPER_SIGNATURES = {
+    "dtbsv": "xout = dtbsv(k,a,x,[incx,offx,lower,trans,diag,overwrite_x])",
+    "dgemv": "y = dgemv(alpha,a,x,[beta,y,offx,incx,offy,incy,trans,overwrite_y])",
+    "dpbtrf": "c,info = dpbtrf(ab,[lower,ldab,overwrite_ab])",
+    "dgesv": "lu,piv,x,info = dgesv(a,b,[overwrite_a,overwrite_b])",
+}
+
+
+def test_file_loaded_wrappers_carry_scipy_linalg_signatures():
+    """The routines the solver loads from SciPy's extension files, in a
+    fresh interpreter and before scipy.linalg is imported, have the
+    signature lines that scipy.linalg.blas and scipy.linalg.lapack give for
+    the same names, and they are the ones the solver's calls are written
+    for."""
+    code = ("import json, sys\n"
+            "from gbgroove import oracle\n"
+            "fblas, flapack = oracle._blas_lapack()\n"
+            "assert 'scipy.linalg' not in sys.modules\n"
+            "from scipy.linalg import blas, lapack\n"
+            "line = lambda m, n: getattr(m, n).__doc__.splitlines()[0]\n"
+            "print(json.dumps([{n: line(b if n in ('dtbsv', 'dgemv') else l, n)\n"
+            "                   for n in sys.argv[1:]}\n"
+            "                  for b, l in ((fblas, flapack), (blas, lapack))]))\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    r = subprocess.run([sys.executable, "-c", code, *_WRAPPER_SIGNATURES], capture_output=True,
+                       text=True, env=dict(os.environ, PYTHONPATH=str(src)))
+    assert r.returncode == 0, r.stderr
+    ours, theirs = json.loads(r.stdout)
+    assert ours == theirs == _WRAPPER_SIGNATURES
+
+
+def test_missing_extension_file_names_the_directory(monkeypatch):
+    """With no file of a known extension suffix, the loader raises
+    ImportError naming SciPy's linalg directory, where it searched."""
+    import importlib.machinery
+
+    import scipy
+    monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".no-such-suffix"])
+    where = os.path.join(os.path.dirname(scipy.__file__), "linalg")
+    with pytest.raises(ImportError, match=f"no _fblas extension module in {re.escape(where)}"):
+        oracle._blas_lapack.__wrapped__()
