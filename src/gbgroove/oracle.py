@@ -148,9 +148,9 @@ def _blas_lapack():
     where = os.path.join(os.path.dirname(scipy.__file__), "linalg")
     modules = []
     for name in ("_fblas", "_flapack"):
-        path = next((p for p in (os.path.join(where, name + suffix)
-                                 for suffix in importlib.machinery.EXTENSION_SUFFIXES)
-                     if os.path.isfile(p)), None)
+        paths = [os.path.join(where, name + suffix)
+                 for suffix in importlib.machinery.EXTENSION_SUFFIXES]
+        path = next(filter(os.path.isfile, paths), None)
         if path is None:
             raise ImportError(f"no {name} extension module in {where}")
         spec = importlib.util.spec_from_file_location(f"scipy.linalg.{name}", path)
