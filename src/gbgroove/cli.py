@@ -390,7 +390,7 @@ def _mode_depth_series(cfg: RunConfig) -> str:
         reduced = _reducer({**cfg.model, "alpha": alpha}, None)
         for bt in cfg.times:
             params = reduced(bt)
-            # L0 * mullins_profile(0, Bt / L0^4, m), float operation for float operation
+            # L0 * y_0(0, Bt / L0^4), float op for float op as the tests' mullins_profile_dim
             L0 = params.L0
             ym = abs(L0 * (params.m * (bt / L0 ** 4) ** 0.25 * z0))
             dd = depth_difference(bt, params)

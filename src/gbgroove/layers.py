@@ -98,10 +98,12 @@ def boundary_layer_G(x, t: float, alpha: float, m: float, *, order: int = 0):
     exact d^order/dx^order."""
     if alpha == 0.0:
         return np.zeros(np.shape(x)) if np.ndim(x) else 0.0
-    if not alpha > 0:
-        raise ValueError("alpha must be non-negative")
-    if np.any(np.less(x, 0)):
-        raise ValueError("x must be non-negative")
+    if not 0 < alpha < math.inf:
+        raise ValueError(f"alpha must be non-negative and finite, got {alpha}")
+    if not math.isfinite(m):
+        raise ValueError(f"m must be finite, got {m}")
+    if not np.all(np.greater_equal(x, 0)):
+        raise ValueError("x must be non-negative, not NaN")
     sign = -1.0 if order % 2 else 1.0
     coeff = sign * alpha ** (-0.5 * order) * _bl_amplitude(t, alpha, m)
     # exp per point in Python floats (libm), which numpy's exp may not match
@@ -125,8 +127,10 @@ class CornerSpec:
         if not self.r < SIMILARITY_EXPONENT_LIMIT:
             raise ValueError(
                 f"similarity exponent r must be < -2/3 for decay in time, got {self.r}")
-        if self.alpha_hat < 0:
-            raise ValueError("alpha_hat must be non-negative")
+        if not 0 <= self.alpha_hat < math.inf:
+            raise ValueError(f"alpha_hat must be non-negative and finite, got {self.alpha_hat}")
+        if not math.isfinite(self.gamma):
+            raise ValueError(f"corner amplitude gamma must be finite, got {self.gamma}")
         if self.alpha_hat > 0 and abs(self.gamma) > 10.0 * self.alpha_hat:
             warnings.warn(
                 f"corner amplitude gamma = {self.gamma:.3g} is large compared "

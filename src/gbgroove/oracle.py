@@ -64,8 +64,6 @@ __all__ = [
     "solve",
     "time_steps",
     "mass",
-    "chemical_potential",
-    "flux",
 ]
 
 MIN_NODES = 64
@@ -216,7 +214,7 @@ def _unit_one_sided(order: int) -> np.ndarray:
 
 def _one_sided(order: int, dx: float) -> np.ndarray:
     """Weights for the order-th derivative at the first of order + BC_ORDER
-    grid nodes: the solver's wall rows and the diagnostics' end stencils."""
+    grid nodes: the solver's wall rows."""
     return _unit_one_sided(order) / dx ** order
 
 
@@ -303,12 +301,11 @@ class GrooveOperator:
     """Interior stencil plus one edge block for one configuration.
 
     The interior operator is one stencil, ``alpha_hat*D6 - D4`` (``-D4``
-    when alpha_hat = 0), on rows interior_lo..interior_hi: ``apply`` is a
-    correlation of the heights with it.  The equation is linear with
-    constant coefficients, so the backward-Euler system for a step h is the
-    stencil, as interior rows I - h*stencil, plus one edge block: the 2
-    interior_lo rows ``C_E + W_E/h = bc`` of the grid rows `_edge`, built
-    once.  They are the wall and far-field conditions (constant rows) and
+    when alpha_hat = 0), on rows interior_lo..interior_hi.  The equation is
+    linear with constant coefficients, so the backward-Euler system for a
+    step h is the stencil, as interior rows I - h*stencil, plus one edge
+    block: the 2 interior_lo rows ``C_E + W_E/h = bc`` of the grid rows
+    `_edge`, built once.  They are the wall and far-field conditions (constant rows) and
     the two mass-balance rows (trapezoid weights W_E/h plus the telescoped
     flux S), kept on the columns they reach (`_edge_C`, `_edge_W`), and the
     bandwidths kl and ku are read off them.  A system's interior block, A_II
@@ -408,12 +405,6 @@ class GrooveOperator:
         self._edge_C = C_E[:, self._gather]
         self._edge_W = W_E[:, self._gather]
         self._last = (None, None)
-
-    def apply(self, y: np.ndarray) -> np.ndarray:
-        """Spatial operator on interior rows, zero elsewhere."""
-        out = np.zeros(self.n)
-        out[self.interior_lo:self.interior_hi + 1] = np.correlate(y, self.stencil, "valid")
-        return out
 
     def _system_for_dt(self, h: float):
         """Factors of the step system of length h, the stencil plus the edge
@@ -565,49 +556,3 @@ def solve(config: SolverConfig) -> list[Profile]:
 def mass(profile: Profile) -> float:
     """Trapezoidal integral of the height field."""
     return float(np.trapezoid(profile.heights, dx=profile.grid.dx))
-
-
-def _derivative_field(h: np.ndarray, dx: float, order: int) -> np.ndarray:
-    """Centered differences of half-width (order + 1) // 2, one-sided
-    (`_one_sided`) at that many nodes nearest each end."""
-    q = (order + 1) // 2
-    c = fd_weights(np.arange(-q, q + 1.0), 0.0, order) / dx ** order
-    w = _one_sided(order, dx)
-    out = np.empty(len(h))
-    out[q:-q] = np.correlate(h, c, "valid")
-    for i in range(q):
-        out[i] = w @ h[i:i + len(w)]
-        out[-1 - i] = (-1) ** order * (w @ h[::-1][i:i + len(w)])
-    return out
-
-
-def chemical_potential(profile: Profile, alpha_hat: float) -> np.ndarray:
-    """Interface chemical potential  mu = -y_xx + alpha y_xxxx."""
-    h = profile.heights
-    dx = profile.grid.dx
-    mu = -_derivative_field(h, dx, 2)
-    if alpha_hat > 0:
-        mu = mu + alpha_hat * _derivative_field(h, dx, 4)
-    return mu
-
-
-def flux(profile: Profile, alpha_hat: float) -> np.ndarray:
-    """Interface diffusion flux  j = -d(mu)/dx = y_xxx - alpha y_xxxxx.
-
-    The wall value is evaluated directly from the height field with
-    one-sided stencils of the solver's wall-row order, BC_ORDER; it is the
-    residual of the zero-flux condition the solver imposes in balance form.
-    """
-    h = profile.heights
-    dx = profile.grid.dx
-    mu = chemical_potential(profile, alpha_hat)
-    j = -_derivative_field(mu, dx, 1)
-    w3 = _one_sided(3, dx)
-    j0 = float(w3 @ h[:len(w3)])
-    if alpha_hat > 0:
-        w5 = _one_sided(5, dx)
-        j0 -= alpha_hat * float(w5 @ h[:len(w5)])
-    j[0] = j0
-    return j
-
-

@@ -10,8 +10,7 @@ The evaluators take a float or an array of points (x or u); a float gives
 a float back.  The profile and shape evaluators take `order` and return
 that derivative, the value at the default 0.  `outer_expansion` gives the
 terms y_0, ..., y_N of the expansion together, as a list over r: all their
-series go through one engine pass, where `mullins_profile` and `outer_term`
-make one pass per term.
+series go through one engine pass.
 """
 
 from __future__ import annotations
@@ -29,10 +28,7 @@ from .specfun import (
 
 __all__ = [
     "U_CLAMP",
-    "mullins_profile",
     "mullins_shape",
-    "outer_term",
-    "outer_term_shape",
     "outer_expansion",
 ]
 
@@ -113,33 +109,15 @@ def mullins_shape(u, order: int = 0):
     return up_to(U_CLAMP, u, lambda v: _term_shapes((0,), v, order)[0])
 
 
-def mullins_profile(x, t: float, m: float, *, order: int = 0):
-    """Unpassivated groove profile y0(x, t), or its d^order/dx^order
-    (term-differentiated)."""
-    u, L = _similarity(x, t)
-    return m * L ** (1 - order) * mullins_shape(u, order)
-
-
-def outer_term_shape(r: int, u, order: int = 0):
-    """d^order/du^order of the order-r correction shape Y_r(u) (per unit m)."""
-    if r < 1:
-        raise ValueError(f"correction index r must be >= 1, got {r}")
-    return up_to(U_CLAMP, u, lambda v: _term_shapes((r,), v, order)[0])
-
-
-def outer_term(r: int, x, t: float, m: float, *, order: int = 0):
-    """Order-r outer correction y_r(x, t), or its d^order/dx^order
-    (term-differentiated); enters the expansion as alpha^r y_r."""
-    u, L = _similarity(x, t)
-    return m * L ** (1 - 2 * r - order) * outer_term_shape(r, u, order)
-
-
 def outer_expansion(N: int, x, t: float, m: float, *, order: int = 0) -> list:
     """The outer expansion's terms [y_0, y_1, ..., y_N](x, t), or their
-    d^order/dx^order: y_0 is mullins_profile and y_r is outer_term(r), each
-    bit for bit, and all their series are summed in one engine pass."""
+    d^order/dx^order: y_0 = m t^(1/4) Z(u) and y_r = m t^((1-2r)/4) Y_r(u),
+    each bit for bit the term evaluated alone, and all their series are
+    summed in one engine pass."""
     if N < 0:
         raise ValueError(f"expansion order N must be >= 0, got {N}")
+    if not math.isfinite(m):
+        raise ValueError(f"m must be finite, got {m}")
     u, L = _similarity(x, t)
     shapes = up_to(U_CLAMP, u, lambda v: _term_shapes(range(N + 1), v, order))
     return [m * L ** (1 - 2 * r - order) * shape for r, shape in enumerate(shapes)]

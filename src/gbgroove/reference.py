@@ -94,7 +94,11 @@ def exact_profile(x, t: float, m: float, alpha_hat: float,
         raise ValueError(f"alpha_hat must be non-negative and finite, got {alpha_hat}")
     if not L > 0:
         raise ValueError(f"L must be positive, got {L}")
+    if nodes < 1:
+        raise ValueError(f"need nodes >= 1, got {nodes}")
     xs = np.asarray(x, dtype=float)
+    if np.isnan(xs).any():
+        raise ValueError("x must not be NaN")
     s, ds = _contour(nodes, t)
     total = np.zeros(xs.shape, dtype=complex)
     for sk, dsk in zip(s, ds):

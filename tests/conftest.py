@@ -3,11 +3,16 @@
 Besides the fixtures, this holds the checks that only the tests call: the
 exact-rational series (`rational_pfq`) and rising factorial
 (`pochhammer`), the quadrature and ODE-residual
-oracles of the outer and corner shapes, the corner combination's wall
-derivatives, the wall-condition residuals of the composite, the solver's
-energy and continuity diagnostics, and the dimensional unpassivated profile
-that the CLI's Mullins column is compared against.  They use the package's
-private helpers where the package has them.
+oracles of the outer and corner shapes, the one-term outer references
+that `outer_expansion` is compared against bit for bit (`mullins_profile`,
+`outer_term_shape`, `outer_term`), the corner combination's wall
+derivatives, the wall-condition residuals of the composite, the groove
+metrics of a profile (`groove_metrics`, `GrooveMetrics`, `default_window`),
+the solver's energy and continuity diagnostics with the field derivatives
+they take (`chemical_potential`, `flux`, `apply_stencil`), and the
+dimensional unpassivated profile that the CLI's Mullins column is compared
+against.  They use the package's private helpers where the package has
+them.
 """
 
 from __future__ import annotations
@@ -25,10 +30,9 @@ from gbgroove.layers import (_SQRT3, CORNER_MATRIX, SIMILARITY_EXPONENT_LIMIT, C
                              _bracket_gammas, _gamma_or_pole, beta2, beta4,
                              corner_fundamental_v, theorem_coefficients)
 from gbgroove.material import ModelParams, nondimensionalize
-from gbgroove.oracle import Profile, _derivative_field, flux
+from gbgroove.oracle import GrooveOperator, Profile, _one_sided, fd_weights
 from gbgroove.outer import (_CONST, _EVEN, _G34, _G54, _SQRT2, U_CLAMP,
-                            _shape_derivs, _similarity, mullins_profile, mullins_shape,
-                            outer_term)
+                            _shape_derivs, _similarity, _term_shapes, mullins_shape)
 from gbgroove.specfun import gamma, reciprocal_gamma, up_to
 
 # dimensional parameters of the canned figure runs (SI)
@@ -110,6 +114,27 @@ def basis_f2(x: float, t: float) -> float:
         (1.0 / (6.0 * _SQRT2 * _G12), 3, _CUBIC),
     )
     return L * up_to(U_CLAMP, u, lambda v: -v / _SQRT2 + _shape_derivs((pieces,), v, 0)[0])
+
+
+def mullins_profile(x, t: float, m: float, *, order: int = 0):
+    """Unpassivated groove profile y0(x, t), or its d^order/dx^order
+    (term-differentiated)."""
+    u, L = _similarity(x, t)
+    return m * L ** (1 - order) * mullins_shape(u, order)
+
+
+def outer_term_shape(r: int, u, order: int = 0):
+    """d^order/du^order of the order-r correction shape Y_r(u) (per unit m)."""
+    if r < 1:
+        raise ValueError(f"correction index r must be >= 1, got {r}")
+    return up_to(U_CLAMP, u, lambda v: _term_shapes((r,), v, order)[0])
+
+
+def outer_term(r: int, x, t: float, m: float, *, order: int = 0):
+    """Order-r outer correction y_r(x, t), or its d^order/dx^order
+    (term-differentiated); enters the expansion as alpha^r y_r."""
+    u, L = _similarity(x, t)
+    return m * L ** (1 - 2 * r - order) * outer_term_shape(r, u, order)
 
 
 def yr_quadrature_oracle(r: int, x: float, t: float, m: float,
@@ -246,6 +271,135 @@ def corner_combination_deriv0(k: int, tau: float, spec: CornerSpec) -> float:
 # ---- composite ---------------------------------------------------------------
 
 
+# groove_metrics on a callable: four 33-point zooms narrow a grid bracket
+# 65536-fold, past the ~1e-8 at which rounding flattens an extremum, and
+# panels of 8 Gauss-Legendre nodes give the mass
+_ZOOMS = 4
+_ZOOM_POINTS = 33
+_PANELS = 32
+_GL_NODES = 8
+
+
+@dataclass(frozen=True)
+class GrooveMetrics:
+    """Scalar descriptors of one groove profile (same units as the input)."""
+
+    depth: float
+    x_max: float | None
+    y_max: float | None
+    x_min2: float | None
+    y_min2: float | None
+    mass: float
+
+    @property
+    def has_primary_maximum(self) -> bool:
+        return self.x_max is not None
+
+    @property
+    def has_secondary_minimum(self) -> bool:
+        return self.x_min2 is not None
+
+
+def default_window(bt: float) -> float:
+    """Default evaluation window 8 (Bt)^(1/4) [m]."""
+    return 8.0 * bt ** 0.25
+
+
+def _sample_grid(x_cap: float, bl_width: float, samples: int) -> np.ndarray:
+    """Uniform grid plus wall refinement resolving the exponential layer."""
+    xs = np.linspace(0.0, x_cap, samples)
+    if bl_width > 0:
+        fine = np.linspace(0.0, min(3.0 * bl_width, x_cap), 25)
+        xs = np.unique(np.concatenate([xs, fine]))
+    return xs
+
+
+def _sample(profile, xs: np.ndarray) -> np.ndarray:
+    """profile at every x: one call with the array, or one call per point
+    for a callable that takes floats only (it raises on an array, or does
+    not return one value per point)."""
+    try:
+        ys = np.asarray(profile(xs), dtype=float)
+        if ys.shape == xs.shape:
+            return ys
+    except (TypeError, ValueError):
+        pass
+    return np.array([profile(float(x)) for x in xs])
+
+
+def _zoom(profile, a: float, b: float, sign: float) -> tuple[float, float]:
+    """Extremum of sign * profile in [a, b] as (x, y), the best sample of the
+    last zoom.  Each zoom samples `_ZOOM_POINTS` points in one call and keeps
+    the two intervals around the best one, narrowing the bracket 16-fold."""
+    for _ in range(_ZOOMS):
+        xs = np.linspace(a, b, _ZOOM_POINTS)
+        ys = _sample(profile, xs)
+        j = int(np.argmax(sign * ys))
+        a, b = xs[max(j - 1, 0)], xs[min(j + 1, _ZOOM_POINTS - 1)]
+    return float(xs[j]), float(ys[j])
+
+
+def _mass(profile, x_cap: float, bl_width: float) -> float:
+    """Integral of the profile over [0, x_cap]: `_PANELS` Gauss-Legendre
+    panels, and as many again over the first 32 wall-layer widths, in one
+    call."""
+    edges = np.linspace(0.0, x_cap, _PANELS + 1)
+    if bl_width > 0:
+        wall = np.linspace(0.0, min(32.0 * bl_width, x_cap), _PANELS + 1)
+        edges = np.unique(np.concatenate([edges, wall]))
+    # the rule is made here, not at import: numpy.polynomial is nine modules
+    nodes, weights = np.polynomial.legendre.leggauss(_GL_NODES)
+    half = 0.5 * np.diff(edges)
+    xs = edges[:-1, None] + half[:, None] * (1.0 + nodes)
+    ys = _sample(profile, xs.ravel()).reshape(xs.shape)
+    return float(half @ (ys @ weights))
+
+
+def groove_metrics(profile, params: ModelParams | None = None,
+                   x_cap: float | None = None, bt: float | None = None,
+                   samples: int = 2048) -> GrooveMetrics:
+    """Extract depth, primary maximum, secondary minimum and mass.
+
+    `profile` is either a callable y(x) or a pair of equal-length arrays
+    (x, y).  A callable is only ever called through `_sample`: with arrays,
+    or point by point if it takes floats only.  It is sampled on the dense
+    grid; extrema found there are refined by repeated zooms of their
+    bracket (`_zoom`), and the mass comes from fixed Gauss-Legendre panels
+    (`_mass`).  Sampled arrays give the grid extrema and trapezoid mass.
+    """
+    callable_profile = callable(profile)
+    if callable_profile:
+        if x_cap is None:
+            if bt is None:
+                raise ValueError("callable profiles need x_cap or bt")
+            x_cap = default_window(bt)
+        bl = math.sqrt(params.alpha) if params is not None and params.alpha > 0 else 0.0
+        xs = _sample_grid(x_cap, bl, samples)
+        ys = _sample(profile, xs)
+    else:
+        xs, ys = (np.asarray(v, dtype=float) for v in profile)
+        if xs.shape != ys.shape or xs.ndim != 1:
+            raise ValueError("sampled profile needs matching 1-d arrays")
+
+    def first_turn(sign: float, after: float):
+        """(x, y) where sign * y first stops rising past `after`, zoomed in on
+        for a callable; (None, None) if it never does."""
+        s = sign * ys
+        turns = np.flatnonzero((xs[1:-1] > after) & (s[1:-1] >= s[:-2]) & (s[1:-1] > s[2:]))
+        if not turns.size:
+            return None, None
+        i = turns[0] + 1
+        if callable_profile:
+            return _zoom(profile, xs[i - 1], xs[i + 1], sign)
+        return float(xs[i]), float(ys[i])
+
+    x_max, y_max = first_turn(1.0, -math.inf)
+    x_min2, y_min2 = (None, None) if x_max is None else first_turn(-1.0, x_max)
+    mass = _mass(profile, float(xs[-1]), bl) if callable_profile else float(np.trapezoid(ys, xs))
+    return GrooveMetrics(depth=float(abs(ys[0])), x_max=x_max, y_max=y_max,
+                         x_min2=x_min2, y_min2=y_min2, mass=mass)
+
+
 def mullins_profile_dim(x: float, bt: float, params: ModelParams) -> float:
     """Dimensional unpassivated profile for side-by-side comparisons."""
     xh, th = _nd_coords(x, bt, params)
@@ -292,6 +446,57 @@ def curvature_cancellation_residuals(bt: float, params: ModelParams) -> tuple[fl
 
 
 # ---- solver diagnostics ------------------------------------------------------
+
+
+def _derivative_field(h: np.ndarray, dx: float, order: int) -> np.ndarray:
+    """Centered differences of half-width (order + 1) // 2, one-sided
+    (`_one_sided`) at that many nodes nearest each end."""
+    q = (order + 1) // 2
+    c = fd_weights(np.arange(-q, q + 1.0), 0.0, order) / dx ** order
+    w = _one_sided(order, dx)
+    out = np.empty(len(h))
+    out[q:-q] = np.correlate(h, c, "valid")
+    for i in range(q):
+        out[i] = w @ h[i:i + len(w)]
+        out[-1 - i] = (-1) ** order * (w @ h[::-1][i:i + len(w)])
+    return out
+
+
+def chemical_potential(profile: Profile, alpha_hat: float) -> np.ndarray:
+    """Interface chemical potential  mu = -y_xx + alpha y_xxxx."""
+    h = profile.heights
+    dx = profile.grid.dx
+    mu = -_derivative_field(h, dx, 2)
+    if alpha_hat > 0:
+        mu = mu + alpha_hat * _derivative_field(h, dx, 4)
+    return mu
+
+
+def flux(profile: Profile, alpha_hat: float) -> np.ndarray:
+    """Interface diffusion flux  j = -d(mu)/dx = y_xxx - alpha y_xxxxx.
+
+    The wall value is evaluated directly from the height field with
+    one-sided stencils of the solver's wall-row order, BC_ORDER; it is the
+    residual of the zero-flux condition the solver imposes in balance form.
+    """
+    h = profile.heights
+    dx = profile.grid.dx
+    mu = chemical_potential(profile, alpha_hat)
+    j = -_derivative_field(mu, dx, 1)
+    w3 = _one_sided(3, dx)
+    j0 = float(w3 @ h[:len(w3)])
+    if alpha_hat > 0:
+        w5 = _one_sided(5, dx)
+        j0 -= alpha_hat * float(w5 @ h[:len(w5)])
+    j[0] = j0
+    return j
+
+
+def apply_stencil(op: GrooveOperator, y: np.ndarray) -> np.ndarray:
+    """Spatial operator on interior rows, zero elsewhere."""
+    out = np.zeros(op.n)
+    out[op.interior_lo:op.interior_hi + 1] = np.correlate(y, op.stencil, "valid")
+    return out
 
 
 @dataclass(frozen=True)

@@ -31,10 +31,11 @@ import numpy as np
 import pytest
 
 from conftest import (FIG_BT, FIG_M, basis_f1, basis_f2, bc_residuals, corner_combination_deriv0,
-                      corner_similarity_ode_residual, curvature_cancellation_residuals, energy,
-                      figure_params, mullins_profile_dim, yr_quadrature_oracle)
-from gbgroove.composite import (ExpansionSpec, composite_profile_nd, default_window,
-                                depth_difference, groove_metrics, mullins_and_composite)
+                      corner_similarity_ode_residual, curvature_cancellation_residuals,
+                      default_window, energy, figure_params, groove_metrics, mullins_profile,
+                      mullins_profile_dim, outer_term, yr_quadrature_oracle)
+from gbgroove.composite import (ExpansionSpec, composite_profile_nd, depth_difference,
+                                mullins_and_composite)
 from gbgroove.layers import (
     CornerSpec,
     corner_combination,
@@ -43,7 +44,6 @@ from gbgroove.layers import (
 )
 from gbgroove.material import PhysicalParams, nondimensionalize, stiffness_parameter
 from gbgroove.oracle import Grid, SolverConfig, mass, solve
-from gbgroove.outer import mullins_profile, outer_term
 from gbgroove.specfun import HypArgs, gamma, hyp_pFq
 
 AH_FIG4 = 0.30674093303633276

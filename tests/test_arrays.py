@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import mullins_profile_dim
+from conftest import mullins_profile, mullins_profile_dim, outer_term, outer_term_shape
 from gbgroove import layers, outer
 from gbgroove.cli import PRESETS, RunConfig, main, run
 from gbgroove.composite import ExpansionSpec, composite_profile_nd
@@ -25,13 +25,7 @@ from gbgroove.layers import (
     corner_solutions_yc,
 )
 from gbgroove.material import nondimensionalize
-from gbgroove.outer import (
-    mullins_profile,
-    mullins_shape,
-    outer_expansion,
-    outer_term,
-    outer_term_shape,
-)
+from gbgroove.outer import mullins_shape, outer_expansion
 from gbgroove.specfun import SeriesError, hyp_series, hyp_series_derivative
 
 U = np.array([0.0, 1e-3, 0.37, 1.0, 2.5, 4.0, 6.75, 9.1, 11.99, 12.0,

@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 from conftest import (FIG_ALPHA, FIG_BT, FIG_M, bc_residuals, curvature_cancellation_residuals,
-                      figure_params, mullins_profile_dim)
-from gbgroove.composite import (ExpansionSpec, composite_profile_nd, default_window,
-                                depth_difference, groove_metrics, mullins_and_composite)
+                      default_window, figure_params, groove_metrics, mullins_profile,
+                      mullins_profile_dim, outer_term)
+from gbgroove.composite import (ExpansionSpec, composite_profile_nd, depth_difference,
+                                mullins_and_composite)
 from gbgroove.layers import beta2, boundary_layer_G
 from gbgroove.material import nondimensionalize
-from gbgroove.outer import mullins_profile, outer_term
 
 # window-truncated base-profile mass, 40-digit quadrature references
 MULLINS_MASS_U8 = -1.566819592564333e-3     # per m (Bt)^(1/2), window u <= 8
@@ -37,8 +37,7 @@ class TestCompositeAssembly:
                                           params.alpha_hat, spec)
         outer_only = (mullins_profile(x / params.L0, 1.0, params.m)
                       + sum(params.alpha_hat ** r *
-                            __import__("gbgroove.outer", fromlist=["outer_term"])
-                            .outer_term(r, x / params.L0, 1.0, params.m)
+                            outer_term(r, x / params.L0, 1.0, params.m)
                             for r in (1, 2)))
         assert with_layer == pytest.approx(outer_only, rel=1e-12)
 
@@ -88,6 +87,15 @@ class TestCompositeAssembly:
         np.testing.assert_array_equal(got, want)
 
 
+@pytest.mark.parametrize("alpha_hat, m", [(-1.0, 0.2), (math.nan, 0.2), (math.inf, 0.2),
+                                        (0.3, math.nan), (0.3, math.inf)])
+def test_composite_rejects_bad_alpha_hat_or_m(alpha_hat, m):
+    """A negative alpha_hat dropped the wall layer and flipped the odd terms'
+    sign, and a non-finite alpha_hat or m gave NaN: each is refused."""
+    with pytest.raises(ValueError):
+        composite_profile_nd(0.5, 1.0, m, alpha_hat, ExpansionSpec())
+
+
 class TestWallResiduals:
     def test_slope_and_flux_exact(self):
         """The slope-bending and zero-flux conditions hold exactly:
@@ -107,7 +115,6 @@ class TestWallResiduals:
     def test_curvature_residual_is_second_order(self):
         """With N = 2 the uncancelled alpha^2 curvature of the second
         correction is all that remains."""
-        from gbgroove.outer import outer_term
         params = figure_params(FIG_BT["fig4"])
         _, _, r3 = bc_residuals(FIG_BT["fig4"], params, ExpansionSpec(N=2))
         expect = params.alpha_hat ** 2 * abs(

@@ -11,15 +11,12 @@ ROOT = Path(__file__).resolve().parents[1]
 MODULES = sorted((ROOT / "src" / "gbgroove").glob("*.py"))
 USERS = [*MODULES, *(ROOT / "scripts").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
 
-# exported though nothing above reads them
+# exported though nothing above reads them: the engine's one-point faces,
+# which perfbench/spans.py looks up by name (ROADMAP item 4), and HypArgs,
+# hyp_pFq's argument type.  Nothing else waits here: the helpers only the
+# tests call are defined in tests/conftest.py
 KEPT = {
-    # the engine's one-point faces, which perfbench/spans.py looks up by name
-    # (ROADMAP item 4), and HypArgs, hyp_pFq's argument type
     "hyp_pFq", "hyp_pFq_derivative", "hyp_series_derivative", "HypArgs",
-    # solver diagnostics still to be settled (ROADMAP item 5)
-    "groove_metrics", "flux", "chemical_potential",
-    # the one-term references that outer_expansion is tested against bit for bit
-    "mullins_profile", "outer_term",
 }
 
 

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from conftest import (corner_combination_deriv0, corner_root_curvature,
-                      corner_similarity_ode_residual, rational_pfq, solve_c456)
+                      corner_similarity_ode_residual, mullins_profile, outer_term, rational_pfq,
+                      solve_c456)
 from gbgroove.layers import (
     CORNER_MATRIX,
     CornerSpec,
@@ -25,7 +26,6 @@ from gbgroove.layers import (
     corner_weights,
     theorem_coefficients,
 )
-from gbgroove.outer import mullins_profile, outer_term
 from gbgroove.specfun import GammaPoleError, SeriesError
 
 SPEC_R1 = CornerSpec(r=-1.0, gamma=1.0, alpha_hat=0.3)
@@ -95,6 +95,25 @@ class TestBoundaryLayer:
             boundary_layer_G(0.5, 1.0, 0.3, 1.0, 0.209)
         with pytest.raises(TypeError):
             CornerSpec(r=-1.0, gamma=1.0, alpha_hat=0.3, B=1.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: boundary_layer_G(math.nan, 1.0, 0.3, 0.209),
+    lambda: boundary_layer_G(np.array([0.0, math.nan]), 1.0, 0.3, 0.209),
+    lambda: boundary_layer_G(0.5, 1.0, 0.3, math.nan),
+    lambda: boundary_layer_G(0.5, 1.0, 0.3, math.inf),
+    lambda: boundary_layer_G(0.5, 1.0, math.inf, 0.209),
+    lambda: CornerSpec(gamma=math.nan, alpha_hat=0.3),
+    lambda: CornerSpec(gamma=math.inf, alpha_hat=0.3),
+    lambda: CornerSpec(gamma=0.3, alpha_hat=math.nan),
+    lambda: CornerSpec(gamma=0.3, alpha_hat=math.inf),
+], ids=["G-nan-x", "G-nan-x-array", "G-nan-m", "G-inf-m", "G-inf-alpha", "corner-nan-gamma",
+        "corner-inf-gamma", "corner-nan-alpha-hat", "corner-inf-alpha-hat"])
+def test_rejects_non_finite_arguments(call):
+    """Each returned NaN (boundary_layer_G) or was accepted until
+    corner_combination reported a misleading overflow (CornerSpec)."""
+    with pytest.raises(ValueError):
+        call()
 
 
 class TestCornerFundamentals:

@@ -11,8 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import basis_f1, basis_f2, mullins_ode_residual, yr_quadrature_oracle
-from gbgroove.outer import mullins_profile, mullins_shape, outer_expansion, outer_term
+from conftest import (basis_f1, basis_f2, mullins_ode_residual, mullins_profile, outer_term,
+                      yr_quadrature_oracle)
+from gbgroove.outer import mullins_shape, outer_expansion
 from gbgroove.specfun import gamma
 
 # profile scale for "relative to the profile" comparisons
@@ -154,6 +155,13 @@ def test_rejects_time_outside_zero_to_inf(t):
                  lambda: outer_expansion(2, 1.0, t, 0.2)):
         with pytest.raises(ValueError, match="0 < t < inf"):
             call()
+
+
+@pytest.mark.parametrize("m", [math.inf, -math.inf, math.nan])
+def test_expansion_rejects_non_finite_m(m):
+    """outer_expansion(2, 0.5, 1.0, inf) returned [-inf, -inf, inf]."""
+    with pytest.raises(ValueError, match="m must be finite"):
+        outer_expansion(2, 0.5, 1.0, m)
 
 
 def test_old_style_b_argument_raises():

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from gbgroove.outer import mullins_profile
+from conftest import mullins_profile
 from gbgroove.reference import exact_profile
 
 M = 0.209
@@ -42,10 +42,12 @@ def test_zero_slope_is_flat():
 
 
 @pytest.mark.parametrize("bad", [dict(t=0.0), dict(alpha_hat=-0.1), dict(L=0.0),
-                                 dict(t=math.inf), dict(m=math.nan), dict(alpha_hat=math.inf)])
+                                 dict(t=math.inf), dict(m=math.nan), dict(alpha_hat=math.inf),
+                                 dict(nodes=0), dict(x=np.array([0.0, math.nan]))])
 def test_rejects_bad_arguments(bad):
     """A non-finite t, m or alpha_hat is refused too, not turned into NaN
-    heights with a RuntimeWarning."""
-    args = dict(t=1.0, m=M, alpha_hat=0.307, L=8.0) | bad
+    heights with a RuntimeWarning; so are nodes < 1, which divided by
+    zero, and a NaN x."""
+    args = dict(x=X, t=1.0, m=M, alpha_hat=0.307, L=8.0) | bad
     with pytest.raises(ValueError):
-        exact_profile(X, **args)
+        exact_profile(**args)
