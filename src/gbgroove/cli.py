@@ -255,18 +255,154 @@ def _fmt(v: float) -> str:
     return f"{v:.16e}"
 
 
+# The table renderer writes what `%.16e` writes, over whole arrays.  A
+# nonzero |x| prints as the 17-digit integer q = round(|x| 10^k) and the
+# exponent 16 - k, for the k that puts |x| 10^k in [1e16, 1e17).  The
+# product is formed as p + t: 10^k is held as a double-double hi + lo,
+# p = fl(|x| hi), and t is that product's rounding error, taken by Dekker's
+# split (numpy has no FMA), plus |x| lo.  p + t misses |x| 10^k by under
+# 1e-14, so it decides k and rounds as the exact product does, except
+# within _DOUBT of a tie or of 1e16 (an exact power of ten), or above
+# 1e17 - 1/2, where q would round up to 1e17.  Those cells, and |x| outside
+# [1e-280, 1e280] (where the split's products leave the normal range),
+# take q and the exponent from Python's `%.16e`, one cell at a time.
+_SPLIT = 134217729.0                    # 2^27 + 1
+_FAST_RANGE = (1e-280, 1e280)
+_DOUBT = 1e-9
+# the cells rendered at once: a long table is rendered in blocks, so its
+# temporaries stay at block size
+_BLOCK_CELLS = 8192
+# one cell's bytes: sign, leading digit, ".", 16 digits, "e", exponent sign,
+# hundreds digit, two exponent digits, separator; the sign and the hundreds
+# digit are dropped where they do not print
+_CELL_BYTES = 25
+
+
+@functools.lru_cache(maxsize=256)
+def _pow10_span(k0: int, k1: int) -> np.ndarray:
+    """Rows hi, lo, and hi's Dekker halves, of 10^k for k in [k0, k1]: hi is
+    the double nearest 10^k and lo the double nearest 10^k - hi, both from
+    Python ints (whose true division rounds correctly)."""
+    cols = []
+    for k in range(k0, k1 + 1):
+        if k >= 0:
+            hi = float(10 ** k)
+            lo = float(10 ** k - int(hi))
+        else:
+            hi = 1 / 10 ** -k
+            num, den = hi.as_integer_ratio()
+            lo = (den - num * 10 ** -k) / (den * 10 ** -k)
+        c = _SPLIT * hi
+        head = c - (c - hi)
+        cols.append((hi, lo, head, hi - head))
+    return np.array(cols).T.copy()
+
+
+@functools.cache
+def _digit_pairs() -> np.ndarray:
+    """The ASCII of "00" .. "99", one two-byte item each."""
+    return np.frombuffer("".join(f"{i:02d}" for i in range(100)).encode(), np.uint16)
+
+
+@functools.cache
+def _cell_template() -> np.ndarray:
+    cell = np.zeros(_CELL_BYTES, np.uint8)
+    cell[0], cell[2], cell[19] = ord("-"), ord("."), ord("e")
+    return cell
+
+
+def _scaled(a: np.ndarray, pow10: np.ndarray):
+    """|x| 10^k as (p, t), for `pow10` the four rows of `_pow10_span` at
+    each cell's k."""
+    hi, lo, head, tail = pow10
+    p = a * hi
+    c = _SPLIT * a
+    ah = c - (c - a)
+    al = a - ah
+    return p, ((ah * head - p) + ah * tail + al * head) + al * tail + a * lo
+
+
+def _render_block(x: np.ndarray, seps: np.ndarray) -> str:
+    """`%.16e` text of the cells `x` (whole rows), each followed by its
+    column's separator from `seps`."""
+    n = x.size
+    a = np.abs(x)
+    fast = (a >= _FAST_RANGE[0]) & (a <= _FAST_RANGE[1])
+    a = np.where(fast, a, 1.0)
+    k = 16 - np.floor(np.log10(a)).astype(np.int64)
+    k0 = int(k.min()) - 1
+    pow10 = _pow10_span(k0, int(k.max()) + 1)
+    p, t = _scaled(a, pow10.take(k - k0, axis=1))
+    # log10 misses the decimal exponent by one next to a power of ten
+    moved = np.flatnonzero(((p - 1e16) + t < 0) | ((p - 1e17) + t >= 0))
+    if moved.size:
+        k[moved] += np.where(p[moved] < 5e16, 1, -1)
+        p[moved], t[moved] = _scaled(a[moved], pow10.take(k[moved] - k0, axis=1))
+    up = np.floor(t + 0.5)
+    slow = (~fast | ((p - 1e16) + t < _DOUBT) | ((p - 1e17) + t > -0.5)
+            | (np.abs(np.abs(t - up) - 0.5) < _DOUBT))
+    q = p.astype(np.int64) + up.astype(np.int64)
+    e = 16 - k
+    zero = np.flatnonzero(x == 0)
+    q[zero] = 0
+    e[zero] = 0
+    slow[zero] = False
+    for i in np.flatnonzero(slow).tolist():
+        text = f"{abs(float(x[i])):.16e}"
+        q[i] = int(text[0] + text[2:18])
+        e[i] = int(text[19:])
+    # q's 17 digits: the leading one, then two 8-digit halves as four
+    # 4-digit quarters, as eight pairs
+    hi9 = q // 10 ** 8
+    lead = hi9 // 10 ** 8
+    quarters = np.empty((n, 2, 2), np.uint32)
+    quarters[:, 0, 0] = hi9 - lead * 10 ** 8
+    quarters[:, 1, 0] = q - hi9 * 10 ** 8
+    quarters[:, :, 1] = quarters[:, :, 0] % 10 ** 4
+    quarters[:, :, 0] //= 10 ** 4
+    quarters = quarters.reshape(n, 4)
+    pairs = np.empty((n, 4, 2), np.uint32)
+    pairs[:, :, 0] = quarters // 100
+    pairs[:, :, 1] = quarters % 100
+    digits = _digit_pairs()
+    cells = np.empty((n, _CELL_BYTES), np.uint8)
+    cells[:] = _cell_template()
+    cells[:, 1] = lead + ord("0")
+    cells[:, 3:19] = digits.take(pairs.reshape(n, 8)).view(np.uint8)
+    cells[:, 20] = np.where(e < 0, ord("-"), ord("+"))
+    e = np.abs(e)
+    cells[:, 21] = e // 100 + ord("0")
+    cells[:, 22:24] = digits.take(e % 100).view(np.uint8).reshape(n, 2)
+    cells.reshape(-1, len(seps), _CELL_BYTES)[:, :, 24] = seps
+    keep = np.ones((n, _CELL_BYTES), bool)
+    keep[:, 0] = np.signbit(x)
+    keep[:, 21] = e >= 100
+    return cells[keep].tobytes().decode("ascii")
+
+
+def _render_table(table: np.ndarray) -> str:
+    """The finite 2-D `table` as `%.16e` text, cells split by commas and rows
+    ended by newlines: byte for byte `("%.16e," ... "%.16e\\n") % cells`."""
+    table = np.asarray(table, dtype=float)
+    nrows, ncols = table.shape
+    seps = np.full(ncols, ord(","), np.uint8)
+    seps[-1] = ord("\n")
+    step = max(1, _BLOCK_CELLS // ncols)
+    return "".join(_render_block(table[i:i + step].ravel(), seps)
+                   for i in range(0, nrows, step))
+
+
 def _write_table(cfg: RunConfig, columns: list[str], table: np.ndarray,
                  notes: list[str], gaps: list[float] = ()) -> str:
     """Render the 2-D float table as the run's text; `gaps` are the sup
     gaps the notes report.
 
     A non-finite table value or gap is a numerical failure, not an output.
-    Every cell is `%.16e` text from one format call over the whole table.
+    Every cell is `%.16e` text, from `_render_table`.
     """
     if not (np.isfinite(table).all() and np.isfinite(gaps).all()):
         raise NonFiniteOutputError("the run produced a non-finite output value")
-    nrows, ncols = table.shape
-    body = (("%.16e," * (ncols - 1) + "%.16e\n") * nrows) % tuple(table.ravel().tolist())
+    body = _render_table(table)
     header_cfg = json.dumps(cfg.resolved(), sort_keys=True)
     if cfg.fmt == "csv":
         lines = ["# gbgroove output", f"# config: {header_cfg}"]

@@ -19,6 +19,7 @@ call are summed in one engine pass.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -96,6 +97,8 @@ def _bl_amplitude(t: float, alpha: float, m: float) -> float:
 def boundary_layer_G(x, t: float, alpha: float, m: float, *, order: int = 0):
     """Wall correction G = (alpha b2 + alpha^2 b4) exp(-x/sqrt(alpha)), or its
     exact d^order/dx^order."""
+    if not (isinstance(order, numbers.Integral) and order >= 0):
+        raise ValueError(f"order must be an integer >= 0, got {order!r}")
     if alpha == 0.0:
         return np.zeros(np.shape(x)) if np.ndim(x) else 0.0
     if not 0 < alpha < math.inf:

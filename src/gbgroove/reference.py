@@ -27,6 +27,7 @@ This is a check for the two numerical routes, not a CLI mode.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -84,7 +85,8 @@ def exact_profile(x, t: float, m: float, alpha_hat: float,
     the inversion error (about 1e-13 of depth at the default 24 nodes).
 
     `L = inf` is the half-line; a finite `L` is the box [0, L] with the
-    solver's far-field conditions.
+    solver's far-field conditions.  Every `x` must be finite and lie in
+    [0, L].
     """
     if not 0 < t < math.inf:
         raise ValueError(f"t must be positive and finite, got {t}")
@@ -94,11 +96,13 @@ def exact_profile(x, t: float, m: float, alpha_hat: float,
         raise ValueError(f"alpha_hat must be non-negative and finite, got {alpha_hat}")
     if not L > 0:
         raise ValueError(f"L must be positive, got {L}")
-    if nodes < 1:
-        raise ValueError(f"need nodes >= 1, got {nodes}")
+    if not (isinstance(nodes, numbers.Integral) and nodes >= 1):
+        raise ValueError(f"nodes must be an integer >= 1, got {nodes!r}")
     xs = np.asarray(x, dtype=float)
-    if np.isnan(xs).any():
-        raise ValueError("x must not be NaN")
+    # the basis functions are bounded on [0, L] only: outside it they grow
+    # without bound
+    if not (np.isfinite(xs).all() and np.all((xs >= 0) & (xs <= L))):
+        raise ValueError(f"x must be finite and lie in [0, L] = [0, {L}]")
     s, ds = _contour(nodes, t)
     total = np.zeros(xs.shape, dtype=complex)
     for sk, dsk in zip(s, ds):

@@ -695,6 +695,64 @@ def test_table_text_matches_per_number_rendering(table, fmt):
     assert text == _per_number_text(cfg, columns, table.tolist(), notes)
 
 
+def _with_neighbours(values):
+    v = np.asarray(values, dtype=float)
+    return np.concatenate([v, np.nextafter(v, 0.0), np.nextafter(v, np.inf)])
+
+
+def _signed_rows(values, ncols=4):
+    """The values and their negatives, padded with zeros to rows of `ncols`."""
+    v = np.asarray(values, dtype=float)
+    v = np.concatenate([v, -v])
+    v = v[np.isfinite(v)]
+    return np.concatenate([v, np.zeros(-len(v) % ncols)]).reshape(-1, ncols)
+
+
+def _mixed_table(nrows, ncols):
+    rng = np.random.default_rng(30)
+    shape = (nrows, ncols)
+    return rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
+
+
+_RENDER_CASES = {
+    # j 10^k over every k a double reaches, where log10 misses the exponent
+    # by one on one side or the other
+    "powers-of-ten": lambda: _signed_rows(_with_neighbours(
+        [v for k in range(-323, 309) for j in range(1, 10)
+         if 0.0 < (v := float(f"{j}e{k}")) < np.inf])),
+    # the exponent the prototype got wrong (1e-280 is below 10^-280), an
+    # exact power of ten, the fast range's ends, and |x| 10^k next to 1e16
+    # and 1e17
+    "edges": lambda: _signed_rows(_with_neighbours(
+        [1e-280, 1e20, *cli._FAST_RANGE, 1e-281, 1e281,
+         *(1e16 + 2.0 * i for i in range(-4, 5)), *(1e17 + 16.0 * i for i in range(-4, 5))])),
+    # (2^17 + 1) / 2^17 = 1.00000762939453125 has 18 digits and a last 5:
+    # an exact tie, rounded to even; its kin are ties or near them
+    "dyadic-ties": lambda: _signed_rows(
+        [(2 ** j + i) / 2 ** j for j in range(1, 60) for i in range(1, 40, 2)]),
+    "integers": lambda: _signed_rows(
+        [float(2 ** j + d) for j in range(64) for d in (-1, 0, 1)] + [2.0 ** 63]),
+    "extremes": lambda: _signed_rows(
+        [0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1.7976931348623157e308]),
+    "past-one-block": lambda: _mixed_table(cli._BLOCK_CELLS // 3 + 7, 3),
+    "one-column": lambda: _mixed_table(257, 1),
+}
+
+
+@pytest.mark.parametrize("case", list(_RENDER_CASES))
+def test_table_text_matches_per_number_rendering_on_hard_cases(case):
+    """The array renderer writes `%.16e` byte for byte where its fast path
+    must hand a cell on or decide it near the edge."""
+    table = _RENDER_CASES[case]()
+    cfg = _table_config("csv")
+    columns = [f"c{j}" for j in range(table.shape[1])]
+    got = cli._write_table(cfg, columns, table, []).splitlines()
+    want = _per_number_text(cfg, columns, table.tolist(), []).splitlines()
+    # the first few differing lines, not a diff of the whole text
+    assert len(got) == len(want)
+    assert [(g, w) for g, w in zip(got, want) if g != w][:5] == []
+
+
 @given(table=_TABLE, bad=_NON_FINITE, data=st.data())
 @settings(derandomize=True, max_examples=100, deadline=None)
 def test_non_finite_cell_or_gap_is_refused(table, bad, data):

@@ -103,15 +103,20 @@ class TestBoundaryLayer:
     lambda: boundary_layer_G(0.5, 1.0, 0.3, math.nan),
     lambda: boundary_layer_G(0.5, 1.0, 0.3, math.inf),
     lambda: boundary_layer_G(0.5, 1.0, math.inf, 0.209),
+    lambda: boundary_layer_G(0.5, 1.0, 0.3, 0.209, order=-1),
+    lambda: boundary_layer_G(0.5, 1.0, 0.3, 0.209, order=1.5),
     lambda: CornerSpec(gamma=math.nan, alpha_hat=0.3),
     lambda: CornerSpec(gamma=math.inf, alpha_hat=0.3),
     lambda: CornerSpec(gamma=0.3, alpha_hat=math.nan),
     lambda: CornerSpec(gamma=0.3, alpha_hat=math.inf),
-], ids=["G-nan-x", "G-nan-x-array", "G-nan-m", "G-inf-m", "G-inf-alpha", "corner-nan-gamma",
-        "corner-inf-gamma", "corner-nan-alpha-hat", "corner-inf-alpha-hat"])
+], ids=["G-nan-x", "G-nan-x-array", "G-nan-m", "G-inf-m", "G-inf-alpha", "G-negative-order",
+        "G-fractional-order", "corner-nan-gamma", "corner-inf-gamma", "corner-nan-alpha-hat",
+        "corner-inf-alpha-hat"])
 def test_rejects_non_finite_arguments(call):
     """Each returned NaN (boundary_layer_G) or was accepted until
-    corner_combination reported a misleading overflow (CornerSpec)."""
+    corner_combination reported a misleading overflow (CornerSpec).  An
+    order that is negative or not an integer returned a number too: -0.0035
+    at order -1 and -0.0158 at 1.5."""
     with pytest.raises(ValueError):
         call()
 

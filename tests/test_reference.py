@@ -43,11 +43,15 @@ def test_zero_slope_is_flat():
 
 @pytest.mark.parametrize("bad", [dict(t=0.0), dict(alpha_hat=-0.1), dict(L=0.0),
                                  dict(t=math.inf), dict(m=math.nan), dict(alpha_hat=math.inf),
-                                 dict(nodes=0), dict(x=np.array([0.0, math.nan]))])
+                                 dict(nodes=0), dict(x=np.array([0.0, math.nan])),
+                                 dict(x=np.array([-50.0]), L=math.inf), dict(x=np.array([20.0])),
+                                 dict(x=np.array([0.0, math.inf]), L=math.inf), dict(nodes=2.5)])
 def test_rejects_bad_arguments(bad):
     """A non-finite t, m or alpha_hat is refused too, not turned into NaN
     heights with a RuntimeWarning; so are nodes < 1, which divided by
-    zero, and a NaN x."""
+    zero, a fractional nodes (2.5 returned -0.069), a NaN x, and an x
+    outside [0, L]: x = -50 on the half-line returned -2.65e39, x = 20 on
+    the box [0, 8] -2.2e7 and x = inf NaN."""
     args = dict(x=X, t=1.0, m=M, alpha_hat=0.307, L=8.0) | bad
     with pytest.raises(ValueError):
         exact_profile(**args)
