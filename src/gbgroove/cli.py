@@ -76,10 +76,11 @@ _DEFAULT_BT = 1e-29
 # output rows of a whole run, over every Bt value and alpha: uncapped, a
 # long `times` list dies in numpy's allocator outside the 0/2/3 exit codes.
 # On a 2-vCPU x86-64 host (Python 3.11, numpy 2.4), a CSV profile run of
-# one Bt at the budget takes about 0.9 s and peaks 72 MB above the import,
-# most of it the series evaluation of its samples (4 Bt of 16384 samples:
-# 24 MB); the table itself is 2 MB as an array and 6 MB as text.  JSON
-# takes about 1.3 s and peaks 79 MB above the import
+# one Bt at the budget takes about 0.5 s in process (0.75 s as a fresh
+# command) and peaks 66 MB above the import, most of it the series
+# evaluation of its samples (4 Bt of 16384 samples: 24 MB); the table
+# itself is 2 MB as an array and 6 MB as text, rendered in about 0.08 s.
+# JSON takes about 0.65 s (0.95 s) and peaks as high
 MAX_ROWS = 65536
 # each solve is charged as this many rows: on that host a default solve
 # (513 nodes, 78 steps) takes about 4 ms, as long as about 450 profile rows
@@ -273,9 +274,11 @@ _DOUBT = 1e-9
 # temporaries stay at block size
 _BLOCK_CELLS = 8192
 # one cell's bytes: sign, leading digit, ".", 16 digits, "e", exponent sign,
-# hundreds digit, two exponent digits, separator; the sign and the hundreds
-# digit are dropped where they do not print
+# hundreds digit, two exponent digits, separator; the sign and a hundreds
+# digit of 0 are dropped, as they do not print
 _CELL_BYTES = 25
+# the decimal exponents of finite doubles, [-324, 308]
+_EXPONENTS = (-324, 309)
 
 
 @functools.lru_cache(maxsize=256)
@@ -305,10 +308,10 @@ def _digit_pairs() -> np.ndarray:
 
 
 @functools.cache
-def _cell_template() -> np.ndarray:
-    cell = np.zeros(_CELL_BYTES, np.uint8)
-    cell[0], cell[2], cell[19] = ord("-"), ord("."), ord("e")
-    return cell
+def _exponents() -> np.ndarray:
+    """The ASCII of each exponent's sign and three digits, "-324" .. "+308",
+    one four-byte item each."""
+    return np.frombuffer("".join(f"{e:+04d}" for e in range(*_EXPONENTS)).encode(), np.uint32)
 
 
 def _scaled(a: np.ndarray, pow10: np.ndarray):
@@ -351,32 +354,29 @@ def _render_block(x: np.ndarray, seps: np.ndarray) -> str:
         text = f"{abs(float(x[i])):.16e}"
         q[i] = int(text[0] + text[2:18])
         e[i] = int(text[19:])
-    # q's 17 digits: the leading one, then two 8-digit halves as four
-    # 4-digit quarters, as eight pairs
-    hi9 = q // 10 ** 8
-    lead = hi9 // 10 ** 8
-    quarters = np.empty((n, 2, 2), np.uint32)
-    quarters[:, 0, 0] = hi9 - lead * 10 ** 8
-    quarters[:, 1, 0] = q - hi9 * 10 ** 8
-    quarters[:, :, 1] = quarters[:, :, 0] % 10 ** 4
-    quarters[:, :, 0] //= 10 ** 4
+    # q's 17 digits: the leading one, then two 8-digit halves split into
+    # four quarters and eight pairs, in int64 throughout
+    halves = np.empty((n, 2), np.int64)
+    halves[:, 0] = q // 10 ** 8
+    halves[:, 1] = q - halves[:, 0] * 10 ** 8
+    lead = halves[:, 0] // 10 ** 8
+    halves[:, 0] -= lead * 10 ** 8
+    quarters = np.empty((n, 2, 2), np.int64)
+    quarters[:, :, 0] = halves // 10 ** 4
+    quarters[:, :, 1] = halves - quarters[:, :, 0] * 10 ** 4
     quarters = quarters.reshape(n, 4)
-    pairs = np.empty((n, 4, 2), np.uint32)
+    pairs = np.empty((n, 4, 2), np.int64)
     pairs[:, :, 0] = quarters // 100
-    pairs[:, :, 1] = quarters % 100
-    digits = _digit_pairs()
+    pairs[:, :, 1] = quarters - pairs[:, :, 0] * 100
     cells = np.empty((n, _CELL_BYTES), np.uint8)
-    cells[:] = _cell_template()
+    cells[:, 0], cells[:, 2], cells[:, 19] = ord("-"), ord("."), ord("e")
     cells[:, 1] = lead + ord("0")
-    cells[:, 3:19] = digits.take(pairs.reshape(n, 8)).view(np.uint8)
-    cells[:, 20] = np.where(e < 0, ord("-"), ord("+"))
-    e = np.abs(e)
-    cells[:, 21] = e // 100 + ord("0")
-    cells[:, 22:24] = digits.take(e % 100).view(np.uint8).reshape(n, 2)
+    cells[:, 3:19] = _digit_pairs().take(pairs.reshape(n, 8)).view(np.uint8)
+    cells[:, 20:24] = _exponents().take(e - _EXPONENTS[0]).view(np.uint8).reshape(n, 4)
     cells.reshape(-1, len(seps), _CELL_BYTES)[:, :, 24] = seps
     keep = np.ones((n, _CELL_BYTES), bool)
     keep[:, 0] = np.signbit(x)
-    keep[:, 21] = e >= 100
+    keep[:, 21] = cells[:, 21] != ord("0")
     return cells[keep].tobytes().decode("ascii")
 
 
