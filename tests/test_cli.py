@@ -720,8 +720,8 @@ _RENDER_CASES = {
     "powers-of-ten": lambda: _signed_rows(_with_neighbours(
         [v for k in range(-323, 309) for j in range(1, 10)
          if 0.0 < (v := float(f"{j}e{k}")) < np.inf])),
-    # the exponent the prototype got wrong (1e-280 is below 10^-280), an
-    # exact power of ten, the fast range's ends, and |x| 10^k next to 1e16
+    # 1e-280, which lies below 10^-280 and prints as 9.9999999999999996e-281,
+    # an exact power of ten, the fast range's ends, and |x| 10^k next to 1e16
     # and 1e17
     "edges": lambda: _signed_rows(_with_neighbours(
         [1e-280, 1e20, *cli._FAST_RANGE, 1e-281, 1e281,
