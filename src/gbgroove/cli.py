@@ -22,7 +22,6 @@ import numpy as np
 
 from .composite import (
     ExpansionSpec,
-    composite_profile_nd,
     depth_difference,
     mullins_and_composite,
 )
@@ -35,13 +34,12 @@ from .material import (
     nondimensionalize,
 )
 from .oracle import (
-    LATTICE_STEPS,
+    MAX_NODES,
     ConfigError,
     DivergenceError,
     Grid,
-    SolverConfig,
-    mass,
-    solve,
+    halfline_mass,
+    halfline_profile,
 )
 from .outer import MAX_ORDER, U_CLAMP, mullins_shape
 from .specfun import GammaPoleError, SeriesError
@@ -68,8 +66,8 @@ PRESETS: dict[str, dict] = {
 }
 
 
-# solver domain [0, 8] in units of (B t)^(1/4): the shortest SolverConfig
-# accepts for t_final = 1
+# the oracle window [0, 8] in units of (Bt)^(1/4), over which solver.nx
+# sets the spacing: dx = 8 / (nx - 1)
 _SOLVER_L = 8.0
 # the Bt value, m^4, of a mode that reads one when none is given
 _DEFAULT_BT = 1e-29
@@ -82,10 +80,10 @@ _DEFAULT_BT = 1e-29
 # itself is 2 MB as an array and 6 MB as text, rendered in about 0.08 s.
 # JSON takes about 0.65 s (0.95 s) and peaks as high
 MAX_ROWS = 65536
-# each solve is charged as this many rows: on that host a default solve
-# (513 nodes, 78 steps) takes about 4 ms, as long as about 450 profile rows
-# at about 9 us a row, and one at the 2049-node cap about 13 ms, about 1400
-# rows
+# each oracle column is charged as this many rows, what a BDF2 solve of 4 to
+# 13 ms once cost.  The half-line modes cost less: on that host about
+# 0.5 ms a column plus about 2 us a row, against about 9 us a profile row,
+# and 65536 rows peak 15 MB
 SOLVE_ROWS = 2048
 
 
@@ -164,9 +162,6 @@ class RunConfig:
             raise CliConfigError(f"order must be in [0, {MAX_ORDER}], got {self.order}")
         if self.xmax is not None and not 0 < self.xmax <= U_CLAMP:
             raise CliConfigError(f"xmax must lie in (0, {U_CLAMP:g}], the series clamp, "
-                                 f"got {self.xmax}")
-        if self.mode == "compare" and self.xmax is not None and self.xmax > _SOLVER_L:
-            raise CliConfigError(f"compare needs xmax <= {_SOLVER_L:g}, the solver domain, "
                                  f"got {self.xmax}")
         if self.mode == "depth-series" and self.physical is not None:
             raise CliConfigError("depth-series sweeps model.alpha; give a 'model' block")
@@ -394,8 +389,8 @@ def _render_table(table: np.ndarray) -> str:
 
 def _write_table(cfg: RunConfig, columns: list[str], table: np.ndarray,
                  notes: list[str], gaps: list[float] = ()) -> str:
-    """Render the 2-D float table as the run's text; `gaps` are the sup
-    gaps the notes report.
+    """Render the 2-D float table as the run's text; `gaps` are the numbers
+    the notes report: compare's sup gaps, oracle's masses.
 
     A non-finite table value or gap is a numerical failure, not an output.
     Every cell is `%.16e` text, from `_render_table`.
@@ -450,55 +445,52 @@ def _profile_table(cfg: RunConfig, with_oracle: bool):
         params = reduced(bt)
         span = (cfg.xmax if cfg.xmax is not None else 8.0) * bt ** 0.25
         xs = np.linspace(0.0, span, cfg.samples)
-        oracle_vals = None
-        if with_oracle:
-            prof, sup = _oracle_profile(cfg, params)
-            xs_nd = xs / params.L0
-            oracle_vals = params.L0 * np.interp(xs_nd, prof[0], prof[1])
-            notes.append(f"Bt={_fmt(bt)}: sup|composite-oracle|/depth = {_fmt(sup)}")
-            gaps.append(sup)
+        dx = _solver_dx(cfg, params) if with_oracle else None
         cols = [np.full(len(xs), bt), xs, *mullins_and_composite(xs, bt, params, spec)]
         if with_oracle:
-            cols.append(oracle_vals)
+            ys = cols[-1]
+            yo = params.L0 * halfline_profile(xs / params.L0, 1.0, params.m,
+                                              params.alpha_hat, dx)
+            # xs[0] = 0: the composite's root depth
+            depth = abs(ys[0]) if ys[0] != 0 else 1.0
+            sup = float(np.max(np.abs(ys - yo)) / depth)
+            notes.append(f"Bt={_fmt(bt)}: sup|composite-oracle|/depth = {_fmt(sup)}")
+            gaps.append(sup)
+            cols.append(yo)
         blocks.append(np.column_stack(cols))
     return columns, np.concatenate(blocks), notes, gaps
 
 
-def _solver_config(cfg: RunConfig, params: ModelParams) -> SolverConfig:
-    """Solver grid and plateau step: the `solver` block may set `nx` and `dt`.
+def _solver_dx(cfg: RunConfig, params: ModelParams) -> float:
+    """The oracle column's grid spacing, dx = 8 / (nx - 1): the `solver`
+    block may set `nx`.
 
     The default grid is the coarsest that resolves the wall layer
-    (dx <= sqrt(alpha_hat)/4), and never coarser than 513 nodes.  A dt above
-    the plateau step cap is refused.
+    (dx <= sqrt(alpha_hat)/4), and never coarser than 513 nodes.  The column
+    is exact in time, so the block takes no `dt`.
     """
     s = dict(cfg.solver)
     nx = s.pop("nx", None)
-    dt = s.pop("dt", 1.0 / 64)
+    if "dt" in s:
+        raise CliConfigError("solver.dt is not read: the oracle column is exact in time, "
+                             "the solver's discrete modes on the half-line with no time step")
     if s:
         raise CliConfigError(f"unknown solver options: {sorted(s)}")
     _require_numbers("solver.nx", [] if nx is None else [nx], integral=True)
-    _require_numbers("solver.dt", [dt])
-    # the solve runs to t_final = 1, where the solver would march a larger
-    # plateau step at 1 / LATTICE_STEPS without a word
-    if 1.0 / LATTICE_STEPS < dt < math.inf:
-        raise CliConfigError(f"solver.dt must be at most 1/{LATTICE_STEPS}, the solver's "
-                             f"plateau step cap (oracle.LATTICE_STEPS), got {dt!r}")
     ah = params.alpha_hat
     if nx is None:
         nx = max(513, math.ceil(_SOLVER_L / (math.sqrt(ah) / 4.0)) + 1) if ah > 0 else 513
-    return SolverConfig(grid=Grid(L=_SOLVER_L, nx=nx), dt=float(dt), t_final=1.0,
-                        alpha_hat=ah, m=params.m)
-
-
-def _oracle_profile(cfg: RunConfig, params: ModelParams):
-    """Solve the PDE at t_hat = 1 and report (x_nd, y_nd) plus the sup gap."""
-    scfg = _solver_config(cfg, params)
-    prof = solve(scfg)[-1]
-    xs = scfg.grid.nodes
-    comp = composite_profile_nd(xs, 1.0, params.m, params.alpha_hat, ExpansionSpec(N=cfg.order))
-    depth = abs(comp[0]) if comp[0] != 0 else 1.0
-    sup = float(np.max(np.abs(comp - prof.heights)) / depth)
-    return (xs, prof.heights), sup
+    dx = Grid(L=_SOLVER_L, nx=nx).dx
+    if nx > MAX_NODES:
+        raise CliConfigError(
+            f"need nx <= {MAX_NODES}, got {nx}: float64 roundoff in the wall rows grows "
+            f"with their largest entry, about alpha_hat / dx^5, here with dx = {dx:.4g} "
+            f"and alpha_hat = {ah:.4g}")
+    if ah > 0 and dx > math.sqrt(ah) / 4.0 + 1e-15:
+        raise CliConfigError(
+            f"dx = {dx:.4g} does not resolve the wall layer; "
+            f"need dx <= sqrt(alpha_hat)/4 = {math.sqrt(ah)/4:.4g}")
+    return dx
 
 
 def _mode_profile(cfg: RunConfig) -> str:
@@ -558,17 +550,18 @@ def _mode_oracle(cfg: RunConfig) -> str:
     columns = ["Bt_m4", "x_m", "y_oracle_m"]
     blocks = []
     notes = []
+    masses = []
     reduced = _reducer(cfg.model, cfg.physical)
     for bt in cfg.times:
         params = reduced(bt)
-        scfg = _solver_config(cfg, params)
-        profiles = solve(scfg)
-        prof = profiles[-1]
-        notes.append(f"Bt={_fmt(bt)}: mass={_fmt(mass(prof))} (nondimensional)")
-        xs = np.linspace(0.0, scfg.grid.L, cfg.samples)
-        ys = np.interp(xs, scfg.grid.nodes, prof.heights)
+        dx = _solver_dx(cfg, params)
+        ah = params.alpha_hat
+        masses.append(halfline_mass(1.0, params.m, ah, dx))
+        notes.append(f"Bt={_fmt(bt)}: mass={_fmt(masses[-1])} (nondimensional)")
+        xs = np.linspace(0.0, _SOLVER_L, cfg.samples)
+        ys = halfline_profile(xs, 1.0, params.m, ah, dx)
         blocks.append(np.column_stack([np.full(len(xs), bt), xs * params.L0, ys * params.L0]))
-    return _write_table(cfg, columns, np.concatenate(blocks), notes)
+    return _write_table(cfg, columns, np.concatenate(blocks), notes, masses)
 
 
 # What each mode reads, one entry per mode: its function; the optional
@@ -608,7 +601,10 @@ def run(cfg: RunConfig) -> str:
 # ---- entry point -----------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser every `main` call shares: parse_args keeps no state in
+    it (each call fills a fresh namespace, and `append` copies its default)."""
     parser = argparse.ArgumentParser(
         prog="gbgroove",
         description="Groove profiles under an elastic passivation layer: "
@@ -625,8 +621,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--order", type=int, help="outer expansion order N")
     parser.add_argument("--samples", type=int, help="output sample count")
     parser.add_argument("--xmax", type=float,
-                        help="window in units of (Bt)^(1/4), default 8, at most 12 "
-                             "(8 in compare mode)")
+                        help="window in units of (Bt)^(1/4), default 8, at most 12")
     parser.add_argument("--out", type=str, help="output file path")
     parser.add_argument("--format", dest="fmt", choices=FORMATS)
     return parser

@@ -35,9 +35,20 @@ allocates a height array, and finiteness is checked once per run of equal
 steps.  The last step's factors are kept, so a run of equal steps factors
 once.
 
+The same semi-discrete equations are also solved exactly in time on the
+half-line, x >= 0 (`halfline_profile`, `halfline_mass`); the CLI's
+``oracle`` and ``compare`` modes print that column.  In the Laplace domain
+the interior rows have constant coefficients, so from a flat start the
+heights are a combination of the stencil's lo decaying discrete modes z^i,
+and the lo wall rows fix it at each node of the reference's Talbot contour:
+no box, no far-field row, no time step and no SciPy.  It is the
+Laplace-domain form of a discrete transparent boundary condition (Arnold,
+VLSI Design 6, 1998; Ehrhardt & Arnold, Riv. Mat. Univ. Parma, 2001).  The
+march stays as the check on it that inverts no transform.
+
 SciPy's BLAS and LAPACK wrappers are loaded where a system is factored,
-not at module level, so the series-only paths (and ``import gbgroove.cli``)
-never load SciPy.  Even then only ``scipy`` itself and the two f2py
+not at module level, so the CLI, which never marches, and the half-line
+modes never load SciPy.  Even then only ``scipy`` itself and the two f2py
 extension modules behind ``scipy.linalg.blas`` and ``scipy.linalg.lapack``
 are loaded, from their files (`_blas_lapack`): the ``scipy.linalg``
 package, whose import pulls in some 85 SciPy modules and numpy.f2py,
@@ -52,6 +63,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .reference import _contour, _cubic_roots
+
 __all__ = [
     "ConfigError",
     "DivergenceError",
@@ -64,6 +77,8 @@ __all__ = [
     "solve",
     "time_steps",
     "mass",
+    "halfline_profile",
+    "halfline_mass",
 ]
 
 MIN_NODES = 64
@@ -77,7 +92,12 @@ MIN_NODES = 64
 # L = 16, nx 1025 keeps dx 1/64 and the nx 513 errors; at alpha_hat 0.01 the
 # entry is 30x smaller and nx 1025 on L = 8 is clean (2.5e-5).  Capping nx
 # bounds dx only on a given box: on L = 8 this cap admits dx 1/256 and its
-# percent-level error, which a cap on the entry itself would refuse
+# percent-level error, which a cap on the entry itself would refuse.
+# The CLI caps the half-line modes' nx, with dx = 8 / (nx - 1), here too.
+# Their wall rows reach alpha_hat / dx^5, and against the exact half-line
+# solution they miss by 8.2e-5 / 9.3e-6 / 1.3e-5 of depth at dx 1/64,
+# 1.3e-5 / 3.5e-6 / 6.4e-6 at dx 1/128 and 2.0e-6 / 2.6e-5 / 2.3e-5 at
+# dx 1/256: past dx 1/128 roundoff outgrows the spatial error
 MAX_NODES = 2049
 # step budget: a t_final/dt far above it (dt = 1e-9 takes ~1e9 steps)
 # marches for hours with no exit
@@ -90,6 +110,9 @@ RAMP_STEPS = 2      # backward-Euler steps taken at each ramp stage
 # the cap t_final/4 that RAMP_STEPS alone gave missed the exact box solution
 # by 2e-2 of depth, and this cap by 3-5e-4
 LATTICE_STEPS = 32
+# Talbot nodes of the half-line modes: the reference's default, of which the
+# upper half is evaluated
+HALFLINE_NODES = 24
 
 
 class ConfigError(ValueError):
@@ -297,6 +320,58 @@ class Profile:
         object.__setattr__(self, "heights", h)
 
 
+def _edge_block(n: int, dx: float, alpha_hat: float, m: float):
+    """The interior stencil and the edge block of n nodes at spacing dx:
+    (stencil, C_E, W_E, bc).
+
+    The stencil is alpha_hat*D6 - D4 (-D4 when alpha_hat = 0), of half-width
+    lo = 3 (2).  Row r of C_E y + W_E y_t = bc[r] is grid row r for r < lo
+    (the wall rows) and n - 2 lo + r after (the far rows): the backward-Euler
+    step of length h takes C_E + W_E/h, and the Laplace transform from a
+    flat start C_E + s W_E, with right-hand side bc/s.  The sixth-order
+    problem adds zero wall curvature and zero far slope; at alpha_hat = 0
+    the balance rows take rows 1 and n - 2 instead.
+    """
+    ah = alpha_hat
+    lo = 3 if ah > 0 else 2
+    hi = n - 1 - lo
+    d4 = np.array([1.0, -4.0, 6.0, -4.0, 1.0]) / dx ** 4
+    if ah > 0:
+        stencil = ah * (np.array([1.0, -6.0, 15.0, -20.0, 15.0, -6.0, 1.0]) / dx ** 6)
+        stencil[1:6] -= d4
+    else:
+        stencil = -d4
+    k = 2 * lo
+    C_E, W_E = np.zeros((2, k, n))
+    bc = np.r_[m / 2.0, np.zeros(k - 1)]
+    w1 = _one_sided(1, dx)
+    # wall slope-bending: y_x - alpha_hat y_xxx = m/2, the first entry of bc
+    C_E[0, :len(w1)] = w1
+    if ah > 0:
+        w3 = _one_sided(3, dx)
+        C_E[0, :len(w3)] -= ah * w3
+        w2 = _one_sided(2, dx)
+        # wall curvature: y_xx = 0
+        C_E[1, :len(w2)] = w2
+        # far slope: y_x = 0
+        C_E[k - 2, n - len(w1):] = -w1[::-1]
+    # far value: y = 0
+    C_E[k - 1, n - 1] = 1.0
+    # mass-balance rows take the place of the flux rows: the edge nodes'
+    # trapezoid weights (W_E) plus the telescoped flux S, dx times the sum
+    # of the first / last eight interior rows
+    w = dx * stencil
+    for i in range(8):
+        # wall balance, grid row lo - 1
+        C_E[lo - 1, i:i + k + 1] += w
+        # far balance, grid row n - lo
+        C_E[lo, hi - 7 + i - lo:hi - 6 + i + lo] += w
+    C_E[lo - 1, lo + 3:] = C_E[lo, :hi - 2] = 0.0
+    W_E[lo - 1, :lo] = W_E[lo, hi + 1:] = dx
+    W_E[lo - 1, 0] = W_E[lo, n - 1] = dx / 2.0
+    return stencil, C_E, W_E, bc
+
+
 class GrooveOperator:
     """Interior stencil plus one edge block for one configuration.
 
@@ -325,51 +400,14 @@ class GrooveOperator:
         self.config = config
         n = config.grid.nx
         dx = config.grid.dx
-        ah = config.alpha_hat
         self.n = n
         self.dx = dx
-        lo = self.interior_lo = 3 if ah > 0 else 2   # also the stencil half-width
-        hi = self.interior_hi = n - 1 - lo
-        d4 = np.array([1.0, -4.0, 6.0, -4.0, 1.0]) / dx ** 4
-        if ah > 0:
-            stencil = ah * (np.array([1.0, -6.0, 15.0, -20.0, 15.0, -6.0, 1.0]) / dx ** 6)
-            stencil[1:6] -= d4
-        else:
-            stencil = -d4
+        stencil, C_E, W_E, self.bc = _edge_block(n, dx, config.alpha_hat, config.m)
         self.stencil = stencil
-
-        # the edge block: row r of C_E + W_E/h = bc[r] is grid row _edge[r].
-        # The sixth-order problem adds zero wall curvature and zero far slope;
-        # at alpha_hat = 0 the balance rows take rows 1 and n - 2 instead
+        lo = self.interior_lo = len(stencil) // 2
+        hi = self.interior_hi = n - 1 - lo
         k = 2 * lo
         self._edge = np.r_[0:lo, hi + 1:n]
-        C_E, W_E = np.zeros((2, k, n))
-        self.bc = np.r_[config.m / 2.0, np.zeros(k - 1)]
-        w1 = _one_sided(1, dx)
-        # wall slope-bending: y_x - alpha_hat y_xxx = m/2, the first entry of bc
-        C_E[0, :len(w1)] = w1
-        if ah > 0:
-            w3 = _one_sided(3, dx)
-            C_E[0, :len(w3)] -= ah * w3
-            w2 = _one_sided(2, dx)
-            # wall curvature: y_xx = 0
-            C_E[1, :len(w2)] = w2
-            # far slope: y_x = 0
-            C_E[k - 2, n - len(w1):] = -w1[::-1]
-        # far value: y = 0
-        C_E[k - 1, n - 1] = 1.0
-        # mass-balance rows take the place of the flux rows: the edge nodes'
-        # trapezoid weights over h (W_E) plus the telescoped flux S, dx times
-        # the sum of the first / last eight interior rows
-        w = dx * stencil
-        for i in range(8):
-            # wall balance, grid row lo - 1
-            C_E[lo - 1, i:i + k + 1] += w
-            # far balance, grid row n - lo
-            C_E[lo, hi - 7 + i - lo:hi - 6 + i + lo] += w
-        C_E[lo - 1, lo + 3:] = C_E[lo, :hi - 2] = 0.0
-        W_E[lo - 1, :lo] = W_E[lo, hi + 1:] = dx
-        W_E[lo - 1, 0] = W_E[lo, n - 1] = dx / 2.0
         # kl and ku: the farthest any edge row reaches below and above
         r, j = np.nonzero((C_E != 0) | (W_E != 0))
         kl = self.kl = max(lo, int(np.max(self._edge[r] - j)))
@@ -548,6 +586,91 @@ def solve(config: SolverConfig) -> list[Profile]:
         if (k + 1 == len(steps) or steps[k + 1] != dt) and not np.isfinite(y).all():
             raise DivergenceError(f"non-finite solution after a run of dt = {dt:.3e} steps")
     return [Profile(heights=y, time=config.t_final, grid=config.grid)]
+
+
+# ---- the half-line modes ---------------------------------------------------
+
+
+def _wall_modes(s: np.ndarray, m: float, alpha_hat: float, dx: float):
+    """The solver's semi-discrete equations on the half-line, solved at each
+    Laplace node s from a flat start: Y_i = sum_k c_k z_k^i over the lo modes
+    with |z_k| < 1.  Returns c, z - 1 and log z, each (len(s), lo).
+
+    The interior rows s Y = stencil * Y hold at every node i >= lo and have
+    constant coefficients, so each mode solves alpha_hat delta^3 - delta^2 =
+    s, the stencil's symbol, with delta = (z - 2 + 1/z) / dx^2: delta is a
+    root q of the reference's cubic, and z - 1 = d/2 -+ sqrt(d + d^2/4) with
+    d = q dx^2.  The lo wall rows of the edge block, (C_E + s W_E) Y =
+    bc / s, fix c.  C_E's rows annihilate constants, so they act on
+    z^j - 1, from expm1: on z^j itself, near z = 1, they would cancel
+    digits (2e-3 of depth at dx 1/256 and alpha_hat 0.307, not 3e-5).
+    """
+    q = _cubic_roots(s, alpha_hat)
+    d = q * dx ** 2
+    root = np.sqrt(d + d * d / 4.0)
+    zm1 = d / 2.0 - root
+    zm1 = np.where(np.abs(1.0 + zm1) < 1.0, zm1, d / 2.0 + root)
+    log_z = np.log1p(zm1)
+    # MIN_NODES keeps the far rows clear of the columns the wall rows reach
+    stencil, C_E, W_E, bc = _edge_block(MIN_NODES, dx, alpha_hat, m)
+    lo = len(stencil) // 2
+    reach = np.flatnonzero((C_E[:lo] != 0).any(axis=0) | (W_E[:lo] != 0).any(axis=0))[-1] + 1
+    C, W = C_E[:lo, :reach], W_E[:lo, :reach]
+    powers_m1 = np.expm1(np.arange(reach)[:, None] * log_z[:, None, :])
+    rows = C @ powers_m1 + s[:, None, None] * (W @ (1.0 + powers_m1))
+    c = np.linalg.solve(rows, (bc[:lo] / s[:, None])[..., None])[..., 0]
+    return c, zm1, log_z
+
+
+def _halfline_nodes(t: float, m: float, alpha_hat: float, dx: float):
+    """Check the arguments; return the upper half of the reference's Talbot
+    nodes with their inversion weights, and the wall modes there."""
+    if not 0 < t < math.inf:
+        raise ValueError(f"t must be positive and finite, got {t}")
+    if not math.isfinite(m):
+        raise ValueError(f"m must be finite, got {m}")
+    if not 0 <= alpha_hat < math.inf:
+        raise ValueError(f"alpha_hat must be non-negative and finite, got {alpha_hat}")
+    if not 0 < dx < math.inf:
+        raise ValueError(f"dx must be positive and finite, got {dx}")
+    s, ds = _contour(HALFLINE_NODES, t)
+    # the problem is real, so conjugate nodes give conjugate terms: the
+    # upper half's terms, twice over, and the real part of their sum
+    s, ds = s[HALFLINE_NODES // 2:], ds[HALFLINE_NODES // 2:]
+    weight = np.exp(s * t) * ds * (2.0 / (1j * HALFLINE_NODES))
+    return weight, _wall_modes(s, m, alpha_hat, dx)
+
+
+def halfline_profile(x, t: float, m: float, alpha_hat: float, dx: float) -> np.ndarray:
+    """Height of the solver's semi-discrete problem on the half-line, at
+    spacing dx, exactly in time: y(x, t) from a flat start, its modes
+    evaluated at each x (not only at nodes), up to the contour's inversion
+    error.  Every x must be finite and non-negative.
+
+    There is no box, no far-field row and no time step: the lo decaying
+    modes of `_wall_modes`, summed over the Talbot contour of
+    `reference.exact_profile`, are the half-line's discrete transparent
+    boundary condition in the Laplace domain.
+    """
+    xs = np.asarray(x, dtype=float)
+    if not (np.isfinite(xs).all() and np.all(xs >= 0)):
+        raise ValueError("x must be finite and non-negative")
+    weight, (c, _, log_z) = _halfline_nodes(t, m, alpha_hat, dx)
+    u = xs.ravel() / dx
+    total = np.zeros(u.shape, dtype=complex)
+    powers = np.empty((len(u), len(weight)), dtype=complex)
+    for k in range(c.shape[1]):
+        np.multiply.outer(u, log_z[:, k], out=powers)
+        total += np.exp(powers, out=powers) @ (weight * c[:, k])
+    return total.real.reshape(xs.shape)
+
+
+def halfline_mass(t: float, m: float, alpha_hat: float, dx: float) -> float:
+    """Trapezoidal mass dx (y_0/2 + y_1 + y_2 + ...) of `halfline_profile`'s
+    nodal heights: per mode dx c (1/(1 - z) - 1/2), inverted as the profile
+    is."""
+    weight, (c, zm1, _) = _halfline_nodes(t, m, alpha_hat, dx)
+    return float((dx * (weight[:, None] * c * (-1.0 / zm1 - 0.5)).sum()).real)
 
 
 # ---- diagnostics ----------------------------------------------------------

@@ -44,6 +44,27 @@ def _contour(n: int, t: float):
     return s, ds
 
 
+def _cubic_roots(s: np.ndarray, alpha: float) -> np.ndarray:
+    """Roots q of alpha q^3 - q^2 = s, one row per node of s: (len(s), 3),
+    or (len(s), 2) at alpha = 0, where the equation is q^2 = -s.
+
+    Each row is the eigenvalues of the companion matrix `np.roots` builds
+    for [alpha, -1, 0, -s] (its leading zero dropped at alpha = 0), all
+    rows in one batched call.  The reference's modes are exp(-sqrt(q) x);
+    the solver's discrete modes z^i solve z - 2 + 1/z = q dx^2.
+    """
+    s = np.asarray(s, dtype=complex)
+    coeffs = [alpha, -1.0, 0.0] if alpha > 0 else [-1.0, 0.0]
+    p = np.empty((len(s), len(coeffs) + 1), dtype=complex)
+    p[:, :-1] = coeffs
+    p[:, -1] = -s
+    deg = p.shape[1] - 1
+    companion = np.zeros((len(s), deg, deg), dtype=complex)
+    companion[:, 1:, :-1] = np.eye(deg - 1)
+    companion[:, 0, :] = -p[:, 1:] / p[:, :1]
+    return np.linalg.eigvals(companion)
+
+
 def _rows(p: np.ndarray, alpha: float, far: bool) -> np.ndarray:
     """Condition rows for modes whose x-derivative multiplies them by p.
 
@@ -62,7 +83,7 @@ def _rows(p: np.ndarray, alpha: float, far: bool) -> np.ndarray:
 def _transform(x: np.ndarray, s: complex, m: float, alpha: float,
                L: float) -> np.ndarray:
     """Y(x, s) for one contour node."""
-    kappa = np.sqrt(np.roots([alpha, -1.0, 0.0, -s]))   # leading 0 dropped
+    kappa = np.sqrt(_cubic_roots([s], alpha)[0])
     rhs = np.zeros(len(kappa) * (1 if math.isinf(L) else 2), dtype=complex)
     rhs[0] = m / (2.0 * s)
     if math.isinf(L):

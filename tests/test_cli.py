@@ -143,8 +143,7 @@ class TestModes:
 
     def test_oracle_mode_small(self):
         cfg = RunConfig(mode="oracle", model={"B": 1.0, "alpha": 9.7e-16, "m": 0.209},
-                        times=[1e-29], samples=8,
-                        solver={"nx": 129, "dt": 1.0 / 64})
+                        times=[1e-29], samples=8, solver={"nx": 129})
         text = run(cfg)
         data = [l for l in text.splitlines() if l and not l.startswith("#")]
         assert len(data) == 8
@@ -152,9 +151,10 @@ class TestModes:
         assert root == pytest.approx(-4.07e-9, rel=0.05)
 
     def test_compare_mode_small(self):
+        # the window reaches the series clamp, u = 12: the oracle column
+        # is on the half-line, with no far edge
         cfg = RunConfig(mode="compare", model={"B": 1.0, "alpha": 9.7e-16, "m": 0.209},
-                        times=[1e-29], samples=8,
-                        solver={"nx": 257, "dt": 1.0 / 128})
+                        times=[1e-29], samples=8, xmax=12.0, solver={"nx": 257})
         text = run(cfg)
         assert "sup|composite-oracle|/depth" in text
         assert "y_oracle_m" in text
@@ -229,6 +229,23 @@ class TestEntryPoint:
         assert code == 0
         assert "alpha_hat" in capsys.readouterr().out
 
+    def test_calls_in_a_row_share_the_parser_and_no_state(self, capsys):
+        """`main` builds its parser once, and a call leaves nothing in it:
+        the appended --Bt values, the flags and the mode are each call's own."""
+        argv = ["--m", "0.209", "--alpha", "9.7e-16", "--B", "1", "--samples", "4"]
+        assert main(["--mode", "profile", *argv, "--Bt", "1e-29", "--Bt", "2e-29",
+                     "--xmax", "3"]) == 0
+        first = capsys.readouterr().out
+        parser = cli._build_parser()
+        assert main(["--mode", "compare", *argv, "--Bt", "3e-29"]) == 0
+        second = capsys.readouterr().out
+        assert cli._build_parser() is parser
+        configs = [json.loads(text.splitlines()[1].removeprefix("# config: "))
+                   for text in (first, second)]
+        assert [c["times"] for c in configs] == [[1e-29, 2e-29], [3e-29]]
+        assert [c["mode"] for c in configs] == ["profile", "compare"]
+        assert [c["xmax"] for c in configs] == [3.0, None]
+
 
 _ALUMINA = ["--m", "0.209", "--alpha", "9.7e-16", "--B", "1", "--Bt", "1e-29"]
 
@@ -245,32 +262,18 @@ def _main_in_fresh_interpreter(argv, check_code):
 
 
 @pytest.mark.parametrize("argv", [*(["--preset", p] for p in sorted(PRESETS)),
-                                  ["--mode", "params", *_ALUMINA]],
-                         ids=[*sorted(PRESETS), "params"])
+                                  ["--mode", "params", *_ALUMINA],
+                                  *(["--mode", mode, *_ALUMINA, "--samples", "4"]
+                                    for mode in ("oracle", "compare"))],
+                         ids=[*sorted(PRESETS), "params", "oracle", "compare"])
 def test_series_runs_load_no_scipy(argv):
-    """Only the solver factors: a series-only run, import included, loads no
-    SciPy module, and no numpy.polynomial module (only the tests' mass
-    quadrature uses one)."""
+    """Only the stepper factors, and no mode steps: a run of any mode, import
+    included, loads no SciPy module, and no numpy.polynomial module (only
+    the tests' mass quadrature uses one)."""
     r = _main_in_fresh_interpreter(argv, "loaded = [m for m in sys.modules "
                                          "for p in ('scipy', 'numpy.polynomial') "
                                          "if m == p or m.startswith(p + '.')]\n"
                                          "assert not loaded, loaded")
-    assert r.returncode == 0, r.stderr
-
-
-def test_compare_imports_scipy_when_it_factors():
-    """A run that factors loads ``scipy`` and SciPy's two BLAS and LAPACK
-    extension modules, not the scipy.linalg package (85 SciPy modules) and
-    no scipy.sparse module: at most 20 SciPy modules in all."""
-    r = _main_in_fresh_interpreter(["--mode", "compare", *_ALUMINA, "--samples", "4"],
-                                   "assert 'scipy.linalg' not in sys.modules\n"
-                                   "loaded = [m for m in sys.modules if m == 'scipy' "
-                                   "or m.startswith('scipy.')]\n"
-                                   "assert 'scipy.linalg._flapack' in loaded, loaded\n"
-                                   "sparse = [m for m in loaded if m == 'scipy.sparse' "
-                                   "or m.startswith('scipy.sparse.')]\n"
-                                   "assert not sparse, sparse\n"
-                                   "assert len(loaded) <= 20, loaded")
     assert r.returncode == 0, r.stderr
 
 
@@ -384,16 +387,15 @@ def test_exit_two_on_bad_model_numbers(flags, capsys):
 
 
 @pytest.mark.parametrize("flags", [["--mode", "profile", "--xmax", "20"],
-                                   ["--mode", "compare", "--xmax", "12"],
+                                   ["--mode", "compare", "--xmax", "13"],
                                    *[["--mode", mode, "--xmax", "2"]
                                      for mode in ("params", "depth-series", "corner", "oracle")]],
-                         ids=["past-series-clamp", "past-solver-domain", "params-no-window",
-                              "depth-series-no-window", "corner-no-window",
+                         ids=["past-series-clamp", "compare-past-series-clamp",
+                              "params-no-window", "depth-series-no-window", "corner-no-window",
                               "oracle-no-window"])
 def test_exit_two_on_xmax_past_valid_window(flags, capsys):
-    # past u = 12 the series are clamped to 0, and past x = 8 (Bt)^(1/4) the
-    # solver profile is interpolated off its domain: no output is made up.
-    # Modes without a profile window would ignore --xmax, so they refuse it
+    # past u = 12 the series are clamped to 0: no output is made up.  Modes
+    # without a profile window would ignore --xmax, so they refuse it
     argv = ["--m", "0.209", "--alpha", "9.7e-16", "--B", "1", "--Bt", "1e-29", *flags]
     assert main(argv) == 2
     out, err = capsys.readouterr()
@@ -436,7 +438,8 @@ _BAD_DOCUMENTS = {
     "solver-nx-string": {**_FIG4, "mode": "oracle", "solver": {"nx": "abc"}},
     "solver-dt-tiny": {**_FIG4, "mode": "oracle", "solver": {"dt": 1e-9}},
     "solver-dt-inf": {**_FIG4, "mode": "oracle", "solver": {"dt": float("inf")}},
-    # the solve runs to t_final = 1, and the plateau step is capped at 1/32
+    # the oracle column is exact in time: every dt is refused, this one past
+    # what was the plateau step cap too
     "solver-dt-past-plateau-cap": {**_FIG4, "mode": "oracle", "solver": {"dt": 1 / 16}},
     **{f"solver-{key}": {**_FIG4, "mode": "oracle", "solver": {key: value}}
        for key, value in (("L", 8.0), ("theta", 1.0), ("snapshot_times", [0.5]),
@@ -558,6 +561,16 @@ def test_exit_two_above_node_cap(doc, tmp_path, capsys):
     assert len(err) == 1 and "nx <= 2049" in err[0]
 
 
+@pytest.mark.parametrize("mode", ["oracle", "compare"])
+def test_solver_dt_is_refused_as_exact_in_time(mode, tmp_path, capsys):
+    """The oracle column takes no time step, so a sound dt is refused too,
+    with the reason."""
+    doc = {**_FIG4, "mode": mode, "solver": {"nx": 513, "dt": 1.0 / 64}}
+    code, out, err = _main_on_document(doc, tmp_path, capsys)
+    assert code == 2 and out == []
+    assert len(err) == 1 and "exact in time" in err[0]
+
+
 def test_exit_three_on_non_finite_output(capsys):
     # at Bt = 1e-300 the corner coefficients overflow; the run prints its
     # two error lines and nothing else (no numpy warnings)
@@ -631,8 +644,8 @@ _SOLVER_MODEL = st.one_of(
     st.tuples(st.just(1.0), st.sampled_from([0.0, 3e-16, 9.7e-16]), st.just(0.209),
               st.sampled_from([3e-30, 1e-29])),
     st.tuples(_MODEL_NUMBER, _MODEL_NUMBER, _MODEL_NUMBER, _MODEL_NUMBER))
-# solver block entries: absent, sound (dt 1/32 at the plateau step cap), past
-# a cap, and wrong-typed; a sound block keeps a solve under about 0.1 s
+# solver block entries: absent, sound, past a cap, and wrong-typed; the
+# oracle column is exact in time, so every dt drawn, sound or not, is refused
 _ABSENT = object()
 _SOLVER_NX = st.sampled_from([_ABSENT, 63, 64, 129, 2050, 1.5, "513", True])
 _SOLVER_DT = st.sampled_from([_ABSENT, 1 / 16, 1 / 32, 1, 0, -1, float("nan"),
@@ -774,8 +787,8 @@ def test_non_finite_cell_or_gap_is_refused(table, bad, data):
        fmt=st.sampled_from(["csv", "json"]))
 @settings(derandomize=True, max_examples=40, deadline=None)
 def test_non_finite_output_exits_three(bad, samples, data, fmt):
-    """A non-finite table cell (profile) or sup gap (compare) exits 3 with
-    the two error lines and prints nothing."""
+    """A non-finite table cell (profile), sup gap (compare) or mass
+    (oracle) exits 3 with the two error lines and prints nothing."""
     mullins_and_composite = cli.mullins_and_composite
     index = data.draw(st.integers(0, samples - 1))
 
@@ -784,14 +797,14 @@ def test_non_finite_output_exits_three(bad, samples, data, fmt):
         ys[index] = bad
         return ym, ys
 
-    def poisoned_oracle(cfg, params):
-        return (np.array([0.0, 8.0]), np.zeros(2)), bad
+    def poisoned_oracle(x, *args):
+        return np.full(np.shape(x), bad)
 
-    target = data.draw(st.sampled_from(["cell", "gap"]))
-    mode, patch = (("profile",
-                    mock.patch.object(cli, "mullins_and_composite", poisoned_profile))
-                   if target == "cell" else
-                   ("compare", mock.patch.object(cli, "_oracle_profile", poisoned_oracle)))
+    mode, patch = {
+        "cell": ("profile", mock.patch.object(cli, "mullins_and_composite", poisoned_profile)),
+        "gap": ("compare", mock.patch.object(cli, "halfline_profile", poisoned_oracle)),
+        "mass": ("oracle", mock.patch.object(cli, "halfline_mass", lambda *args: bad)),
+    }[data.draw(st.sampled_from(["cell", "gap", "mass"]))]
     out, err = io.StringIO(), io.StringIO()
     with patch, contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(["--mode", mode, *_ALUMINA, "--samples", str(samples), "--format", fmt])

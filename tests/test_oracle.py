@@ -15,7 +15,7 @@ import pytest
 
 from conftest import (apply_stencil, chemical_potential, continuity_residual, energy, flux,
                       mullins_profile)
-from gbgroove import oracle
+from gbgroove import oracle, reference
 from gbgroove.oracle import (
     BC_ORDER,
     LATTICE_STEPS,
@@ -854,3 +854,103 @@ def test_missing_extension_file_names_the_directory(monkeypatch):
     where = os.path.join(os.path.dirname(scipy.__file__), "linalg")
     with pytest.raises(ImportError, match=f"no _fblas extension module in {re.escape(where)}"):
         oracle._blas_lapack.__wrapped__()
+
+
+def test_solve_loads_only_the_blas_and_lapack_extension_modules():
+    """A solve, in a fresh interpreter, loads ``scipy`` and SciPy's two BLAS
+    and LAPACK extension modules, not the scipy.linalg package (85 SciPy
+    modules) and no scipy.sparse module: at most 20 SciPy modules in all."""
+    code = ("import sys\n"
+            "from gbgroove import oracle\n"
+            "cfg = oracle.SolverConfig(grid=oracle.Grid(L=8.0, nx=129), dt=1 / 64, "
+            "t_final=1.0, alpha_hat=0.3, m=0.209)\n"
+            "oracle.solve(cfg)\n"
+            "assert 'scipy.linalg' not in sys.modules\n"
+            "loaded = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
+            "assert 'scipy.linalg._flapack' in loaded, loaded\n"
+            "sparse = [m for m in loaded if m == 'scipy.sparse' "
+            "or m.startswith('scipy.sparse.')]\n"
+            "assert not sparse, sparse\n"
+            "assert len(loaded) <= 20, loaded\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                       env=dict(os.environ, PYTHONPATH=str(src)))
+    assert r.returncode == 0, r.stderr
+
+
+# ---- the half-line modes ---------------------------------------------------
+
+# the CLI's default spacing at these alpha_hat: 513 nodes on [0, 8]
+DX_CLI = 1.0 / 64
+HALFLINE_ALPHA_HATS = [0.0, 0.05, AH_FIG, 0.56]
+
+
+class TestHalfLine:
+    @pytest.mark.parametrize("alpha_hat", HALFLINE_ALPHA_HATS)
+    def test_matches_exact_half_line(self, alpha_hat):
+        """At the CLI's spacing the modes sit within 1e-4 of depth of the
+        exact half-line solution over compare's widest window, [0, 12], at
+        points off the nodes too (the BDF2 march on L = 8 missed it by
+        2.2e-3 to 1.1e-2)."""
+        x = np.linspace(0.0, 12.0, 601)
+        ref = exact_profile(x, 1.0, M_FIG, alpha_hat)
+        y = oracle.halfline_profile(x, 1.0, M_FIG, alpha_hat, DX_CLI)
+        assert np.max(np.abs(y - ref)) <= 1e-4 * abs(ref[0])
+
+    @pytest.mark.parametrize("alpha_hat", HALFLINE_ALPHA_HATS)
+    def test_conjugate_half_is_the_whole_contour(self, alpha_hat):
+        """The upper half of the contour, twice its real part, is the sum
+        over all 24 nodes."""
+        x = np.linspace(0.0, 12.0, 97)
+        s, ds = reference._contour(oracle.HALFLINE_NODES, 1.0)
+        c, _, log_z = oracle._wall_modes(s, M_FIG, alpha_hat, DX_CLI)
+        weight = np.exp(s) * ds / (1j * oracle.HALFLINE_NODES)
+        whole = np.einsum("ink,nk->i", np.exp(np.multiply.outer(x / DX_CLI, log_z)),
+                          weight[:, None] * c).real
+        half = oracle.halfline_profile(x, 1.0, M_FIG, alpha_hat, DX_CLI)
+        assert np.max(np.abs(half - whole)) <= 1e-7 * abs(whole[0])
+
+    @pytest.mark.parametrize("alpha_hat", HALFLINE_ALPHA_HATS)
+    def test_bdf2_converges_onto_the_modes(self, alpha_hat):
+        """The modes are the solver's own semi-discrete equations: on L = 16
+        at the same dx, BDF2 closes on them as dt shrinks, with no Laplace
+        inversion in the march.  Compared on [0, 8]: near L = 16 the far
+        rows pin a tail the half-line still has (3e-4 of depth at
+        alpha_hat 0.56)."""
+        grid = Grid(L=16.0, nx=1025)
+        x = grid.nodes[grid.nodes <= 8.0]
+        modes = oracle.halfline_profile(x, 1.0, M_FIG, alpha_hat, grid.dx)
+        err = [np.max(np.abs(solve(SolverConfig(grid=grid, dt=dt, t_final=1.0,
+                                                alpha_hat=alpha_hat, m=M_FIG))[-1]
+                             .heights[:len(x)] - modes)) / abs(modes[0])
+               for dt in (1.0 / 64, 1.0 / 1024)]
+        assert err[1] <= err[0] / 5.0
+        assert err[1] <= 1e-5
+
+    @pytest.mark.parametrize("alpha_hat", HALFLINE_ALPHA_HATS)
+    def test_mass_is_conserved(self, alpha_hat):
+        """The balance rows conserve the trapezoidal mass, so the half-line
+        mass from a flat start is zero, here to 1e-5 of depth; it is the
+        nodal heights' trapezoid sum, truncated where they have decayed."""
+        depth = abs(oracle.halfline_profile(0.0, 1.0, M_FIG, alpha_hat, DX_CLI))
+        total = oracle.halfline_mass(1.0, M_FIG, alpha_hat, DX_CLI)
+        assert abs(total) <= 1e-5 * depth
+        nodes = np.arange(0.0, 40.0 + DX_CLI / 2, DX_CLI)
+        y = oracle.halfline_profile(nodes, 1.0, M_FIG, alpha_hat, DX_CLI)
+        assert total == pytest.approx(DX_CLI * (y.sum() - y[0] / 2.0), abs=1e-9 * depth)
+
+    @pytest.mark.parametrize("bad", [
+        {"x": -1e-3}, {"x": math.nan}, {"x": math.inf},
+        {"t": 0.0}, {"t": -1.0}, {"t": math.inf}, {"t": math.nan},
+        {"m": math.nan}, {"m": math.inf},
+        {"alpha_hat": -0.1}, {"alpha_hat": math.inf}, {"alpha_hat": math.nan},
+        {"dx": 0.0}, {"dx": -DX_CLI}, {"dx": math.inf}, {"dx": math.nan},
+    ], ids=lambda bad: "-".join(f"{k}={v}" for k, v in bad.items()))
+    def test_rejects_bad_arguments(self, bad):
+        args = {"t": 1.0, "m": M_FIG, "alpha_hat": AH_FIG, "dx": DX_CLI, **bad}
+        x = np.array([0.0, 1.0, args.pop("x", 2.0)])
+        with pytest.raises(ValueError):
+            oracle.halfline_profile(x, **args)
+        if "x" not in bad:
+            with pytest.raises(ValueError):
+                oracle.halfline_mass(**args)
