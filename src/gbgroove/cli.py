@@ -1,4 +1,4 @@
-"""Command-line interface: parameter reduction, canned figure data, solver runs.
+"""Command-line interface: parameter reduction, canned figure data, the solver's column.
 
 One JSON config document describes a run; every flag can also be given on
 the command line, and the command line wins.  Outputs are deterministic:
@@ -36,7 +36,6 @@ from .material import (
 from .oracle import (
     MAX_NODES,
     ConfigError,
-    DivergenceError,
     Grid,
     halfline_mass,
     halfline_profile,
@@ -654,7 +653,7 @@ def main(argv=None) -> int:
     except (CliConfigError, ConfigError) as exc:
         print(f"error: config: {exc}", file=sys.stderr)
         return 2
-    except (SeriesError, DivergenceError, GammaPoleError,
+    except (SeriesError, GammaPoleError,
             NonFiniteOutputError, OverflowError) as exc:
         print("error: numerical failure", file=sys.stderr)
         print(f"  {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -886,15 +886,18 @@ HALFLINE_ALPHA_HATS = [0.0, 0.05, AH_FIG, 0.56]
 
 
 class TestHalfLine:
+    @pytest.mark.parametrize("dx", [DX_CLI, 8.0 / (MAX_NODES - 1)])
     @pytest.mark.parametrize("alpha_hat", HALFLINE_ALPHA_HATS)
-    def test_matches_exact_half_line(self, alpha_hat):
-        """At the CLI's spacing the modes sit within 1e-4 of depth of the
-        exact half-line solution over compare's widest window, [0, 12], at
-        points off the nodes too (the BDF2 march on L = 8 missed it by
-        2.2e-3 to 1.1e-2)."""
+    def test_matches_exact_half_line(self, alpha_hat, dx):
+        """At the CLI's default spacing, and at its finest (nx 2049, dx
+        1/256), the modes sit within 1e-4 of depth of the exact half-line
+        solution over compare's widest window, [0, 12], at points off the
+        nodes too (the BDF2 march on L = 8 missed it by 2.2e-3 to 1.1e-2).
+        At dx 1/256 this needs the wall rows on z^j - 1: on z^j they lost
+        2e-3."""
         x = np.linspace(0.0, 12.0, 601)
         ref = exact_profile(x, 1.0, M_FIG, alpha_hat)
-        y = oracle.halfline_profile(x, 1.0, M_FIG, alpha_hat, DX_CLI)
+        y = oracle.halfline_profile(x, 1.0, M_FIG, alpha_hat, dx)
         assert np.max(np.abs(y - ref)) <= 1e-4 * abs(ref[0])
 
     @pytest.mark.parametrize("alpha_hat", HALFLINE_ALPHA_HATS)
