@@ -97,7 +97,8 @@ MIN_NODES = 64
 # Their wall rows reach alpha_hat / dx^5, and against the exact half-line
 # solution they miss by 8.2e-5 / 9.3e-6 / 1.3e-5 of depth at dx 1/64,
 # 1.3e-5 / 3.5e-6 / 6.4e-6 at dx 1/128 and 2.0e-6 / 2.6e-5 / 2.3e-5 at
-# dx 1/256: past dx 1/128 roundoff outgrows the spatial error
+# dx 1/256: at the stiffer two, roundoff outgrows the spatial error past
+# dx 1/128
 MAX_NODES = 2049
 # step budget: a t_final/dt far above it (dt = 1e-9 takes ~1e9 steps)
 # marches for hours with no exit
