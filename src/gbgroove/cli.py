@@ -33,13 +33,7 @@ from .material import (
     mullins_coefficient,
     nondimensionalize,
 )
-from .oracle import (
-    MAX_NODES,
-    ConfigError,
-    Grid,
-    halfline_mass,
-    halfline_profile,
-)
+from .oracle import MAX_NODES, MIN_NODES, halfline_mass, halfline_profile
 from .outer import MAX_ORDER, U_CLAMP, mullins_shape
 from .specfun import GammaPoleError, SeriesError
 
@@ -70,20 +64,14 @@ PRESETS: dict[str, dict] = {
 _SOLVER_L = 8.0
 # the Bt value, m^4, of a mode that reads one when none is given
 _DEFAULT_BT = 1e-29
-# output rows of a whole run, over every Bt value and alpha: uncapped, a
-# long `times` list dies in numpy's allocator outside the 0/2/3 exit codes.
-# On a 2-vCPU x86-64 host (Python 3.11, numpy 2.4), a CSV profile run of
-# one Bt at the budget takes about 0.5 s in process (0.75 s as a fresh
-# command) and peaks 66 MB above the import, most of it the series
-# evaluation of its samples (4 Bt of 16384 samples: 24 MB); the table
-# itself is 2 MB as an array and 6 MB as text, rendered in about 0.08 s.
-# JSON takes about 0.65 s (0.95 s) and peaks as high
+# output rows of a whole run, over every Bt value and alpha, an oracle
+# column counted as its rows: uncapped, a long `times` list dies in numpy's
+# allocator outside the 0/2/3 exit codes.  On a 2-vCPU x86-64 host (Python
+# 3.11, numpy 2.4), a CSV profile or compare run of one Bt at the budget
+# takes about 0.5 s in process and peaks 65 MB above the import, most of it
+# the series evaluation (JSON: about 0.65 s).  The slowest runs it admits
+# are 32768 Bt of 2 samples: 28 s for profile, 39 s for compare
 MAX_ROWS = 65536
-# each oracle column is charged as this many rows, what a BDF2 solve of 4 to
-# 13 ms once cost.  The half-line modes cost less: on that host about
-# 0.5 ms a column plus about 2 us a row, against about 9 us a profile row,
-# and 65536 rows peak 15 MB
-SOLVE_ROWS = 2048
 
 
 class CliConfigError(ValueError):
@@ -155,8 +143,7 @@ class RunConfig:
             raise CliConfigError(f"samples must lie in [2, {MAX_ROWS}], got {self.samples}")
         rows = rows_per_bt(self) * len(_bt_values(self))
         if rows > MAX_ROWS:
-            raise CliConfigError(f"the run emits {rows} rows, each solve counted "
-                                 f"as {SOLVE_ROWS}; the budget is {MAX_ROWS}")
+            raise CliConfigError(f"the run emits {rows} rows; the budget is {MAX_ROWS}")
         if not 0 <= self.order <= MAX_ORDER:
             raise CliConfigError(f"order must be in [0, {MAX_ORDER}], got {self.order}")
         if self.xmax is not None and not 0 < self.xmax <= U_CLAMP:
@@ -448,8 +435,8 @@ def _profile_table(cfg: RunConfig, with_oracle: bool):
         cols = [np.full(len(xs), bt), xs, *mullins_and_composite(xs, bt, params, spec)]
         if with_oracle:
             ys = cols[-1]
-            yo = params.L0 * halfline_profile(xs / params.L0, 1.0, params.m,
-                                              params.alpha_hat, dx)
+            yo = params.L0 * _halfline(halfline_profile, xs / params.L0, 1.0, params.m,
+                                       params.alpha_hat, dx)
             # xs[0] = 0: the composite's root depth
             depth = abs(ys[0]) if ys[0] != 0 else 1.0
             sup = float(np.max(np.abs(ys - yo)) / depth)
@@ -460,14 +447,19 @@ def _profile_table(cfg: RunConfig, with_oracle: bool):
     return columns, np.concatenate(blocks), notes, gaps
 
 
-def _solver_dx(cfg: RunConfig, params: ModelParams) -> float:
-    """The oracle column's grid spacing, dx = 8 / (nx - 1): the `solver`
-    block may set `nx`.
+def _halfline(fn, *args):
+    """A half-line call, whose ValueError (past float64's range) exits 2."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        raise CliConfigError(f"the oracle column: {exc}") from exc
 
-    The default grid is the coarsest that resolves the wall layer
-    (dx <= sqrt(alpha_hat)/4), and never coarser than 513 nodes.  The column
-    is exact in time, so the block takes no `dt`.
-    """
+
+def _solver_dx(cfg: RunConfig, params: ModelParams) -> float:
+    """The oracle column's grid spacing, dx = 8 / (nx - 1), with `nx` from
+    the `solver` block or by default the coarsest grid that resolves the wall
+    layer (dx <= sqrt(alpha_hat)/4), never coarser than 513 nodes.  The
+    column is exact in time, so the block takes no `dt`."""
     s = dict(cfg.solver)
     nx = s.pop("nx", None)
     if "dt" in s:
@@ -479,7 +471,9 @@ def _solver_dx(cfg: RunConfig, params: ModelParams) -> float:
     ah = params.alpha_hat
     if nx is None:
         nx = max(513, math.ceil(_SOLVER_L / (math.sqrt(ah) / 4.0)) + 1) if ah > 0 else 513
-    dx = Grid(L=_SOLVER_L, nx=nx).dx
+    if nx < MIN_NODES:
+        raise CliConfigError(f"need nx >= {MIN_NODES}, got {nx}")
+    dx = _SOLVER_L / (nx - 1)
     if nx > MAX_NODES:
         raise CliConfigError(
             f"need nx <= {MAX_NODES}, got {nx}: float64 roundoff in the wall rows grows "
@@ -555,10 +549,10 @@ def _mode_oracle(cfg: RunConfig) -> str:
         params = reduced(bt)
         dx = _solver_dx(cfg, params)
         ah = params.alpha_hat
-        masses.append(halfline_mass(1.0, params.m, ah, dx))
+        masses.append(_halfline(halfline_mass, 1.0, params.m, ah, dx))
         notes.append(f"Bt={_fmt(bt)}: mass={_fmt(masses[-1])} (nondimensional)")
         xs = np.linspace(0.0, _SOLVER_L, cfg.samples)
-        ys = halfline_profile(xs, 1.0, params.m, ah, dx)
+        ys = _halfline(halfline_profile, xs, 1.0, params.m, ah, dx)
         blocks.append(np.column_stack([np.full(len(xs), bt), xs * params.L0, ys * params.L0]))
     return _write_table(cfg, columns, np.concatenate(blocks), notes, masses)
 
@@ -566,7 +560,7 @@ def _mode_oracle(cfg: RunConfig) -> str:
 # What each mode reads, one entry per mode: its function; the optional
 # RunConfig fields it reads; the most Bt values it reads (None: one or more;
 # a mode reading one takes _DEFAULT_BT when none is given); and the rows it
-# is charged per Bt value, each solve counted as SOLVE_ROWS
+# is charged per Bt value
 _EXPANSION_FIELDS = ("order", "samples", "xmax", "fmt")
 _MODE_TABLE = {
     "params": (_mode_params, (), 1, lambda cfg: 0),
@@ -575,10 +569,8 @@ _MODE_TABLE = {
                      lambda cfg: max(len(cfg.alphas), 1)),
     "corner": (_mode_corner, ("corner_r", "corner_gamma", "samples", "fmt"), 1,
                lambda cfg: cfg.samples),
-    "oracle": (_mode_oracle, ("samples", "fmt", "solver"), None,
-               lambda cfg: cfg.samples + SOLVE_ROWS),
-    "compare": (_mode_compare, (*_EXPANSION_FIELDS, "solver"), None,
-                lambda cfg: cfg.samples + SOLVE_ROWS),
+    "oracle": (_mode_oracle, ("samples", "fmt", "solver"), None, lambda cfg: cfg.samples),
+    "compare": (_mode_compare, (*_EXPANSION_FIELDS, "solver"), None, lambda cfg: cfg.samples),
 }
 MODES = tuple(_MODE_TABLE)
 # the RunConfig fields every mode reads; how many Bt values, the table says
@@ -650,7 +642,7 @@ def main(argv=None) -> int:
             raise CliConfigError(f"unknown config keys: {sorted(unknown)}")
         cfg = RunConfig(**cfg_dict)
         text = run(cfg)
-    except (CliConfigError, ConfigError) as exc:
+    except CliConfigError as exc:
         print(f"error: config: {exc}", file=sys.stderr)
         return 2
     except (SeriesError, GammaPoleError,

@@ -63,7 +63,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .reference import _contour, _cubic_roots
+from .reference import _cubic_roots, _mode_sum, _upper_contour
 
 __all__ = [
     "ConfigError",
@@ -111,9 +111,6 @@ RAMP_STEPS = 2      # backward-Euler steps taken at each ramp stage
 # the cap t_final/4 that RAMP_STEPS alone gave missed the exact box solution
 # by 2e-2 of depth, and this cap by 3-5e-4
 LATTICE_STEPS = 32
-# Talbot nodes of the half-line modes: the reference's default, of which the
-# upper half is evaluated
-HALFLINE_NODES = 24
 
 
 class ConfigError(ValueError):
@@ -606,8 +603,15 @@ def _wall_modes(s: np.ndarray, m: float, alpha_hat: float, dx: float):
     z^j - 1, from expm1: on z^j itself, near z = 1, they would cancel
     digits (2e-3 of depth at dx 1/256 and alpha_hat 0.307, not 3e-5).
     """
+    if not 1e-100 <= dx <= 1e100:
+        raise ValueError(f"dx must lie in [1e-100, 1e100], got {dx}")
     q = _cubic_roots(s, alpha_hat)
     d = q * dx ** 2
+    # past |d| = 1e4 the root z ~ 1/d, formed as 1 + (z - 1), keeps no digits
+    # (error ~ eps d^2); below 1e-24 (dx < ~1e-12 t^(1/4)) the stencil overflows
+    size = np.abs(d)
+    if not 1e-24 <= size.min() <= size.max() <= 1e4:
+        raise ValueError(f"dx = {dx} puts the modes' |q| dx^2 outside [1e-24, 1e4]")
     root = np.sqrt(d + d * d / 4.0)
     zm1 = d / 2.0 - root
     zm1 = np.where(np.abs(1.0 + zm1) < 1.0, zm1, d / 2.0 + root)
@@ -623,30 +627,12 @@ def _wall_modes(s: np.ndarray, m: float, alpha_hat: float, dx: float):
     return c, zm1, log_z
 
 
-def _halfline_nodes(t: float, m: float, alpha_hat: float, dx: float):
-    """Check the arguments; return the upper half of the reference's Talbot
-    nodes with their inversion weights, and the wall modes there."""
-    if not 0 < t < math.inf:
-        raise ValueError(f"t must be positive and finite, got {t}")
-    if not math.isfinite(m):
-        raise ValueError(f"m must be finite, got {m}")
-    if not 0 <= alpha_hat < math.inf:
-        raise ValueError(f"alpha_hat must be non-negative and finite, got {alpha_hat}")
-    if not 0 < dx < math.inf:
-        raise ValueError(f"dx must be positive and finite, got {dx}")
-    s, ds = _contour(HALFLINE_NODES, t)
-    # the problem is real, so conjugate nodes give conjugate terms: the
-    # upper half's terms, twice over, and the real part of their sum
-    s, ds = s[HALFLINE_NODES // 2:], ds[HALFLINE_NODES // 2:]
-    weight = np.exp(s * t) * ds * (2.0 / (1j * HALFLINE_NODES))
-    return weight, _wall_modes(s, m, alpha_hat, dx)
-
-
 def halfline_profile(x, t: float, m: float, alpha_hat: float, dx: float) -> np.ndarray:
     """Height of the solver's semi-discrete problem on the half-line, at
     spacing dx, exactly in time: y(x, t) from a flat start, its modes
     evaluated at each x (not only at nodes), up to the contour's inversion
-    error.  Every x must be finite and non-negative.
+    error.  Every x must be finite and non-negative, t, m and alpha_hat
+    as `reference._upper_contour` states, and dx as `_wall_modes` does.
 
     There is no box, no far-field row and no time step: the lo decaying
     modes of `_wall_modes`, summed over the Talbot contour of
@@ -656,21 +642,17 @@ def halfline_profile(x, t: float, m: float, alpha_hat: float, dx: float) -> np.n
     xs = np.asarray(x, dtype=float)
     if not (np.isfinite(xs).all() and np.all(xs >= 0)):
         raise ValueError("x must be finite and non-negative")
-    weight, (c, _, log_z) = _halfline_nodes(t, m, alpha_hat, dx)
-    u = xs.ravel() / dx
-    total = np.zeros(u.shape, dtype=complex)
-    powers = np.empty((len(u), len(weight)), dtype=complex)
-    for k in range(c.shape[1]):
-        np.multiply.outer(u, log_z[:, k], out=powers)
-        total += np.exp(powers, out=powers) @ (weight * c[:, k])
-    return total.real.reshape(xs.shape)
+    s, weight = _upper_contour(t, m, alpha_hat)
+    c, _, log_z = _wall_modes(s, m, alpha_hat, dx)
+    return _mode_sum(xs.ravel() / dx, log_z, weight, c).reshape(xs.shape)
 
 
 def halfline_mass(t: float, m: float, alpha_hat: float, dx: float) -> float:
     """Trapezoidal mass dx (y_0/2 + y_1 + y_2 + ...) of `halfline_profile`'s
     nodal heights: per mode dx c (1/(1 - z) - 1/2), inverted as the profile
     is."""
-    weight, (c, zm1, _) = _halfline_nodes(t, m, alpha_hat, dx)
+    s, weight = _upper_contour(t, m, alpha_hat)
+    c, zm1, _ = _wall_modes(s, m, alpha_hat, dx)
     return float((dx * (weight[:, None] * c * (-1.0 / zm1 - 0.5)).sum()).real)
 
 

@@ -20,6 +20,8 @@ Trefethen (Math. Comp. 76, 2007):
 with the midpoint rule at N nodes in (-pi, pi); the error falls like
 exp(-1.36 N) until roundoff, amplified by about exp(0.17 N), takes over.
 Mullins (J. Appl. Phys. 28, 1957) solved the alpha = 0 problem the same way.
+The upper-half nodes are solved in one batch; the solver's half-line modes
+(`oracle`) share the contour and the sum (`_upper_contour`, `_mode_sum`).
 
 This is a check for the two numerical routes, not a CLI mode.
 """
@@ -32,6 +34,9 @@ import numbers
 import numpy as np
 
 __all__ = ["exact_profile"]
+
+# Talbot nodes of both inversions, this module's and the half-line modes'
+_NODES = 24
 
 
 def _contour(n: int, t: float):
@@ -80,53 +85,73 @@ def _rows(p: np.ndarray, alpha: float, far: bool) -> np.ndarray:
     return np.stack([first, flux])
 
 
-def _transform(x: np.ndarray, s: complex, m: float, alpha: float,
-               L: float) -> np.ndarray:
-    """Y(x, s) for one contour node."""
-    kappa = np.sqrt(_cubic_roots([s], alpha)[0])
-    rhs = np.zeros(len(kappa) * (1 if math.isinf(L) else 2), dtype=complex)
-    rhs[0] = m / (2.0 * s)
-    if math.isinf(L):
-        c = np.linalg.solve(_rows(-kappa, alpha, far=False), rhs)
-        return np.exp(-np.outer(x, kappa)) @ c
-    edge = np.exp(-kappa * L)
-    system = np.block([
-        [_rows(-kappa, alpha, far=False), _rows(kappa, alpha, far=False) * edge],
-        [_rows(-kappa, alpha, far=True) * edge, _rows(kappa, alpha, far=True)],
-    ])
-    cd = np.linalg.solve(system, rhs)
-    k = len(kappa)
-    return (np.exp(-np.outer(x, kappa)) @ cd[:k]
-            + np.exp(-np.outer(L - x, kappa)) @ cd[k:])
+def _upper_contour(t: float, m: float, alpha_hat: float, nodes: int = _NODES):
+    """Check t, m, alpha_hat and nodes; return the upper half of the Talbot
+    nodes s and their weights exp(s t) s'(theta) 2/(i nodes): the problem is
+    real, so twice the real part of their sum is the whole (even) contour's.
+    Float64 carries the transform for t in [1e-100, 1e100] and alpha_hat /
+    sqrt(t) 0 or in [1e-16, 1e16].  Past them systems went singular (t =
+    1e300 or 5e-324, alpha_hat = 5e-324); below 1e-16 the sixth-order term
+    moves the profile by less than roundoff (0.55 alpha_hat / sqrt(t) of
+    depth) while the cubic's small roots lose their digits."""
+    if not 1e-100 <= t <= 1e100:
+        raise ValueError(f"t must lie in [1e-100, 1e100], got {t}")
+    if not math.isfinite(m):
+        raise ValueError(f"m must be finite, got {m}")
+    if not (alpha_hat == 0 or 1e-16 <= alpha_hat / math.sqrt(t) <= 1e16):
+        raise ValueError(f"alpha_hat must be 0, or alpha_hat / sqrt(t) lie in [1e-16, 1e16]; "
+                         f"got alpha_hat = {alpha_hat} at t = {t}")
+    if not (isinstance(nodes, numbers.Integral) and nodes >= 2 and nodes % 2 == 0):
+        raise ValueError(f"nodes must be an even integer >= 2, got {nodes!r}")
+    s, ds = _contour(nodes, t)
+    s, ds = s[nodes // 2:], ds[nodes // 2:]
+    return s, np.exp(s * t) * ds * (2.0 / (1j * nodes))
+
+
+def _mode_sum(u: np.ndarray, rate: np.ndarray, weight: np.ndarray, c: np.ndarray):
+    """Real part of sum_k exp(u rate_k) @ (weight c_k): the inversion of the
+    modes exp(u rate_k), rate and c (nodes, k), at the points u."""
+    total = np.zeros(u.shape, dtype=complex)
+    powers = np.empty((len(u), len(weight)), dtype=complex)
+    for k in range(c.shape[1]):
+        np.multiply.outer(u, rate[:, k], out=powers)
+        total += np.exp(powers, out=powers) @ (weight * c[:, k])
+    return total.real
 
 
 def exact_profile(x, t: float, m: float, alpha_hat: float,
-                  L: float = math.inf, nodes: int = 24) -> np.ndarray:
+                  L: float = math.inf, nodes: int = _NODES) -> np.ndarray:
     """Height y(x, t) of the linear problem from a flat start, exactly up to
     the inversion error (about 1e-13 of depth at the default 24 nodes).
 
     `L = inf` is the half-line; a finite `L` is the box [0, L] with the
     solver's far-field conditions.  Every `x` must be finite and lie in
-    [0, L].
+    [0, L], `nodes` even, and `t` and `alpha_hat` as `_upper_contour` states.
     """
-    if not 0 < t < math.inf:
-        raise ValueError(f"t must be positive and finite, got {t}")
-    if not math.isfinite(m):
-        raise ValueError(f"m must be finite, got {m}")
-    if not 0 <= alpha_hat < math.inf:
-        raise ValueError(f"alpha_hat must be non-negative and finite, got {alpha_hat}")
+    s, weight = _upper_contour(t, m, alpha_hat, nodes)
     if not L > 0:
         raise ValueError(f"L must be positive, got {L}")
-    if not (isinstance(nodes, numbers.Integral) and nodes >= 1):
-        raise ValueError(f"nodes must be an integer >= 1, got {nodes!r}")
     xs = np.asarray(x, dtype=float)
     # the basis functions are bounded on [0, L] only: outside it they grow
     # without bound
     if not (np.isfinite(xs).all() and np.all((xs >= 0) & (xs <= L))):
         raise ValueError(f"x must be finite and lie in [0, L] = [0, {L}]")
-    s, ds = _contour(nodes, t)
-    total = np.zeros(xs.shape, dtype=complex)
-    for sk, dsk in zip(s, ds):
-        total += np.exp(sk * t) * dsk * _transform(xs.ravel(), sk, m, alpha_hat,
-                                                   L).reshape(xs.shape)
-    return (total / (1j * nodes)).real
+    kappa = np.sqrt(_cubic_roots(s, alpha_hat))
+    k = kappa.shape[1]
+    if math.isinf(L):
+        system = np.moveaxis(_rows(-kappa, alpha_hat, far=False), 0, 1)
+    else:
+        # columns: the decaying modes, then the growing ones written
+        # exp(-kappa (L - x)); rows: the wall's, then the far field's
+        p, edge, one = np.hstack([-kappa, kappa]), np.exp(-kappa * L), np.ones_like(kappa)
+        system = np.concatenate([
+            np.moveaxis(_rows(p, alpha_hat, far=False), 0, 1) * np.hstack([one, edge])[:, None],
+            np.moveaxis(_rows(p, alpha_hat, far=True), 0, 1) * np.hstack([edge, one])[:, None],
+        ], axis=1)
+    rhs = np.zeros(system.shape[:2], dtype=complex)
+    rhs[:, 0] = m / (2.0 * s)
+    c = np.linalg.solve(system, rhs[..., None])[..., 0]
+    y = _mode_sum(xs.ravel(), -kappa, weight, c[:, :k])
+    if not math.isinf(L):
+        y += _mode_sum(L - xs.ravel(), -kappa, weight, c[:, k:])
+    return y.reshape(xs.shape)

@@ -11,8 +11,9 @@ metrics of a profile (`groove_metrics`, `GrooveMetrics`, `default_window`),
 the solver's energy and continuity diagnostics with the field derivatives
 they take (`chemical_potential`, `flux`, `apply_stencil`), and the
 dimensional unpassivated profile that the CLI's Mullins column is compared
-against.  They use the package's private helpers where the package has
-them.
+against, and the exact reference summed one Talbot node at a time over the
+whole contour (`exact_profile_per_node`).  They use the package's private
+helpers where the package has them.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from gbgroove.material import ModelParams, nondimensionalize
 from gbgroove.oracle import GrooveOperator, Profile, _one_sided, fd_weights
 from gbgroove.outer import (_CONST, _EVEN, _G34, _G54, _SQRT2, U_CLAMP,
                             _shape_derivs, _similarity, _term_shapes, mullins_shape)
+from gbgroove.reference import _contour, _cubic_roots, _rows
 from gbgroove.specfun import gamma, reciprocal_gamma, up_to
 
 # dimensional parameters of the canned figure runs (SI)
@@ -539,3 +541,40 @@ def continuity_residual(p0: Profile, p1: Profile, alpha_hat: float) -> np.ndarra
     jmid = 0.5 * (flux(p0, alpha_hat) + flux(p1, alpha_hat))
     djdx = _derivative_field(jmid, dx, 1)
     return yt + djdx
+
+
+# ---- the exact reference, one Talbot node at a time ---------------------------
+
+
+def _transform(x: np.ndarray, s: complex, m: float, alpha: float,
+               L: float) -> np.ndarray:
+    """Y(x, s) for one contour node."""
+    kappa = np.sqrt(_cubic_roots([s], alpha)[0])
+    rhs = np.zeros(len(kappa) * (1 if math.isinf(L) else 2), dtype=complex)
+    rhs[0] = m / (2.0 * s)
+    if math.isinf(L):
+        c = np.linalg.solve(_rows(-kappa, alpha, far=False), rhs)
+        return np.exp(-np.outer(x, kappa)) @ c
+    edge = np.exp(-kappa * L)
+    system = np.block([
+        [_rows(-kappa, alpha, far=False), _rows(kappa, alpha, far=False) * edge],
+        [_rows(-kappa, alpha, far=True) * edge, _rows(kappa, alpha, far=True)],
+    ])
+    cd = np.linalg.solve(system, rhs)
+    k = len(kappa)
+    return (np.exp(-np.outer(x, kappa)) @ cd[:k]
+            + np.exp(-np.outer(L - x, kappa)) @ cd[k:])
+
+
+def exact_profile_per_node(x, t: float, m: float, alpha_hat: float,
+                           L: float = math.inf, nodes: int = 24) -> np.ndarray:
+    """`reference.exact_profile` as a loop over all `nodes` of the Talbot
+    contour, each node's 3 x 3 (6 x 6 on a box) system solved on its own:
+    the batched upper-half sum is checked against it."""
+    xs = np.asarray(x, dtype=float)
+    s, ds = _contour(nodes, t)
+    total = np.zeros(xs.shape, dtype=complex)
+    for sk, dsk in zip(s, ds):
+        total += np.exp(sk * t) * dsk * _transform(xs.ravel(), sk, m, alpha_hat,
+                                                   L).reshape(xs.shape)
+    return (total / (1j * nodes)).real

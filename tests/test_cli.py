@@ -448,7 +448,13 @@ _BAD_DOCUMENTS = {
     "rows-past-budget": {**_FIG4, "samples": 32768, "times": [1e-29, 2e-29, 3e-29]},
     "alphas-past-budget": {**_BASE, "mode": "depth-series", "alphas": [9.7e-16] * 256,
                            "times": [1e-29] * 257},
-    "solves-past-budget": {**_FIG4, "mode": "compare", "times": [1e-29] * 32},
+    # an oracle column is charged its printed rows, as a profile is
+    "compare-rows-past-budget": {**_FIG4, "mode": "compare", "samples": 16385,
+                                 "times": [1e-29] * 4},
+    # the half-line modes refuse alpha_hat / sqrt(t) past 1e16 (here 3.2e16)
+    **{f"{mode}-alpha-hat-past-range": {**_BASE, "mode": mode, "samples": 4,
+                                        "model": {"B": 1.0, "alpha": 100.0, "m": 0.209}}
+       for mode in ("oracle", "compare")},
     # depth-series evaluates the closed-form N = 2 depth
     "depth-series-order": {**_BASE, "mode": "depth-series", "order": 1},
     # B is required in every mode, though no output depends on it alone
@@ -559,6 +565,14 @@ def test_exit_two_above_node_cap(doc, tmp_path, capsys):
     code, _, err = _main_on_document(doc, tmp_path, capsys)
     assert code == 2
     assert len(err) == 1 and "nx <= 2049" in err[0]
+
+
+@pytest.mark.parametrize("mode", ["oracle", "compare"])
+def test_exit_two_below_node_floor(mode, tmp_path, capsys):
+    code, out, err = _main_on_document({**_FIG4, "mode": mode, "solver": {"nx": 63}},
+                                       tmp_path, capsys)
+    assert code == 2 and out == []
+    assert err == ["error: config: need nx >= 64, got 63"]
 
 
 @pytest.mark.parametrize("mode", ["oracle", "compare"])

@@ -905,9 +905,9 @@ class TestHalfLine:
         """The upper half of the contour, twice its real part, is the sum
         over all 24 nodes."""
         x = np.linspace(0.0, 12.0, 97)
-        s, ds = reference._contour(oracle.HALFLINE_NODES, 1.0)
+        s, ds = reference._contour(reference._NODES, 1.0)
         c, _, log_z = oracle._wall_modes(s, M_FIG, alpha_hat, DX_CLI)
-        weight = np.exp(s) * ds / (1j * oracle.HALFLINE_NODES)
+        weight = np.exp(s) * ds / (1j * reference._NODES)
         whole = np.einsum("ink,nk->i", np.exp(np.multiply.outer(x / DX_CLI, log_z)),
                           weight[:, None] * c).real
         half = oracle.halfline_profile(x, 1.0, M_FIG, alpha_hat, DX_CLI)
@@ -948,8 +948,15 @@ class TestHalfLine:
         {"m": math.nan}, {"m": math.inf},
         {"alpha_hat": -0.1}, {"alpha_hat": math.inf}, {"alpha_hat": math.nan},
         {"dx": 0.0}, {"dx": -DX_CLI}, {"dx": math.inf}, {"dx": math.nan},
+        {"t": 1e300}, {"t": 5e-324}, {"alpha_hat": 5e-324}, {"alpha_hat": 1e300},
+        {"dx": 1e300}, {"dx": 1e-300}, {"dx": 1e4}, {"dx": 1e-14},
     ], ids=lambda bad: "-".join(f"{k}={v}" for k, v in bad.items()))
     def test_rejects_bad_arguments(self, bad):
+        """Past the range float64 carries the modes raised LinAlgError (t =
+        1e300 or 5e-324, alpha_hat = 5e-324) or OverflowError (dx = 1e300),
+        or returned NaN (alpha_hat = 1e300, dx = 1e-300).  A grid too coarse
+        or too fine for its modes (|q| dx^2 past [1e-24, 1e4]: dx = 1e4 and
+        1e-14 at t = 1) is refused too."""
         args = {"t": 1.0, "m": M_FIG, "alpha_hat": AH_FIG, "dx": DX_CLI, **bad}
         x = np.array([0.0, 1.0, args.pop("x", 2.0)])
         with pytest.raises(ValueError):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import mullins_profile
+from conftest import exact_profile_per_node, mullins_profile
 from gbgroove.reference import exact_profile
 
 M = 0.209
@@ -19,6 +19,16 @@ def test_contour_nodes_converged(alpha_hat, L):
     a = exact_profile(X, 1.0, M, alpha_hat, L=L)
     b = exact_profile(X, 1.0, M, alpha_hat, L=L, nodes=48)
     assert np.max(np.abs(a - b)) <= 1e-12 * abs(b[0])
+
+
+@pytest.mark.parametrize("L", [math.inf, 8.0])
+@pytest.mark.parametrize("alpha_hat", [0.0, 0.05, 0.307, 0.56])
+def test_batched_upper_half_is_the_per_node_sum(alpha_hat, L):
+    """One batched solve over the 12 upper-half nodes, twice their real
+    part, is the loop over all 24 nodes, one solve each, to roundoff."""
+    ref = exact_profile_per_node(X, 1.0, M, alpha_hat, L=L)
+    got = exact_profile(X, 1.0, M, alpha_hat, L=L)
+    assert np.max(np.abs(got - ref)) <= 1e-14 * abs(ref[0])
 
 
 def test_unpassivated_half_line_is_mullins():
@@ -45,13 +55,20 @@ def test_zero_slope_is_flat():
                                  dict(t=math.inf), dict(m=math.nan), dict(alpha_hat=math.inf),
                                  dict(nodes=0), dict(x=np.array([0.0, math.nan])),
                                  dict(x=np.array([-50.0]), L=math.inf), dict(x=np.array([20.0])),
-                                 dict(x=np.array([0.0, math.inf]), L=math.inf), dict(nodes=2.5)])
+                                 dict(x=np.array([0.0, math.inf]), L=math.inf), dict(nodes=2.5),
+                                 dict(nodes=25), dict(t=1e300), dict(t=5e-324),
+                                 dict(alpha_hat=5e-324), dict(alpha_hat=1e300),
+                                 dict(t=1e300, L=math.inf), dict(alpha_hat=5e-324, L=math.inf)])
 def test_rejects_bad_arguments(bad):
     """A non-finite t, m or alpha_hat is refused too, not turned into NaN
     heights with a RuntimeWarning; so are nodes < 1, which divided by
-    zero, a fractional nodes (2.5 returned -0.069), a NaN x, and an x
-    outside [0, L]: x = -50 on the half-line returned -2.65e39, x = 20 on
-    the box [0, 8] -2.2e7 and x = inf NaN."""
+    zero, a fractional nodes (2.5 returned -0.069), an odd nodes, whose
+    midpoints do not pair into conjugates, a NaN x, and an x outside
+    [0, L]: x = -50 on the half-line returned -2.65e39, x = 20 on the box
+    [0, 8] -2.2e7 and x = inf NaN.  So is a t or alpha_hat past the range
+    float64 carries: t = 1e300 or 5e-324 and alpha_hat = 5e-324 raised
+    LinAlgError, on the box and the half-line, and so did alpha_hat = 1e300
+    on the box."""
     args = dict(x=X, t=1.0, m=M, alpha_hat=0.307, L=8.0) | bad
     with pytest.raises(ValueError):
         exact_profile(**args)
