@@ -33,7 +33,7 @@ from .material import (
     mullins_coefficient,
     nondimensionalize,
 )
-from .oracle import MAX_NODES, MIN_NODES, halfline_mass, halfline_profile
+from .oracle import halfline_mass, halfline_profile
 from .outer import MAX_ORDER, U_CLAMP, mullins_shape
 from .specfun import GammaPoleError, SeriesError
 
@@ -59,19 +59,26 @@ PRESETS: dict[str, dict] = {
 }
 
 
-# the oracle window [0, 8] in units of (Bt)^(1/4), over which solver.nx
-# sets the spacing: dx = 8 / (nx - 1)
+# the oracle window [0, 8] in units of (Bt)^(1/4)
 _SOLVER_L = 8.0
+# the finest oracle spacing: at alpha_hat 0.307 / 0.56 the half-line modes
+# miss the exact solution by 9.3e-6 / 1.3e-5 of depth at dx 1/64, 3.5e-6 /
+# 6.4e-6 at 1/128 and 2.6e-5 / 2.3e-5 at 1/256, where float64 roundoff in
+# the wall rows (entries up to alpha_hat / dx^5) outgrows the spatial error
+_FINEST_DX = 1.0 / 256
 # the Bt value, m^4, of a mode that reads one when none is given
 _DEFAULT_BT = 1e-29
-# output rows of a whole run, over every Bt value and alpha, an oracle
-# column counted as its rows: uncapped, a long `times` list dies in numpy's
-# allocator outside the 0/2/3 exit codes.  On a 2-vCPU x86-64 host (Python
-# 3.11, numpy 2.4), a CSV profile or compare run of one Bt at the budget
-# takes about 0.5 s in process and peaks 65 MB above the import, most of it
-# the series evaluation (JSON: about 0.65 s).  The slowest runs it admits
-# are 32768 Bt of 2 samples: 28 s for profile, 39 s for compare
+# the row budget of a whole run, over every Bt value and alpha, and the cap
+# on samples: uncapped, a long `times` list dies in numpy's allocator outside
+# the 0/2/3 exit codes.  On a 2-vCPU x86-64 host (Python 3.11, numpy 2.4), a
+# CSV profile or compare run of one Bt at the budget takes 0.3-0.45 s in
+# process and peaks 65 MB above the import, most of it the series evaluation
 MAX_ROWS = 65536
+# the fixed cost of a Bt value in profile / compare / oracle, in rows: 0.6 /
+# 1.0 / 0.5 ms against 2.9-4.6 / 4.4-5.7 / 1.4-1.7 us a row on that host.
+# Each Bt value past the first is charged it, so one Bt at the budget stays
+# admitted; the slowest runs, 255 Bt of 2 samples, take 0.16 / 0.26 / 0.13 s
+BT_ROWS = 256
 
 
 class CliConfigError(ValueError):
@@ -112,7 +119,6 @@ class RunConfig:
     xmax: float | None = None          # window in units of (Bt)^(1/4)
     out: str | None = None
     fmt: str = "csv"
-    solver: dict = field(default_factory=dict)
 
     def validate(self) -> None:
         if self.mode not in MODES:
@@ -129,11 +135,9 @@ class RunConfig:
         _require_numbers("order", [self.order], integral=True)
         _require_numbers("xmax", [] if self.xmax is None else [self.xmax])
         _require_numbers("corner_r and corner_gamma", [self.corner_r, self.corner_gamma])
-        if not isinstance(self.solver, dict):
-            raise CliConfigError(f"solver must be an object, got {self.solver!r}")
         if not isinstance(self.out, (str, type(None))):
             raise CliConfigError(f"out must be a path, got {self.out!r}")
-        _, reads, most_bt, rows_per_bt = _MODE_TABLE[self.mode]
+        _, reads, most_bt, rows_per_bt, bt_rows = _MODE_TABLE[self.mode]
         if most_bt is None and not self.times:
             raise CliConfigError(f"mode {self.mode!r} needs at least one Bt value")
         if most_bt is not None and len(self.times) > most_bt:
@@ -141,9 +145,10 @@ class RunConfig:
                                  f"got {len(self.times)}")
         if not 2 <= self.samples <= MAX_ROWS:
             raise CliConfigError(f"samples must lie in [2, {MAX_ROWS}], got {self.samples}")
-        rows = rows_per_bt(self) * len(_bt_values(self))
+        bts = len(_bt_values(self))
+        rows = rows_per_bt(self) * bts + bt_rows * (bts - 1)
         if rows > MAX_ROWS:
-            raise CliConfigError(f"the run emits {rows} rows; the budget is {MAX_ROWS}")
+            raise CliConfigError(f"the run is charged {rows} rows; the budget is {MAX_ROWS}")
         if not 0 <= self.order <= MAX_ORDER:
             raise CliConfigError(f"order must be in [0, {MAX_ORDER}], got {self.order}")
         if self.xmax is not None and not 0 < self.xmax <= U_CLAMP:
@@ -431,7 +436,7 @@ def _profile_table(cfg: RunConfig, with_oracle: bool):
         params = reduced(bt)
         span = (cfg.xmax if cfg.xmax is not None else 8.0) * bt ** 0.25
         xs = np.linspace(0.0, span, cfg.samples)
-        dx = _solver_dx(cfg, params) if with_oracle else None
+        dx = _solver_dx(params) if with_oracle else None
         cols = [np.full(len(xs), bt), xs, *mullins_and_composite(xs, bt, params, spec)]
         if with_oracle:
             ys = cols[-1]
@@ -455,34 +460,17 @@ def _halfline(fn, *args):
         raise CliConfigError(f"the oracle column: {exc}") from exc
 
 
-def _solver_dx(cfg: RunConfig, params: ModelParams) -> float:
-    """The oracle column's grid spacing, dx = 8 / (nx - 1), with `nx` from
-    the `solver` block or by default the coarsest grid that resolves the wall
-    layer (dx <= sqrt(alpha_hat)/4), never coarser than 513 nodes.  The
-    column is exact in time, so the block takes no `dt`."""
-    s = dict(cfg.solver)
-    nx = s.pop("nx", None)
-    if "dt" in s:
-        raise CliConfigError("solver.dt is not read: the oracle column is exact in time, "
-                             "the solver's discrete modes on the half-line with no time step")
-    if s:
-        raise CliConfigError(f"unknown solver options: {sorted(s)}")
-    _require_numbers("solver.nx", [] if nx is None else [nx], integral=True)
+def _solver_dx(params: ModelParams) -> float:
+    """The oracle column's grid spacing: the coarsest that resolves the wall
+    layer, dx <= sqrt(alpha_hat)/4, in whole intervals of the window, at
+    least 512 of them.  Exit 2 past _FINEST_DX."""
     ah = params.alpha_hat
-    if nx is None:
-        nx = max(513, math.ceil(_SOLVER_L / (math.sqrt(ah) / 4.0)) + 1) if ah > 0 else 513
-    if nx < MIN_NODES:
-        raise CliConfigError(f"need nx >= {MIN_NODES}, got {nx}")
-    dx = _SOLVER_L / (nx - 1)
-    if nx > MAX_NODES:
+    dx = _SOLVER_L / (max(512, math.ceil(_SOLVER_L / (math.sqrt(ah) / 4.0))) if ah > 0 else 512)
+    if dx < _FINEST_DX:
         raise CliConfigError(
-            f"need nx <= {MAX_NODES}, got {nx}: float64 roundoff in the wall rows grows "
-            f"with their largest entry, about alpha_hat / dx^5, here with dx = {dx:.4g} "
-            f"and alpha_hat = {ah:.4g}")
-    if ah > 0 and dx > math.sqrt(ah) / 4.0 + 1e-15:
-        raise CliConfigError(
-            f"dx = {dx:.4g} does not resolve the wall layer; "
-            f"need dx <= sqrt(alpha_hat)/4 = {math.sqrt(ah)/4:.4g}")
+            f"need dx >= 1/256, got dx = {dx:.4g} to resolve the wall layer: float64 "
+            f"roundoff in the wall rows grows with their largest entry, about "
+            f"alpha_hat / dx^5, here with alpha_hat = {ah:.4g}")
     return dx
 
 
@@ -547,7 +535,7 @@ def _mode_oracle(cfg: RunConfig) -> str:
     reduced = _reducer(cfg.model, cfg.physical)
     for bt in cfg.times:
         params = reduced(bt)
-        dx = _solver_dx(cfg, params)
+        dx = _solver_dx(params)
         ah = params.alpha_hat
         masses.append(_halfline(halfline_mass, 1.0, params.m, ah, dx))
         notes.append(f"Bt={_fmt(bt)}: mass={_fmt(masses[-1])} (nondimensional)")
@@ -559,18 +547,19 @@ def _mode_oracle(cfg: RunConfig) -> str:
 
 # What each mode reads, one entry per mode: its function; the optional
 # RunConfig fields it reads; the most Bt values it reads (None: one or more;
-# a mode reading one takes _DEFAULT_BT when none is given); and the rows it
-# is charged per Bt value
+# a mode reading one takes _DEFAULT_BT when none is given); the rows it is
+# charged per Bt value; and the rows charged on top for each Bt value past
+# the first
 _EXPANSION_FIELDS = ("order", "samples", "xmax", "fmt")
 _MODE_TABLE = {
-    "params": (_mode_params, (), 1, lambda cfg: 0),
-    "profile": (_mode_profile, _EXPANSION_FIELDS, None, lambda cfg: cfg.samples),
+    "params": (_mode_params, (), 1, lambda cfg: 0, 0),
+    "profile": (_mode_profile, _EXPANSION_FIELDS, None, lambda cfg: cfg.samples, BT_ROWS),
     "depth-series": (_mode_depth_series, ("alphas", "fmt"), None,
-                     lambda cfg: max(len(cfg.alphas), 1)),
+                     lambda cfg: max(len(cfg.alphas), 1), 0),
     "corner": (_mode_corner, ("corner_r", "corner_gamma", "samples", "fmt"), 1,
-               lambda cfg: cfg.samples),
-    "oracle": (_mode_oracle, ("samples", "fmt", "solver"), None, lambda cfg: cfg.samples),
-    "compare": (_mode_compare, (*_EXPANSION_FIELDS, "solver"), None, lambda cfg: cfg.samples),
+               lambda cfg: cfg.samples, 0),
+    "oracle": (_mode_oracle, ("samples", "fmt"), None, lambda cfg: cfg.samples, BT_ROWS),
+    "compare": (_mode_compare, _EXPANSION_FIELDS, None, lambda cfg: cfg.samples, BT_ROWS),
 }
 MODES = tuple(_MODE_TABLE)
 # the RunConfig fields every mode reads; how many Bt values, the table says

@@ -93,12 +93,6 @@ MIN_NODES = 64
 # entry is 30x smaller and nx 1025 on L = 8 is clean (2.5e-5).  Capping nx
 # bounds dx only on a given box: on L = 8 this cap admits dx 1/256 and its
 # percent-level error, which a cap on the entry itself would refuse.
-# The CLI caps the half-line modes' nx, with dx = 8 / (nx - 1), here too.
-# Their wall rows reach alpha_hat / dx^5, and against the exact half-line
-# solution they miss by 8.2e-5 / 9.3e-6 / 1.3e-5 of depth at dx 1/64,
-# 1.3e-5 / 3.5e-6 / 6.4e-6 at dx 1/128 and 2.0e-6 / 2.6e-5 / 2.3e-5 at
-# dx 1/256: at the stiffer two, roundoff outgrows the spatial error past
-# dx 1/128
 MAX_NODES = 2049
 # step budget: a t_final/dt far above it (dt = 1e-9 takes ~1e9 steps)
 # marches for hours with no exit
@@ -631,8 +625,8 @@ def halfline_profile(x, t: float, m: float, alpha_hat: float, dx: float) -> np.n
     """Height of the solver's semi-discrete problem on the half-line, at
     spacing dx, exactly in time: y(x, t) from a flat start, its modes
     evaluated at each x (not only at nodes), up to the contour's inversion
-    error.  Every x must be finite and non-negative, t, m and alpha_hat
-    as `reference._upper_contour` states, and dx as `_wall_modes` does.
+    error.  Every x must lie in [0, 1e100], t, m and alpha_hat as
+    `reference._upper_contour` states, and dx as `_wall_modes` does.
 
     There is no box, no far-field row and no time step: the lo decaying
     modes of `_wall_modes`, summed over the Talbot contour of
@@ -640,8 +634,8 @@ def halfline_profile(x, t: float, m: float, alpha_hat: float, dx: float) -> np.n
     boundary condition in the Laplace domain.
     """
     xs = np.asarray(x, dtype=float)
-    if not (np.isfinite(xs).all() and np.all(xs >= 0)):
-        raise ValueError("x must be finite and non-negative")
+    if not np.all((xs >= 0) & (xs <= 1e100)):
+        raise ValueError("x must lie in [0, 1e100]")
     s, weight = _upper_contour(t, m, alpha_hat)
     c, _, log_z = _wall_modes(s, m, alpha_hat, dx)
     return _mode_sum(xs.ravel() / dx, log_z, weight, c).reshape(xs.shape)

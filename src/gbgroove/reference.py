@@ -89,15 +89,16 @@ def _upper_contour(t: float, m: float, alpha_hat: float, nodes: int = _NODES):
     """Check t, m, alpha_hat and nodes; return the upper half of the Talbot
     nodes s and their weights exp(s t) s'(theta) 2/(i nodes): the problem is
     real, so twice the real part of their sum is the whole (even) contour's.
-    Float64 carries the transform for t in [1e-100, 1e100] and alpha_hat /
-    sqrt(t) 0 or in [1e-16, 1e16].  Past them systems went singular (t =
-    1e300 or 5e-324, alpha_hat = 5e-324); below 1e-16 the sixth-order term
+    Float64 carries the transform for t in [1e-100, 1e100], |m| <= 1e100
+    and alpha_hat / sqrt(t) 0 or in [1e-16, 1e16].  Past them systems went
+    singular (t = 1e300 or 5e-324, alpha_hat = 5e-324) or overflowed (m =
+    1e308: the solution is linear in m); below 1e-16 the sixth-order term
     moves the profile by less than roundoff (0.55 alpha_hat / sqrt(t) of
     depth) while the cubic's small roots lose their digits."""
     if not 1e-100 <= t <= 1e100:
         raise ValueError(f"t must lie in [1e-100, 1e100], got {t}")
-    if not math.isfinite(m):
-        raise ValueError(f"m must be finite, got {m}")
+    if not abs(m) <= 1e100:
+        raise ValueError(f"m must lie in [-1e100, 1e100], got {m}")
     if not (alpha_hat == 0 or 1e-16 <= alpha_hat / math.sqrt(t) <= 1e16):
         raise ValueError(f"alpha_hat must be 0, or alpha_hat / sqrt(t) lie in [1e-16, 1e16]; "
                          f"got alpha_hat = {alpha_hat} at t = {t}")
@@ -122,20 +123,30 @@ def _mode_sum(u: np.ndarray, rate: np.ndarray, weight: np.ndarray, c: np.ndarray
 def exact_profile(x, t: float, m: float, alpha_hat: float,
                   L: float = math.inf, nodes: int = _NODES) -> np.ndarray:
     """Height y(x, t) of the linear problem from a flat start, exactly up to
-    the inversion error (about 1e-13 of depth at the default 24 nodes).
+    the inversion error.  At the default 24 nodes it meets 48 nodes to 1e-12
+    of depth (5e-13 measured) for alpha_hat / sqrt(t) 0 or in [1e-2, 1e16]
+    on the half-line, and in [1e-2, 1e3] on the box L = 8 t^(1/4).
+    Elsewhere the gap grows (t = 1, 257 points on [0, 8]): below 1e-2 to
+    2.4e-10 on the half-line and 1.5e-7 on that box, both near 1e-12, as
+    the cubic's companion eigenvalues carry an absolute error of about
+    eps / alpha_hat; on the box past 1e3 to 1.2e-9 at 1e8 and 5.6e-4 at
+    1e16, as its systems grow ill-conditioned once the wall layer
+    sqrt(alpha_hat) outgrows L (a shorter box loses more).
 
-    `L = inf` is the half-line; a finite `L` is the box [0, L] with the
-    solver's far-field conditions.  Every `x` must be finite and lie in
-    [0, L], `nodes` even, and `t` and `alpha_hat` as `_upper_contour` states.
+    `L = inf` is the half-line; a finite `L` in (0, 1e100] is the box
+    [0, L] with the solver's far-field conditions.  Every `x` must lie in
+    [0, L] and at most 1e100, `nodes` be even, and `t`, `m` and
+    `alpha_hat` as `_upper_contour` states: past 1e100, x and L times a
+    mode's rate (up to about 1e51) leave float64.
     """
     s, weight = _upper_contour(t, m, alpha_hat, nodes)
-    if not L > 0:
-        raise ValueError(f"L must be positive, got {L}")
+    if not (0 < L <= 1e100 or L == math.inf):
+        raise ValueError(f"L must be inf or lie in (0, 1e100], got {L}")
     xs = np.asarray(x, dtype=float)
     # the basis functions are bounded on [0, L] only: outside it they grow
     # without bound
-    if not (np.isfinite(xs).all() and np.all((xs >= 0) & (xs <= L))):
-        raise ValueError(f"x must be finite and lie in [0, L] = [0, {L}]")
+    if not np.all((xs >= 0) & (xs <= min(L, 1e100))):
+        raise ValueError(f"x must lie in [0, L] = [0, {L}] and at most 1e100")
     kappa = np.sqrt(_cubic_roots(s, alpha_hat))
     k = kappa.shape[1]
     if math.isinf(L):

@@ -11,8 +11,9 @@ metrics of a profile (`groove_metrics`, `GrooveMetrics`, `default_window`),
 the solver's energy and continuity diagnostics with the field derivatives
 they take (`chemical_potential`, `flux`, `apply_stencil`), and the
 dimensional unpassivated profile that the CLI's Mullins column is compared
-against, and the exact reference summed one Talbot node at a time over the
-whole contour (`exact_profile_per_node`).  They use the package's private
+against, the exact reference summed one Talbot node at a time over the
+whole contour (`exact_profile_per_node`), and the edge floats the library
+error-contract properties draw (`edge_or`).  They use the package's private
 helpers where the package has them.
 """
 
@@ -24,6 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from gbgroove.composite import ExpansionSpec, _nd_coords, composite_profile_nd
@@ -578,3 +580,15 @@ def exact_profile_per_node(x, t: float, m: float, alpha_hat: float,
         total += np.exp(sk * t) * dsk * _transform(xs.ravel(), sk, m, alpha_hat,
                                                    L).reshape(xs.shape)
     return (total / (1j * nodes)).real
+
+
+# floats past what any evaluator takes, and ones next to its edges
+EDGE_FLOATS = (math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 2.2e-308,
+               1e308, -1e308)
+
+
+def edge_or(*sound):
+    """A float drawn from EDGE_FLOATS one time in four, else from the
+    `sound` values: most draws then set one or two arguments past an edge
+    and keep the rest sound, so the call gets past its other checks."""
+    return st.sampled_from(EDGE_FLOATS + sound * math.ceil(3 * len(EDGE_FLOATS) / len(sound)))

@@ -143,7 +143,7 @@ class TestModes:
 
     def test_oracle_mode_small(self):
         cfg = RunConfig(mode="oracle", model={"B": 1.0, "alpha": 9.7e-16, "m": 0.209},
-                        times=[1e-29], samples=8, solver={"nx": 129})
+                        times=[1e-29], samples=8)
         text = run(cfg)
         data = [l for l in text.splitlines() if l and not l.startswith("#")]
         assert len(data) == 8
@@ -154,7 +154,7 @@ class TestModes:
         # the window reaches the series clamp, u = 12: the oracle column
         # is on the half-line, with no far edge
         cfg = RunConfig(mode="compare", model={"B": 1.0, "alpha": 9.7e-16, "m": 0.209},
-                        times=[1e-29], samples=8, xmax=12.0, solver={"nx": 257})
+                        times=[1e-29], samples=8, xmax=12.0)
         text = run(cfg)
         assert "sup|composite-oracle|/depth" in text
         assert "y_oracle_m" in text
@@ -435,15 +435,15 @@ _BAD_DOCUMENTS = {
         "D_i": 1e-18, "n": 1e19, "Omega": 1.66e-29, "kT": 1.2e-20, "E": 253e9, "h": 5e-9,
         "nu": 0.24, "gamma_gb": True, "gamma_i": 1.2, "gamma_s": 1.67}},
     "out-number": {**_FIG4, "out": 5},
-    "solver-nx-string": {**_FIG4, "mode": "oracle", "solver": {"nx": "abc"}},
-    "solver-dt-tiny": {**_FIG4, "mode": "oracle", "solver": {"dt": 1e-9}},
-    "solver-dt-inf": {**_FIG4, "mode": "oracle", "solver": {"dt": float("inf")}},
-    # the oracle column is exact in time: every dt is refused, this one past
-    # what was the plateau step cap too
-    "solver-dt-past-plateau-cap": {**_FIG4, "mode": "oracle", "solver": {"dt": 1 / 16}},
-    **{f"solver-{key}": {**_FIG4, "mode": "oracle", "solver": {key: value}}
-       for key, value in (("L", 8.0), ("theta", 1.0), ("snapshot_times", [0.5]),
-                          ("bc_order", 3), ("flux_form", "balance"))},
+    # solver is no field: the oracle column's spacing follows from alpha_hat,
+    # so a solver block, whatever it holds, is an unknown key
+    **{f"solver-{name}": {**_FIG4, "mode": "oracle", "solver": block}
+       for name, block in (("nx-string", {"nx": "abc"}), ("dt-tiny", {"dt": 1e-9}),
+                           ("dt-inf", {"dt": float("inf")}),
+                           ("dt-past-plateau-cap", {"dt": 1 / 16}), ("L", {"L": 8.0}),
+                           ("theta", {"theta": 1.0}), ("snapshot_times", {"snapshot_times": [0.5]}),
+                           ("bc_order", {"bc_order": 3}), ("flux_form", {"flux_form": "balance"}))},
+    "solver-outside-solver-modes": {**_FIG4, "solver": {"nx": 1025}},
     "top-level-array": [_FIG4],
     "rows-past-budget": {**_FIG4, "samples": 32768, "times": [1e-29, 2e-29, 3e-29]},
     "alphas-past-budget": {**_BASE, "mode": "depth-series", "alphas": [9.7e-16] * 256,
@@ -451,6 +451,9 @@ _BAD_DOCUMENTS = {
     # an oracle column is charged its printed rows, as a profile is
     "compare-rows-past-budget": {**_FIG4, "mode": "compare", "samples": 16385,
                                  "times": [1e-29] * 4},
+    # each Bt value past the first is charged BT_ROWS on top of its rows
+    "compare-bts-past-budget": {**_FIG4, "mode": "compare", "samples": 2,
+                                "times": [1e-29] * 32768},
     # the half-line modes refuse alpha_hat / sqrt(t) past 1e16 (here 3.2e16)
     **{f"{mode}-alpha-hat-past-range": {**_BASE, "mode": mode, "samples": 4,
                                         "model": {"B": 1.0, "alpha": 100.0, "m": 0.209}}
@@ -478,7 +481,6 @@ _BAD_DOCUMENTS = {
        for mode in ("profile", "compare", "oracle")},
     # entries a mode would ignore are refused, not dropped
     "alphas-outside-depth-series": {**_FIG4, "alphas": [1e-10]},
-    "solver-outside-solver-modes": {**_FIG4, "solver": {"nx": 1025}},
     # a corner exponent outside corner mode, a format for the plain-text
     # params mode, and a sample count for a mode that samples nothing
     "profile-corner_r-alone": {**_FIG4, "corner_r": -2.0},
@@ -505,8 +507,8 @@ _OPTIONAL_ENTRIES = {
     "samples": 7,
     "xmax": 4.0,
     "fmt": "json",
+    # fields no longer: every mode refuses them as unknown keys
     "solver": {"nx": 257},
-    # a field no longer: every mode refuses it as an unknown key
     "include_corner": True,
 }
 
@@ -544,6 +546,17 @@ def test_include_corner_is_unknown(mode, tmp_path, capsys):
     assert out == "" and "unrecognized arguments: --include-corner" in err
 
 
+@pytest.mark.parametrize("mode", MODES)
+def test_solver_block_is_unknown(mode, tmp_path, capsys):
+    """The oracle column's spacing follows from alpha_hat alone: a `solver`
+    block, even an empty one, is an unknown config key (exit 2)."""
+    for block in ({}, {"nx": 513}, {"dt": 1.0 / 64}):
+        code, out, err = _main_on_document({**_BASE, "mode": mode, "solver": block},
+                                           tmp_path, capsys)
+        assert (code, out) == (2, [])
+        assert err == ["error: config: unknown config keys: ['solver']"]
+
+
 def test_depth_series_refuses_physical_block(tmp_path, capsys):
     # the sweep replaces model.alpha; a physical block has no alpha to replace
     doc = {**_BASE, "mode": "depth-series", "model": None, "alphas": [9.7e-16],
@@ -556,33 +569,32 @@ def test_depth_series_refuses_physical_block(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("doc", [
-    {**_FIG4, "mode": "oracle", "solver": {"nx": 2050}},
-    # the wall layer thins as Bt grows: at Bt = 2e-23 m^4 the default grid
-    # needs 2174 nodes to resolve it
+    # the wall layer thins as Bt grows: at Bt = 2e-23 m^4 the oracle column
+    # needs 2173 intervals of [0, 8] to resolve it
     {**_FIG4, "mode": "compare", "times": [2e-23]},
-], ids=["solver-nx", "derived-nx"])
+], ids=["derived-nx"])
 def test_exit_two_above_node_cap(doc, tmp_path, capsys):
     code, _, err = _main_on_document(doc, tmp_path, capsys)
     assert code == 2
-    assert len(err) == 1 and "nx <= 2049" in err[0]
+    assert len(err) == 1 and "need dx >= 1/256, got dx = 0.003682" in err[0]
 
 
-@pytest.mark.parametrize("mode", ["oracle", "compare"])
-def test_exit_two_below_node_floor(mode, tmp_path, capsys):
-    code, out, err = _main_on_document({**_FIG4, "mode": mode, "solver": {"nx": 63}},
-                                       tmp_path, capsys)
-    assert code == 2 and out == []
-    assert err == ["error: config: need nx >= 64, got 63"]
+@pytest.mark.parametrize("mode", ["oracle", "compare", "profile"])
+def test_row_budget_charges_each_bt(mode):
+    """One Bt value at the budget is admitted, and so are 255 of 2 samples;
+    a 256th Bt value's fixed charge passes the budget."""
+    def charged(times, samples):
+        cfg = RunConfig(mode=mode, model={"B": 1.0, "alpha": 9.7e-16, "m": 0.209},
+                        times=times, samples=samples)
+        try:
+            cfg.validate()
+        except cli.CliConfigError as exc:
+            return str(exc)
+        return None
 
-
-@pytest.mark.parametrize("mode", ["oracle", "compare"])
-def test_solver_dt_is_refused_as_exact_in_time(mode, tmp_path, capsys):
-    """The oracle column takes no time step, so a sound dt is refused too,
-    with the reason."""
-    doc = {**_FIG4, "mode": mode, "solver": {"nx": 513, "dt": 1.0 / 64}}
-    code, out, err = _main_on_document(doc, tmp_path, capsys)
-    assert code == 2 and out == []
-    assert len(err) == 1 and "exact in time" in err[0]
+    assert charged([1e-29], cli.MAX_ROWS) is None
+    assert charged([1e-29] * 255, 2) is None
+    assert charged([1e-29] * 256, 2) == "the run is charged 65792 rows; the budget is 65536"
 
 
 def test_exit_three_on_non_finite_output(capsys):
@@ -652,30 +664,23 @@ def test_exit_code_contract_one_edge_value(mode, field):
                                     **_samples(mode, 4)})
 
 
-# (B, alpha, m, Bt): half the draws are sound, so the solver runs, and half
-# take the edge values above
-_SOLVER_MODEL = st.one_of(
+# (B, alpha, m, Bt): half the draws are sound, so the oracle column is
+# computed, and half take the edge values above
+_ORACLE_MODEL = st.one_of(
     st.tuples(st.just(1.0), st.sampled_from([0.0, 3e-16, 9.7e-16]), st.just(0.209),
               st.sampled_from([3e-30, 1e-29])),
     st.tuples(_MODEL_NUMBER, _MODEL_NUMBER, _MODEL_NUMBER, _MODEL_NUMBER))
-# solver block entries: absent, sound, past a cap, and wrong-typed; the
-# oracle column is exact in time, so every dt drawn, sound or not, is refused
-_ABSENT = object()
-_SOLVER_NX = st.sampled_from([_ABSENT, 63, 64, 129, 2050, 1.5, "513", True])
-_SOLVER_DT = st.sampled_from([_ABSENT, 1 / 16, 1 / 32, 1, 0, -1, float("nan"),
-                              float("inf"), 0.5 / 65536, "x", True])
 
 
-@given(mode=st.sampled_from(["oracle", "compare"]), model=_SOLVER_MODEL,
-       nx=_SOLVER_NX, dt=_SOLVER_DT, samples=st.integers(2, 16))
+@given(mode=st.sampled_from(["oracle", "compare"]), model=_ORACLE_MODEL,
+       samples=st.integers(2, 16))
 @settings(derandomize=True, max_examples=1000, deadline=None)
-def test_exit_code_contract_with_solver(mode, model, nx, dt, samples):
-    """The solver modes keep the same contract over model numbers and the
-    `solver` block."""
+def test_exit_code_contract_oracle_modes(mode, model, samples):
+    """The modes with an oracle column keep the same contract over model
+    numbers."""
     B, alpha, m, bt = model
-    solver = {k: v for k, v in (("nx", nx), ("dt", dt)) if v is not _ABSENT}
     _assert_exit_code_contract({"mode": mode, "model": {"B": B, "alpha": alpha, "m": m},
-                                "times": [bt], "samples": samples, "solver": solver})
+                                "times": [bt], "samples": samples})
 
 
 # ---- the table formatter ------------------------------------------------

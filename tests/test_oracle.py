@@ -7,14 +7,17 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import (apply_stencil, chemical_potential, continuity_residual, energy, flux,
-                      mullins_profile)
+from conftest import (apply_stencil, chemical_potential, continuity_residual, edge_or, energy,
+                      flux, mullins_profile)
 from gbgroove import oracle, reference
 from gbgroove.oracle import (
     BC_ORDER,
@@ -950,13 +953,15 @@ class TestHalfLine:
         {"dx": 0.0}, {"dx": -DX_CLI}, {"dx": math.inf}, {"dx": math.nan},
         {"t": 1e300}, {"t": 5e-324}, {"alpha_hat": 5e-324}, {"alpha_hat": 1e300},
         {"dx": 1e300}, {"dx": 1e-300}, {"dx": 1e4}, {"dx": 1e-14},
+        {"m": 1e308}, {"m": -1e308}, {"x": 1e308},
     ], ids=lambda bad: "-".join(f"{k}={v}" for k, v in bad.items()))
     def test_rejects_bad_arguments(self, bad):
         """Past the range float64 carries the modes raised LinAlgError (t =
         1e300 or 5e-324, alpha_hat = 5e-324) or OverflowError (dx = 1e300),
         or returned NaN (alpha_hat = 1e300, dx = 1e-300).  A grid too coarse
         or too fine for its modes (|q| dx^2 past [1e-24, 1e4]: dx = 1e4 and
-        1e-14 at t = 1) is refused too."""
+        1e-14 at t = 1) is refused too, and so is an m or x of 1e308, which
+        overflowed to NaN with a RuntimeWarning."""
         args = {"t": 1.0, "m": M_FIG, "alpha_hat": AH_FIG, "dx": DX_CLI, **bad}
         x = np.array([0.0, 1.0, args.pop("x", 2.0)])
         with pytest.raises(ValueError):
@@ -964,3 +969,19 @@ class TestHalfLine:
         if "x" not in bad:
             with pytest.raises(ValueError):
                 oracle.halfline_mass(**args)
+
+    @given(x=st.lists(edge_or(0.0, 0.5, 3.0, 12.0), min_size=1, max_size=3),
+           t=edge_or(1.0, 0.01, 7.0), m=edge_or(M_FIG, -1.0),
+           alpha_hat=edge_or(AH_FIG, 0.05, 1e-3), dx=edge_or(DX_CLI, 1.0 / 256, 0.1))
+    @settings(derandomize=True, max_examples=500, deadline=None)
+    def test_finite_or_value_error(self, x, t, m, alpha_hat, dx):
+        """Any arguments give finite heights and mass or a ValueError, with
+        no warning."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in (lambda: oracle.halfline_profile(np.array(x), t, m, alpha_hat, dx),
+                         lambda: oracle.halfline_mass(t, m, alpha_hat, dx)):
+                try:
+                    assert np.isfinite(call()).all()
+                except ValueError:
+                    pass
