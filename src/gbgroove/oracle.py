@@ -46,13 +46,9 @@ Laplace-domain form of a discrete transparent boundary condition (Arnold,
 VLSI Design 6, 1998; Ehrhardt & Arnold, Riv. Mat. Univ. Parma, 2001).  The
 march stays as the check on it that inverts no transform.
 
-SciPy's BLAS and LAPACK wrappers are loaded where a system is factored,
+SciPy's BLAS and LAPACK wrappers are imported where a system is factored,
 not at module level, so the CLI, which never marches, and the half-line
-modes never load SciPy.  Even then only ``scipy`` itself and the two f2py
-extension modules behind ``scipy.linalg.blas`` and ``scipy.linalg.lapack``
-are loaded, from their files (`_blas_lapack`): the ``scipy.linalg``
-package, whose import pulls in some 85 SciPy modules and numpy.f2py,
-numpy.testing and unittest with them, is not imported.
+modes never load SciPy.
 """
 
 from __future__ import annotations
@@ -141,38 +137,6 @@ def fd_weights(nodes, x0: float, order: int) -> np.ndarray:
     return d[order, n - 1, :]
 
 
-@functools.cache
-def _blas_lapack():
-    """SciPy's BLAS and LAPACK wrappers: the extension modules
-    scipy.linalg._fblas and scipy.linalg._flapack, which scipy.linalg.blas
-    and scipy.linalg.lapack re-export, loaded from their files.
-
-    ``import scipy`` is cheap and runs SciPy's distributor set-up; importing
-    either scipy.linalg module would run ``scipy/linalg/__init__.py`` and
-    load the whole package.  CPython enters each in sys.modules under its
-    own name, as it does any single-phase extension module, so a later
-    ``import scipy.linalg`` reuses them (and one already imported is reused
-    here).  A missing file raises ImportError naming the directory searched.
-    """
-    import importlib.machinery
-    import importlib.util
-    import os
-    import scipy
-    where = os.path.join(os.path.dirname(scipy.__file__), "linalg")
-    modules = []
-    for name in ("_fblas", "_flapack"):
-        paths = [os.path.join(where, name + suffix)
-                 for suffix in importlib.machinery.EXTENSION_SUFFIXES]
-        path = next(filter(os.path.isfile, paths), None)
-        if path is None:
-            raise ImportError(f"no {name} extension module in {where}")
-        spec = importlib.util.spec_from_file_location(f"scipy.linalg.{name}", path)
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        modules.append(module)
-    return tuple(modules)
-
-
 def _factor(ab: np.ndarray):
     """Cholesky factors of the symmetric positive definite band matrix whose
     lower LAPACK band storage is ab, and a function that solves with them in
@@ -184,12 +148,11 @@ def _factor(ab: np.ndarray):
     squared pivots l_jj^2, so the solve is two unit-diagonal dtbsv sweeps
     and one division by the squared pivots: no sweep divides, so no row of
     a sweep waits on a division.  L~ is kept transposed, in upper band
-    storage: L~[j, j - d] at up[kd - d, j].  dpbtrf and dtbsv are SciPy's
-    f2py wrappers, taken from the extension modules `_blas_lapack` loads.
+    storage: L~[j, j - d] at up[kd - d, j].
     """
-    blas, lapack = _blas_lapack()
-    dtbsv = blas.dtbsv
-    c, info = lapack.dpbtrf(ab, lower=1, overwrite_ab=True)
+    from scipy.linalg.blas import dtbsv
+    from scipy.linalg.lapack import dpbtrf
+    c, info = dpbtrf(ab, lower=1, overwrite_ab=True)
     if info < 0:
         raise RuntimeError(f"dpbtrf rejected argument {-info}")
     if info > 0:
@@ -243,8 +206,10 @@ class Grid:
     def __post_init__(self):
         if self.nx < MIN_NODES:
             raise ConfigError(f"need nx >= {MIN_NODES}, got {self.nx}")
-        if not self.L > 0:
-            raise ConfigError("L must be positive")
+        # the stencil divides by dx^6, which float64 carries in [1e-300, 1e300]
+        if not 1e-50 <= self.dx <= 1e50:
+            raise ConfigError(f"need L > 0 and dx = L/(nx - 1) in [1e-50, 1e50], got "
+                              f"L = {self.L}")
 
     @property
     def dx(self) -> float:
@@ -270,12 +235,19 @@ class SolverConfig:
     def __post_init__(self):
         if not 0 < self.dt < math.inf:
             raise ConfigError("dt must be positive and finite")
-        if not self.t_final > 0:
-            raise ConfigError("t_final must be positive")
-        if not 0 <= self.alpha_hat < math.inf:
-            raise ConfigError("alpha_hat must be non-negative and finite")
-        if not math.isfinite(self.m):
-            raise ConfigError("m must be finite")
+        # as for the exact reference's t; the plateau step, at least
+        # t_final / MAX_STEPS, then stays a normal float
+        if not 1e-100 <= self.t_final <= 1e100:
+            raise ConfigError(f"t_final must lie in [1e-100, 1e100], got {self.t_final}")
+        # past it the stencil's alpha_hat / dx^6 overflows; the exact
+        # reference stops there too
+        if not 0 <= self.alpha_hat <= 1e16 * math.sqrt(self.t_final):
+            raise ConfigError("alpha_hat must lie in [0, 1e16 sqrt(t_final)], got "
+                              f"{self.alpha_hat} at t_final = {self.t_final}")
+        # the solution is linear in m: past the exact reference's bound a
+        # march overflows
+        if not abs(self.m) <= 1e100:
+            raise ConfigError(f"m must lie in [-1e100, 1e100], got {self.m}")
         if self.grid.nx > MAX_NODES:
             raise ConfigError(
                 f"need nx <= {MAX_NODES}, got {self.grid.nx}: float64 roundoff in forming "
@@ -285,11 +257,11 @@ class SolverConfig:
         if self.t_final / self.dt > MAX_STEPS:
             raise ConfigError(f"need t_final/dt <= {MAX_STEPS}, got "
                               f"{self.t_final / self.dt:.4g} steps")
-        if self.alpha_hat > 0 and self.grid.dx > math.sqrt(self.alpha_hat) / 4.0 + 1e-15:
+        if self.alpha_hat > 0 and self.grid.dx > math.sqrt(self.alpha_hat) / 4.0 * (1.0 + 1e-12):
             raise ConfigError(
                 f"dx = {self.grid.dx:.4g} does not resolve the wall layer; "
                 f"need dx <= sqrt(alpha_hat)/4 = {math.sqrt(self.alpha_hat)/4:.4g}")
-        if self.grid.L < 8.0 * self.t_final ** 0.25 - 1e-12:
+        if self.grid.L < 8.0 * self.t_final ** 0.25 * (1.0 - 1e-12):
             raise ConfigError(
                 f"domain L = {self.grid.L:.4g} shorter than 8 t_final^(1/4) "
                 f"= {8*self.t_final**0.25:.4g}")
@@ -464,14 +436,15 @@ class GrooveOperator:
         schur = (rows[:, :k] @ self._T + rows[:, k:] @ G[lo + self._near]) / scale
         # right-hand sides: the conditions' values, W_EE / h and -A_EI
         rhs = np.hstack([self.bc[:, None], self._edge_W[:, :k] / h, -rows[:, k:]]) / scale
-        blas, lapack = _blas_lapack()
-        _, _, X, info = lapack.dgesv(schur, rhs)
+        from scipy.linalg.blas import dgemv
+        from scipy.linalg.lapack import dgesv
+        _, _, X, info = dgesv(schur, rhs)
         if info < 0:
             raise RuntimeError(f"dgesv rejected argument {-info}")
         if info > 0:
             raise DivergenceError("singular time-step system: its edge Schur complement "
                                   "is singular")
-        system = (solve_ii, G, X[:, 0], X[:, 1:], blas.dgemv)
+        system = (solve_ii, G, X[:, 0], X[:, 1:], dgemv)
         self._last = (h, system)
         return system
 
