@@ -29,7 +29,6 @@ from .specfun import (
     GammaPoleError,
     SeriesError,
     SeriesResult,
-    cancel_digits,
     compensated_sum,
     gamma,
     hyp_series,
@@ -216,8 +215,7 @@ def corner_solution_diagnostics(i, zeta, tau: float, spec: CornerSpec) -> Series
     value, max_piece = (np.array(a) if np.ndim(i) else a[0] for a in (value, max_piece))
     if np.ndim(value) == 0:
         value, max_piece = float(value), float(max_piece)
-    return SeriesResult(value=value, terms_used=1, max_term_magnitude=max_piece,
-                        cancellation_digits=cancel_digits(max_piece, value))
+    return SeriesResult(value=value, terms_used=1, max_term_magnitude=max_piece)
 
 
 def _gamma_or_pole(x: float, what: str) -> float:

@@ -91,7 +91,11 @@ class SeriesResult:
     value: float
     terms_used: int
     max_term_magnitude: float
-    cancellation_digits: float
+
+    @property
+    def cancellation_digits(self) -> float:
+        """Digits lost to cancellation, computed when read (`cancel_digits`)."""
+        return cancel_digits(self.max_term_magnitude, self.value)
 
     @property
     def reliable(self) -> bool:
@@ -191,7 +195,7 @@ def _series_result(shape, value, terms, max_term) -> SeriesResult:
         value, terms, max_term = float(value[0]), int(terms[0]), float(max_term[0])
     else:
         value, terms, max_term = (v.reshape(shape) for v in (value, terms, max_term))
-    return SeriesResult(value, terms, max_term, cancel_digits(max_term, value))
+    return SeriesResult(value, terms, max_term)
 
 
 def _by_element(per_row: list, row: np.ndarray):
@@ -203,7 +207,7 @@ def _by_element(per_row: list, row: np.ndarray):
     return np.array(per_row)[row]
 
 
-@np.errstate(over="ignore")     # an overflowing term raises SeriesError below
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite term raises SeriesError below
 def hyp_series(numerators, denominators, scale: float, power, step: int,
                x, order: int, tol: float = DEFAULT_TOL) -> SeriesResult:
     """d^order/dx^order of  x**power * pFq(a; b; scale * x**step), at every x.
@@ -212,7 +216,8 @@ def hyp_series(numerators, denominators, scale: float, power, step: int,
     profiles (step=4) and corner-layer solutions (step=6), where finite
     differences would compound cancellation.  A float x gives float fields
     back; an array gives arrays of its shape (per-point values, largest
-    terms, term counts and cancellation digits).
+    terms and term counts; the cancellation digits are computed from the
+    first two when read).
 
     Parameter rows: when `power` is a sequence, with one entry per row,
     `numerators` and `denominators` hold one parameter tuple per row and
@@ -229,14 +234,18 @@ def hyp_series(numerators, denominators, scale: float, power, step: int,
     or after three consecutive terms below tol * |partial sum|.  Rows with
     a negative-integer numerator are polynomials: the small-term count
     skips them, so they are summed to their end.  `terms_used` is the
-    number of terms an element summed.  Any non-finite term, a power of x
-    that overflows, or any element still summing after TERM_BUDGET terms
-    raises SeriesError.  A negative power (whose k = 0 term the derivative
-    start would drop), a NaN x, or a negative x under a non-integer power
-    (a complex value) raises ValueError.
+    number of terms an element summed.  Any non-finite term or partial sum,
+    a power of x that overflows, or any element still summing after
+    TERM_BUDGET terms raises SeriesError.  A non-integer order or step, an
+    order below 0 or a step below 1, a non-finite scale, parameter or power,
+    a negative power (whose k = 0 term the derivative start would drop), a
+    NaN x, or a negative x under a non-integer power (a complex value)
+    raises ValueError.
     """
-    if order < 0:
-        raise ValueError("order must be >= 0")
+    if not (isinstance(order, (int, np.integer)) and order >= 0):
+        raise ValueError(f"order must be an integer >= 0, got {order!r}")
+    if not (isinstance(step, (int, np.integer)) and step >= 1):
+        raise ValueError(f"step must be an integer >= 1, got {step!r}")
     if not tol > 0:
         raise ValueError("tol must be positive")
     one_row = np.ndim(power) == 0
@@ -244,10 +253,14 @@ def hyp_series(numerators, denominators, scale: float, power, step: int,
         numerators, denominators, power = (numerators,), (denominators,), (power,)
     if not len(numerators) == len(denominators) == len(power):
         raise ValueError("need one numerator and one denominator tuple per power")
-    if any(p < 0 for p in power):
-        raise ValueError(f"power must be non-negative, got {list(power)}")
+    if not all(0 <= p < math.inf for p in power):
+        raise ValueError(f"power must be non-negative and finite, got {list(power)}")
     numerators = [tuple(float(a) for a in nums) for nums in numerators]
     denominators = [tuple(float(b) for b in dens) for dens in denominators]
+    for what, vals in (("scale", (scale,)), ("numerator parameters", sum(numerators, ())),
+                       ("denominator parameters", sum(denominators, ()))):
+        if not all(map(math.isfinite, vals)):
+            raise ValueError(f"{what} must be finite, got {vals}")
     for dens in denominators:
         for b in dens:
             if _is_nonpositive_integer(b):
@@ -285,66 +298,91 @@ def hyp_series(numerators, denominators, scale: float, power, step: int,
     if not n:
         return _series_result(shape, value, terms, max_term)
 
-    # first index whose monomial power reaches the derivative order, per row
-    k0 = [max(0, (order - p + step - 1) // step) for p in power]
+    # first index whose monomial power reaches the derivative order, per row;
+    # no monomial of a non-integer power vanishes, so those rows start at 0
+    k0 = [max(0, (order - int(p) + step - 1) // step) if float(p).is_integer() else 0
+          for p in power]
     # Carry coeff * x^(step k + power - order) as one quantity: the naked
     # power overflows long before the term itself does.  Powers are taken
     # per point in Python floats (libm), which numpy's power may not match.
     xl = flat.tolist()
     exponents = [step * k0[i] + power[i] - order for i in rows]
     try:
-        powered = {e: np.array([v ** e for v in xl]) for e in set(exponents)}
-        xstep = np.tile([v ** step for v in xl], len(rows))
-    except OverflowError:
+        powered = {e: np.array([v ** e for v in xl]) if e else np.ones(n)
+                   for e in set(exponents)}
+        xstep = np.concatenate([np.array([v ** step for v in xl])] * len(rows))
+    except (OverflowError, ZeroDivisionError):      # or a negative power of x = 0
         raise SeriesError(f"a power of x overflowed (largest |x| {max(map(abs, xl)):.4g}); "
                           "the value is outside the representable range") from None
     base = np.concatenate([coefficient(i, k0[i]) * powered[exponents[i]] for i in rows])
-    row = np.repeat(np.arange(len(rows)), n)
-    live = np.arange(len(rows) * n)     # index into the flat results
-    s, c, mx = np.zeros(live.size), np.zeros(live.size), np.zeros(live.size)
-    small = np.zeros(live.size, dtype=np.int64)
-
+    row = np.arange(len(rows)).repeat(n)
+    at = np.arange(len(rows) * n)       # each element's index into the flat results
+    s, c, mx = np.zeros((3, at.size))
+    small = np.zeros(at.size, dtype=np.int8)    # at most 3 while summing: cannot wrap
+    # Elements are recorded on the term they finish and dropped in batches,
+    # once a quarter have finished; until then `summing` masks them.
+    summing, tiny, stop = np.ones((3, at.size), dtype=bool)
+    t, bp, w, val, aterm, prod = np.empty((6, at.size))
+    finished = 0
     j = 0       # terms summed so far: row i is at k = k0[i] + j
     while True:
-        falls = []      # falling factorials p (p-1) ... (p-order+1)
-        for i in rows:
-            p, fall = step * (k0[i] + j) + power[i], 1.0
-            for q in range(order):
-                fall *= p - q
-            falls.append(fall)
-        term = base * _by_element(falls, row)
-        aterm = np.abs(term)
-        if not aterm.max() < math.inf:
-            bad = int(np.argmin(aterm < math.inf))
+        term = base
+        if order:       # times the falling factorials p (p-1) ... (p-order+1)
+            falls = [math.prod((step * (k0[i] + j) + power[i] - q for q in range(order)),
+                               start=1.0) for i in rows]
+            term = np.multiply(base, _by_element(falls, row), out=prod)
+        np.abs(term, out=aterm)
+        if not aterm.max() < math.inf and (hit := summing & ~(aterm < math.inf)).any():
+            bad = int(np.argmax(hit))
             k = k0[row[bad]] + j
             raise SeriesError(
-                f"series term overflowed at k={k} (x={flat[live[bad] % n]:.4g}); the "
+                f"series term overflowed at k={k} (x={flat[at[bad] % n]:.4g}); the "
                 "value is outside the representable range", terms_used=k,
                 partial_sum=float(s[bad] + c[bad]))
-        s, c = _neumaier_add(s, c, term)
+        # _neumaier_add in buffers: c += (s - (t - bp)) + (term - bp), then t is s
+        np.subtract(np.add(s, term, out=t), s, out=bp)
+        np.subtract(s, np.subtract(t, bp, out=w), out=w)
+        c += np.add(w, np.subtract(term, bp, out=bp), out=bp)
+        s, t = t, s
         np.maximum(mx, aterm, out=mx)
-        tiny = aterm <= tol * np.maximum(np.abs(s + c), 1e-300)
+        np.abs(np.add(s, c, out=val), out=w)      # tiny: aterm <= tol * max(|val|, 1e-300)
+        np.less_equal(aterm, np.multiply(np.maximum(w, 1e-300, out=w), tol, out=w), out=tiny)
         if any(polynomial):     # summed to their end
             tiny &= ~np.array(polynomial)[row]
-        small = np.where(tiny, small + 1, 0)
-        base *= _by_element([ratio(i, k0[i] + j) for i in rows], row) * xstep
+        small += tiny
+        small *= tiny
+        base *= np.multiply(_by_element([ratio(i, k0[i] + j) for i in rows], row), xstep,
+                            out=w)
         j += 1
-        done = (base == 0.0) | (small >= 3)
-        if done.any():
-            at = live[done]
-            value[at], max_term[at], terms[at] = (s + c)[done], mx[done], j
-            if done.all():
+        np.logical_or(np.equal(base, 0.0, out=stop), np.greater_equal(small, 3, out=tiny),
+                      out=stop)
+        stop &= summing
+        if np.count_nonzero(stop):
+            done = np.flatnonzero(stop)
+            idx = at[done]
+            value[idx], max_term[idx], terms[idx] = val[done], mx[done], j
+            summing ^= stop     # stop is within summing
+            finished += done.size
+            if finished == at.size:
                 break
-            keep = ~done
-            live, row, base, xstep, s, c, mx, small = (
-                v[keep] for v in (live, row, base, xstep, s, c, mx, small))
+            if 4 * finished >= at.size:
+                keep = np.flatnonzero(summing)
+                at, row, base, xstep, s, c, mx, small = (
+                    a[keep] for a in (at, row, base, xstep, s, c, mx, small))
+                summing, tiny, stop = np.ones((3, at.size), dtype=bool)
+                t, bp, w, val, aterm, prod = np.empty((6, at.size))
+                finished = 0
         if max(k0) + j >= TERM_BUDGET:
-            over = np.isin(row, [i for i in rows if k0[i] + j >= TERM_BUDGET])
+            over = np.isin(row, [i for i in rows if k0[i] + j >= TERM_BUDGET]) & summing
             if over.any():
                 first = int(np.argmax(over))
                 raise SeriesError(
                     f"term-differentiated series did not converge within {TERM_BUDGET} terms",
                     terms_used=k0[row[first]] + j, partial_sum=float(s[first] + c[first]))
+    if not np.isfinite(value).all():    # finite terms whose partial sum overflowed
+        bad = int(np.argmin(np.isfinite(value)))
+        raise SeriesError(f"the partial sum overflowed (x={flat[bad % n]:.4g})",
+                          k0[bad // n] + int(terms[bad]), float(value[bad]))
 
     return _series_result(shape, value, terms, max_term)
 

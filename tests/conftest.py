@@ -2,7 +2,8 @@
 
 Besides the fixtures, this holds the checks that only the tests call: the
 exact-rational series (`rational_pfq`) and rising factorial
-(`pochhammer`), the quadrature and ODE-residual
+(`pochhammer`), the series engine's earlier term loop
+(`hyp_series_reference`), the quadrature and ODE-residual
 oracles of the outer and corner shapes, the one-term outer references
 that `outer_expansion` is compared against bit for bit (`mullins_profile`,
 `outer_term_shape`, `outer_term`), the corner combination's wall
@@ -37,7 +38,9 @@ from gbgroove.oracle import GrooveOperator, Profile, _one_sided, fd_weights
 from gbgroove.outer import (_CONST, _EVEN, _G34, _G54, _SQRT2, U_CLAMP,
                             _shape_derivs, _similarity, _term_shapes, mullins_shape)
 from gbgroove.reference import _contour, _cubic_roots, _rows
-from gbgroove.specfun import gamma, reciprocal_gamma, up_to
+from gbgroove.specfun import (DEFAULT_TOL, TERM_BUDGET, GammaPoleError, SeriesError,
+                              SeriesResult, _by_element, _is_nonpositive_integer,
+                              _neumaier_add, _series_result, gamma, reciprocal_gamma, up_to)
 
 # dimensional parameters of the canned figure runs (SI)
 FIG_ALPHA = 9.7e-16     # m^2
@@ -81,6 +84,130 @@ def rational_pfq(nums, dens, z: Fraction, terms: int) -> Fraction:
         term /= k + 1
         total += term
     return total
+
+
+# ---- the series engine's reference loop -----------------------------------
+
+
+@np.errstate(over="ignore")     # an overflowing term raises SeriesError below
+def hyp_series_reference(numerators, denominators, scale: float, power, step: int,
+                         x, order: int, tol: float = DEFAULT_TOL) -> SeriesResult:
+    """`specfun.hyp_series` as it was before its term loop summed in place:
+    every term compacts the live arrays, dropping the elements that
+    finished on it.  The differential test holds the engine to this loop's
+    values, term counts, largest terms and errors, bit for bit."""
+    if order < 0:
+        raise ValueError("order must be >= 0")
+    if not tol > 0:
+        raise ValueError("tol must be positive")
+    one_row = np.ndim(power) == 0
+    if one_row:
+        numerators, denominators, power = (numerators,), (denominators,), (power,)
+    if not len(numerators) == len(denominators) == len(power):
+        raise ValueError("need one numerator and one denominator tuple per power")
+    if any(p < 0 for p in power):
+        raise ValueError(f"power must be non-negative, got {list(power)}")
+    numerators = [tuple(float(a) for a in nums) for nums in numerators]
+    denominators = [tuple(float(b) for b in dens) for dens in denominators]
+    for dens in denominators:
+        for b in dens:
+            if _is_nonpositive_integer(b):
+                raise GammaPoleError(f"denominator parameter {b} is zero or a negative integer")
+    rows = range(len(power))
+    polynomial = [any(map(_is_nonpositive_integer, nums)) for nums in numerators]
+
+    def ratio(i: int, k: int) -> float:
+        """Ratio of row i's series coefficients k+1 and k."""
+        r = scale / (k + 1.0)
+        for a in numerators[i]:
+            r *= a + k
+        for b in denominators[i]:
+            r /= b + k
+        return r
+
+    def coefficient(i: int, k: int) -> float:
+        coeff = 1.0
+        for q in range(k):
+            coeff *= ratio(i, q)
+        return coeff
+
+    xs = np.asarray(x, dtype=float)
+    flat = xs.ravel()
+    if not (flat >= 0).all():       # a NaN or a negative x
+        if np.isnan(flat).any():
+            raise ValueError("x is NaN")
+        if not all(float(p).is_integer() for p in power):
+            raise ValueError("a non-integer power of a negative x is complex "
+                             f"(x = {flat.min():.4g})")
+    n = flat.size
+    shape = xs.shape if one_row else (len(rows),) + xs.shape
+    value, max_term = np.zeros(len(rows) * n), np.zeros(len(rows) * n)
+    terms = np.zeros(len(rows) * n, dtype=np.int64)
+    if not n:
+        return _series_result(shape, value, terms, max_term)
+
+    # first index whose monomial power reaches the derivative order, per row
+    k0 = [max(0, (order - p + step - 1) // step) for p in power]
+    # Carry coeff * x^(step k + power - order) as one quantity: the naked
+    # power overflows long before the term itself does.  Powers are taken
+    # per point in Python floats (libm), which numpy's power may not match.
+    xl = flat.tolist()
+    exponents = [step * k0[i] + power[i] - order for i in rows]
+    try:
+        powered = {e: np.array([v ** e for v in xl]) for e in set(exponents)}
+        xstep = np.tile([v ** step for v in xl], len(rows))
+    except OverflowError:
+        raise SeriesError(f"a power of x overflowed (largest |x| {max(map(abs, xl)):.4g}); "
+                          "the value is outside the representable range") from None
+    base = np.concatenate([coefficient(i, k0[i]) * powered[exponents[i]] for i in rows])
+    row = np.repeat(np.arange(len(rows)), n)
+    live = np.arange(len(rows) * n)     # index into the flat results
+    s, c, mx = np.zeros(live.size), np.zeros(live.size), np.zeros(live.size)
+    small = np.zeros(live.size, dtype=np.int64)
+
+    j = 0       # terms summed so far: row i is at k = k0[i] + j
+    while True:
+        falls = []      # falling factorials p (p-1) ... (p-order+1)
+        for i in rows:
+            p, fall = step * (k0[i] + j) + power[i], 1.0
+            for q in range(order):
+                fall *= p - q
+            falls.append(fall)
+        term = base * _by_element(falls, row)
+        aterm = np.abs(term)
+        if not aterm.max() < math.inf:
+            bad = int(np.argmin(aterm < math.inf))
+            k = k0[row[bad]] + j
+            raise SeriesError(
+                f"series term overflowed at k={k} (x={flat[live[bad] % n]:.4g}); the "
+                "value is outside the representable range", terms_used=k,
+                partial_sum=float(s[bad] + c[bad]))
+        s, c = _neumaier_add(s, c, term)
+        np.maximum(mx, aterm, out=mx)
+        tiny = aterm <= tol * np.maximum(np.abs(s + c), 1e-300)
+        if any(polynomial):     # summed to their end
+            tiny &= ~np.array(polynomial)[row]
+        small = np.where(tiny, small + 1, 0)
+        base *= _by_element([ratio(i, k0[i] + j) for i in rows], row) * xstep
+        j += 1
+        done = (base == 0.0) | (small >= 3)
+        if done.any():
+            at = live[done]
+            value[at], max_term[at], terms[at] = (s + c)[done], mx[done], j
+            if done.all():
+                break
+            keep = ~done
+            live, row, base, xstep, s, c, mx, small = (
+                v[keep] for v in (live, row, base, xstep, s, c, mx, small))
+        if max(k0) + j >= TERM_BUDGET:
+            over = np.isin(row, [i for i in rows if k0[i] + j >= TERM_BUDGET])
+            if over.any():
+                first = int(np.argmax(over))
+                raise SeriesError(
+                    f"term-differentiated series did not converge within {TERM_BUDGET} terms",
+                    terms_used=k0[row[first]] + j, partial_sum=float(s[first] + c[first]))
+
+    return _series_result(shape, value, terms, max_term)
 
 
 def figure_params(bt: float) -> ModelParams:

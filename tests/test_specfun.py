@@ -6,15 +6,16 @@ the tests themselves.
 """
 
 import math
+import warnings
 from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import pochhammer, rational_pfq
+from conftest import edge_or, hyp_series_reference, pochhammer, rational_pfq
 from gbgroove.specfun import (
     GammaPoleError,
     HypArgs,
@@ -150,6 +151,29 @@ class TestHypPFQ:
         with pytest.raises(SeriesError, match="power of x overflowed"):
             hyp_series((0.25,), (0.75, 1.25, 1.5), 1 / 256, 2, 4, 1e80, 0)
 
+    def test_overflowing_partial_sum_raises_series_error(self):
+        """Two terms of 1e308 each are finite but their sum is not: the
+        value was NaN, returned after 174 terms."""
+        with pytest.raises(SeriesError, match="partial sum overflowed") as err:
+            hyp_series((), (1.0,), 1e-77, 4, 1, 1e77, 0)
+        assert err.value.terms_used == 174
+
+    def test_float_and_non_integer_powers_past_the_order(self):
+        """A float power made a float start index (TypeError), so 2.0 now
+        gives what 2 gives; a non-integer power starts at k = 0 (0.5 started
+        at k = 1, dropping a term), matching 40-digit mpmath, and its
+        derivative past the order is infinite at x = 0 (ZeroDivisionError
+        there)."""
+        want = hyp_series((0.25,), (0.75,), 1.0, 2, 4, 1.0, 3)
+        assert hyp_series((0.25,), (0.75,), 1.0, 2.0, 4, 1.0, 3) == want
+        with mpmath.workdps(40):
+            exact = mpmath.diff(lambda x: x ** mpmath.mpf(0.5) * mpmath.hyp1f1(0.25, 0.75, x ** 4),
+                                1, 5)
+        got = hyp_series((0.25,), (0.75,), 1.0, 0.5, 4, 1.0, 5)
+        assert got.value == pytest.approx(float(exact), rel=1e-13)
+        with pytest.raises(SeriesError, match="power of x overflowed"):
+            hyp_series((0.25,), (0.75,), 1.0, 0.5, 4, 0.0, 1)
+
     def test_negative_power_rejected(self):
         """A negative power would start the series past its k = 0 term:
         this call summed 0.4934 where 1F1(1/4; 3/4; 1) is 1.4934."""
@@ -170,6 +194,28 @@ class TestHypPFQ:
             hyp_series((0.25,), (0.75,), 1.0, 0, 4, math.nan, 0)
         with pytest.raises(ValueError, match="x is NaN"):
             hyp_series((0.25,), (0.75,), 1.0, 2, 4, np.array([0.5, math.nan]), 1)
+
+    @pytest.mark.parametrize("bad, match", [
+        (dict(step=0), "step must be"), (dict(step=-4), "step must be"),
+        (dict(order=1.5), "order must be"), (dict(power=math.nan), "power must be"),
+        (dict(scale=math.nan), "scale must be"), (dict(scale=math.inf), "scale must be"),
+        (dict(numerators=(math.nan,)), "numerator parameters"),
+        (dict(numerators=(-math.inf,)), "numerator parameters"),
+        (dict(denominators=(0.75, math.nan)), "denominator parameters"),
+        (dict(denominators=(math.inf,)), "denominator parameters"),
+    ], ids=["step-0", "step-negative", "order-fractional", "power-nan", "scale-nan",
+            "scale-inf", "numerator-nan", "numerator-inf", "denominator-nan",
+            "denominator-inf"])
+    def test_rejects_bad_arguments(self, bad, match):
+        """Each was let through: step 0 divided by zero, step -4 dropped the
+        k = 0 term (6.9e-4 where step 4 gives 1.0007 at x = 1), order 1.5
+        raised TypeError, a NaN power passed the sign check, and a NaN or
+        infinite scale or parameter was reported as a term that overflowed
+        at k = 1, or gave 1.0 for an infinite denominator."""
+        args = dict(numerators=(0.25,), denominators=(0.75, 1.25, 1.5), scale=1 / 256,
+                    power=0, step=4, x=1.0, order=0) | bad
+        with pytest.raises(ValueError, match=match):
+            hyp_series(**args)
 
     @given(st.floats(0.0, 50.0))
     @settings(max_examples=40, deadline=None)
@@ -350,3 +396,82 @@ def test_twosum_compensation_equals_the_branching_form():
     got_t, got_c = _neumaier_add(s, c, x)
     assert np.array_equal(got_t.view(np.int64), t.view(np.int64))
     assert np.array_equal(got_c.view(np.int64), branching.view(np.int64))
+
+
+# parameters of the differential test: terminating numerators (-1, -3) and a
+# denominator 1e-10 from the pole at -3 among sound values
+_NUMERATORS = (0.25, -0.25, 1.5, 7 / 6, -1.0, -3.0)
+_DENOMINATORS = (0.75, 1.25, 1.5, 1 / 3, 5 / 6, 2.5, -2.9999999999)
+_POINT = st.one_of(st.floats(0.0, 16.0), st.sampled_from([0.0, 5e-324, 16.0, 40.0, 300.0, 1000.0]))
+
+
+@st.composite
+def _engine_call(draw):
+    """hyp_series arguments: 1-6 parameter rows (0-2 numerators, 1-5
+    denominators, power 0-3) and up to 15 unsorted points with duplicates,
+    or one float."""
+    rows = draw(st.integers(1, 6))
+    dens = [tuple(draw(st.lists(st.sampled_from(_DENOMINATORS), min_size=1, max_size=5)))
+            for _ in range(rows)]
+    nums = [tuple(draw(st.lists(st.sampled_from(_NUMERATORS), max_size=min(2, len(d)))))
+            for d in dens]
+    powers = draw(st.lists(st.integers(0, 3), min_size=rows, max_size=rows))
+    points = draw(st.lists(_POINT, min_size=1, max_size=12))
+    points = draw(st.permutations(points + draw(st.lists(st.sampled_from(points), max_size=3))))
+    x = points[0] if len(points) == 1 and draw(st.booleans()) else np.array(points)
+    if rows == 1 and draw(st.booleans()):
+        nums, dens, powers = nums[0], dens[0], powers[0]
+    return (nums, dens, draw(st.sampled_from([1 / 256, -1 / 6 ** 6, 1.0, -1.0])), powers,
+            draw(st.sampled_from([1, 4, 6])), x, draw(st.integers(0, 8)))
+
+
+def _outcome(engine, args) -> tuple:
+    """Every bit a call gives back: the fields' bytes, or the error's type,
+    message, term count and partial sum."""
+    try:
+        r = engine(*args)
+    except SeriesError as exc:
+        return (type(exc), str(exc), exc.terms_used, np.float64(exc.partial_sum).tobytes())
+    return tuple((type(f), np.shape(f), np.asarray(f).tobytes())
+                 for f in (r.value, r.terms_used, r.max_term_magnitude))
+
+
+@given(_engine_call())
+# x = 1 (or 0) finishes first and stays in the arrays, as one element in five,
+# while the rest run out of terms, or while their term overflows and its
+# own turns NaN (0 times an infinite coefficient ratio)
+@example(([(0.25,)], [(0.75,)], 1.0, [0], 1, np.array([1.0, 400.0, 400.0, 400.0, 400.0]), 0))
+@example(([(0.25,)], [(-0.9999999999999,)], 1e300, [0], 1, np.array([0.0] + [1e-3] * 4), 0))
+# term 3 falls below tol and term 4 (over b + 3 = 1e-10) does not, so the
+# count restarts
+@example(((0.25,), (-2.9999999999,), 1.0, 0, 1, 1e-5, 0))
+@settings(derandomize=True, max_examples=200, deadline=None)
+def test_term_loop_matches_the_reference_loop(args):
+    """The in-place term loop, which drops finished elements in batches,
+    gives what the loop that drops them on every term gave, bit for bit: the
+    values, term counts and largest terms, or the same SeriesError.  The
+    engine raises no RuntimeWarning (warnings are errors in the tests); the
+    reference may, where a term turns NaN."""
+    with np.errstate(invalid="ignore"):
+        want = _outcome(hyp_series_reference, args)
+    assert _outcome(hyp_series, args) == want
+
+
+@given(x=st.lists(edge_or(0.0, 0.5, 3.0, 12.0), min_size=1, max_size=3),
+       scale=edge_or(1 / 256, -1 / 6 ** 6, 1.0), numerator=edge_or(0.25, -0.25, -2.0),
+       denominators=st.lists(edge_or(0.75, 1.25, 1 / 3, -2.9999999999), min_size=1,
+                             max_size=5),
+       power=edge_or(0.0, 2.0, 3.0), step=st.sampled_from([1, 4, 6]),
+       order=st.integers(0, 4))
+@settings(derandomize=True, max_examples=300, deadline=None)
+def test_finite_or_documented_error(x, scale, numerator, denominators, power, step, order):
+    """Any floats give finite values and largest terms, or a ValueError
+    (GammaPoleError is one) or SeriesError, with no warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            r = hyp_series((numerator,), tuple(denominators), scale, power, step,
+                           np.array(x), order)
+        except (ValueError, SeriesError):
+            return
+    assert np.isfinite(r.value).all() and np.isfinite(r.max_term_magnitude).all()
