@@ -318,7 +318,7 @@ def hyp_series(numerators, denominators, scale: float, power, step: int,
     row = np.arange(len(rows)).repeat(n)
     at = np.arange(len(rows) * n)       # each element's index into the flat results
     s, c, mx = np.zeros((3, at.size))
-    small = np.zeros(at.size, dtype=np.int8)    # at most 3 while summing: cannot wrap
+    small = np.zeros(at.size, dtype=np.int8)    # at most 3 while summing; `summing` masks the rest
     # Elements are recorded on the term they finish and dropped in batches,
     # once a quarter have finished; until then `summing` masks them.
     summing, tiny, stop = np.ones((3, at.size), dtype=bool)
