@@ -15,8 +15,9 @@ import json
 import math
 import numbers
 import sys
-from dataclasses import asdict, astuple, dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -34,8 +35,8 @@ from .material import (
     nondimensionalize,
 )
 from .oracle import halfline_mass, halfline_profile
-from .outer import MAX_ORDER, U_CLAMP, mullins_shape
-from .specfun import GammaPoleError, SeriesError
+from .outer import MAX_ORDER, U_CLAMP, Z0
+from .specfun import GammaPoleError, SeriesError, libm_pow
 
 __all__ = ["RunConfig", "run", "main", "PRESETS"]
 
@@ -176,11 +177,10 @@ class RunConfig:
                 raise CliConfigError(f"bad corner_r: {exc}")
 
     def resolved(self) -> dict:
-        d = asdict(self)
-        # the destination path is not part of the physics configuration and
+        # a shallow dict of the fields, as json.dumps only reads it; the
+        # destination path is not part of the physics configuration and
         # must not break byte-identity between otherwise identical runs
-        d.pop("out", None)
-        return d
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "out"}
 
 
 def _bt_values(cfg: RunConfig) -> list[float]:
@@ -491,20 +491,27 @@ def _mode_depth_series(cfg: RunConfig) -> str:
             raise CliConfigError("depth-series needs an 'alphas' list or a model alpha")
     columns = ["alpha_m2", "Bt_m4", "depth_mullins_m", "depth_composite_m",
                "relative_effect"]
-    # the Mullins shape at the root, Z(0): u = x / (Bt)^(1/4) is 0 there at
-    # every Bt, and alpha does not enter it
-    z0 = mullins_shape(0.0)
-    rows = []
+    # every row reduced as nondimensionalize reduces it, powers through libm
+    bts = np.array(cfg.times, dtype=float)
+    L0 = libm_pow(bts, 0.25)
+    L0_2 = libm_pow(L0, 2)
+    ah = []
     for alpha in alphas:
         reduced = _reducer({**cfg.model, "alpha": alpha}, None)
-        for bt in cfg.times:
-            params = reduced(bt)
-            # L0 * y_0(0, Bt / L0^4), float op for float op as the tests' mullins_profile_dim
-            L0 = params.L0
-            ym = abs(L0 * (params.m * (bt / L0 ** 4) ** 0.25 * z0))
-            dd = depth_difference(bt, params)
-            rows.append([params.alpha, bt, ym, ym - dd, dd / ym if ym > 0 else 0.0])
-    return _write_table(cfg, columns, np.array(rows, dtype=float), [])
+        params = reduced(cfg.times[0])      # checks alpha and m, warns once if m is steep
+        ah.append(params.alpha / L0_2)
+        bad = ~(np.isfinite(ah[-1]) & np.isfinite(L0))
+        if bad.any():       # the first row ModelParams refuses exits 2 with its message
+            reduced(cfg.times[int(np.argmax(bad))])
+    rows = SimpleNamespace(m=params.m, L0=np.tile(L0, len(alphas)), alpha_hat=np.concatenate(ah))
+    bt = np.tile(bts, len(alphas))
+    # L0 * y_0(0, Bt / L0^4) with Z(0) in closed form, float op for float op
+    # as the tests' mullins_profile_dim
+    ym = np.tile(np.abs(L0 * (params.m * libm_pow(bts / libm_pow(L0, 4), 0.25) * Z0)), len(alphas))
+    dd = depth_difference(bt, rows)
+    table = np.column_stack([np.repeat(np.array(alphas, dtype=float), len(bts)), bt, ym, ym - dd,
+                             np.divide(dd, ym, out=np.zeros(len(bt)), where=ym > 0)])
+    return _write_table(cfg, columns, table, [])
 
 
 def _mode_corner(cfg: RunConfig) -> str:

@@ -11,10 +11,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .layers import boundary_layer_G
 from .material import ModelParams
 from .outer import outer_expansion
-from .specfun import gamma
+from .specfun import gamma, libm_pow
 
 __all__ = [
     "ExpansionSpec",
@@ -26,6 +28,7 @@ __all__ = [
 _SQRT2 = math.sqrt(2.0)
 _G34 = gamma(0.75)
 _G74 = gamma(1.75)
+_GR = {r: gamma(1.5 * r - 0.25) for r in (1, 2)}     # of the outer terms y_1 and y_2
 
 
 @dataclass(frozen=True)
@@ -39,12 +42,12 @@ class ExpansionSpec:
             raise ValueError("N must be >= 0")
 
 
-def _nd_coords(x: float, bt: float, params: ModelParams) -> tuple[float, float]:
-    """Map dimensional (x [m], Bt [m^4]) to (x_hat, t_hat)."""
-    if not bt > 0:
+def _nd_coords(x: float, bt, params: ModelParams):
+    """Map dimensional (x [m], Bt [m^4]) to (x_hat, t_hat); Bt and L0 may be arrays."""
+    if not np.all(np.greater(bt, 0)):
         raise ValueError("Bt must be positive")
     L0 = params.L0
-    return x / L0, bt / L0 ** 4
+    return x / L0, bt / libm_pow(L0, 4)
 
 
 def composite_profile_nd(x, t: float, m: float, alpha_hat: float,
@@ -85,19 +88,22 @@ def mullins_and_composite(x, bt: float, params: ModelParams, spec: ExpansionSpec
     return params.L0 * terms[0], params.L0 * composite
 
 
-def depth_difference(bt: float, params: ModelParams) -> float:
+def depth_difference(bt, params: ModelParams):
     """Root elevation of the passivated groove over the unpassivated one [m].
 
     Four-term closed form; identical to composite(0) - unpassivated(0) at
     N = 2 (the wall correction contributes its full amplitude at x = 0).
+    Bt may be a 1-d array, with `params` a record of m, and of L0 and
+    alpha_hat at each Bt: powers go through libm per element, so each
+    element is the float call's value bit for bit.
     """
     _, th = _nd_coords(0.0, bt, params)
     ah = params.alpha_hat
     m = params.m
+    q = {r: libm_pow(th, 0.5 * r - 0.25) for r in (1, 2)}      # th^(1/4), th^(3/4)
     total = 0.0
     for r in (1, 2):
-        total += ((-ah) ** r * m * gamma(1.5 * r - 0.25)
-                  / (4.0 * math.pi * th ** (0.5 * r - 0.25) * math.factorial(r)))
-    total += ah * m / (2.0 * _SQRT2 * th ** 0.25 * _G34)
-    total -= ah ** 2 * m * _G74 / (4.0 * math.pi * th ** 0.75)
+        total += libm_pow(-ah, r) * m * _GR[r] / (4.0 * math.pi * q[r] * math.factorial(r))
+    total += ah * m / (2.0 * _SQRT2 * q[1] * _G34)
+    total -= libm_pow(ah, 2) * m * _G74 / (4.0 * math.pi * q[2])
     return params.L0 * total

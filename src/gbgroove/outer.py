@@ -6,11 +6,11 @@ B t / L0^4, so B enters only through that product.  All shapes are
 functions of the similarity variable u = x/t^(1/4) with series argument
 z = u^4/256.  Evaluators clamp at u = U_CLAMP and return 0 beyond it;
 past that point the profile is buried in cancellation noise.
-The evaluators take a float or an array of points (x or u); a float gives
-a float back.  The profile and shape evaluators take `order` and return
-that derivative, the value at the default 0.  `outer_expansion` gives the
-terms y_0, ..., y_N of the expansion together, as a list over r: all their
-series go through one engine pass.
+`outer_expansion` gives the terms y_0, ..., y_N of the expansion together,
+as a list over r, at a float or an array of points x (a float gives floats
+back): all their series go through one engine pass.  It takes `order` and
+returns that derivative, the value at the default 0.  `Z0` is the
+unpassivated shape at the root, in closed form.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from .specfun import (
 
 __all__ = [
     "U_CLAMP",
-    "mullins_shape",
     "outer_expansion",
 ]
 
@@ -75,9 +74,12 @@ def _linear_term_deriv(c: float, u, order: int):
     return 0.0
 
 
+# Z(0), the unpassivated shape at the root: the u^2 piece and the linear
+# term vanish there and the constant piece's series is 1
+Z0 = -1.0 / (2.0 * _SQRT2 * _G54)
 _MULLINS_PIECES = (
     (-1.0 / (4.0 * _SQRT2 * _G34), 2, _EVEN),
-    (-1.0 / (2.0 * _SQRT2 * _G54), 0, _CONST),
+    (Z0, 0, _CONST),
 )
 
 
@@ -102,11 +104,6 @@ def _term_shapes(rs, u, order: int) -> list:
     each r in rs, at every u: one engine pass."""
     sums = _shape_derivs([_term_pieces(r) for r in rs], u, order)
     return [_linear_term_deriv(0.5, u, order) + s if r == 0 else s for r, s in zip(rs, sums)]
-
-
-def mullins_shape(u, order: int = 0):
-    """d^order/du^order of the unpassivated similarity shape Z(u) = y0/(m t^{1/4})."""
-    return up_to(U_CLAMP, u, lambda v: _term_shapes((0,), v, order)[0])
 
 
 def outer_expansion(N: int, x, t: float, m: float, *, order: int = 0) -> list:

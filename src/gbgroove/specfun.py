@@ -7,7 +7,7 @@ so that downstream profile code can flag unreliable values instead of
 returning garbage.  It also takes a sequence of parameter rows (a
 sequence of powers, one parameter tuple per row), so every series of one
 evaluation at the same points is summed in a single term loop with one
-stopping rule; x = 0 and terminating series need no path of their own.
+stopping rule (x = 0 stops after its first term), terminating series too.
 `hyp_pFq`, `hyp_pFq_derivative` and `hyp_series_derivative` are its
 one-point, one-row faces: each is one plain call into it.
 """
@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -172,6 +173,25 @@ def cancel_digits(max_piece, value):
     return digits if digits.ndim else float(digits)
 
 
+def libm_pow(x, e):
+    """x ** e per element of a 1-d array x through libm, as float ** takes it
+    (numpy's power may differ in the last bit); a float x gives a float."""
+    if np.ndim(x) == 0:
+        return math.pow(x, e)
+    return np.fromiter(map(math.pow, x.tolist(), repeat(e)), float, len(x))
+
+
+def _finite(what: str, values) -> tuple:
+    """The values as finite floats, else a ValueError naming `what`."""
+    try:
+        floats = tuple(map(float, values))
+    except OverflowError:
+        raise ValueError(f"{what} must be finite, got an int past the float range") from None
+    if not all(map(math.isfinite, floats)):
+        raise ValueError(f"{what} must be finite, got {floats}")
+    return floats
+
+
 def up_to(limit: float, x, fn):
     """fn(x) where x <= limit and 0 past it, where fn is never called.
 
@@ -229,18 +249,19 @@ def hyp_series(numerators, denominators, scale: float, power, step: int,
     once per (row, k) as a Python float and applied to every point of the
     row still summing.  Every element starts at the first term the
     derivative keeps and follows one stopping rule: it is done when its
-    running term is exactly 0, which is then true of every later term (at
-    x = 0, past the end of a negative-integer numerator, or on underflow),
-    or after three consecutive terms below tol * |partial sum|.  Rows with
-    a negative-integer numerator are polynomials: the small-term count
-    skips them, so they are summed to their end.  `terms_used` is the
-    number of terms an element summed.  Any non-finite term or partial sum,
-    a power of x that overflows, or any element still summing after
-    TERM_BUDGET terms raises SeriesError.  A non-integer order or step, an
-    order below 0 or a step below 1, a non-finite scale, parameter or power,
-    a negative power (whose k = 0 term the derivative start would drop), a
-    NaN x, or a negative x under a non-integer power (a complex value)
-    raises ValueError.
+    running term is exactly 0, which is then true of every later term (past
+    the end of a negative-integer numerator, or on underflow), at x = 0
+    after its first term, or after three consecutive terms below
+    tol * |partial sum|.  Rows with a negative-integer numerator are
+    polynomials: the small-term count skips them, so they are summed to
+    their end.  `terms_used` is the number of terms an element summed.  Any
+    non-finite term or partial sum, a power of x that overflows, or any
+    element still summing after TERM_BUDGET terms raises SeriesError.  A
+    non-integer order or step, an order below 0 or a step below 1, a
+    non-finite scale, parameter or power (an int past the float range
+    included), a negative power (whose k = 0 term the derivative start
+    would drop), a NaN x, or a negative x under a non-integer power (a
+    complex value) raises ValueError.
     """
     if not (isinstance(order, (int, np.integer)) and order >= 0):
         raise ValueError(f"order must be an integer >= 0, got {order!r}")
@@ -253,14 +274,11 @@ def hyp_series(numerators, denominators, scale: float, power, step: int,
         numerators, denominators, power = (numerators,), (denominators,), (power,)
     if not len(numerators) == len(denominators) == len(power):
         raise ValueError("need one numerator and one denominator tuple per power")
-    if not all(0 <= p < math.inf for p in power):
-        raise ValueError(f"power must be non-negative and finite, got {list(power)}")
-    numerators = [tuple(float(a) for a in nums) for nums in numerators]
-    denominators = [tuple(float(b) for b in dens) for dens in denominators]
-    for what, vals in (("scale", (scale,)), ("numerator parameters", sum(numerators, ())),
-                       ("denominator parameters", sum(denominators, ()))):
-        if not all(map(math.isfinite, vals)):
-            raise ValueError(f"{what} must be finite, got {vals}")
+    if not all(p >= 0 for p in _finite("power", power)):
+        raise ValueError(f"power must be non-negative, got {list(power)}")
+    (scale,) = _finite("scale", (scale,))
+    numerators = [_finite("numerator parameters", nums) for nums in numerators]
+    denominators = [_finite("denominator parameters", dens) for dens in denominators]
     for dens in denominators:
         for b in dens:
             if _is_nonpositive_integer(b):
@@ -304,14 +322,14 @@ def hyp_series(numerators, denominators, scale: float, power, step: int,
           for p in power]
     # Carry coeff * x^(step k + power - order) as one quantity: the naked
     # power overflows long before the term itself does.  Powers are taken
-    # per point in Python floats (libm), which numpy's power may not match.
+    # per point through libm, as in `libm_pow`: numpy's power may not match.
     xl = flat.tolist()
     exponents = [step * k0[i] + power[i] - order for i in rows]
     try:
-        powered = {e: np.array([v ** e for v in xl]) if e else np.ones(n)
+        powered = {e: np.fromiter(map(math.pow, xl, repeat(e)), float, n) if e else np.ones(n)
                    for e in set(exponents)}
-        xstep = np.concatenate([np.array([v ** step for v in xl])] * len(rows))
-    except (OverflowError, ZeroDivisionError):      # or a negative power of x = 0
+        xstep = np.tile(np.fromiter(map(math.pow, xl, repeat(step)), float, n), len(rows))
+    except (OverflowError, ValueError):      # or a negative power of x = 0
         raise SeriesError(f"a power of x overflowed (largest |x| {max(map(abs, xl)):.4g}); "
                           "the value is outside the representable range") from None
     base = np.concatenate([coefficient(i, k0[i]) * powered[exponents[i]] for i in rows])
@@ -356,6 +374,8 @@ def hyp_series(numerators, denominators, scale: float, power, step: int,
         j += 1
         np.logical_or(np.equal(base, 0.0, out=stop), np.greater_equal(small, 3, out=tiny),
                       out=stop)
+        if j == 1:      # x = 0 ends on its first term, before an overflowing ratio
+            stop |= np.tile(flat == 0, len(rows))       # makes the next inf x 0 = NaN
         stop &= summing
         if np.count_nonzero(stop):
             done = np.flatnonzero(stop)

@@ -5,8 +5,8 @@ exact-rational series (`rational_pfq`) and rising factorial
 (`pochhammer`), the series engine's earlier term loop
 (`hyp_series_reference`), the quadrature and ODE-residual
 oracles of the outer and corner shapes, the one-term outer references
-that `outer_expansion` is compared against bit for bit (`mullins_profile`,
-`outer_term_shape`, `outer_term`), the corner combination's wall
+that `outer_expansion` is compared against bit for bit (`mullins_shape`,
+`mullins_profile`, `outer_term_shape`, `outer_term`), the corner combination's wall
 derivatives, the wall-condition residuals of the composite, the groove
 metrics of a profile (`groove_metrics`, `GrooveMetrics`, `default_window`),
 the solver's energy and continuity diagnostics with the field derivatives
@@ -36,7 +36,7 @@ from gbgroove.layers import (_SQRT3, CORNER_MATRIX, SIMILARITY_EXPONENT_LIMIT, C
 from gbgroove.material import ModelParams, nondimensionalize
 from gbgroove.oracle import GrooveOperator, Profile, _one_sided, fd_weights
 from gbgroove.outer import (_CONST, _EVEN, _G34, _G54, _SQRT2, U_CLAMP,
-                            _shape_derivs, _similarity, _term_shapes, mullins_shape)
+                            _shape_derivs, _similarity, _term_shapes)
 from gbgroove.reference import _contour, _cubic_roots, _rows
 from gbgroove.specfun import (DEFAULT_TOL, TERM_BUDGET, GammaPoleError, SeriesError,
                               SeriesResult, _by_element, _is_nonpositive_integer,
@@ -245,6 +245,11 @@ def basis_f2(x: float, t: float) -> float:
         (1.0 / (6.0 * _SQRT2 * _G12), 3, _CUBIC),
     )
     return L * up_to(U_CLAMP, u, lambda v: -v / _SQRT2 + _shape_derivs((pieces,), v, 0)[0])
+
+
+def mullins_shape(u, order: int = 0):
+    """d^order/du^order of the unpassivated similarity shape Z(u) = y0/(m t^{1/4})."""
+    return up_to(U_CLAMP, u, lambda v: _term_shapes((0,), v, order)[0])
 
 
 def mullins_profile(x, t: float, m: float, *, order: int = 0):

@@ -6,18 +6,23 @@ in one call.
 """
 
 import math
+import re
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import mullins_profile, mullins_profile_dim, outer_term, outer_term_shape
+from conftest import (mullins_profile, mullins_profile_dim, mullins_shape, outer_term,
+                      outer_term_shape)
 from gbgroove import layers, outer
-from gbgroove.cli import PRESETS, RunConfig, main, run
-from gbgroove.composite import ExpansionSpec, composite_profile_nd
+from gbgroove.cli import PRESETS, CliConfigError, NonFiniteOutputError, RunConfig, main, run
+from gbgroove.composite import ExpansionSpec, composite_profile_nd, depth_difference
 from gbgroove.layers import (
     CornerSpec,
+    beta2,
+    beta4,
     boundary_layer_G,
     corner_combination,
     corner_fundamental_v,
@@ -25,8 +30,8 @@ from gbgroove.layers import (
     corner_solutions_yc,
 )
 from gbgroove.material import nondimensionalize
-from gbgroove.outer import mullins_shape, outer_expansion
-from gbgroove.specfun import SeriesError, hyp_series, hyp_series_derivative
+from gbgroove.outer import outer_expansion
+from gbgroove.specfun import SeriesError, gamma, hyp_series, hyp_series_derivative
 
 U = np.array([0.0, 1e-3, 0.37, 1.0, 2.5, 4.0, 6.75, 9.1, 11.99, 12.0,
               12.0 + 1e-9, 12.5, 20.0])
@@ -97,6 +102,18 @@ def test_corner_rows_share_fundamentals():
     combo = corner_combination(U, 1.0, CORNER)
     assert np.array_equal(corner_combination(U, 1.0, CORNER, yc456=rows), combo)
     assert _same(combo, [corner_combination(float(z), 1.0, CORNER) for z in U])
+
+
+def test_boundary_layer_G_is_libm_exp_per_point():
+    """The map of math.exp gives each point's amplitude * math.exp(-x / sqrt(alpha))
+    bit for bit, 0 past x / sqrt(alpha) = 700: numpy's exp may differ from
+    libm in the last bit."""
+    root = math.sqrt(ALPHA_HAT)
+    x = np.concatenate([[0.0, 5e-324, 2.2e-308, 700.0 * root, 700.0 * root * (1 + 1e-15), 1e300],
+                        np.random.default_rng(5).uniform(0.0, 700.0 * root, 1000)])
+    amplitude = ALPHA_HAT * beta2(1.0, 0.209) + ALPHA_HAT ** 2 * beta4(1.0, 0.209)
+    want = [amplitude * math.exp(-(v / root)) if v / root <= 700.0 else 0.0 for v in x.tolist()]
+    assert boundary_layer_G(x, 1.0, ALPHA_HAT, 0.209).tobytes() == np.array(want).tobytes()
 
 
 def test_per_point_diagnostics():
@@ -220,13 +237,19 @@ def test_corner_solutions_are_one_engine_pass(monkeypatch):
     assert len(calls) == 1 and list(calls[0][3]) == [1, 2, 3, 4, 5]
 
 
-def test_figure6_evaluates_the_mullins_root_shape_once(monkeypatch, capsys):
-    # Z(0) holds at every Bt and alpha: one engine call for 4 alphas x 25 Bt
-    calls = _engine_calls(monkeypatch, outer)
+def test_figure6_makes_no_engine_call(monkeypatch, capsys):
+    # Z(0) and the depth difference are closed forms: no series for 4 alphas x 25 Bt
+    calls = [_engine_calls(monkeypatch, module) for module in (outer, layers)]
     assert main(["--preset", "figure6"]) == 0
-    assert len(calls) == 1
+    assert calls == [[], []]
     assert len(PRESETS["figure6"]["times"]) == 25
     assert len(capsys.readouterr().out.splitlines()) == 3 + 4 * 25     # 4 alphas
+
+
+def test_mullins_root_shape_is_the_closed_form():
+    """Z(0) is the constant piece's coefficient -1/(2 sqrt2 Gamma(5/4)), bit
+    for bit: the u^2 piece and the linear term vanish at the root."""
+    assert mullins_shape(0.0) == -1.0 / (2.0 * math.sqrt(2.0) * gamma(1.25)) == outer.Z0
 
 
 @given(bt=st.floats(1e-200, 1e200), m=st.floats(0.0, 0.33),
@@ -239,3 +262,56 @@ def test_depth_series_mullins_column_is_the_profile_at_the_root(bt, m, alpha):
                     times=[bt])
     row = run(cfg).splitlines()[-1].split(",")
     assert float(row[2]) == abs(mullins_profile_dim(0.0, bt, nondimensionalize(alpha, bt, m)))
+
+
+# alphas and Bt values: the figure6 sweep's, edge values, and pairs whose
+# alpha_hat overflows its square (1e-6 at Bt 1e-300) or float64 (1e147 at
+# 5e-324), whose L0^4 overflows (the largest float), or that ModelParams
+# refuses (alpha -1, Bt inf)
+_DEPTH_ALPHAS = st.sampled_from([0.0, 5e-324, 9.7e-17, 3e-16, 9.7e-16, 1.05e-15, 1e-6, 1e147,
+                                 -1.0])
+_DEPTH_BTS = st.one_of(st.floats(1e-300, 1e300),
+                       st.sampled_from([5e-324, 2.2e-308, 1e-300, 1e-31, 1e-29, 1e-28, 1e300,
+                                        1.7e308, sys.float_info.max, math.inf]))
+
+
+def _row(alpha, bt, m):
+    """One depth-series row by the row-by-row route, or the error it raises."""
+    try:
+        p = nondimensionalize(alpha, bt, m)
+        ym = abs(mullins_profile_dim(0.0, bt, p))
+        dd = depth_difference(bt, p)
+    except (ValueError, OverflowError) as exc:
+        return exc
+    return [p.alpha, bt, ym, ym - dd, dd / ym if ym > 0 else 0.0]
+
+
+@given(alphas=st.lists(_DEPTH_ALPHAS, min_size=1, max_size=4),
+       bts=st.lists(_DEPTH_BTS, min_size=1, max_size=6), m=st.sampled_from([0.0, 0.209, 0.33]))
+@settings(derandomize=True, max_examples=150, deadline=None)
+def test_depth_series_rows_are_the_scalar_route(alphas, bts, m):
+    """depth-series takes every row in one array call; each row equals the
+    row-by-row route bit for bit: |mullins_profile_dim(0, Bt, p)| and
+    depth_difference(Bt, p) at p = nondimensionalize(alpha, Bt, m).  Where
+    that route fails, the run fails alike: the first row ModelParams refuses
+    exits 2 with its message, else an overflowing power exits 3, else a
+    non-finite value fails the output check."""
+    cfg = RunConfig(mode="depth-series", model={"B": 1.0, "alpha": alphas[0], "m": m},
+                    times=bts, alphas=alphas)
+    want = [_row(alpha, bt, m) for alpha in alphas for bt in bts]
+    refused = [r for r in want if isinstance(r, ValueError)]
+    if refused:
+        with pytest.raises(CliConfigError, match=re.escape(f"bad model block: {refused[0]}") + "$"):
+            run(cfg)
+        return
+    if any(isinstance(r, OverflowError) for r in want):
+        with pytest.raises(OverflowError):
+            run(cfg)
+        return
+    if not np.isfinite(want).all():
+        with pytest.raises(NonFiniteOutputError):
+            run(cfg)
+        return
+    got = [[float(v) for v in line.split(",")] for line in run(cfg).splitlines()
+           if not line.startswith("#")]
+    assert np.array(got).tobytes() == np.array(want).tobytes()

@@ -11,9 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (basis_f1, basis_f2, mullins_ode_residual, mullins_profile, outer_term,
-                      yr_quadrature_oracle)
-from gbgroove.outer import mullins_shape, outer_expansion
+from conftest import (basis_f1, basis_f2, mullins_ode_residual, mullins_profile, mullins_shape,
+                      outer_term, yr_quadrature_oracle)
+from gbgroove.outer import outer_expansion
 from gbgroove.specfun import gamma
 
 # profile scale for "relative to the profile" comparisons

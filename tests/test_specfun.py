@@ -26,6 +26,7 @@ from gbgroove.specfun import (
     hyp_pFq_derivative,
     hyp_series,
     hyp_series_derivative,
+    libm_pow,
     ln_gamma,
     reciprocal_gamma,
 )
@@ -158,6 +159,19 @@ class TestHypPFQ:
             hyp_series((), (1.0,), 1e-77, 4, 1, 1e77, 0)
         assert err.value.terms_used == 174
 
+    def test_first_term_is_the_value_at_x_zero(self):
+        """At x = 0 an overflowing coefficient ratio made the next term
+        inf x 0 = NaN: this call raised "series term overflowed at k=1 (x=0)",
+        though the value there is the first term alone."""
+        r = hyp_series((0.25,), (1e-300,), 1e300, 0, 4, 0.0, 0)
+        assert (r.value, r.terms_used, r.max_term_magnitude) == (1.0, 1, 1.0)
+        # the derivative's first kept term, 2 x^0, at both zeros of an array
+        r = hyp_series((0.25,), (1e-300,), 1e300, 2, 4, np.array([0.0, -0.0]), 2)
+        assert r.value.tolist() == [2.0, 2.0] and r.terms_used.tolist() == [1, 1]
+        # a point off zero still overflows, and says where
+        with pytest.raises(SeriesError, match=r"k=1 \(x=0.5\)"):
+            hyp_series((0.25,), (1e-300,), 1e300, 0, 4, np.array([0.0, 0.5]), 0)
+
     def test_float_and_non_integer_powers_past_the_order(self):
         """A float power made a float start index (TypeError), so 2.0 now
         gives what 2 gives; a non-integer power starts at k = 0 (0.5 started
@@ -203,15 +217,20 @@ class TestHypPFQ:
         (dict(numerators=(-math.inf,)), "numerator parameters"),
         (dict(denominators=(0.75, math.nan)), "denominator parameters"),
         (dict(denominators=(math.inf,)), "denominator parameters"),
+        (dict(power=10 ** 400), "power must be"), (dict(scale=10 ** 400), "scale must be"),
+        (dict(numerators=(10 ** 400,)), "numerator parameters"),
+        (dict(denominators=(0.75, 10 ** 400)), "denominator parameters"),
     ], ids=["step-0", "step-negative", "order-fractional", "power-nan", "scale-nan",
             "scale-inf", "numerator-nan", "numerator-inf", "denominator-nan",
-            "denominator-inf"])
+            "denominator-inf", "power-int-past-float", "scale-int-past-float",
+            "numerator-int-past-float", "denominator-int-past-float"])
     def test_rejects_bad_arguments(self, bad, match):
         """Each was let through: step 0 divided by zero, step -4 dropped the
         k = 0 term (6.9e-4 where step 4 gives 1.0007 at x = 1), order 1.5
-        raised TypeError, a NaN power passed the sign check, and a NaN or
+        raised TypeError, a NaN power passed the sign check, a NaN or
         infinite scale or parameter was reported as a term that overflowed
-        at k = 1, or gave 1.0 for an infinite denominator."""
+        at k = 1, or gave 1.0 for an infinite denominator, and an int past
+        the float range raised OverflowError."""
         args = dict(numerators=(0.25,), denominators=(0.75, 1.25, 1.5), scale=1 / 256,
                     power=0, step=4, x=1.0, order=0) | bad
         with pytest.raises(ValueError, match=match):
@@ -408,8 +427,8 @@ _POINT = st.one_of(st.floats(0.0, 16.0), st.sampled_from([0.0, 5e-324, 16.0, 40.
 @st.composite
 def _engine_call(draw):
     """hyp_series arguments: 1-6 parameter rows (0-2 numerators, 1-5
-    denominators, power 0-3) and up to 15 unsorted points with duplicates,
-    or one float."""
+    denominators, power 0-3) and up to 15 unsorted points of either sign with
+    duplicates, or one float."""
     rows = draw(st.integers(1, 6))
     dens = [tuple(draw(st.lists(st.sampled_from(_DENOMINATORS), min_size=1, max_size=5)))
             for _ in range(rows)]
@@ -417,12 +436,58 @@ def _engine_call(draw):
             for d in dens]
     powers = draw(st.lists(st.integers(0, 3), min_size=rows, max_size=rows))
     points = draw(st.lists(_POINT, min_size=1, max_size=12))
+    # every power is an integer, so a negative x has real powers
+    points = [-v if draw(st.booleans()) else v for v in points]
     points = draw(st.permutations(points + draw(st.lists(st.sampled_from(points), max_size=3))))
     x = points[0] if len(points) == 1 and draw(st.booleans()) else np.array(points)
     if rows == 1 and draw(st.booleans()):
         nums, dens, powers = nums[0], dens[0], powers[0]
     return (nums, dens, draw(st.sampled_from([1 / 256, -1 / 6 ** 6, 1.0, -1.0])), powers,
             draw(st.sampled_from([1, 4, 6])), x, draw(st.integers(0, 8)))
+
+
+# libm's edges: zeros, the smallest subnormal, the largest magnitudes, and
+# negative points under odd and even integer powers
+_LIBM_POINTS = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 0.37, 1.0, 3.5, 1e154, 1e308,
+                -0.37, -1.0, -3.5, -1e154, -1e308]
+
+
+@pytest.mark.parametrize("e", [1, 2, 3, 4, 5, 6, 7, 8, 12, 0.25, 0.75, 1.5])
+def test_libm_pow_is_float_pow_per_point(e):
+    """The map of math.pow gives each point's float ** bit for bit, and the
+    points where ** overflows raise the same OverflowError: numpy's power may
+    differ from libm in the last bit."""
+    rng = np.random.default_rng(17)
+    xs = _LIBM_POINTS + rng.uniform(-40.0, 40.0, 300).tolist() + [
+        math.copysign(10.0 ** p, p) for p in rng.uniform(-320.0, 308.0, 300).tolist()]
+    if not float(e).is_integer():
+        xs = [abs(v) for v in xs]
+    fine, over = [], []
+    for v in xs:
+        try:
+            fine.append((v, v ** e))
+        except OverflowError:
+            over.append(v)
+    got = libm_pow(np.array([v for v, _ in fine]), e)
+    assert got.tobytes() == np.array([w for _, w in fine]).tobytes()
+    assert all(libm_pow(v, e) == w and type(libm_pow(v, e)) is float for v, w in fine[:20])
+    for v in over:
+        with pytest.raises(OverflowError):
+            libm_pow(np.array([1.0, v]), e)
+    assert over or e < 1.5      # 1e308 overflows every power from 1.5 up
+
+
+@pytest.mark.parametrize("args", [
+    ((0.25,), (0.75, 1.25, 1.5), 1 / 256, 2, 4, np.array([1.0, 1e80]), 0),
+    ((0.25,), (0.75, 1.25, 1.5), 1 / 256, 3, 4, np.array([-1e103, 2.0]), 0),
+    ((), (1.0,), 1.0, 7, 1, np.array([-1e45, 0.5]), 0),
+], ids=["x-step", "negative-x-step", "odd-power-of-negative-x"])
+def test_overflowing_powers_raise_the_reference_error(args):
+    """A power of x past the float range, x ** step or x ** power, raises the
+    SeriesError the per-point ** loop raised: message, term count and partial
+    sum."""
+    assert _outcome(hyp_series, args) == _outcome(hyp_series_reference, args)
+    assert _outcome(hyp_series, args)[0] is SeriesError
 
 
 def _outcome(engine, args) -> tuple:
