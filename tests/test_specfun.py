@@ -481,7 +481,7 @@ def test_libm_pow_is_float_pow_per_point(e):
     ((0.25,), (0.75, 1.25, 1.5), 1 / 256, 2, 4, np.array([1.0, 1e80]), 0),
     ((0.25,), (0.75, 1.25, 1.5), 1 / 256, 3, 4, np.array([-1e103, 2.0]), 0),
     ((), (1.0,), 1.0, 7, 1, np.array([-1e45, 0.5]), 0),
-], ids=["x-step", "negative-x-step", "odd-power-of-negative-x"])
+], ids=["x-to-the-step", "cube-of-negative-x", "seventh-power-of-negative-x"])
 def test_overflowing_powers_raise_the_reference_error(args):
     """A power of x past the float range, x ** step or x ** power, raises the
     SeriesError the per-point ** loop raised: message, term count and partial
