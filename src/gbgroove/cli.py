@@ -10,6 +10,7 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import copy
 import functools
 import json
 import math
@@ -54,7 +55,7 @@ PRESETS: dict[str, dict] = {
     # sweep window is a documented choice; the source figures do not pin it
     "figure6": {"mode": "depth-series", "model": {"B": 1.0, "alpha": _ALPHA_AL2O3, "m": 0.209},
                 "alphas": [10.5e-16, 9.7e-16, 3e-16, 9.7e-17],
-                "times": list(np.geomspace(1e-31, 1e-28, 25))},
+                "times": np.geomspace(1e-31, 1e-28, 25).tolist()},
     "cornerfig": {"mode": "corner", "model": {"B": 1.0, "alpha": _ALPHA_AL2O3, "m": 0.209},
                   "times": [1e-29], "corner_r": -1.0},
 }
@@ -389,14 +390,13 @@ def _write_table(cfg: RunConfig, columns: list[str], table: np.ndarray,
     if not (np.isfinite(table).all() and np.isfinite(gaps).all()):
         raise NonFiniteOutputError("the run produced a non-finite output value")
     body = _render_table(table)
-    header_cfg = json.dumps(cfg.resolved(), sort_keys=True)
     if cfg.fmt == "csv":
-        lines = ["# gbgroove output", f"# config: {header_cfg}"]
+        lines = ["# gbgroove output", f"# config: {json.dumps(cfg.resolved(), sort_keys=True)}"]
         lines += [f"# {n}" for n in notes]
         lines.append("# columns: " + ",".join(columns))
         return "\n".join(lines) + "\n" + body
     doc = {
-        "config": json.loads(header_cfg),
+        "config": cfg.resolved(),
         "notes": notes,
         "columns": columns,
         "rows": [line.split(",") for line in body.splitlines()],
@@ -620,7 +620,8 @@ def main(argv=None) -> int:
     try:
         cfg_dict: dict = {}
         if args.preset:
-            cfg_dict.update(json.loads(json.dumps(PRESETS[args.preset])))
+            # a copy of each list and dict: a run must not reach into PRESETS
+            cfg_dict.update((k, copy.copy(v)) for k, v in PRESETS[args.preset].items())
         if args.config:
             try:
                 doc = json.loads(args.config.read_text())

@@ -108,8 +108,11 @@ def boundary_layer_G(x, t: float, alpha: float, m: float, *, order: int = 0):
         raise ValueError("x must be non-negative, not NaN")
     sign = -1.0 if order % 2 else 1.0
     coeff = sign * alpha ** (-0.5 * order) * _bl_amplitude(t, alpha, m)
+    # an x / sqrt(alpha) past the float range is inf, past the cut: G is 0 there
+    with np.errstate(over="ignore"):
+        scaled = np.divide(x, math.sqrt(alpha))
     # exp per point through libm, which numpy's exp may not match
-    return up_to(700.0, np.divide(x, math.sqrt(alpha)), lambda xi: coeff * np.fromiter(
+    return up_to(700.0, scaled, lambda xi: coeff * np.fromiter(
         map(math.exp, np.negative(xi).tolist()), float, len(xi)))
 
 

@@ -8,8 +8,6 @@ returning garbage.  It also takes a sequence of parameter rows (a
 sequence of powers, one parameter tuple per row), so every series of one
 evaluation at the same points is summed in a single term loop with one
 stopping rule (x = 0 stops after its first term), terminating series too.
-`hyp_pFq`, `hyp_pFq_derivative` and `hyp_series_derivative` are its
-one-point, one-row faces: each is one plain call into it.
 """
 
 from __future__ import annotations
@@ -23,9 +21,7 @@ import numpy as np
 __all__ = [
     "GammaPoleError",
     "SeriesError",
-    "HypArgs",
     "SeriesResult",
-    "DEFAULT_TOL",
     "TERM_BUDGET",
     "CANCELLATION_FLAG_DIGITS",
     "ln_gamma",
@@ -34,12 +30,10 @@ __all__ = [
     "compensated_sum",
     "cancel_digits",
     "hyp_series",
-    "hyp_pFq",
-    "hyp_pFq_derivative",
-    "hyp_series_derivative",
 ]
 
-DEFAULT_TOL = 1e-12
+# a series element is done after three consecutive terms below TOL * |sum|
+TOL = 1e-12
 TERM_BUDGET = 500
 # results with more cancelled digits than this are flagged unreliable
 CANCELLATION_FLAG_DIGITS = 12.0
@@ -60,26 +54,6 @@ class SeriesError(RuntimeError):
 
 def _is_nonpositive_integer(x: float) -> bool:
     return x <= 0.0 and x == math.floor(x)
-
-
-@dataclass(frozen=True)
-class HypArgs:
-    """Parameters of a generalized hypergeometric series pFq(a; b; z)."""
-
-    numerators: tuple[float, ...]
-    denominators: tuple[float, ...]
-    argument: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "numerators", tuple(float(a) for a in self.numerators))
-        object.__setattr__(self, "denominators", tuple(float(b) for b in self.denominators))
-        object.__setattr__(self, "argument", float(self.argument))
-        for b in self.denominators:
-            if _is_nonpositive_integer(b):
-                raise GammaPoleError(
-                    f"denominator parameter {b} is zero or a negative integer")
-        if len(self.numerators) > len(self.denominators):
-            raise ValueError("need p <= q for an entire series")
 
 
 @dataclass(frozen=True)
@@ -229,7 +203,7 @@ def _by_element(per_row: list, row: np.ndarray):
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite term raises SeriesError below
 def hyp_series(numerators, denominators, scale: float, power, step: int,
-               x, order: int, tol: float = DEFAULT_TOL) -> SeriesResult:
+               x, order: int) -> SeriesResult:
     """d^order/dx^order of  x**power * pFq(a; b; scale * x**step), at every x.
 
     Term-differentiated power series: the building block for similarity
@@ -252,12 +226,13 @@ def hyp_series(numerators, denominators, scale: float, power, step: int,
     running term is exactly 0, which is then true of every later term (past
     the end of a negative-integer numerator, or on underflow), at x = 0
     after its first term, or after three consecutive terms below
-    tol * |partial sum|.  Rows with a negative-integer numerator are
+    TOL * |partial sum|.  Rows with a negative-integer numerator are
     polynomials: the small-term count skips them, so they are summed to
     their end.  `terms_used` is the number of terms an element summed.  Any
     non-finite term or partial sum, a power of x that overflows, or any
     element still summing after TERM_BUDGET terms raises SeriesError.  A
-    non-integer order or step, an order below 0 or a step below 1, a
+    non-integer order or step, an order below 0 or a step below 1, a row
+    with more numerators than denominators (not an entire series), a
     non-finite scale, parameter or power (an int past the float range
     included), a negative power (whose k = 0 term the derivative start
     would drop), a NaN x, or a negative x under a non-integer power (a
@@ -267,8 +242,6 @@ def hyp_series(numerators, denominators, scale: float, power, step: int,
         raise ValueError(f"order must be an integer >= 0, got {order!r}")
     if not (isinstance(step, (int, np.integer)) and step >= 1):
         raise ValueError(f"step must be an integer >= 1, got {step!r}")
-    if not tol > 0:
-        raise ValueError("tol must be positive")
     one_row = np.ndim(power) == 0
     if one_row:
         numerators, denominators, power = (numerators,), (denominators,), (power,)
@@ -279,7 +252,10 @@ def hyp_series(numerators, denominators, scale: float, power, step: int,
     (scale,) = _finite("scale", (scale,))
     numerators = [_finite("numerator parameters", nums) for nums in numerators]
     denominators = [_finite("denominator parameters", dens) for dens in denominators]
-    for dens in denominators:
+    for i, (nums, dens) in enumerate(zip(numerators, denominators)):
+        if len(nums) > len(dens):
+            raise ValueError(f"row {i} has {len(nums)} numerators and {len(dens)} "
+                             "denominators; an entire series needs p <= q")
         for b in dens:
             if _is_nonpositive_integer(b):
                 raise GammaPoleError(f"denominator parameter {b} is zero or a negative integer")
@@ -363,8 +339,8 @@ def hyp_series(numerators, denominators, scale: float, power, step: int,
         c += np.add(w, np.subtract(term, bp, out=bp), out=bp)
         s, t = t, s
         np.maximum(mx, aterm, out=mx)
-        np.abs(np.add(s, c, out=val), out=w)      # tiny: aterm <= tol * max(|val|, 1e-300)
-        np.less_equal(aterm, np.multiply(np.maximum(w, 1e-300, out=w), tol, out=w), out=tiny)
+        np.abs(np.add(s, c, out=val), out=w)      # tiny: aterm <= TOL * max(|val|, 1e-300)
+        np.less_equal(aterm, np.multiply(np.maximum(w, 1e-300, out=w), TOL, out=w), out=tiny)
         if any(polynomial):     # summed to their end
             tiny &= ~np.array(polynomial)[row]
         small += tiny
@@ -407,24 +383,20 @@ def hyp_series(numerators, denominators, scale: float, power, step: int,
     return _series_result(shape, value, terms, max_term)
 
 
-def hyp_pFq(args: HypArgs, tol: float = DEFAULT_TOL) -> SeriesResult:
-    """Sum pFq(a; b; z): the series engine at x = 1 with scale z."""
-    return hyp_series(args.numerators, args.denominators, args.argument, 0, 1,
-                      1.0, 0, tol)
+# The one-point faces below are called by no package code: perfbench/spans.py
+# looks each up by name, to wrap it.
+
+def hyp_pFq(numerators, denominators, z: float) -> SeriesResult:
+    """pFq(a; b; z): the series engine at x = 1 with scale z."""
+    return hyp_series(numerators, denominators, z, 0, 1, 1.0, 0)
 
 
-def hyp_pFq_derivative(args: HypArgs, order: int) -> SeriesResult:
-    """n-th derivative of pFq with respect to its argument: the series engine
-    at x = z with scale 1, term-differentiated."""
-    if not 1 <= order <= 6:
-        raise ValueError("derivative order must be in [1, 6]")
-    return hyp_series(args.numerators, args.denominators, 1.0, 0, 1, args.argument,
-                      order)
+def hyp_pFq_derivative(numerators, denominators, z: float, order: int) -> SeriesResult:
+    """d^order/dz^order pFq(a; b; z): the engine's term differentiation at x = z."""
+    return hyp_series(numerators, denominators, 1.0, 0, 1, z, order)
 
 
-def hyp_series_derivative(numerators, denominators, scale: float, power: int,
-                          step: int, x: float, order: int,
-                          tol: float = DEFAULT_TOL) -> SeriesResult:
-    """hyp_series at one point x, with float diagnostics."""
-    return hyp_series(numerators, denominators, scale, power, step, float(x),
-                      order, tol)
+def hyp_series_derivative(numerators, denominators, scale: float, power, step: int,
+                          x: float, order: int) -> SeriesResult:
+    """hyp_series at one float x."""
+    return hyp_series(numerators, denominators, scale, power, step, float(x), order)

@@ -38,7 +38,7 @@ from gbgroove.oracle import GrooveOperator, Profile, _one_sided, fd_weights
 from gbgroove.outer import (_CONST, _EVEN, _G34, _G54, _SQRT2, U_CLAMP,
                             _shape_derivs, _similarity, _term_shapes)
 from gbgroove.reference import _contour, _cubic_roots, _rows
-from gbgroove.specfun import (DEFAULT_TOL, TERM_BUDGET, GammaPoleError, SeriesError,
+from gbgroove.specfun import (TERM_BUDGET, TOL, GammaPoleError, SeriesError,
                               SeriesResult, _by_element, _is_nonpositive_integer,
                               _neumaier_add, _series_result, gamma, reciprocal_gamma, up_to)
 
@@ -91,7 +91,7 @@ def rational_pfq(nums, dens, z: Fraction, terms: int) -> Fraction:
 
 @np.errstate(over="ignore")     # an overflowing term raises SeriesError below
 def hyp_series_reference(numerators, denominators, scale: float, power, step: int,
-                         x, order: int, tol: float = DEFAULT_TOL) -> SeriesResult:
+                         x, order: int, tol: float = TOL) -> SeriesResult:
     """`specfun.hyp_series` as it was before its term loop summed in place:
     every term compacts the live arrays, dropping the elements that
     finished on it.  The differential test holds the engine to this loop's

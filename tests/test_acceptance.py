@@ -44,7 +44,7 @@ from gbgroove.layers import (
 )
 from gbgroove.material import PhysicalParams, nondimensionalize, stiffness_parameter
 from gbgroove.oracle import Grid, SolverConfig, mass, solve
-from gbgroove.specfun import HypArgs, gamma, hyp_pFq
+from gbgroove.specfun import gamma, hyp_series
 
 AH_FIG4 = 0.30674093303633276
 
@@ -90,8 +90,8 @@ def test_criterion_03_first_correction_closed_form():
     for i in range(20):
         u = 4.0 * i / 19
         z = u ** 4 / 256.0
-        fa = hyp_pFq(HypArgs((1.25,), (0.25, 0.5, 0.75), z)).value
-        fb = hyp_pFq(HypArgs((1.75,), (0.75, 1.25, 1.5), z)).value
+        fa = hyp_series((1.25,), (0.25, 0.5, 0.75), z, 0, 1, 1.0, 0).value
+        fb = hyp_series((1.75,), (0.75, 1.25, 1.5), z, 0, 1, 1.0, 0).value
         alt = (-m * g14 * fa / (16 * math.pi)
                - 3 * m * u ** 2 * gm14 * fb / (128 * math.pi))
         lib = outer_term(1, u, 1.0, m)

@@ -246,6 +246,24 @@ class TestEntryPoint:
         assert [c["mode"] for c in configs] == ["profile", "compare"]
         assert [c["xmax"] for c in configs] == [3.0, None]
 
+    def test_a_run_cannot_reach_into_the_presets(self, monkeypatch):
+        """`main` copies a preset's lists and dicts, so a run that changes its
+        config in place leaves PRESETS as they were; their numbers are plain
+        floats, which json writes as it reads them."""
+        frozen = json.dumps(PRESETS, sort_keys=True)
+
+        def scribble(cfg):
+            cfg.times.append(1.0)
+            cfg.alphas.append(1.0)
+            cfg.model["m"] = 0.0
+            return ""
+
+        monkeypatch.setattr(cli, "run", scribble)
+        for name in PRESETS:
+            assert main(["--preset", name]) == 0
+        assert json.dumps(PRESETS, sort_keys=True) == frozen
+        assert {type(v) for p in PRESETS.values() for v in p["times"]} == {float}
+
 
 _ALUMINA = ["--m", "0.209", "--alpha", "9.7e-16", "--B", "1", "--Bt", "1e-29"]
 

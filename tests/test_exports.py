@@ -1,8 +1,11 @@
 """Every name a gbgroove module exports is read by package code, `scripts/` or
-`perfbench/` (a name or attribute load; an import alone does not count), or
-is on the allow-list below.  A name only the tests call belongs in the tests."""
+`perfbench/` (a name or attribute load; an import alone does not count).  A
+name only the tests call belongs in the tests.  The benchmark's tracer finds
+every name it wraps."""
 
 import ast
+import inspect
+import sys
 from pathlib import Path
 
 import pytest
@@ -10,14 +13,6 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = sorted((ROOT / "src" / "gbgroove").glob("*.py"))
 USERS = [*MODULES, *(ROOT / "scripts").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
-
-# exported though nothing above reads them: the engine's one-point faces,
-# which perfbench/spans.py looks up by name (ROADMAP item 4), and HypArgs,
-# hyp_pFq's argument type.  Nothing else waits here: the helpers only the
-# tests call are defined in tests/conftest.py
-KEPT = {
-    "hyp_pFq", "hyp_pFq_derivative", "hyp_series_derivative", "HypArgs",
-}
 
 
 def _exports(path: Path) -> set[str]:
@@ -34,10 +29,36 @@ def _reads() -> set[str]:
 
 @pytest.mark.parametrize("module", MODULES, ids=[m.stem for m in MODULES])
 def test_every_export_is_used(module):
-    unused = sorted(_exports(module) - _reads() - KEPT)
+    unused = sorted(_exports(module) - _reads())
     assert not unused, f"{module.name} exports names nothing uses: {unused}"
 
 
-def test_allow_list_names_exports():
-    missing = KEPT - set().union(*map(_exports, MODULES))
-    assert not missing, sorted(missing)
+def _bindings() -> dict:
+    """Every attribute of every loaded gbgroove module, and `advance`."""
+    from gbgroove.oracle import GrooveOperator
+    got = {(k, attr): value for k, module in list(sys.modules.items())
+           if k == "gbgroove" or k.startswith("gbgroove.")
+           for attr, value in vars(module).items()}
+    return got | {("GrooveOperator", "advance"): GrooveOperator.advance}
+
+
+def test_tracer_finds_every_name_it_wraps(monkeypatch):
+    """perfbench/spans.py looks the functions it wraps up by name: install
+    wraps each, and uninstall puts every attribute back.  A name the tracer
+    needs that the package dropped fails here, not only in a traced run."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import spans
+    # every module install imports is loaded before the snapshot
+    from gbgroove import cli, composite, layers, oracle, outer, specfun  # noqa: F401
+
+    before = _bindings()
+    undo = spans.install(spans.Recorder())
+    try:
+        for name in spans.SPECFUN:
+            assert inspect.unwrap(getattr(specfun, name)) is before["gbgroove.specfun", name]
+            assert getattr(specfun, name) is not before["gbgroove.specfun", name]
+    finally:
+        spans.uninstall(undo)
+    after = _bindings()
+    assert after.keys() == before.keys()
+    assert [key for key in before if after[key] is not before[key]] == []

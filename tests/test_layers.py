@@ -59,6 +59,10 @@ class TestBoundaryLayer:
     def test_far_field_extinction(self):
         assert boundary_layer_G(50.0, 1.0, 0.3, 0.209) < 1e-30
         assert boundary_layer_G(1e4, 1.0, 0.3, 0.209) == 0.0
+        # x / sqrt(alpha) past the float range is 0 too, with no overflow warning
+        assert boundary_layer_G(1e308, 1.0, 0.3, 0.209) == 0.0
+        got = boundary_layer_G(np.array([0.0, 1e308, math.inf]), 1.0, 0.3, 0.209, order=1)
+        assert got.tolist() == [boundary_layer_G(0.0, 1.0, 0.3, 0.209, order=1), 0.0, 0.0]
 
     def test_wall_value(self):
         m, ah, t = 0.209, 0.3, 1.0

@@ -16,16 +16,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import edge_or, hyp_series_reference, pochhammer, rational_pfq
+from gbgroove import specfun
 from gbgroove.specfun import (
     GammaPoleError,
-    HypArgs,
     SeriesError,
     _neumaier_add,
     gamma,
-    hyp_pFq,
-    hyp_pFq_derivative,
     hyp_series,
-    hyp_series_derivative,
     libm_pow,
     ln_gamma,
     reciprocal_gamma,
@@ -109,8 +106,10 @@ class TestPochhammer:
 
 
 class TestHypPFQ:
+    """pFq(a; b; z) is the engine at x = 1 with scale z."""
+
     def test_unit_at_zero(self):
-        r = hyp_pFq(HypArgs((0.25,), (0.75, 1.25, 1.5), 0.0))
+        r = hyp_series((0.25,), (0.75, 1.25, 1.5), 0.0, 0, 1, 1.0, 0)
         assert r.value == 1.0
         assert r.terms_used >= 1
 
@@ -118,32 +117,37 @@ class TestHypPFQ:
         ref = rational_pfq((Fraction(1, 4),),
                            (Fraction(3, 4), Fraction(5, 4), Fraction(3, 2)),
                            Fraction(1), 35)
-        r = hyp_pFq(HypArgs((0.25,), (0.75, 1.25, 1.5), 1.0))
+        r = hyp_series((0.25,), (0.75, 1.25, 1.5), 1.0, 0, 1, 1.0, 0)
         assert r.value == pytest.approx(float(ref), rel=1e-13)
         assert r.value == pytest.approx(1.18934, rel=1e-5)
 
     def test_terminating_series(self):
         dens = (1 / 6, 1 / 3, 1 / 2, 2 / 3, 5 / 6)
         z = 0.7
-        r = hyp_pFq(HypArgs((-1.0,), dens, z))
+        r = hyp_series((-1.0,), dens, z, 0, 1, 1.0, 0)
         expect = 1.0 - z / (dens[0] * dens[1] * dens[2] * dens[3] * dens[4])
         assert r.value == pytest.approx(expect, rel=1e-14)
         assert r.terms_used <= 2
 
     def test_denominator_pole_rejected(self):
         with pytest.raises(GammaPoleError):
-            HypArgs((0.25,), (0.0, 1.0), 1.0)
-        with pytest.raises(GammaPoleError):
-            HypArgs((0.25,), (-2.0, 1.0), 1.0)
+            hyp_series((0.25,), (0.0, 1.0), 1.0, 0, 1, 1.0, 0)
+        with pytest.raises(GammaPoleError, match="-2.0 is zero or a negative integer"):
+            hyp_series([(0.25,), (0.25,)], [(0.75,), (-2.0, 1.0)], 1.0, [0, 0], 1, 1.0, 0)
 
     def test_divergent_regime_rejected(self):
-        with pytest.raises(ValueError):
-            HypArgs((1.0, 2.0), (3.0,), 1.0)
+        """More numerators than denominators (p > q) is not an entire series,
+        in any row: a p > q row is refused even where it would terminate."""
+        with pytest.raises(ValueError, match=r"row 0 has 2 numerators and 1 denominators"):
+            hyp_series((1.0, 2.0), (3.0,), 1.0, 0, 1, 1.0, 0)
+        with pytest.raises(ValueError, match=r"row 1 has 2 numerators and 1 denominators"):
+            hyp_series([(0.25,), (-1.0, 2.0)], [(0.75,), (3.0,)], 1.0, [0, 2], 4,
+                       np.array([0.5, 1.0]), 1)
 
     def test_budget_exhaustion(self):
         # enormous argument cannot converge inside the budget
         with pytest.raises(SeriesError) as err:
-            hyp_pFq(HypArgs((0.25,), (0.75,), 1e12))
+            hyp_series((0.25,), (0.75,), 1e12, 0, 1, 1.0, 0)
         assert err.value.terms_used > 0
 
     def test_overflowing_power_of_x_raises_series_error(self):
@@ -239,17 +243,18 @@ class TestHypPFQ:
     @given(st.floats(0.0, 50.0))
     @settings(max_examples=40, deadline=None)
     def test_tol_consistency(self, z):
-        args = HypArgs((0.25,), (0.75, 1.25, 1.5), z)
-        loose = hyp_pFq(args, tol=1e-9)
-        tight = hyp_pFq(args, tol=1e-10)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(specfun, "TOL", 1e-9)
+            loose = hyp_series((0.25,), (0.75, 1.25, 1.5), z, 0, 1, 1.0, 0)
+            mp.setattr(specfun, "TOL", 1e-10)
+            tight = hyp_series((0.25,), (0.75, 1.25, 1.5), z, 0, 1, 1.0, 0)
         assert loose.value == pytest.approx(tight.value, rel=1e-8)
 
     def test_cancellation_reporting(self):
         # alternating series with heavy cancellation: the 1F5 block at big w
         w = 18.0
-        args = HypArgs((7 / 6,), (1 / 3, 1 / 2, 2 / 3, 5 / 6, 7 / 6),
-                       -w ** 6 / 6 ** 6)
-        r = hyp_pFq(args)
+        r = hyp_series((7 / 6,), (1 / 3, 1 / 2, 2 / 3, 5 / 6, 7 / 6), -w ** 6 / 6 ** 6,
+                       0, 1, 1.0, 0)
         assert r.max_term_magnitude > abs(r.value)
         assert r.cancellation_digits >= math.log10(
             r.max_term_magnitude / abs(r.value)) - 0.5
@@ -257,14 +262,15 @@ class TestHypPFQ:
 
 
 class TestDerivative:
+    """d^n/dz^n pFq(a; b; z) is the engine's term differentiation at x = z
+    with scale 1."""
+
     def test_first_derivative_at_zero(self):
-        args = HypArgs((0.25,), (0.75, 1.25, 1.5), 0.0)
-        r = hyp_pFq_derivative(args, 1)
+        r = hyp_series((0.25,), (0.75, 1.25, 1.5), 1.0, 0, 1, 0.0, 1)
         assert r.value == pytest.approx(0.25 / (0.75 * 1.25 * 1.5), rel=1e-14)
 
     def test_second_derivative_at_zero(self):
-        args = HypArgs((0.25,), (0.75, 1.25, 1.5), 0.0)
-        r = hyp_pFq_derivative(args, 2)
+        r = hyp_series((0.25,), (0.75, 1.25, 1.5), 1.0, 0, 1, 0.0, 2)
         expect = (0.25 * 1.25) / ((0.75 * 1.75) * (1.25 * 2.25) * (1.5 * 2.5))
         assert r.value == pytest.approx(expect, rel=1e-14)
 
@@ -275,7 +281,7 @@ class TestDerivative:
         pref = nums[0] / (dens[0] * dens[1] * dens[2])
         ref = pref * rational_pfq([a + 1 for a in nums], [b + 1 for b in dens],
                                   Fraction(1), 35)
-        r = hyp_pFq_derivative(HypArgs((0.25,), (0.75, 1.25, 1.5), 1.0), 1)
+        r = hyp_series((0.25,), (0.75, 1.25, 1.5), 1.0, 0, 1, 1.0, 1)
         assert r.value == pytest.approx(float(ref), rel=1e-13)
         assert r.value == pytest.approx(0.201176979434318250, rel=1e-12)
 
@@ -290,29 +296,38 @@ class TestDerivative:
                     / math.prod(pochhammer(b, order) for b in dens))
             ref = pref * rational_pfq([a + order for a in nums], [b + order for b in dens],
                                       z, 40)
-            r = hyp_pFq_derivative(HypArgs(nums, dens, z), order)
+            r = hyp_series(nums, dens, 1.0, 0, 1, float(z), order)
             assert r.value == pytest.approx(float(ref), rel=1e-13)
 
     def test_order_bounds(self):
-        args = HypArgs((0.25,), (0.75, 1.25, 1.5), 1.0)
-        with pytest.raises(ValueError):
-            hyp_pFq_derivative(args, 0)
-        with pytest.raises(ValueError):
-            hyp_pFq_derivative(args, 7)
+        """Any integer order >= 0 is summed: order 0 is the value and order 7
+        matches the rational oracle.  A negative or fractional order is
+        refused."""
+        nums, dens = (Fraction(1, 4),), (Fraction(3, 4), Fraction(5, 4), Fraction(3, 2))
+        pref = pochhammer(nums[0], 7) / math.prod(pochhammer(b, 7) for b in dens)
+        ref = pref * rational_pfq([a + 7 for a in nums], [b + 7 for b in dens], Fraction(1), 40)
+        r = hyp_series(nums, dens, 1.0, 0, 1, 1.0, 7)
+        assert r.value == pytest.approx(float(ref), rel=1e-13)
+        r = hyp_series(nums, dens, 1.0, 0, 1, 0.5, 0)
+        assert r.value == pytest.approx(hyp_series(nums, dens, 0.5, 0, 1, 1.0, 0).value,
+                                        rel=1e-15)
+        for order in (-1, 1.5):
+            with pytest.raises(ValueError, match="order must be an integer >= 0"):
+                hyp_series(nums, dens, 1.0, 0, 1, 1.0, order)
 
 
 class TestSeriesDerivativeEngine:
     """The power-series building block used by all profile evaluators."""
 
     def test_plain_value(self):
-        r = hyp_series_derivative((0.25,), (0.75, 1.25, 1.5), 1 / 256, 0, 4, 2.0, 0)
-        direct = hyp_pFq(HypArgs((0.25,), (0.75, 1.25, 1.5), 2.0 ** 4 / 256))
+        r = hyp_series((0.25,), (0.75, 1.25, 1.5), 1 / 256, 0, 4, 2.0, 0)
+        direct = hyp_series((0.25,), (0.75, 1.25, 1.5), 2.0 ** 4 / 256, 0, 1, 1.0, 0)
         assert r.value == pytest.approx(direct.value, rel=1e-13)
 
     def test_prefactor_power(self):
         u = 1.7
-        r = hyp_series_derivative((0.25,), (0.75, 1.25, 1.5), 1 / 256, 2, 4, u, 0)
-        direct = u ** 2 * hyp_pFq(HypArgs((0.25,), (0.75, 1.25, 1.5), u ** 4 / 256)).value
+        r = hyp_series((0.25,), (0.75, 1.25, 1.5), 1 / 256, 2, 4, u, 0)
+        direct = u ** 2 * hyp_series((0.25,), (0.75, 1.25, 1.5), u ** 4 / 256, 0, 1, 1.0, 0).value
         assert r.value == pytest.approx(direct, rel=1e-13)
 
     @pytest.mark.parametrize("order", [1, 2, 3, 4])
@@ -322,8 +337,7 @@ class TestSeriesDerivativeEngine:
         h = {1: 0.003, 2: 0.005, 3: 0.012, 4: 0.025}[order]
 
         def f(u):
-            return hyp_series_derivative(
-                (0.25,), (0.75, 1.25, 1.5), 1 / 256, 2, 4, u, 0).value
+            return hyp_series((0.25,), (0.75, 1.25, 1.5), 1 / 256, 2, 4, u, 0).value
 
         # high-order central stencils
         stencils = {
@@ -334,21 +348,23 @@ class TestSeriesDerivativeEngine:
         }
         offs, wts = stencils[order]
         fd = sum(w * f(u0 + o * h) for o, w in zip(offs, wts)) / h ** order
-        exact = hyp_series_derivative(
-            (0.25,), (0.75, 1.25, 1.5), 1 / 256, 2, 4, u0, order).value
+        exact = hyp_series((0.25,), (0.75, 1.25, 1.5), 1 / 256, 2, 4, u0, order).value
         assert exact == pytest.approx(fd, rel=1e-5)
 
     def test_wall_values(self):
         # at x = 0 only the matching monomial survives
-        r = hyp_series_derivative((0.25,), (0.75, 1.25, 1.5), 1 / 256, 2, 4, 0.0, 2)
+        r = hyp_series((0.25,), (0.75, 1.25, 1.5), 1 / 256, 2, 4, 0.0, 2)
         assert r.value == pytest.approx(2.0, rel=1e-15)      # d^2/dx^2 x^2 = 2
-        r = hyp_series_derivative((0.25,), (0.75, 1.25, 1.5), 1 / 256, 2, 4, 0.0, 3)
+        r = hyp_series((0.25,), (0.75, 1.25, 1.5), 1 / 256, 2, 4, 0.0, 3)
         assert r.value == 0.0
 
     def test_terms_used_counts_the_terms_summed(self):
         # 0F1(; 1; 1e-20) sums 1, 1e-20, 5e-41, ... : the first term, then
-        # three below tol * |sum|; 1F1(-1; 1; 0.5) = 1 - 0.5 ends at k = 1
+        # three below TOL * |sum|; 1F1(-1; 1; 0.5) = 1 - 0.5 ends at k = 1
         assert hyp_series((), (1.0,), 1.0, 0, 1, 1e-20, 0).terms_used == 4
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(specfun, "TOL", 1e-30)       # 1e-20 is no longer below it
+            assert hyp_series((), (1.0,), 1.0, 0, 1, 1e-20, 0).terms_used == 5
         assert hyp_series((-1.0,), (1.0,), 1.0, 0, 1, 0.5, 0).terms_used == 2
         rows = hyp_series([(), (-1.0,)], [(1.0,), (1.0,)], 1.0, [0, 0], 1,
                           np.array([1e-20, 0.5]), 0)
@@ -357,10 +373,11 @@ class TestSeriesDerivativeEngine:
     @given(st.floats(0.1, 6.0), st.integers(0, 3))
     @settings(max_examples=30, deadline=None)
     def test_tolerance_refinement(self, u, order):
-        a = hyp_series_derivative((0.25,), (0.75, 1.25, 1.5), 1 / 256, 2, 4, u,
-                                  order, tol=1e-9)
-        b = hyp_series_derivative((0.25,), (0.75, 1.25, 1.5), 1 / 256, 2, 4, u,
-                                  order, tol=1e-13)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(specfun, "TOL", 1e-9)
+            a = hyp_series((0.25,), (0.75, 1.25, 1.5), 1 / 256, 2, 4, u, order)
+            mp.setattr(specfun, "TOL", 1e-13)
+            b = hyp_series((0.25,), (0.75, 1.25, 1.5), 1 / 256, 2, 4, u, order)
         assert a.value == pytest.approx(b.value, rel=1e-7, abs=1e-250)
 
 
