@@ -35,7 +35,7 @@ from .material import (
     mullins_coefficient,
     nondimensionalize,
 )
-from .oracle import halfline_mass, halfline_profile
+from .oracle import HALFLINE_L, halfline_dx, halfline_profile
 from .outer import MAX_ORDER, U_CLAMP, Z0
 from .specfun import GammaPoleError, SeriesError, libm_pow
 
@@ -61,13 +61,6 @@ PRESETS: dict[str, dict] = {
 }
 
 
-# the oracle window [0, 8] in units of (Bt)^(1/4)
-_SOLVER_L = 8.0
-# the finest oracle spacing: at alpha_hat 0.307 / 0.56 the half-line modes
-# miss the exact solution by 9.3e-6 / 1.3e-5 of depth at dx 1/64, 3.5e-6 /
-# 6.4e-6 at 1/128 and 2.6e-5 / 2.3e-5 at 1/256, where float64 roundoff in
-# the wall rows (entries up to alpha_hat / dx^5) outgrows the spatial error
-_FINEST_DX = 1.0 / 256
 # the Bt value, m^4, of a mode that reads one when none is given
 _DEFAULT_BT = 1e-29
 # the row budget of a whole run, over every Bt value and alpha, and the cap
@@ -423,7 +416,7 @@ def _mode_params(cfg: RunConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _profile_table(cfg: RunConfig, with_oracle: bool):
+def _mode_profile(cfg: RunConfig, with_oracle: bool) -> str:
     columns = ["Bt_m4", "x_m", "y_mullins_m", "y_composite_m"]
     if with_oracle:
         columns.append("y_oracle_m")
@@ -436,12 +429,12 @@ def _profile_table(cfg: RunConfig, with_oracle: bool):
         params = reduced(bt)
         span = (cfg.xmax if cfg.xmax is not None else 8.0) * bt ** 0.25
         xs = np.linspace(0.0, span, cfg.samples)
-        dx = _solver_dx(params) if with_oracle else None
+        dx = _halfline(halfline_dx, params.alpha_hat) if with_oracle else None
         cols = [np.full(len(xs), bt), xs, *mullins_and_composite(xs, bt, params, spec)]
         if with_oracle:
             ys = cols[-1]
             yo = params.L0 * _halfline(halfline_profile, xs / params.L0, 1.0, params.m,
-                                       params.alpha_hat, dx)
+                                       params.alpha_hat, dx)[0]
             # xs[0] = 0: the composite's root depth
             depth = abs(ys[0]) if ys[0] != 0 else 1.0
             sup = float(np.max(np.abs(ys - yo)) / depth)
@@ -449,37 +442,16 @@ def _profile_table(cfg: RunConfig, with_oracle: bool):
             gaps.append(sup)
             cols.append(yo)
         blocks.append(np.column_stack(cols))
-    return columns, np.concatenate(blocks), notes, gaps
+    return _write_table(cfg, columns, np.concatenate(blocks), notes, gaps)
 
 
 def _halfline(fn, *args):
-    """A half-line call, whose ValueError (past float64's range) exits 2."""
+    """A half-line call, whose ValueError (past float64's range, or a spacing
+    finer than the column takes) exits 2."""
     try:
         return fn(*args)
     except ValueError as exc:
         raise CliConfigError(f"the oracle column: {exc}") from exc
-
-
-def _solver_dx(params: ModelParams) -> float:
-    """The oracle column's grid spacing: the coarsest that resolves the wall
-    layer, dx <= sqrt(alpha_hat)/4, in whole intervals of the window, at
-    least 512 of them.  Exit 2 past _FINEST_DX."""
-    ah = params.alpha_hat
-    dx = _SOLVER_L / (max(512, math.ceil(_SOLVER_L / (math.sqrt(ah) / 4.0))) if ah > 0 else 512)
-    if dx < _FINEST_DX:
-        raise CliConfigError(
-            f"need dx >= 1/256, got dx = {dx:.4g} to resolve the wall layer: float64 "
-            f"roundoff in the wall rows grows with their largest entry, about "
-            f"alpha_hat / dx^5, here with alpha_hat = {ah:.4g}")
-    return dx
-
-
-def _mode_profile(cfg: RunConfig) -> str:
-    return _write_table(cfg, *_profile_table(cfg, with_oracle=False))
-
-
-def _mode_compare(cfg: RunConfig) -> str:
-    return _write_table(cfg, *_profile_table(cfg, with_oracle=True))
 
 
 def _mode_depth_series(cfg: RunConfig) -> str:
@@ -540,14 +512,13 @@ def _mode_oracle(cfg: RunConfig) -> str:
     notes = []
     masses = []
     reduced = _reducer(cfg.model, cfg.physical)
+    xs = np.linspace(0.0, HALFLINE_L, cfg.samples)
     for bt in cfg.times:
         params = reduced(bt)
-        dx = _solver_dx(params)
         ah = params.alpha_hat
-        masses.append(_halfline(halfline_mass, 1.0, params.m, ah, dx))
-        notes.append(f"Bt={_fmt(bt)}: mass={_fmt(masses[-1])} (nondimensional)")
-        xs = np.linspace(0.0, _SOLVER_L, cfg.samples)
-        ys = _halfline(halfline_profile, xs, 1.0, params.m, ah, dx)
+        ys, mass = _halfline(halfline_profile, xs, 1.0, params.m, ah, _halfline(halfline_dx, ah))
+        masses.append(mass)
+        notes.append(f"Bt={_fmt(bt)}: mass={_fmt(mass)} (nondimensional)")
         blocks.append(np.column_stack([np.full(len(xs), bt), xs * params.L0, ys * params.L0]))
     return _write_table(cfg, columns, np.concatenate(blocks), notes, masses)
 
@@ -560,13 +531,15 @@ def _mode_oracle(cfg: RunConfig) -> str:
 _EXPANSION_FIELDS = ("order", "samples", "xmax", "fmt")
 _MODE_TABLE = {
     "params": (_mode_params, (), 1, lambda cfg: 0, 0),
-    "profile": (_mode_profile, _EXPANSION_FIELDS, None, lambda cfg: cfg.samples, BT_ROWS),
+    "profile": (functools.partial(_mode_profile, with_oracle=False), _EXPANSION_FIELDS, None,
+                lambda cfg: cfg.samples, BT_ROWS),
     "depth-series": (_mode_depth_series, ("alphas", "fmt"), None,
                      lambda cfg: max(len(cfg.alphas), 1), 0),
     "corner": (_mode_corner, ("corner_r", "corner_gamma", "samples", "fmt"), 1,
                lambda cfg: cfg.samples, 0),
     "oracle": (_mode_oracle, ("samples", "fmt"), None, lambda cfg: cfg.samples, BT_ROWS),
-    "compare": (_mode_compare, _EXPANSION_FIELDS, None, lambda cfg: cfg.samples, BT_ROWS),
+    "compare": (functools.partial(_mode_profile, with_oracle=True), _EXPANSION_FIELDS, None,
+                lambda cfg: cfg.samples, BT_ROWS),
 }
 MODES = tuple(_MODE_TABLE)
 # the RunConfig fields every mode reads; how many Bt values, the table says

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .layers import boundary_layer_G
+from .layers import _G34, _G74, _SQRT2, boundary_layer_G
 from .material import ModelParams
 from .outer import outer_expansion
 from .specfun import gamma, libm_pow
@@ -25,9 +25,6 @@ __all__ = [
     "depth_difference",
 ]
 
-_SQRT2 = math.sqrt(2.0)
-_G34 = gamma(0.75)
-_G74 = gamma(1.75)
 _GR = {r: gamma(1.5 * r - 0.25) for r in (1, 2)}     # of the outer terms y_1 and y_2
 
 

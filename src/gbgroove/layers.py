@@ -89,10 +89,6 @@ def beta4(t: float, m: float) -> float:
     return -m * _G74 / (4.0 * math.pi * t ** 0.75)
 
 
-def _bl_amplitude(t: float, alpha: float, m: float) -> float:
-    return alpha * beta2(t, m) + alpha ** 2 * beta4(t, m)
-
-
 def boundary_layer_G(x, t: float, alpha: float, m: float, *, order: int = 0):
     """Wall correction G = (alpha b2 + alpha^2 b4) exp(-x/sqrt(alpha)), or its
     exact d^order/dx^order."""
@@ -107,7 +103,7 @@ def boundary_layer_G(x, t: float, alpha: float, m: float, *, order: int = 0):
     if not np.all(np.greater_equal(x, 0)):
         raise ValueError("x must be non-negative, not NaN")
     sign = -1.0 if order % 2 else 1.0
-    coeff = sign * alpha ** (-0.5 * order) * _bl_amplitude(t, alpha, m)
+    coeff = sign * alpha ** (-0.5 * order) * (alpha * beta2(t, m) + alpha ** 2 * beta4(t, m))
     # an x / sqrt(alpha) past the float range is inf, past the cut: G is 0 there
     with np.errstate(over="ignore"):
         scaled = np.divide(x, math.sqrt(alpha))

@@ -101,8 +101,6 @@ def mullins_coefficient(p: PhysicalParams) -> float:
 
 def stiffness_parameter(p: PhysicalParams) -> float:
     """Bending stiffness alpha = E h^3 / [12 (1 - nu^2)(gamma_i + gamma_s)]  [m^2]."""
-    if p.nu ** 2 >= 1.0:
-        raise ValueError(f"nu^2 must be < 1, got nu = {p.nu}")
     return p.E * p.h ** 3 / (12.0 * (1.0 - p.nu ** 2) * p.gamma_surface)
 
 

@@ -36,9 +36,9 @@ steps.  The last step's factors are kept, so a run of equal steps factors
 once.
 
 The same semi-discrete equations are also solved exactly in time on the
-half-line, x >= 0 (`halfline_profile`, `halfline_mass`); the CLI's
-``oracle`` and ``compare`` modes print that column.  In the Laplace domain
-the interior rows have constant coefficients, so from a flat start the
+half-line, x >= 0 (`halfline_profile`, at the spacing `halfline_dx`); the
+CLI's ``oracle`` and ``compare`` modes print that column.  In the Laplace
+domain the interior rows have constant coefficients, so from a flat start the
 heights are a combination of the stencil's lo decaying discrete modes z^i,
 and the lo wall rows fix it at each node of the reference's Talbot contour:
 no box, no far-field row, no time step and no SciPy.  It is the
@@ -73,8 +73,8 @@ __all__ = [
     "solve",
     "time_steps",
     "mass",
+    "halfline_dx",
     "halfline_profile",
-    "halfline_mass",
 ]
 
 MIN_NODES = 64
@@ -257,10 +257,10 @@ class SolverConfig:
         if self.t_final / self.dt > MAX_STEPS:
             raise ConfigError(f"need t_final/dt <= {MAX_STEPS}, got "
                               f"{self.t_final / self.dt:.4g} steps")
-        if self.alpha_hat > 0 and self.grid.dx > math.sqrt(self.alpha_hat) / 4.0 * (1.0 + 1e-12):
+        if self.alpha_hat > 0 and self.grid.dx > _wall_layer_dx(self.alpha_hat) * (1.0 + 1e-12):
             raise ConfigError(
                 f"dx = {self.grid.dx:.4g} does not resolve the wall layer; "
-                f"need dx <= sqrt(alpha_hat)/4 = {math.sqrt(self.alpha_hat)/4:.4g}")
+                f"need dx <= sqrt(alpha_hat)/4 = {_wall_layer_dx(self.alpha_hat):.4g}")
         if self.grid.L < 8.0 * self.t_final ** 0.25 * (1.0 - 1e-12):
             raise ConfigError(
                 f"domain L = {self.grid.L:.4g} shorter than 8 t_final^(1/4) "
@@ -555,6 +555,35 @@ def solve(config: SolverConfig) -> list[Profile]:
 
 # ---- the half-line modes ---------------------------------------------------
 
+# the CLI's window for the column, [0, HALFLINE_L] in units of (Bt)^(1/4)
+HALFLINE_L = 8.0
+# the finest spacing the column takes: at alpha_hat 0.307 / 0.56 the modes
+# miss the exact solution by 9.3e-6 / 1.3e-5 of depth at dx 1/64, 3.5e-6 /
+# 6.4e-6 at 1/128 and 2.6e-5 / 2.3e-5 at 1/256, where float64 roundoff in
+# the wall rows (entries up to alpha_hat / dx^5) outgrows the spatial error
+_FINEST_DX = 1.0 / 256
+
+
+def _wall_layer_dx(alpha_hat: float) -> float:
+    """The coarsest spacing that resolves the wall layer, sqrt(alpha_hat)/4:
+    the bound a march's grid must meet and the half-line column's rule."""
+    return math.sqrt(alpha_hat) / 4.0
+
+
+def halfline_dx(alpha_hat: float) -> float:
+    """The half-line column's spacing: the coarsest that resolves the wall
+    layer, in whole intervals of [0, HALFLINE_L], at least 512 of them.  A
+    spacing below _FINEST_DX raises ValueError."""
+    intervals = (max(512, math.ceil(HALFLINE_L / _wall_layer_dx(alpha_hat)))
+                 if alpha_hat > 0 else 512)
+    dx = HALFLINE_L / intervals
+    if dx < _FINEST_DX:
+        raise ValueError(
+            f"need dx >= 1/256, got dx = {dx:.4g} to resolve the wall layer: float64 "
+            f"roundoff in the wall rows grows with their largest entry, about "
+            f"alpha_hat / dx^5, here with alpha_hat = {alpha_hat:.4g}")
+    return dx
+
 
 def _wall_modes(s: np.ndarray, m: float, alpha_hat: float, dx: float):
     """The solver's semi-discrete equations on the half-line, solved at each
@@ -594,11 +623,14 @@ def _wall_modes(s: np.ndarray, m: float, alpha_hat: float, dx: float):
     return c, zm1, log_z
 
 
-def halfline_profile(x, t: float, m: float, alpha_hat: float, dx: float) -> np.ndarray:
+def halfline_profile(x, t: float, m: float, alpha_hat: float,
+                     dx: float) -> tuple[np.ndarray, float]:
     """Height of the solver's semi-discrete problem on the half-line, at
-    spacing dx, exactly in time: y(x, t) from a flat start, its modes
-    evaluated at each x (not only at nodes), up to the contour's inversion
-    error.  Every x must lie in [0, 1e100], t, m and alpha_hat as
+    spacing dx, exactly in time, and its mass: (y(x, t), the trapezoidal
+    mass dx (y_0/2 + y_1 + y_2 + ...) of the nodal heights) from a flat
+    start.  The modes are evaluated at each x (not only at nodes), and the
+    mass per mode as dx c (1/(1 - z) - 1/2), both up to the contour's
+    inversion error.  Every x must lie in [0, 1e100], t, m and alpha_hat as
     `reference._upper_contour` states, and dx as `_wall_modes` does.
 
     There is no box, no far-field row and no time step: the lo decaying
@@ -610,17 +642,9 @@ def halfline_profile(x, t: float, m: float, alpha_hat: float, dx: float) -> np.n
     if not np.all((xs >= 0) & (xs <= 1e100)):
         raise ValueError("x must lie in [0, 1e100]")
     s, weight = _upper_contour(t, m, alpha_hat)
-    c, _, log_z = _wall_modes(s, m, alpha_hat, dx)
-    return _mode_sum(xs.ravel() / dx, log_z, weight, c).reshape(xs.shape)
-
-
-def halfline_mass(t: float, m: float, alpha_hat: float, dx: float) -> float:
-    """Trapezoidal mass dx (y_0/2 + y_1 + y_2 + ...) of `halfline_profile`'s
-    nodal heights: per mode dx c (1/(1 - z) - 1/2), inverted as the profile
-    is."""
-    s, weight = _upper_contour(t, m, alpha_hat)
-    c, zm1, _ = _wall_modes(s, m, alpha_hat, dx)
-    return float((dx * (weight[:, None] * c * (-1.0 / zm1 - 0.5)).sum()).real)
+    c, zm1, log_z = _wall_modes(s, m, alpha_hat, dx)
+    heights = _mode_sum(xs.ravel() / dx, log_z, weight, c).reshape(xs.shape)
+    return heights, float((dx * (weight[:, None] * c * (-1.0 / zm1 - 0.5)).sum()).real)
 
 
 # ---- diagnostics ----------------------------------------------------------

@@ -298,15 +298,13 @@ def hyp_series(numerators, denominators, scale: float, power, step: int,
           for p in power]
     # Carry coeff * x^(step k + power - order) as one quantity: the naked
     # power overflows long before the term itself does.  Powers are taken
-    # per point through libm, as in `libm_pow`: numpy's power may not match.
-    xl = flat.tolist()
+    # per point through libm (`libm_pow`): numpy's power may not match.
     exponents = [step * k0[i] + power[i] - order for i in rows]
     try:
-        powered = {e: np.fromiter(map(math.pow, xl, repeat(e)), float, n) if e else np.ones(n)
-                   for e in set(exponents)}
-        xstep = np.tile(np.fromiter(map(math.pow, xl, repeat(step)), float, n), len(rows))
+        powered = {e: libm_pow(flat, e) if e else np.ones(n) for e in set(exponents)}
+        xstep = np.tile(libm_pow(flat, step), len(rows))
     except (OverflowError, ValueError):      # or a negative power of x = 0
-        raise SeriesError(f"a power of x overflowed (largest |x| {max(map(abs, xl)):.4g}); "
+        raise SeriesError(f"a power of x overflowed (largest |x| {np.abs(flat).max():.4g}); "
                           "the value is outside the representable range") from None
     base = np.concatenate([coefficient(i, k0[i]) * powered[exponents[i]] for i in rows])
     row = np.arange(len(rows)).repeat(n)

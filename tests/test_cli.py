@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from conftest import mullins_profile_dim
-from gbgroove import cli, outer
+from gbgroove import cli, oracle, outer
 from gbgroove.cli import MODES, PRESETS, NonFiniteOutputError, RunConfig, main, run
 from gbgroove.material import (
     PhysicalParams,
@@ -701,6 +701,15 @@ def test_exit_code_contract_oracle_modes(mode, model, samples):
                                 "times": [bt], "samples": samples})
 
 
+def test_oracle_mode_solves_the_modes_once_per_bt(capsys):
+    """An oracle run takes each Bt value's heights and mass from one modal
+    solve: two Bt values, two `_wall_modes` calls."""
+    with mock.patch.object(oracle, "_wall_modes", wraps=oracle._wall_modes) as spy:
+        assert main(["--mode", "oracle", *_ALUMINA, "--Bt", "2e-29", "--samples", "4"]) == 0
+    assert spy.call_count == 2
+    assert capsys.readouterr().out.count("mass=") == 2
+
+
 # ---- the table formatter ------------------------------------------------
 
 # edge values, any finite float, and mixed magnitudes from 1e-30 to 1e4
@@ -834,13 +843,16 @@ def test_non_finite_output_exits_three(bad, samples, data, fmt):
         ys[index] = bad
         return ym, ys
 
-    def poisoned_oracle(x, *args):
-        return np.full(np.shape(x), bad)
+    def poisoned_heights(x, *args):
+        return np.full(np.shape(x), bad), 0.0
+
+    def poisoned_mass(x, *args):
+        return np.zeros(np.shape(x)), bad
 
     mode, patch = {
         "cell": ("profile", mock.patch.object(cli, "mullins_and_composite", poisoned_profile)),
-        "gap": ("compare", mock.patch.object(cli, "halfline_profile", poisoned_oracle)),
-        "mass": ("oracle", mock.patch.object(cli, "halfline_mass", lambda *args: bad)),
+        "gap": ("compare", mock.patch.object(cli, "halfline_profile", poisoned_heights)),
+        "mass": ("oracle", mock.patch.object(cli, "halfline_profile", poisoned_mass)),
     }[data.draw(st.sampled_from(["cell", "gap", "mass"]))]
     out, err = io.StringIO(), io.StringIO()
     with patch, contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

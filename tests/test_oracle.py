@@ -902,7 +902,7 @@ class TestHalfLine:
         2e-3."""
         x = np.linspace(0.0, 12.0, 601)
         ref = exact_profile(x, 1.0, M_FIG, alpha_hat)
-        y = oracle.halfline_profile(x, 1.0, M_FIG, alpha_hat, dx)
+        y, _ = oracle.halfline_profile(x, 1.0, M_FIG, alpha_hat, dx)
         assert np.max(np.abs(y - ref)) <= 1e-4 * abs(ref[0])
 
     @pytest.mark.parametrize("alpha_hat", HALFLINE_ALPHA_HATS)
@@ -915,7 +915,7 @@ class TestHalfLine:
         weight = np.exp(s) * ds / (1j * reference._NODES)
         whole = np.einsum("ink,nk->i", np.exp(np.multiply.outer(x / DX_CLI, log_z)),
                           weight[:, None] * c).real
-        half = oracle.halfline_profile(x, 1.0, M_FIG, alpha_hat, DX_CLI)
+        half, _ = oracle.halfline_profile(x, 1.0, M_FIG, alpha_hat, DX_CLI)
         assert np.max(np.abs(half - whole)) <= 1e-7 * abs(whole[0])
 
     @pytest.mark.parametrize("alpha_hat", HALFLINE_ALPHA_HATS)
@@ -927,7 +927,7 @@ class TestHalfLine:
         alpha_hat 0.56)."""
         grid = Grid(L=16.0, nx=1025)
         x = grid.nodes[grid.nodes <= 8.0]
-        modes = oracle.halfline_profile(x, 1.0, M_FIG, alpha_hat, grid.dx)
+        modes, _ = oracle.halfline_profile(x, 1.0, M_FIG, alpha_hat, grid.dx)
         err = [np.max(np.abs(solve(SolverConfig(grid=grid, dt=dt, t_final=1.0,
                                                 alpha_hat=alpha_hat, m=M_FIG))[-1]
                              .heights[:len(x)] - modes)) / abs(modes[0])
@@ -939,12 +939,14 @@ class TestHalfLine:
     def test_mass_is_conserved(self, alpha_hat):
         """The balance rows conserve the trapezoidal mass, so the half-line
         mass from a flat start is zero, here to 1e-5 of depth; it is the
-        nodal heights' trapezoid sum, truncated where they have decayed."""
-        depth = abs(oracle.halfline_profile(0.0, 1.0, M_FIG, alpha_hat, DX_CLI))
-        total = oracle.halfline_mass(1.0, M_FIG, alpha_hat, DX_CLI)
+        nodal heights' trapezoid sum, truncated where they have decayed, and
+        does not depend on the points the heights are asked at."""
+        y0, total = oracle.halfline_profile(0.0, 1.0, M_FIG, alpha_hat, DX_CLI)
+        depth = abs(y0)
         assert abs(total) <= 1e-5 * depth
         nodes = np.arange(0.0, 40.0 + DX_CLI / 2, DX_CLI)
-        y = oracle.halfline_profile(nodes, 1.0, M_FIG, alpha_hat, DX_CLI)
+        y, nodes_total = oracle.halfline_profile(nodes, 1.0, M_FIG, alpha_hat, DX_CLI)
+        assert nodes_total == total
         assert total == pytest.approx(DX_CLI * (y.sum() - y[0] / 2.0), abs=1e-9 * depth)
 
     @pytest.mark.parametrize("bad", [
@@ -968,9 +970,6 @@ class TestHalfLine:
         x = np.array([0.0, 1.0, args.pop("x", 2.0)])
         with pytest.raises(ValueError):
             oracle.halfline_profile(x, **args)
-        if "x" not in bad:
-            with pytest.raises(ValueError):
-                oracle.halfline_mass(**args)
 
     @given(x=st.lists(edge_or(0.0, 0.5, 3.0, 12.0), min_size=1, max_size=3),
            t=edge_or(1.0, 0.01, 7.0), m=edge_or(M_FIG, -1.0),
@@ -981,9 +980,23 @@ class TestHalfLine:
         no warning."""
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for call in (lambda: oracle.halfline_profile(np.array(x), t, m, alpha_hat, dx),
-                         lambda: oracle.halfline_mass(t, m, alpha_hat, dx)):
-                try:
-                    assert np.isfinite(call()).all()
-                except ValueError:
-                    pass
+            try:
+                y, total = oracle.halfline_profile(np.array(x), t, m, alpha_hat, dx)
+            except ValueError:
+                return
+        assert np.isfinite(y).all() and math.isfinite(total)
+
+    @pytest.mark.parametrize("alpha_hat, dx", [
+        (0.0, 1.0 / 64), (0.003, 8.0 / 585), (AH_FIG, 1.0 / 64), (1.0 / 4096, 1.0 / 256),
+    ])
+    def test_spacing_rule(self, alpha_hat, dx):
+        """The column's spacing: 512 intervals of [0, 8] until the wall
+        layer needs more, then the fewest with dx <= sqrt(alpha_hat)/4
+        (585 at 0.003), down to dx 1/256 at alpha_hat 1/4096."""
+        assert oracle.halfline_dx(alpha_hat) == dx
+
+    def test_spacing_rule_refuses_past_the_finest_dx(self):
+        """Just below alpha_hat 1/4096 the wall layer needs 2049 intervals,
+        a dx below 1/256, which the rule refuses."""
+        with pytest.raises(ValueError, match=r"^need dx >= 1/256, got dx = 0\.003904 "):
+            oracle.halfline_dx(np.nextafter(1.0 / 4096, 0.0))
