@@ -183,11 +183,8 @@ def _bt_values(cfg: RunConfig) -> list[float]:
     return cfg.times or [_DEFAULT_BT]
 
 
-def _reducer(model: dict | None, physical: dict | None):
-    """Check one parameter block once and return the function that reduces
-    it to ModelParams at a time Bt."""
-    block = "model" if model is not None else "physical"
-    bad = (KeyError, TypeError, ValueError, ArithmeticError)
+def _reduce(model: dict | None, physical: dict | None, bt: float) -> ModelParams:
+    """Check one parameter block and reduce it to ModelParams at a time Bt."""
     try:
         if model is not None:
             values = [model[k] for k in ("B", "alpha", "m")]
@@ -196,21 +193,12 @@ def _reducer(model: dict | None, physical: dict | None):
             # B enters only through Bt, but it is the user's input
             if not 0 < B < math.inf:
                 raise ValueError(f"B must be positive and finite, got {B}")
-            reduce = functools.partial(nondimensionalize, alpha, m=m)
-        else:
-            phys = PhysicalParams(**physical)
-            _require_numbers("physical entries", astuple(phys))
-            reduce = functools.partial(model_from_physical, phys)
-    except bad as exc:
-        raise CliConfigError(f"bad {block} block: {exc}")
-
-    def reduced(bt: float) -> ModelParams:
-        try:
-            return reduce(bt)
-        except bad as exc:
-            raise CliConfigError(f"bad {block} block: {exc}")
-
-    return reduced
+            return nondimensionalize(alpha, bt, m)
+        phys = PhysicalParams(**physical)
+        _require_numbers("physical entries", astuple(phys))
+        return model_from_physical(phys, bt)
+    except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
+        raise CliConfigError(f"bad {'model' if model is not None else 'physical'} block: {exc}")
 
 
 def _merge_cli(cfg: dict, args: argparse.Namespace) -> dict:
@@ -403,7 +391,7 @@ def _write_table(cfg: RunConfig, columns: list[str], table: np.ndarray,
 
 def _mode_params(cfg: RunConfig) -> str:
     [bt] = _bt_values(cfg)
-    params = _reducer(cfg.model, cfg.physical)(bt)
+    params = _reduce(cfg.model, cfg.physical, bt)
     B = (float(cfg.model["B"]) if cfg.model is not None
          else mullins_coefficient(PhysicalParams(**cfg.physical)))
     lines = [
@@ -423,11 +411,10 @@ def _mode_profile(cfg: RunConfig, with_oracle: bool) -> str:
     blocks = []     # one (samples, columns) block per Bt
     notes: list[str] = []
     gaps: list[float] = []
-    reduced = _reducer(cfg.model, cfg.physical)
     spec = ExpansionSpec(N=cfg.order)
     for bt in cfg.times:
-        params = reduced(bt)
-        span = (cfg.xmax if cfg.xmax is not None else 8.0) * bt ** 0.25
+        params = _reduce(cfg.model, cfg.physical, bt)
+        span = (cfg.xmax if cfg.xmax is not None else 8.0) * params.L0
         xs = np.linspace(0.0, span, cfg.samples)
         dx = _halfline(halfline_dx, params.alpha_hat) if with_oracle else None
         cols = [np.full(len(xs), bt), xs, *mullins_and_composite(xs, bt, params, spec)]
@@ -458,7 +445,7 @@ def _mode_depth_series(cfg: RunConfig) -> str:
     alphas = cfg.alphas
     if not alphas:
         if "alpha" in cfg.model:
-            alphas = [cfg.model["alpha"]]     # checked by `reduced` below
+            alphas = [cfg.model["alpha"]]     # checked by `_reduce` below
         else:
             raise CliConfigError("depth-series needs an 'alphas' list or a model alpha")
     columns = ["alpha_m2", "Bt_m4", "depth_mullins_m", "depth_composite_m",
@@ -469,12 +456,12 @@ def _mode_depth_series(cfg: RunConfig) -> str:
     L0_2 = libm_pow(L0, 2)
     ah = []
     for alpha in alphas:
-        reduced = _reducer({**cfg.model, "alpha": alpha}, None)
-        params = reduced(cfg.times[0])      # checks alpha and m, warns once if m is steep
+        model = {**cfg.model, "alpha": alpha}
+        params = _reduce(model, None, cfg.times[0])  # checks alpha and m, warns once if m is steep
         ah.append(params.alpha / L0_2)
         bad = ~(np.isfinite(ah[-1]) & np.isfinite(L0))
         if bad.any():       # the first row ModelParams refuses exits 2 with its message
-            reduced(cfg.times[int(np.argmax(bad))])
+            _reduce(model, None, cfg.times[int(np.argmax(bad))])
     rows = SimpleNamespace(m=params.m, L0=np.tile(L0, len(alphas)), alpha_hat=np.concatenate(ah))
     bt = np.tile(bts, len(alphas))
     # L0 * y_0(0, Bt / L0^4) with Z(0) in closed form, float op for float op
@@ -488,17 +475,16 @@ def _mode_depth_series(cfg: RunConfig) -> str:
 
 def _mode_corner(cfg: RunConfig) -> str:
     [bt] = _bt_values(cfg)
-    params = _reducer(cfg.model, cfg.physical)(bt)
+    params = _reduce(cfg.model, cfg.physical, bt)
     ah = params.alpha_hat
     if ah <= 0:
         raise CliConfigError("corner mode needs alpha > 0")
     # amplitude corner_gamma, or alpha_hat where corner_gamma is 0
     spec = CornerSpec(r=cfg.corner_r, gamma=cfg.corner_gamma or ah, alpha_hat=ah)
-    tau = 1.0
+    # the columns are at tau = 1, where zeta is w
     ws = np.linspace(0.0, 20.0, cfg.samples)
-    zeta = ws * tau ** (1.0 / 6.0)
-    yc456 = corner_solutions_yc((4, 5, 6), zeta, tau, spec)
-    combination = corner_combination(zeta, tau, spec, yc456=yc456)
+    yc456 = corner_solutions_yc((4, 5, 6), ws, 1.0, spec)
+    combination = corner_combination(ws, 1.0, spec, yc456=yc456)
     columns = ["w", "y_c4", "y_c5", "y_c6", "combination"]
     table = np.column_stack([ws, *yc456, combination])
     notes = [f"nondimensional corner-layer similarity solutions at tau=1, "
@@ -511,10 +497,9 @@ def _mode_oracle(cfg: RunConfig) -> str:
     blocks = []
     notes = []
     masses = []
-    reduced = _reducer(cfg.model, cfg.physical)
     xs = np.linspace(0.0, HALFLINE_L, cfg.samples)
     for bt in cfg.times:
-        params = reduced(bt)
+        params = _reduce(cfg.model, cfg.physical, bt)
         ah = params.alpha_hat
         ys, mass = _halfline(halfline_profile, xs, 1.0, params.m, ah, _halfline(halfline_dx, ah))
         masses.append(mass)

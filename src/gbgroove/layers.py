@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .outer import _G34, _SQRT2
 from .specfun import (
     GammaPoleError,
     SeriesError,
@@ -51,9 +52,7 @@ __all__ = [
     "SIMILARITY_EXPONENT_LIMIT",
 ]
 
-_SQRT2 = math.sqrt(2.0)
 _SQRT3 = math.sqrt(3.0)
-_G34 = gamma(0.75)
 _G74 = gamma(1.75)
 
 SIMILARITY_EXPONENT_LIMIT = -2.0 / 3.0
@@ -234,6 +233,8 @@ def _bracket_gammas(r: float) -> tuple[float, float, float]:
 def theorem_coefficients(Vprime0: float, r: float, alpha_hat: float,
                          tau: float) -> tuple[float, float, float]:
     """Closed-form coefficients (c4, c5, c6) of the decaying combination."""
+    if not tau > 0:
+        raise ValueError("tau must be positive")
     gA, gB, gC = _bracket_gammas(r)
     A = Vprime0 * gA
     Bt = alpha_hat * tau ** (1.0 / 3.0) * Vprime0 * gB

@@ -701,6 +701,22 @@ def test_exit_code_contract_oracle_modes(mode, model, samples):
                                 "times": [bt], "samples": samples})
 
 
+@pytest.mark.parametrize("mode", ["profile", "compare", "oracle"])
+def test_each_bt_is_reduced_on_its_own(mode, capsys):
+    """The model block is reduced at each Bt value: alpha 1e160 is sound at
+    Bt 1e300 (alpha_hat 1e10), and a second Bt of 1e-300 (alpha_hat inf)
+    exits 2 with the refusal of that Bt's reduction."""
+    argv = ["--mode", mode, "--m", "0.209", "--alpha", "1e160", "--B", "1", "--Bt", "1e300",
+            "--samples", "4"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert main([*argv, "--Bt", "1e-300"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: config: bad model block: alpha_hat must be non-negative and finite, "
+                   "got inf\n")
+
+
 def test_oracle_mode_solves_the_modes_once_per_bt(capsys):
     """An oracle run takes each Bt value's heights and mass from one modal
     solve: two Bt values, two `_wall_modes` calls."""

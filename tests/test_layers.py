@@ -310,6 +310,21 @@ class TestDecayingCombination:
             theorem_coefficients(1.0, -5.0 / 6.0, 0.3, 1.0)
 
 
+@pytest.mark.parametrize("tau", [-1.0, -5e-324, math.nan, 0.0])
+@pytest.mark.parametrize("call", [
+    lambda tau: theorem_coefficients(1.0, -1.0, 0.3, tau),
+    lambda tau: corner_combination(1.0, tau, SPEC_R1),
+    lambda tau: corner_solutions_yc(4, 1.0, tau, SPEC_R1),
+], ids=["theorem-coefficients", "combination", "solutions-yc"])
+def test_rejects_non_positive_tau(call, tau):
+    """A tau that is not positive is refused alike by all three.
+    theorem_coefficients returned complex coefficients at a negative tau
+    (tau^(1/3) goes complex), so corner_combination raised TypeError there,
+    and a misleading coefficient-overflow SeriesError at NaN."""
+    with pytest.raises(ValueError, match="^tau must be positive$"):
+        call(tau)
+
+
 class TestRootCurvature:
     def test_zero_amplitude(self):
         spec = CornerSpec(r=-1.0, gamma=0.0, alpha_hat=0.3)
