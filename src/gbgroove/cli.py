@@ -376,14 +376,13 @@ def _write_table(cfg: RunConfig, columns: list[str], table: np.ndarray,
         lines += [f"# {n}" for n in notes]
         lines.append("# columns: " + ",".join(columns))
         return "\n".join(lines) + "\n" + body
-    doc = {
-        "config": cfg.resolved(),
-        "notes": notes,
-        "columns": columns,
-        "rows": [line.split(",") for line in body.splitlines()],
-    }
     # no indent: CPython runs its C encoder only without one
-    return json.dumps(doc, sort_keys=True) + "\n"
+    head = json.dumps({"config": cfg.resolved(), "notes": notes, "columns": columns},
+                      sort_keys=True)
+    # "rows", the last key in sorted order, spliced in as json.dumps writes
+    # the cells: %.16e text needs no escape
+    rows = '["' + body[:-1].replace(",", '", "').replace("\n", '"], ["') + '"]' if body else ""
+    return f'{head[:-1]}, "rows": [{rows}]}}\n'
 
 
 # ---- modes -----------------------------------------------------------------
@@ -420,8 +419,8 @@ def _mode_profile(cfg: RunConfig, with_oracle: bool) -> str:
         cols = [np.full(len(xs), bt), xs, *mullins_and_composite(xs, bt, params, spec)]
         if with_oracle:
             ys = cols[-1]
-            yo = params.L0 * _halfline(halfline_profile, xs / params.L0, 1.0, params.m,
-                                       params.alpha_hat, dx)[0]
+            yo = params.L0 * _halfline(halfline_profile, span / params.L0, cfg.samples, 1.0,
+                                       params.m, params.alpha_hat, dx)[0]
             # xs[0] = 0: the composite's root depth
             depth = abs(ys[0]) if ys[0] != 0 else 1.0
             sup = float(np.max(np.abs(ys - yo)) / depth)
@@ -501,7 +500,8 @@ def _mode_oracle(cfg: RunConfig) -> str:
     for bt in cfg.times:
         params = _reduce(cfg.model, cfg.physical, bt)
         ah = params.alpha_hat
-        ys, mass = _halfline(halfline_profile, xs, 1.0, params.m, ah, _halfline(halfline_dx, ah))
+        ys, mass = _halfline(halfline_profile, HALFLINE_L, cfg.samples, 1.0, params.m, ah,
+                             _halfline(halfline_dx, ah))
         masses.append(mass)
         notes.append(f"Bt={_fmt(bt)}: mass={_fmt(mass)} (nondimensional)")
         blocks.append(np.column_stack([np.full(len(xs), bt), xs * params.L0, ys * params.L0]))

@@ -252,8 +252,6 @@ def corner_combination(zeta, tau: float, spec: CornerSpec, yc456=None):
     when the caller already has it.  Raises SeriesError when the
     coefficients or the combination overflow.
     """
-    if spec.gamma == 0.0:
-        return np.zeros(np.shape(zeta)) if np.ndim(zeta) else 0.0
     c4, c5, c6 = theorem_coefficients(spec.gamma, spec.r, spec.alpha_hat, tau)
     if not all(map(math.isfinite, (c4, c5, c6))):
         raise SeriesError(f"corner coefficients overflow: (c4, c5, c6) = "

@@ -44,7 +44,12 @@ and the lo wall rows fix it at each node of the reference's Talbot contour:
 no box, no far-field row, no time step and no SciPy.  It is the
 Laplace-domain form of a discrete transparent boundary condition (Arnold,
 VLSI Design 6, 1998; Ehrhardt & Arnold, Riv. Mat. Univ. Parma, 2001).  The
-march stays as the check on it that inverts no transform.
+march stays as the check on it that inverts no transform.  The column is
+asked for on an equally spaced window, np.linspace(0, xmax, n), so its modes
+are summed there by a block split of the point index, j = a B + b with B
+about sqrt(n): one complex matrix product of ceil(n/B) block powers and B
+offset powers, ceil(n/B) + B exponentials per mode and contour node where
+one exponential per point took n.
 
 SciPy's BLAS and LAPACK wrappers are imported where a system is factored,
 not at module level, so the CLI, which never marches, and the half-line
@@ -55,11 +60,12 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .reference import _cubic_roots, _mode_sum, _upper_contour
+from .reference import _cubic_roots, _upper_contour
 
 __all__ = [
     "ConfigError",
@@ -623,27 +629,45 @@ def _wall_modes(s: np.ndarray, m: float, alpha_hat: float, dx: float):
     return c, zm1, log_z
 
 
-def halfline_profile(x, t: float, m: float, alpha_hat: float,
+def _window_sum(n: int, du: float, rate: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """Real part of sum_k exp(j du rate_k) coef_k at j = 0 .. n-1, for flat
+    rate and coef.  With B = isqrt(n - 1) + 1 and j = a B + b, exp(j du rate)
+    is exp(a B du rate) exp(b du rate), so the whole window is one complex
+    matrix product of the ceil(n/B) block powers and the B offset powers
+    scaled by coef: each mode takes ceil(n/B) + B exponentials, not n."""
+    B = math.isqrt(n - 1) + 1
+    blocks = np.exp(np.multiply.outer(np.arange(0, n, B) * du, rate))
+    offsets = np.exp(np.multiply.outer(np.arange(B) * du, rate)) * coef
+    return (blocks @ offsets.T).real.ravel()[:n]
+
+
+def halfline_profile(xmax: float, samples: int, t: float, m: float, alpha_hat: float,
                      dx: float) -> tuple[np.ndarray, float]:
     """Height of the solver's semi-discrete problem on the half-line, at
-    spacing dx, exactly in time, and its mass: (y(x, t), the trapezoidal
-    mass dx (y_0/2 + y_1 + y_2 + ...) of the nodal heights) from a flat
-    start.  The modes are evaluated at each x (not only at nodes), and the
-    mass per mode as dx c (1/(1 - z) - 1/2), both up to the contour's
-    inversion error.  Every x must lie in [0, 1e100], t, m and alpha_hat as
-    `reference._upper_contour` states, and dx as `_wall_modes` does.
+    spacing dx, exactly in time, and its mass: (y(x, t) at x =
+    np.linspace(0, xmax, samples), the trapezoidal mass dx (y_0/2 + y_1 +
+    y_2 + ...) of the nodal heights) from a flat start.  The modes are
+    evaluated at each x (not only at nodes), and the mass per mode as
+    dx c (1/(1 - z) - 1/2), both up to the contour's inversion error.  xmax
+    must lie in [0, 1e100] and samples be an integer >= 1; t, m and
+    alpha_hat as `reference._upper_contour` states, and dx as `_wall_modes`
+    does.
 
     There is no box, no far-field row and no time step: the lo decaying
     modes of `_wall_modes`, summed over the Talbot contour of
     `reference.exact_profile`, are the half-line's discrete transparent
-    boundary condition in the Laplace domain.
+    boundary condition in the Laplace domain.  The window is equally
+    spaced, so `_window_sum` sums the modes on it as one block product;
+    `reference._mode_sum` sums them at any points, one exponential each.
     """
-    xs = np.asarray(x, dtype=float)
-    if not np.all((xs >= 0) & (xs <= 1e100)):
-        raise ValueError("x must lie in [0, 1e100]")
+    if not 0 <= xmax <= 1e100:
+        raise ValueError(f"xmax must lie in [0, 1e100], got {xmax}")
+    if isinstance(samples, bool) or not (isinstance(samples, numbers.Integral) and samples >= 1):
+        raise ValueError(f"samples must be an integer >= 1, got {samples!r}")
     s, weight = _upper_contour(t, m, alpha_hat)
     c, zm1, log_z = _wall_modes(s, m, alpha_hat, dx)
-    heights = _mode_sum(xs.ravel() / dx, log_z, weight, c).reshape(xs.shape)
+    du = xmax / (samples - 1) / dx if samples > 1 else 0.0
+    heights = _window_sum(samples, du, log_z.ravel(), (weight[:, None] * c).ravel())
     return heights, float((dx * (weight[:, None] * c * (-1.0 / zm1 - 0.5)).sum()).real)
 
 

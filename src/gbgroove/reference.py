@@ -21,7 +21,9 @@ with the midpoint rule at N nodes in (-pi, pi); the error falls like
 exp(-1.36 N) until roundoff, amplified by about exp(0.17 N), takes over.
 Mullins (J. Appl. Phys. 28, 1957) solved the alpha = 0 problem the same way.
 The upper-half nodes are solved in one batch; the solver's half-line modes
-(`oracle`) share the contour and the sum (`_upper_contour`, `_mode_sum`).
+(`oracle`) share the contour (`_upper_contour`) and sum their modes on an
+equally spaced window; `_mode_sum` sums them at any points, one exponential
+per point, and the tests hold the window's sum to it.
 
 This is a check for the two numerical routes, not a CLI mode.
 """

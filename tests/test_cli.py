@@ -828,6 +828,30 @@ def test_table_text_matches_per_number_rendering_on_hard_cases(case):
     assert [(g, w) for g, w in zip(got, want) if g != w][:5] == []
 
 
+_JSON_ROW_CASES = {
+    "one-row": lambda: np.array([[1.0, -2.5, 0.0, 3e-5]]),
+    "past-one-block": lambda: _mixed_table(cli._BLOCK_CELLS // 3 + 7, 3),
+    "signed-three-digit-exponents": lambda: _signed_rows(
+        [1.5e-300, 2.0e250, 7.25e-123, 9.9e100, 1e-100, 5e-324, 1.7976931348623157e308]),
+    "no-rows": lambda: np.empty((0, 4)),
+}
+
+
+@pytest.mark.parametrize("case", list(_JSON_ROW_CASES))
+def test_json_rows_spliced_as_json_dumps_writes_them(case):
+    """The JSON writer splices "rows" in from the rendered body: the text is
+    json.dumps of the document whose rows are the body's lines split at
+    commas."""
+    table = _JSON_ROW_CASES[case]()
+    cfg = _table_config("json")
+    columns = [f"c{j}" for j in range(table.shape[1])]
+    notes = ["a note", "Bt=1e-29: mass=-0.5"]
+    body = cli._render_table(table)
+    doc = {"config": cfg.resolved(), "notes": notes, "columns": columns,
+           "rows": [line.split(",") for line in body.splitlines()]}
+    assert cli._write_table(cfg, columns, table, notes) == json.dumps(doc, sort_keys=True) + "\n"
+
+
 @given(table=_TABLE, bad=_NON_FINITE, data=st.data())
 @settings(derandomize=True, max_examples=100, deadline=None)
 def test_non_finite_cell_or_gap_is_refused(table, bad, data):
@@ -859,11 +883,11 @@ def test_non_finite_output_exits_three(bad, samples, data, fmt):
         ys[index] = bad
         return ym, ys
 
-    def poisoned_heights(x, *args):
-        return np.full(np.shape(x), bad), 0.0
+    def poisoned_heights(xmax, samples, *args):
+        return np.full(samples, bad), 0.0
 
-    def poisoned_mass(x, *args):
-        return np.zeros(np.shape(x)), bad
+    def poisoned_mass(xmax, samples, *args):
+        return np.zeros(samples), bad
 
     mode, patch = {
         "cell": ("profile", mock.patch.object(cli, "mullins_and_composite", poisoned_profile)),

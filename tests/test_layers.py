@@ -314,15 +314,29 @@ class TestDecayingCombination:
 @pytest.mark.parametrize("call", [
     lambda tau: theorem_coefficients(1.0, -1.0, 0.3, tau),
     lambda tau: corner_combination(1.0, tau, SPEC_R1),
+    lambda tau: corner_combination(1.0, tau, CornerSpec(r=-1.0, gamma=0.0, alpha_hat=0.3)),
+    lambda tau: corner_combination(np.array([-1.0, 1.0]), tau,
+                                   CornerSpec(r=-1.0, gamma=0.0, alpha_hat=0.3)),
     lambda tau: corner_solutions_yc(4, 1.0, tau, SPEC_R1),
-], ids=["theorem-coefficients", "combination", "solutions-yc"])
+], ids=["theorem-coefficients", "combination", "combination-zero-amplitude",
+        "combination-zero-amplitude-negative-zeta", "solutions-yc"])
 def test_rejects_non_positive_tau(call, tau):
-    """A tau that is not positive is refused alike by all three.
+    """A tau that is not positive is refused alike by all of them.
     theorem_coefficients returned complex coefficients at a negative tau
     (tau^(1/3) goes complex), so corner_combination raised TypeError there,
-    and a misleading coefficient-overflow SeriesError at NaN."""
+    and a misleading coefficient-overflow SeriesError at NaN; at zero
+    amplitude it returned zeros before it checked anything."""
     with pytest.raises(ValueError, match="^tau must be positive$"):
         call(tau)
+
+
+@pytest.mark.parametrize("gamma", [0.0, 1.0])
+def test_combination_rejects_negative_zeta(gamma):
+    """A negative zeta is refused at any amplitude, as corner_solutions_yc
+    refuses it; at zero amplitude corner_combination returned 0.0."""
+    spec = CornerSpec(r=-1.0, gamma=gamma, alpha_hat=0.3)
+    with pytest.raises(ValueError, match="^zeta must be non-negative$"):
+        corner_combination(-1.0, 1.0, spec)
 
 
 class TestRootCurvature:

@@ -902,7 +902,7 @@ class TestHalfLine:
         2e-3."""
         x = np.linspace(0.0, 12.0, 601)
         ref = exact_profile(x, 1.0, M_FIG, alpha_hat)
-        y, _ = oracle.halfline_profile(x, 1.0, M_FIG, alpha_hat, dx)
+        y, _ = oracle.halfline_profile(12.0, 601, 1.0, M_FIG, alpha_hat, dx)
         assert np.max(np.abs(y - ref)) <= 1e-4 * abs(ref[0])
 
     @pytest.mark.parametrize("alpha_hat", HALFLINE_ALPHA_HATS)
@@ -915,7 +915,7 @@ class TestHalfLine:
         weight = np.exp(s) * ds / (1j * reference._NODES)
         whole = np.einsum("ink,nk->i", np.exp(np.multiply.outer(x / DX_CLI, log_z)),
                           weight[:, None] * c).real
-        half, _ = oracle.halfline_profile(x, 1.0, M_FIG, alpha_hat, DX_CLI)
+        half, _ = oracle.halfline_profile(12.0, 97, 1.0, M_FIG, alpha_hat, DX_CLI)
         assert np.max(np.abs(half - whole)) <= 1e-7 * abs(whole[0])
 
     @pytest.mark.parametrize("alpha_hat", HALFLINE_ALPHA_HATS)
@@ -927,7 +927,7 @@ class TestHalfLine:
         alpha_hat 0.56)."""
         grid = Grid(L=16.0, nx=1025)
         x = grid.nodes[grid.nodes <= 8.0]
-        modes, _ = oracle.halfline_profile(x, 1.0, M_FIG, alpha_hat, grid.dx)
+        modes, _ = oracle.halfline_profile(x[-1], len(x), 1.0, M_FIG, alpha_hat, grid.dx)
         err = [np.max(np.abs(solve(SolverConfig(grid=grid, dt=dt, t_final=1.0,
                                                 alpha_hat=alpha_hat, m=M_FIG))[-1]
                              .heights[:len(x)] - modes)) / abs(modes[0])
@@ -941,47 +941,68 @@ class TestHalfLine:
         mass from a flat start is zero, here to 1e-5 of depth; it is the
         nodal heights' trapezoid sum, truncated where they have decayed, and
         does not depend on the points the heights are asked at."""
-        y0, total = oracle.halfline_profile(0.0, 1.0, M_FIG, alpha_hat, DX_CLI)
-        depth = abs(y0)
+        y0, total = oracle.halfline_profile(0.0, 1, 1.0, M_FIG, alpha_hat, DX_CLI)
+        depth = abs(y0[0])
         assert abs(total) <= 1e-5 * depth
-        nodes = np.arange(0.0, 40.0 + DX_CLI / 2, DX_CLI)
-        y, nodes_total = oracle.halfline_profile(nodes, 1.0, M_FIG, alpha_hat, DX_CLI)
+        # the nodes of [0, 40], 2560 intervals of DX_CLI
+        y, nodes_total = oracle.halfline_profile(40.0, 2561, 1.0, M_FIG, alpha_hat, DX_CLI)
         assert nodes_total == total
         assert total == pytest.approx(DX_CLI * (y.sum() - y[0] / 2.0), abs=1e-9 * depth)
 
+    @pytest.mark.parametrize("alpha_hat", [0.0, 2.5e-4, AH_FIG, 0.56, 3.0])
+    def test_window_sum_matches_the_per_point_sum(self, alpha_hat):
+        """The block product over the window np.linspace(0, xmax, n) is the
+        per-point `reference._mode_sum` on the same points, to 1e-14 of
+        depth, from one sample to 16384; the mass is the per-mode formula,
+        bit for bit."""
+        dx = oracle.halfline_dx(alpha_hat)
+        for t in (0.01, 1.0, 7.0):
+            s, weight = reference._upper_contour(t, M_FIG, alpha_hat)
+            c, zm1, log_z = oracle._wall_modes(s, M_FIG, alpha_hat, dx)
+            want_mass = float((dx * (weight[:, None] * c * (-1.0 / zm1 - 0.5)).sum()).real)
+            for xmax in (0.0, 8.0, 12.0):
+                for n in (1, 2, 3, 399, 400, 401, 16384):
+                    y, total = oracle.halfline_profile(xmax, n, t, M_FIG, alpha_hat, dx)
+                    ref = reference._mode_sum(np.linspace(0.0, xmax, n) / dx, log_z, weight, c)
+                    assert y.shape == (n,)
+                    assert np.max(np.abs(y - ref)) <= 1e-14 * abs(ref[0]), (t, xmax, n)
+                    assert total == want_mass
+
     @pytest.mark.parametrize("bad", [
-        {"x": -1e-3}, {"x": math.nan}, {"x": math.inf},
+        {"xmax": -1e-3}, {"xmax": math.nan}, {"xmax": math.inf},
+        {"samples": 0}, {"samples": -1}, {"samples": 2.5}, {"samples": True},
         {"t": 0.0}, {"t": -1.0}, {"t": math.inf}, {"t": math.nan},
         {"m": math.nan}, {"m": math.inf},
         {"alpha_hat": -0.1}, {"alpha_hat": math.inf}, {"alpha_hat": math.nan},
         {"dx": 0.0}, {"dx": -DX_CLI}, {"dx": math.inf}, {"dx": math.nan},
         {"t": 1e300}, {"t": 5e-324}, {"alpha_hat": 5e-324}, {"alpha_hat": 1e300},
         {"dx": 1e300}, {"dx": 1e-300}, {"dx": 1e4}, {"dx": 1e-14},
-        {"m": 1e308}, {"m": -1e308}, {"x": 1e308},
+        {"m": 1e308}, {"m": -1e308}, {"xmax": 1e308},
     ], ids=lambda bad: "-".join(f"{k}={v}" for k, v in bad.items()))
     def test_rejects_bad_arguments(self, bad):
         """Past the range float64 carries the modes raised LinAlgError (t =
         1e300 or 5e-324, alpha_hat = 5e-324) or OverflowError (dx = 1e300),
         or returned NaN (alpha_hat = 1e300, dx = 1e-300).  A grid too coarse
         or too fine for its modes (|q| dx^2 past [1e-24, 1e4]: dx = 1e4 and
-        1e-14 at t = 1) is refused too, and so is an m or x of 1e308, which
-        overflowed to NaN with a RuntimeWarning."""
-        args = {"t": 1.0, "m": M_FIG, "alpha_hat": AH_FIG, "dx": DX_CLI, **bad}
-        x = np.array([0.0, 1.0, args.pop("x", 2.0)])
+        1e-14 at t = 1) is refused too, and so is an m or xmax of 1e308, which
+        overflowed to NaN with a RuntimeWarning, and a samples count that is
+        not an integer >= 1."""
+        args = {"xmax": 2.0, "samples": 3, "t": 1.0, "m": M_FIG, "alpha_hat": AH_FIG,
+                "dx": DX_CLI, **bad}
         with pytest.raises(ValueError):
-            oracle.halfline_profile(x, **args)
+            oracle.halfline_profile(**args)
 
-    @given(x=st.lists(edge_or(0.0, 0.5, 3.0, 12.0), min_size=1, max_size=3),
+    @given(xmax=edge_or(0.0, 0.5, 3.0, 12.0), samples=st.integers(1, 401),
            t=edge_or(1.0, 0.01, 7.0), m=edge_or(M_FIG, -1.0),
            alpha_hat=edge_or(AH_FIG, 0.05, 1e-3), dx=edge_or(DX_CLI, 1.0 / 256, 0.1))
     @settings(derandomize=True, max_examples=500, deadline=None)
-    def test_finite_or_value_error(self, x, t, m, alpha_hat, dx):
+    def test_finite_or_value_error(self, xmax, samples, t, m, alpha_hat, dx):
         """Any arguments give finite heights and mass or a ValueError, with
         no warning."""
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             try:
-                y, total = oracle.halfline_profile(np.array(x), t, m, alpha_hat, dx)
+                y, total = oracle.halfline_profile(xmax, samples, t, m, alpha_hat, dx)
             except ValueError:
                 return
         assert np.isfinite(y).all() and math.isfinite(total)
